@@ -26,8 +26,10 @@ from .extend import (
     slice_extension_is_slice,
 )
 from .morphisms import roundtrip_holds
-from .order import Extension, Quotient, is_join_extension, is_meet_extension, macneille
+from .order import Extension, Quotient, is_join_extension, is_meet_extension
 from .polarity import (
+    CANONICAL_BUILDERS,
+    CONDITION_NAMES,
     check_coherence,
     coherence_level,
     is_galois,
@@ -45,8 +47,6 @@ from .randgen import (
     random_galois_polarity,
     random_poset,
 )
-
-CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 
 def _load(path):
@@ -90,7 +90,7 @@ def cmd_check(args):
             ("meet-side", "yes" if rep.meet_side else "no", None),
             ("join-side", "yes" if rep.join_side else "no", None),
         ]
-        for c in CONDITIONS:
+        for c in CONDITION_NAMES:
             ok, witness = rep.conditions[c]
             rows.append((c, "PASS" if ok else "FAIL", witness))
         if args.format == "tsv":
@@ -229,15 +229,13 @@ def cmd_fixtures(args):
 
 # -- fuzzing ---------------------------------------------------------------
 
-_CANONICAL = {0: r_zero, 1: r_hat_m, 2: r_hat_m, 3: r_hat_g}
-
 
 def _law_coherence(rng, size):
     pol = random_extension_polarity(rng, rng.randint(1, size))
     level = coherence_level(pol)
     for n in range(4):
         want = level is not None and level >= n
-        got = is_n_preorder(pol, _CANONICAL[n](pol).closed(), n).ok
+        got = is_n_preorder(pol, CANONICAL_BUILDERS[n](pol).closed(), n).ok
         assert want == got, "grade %d disagrees with its canonical preorder" % n
     if is_galois(pol):
         unique_3preorder(pol)

@@ -8,13 +8,14 @@ and used directly as lattice element ids.
 
 from __future__ import annotations
 
-from .errors import CarrierTooLarge, NotCompleteLattice, PreservationViolation
+from .errors import NotCompleteLattice, PreservationViolation
 from .order import (
-    Extension,
     MonotoneMap,
-    Poset,
     UnionPreorder,
-    _mask_iter,
+    _bound_index,
+    _index_image,
+    _intersection_lattice,
+    _preserves_bounds,
     check_galois_connection,
     is_meet_extension,
     is_join_extension,
@@ -74,31 +75,10 @@ class ConceptLattice:
 
 def concept_lattice(pol):
     X = pol.x
-    full = (1 << len(X)) - 1
     attr = {
         b: X.mask_of(upsilon(pol, b)) for b in pol.y.elements
     }
-    closed = {full}
-    frontier = [full]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for m in attr.values():
-                d = c & m
-                if d not in closed:
-                    closed.add(d)
-                    nxt.append(d)
-        frontier = nxt
-    ordered = sorted(closed)
-    idx = {c: i for i, c in enumerate(ordered)}
-    rows = []
-    for c in ordered:
-        r = 0
-        for d in ordered:
-            if c & ~d == 0:
-                r |= 1 << idx[d]
-        rows.append(r)
-    lattice = Poset(ordered, rows)
+    lattice = _intersection_lattice((1 << len(X)) - 1, list(attr.values()))
     xi_mask = {a: X.mask_of(xi(pol, a)) for a in X.elements}
     return ConceptLattice(pol, lattice, xi_mask, attr)
 
@@ -204,6 +184,29 @@ def _require_completion(e, kind):
         raise PreservationViolation("map is not a join-completion")
 
 
+def _adjoint(src, tgt, below, bound, side):
+    """The map from the target of `src` to the target of `tgt` sending s
+    to the bound, read off `bound`, of the `tgt` images of the base
+    elements whose `src` image lies in `below[s]`.  Verified to extend
+    the base maps."""
+    S, T = src.target, tgt.target
+    pairs = list(zip(_index_image(src.map), _index_image(tgt.map)))
+    assignment = {}
+    for s, e in enumerate(S.elements):
+        images = 0
+        for si, ti in pairs:
+            if below[s] >> si & 1:
+                images |= 1 << ti
+        assignment[e] = T.elements[_bound_index(bound, images)]
+    h = MonotoneMap(S, T, assignment)
+    for p in src.base.elements:
+        if h(src(p)) != tgt(p):
+            raise PreservationViolation(
+                "adjoint does not extend the %s base map" % side, p
+            )
+    return h
+
+
 def f_map(ex, ey):
     """The lower adjoint Y -> X determined by a meet-completion and a
     join-completion of the same base: each right element goes to the
@@ -211,33 +214,14 @@ def f_map(ex, ey):
     with the base maps is verified."""
     _require_completion(ex, "meet")
     _require_completion(ey, "join")
-    X, Y = ex.target, ey.target
-    assignment = {
-        y: X.join([ex(p) for p in ey.preimage_down(y)]) for y in Y.elements
-    }
-    f = MonotoneMap(Y, X, assignment)
-    for p in ex.base.elements:
-        if f(ey(p)) != ex(p):
-            raise PreservationViolation(
-                "adjoint does not extend the left base map", p
-            )
-    return f
+    return _adjoint(ey, ex, ey.target.cols, ex.target.rows, "left")
 
 
 def g_map(ex, ey):
+    """The upper adjoint X -> Y: `f_map` on the dual orders."""
     _require_completion(ex, "meet")
     _require_completion(ey, "join")
-    X, Y = ex.target, ey.target
-    assignment = {
-        x: Y.meet([ey(p) for p in ex.preimage_up(x)]) for x in X.elements
-    }
-    g = MonotoneMap(X, Y, assignment)
-    for p in ey.base.elements:
-        if g(ex(p)) != ey(p):
-            raise PreservationViolation(
-                "adjoint does not extend the right base map", p
-            )
-    return g
+    return _adjoint(ex, ey, ex.target.rows, ey.target.cols, "right")
 
 
 def adjoint_pair(ex, ey):
@@ -249,34 +233,6 @@ def adjoint_pair(ex, ey):
     return f, g
 
 
-def _completely_meet_preserving(e, limit=14):
-    src = e.base
-    if len(src) > limit:
-        raise CarrierTooLarge("preservation scan gated at %d elements" % limit)
-    for mask in range(1 << len(src)):
-        m = src.meet_index(mask)
-        if m is None:
-            continue
-        imgs = [e(src.elements[i]) for i in _mask_iter(mask)]
-        if e.target.meet(imgs) != e(src.elements[m]):
-            return False
-    return True
-
-
-def _completely_join_preserving(e, limit=14):
-    src = e.base
-    if len(src) > limit:
-        raise CarrierTooLarge("preservation scan gated at %d elements" % limit)
-    for mask in range(1 << len(src)):
-        j = src.join_index(mask)
-        if j is None:
-            continue
-        imgs = [e(src.elements[i]) for i in _mask_iter(mask)]
-        if e.target.join(imgs) != e(src.elements[j]):
-            return False
-    return True
-
-
 def z_doubleprime(pol, ix, iy):
     """The right-left pairs read off through a pair of side completions:
     (y, x) is included when the lower adjoint sends the completed y
@@ -284,11 +240,11 @@ def z_doubleprime(pol, ix, iy):
     meets respectively joins of their sides."""
     if ix.base != pol.x or iy.base != pol.y:
         raise PreservationViolation("completions must extend the polarity sides")
-    if not _completely_meet_preserving(ix):
+    if not _preserves_bounds(_index_image(ix.map), pol.x.cols, ix.target.cols, 14):
         raise PreservationViolation(
             "left completion must preserve all existing meets"
         )
-    if not _completely_join_preserving(iy):
+    if not _preserves_bounds(_index_image(iy.map), pol.y.rows, iy.target.rows, 14):
         raise PreservationViolation(
             "right completion must preserve all existing joins"
         )

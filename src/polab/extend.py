@@ -17,6 +17,11 @@ from .errors import CarrierMismatch, CarrierTooLarge, NotZeroPreorder
 from .order import (
     MonotoneMap,
     UnionPreorder,
+    _bound_index,
+    _expressible,
+    _image_mask,
+    _index_image,
+    _mask_iter,
     is_join_extension,
     is_meet_extension,
     is_order_embedding,
@@ -81,29 +86,19 @@ def restrict_relation(ctx, sbar):
     )
 
 
-def _preserves_image_meets(ix, ex):
-    """ix preserves meets in its base of subsets of the image of ex.
-    Only canonical subsets matter: a subset's meet is also the meet of
-    all images above it."""
-    X = ix.base
-    for x in X.elements:
-        members = [ex(p) for p in ex.preimage_up(x)]
-        if X.meet(members) != x:
-            continue
-        imgs = [ix(m) for m in members]
-        if ix.target.meet(imgs) != ix(x):
-            return False
-    return True
-
-
-def _preserves_image_joins(iy, ey):
-    Y = iy.base
-    for y in Y.elements:
-        members = [ey(p) for p in ey.preimage_down(y)]
-        if Y.join(members) != y:
-            continue
-        imgs = [iy(m) for m in members]
-        if iy.target.join(imgs) != iy(y):
+def _preserves_image_bounds(i, e, up, down, outer):
+    """i preserves meets in its base of subsets of the image of e, for
+    `up`/`down`/`outer` the `rows`/`cols` of its base and the `cols` of
+    its target; given `cols`/`rows`/`rows`, joins.  Only canonical
+    subsets matter: a subset's meet is also the meet of all images above
+    it."""
+    image = _image_mask(e)
+    f = _index_image(i.map)
+    for x in _mask_iter(_expressible(up, down, image)):
+        images = 0
+        for m in _mask_iter(image & up[x]):
+            images |= 1 << f[m]
+        if _bound_index(outer, images) != f[x]:
             return False
     return True
 
@@ -238,9 +233,10 @@ def check_restriction_preservation(ctx, sbar):
             )
         else:
             report[str(n)] = ClauseReport(False, True, "outer below grade %d" % n)
-    guards = _preserves_image_meets(ctx.ix, ctx.inner.ex) and _preserves_image_joins(
-        ctx.iy, ctx.inner.ey
-    )
+    X, Y = ctx.inner.x, ctx.inner.y
+    guards = _preserves_image_bounds(
+        ctx.ix, ctx.inner.ex, X.rows, X.cols, ctx.ix.target.cols
+    ) and _preserves_image_bounds(ctx.iy, ctx.inner.ey, Y.cols, Y.rows, ctx.iy.target.rows)
     if guards and outer_rep.level == 3:
         report["3"] = ClauseReport(True, inner_rep.level == 3)
     else:

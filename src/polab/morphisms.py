@@ -14,8 +14,6 @@ from .order import (
     compose as compose_maps,
     is_cut_stable,
     is_order_embedding,
-    tag_x,
-    tag_y,
 )
 from .polarity import intermediate_structure, unique_3preorder
 
@@ -126,7 +124,7 @@ class PolarityMorphism:
         )
 
     def __hash__(self):
-        return hash((id(self.source), id(self.target)))
+        return hash((self.hx, self.hp, self.hy))
 
     def is_embedding(self):
         s, t = self.source, self.target

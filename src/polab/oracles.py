@@ -10,7 +10,6 @@ import itertools
 
 from .errors import CarrierTooLarge
 from .order import UnionPreorder, tag_x, tag_y, transitive_close
-from .polarity import CONDITION_NAMES
 
 
 def _subsets(items):
@@ -218,13 +217,11 @@ def naive_coherence_level(pol):
     return 3
 
 
-def oracle_enumerate_preorders(carrier, forced, forbidden, method="pruned"):
+def oracle_enumerate_preorders(carrier, forced, forbidden):
     """All reflexive transitive relations on `carrier` containing the
-    `forced` pairs and avoiding the `forbidden` pairs.
-
-    `method="naive"` tries every subset of the undetermined pairs and is
-    gated harder; `method="pruned"` backtracks with incremental closure.
-    Results come back as UnionPreorder values in a deterministic order.
+    `forced` pairs and avoiding the `forbidden` pairs, found by trying
+    every subset of the undetermined pairs.  Results come back as
+    UnionPreorder values in a deterministic order.
     """
     carrier = tuple(carrier)
     n = len(carrier)
@@ -248,58 +245,26 @@ def oracle_enumerate_preorders(carrier, forced, forbidden, method="pruned"):
         and not forced_rows[i] >> j & 1
         and not forbidden_rows[i] >> j & 1
     ]
+    if len(free) > 16:
+        raise CarrierTooLarge("naive oracle gated at 16 undetermined pairs")
     results = []
-    if method == "naive":
-        if len(free) > 16:
-            raise CarrierTooLarge("naive oracle gated at 16 undetermined pairs")
-        for chosen in range(1 << len(free)):
-            rows = list(forced_rows)
-            for k in range(len(free)):
-                if chosen >> k & 1:
-                    i, j = free[k]
-                    rows[i] |= 1 << j
-            ok = True
-            for i in range(n):
-                if rows[i] & forbidden_rows[i]:
+    for chosen in range(1 << len(free)):
+        rows = list(forced_rows)
+        for k in range(len(free)):
+            if chosen >> k & 1:
+                i, j = free[k]
+                rows[i] |= 1 << j
+        ok = True
+        for i in range(n):
+            if rows[i] & forbidden_rows[i]:
+                ok = False
+                break
+            for k in range(n):
+                if rows[i] >> k & 1 and rows[k] & ~rows[i]:
                     ok = False
                     break
-                for k in range(n):
-                    if rows[i] >> k & 1 and rows[k] & ~rows[i]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                results.append(UnionPreorder(carrier, rows))
-        seen = set()
-        unique = []
-        for u in results:
-            if u.rows not in seen:
-                seen.add(u.rows)
-                unique.append(u)
-        return unique
-    if method != "pruned":
-        raise ValueError("unknown method %r" % (method,))
-
-    def dfs(rows, k, excluded):
-        while k < len(free) and rows[free[k][0]] >> free[k][1] & 1:
-            k += 1
-        if k == len(free):
-            results.append(UnionPreorder(carrier, list(rows)))
-            return
-        i, j = free[k]
-        excluded.append((i, j))
-        dfs(rows, k + 1, excluded)
-        excluded.pop()
-        new = list(rows)
-        new[i] |= 1 << j
-        transitive_close(new)
-        if any(new[a] & forbidden_rows[a] for a in range(n)):
-            return
-        for a, b in excluded:
-            if new[a] >> b & 1:
-                return
-        dfs(new, k + 1, excluded)
-
-    dfs(forced_rows, 0, [])
+            if not ok:
+                break
+        if ok:
+            results.append(UnionPreorder(carrier, rows))
     return results

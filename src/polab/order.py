@@ -3,16 +3,16 @@
 Posets are stored as a tuple of element ids plus a dense bit-matrix:
 ``rows[i]`` has bit ``j`` set when element ``i`` is below element ``j``.
 All quantifier-heavy checks work on these masks; the public API speaks
-in element ids.
+in element ids.  A poset's dual is its ``rows`` and ``cols`` swapped, so
+each join-side check is its meet-side kernel run on the swapped arrays.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     AntisymmetryViolation,
     CarrierMismatch,
+    CarrierTooLarge,
     DomainMismatch,
     LiftVerificationFailed,
     NotCutStable,
@@ -42,6 +42,30 @@ def _mask_iter(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bound_index(vecs, mask):
+    """Index of the meet of the indices in `mask` when `vecs` is a
+    poset's `cols`, of their join when it is its `rows`; None when it does
+    not exist.  The empty mask asks for a top (a bottom)."""
+    bounds = (1 << len(vecs)) - 1
+    for j in _mask_iter(mask):
+        bounds &= vecs[j]
+    for g in _mask_iter(bounds):
+        if not bounds & ~vecs[g]:
+            return g
+    return None
+
+
+def _expressible(up, down, image_mask):
+    """Mask of the elements that are the meet of the elements of
+    `image_mask` above them, for `up`/`down` a poset's `rows`/`cols`; with
+    the two swapped, of those that are the join of the ones below them."""
+    out = 0
+    for q in range(len(up)):
+        if _bound_index(down, image_mask & up[q]) == q:
+            out |= 1 << q
+    return out
 
 
 class Poset:
@@ -164,35 +188,13 @@ class Poset:
     def elements_of(self, mask):
         return tuple(self.elements[i] for i in _mask_iter(mask))
 
-    def lower_bounds_mask(self, mask):
-        full = (1 << len(self.elements)) - 1
-        lb = full
-        for j in _mask_iter(mask):
-            lb &= self.cols[j]
-        return lb
-
-    def upper_bounds_mask(self, mask):
-        full = (1 << len(self.elements)) - 1
-        ub = full
-        for i in _mask_iter(mask):
-            ub &= self.rows[i]
-        return ub
-
     def meet_index(self, mask):
         """Index of the greatest lower bound of the indices in `mask`,
         or None when it does not exist.  The empty mask asks for a top."""
-        lb = self.lower_bounds_mask(mask)
-        for g in _mask_iter(lb):
-            if not lb & ~self.cols[g]:
-                return g
-        return None
+        return _bound_index(self.cols, mask)
 
     def join_index(self, mask):
-        ub = self.upper_bounds_mask(mask)
-        for g in _mask_iter(ub):
-            if not ub & ~self.rows[g]:
-                return g
-        return None
+        return _bound_index(self.rows, mask)
 
     def meet(self, subset):
         g = self.meet_index(self.mask_of(subset))
@@ -252,18 +254,6 @@ class Poset:
 
     def relabel(self, fn):
         return Poset([fn(e) for e in self.elements], list(self.rows))
-
-
-def poset_from_pairs(ids, pairs):
-    return Poset.from_pairs(ids, pairs)
-
-
-def meet(poset, subset):
-    return poset.meet(subset)
-
-
-def join(poset, subset):
-    return poset.join(subset)
 
 
 class MonotoneMap:
@@ -337,6 +327,16 @@ def compose(outer, inner):
     )
 
 
+def _index_image(f):
+    """The map `f` as a list: source index to target index."""
+    return [f.target.index[f(p)] for p in f.source.elements]
+
+
+def _image_mask(e):
+    """The image of an extension, as a mask over its target."""
+    return e.target.mask_of(e.map.image())
+
+
 def is_order_embedding(f):
     """p <= q iff f(p) <= f(q); monotonicity is already guaranteed."""
     for p in f.source.elements:
@@ -385,108 +385,60 @@ class Extension:
         """Extend further along another extension of the target."""
         return Extension(compose(outer.map, self.map))
 
-    def preimage_up(self, q):
-        """Base elements whose image lies above q."""
-        return tuple(
-            p for p in self.base.elements if self.target.leq(q, self.map(p))
-        )
-
-    def preimage_down(self, q):
-        return tuple(
-            p for p in self.base.elements if self.target.leq(self.map(p), q)
-        )
-
 
 def is_meet_extension(e):
     """Every target element is the meet of the images above it."""
-    q_poset = e.target
-    for q in q_poset.elements:
-        above = [e(p) for p in e.preimage_up(q)]
-        if q_poset.meet(above) != q:
-            return False
-    return True
+    t = e.target
+    return _expressible(t.rows, t.cols, _image_mask(e)) == (1 << len(t)) - 1
 
 
 def is_join_extension(e):
-    q_poset = e.target
-    for q in q_poset.elements:
-        below = [e(p) for p in e.preimage_down(q)]
-        if q_poset.join(below) != q:
-            return False
-    return True
+    t = e.target
+    return _expressible(t.cols, t.rows, _image_mask(e)) == (1 << len(t)) - 1
 
 
 def is_completion(e):
     return e.target.is_complete_lattice()
 
 
-def _meet_expressible(e):
-    """Target elements realizable as a meet of a set of images.
-
-    q is such a meet iff it is the meet of the canonical set of all
-    images above it, so no subset enumeration is needed.
-    """
-    out = set()
-    for q in e.target.elements:
-        if e.target.meet([e(p) for p in e.preimage_up(q)]) == q:
-            out.add(q)
-    return out
-
-
-def _join_expressible(e):
-    out = set()
-    for q in e.target.elements:
-        if e.target.join([e(p) for p in e.preimage_down(q)]) == q:
-            out.add(q)
-    return out
-
-
 def is_dense(e):
     """Every target element is a join of meets of images and a meet of
-    joins of images."""
-    meets = _meet_expressible(e)
-    joins = _join_expressible(e)
-    tgt = e.target
-    for q in tgt.elements:
-        if tgt.join([m for m in meets if tgt.leq(m, q)]) != q:
-            return False
-        if tgt.meet([j for j in joins if tgt.leq(q, j)]) != q:
-            return False
-    return True
+    joins of images.
 
-
-def is_compact(e):
-    """Compactness is automatic on finite carriers: any witnessing subsets
-    are already finite."""
-    return True
+    q is a meet of some set of images iff it is the meet of all images
+    above it, so no subset enumeration is needed.
+    """
+    t = e.target
+    image = _image_mask(e)
+    full = (1 << len(t)) - 1
+    meets = _expressible(t.rows, t.cols, image)
+    joins = _expressible(t.cols, t.rows, image)
+    return (
+        _expressible(t.cols, t.rows, meets) == full
+        and _expressible(t.rows, t.cols, joins) == full
+    )
 
 
 def is_delta1(e):
     return is_completion(e) and is_dense(e)
 
 
-def macneille(poset):
-    """The cut completion of a finite poset.
-
-    Closed sets are exactly the intersections of principal down-sets
-    (the empty intersection giving the full carrier); each is stored as
-    a bit-mask over the base carrier and used directly as element id.
-    """
-    n = len(poset.elements)
-    full = (1 << n) - 1
-    cuts = {full}
+def _intersection_lattice(full, generators):
+    """The intersections of the bit-masks in `generators` (the empty
+    intersection giving `full`), ordered by inclusion; each mask is used
+    directly as its element id."""
+    closed = {full}
     frontier = [full]
-    principal = [poset.cols[j] for j in range(n)]
     while frontier:
         nxt = []
         for c in frontier:
-            for pj in principal:
-                d = c & pj
-                if d not in cuts:
-                    cuts.add(d)
+            for m in generators:
+                d = c & m
+                if d not in closed:
+                    closed.add(d)
                     nxt.append(d)
         frontier = nxt
-    ordered = sorted(cuts)
+    ordered = sorted(closed)
     idx = {c: i for i, c in enumerate(ordered)}
     rows = []
     for c in ordered:
@@ -495,11 +447,39 @@ def macneille(poset):
             if c & ~d == 0:
                 r |= 1 << idx[d]
         rows.append(r)
-    lattice = Poset(ordered, rows)
-    assignment = {
-        p: poset.cols[poset.index[p]] for p in poset.elements
-    }
+    return Poset(ordered, rows)
+
+
+def macneille(poset):
+    """The cut completion of a finite poset.
+
+    Closed sets are exactly the intersections of principal down-sets,
+    each a bit-mask over the base carrier.
+    """
+    lattice = _intersection_lattice((1 << len(poset)) - 1, poset.cols)
+    assignment = {p: poset.cols[i] for i, p in enumerate(poset.elements)}
     return Extension(MonotoneMap(poset, lattice, assignment))
+
+
+def _preserves_bounds(f, src, tgt, limit):
+    """Whether the index map `f` (a list, as `_index_image` gives) sends
+    the meet of every subset of its source that has one to the meet of
+    the images, for `src`/`tgt` the `cols` of source and target; given
+    their `rows`, the same for joins.  Scans all subsets, so sources past
+    `limit` elements are refused."""
+    n = len(src)
+    if n > limit:
+        raise CarrierTooLarge("preservation scan gated at %d elements" % limit)
+    for mask in range(1 << n):
+        g = _bound_index(src, mask)
+        if g is None:
+            continue
+        images = 0
+        for i in _mask_iter(mask):
+            images |= 1 << f[i]
+        if _bound_index(tgt, images) != f[g]:
+            return False
+    return True
 
 
 def is_cut_stable(f):

@@ -12,6 +12,10 @@ sets rather than a scan over all subsets of the base: a target element
 is a meet of images over some admissible subset exactly when it is the
 meet over the largest admissible subset of images above it.  The naive
 scans live in `polab.oracles` and the two routes are compared in tests.
+
+The right-hand conditions (C2, C6, C8, E2, S2 and the sets built from
+joins of images) are the left-hand code run on the dual polarity: both
+orders reversed, the sides swapped, the relation transposed.
 """
 
 from __future__ import annotations
@@ -33,11 +37,13 @@ from .order import (
     MonotoneMap,
     Poset,
     UnionPreorder,
-    X_SIDE,
-    Y_SIDE,
+    _expressible,
+    _index_image,
     _mask_iter,
+    _preserves_bounds,
     is_join_extension,
     is_meet_extension,
+    is_order_embedding,
     tag_x,
     tag_y,
     transitive_close,
@@ -149,253 +155,192 @@ class ExtensionPolarity:
         return UnionPreorder.from_pairs(self.carrier(), pairs)
 
 
+def _reversed(verdict):
+    ok, w = verdict
+    return ok, None if w is None else w[::-1]
+
+
 class _Eval:
-    """Index-level workspace for the condition checks on one polarity."""
+    """Index-level workspace for the condition checks on one polarity.
+
+    Only the left-hand member of each dual pair of conditions is written
+    out; the right-hand one is the left-hand one run on `flipped()`.
+    """
 
     def __init__(self, pol):
-        self.pol = pol
-        self.X = pol.x
-        self.Y = pol.y
-        self.P = pol.base
-        self.nx = len(self.X)
-        self.ny = len(self.Y)
-        self.np = len(self.P)
-        self.exi = [self.X.index[pol.ex(p)] for p in self.P.elements]
-        self.eyi = [self.Y.index[pol.ey(p)] for p in self.P.elements]
-        self.rx = [0] * self.nx
-        self.ry = [0] * self.ny
+        X, Y, P = pol.x, pol.y, pol.base
+        self.xs, self.ys, self.ps = X.elements, Y.elements, P.elements
+        self.xrows, self.xcols = X.rows, X.cols
+        self.yrows, self.ycols = Y.rows, Y.cols
+        self.prows, self.pcols = P.rows, P.cols
+        self.exi = [X.index[pol.ex(p)] for p in P.elements]
+        self.eyi = [Y.index[pol.ey(p)] for p in P.elements]
+        self.rx = [0] * len(X)
+        self.ry = [0] * len(Y)
         for a, b in pol.rel:
-            i, j = self.X.index[a], self.Y.index[b]
+            i, j = X.index[a], Y.index[b]
             self.rx[i] |= 1 << j
             self.ry[j] |= 1 << i
-        self._real_meets = None
-        self._real_joins = None
+        self._real_meets = {}
+        self._flipped = None
 
-    def xe(self, i):
-        return self.X.elements[i]
-
-    def ye(self, j):
-        return self.Y.elements[j]
-
-    def pe(self, k):
-        return self.P.elements[k]
+    def flipped(self):
+        """The workspace of the dual polarity: both orders reversed, the
+        sides and base maps swapped, the relation transposed.  A view on
+        the same arrays, built once."""
+        if self._flipped is None:
+            f = _Eval.__new__(_Eval)
+            f.xs, f.ys, f.ps = self.ys, self.xs, self.ps
+            f.prows, f.pcols = self.pcols, self.prows
+            f.xrows, f.xcols = self.ycols, self.yrows
+            f.yrows, f.ycols = self.xcols, self.xrows
+            f.exi, f.eyi = self.eyi, self.exi
+            f.rx, f.ry = self.ry, self.rx
+            f._real_meets = {}
+            self._flipped = f
+        return self._flipped
 
     # -- plain conditions -------------------------------------------------
 
     def c1(self):
-        for i1 in range(self.nx):
-            for i2 in _mask_iter(self.X.rows[i1]):
+        for i1, up in enumerate(self.xrows):
+            for i2 in _mask_iter(up):
                 missing = self.rx[i2] & ~self.rx[i1]
                 if missing:
                     j = next(_mask_iter(missing))
-                    return False, (self.xe(i1), self.xe(i2), self.ye(j))
+                    return False, (self.xs[i1], self.xs[i2], self.ys[j])
         return True, None
 
     def c2(self):
-        for j1 in range(self.ny):
-            for j2 in _mask_iter(self.Y.rows[j1]):
-                missing = self.ry[j1] & ~self.ry[j2]
-                if missing:
-                    i = next(_mask_iter(missing))
-                    return False, (self.xe(i), self.ye(j1), self.ye(j2))
-        return True, None
+        return _reversed(self.flipped().c1())
 
     def c3(self):
-        for k in range(self.np):
-            if not self.rx[self.exi[k]] >> self.eyi[k] & 1:
-                return False, self.pe(k)
+        for k, (i, j) in enumerate(zip(self.exi, self.eyi)):
+            if not self.rx[i] >> j & 1:
+                return False, self.ps[k]
         return True, None
 
     def c4(self):
-        for k in range(self.np):
-            left = self.ry[self.eyi[k]]
-            right = self.rx[self.exi[k]]
-            for i in _mask_iter(left):
+        for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
+            right = self.rx[xi]
+            for i in _mask_iter(self.ry[yi]):
                 missing = right & ~self.rx[i]
                 if missing:
                     j = next(_mask_iter(missing))
-                    return False, (self.xe(i), self.pe(k), self.ye(j))
+                    return False, (self.xs[i], self.ps[k], self.ys[j])
         return True, None
 
     def c5(self):
-        for k in range(self.np):
-            need = self.X.rows[self.exi[k]]
-            for i1 in _mask_iter(self.ry[self.eyi[k]]):
-                missing = need & ~self.X.rows[i1]
+        for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
+            need = self.xrows[xi]
+            for i1 in _mask_iter(self.ry[yi]):
+                missing = need & ~self.xrows[i1]
                 if missing:
                     i2 = next(_mask_iter(missing))
-                    return False, (self.xe(i1), self.pe(k), self.xe(i2))
+                    return False, (self.xs[i1], self.ps[k], self.xs[i2])
         return True, None
 
     def c6(self):
-        for k in range(self.np):
-            need = self.Y.cols[self.eyi[k]]
-            for j2 in _mask_iter(self.rx[self.exi[k]]):
-                missing = need & ~self.Y.cols[j2]
-                if missing:
-                    j1 = next(_mask_iter(missing))
-                    return False, (self.pe(k), self.ye(j1), self.ye(j2))
-        return True, None
+        ok, w = self.flipped().c5()
+        return ok, None if w is None else (w[1], w[2], w[0])
 
     # -- canonical witness sets for the subset-quantified conditions ------
 
     def realizable_meets(self, j):
         """Left elements expressible as the meet of images of base
         elements whose right image lies above the j-th right element."""
-        if self._real_meets is None:
-            self._real_meets = {}
         if j not in self._real_meets:
-            out = 0
-            for i in range(self.nx):
-                members = 0
-                for k in range(self.np):
-                    if (
-                        self.X.rows[i] >> self.exi[k] & 1
-                        and self.Y.rows[j] >> self.eyi[k] & 1
-                    ):
-                        members |= 1 << self.exi[k]
-                if self.X.meet_index(members) == i:
-                    out |= 1 << i
-            self._real_meets[j] = out
+            images = 0
+            for xi, yi in zip(self.exi, self.eyi):
+                if self.yrows[j] >> yi & 1:
+                    images |= 1 << xi
+            self._real_meets[j] = _expressible(self.xrows, self.xcols, images)
         return self._real_meets[j]
 
-    def realizable_joins(self, i):
-        """Right elements expressible as the join of images of base
-        elements whose left image lies below the i-th left element."""
-        if self._real_joins is None:
-            self._real_joins = {}
-        if i not in self._real_joins:
-            out = 0
-            for j in range(self.ny):
-                members = 0
-                for k in range(self.np):
-                    if (
-                        self.Y.cols[j] >> self.eyi[k] & 1
-                        and self.X.cols[i] >> self.exi[k] & 1
-                    ):
-                        members |= 1 << self.eyi[k]
-                if self.Y.join_index(members) == j:
-                    out |= 1 << j
-            self._real_joins[i] = out
-        return self._real_joins[i]
-
     def c7(self):
-        for j1 in range(self.ny):
+        for j1, up in enumerate(self.yrows):
             for i in _mask_iter(self.realizable_meets(j1)):
-                missing = self.rx[i] & ~self.Y.rows[j1]
+                missing = self.rx[i] & ~up
                 if missing:
                     j2 = next(_mask_iter(missing))
-                    return False, (self.xe(i), self.ye(j1), self.ye(j2))
+                    return False, (self.xs[i], self.ys[j1], self.ys[j2])
         return True, None
 
     def c8(self):
-        for i2 in range(self.nx):
-            for j in _mask_iter(self.realizable_joins(i2)):
-                missing = self.ry[j] & ~self.X.cols[i2]
-                if missing:
-                    i1 = next(_mask_iter(missing))
-                    return False, (self.xe(i1), self.xe(i2), self.ye(j))
-        return True, None
+        return _reversed(self.flipped().c7())
 
     def z_s_pairs(self):
         """Pairs (y, x) forced below-left by a meet of images."""
         out = set()
-        for j in range(self.ny):
+        for j, b in enumerate(self.ys):
             real = self.realizable_meets(j)
-            for i in range(self.nx):
-                if real & self.X.cols[i]:
-                    out.add((self.ye(j), self.xe(i)))
+            for i, down in enumerate(self.xcols):
+                if real & down:
+                    out.add((b, self.xs[i]))
         return frozenset(out)
 
     def z_t_pairs(self):
-        out = set()
-        for i in range(self.nx):
-            real = self.realizable_joins(i)
-            for j in range(self.ny):
-                if real & self.Y.rows[j]:
-                    out.add((self.ye(j), self.xe(i)))
-        return frozenset(out)
+        return frozenset((b, a) for a, b in self.flipped().z_s_pairs())
 
     # -- one-step saturation sets -----------------------------------------
 
     def z_x_pairs(self):
         out = set()
-        for i1 in range(self.nx):
-            for i2 in _mask_iter(self.X.rows[i1]):
-                out.add((self.xe(i1), self.xe(i2)))
-        for k in range(self.np):
-            for i1 in _mask_iter(self.ry[self.eyi[k]]):
-                for i2 in _mask_iter(self.X.rows[self.exi[k]]):
-                    out.add((self.xe(i1), self.xe(i2)))
+        for i1, up in enumerate(self.xrows):
+            for i2 in _mask_iter(up):
+                out.add((self.xs[i1], self.xs[i2]))
+        for xi, yi in zip(self.exi, self.eyi):
+            for i1 in _mask_iter(self.ry[yi]):
+                for i2 in _mask_iter(self.xrows[xi]):
+                    out.add((self.xs[i1], self.xs[i2]))
         return frozenset(out)
 
     def z_y_pairs(self):
-        out = set()
-        for j1 in range(self.ny):
-            for j2 in _mask_iter(self.Y.rows[j1]):
-                out.add((self.ye(j1), self.ye(j2)))
-        for k in range(self.np):
-            for j1 in _mask_iter(self.Y.cols[self.eyi[k]]):
-                for j2 in _mask_iter(self.rx[self.exi[k]]):
-                    out.add((self.ye(j1), self.ye(j2)))
-        return frozenset(out)
+        return frozenset((b, a) for a, b in self.flipped().z_x_pairs())
 
     def z_yx_pairs(self):
         out = set()
-        for k1 in range(self.np):
-            for k2 in range(self.np):
+        for k1 in range(len(self.ps)):
+            for k2 in range(len(self.ps)):
                 if not self.rx[self.exi[k1]] >> self.eyi[k2] & 1:
                     continue
-                for j in _mask_iter(self.Y.cols[self.eyi[k1]]):
-                    for i in _mask_iter(self.X.rows[self.exi[k2]]):
-                        out.add((self.ye(j), self.xe(i)))
+                for j in _mask_iter(self.ycols[self.eyi[k1]]):
+                    for i in _mask_iter(self.xrows[self.exi[k2]]):
+                        out.add((self.ys[j], self.xs[i]))
         return frozenset(out)
 
     def z_yx_alt_pairs(self):
         """Pairs (y, x) such that every base element sent below y on the
         right is below every base element sent above x on the left."""
         out = set()
-        for j in range(self.ny):
-            below = [k for k in range(self.np) if self.Y.cols[j] >> self.eyi[k] & 1]
-            for i in range(self.nx):
-                above = [k for k in range(self.np) if self.X.rows[i] >> self.exi[k] & 1]
-                if all(
-                    self.P.leq(self.pe(k1), self.pe(k2))
-                    for k1 in below
-                    for k2 in above
-                ):
-                    out.add((self.ye(j), self.xe(i)))
+        for j, down in enumerate(self.ycols):
+            below = [k for k, yi in enumerate(self.eyi) if down >> yi & 1]
+            for i, up in enumerate(self.xrows):
+                above = [k for k, xi in enumerate(self.exi) if up >> xi & 1]
+                if all(self.prows[k1] >> k2 & 1 for k1 in below for k2 in above):
+                    out.add((self.ys[j], self.xs[i]))
         return frozenset(out)
 
     def e1(self):
-        for i1 in range(self.nx):
-            for i2 in range(self.nx):
-                if i1 == i2 or self.X.rows[i1] >> i2 & 1:
+        for i1, up in enumerate(self.xrows):
+            for i2 in range(len(self.xs)):
+                if i1 == i2 or up >> i2 & 1:
                     continue
                 if not self.rx[i2] & ~self.rx[i1]:
-                    return False, (self.xe(i1), self.xe(i2))
+                    return False, (self.xs[i1], self.xs[i2])
         return True, None
 
     def e2(self):
-        for j1 in range(self.ny):
-            for j2 in range(self.ny):
-                if j1 == j2 or self.Y.rows[j1] >> j2 & 1:
-                    continue
-                if not self.ry[j1] & ~self.ry[j2]:
-                    return False, (self.ye(j1), self.ye(j2))
-        return True, None
+        return _reversed(self.flipped().e1())
 
     def s1(self):
-        for k in range(self.np):
-            if self.X.cols[self.exi[k]] != self.ry[self.eyi[k]]:
-                return False, self.pe(k)
+        for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
+            if self.xcols[xi] != self.ry[yi]:
+                return False, self.ps[k]
         return True, None
 
     def s2(self):
-        for k in range(self.np):
-            if self.Y.rows[self.eyi[k]] != self.rx[self.exi[k]]:
-                return False, self.pe(k)
-        return True, None
+        return self.flipped().s1()
 
 
 @dataclass
@@ -547,7 +492,8 @@ def r_hat_m(pol):
         cross_xy=pol.rel,
         cross_yx=ev.z_yx_pairs(),
     )
-    if check_coherence(pol).level is not None and check_coherence(pol).level >= 1:
+    level = coherence_level(pol)
+    if level is not None and level >= 1:
         verdict = is_n_preorder(pol, out, 1)
         assert verdict.ok, "saturation of a 1-coherent polarity must be a 1-preorder"
     return out
@@ -841,56 +787,6 @@ def entangled_consequences(pol, cap=None, max_carrier=None):
 # -- the unique grade-3 preorder of a Galois polarity ----------------------
 
 
-def _subset_meet_preserved(side_poset, iota, quotient, limit=12):
-    """iota preserves every existing meet of a subset of its source; the
-    subsets are scanned exhaustively below `limit` source elements."""
-    src = side_poset
-    q = quotient.poset
-    n = len(src)
-    if n > limit:
-        raise CarrierTooLarge("side too large for the exhaustive meet scan")
-    for mask in range(1 << n):
-        g = src.meet_index(mask)
-        if g is None:
-            continue
-        imgs = [iota(src.elements[i]) for i in _mask_iter(mask)]
-        if q.meet(imgs) != iota(src.elements[g]):
-            return False
-    return True
-
-
-def _subset_join_preserved(side_poset, iota, quotient, limit=12):
-    src = side_poset
-    q = quotient.poset
-    n = len(src)
-    if n > limit:
-        raise CarrierTooLarge("side too large for the exhaustive join scan")
-    for mask in range(1 << n):
-        g = src.join_index(mask)
-        if g is None:
-            continue
-        imgs = [iota(src.elements[i]) for i in _mask_iter(mask)]
-        if q.join(imgs) != iota(src.elements[g]):
-            return False
-    return True
-
-
-def _generates_by_joins(q, generators):
-    gens = set(generators)
-    for z in q.elements:
-        if q.join([g for g in gens if q.leq(g, z)]) != z:
-            return False
-    return True
-
-
-def _generates_by_meets(q, generators):
-    gens = set(generators)
-    for z in q.elements:
-        if q.meet([g for g in gens if q.leq(z, g)]) != z:
-            return False
-    return True
-
-
 def unique_3preorder(pol):
     """The single grade-3 preorder a Galois polarity admits.
 
@@ -928,10 +824,12 @@ def unique_3preorder(pol):
                 (u.carrier[i], u.carrier[j]),
             )
     inter = intermediate_structure(pol, u)
-    assert _subset_meet_preserved(pol.x, inter.iota_x, inter.quotient)
-    assert _subset_join_preserved(pol.y, inter.iota_y, inter.quotient)
-    assert _generates_by_joins(inter.quotient.poset, inter.iota_x.image())
-    assert _generates_by_meets(inter.quotient.poset, inter.iota_y.image())
+    q = inter.quotient.poset
+    full = (1 << len(q)) - 1
+    assert _preserves_bounds(_index_image(inter.iota_x), pol.x.cols, q.cols, 12)
+    assert _preserves_bounds(_index_image(inter.iota_y), pol.y.rows, q.rows, 12)
+    assert _expressible(q.cols, q.rows, q.mask_of(inter.iota_x.image())) == full
+    assert _expressible(q.rows, q.cols, q.mask_of(inter.iota_y.image())) == full
     return u
 
 
@@ -966,8 +864,6 @@ def intermediate_structure(pol, rel):
         {p: quotient.project(tag_x(pol.ex(p))) for p in pol.base.elements},
     )
     if is_galois(pol) and is_n_preorder(pol, rel, 3).ok:
-        from .order import is_order_embedding
-
         assert is_order_embedding(gamma), "base must embed in the quotient"
         both = set(iota_x.image()) & set(iota_y.image())
         assert set(gamma.image()) <= both, "base image must land in both sides"

@@ -43,15 +43,13 @@ from polab.oracles import (
     naive_z_t,
 )
 from polab.polarity import (
+    CANONICAL_BUILDERS,
     check_coherence,
     coherence_level,
     enumerate_n_preorders,
     is_galois,
     is_n_preorder,
     named_relation_sets,
-    r_hat_g,
-    r_hat_m,
-    r_zero,
     unique_3preorder,
 )
 from polab.randgen import (
@@ -61,8 +59,6 @@ from polab.randgen import (
     random_galois_polarity,
     random_poset,
 )
-
-CANONICAL = {0: r_zero, 1: r_hat_m, 2: r_hat_m, 3: r_hat_g}
 
 
 @contextmanager
@@ -134,7 +130,7 @@ def test_03_preorder_characterisation():
                 assert exists == (level is not None and level >= n)
                 if not exists:
                     continue
-                least = CANONICAL[n](pol).closed()
+                least = CANONICAL_BUILDERS[n](pol).closed()
                 assert is_n_preorder(pol, least, n).ok
                 if not res.truncated:
                     assert any(u == least for u in members)

@@ -27,6 +27,14 @@ class TestValidation:
     def test_identity_is_valid(self):
         PolarityMorphism.identity(diamond())
 
+    def test_equal_morphisms_hash_equal(self):
+        # two parses of one document give equal, distinct polarities
+        first, second = (
+            PolarityMorphism.identity(load("fix_a").polarities["G"]) for _ in range(2)
+        )
+        assert first == second and first.source is not second.source
+        assert len({first, second}) == 1
+
     def test_component_domains_are_checked(self):
         pol = diamond()
         other = identity_polarity(Poset.chain("uv"))

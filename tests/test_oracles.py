@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polab.errors import CarrierTooLarge
@@ -17,10 +17,12 @@ from polab.oracles import (
     oracle_enumerate_preorders,
     oracle_naive_condition_check,
 )
-from polab.order import Poset
+from polab.order import Poset, tag_x, tag_y
 from polab.polarity import (
     check_coherence,
     coherence_level,
+    enumerate_n_preorders,
+    is_n_preorder,
     named_relation_sets,
     r_hat_g,
     unique_3preorder,
@@ -91,13 +93,25 @@ class TestSubsetOracles:
 
 
 class TestEnumerationOracle:
-    def test_methods_agree(self):
-        carrier = ("a", "b", "c", "d")
-        forced = [("a", "b")]
-        forbidden = [("c", "a")]
-        pruned = oracle_enumerate_preorders(carrier, forced, forbidden)
-        naive = oracle_enumerate_preorders(carrier, forced, forbidden, "naive")
-        assert sorted(u.rows for u in pruned) == sorted(u.rows for u in naive)
+    @given(seeded_polarities(max_base=2))
+    @settings(deadline=None, max_examples=30)
+    def test_fast_enumeration_matches_the_oracle(self, pol):
+        # five carrier elements leave at most 16 undetermined pairs
+        assume(len(pol.x) + len(pol.y) <= 5)
+        forced = [(tag_x(a), tag_x(b)) for a, b in pol.x.pairs()]
+        forced += [(tag_y(a), tag_y(b)) for a, b in pol.y.pairs()]
+        forced += [(tag_x(a), tag_y(b)) for a, b in pol.rel]
+        forbidden = [
+            (tag_x(a), tag_y(b))
+            for a in pol.x.elements
+            for b in pol.y.elements
+            if (a, b) not in pol.rel
+        ]
+        every = oracle_enumerate_preorders(pol.carrier(), forced, forbidden)
+        for n in range(4):
+            want = sorted(u.rows for u in every if is_n_preorder(pol, u, n).ok)
+            got = sorted(u.rows for u in enumerate_n_preorders(pol, n))
+            assert got == want, n
 
     def test_counts_all_preorders_on_three_points(self):
         # 29 preorders on a 3-element set
@@ -112,4 +126,4 @@ class TestEnumerationOracle:
         with pytest.raises(CarrierTooLarge):
             oracle_enumerate_preorders("abcdefg", [], [])
         with pytest.raises(CarrierTooLarge):
-            oracle_enumerate_preorders("abcde", [], [], "naive")
+            oracle_enumerate_preorders("abcde", [], [])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +32,22 @@ from polab.order import (
     tag_x,
     tag_y,
 )
+from polab.randgen import random_embedding
 
-from conftest import seeded_posets
+from conftest import dual_extension, seeded_posets
+
+
+def downset_extension(p):
+    """p into the lattice of its down-sets (as bit-masks), each element
+    sent to its principal down-set."""
+    n = len(p)
+    masks = [
+        m for m in range(1 << n)
+        if all(p.cols[i] & ~m == 0 for i in range(n) if m >> i & 1)
+    ]
+    rows = [sum(1 << k for k, d in enumerate(masks) if c & ~d == 0) for c in masks]
+    lattice = Poset(masks, rows)
+    return Extension(MonotoneMap(p, lattice, {e: p.cols[i] for i, e in enumerate(p.elements)}))
 
 
 def diamond():
@@ -127,6 +143,19 @@ class TestMacneille:
         assert is_meet_extension(m) and is_join_extension(m)
         assert is_dense(m)
         assert is_delta1(m)
+
+    @given(seeded_posets(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(deadline=None)
+    def test_join_extension_is_a_meet_extension_of_the_dual(self, p, seed):
+        rng = random.Random(seed)
+        down = downset_extension(p)
+        for e in (random_embedding(rng, p, junk=rng.randrange(3)), down, dual_extension(down)):
+            assert is_join_extension(e) == is_meet_extension(dual_extension(e))
+            assert is_meet_extension(e) == is_join_extension(dual_extension(e))
+
+    def test_downsets_of_an_antichain_are_only_a_join_extension(self):
+        e = downset_extension(Poset.antichain("abc"))
+        assert is_join_extension(e) and not is_meet_extension(e)
 
     def test_macneille_of_a_lattice_adds_nothing(self):
         d = diamond()

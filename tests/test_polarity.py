@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polab.errors import CarrierTooLarge, NotGalois
-from polab.fixtures import identity_polarity, load
+from polab.fixtures import CATALOGUE, identity_polarity, load
 from polab.order import (
     Poset,
     UnionPreorder,
@@ -15,6 +15,7 @@ from polab.order import (
     tag_y,
 )
 from polab.polarity import (
+    CANONICAL_BUILDERS,
     check_coherence,
     coherence_level,
     enumerate_n_preorders,
@@ -24,15 +25,13 @@ from polab.polarity import (
     is_n_preorder,
     intermediate_structure,
     named_relation_sets,
-    r_hat_g,
-    r_hat_m,
     r_l,
     r_zero,
     unique_3preorder,
 )
 from polab.randgen import random_extension_polarity, random_galois_polarity
 
-CANONICAL = {0: r_zero, 1: r_hat_m, 2: r_hat_m, 3: r_hat_g}
+from conftest import dual_polarity
 
 
 def seeded_polarities(max_base=3):
@@ -71,7 +70,7 @@ class TestCoherenceLevels:
         level = coherence_level(pol)
         for n in range(4):
             want = level is not None and level >= n
-            assert is_n_preorder(pol, CANONICAL[n](pol).closed(), n).ok == want
+            assert is_n_preorder(pol, CANONICAL_BUILDERS[n](pol).closed(), n).ok == want
 
     @given(seeded_galois())
     @settings(deadline=None, max_examples=40)
@@ -190,3 +189,83 @@ class TestPreorderClauses:
         pol = load("fix_a").polarities["G"]
         with pytest.raises(ValueError):
             is_n_preorder(pol, r_zero(pol).closed(), 4)
+
+
+# Order duality swaps the two members of each pair of conditions.
+SWAPPED = {"C1": "C2", "C5": "C6", "C7": "C8", "E1": "E2", "S1": "S2"}
+
+
+def _reversed(w):
+    return None if w is None else w[::-1]
+
+
+def _assert_dual_report(pol):
+    rep, dual = check_coherence(pol), check_coherence(dual_polarity(pol))
+    assert dual.level == rep.level and dual.galois == rep.galois
+    assert (dual.meet_side, dual.join_side) == (rep.join_side, rep.meet_side)
+    for left, right in SWAPPED.items():
+        assert dual.ok(left) == rep.ok(right)
+        assert dual.ok(right) == rep.ok(left)
+    for name in ("C3", "C4"):
+        assert dual.ok(name) == rep.ok(name)
+
+
+class TestDuality:
+    @given(seeded_polarities())
+    @settings(deadline=None, max_examples=60)
+    def test_dual_is_involutive(self, pol):
+        assert dual_polarity(dual_polarity(pol)) == pol
+
+    @given(seeded_polarities())
+    @settings(deadline=None, max_examples=60)
+    def test_dual_swaps_the_verdicts(self, pol):
+        _assert_dual_report(pol)
+
+    def test_fixture_duals_swap_the_verdicts(self):
+        # the fixtures include one-sided polarities (fix_b is meet-side only)
+        for fixture in CATALOGUE:
+            for pol in load(fixture.name).polarities.values():
+                _assert_dual_report(pol)
+
+    @given(seeded_polarities())
+    @settings(deadline=None, max_examples=60)
+    def test_right_hand_witnesses_come_from_the_dual(self, pol):
+        rep, dual = check_coherence(pol), check_coherence(dual_polarity(pol))
+        for left in ("C1", "C7", "E1"):
+            assert rep.witness(SWAPPED[left]) == _reversed(dual.witness(left))
+        w = dual.witness("C5")
+        assert rep.witness("C6") == (None if w is None else (w[1], w[2], w[0]))
+
+    @given(seeded_polarities())
+    @settings(deadline=None, max_examples=40)
+    def test_right_hand_pair_sets_come_from_the_dual(self, pol):
+        ns, dual = named_relation_sets(pol), named_relation_sets(dual_polarity(pol))
+        assert ns.z_t == {(b, a) for a, b in dual.z_s}
+        assert ns.z_y == {(b, a) for a, b in dual.z_x}
+
+
+class TestWitnesses:
+    @given(seeded_polarities())
+    @settings(deadline=None, max_examples=80)
+    def test_failing_witnesses_are_violations(self, pol):
+        X, Y, R = pol.x, pol.y, pol.rel
+        ex, ey = pol.ex, pol.ey
+        rep = check_coherence(pol)
+        violated = {
+            "C1": lambda x1, x2, y: X.leq(x1, x2) and (x2, y) in R and (x1, y) not in R,
+            "C2": lambda x, y1, y2: Y.leq(y1, y2) and (x, y1) in R and (x, y2) not in R,
+            "C3": lambda p: (ex(p), ey(p)) not in R,
+            "C4": lambda x, p, y: (x, ey(p)) in R and (ex(p), y) in R and (x, y) not in R,
+            "C5": lambda x1, p, x2: (x1, ey(p)) in R and X.leq(ex(p), x2) and not X.leq(x1, x2),
+            "C6": lambda p, y1, y2: (ex(p), y2) in R and Y.leq(y1, ey(p)) and not Y.leq(y1, y2),
+            "E1": lambda x1, x2: not X.leq(x1, x2)
+            and all((x1, y) in R for y in Y.elements if (x2, y) in R),
+            "E2": lambda y1, y2: not Y.leq(y1, y2)
+            and all((x, y2) in R for x in X.elements if (x, y1) in R),
+        }
+        for name, predicate in violated.items():
+            ok, w = rep.conditions[name]
+            if ok:
+                assert w is None, name
+            else:
+                assert predicate(*(w if name != "C3" else (w,))), (name, w)
