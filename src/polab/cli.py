@@ -253,10 +253,10 @@ def _law_slice(rng, size):
 def _law_extension(rng, size):
     ctx = random_context(rng, rng.randint(1, min(size, 3)))
     for grade, report in check_extension_preservation(ctx).items():
-        assert not report.applicable or report.holds, (
-            "extension clause %s fails" % (grade,)
-        )
-    assert slice_extension_is_slice(ctx)
+        if report.applicable and not report.holds:
+            raise PolabError("extension clause %s fails" % (grade,), report)
+    if not slice_extension_is_slice(ctx):
+        raise PolabError("saturated slice relation is not the outer slice")
     return ctx.inner
 
 
@@ -264,13 +264,14 @@ def _law_restriction(rng, size):
     ctx = random_context(rng, rng.randint(1, min(size, 3)))
     sbar = extend_relation(ctx)
     sub = restrict_relation(ctx, sbar)
-    assert ctx.inner.rel <= sub, "readback must contain the inner relation"
+    if not ctx.inner.rel <= sub:
+        raise PolabError("readback must contain the inner relation", ctx.inner.rel - sub)
     coherent = coherence_level(ctx.inner) is not None
-    assert (sub == ctx.inner.rel) == coherent, "readback equality marks coherence"
+    if (sub == ctx.inner.rel) != coherent:
+        raise PolabError("readback equality marks coherence", sub - ctx.inner.rel)
     for grade, report in check_restriction_preservation(ctx, sbar).items():
-        assert not report.applicable or report.holds, (
-            "restriction clause %s fails" % (grade,)
-        )
+        if report.applicable and not report.holds:
+            raise PolabError("restriction clause %s fails" % (grade,), report)
     return ctx.inner
 
 

@@ -114,30 +114,38 @@ def naive_p5(pol, rel):
     return True, None
 
 
-def naive_conditions_c1_to_c6(pol):
-    """The six subset-free conditions, written as literal quantifier loops."""
-    X, Y, P = pol.x, pol.y, pol.base
-    out = {}
-    out["C1"] = next(
+def _naive_c1(X, Y, rel):
+    return next(
         (
             (False, (x1, x2, y))
             for x1 in X.elements
             for x2 in X.elements
             for y in Y.elements
-            if X.leq(x1, x2) and (x2, y) in pol.rel and (x1, y) not in pol.rel
+            if X.leq(x1, x2) and (x2, y) in rel and (x1, y) not in rel
         ),
         (True, None),
     )
-    out["C2"] = next(
+
+
+def _naive_c2(X, Y, rel):
+    return next(
         (
             (False, (x, y1, y2))
             for y1 in Y.elements
             for y2 in Y.elements
             for x in X.elements
-            if Y.leq(y1, y2) and (x, y1) in pol.rel and (x, y2) not in pol.rel
+            if Y.leq(y1, y2) and (x, y1) in rel and (x, y2) not in rel
         ),
         (True, None),
     )
+
+
+def naive_conditions_c1_to_c6(pol):
+    """The six subset-free conditions, written as literal quantifier loops."""
+    X, Y, P = pol.x, pol.y, pol.base
+    out = {}
+    out["C1"] = _naive_c1(X, Y, pol.rel)
+    out["C2"] = _naive_c2(X, Y, pol.rel)
     out["C3"] = next(
         (
             (False, p)
@@ -215,6 +223,28 @@ def naive_coherence_level(pol):
     if not (naive_c7(pol)[0] and naive_c8(pol)[0]):
         return 2
     return 3
+
+
+def oracle_coherent_relations(x, y, forced, limit=13):
+    """All 0-coherent relations between the posets `x` and `y` that
+    contain the `forced` pairs, found by trying every subset of the other
+    pairs and keeping those that pass the literal C1 and C2 loops.  The
+    other pairs are taken row by row (left element, then right element)
+    and a subset is read as a binary number, the first pair lowest;
+    results come back in ascending order of that number.
+    """
+    forced = frozenset(forced)
+    free = [(a, b) for a in x.elements for b in y.elements if (a, b) not in forced]
+    if len(free) > limit:
+        raise CarrierTooLarge(
+            "relation enumeration gated at %d undetermined pairs" % limit
+        )
+    results = []
+    for chosen in range(1 << len(free)):
+        rel = forced | {free[k] for k in range(len(free)) if chosen >> k & 1}
+        if _naive_c1(x, y, rel)[0] and _naive_c2(x, y, rel)[0]:
+            results.append(rel)
+    return results
 
 
 def oracle_enumerate_preorders(carrier, forced, forbidden):

@@ -337,13 +337,18 @@ def _image_mask(e):
     return e.target.mask_of(e.map.image())
 
 
-def is_order_embedding(f):
-    """p <= q iff f(p) <= f(q); monotonicity is already guaranteed."""
+def _reflection_failure(f):
+    """A pair (p, q) with f(p) <= f(q) but not p <= q, or None."""
     for p in f.source.elements:
         for q in f.source.elements:
             if f.target.leq(f(p), f(q)) and not f.source.leq(p, q):
-                return False
-    return True
+                return p, q
+    return None
+
+
+def is_order_embedding(f):
+    """p <= q iff f(p) <= f(q); monotonicity is already guaranteed."""
+    return _reflection_failure(f) is None
 
 
 class Extension:

@@ -41,8 +41,6 @@ from .order import (
     _index_image,
     _mask_iter,
     _preserves_bounds,
-    is_join_extension,
-    is_meet_extension,
     is_order_embedding,
     tag_x,
     tag_y,
@@ -155,93 +153,140 @@ class ExtensionPolarity:
         return UnionPreorder.from_pairs(self.carrier(), pairs)
 
 
+_GRADES = (("C1", "C2"), ("C3", "C4"), ("C5", "C6"), ("C7", "C8"))
+
+
+def _grade(holds, upto=3):
+    """The highest n <= upto such that `holds` accepts both conditions of
+    every grade up to n, None when grade 0 fails.  Conditions are asked
+    in grade order and none after the first rejected one."""
+    level = None
+    for n, pair in enumerate(_GRADES[: upto + 1]):
+        if not all(holds(name) for name in pair):
+            break
+        level = n
+    return level
+
+
 def _reversed(verdict):
     ok, w = verdict
     return ok, None if w is None else w[::-1]
 
 
-class _Eval:
-    """Index-level workspace for the condition checks on one polarity.
+class _Frame:
+    """Index-level workspace for the condition checks over one base and
+    pair of side extensions, independent of the relation.
 
-    Only the left-hand member of each dual pair of conditions is written
-    out; the right-hand one is the left-hand one run on `flipped()`.
+    Every check takes the relation as bit-rows `rx, ry`: bit j of `rx[i]`
+    and bit i of `ry[j]` are set when the i-th left element is related
+    to the j-th right element.  Only the left-hand member of each dual
+    pair of conditions is written out; the right-hand one is the
+    left-hand one run on `flipped()` with the rows swapped.
     """
 
-    def __init__(self, pol):
-        X, Y, P = pol.x, pol.y, pol.base
+    def __init__(self, base, ex, ey):
+        X, Y, P = ex.target, ey.target, base
         self.xs, self.ys, self.ps = X.elements, Y.elements, P.elements
+        self.xindex, self.yindex = X.index, Y.index
         self.xrows, self.xcols = X.rows, X.cols
         self.yrows, self.ycols = Y.rows, Y.cols
         self.prows, self.pcols = P.rows, P.cols
-        self.exi = [X.index[pol.ex(p)] for p in P.elements]
-        self.eyi = [Y.index[pol.ey(p)] for p in P.elements]
-        self.rx = [0] * len(X)
-        self.ry = [0] * len(Y)
-        for a, b in pol.rel:
-            i, j = X.index[a], Y.index[b]
-            self.rx[i] |= 1 << j
-            self.ry[j] |= 1 << i
+        self.exi = [X.index[ex(p)] for p in P.elements]
+        self.eyi = [Y.index[ey(p)] for p in P.elements]
         self._real_meets = {}
         self._flipped = None
+        self._meet_side = None
+
+    @classmethod
+    def of(cls, pol):
+        return cls(pol.base, pol.ex, pol.ey)
+
+    def rows(self, rel):
+        """The bit-rows `(rx, ry)` of a relation given as pairs."""
+        rx = [0] * len(self.xs)
+        ry = [0] * len(self.ys)
+        for a, b in rel:
+            i, j = self.xindex[a], self.yindex[b]
+            rx[i] |= 1 << j
+            ry[j] |= 1 << i
+        return rx, ry
 
     def flipped(self):
-        """The workspace of the dual polarity: both orders reversed, the
-        sides and base maps swapped, the relation transposed.  A view on
-        the same arrays, built once."""
+        """The frame of the dual: both orders reversed, the sides and base
+        maps swapped.  A view on the same arrays, built once; a relation
+        is carried over by swapping `rx` and `ry`."""
         if self._flipped is None:
-            f = _Eval.__new__(_Eval)
+            f = _Frame.__new__(_Frame)
             f.xs, f.ys, f.ps = self.ys, self.xs, self.ps
+            f.xindex, f.yindex = self.yindex, self.xindex
             f.prows, f.pcols = self.pcols, self.prows
             f.xrows, f.xcols = self.ycols, self.yrows
             f.yrows, f.ycols = self.xcols, self.xrows
             f.exi, f.eyi = self.eyi, self.exi
-            f.rx, f.ry = self.ry, self.rx
             f._real_meets = {}
+            f._flipped = None
+            f._meet_side = None
             self._flipped = f
         return self._flipped
 
+    @property
+    def meet_side(self):
+        """Whether every left element is the meet of the base images
+        above it."""
+        if self._meet_side is None:
+            image = 0
+            for xi in self.exi:
+                image |= 1 << xi
+            full = (1 << len(self.xs)) - 1
+            self._meet_side = _expressible(self.xrows, self.xcols, image) == full
+        return self._meet_side
+
+    @property
+    def join_side(self):
+        return self.flipped().meet_side
+
     # -- plain conditions -------------------------------------------------
 
-    def c1(self):
+    def c1(self, rx, ry):
         for i1, up in enumerate(self.xrows):
             for i2 in _mask_iter(up):
-                missing = self.rx[i2] & ~self.rx[i1]
+                missing = rx[i2] & ~rx[i1]
                 if missing:
                     j = next(_mask_iter(missing))
                     return False, (self.xs[i1], self.xs[i2], self.ys[j])
         return True, None
 
-    def c2(self):
-        return _reversed(self.flipped().c1())
+    def c2(self, rx, ry):
+        return _reversed(self.flipped().c1(ry, rx))
 
-    def c3(self):
+    def c3(self, rx, ry):
         for k, (i, j) in enumerate(zip(self.exi, self.eyi)):
-            if not self.rx[i] >> j & 1:
+            if not rx[i] >> j & 1:
                 return False, self.ps[k]
         return True, None
 
-    def c4(self):
+    def c4(self, rx, ry):
         for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            right = self.rx[xi]
-            for i in _mask_iter(self.ry[yi]):
-                missing = right & ~self.rx[i]
+            right = rx[xi]
+            for i in _mask_iter(ry[yi]):
+                missing = right & ~rx[i]
                 if missing:
                     j = next(_mask_iter(missing))
                     return False, (self.xs[i], self.ps[k], self.ys[j])
         return True, None
 
-    def c5(self):
+    def c5(self, rx, ry):
         for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
             need = self.xrows[xi]
-            for i1 in _mask_iter(self.ry[yi]):
+            for i1 in _mask_iter(ry[yi]):
                 missing = need & ~self.xrows[i1]
                 if missing:
                     i2 = next(_mask_iter(missing))
                     return False, (self.xs[i1], self.ps[k], self.xs[i2])
         return True, None
 
-    def c6(self):
-        ok, w = self.flipped().c5()
+    def c6(self, rx, ry):
+        ok, w = self.flipped().c5(ry, rx)
         return ok, None if w is None else (w[1], w[2], w[0])
 
     # -- canonical witness sets for the subset-quantified conditions ------
@@ -257,17 +302,17 @@ class _Eval:
             self._real_meets[j] = _expressible(self.xrows, self.xcols, images)
         return self._real_meets[j]
 
-    def c7(self):
+    def c7(self, rx, ry):
         for j1, up in enumerate(self.yrows):
             for i in _mask_iter(self.realizable_meets(j1)):
-                missing = self.rx[i] & ~up
+                missing = rx[i] & ~up
                 if missing:
                     j2 = next(_mask_iter(missing))
                     return False, (self.xs[i], self.ys[j1], self.ys[j2])
         return True, None
 
-    def c8(self):
-        return _reversed(self.flipped().c7())
+    def c8(self, rx, ry):
+        return _reversed(self.flipped().c7(ry, rx))
 
     def z_s_pairs(self):
         """Pairs (y, x) forced below-left by a meet of images."""
@@ -284,25 +329,25 @@ class _Eval:
 
     # -- one-step saturation sets -----------------------------------------
 
-    def z_x_pairs(self):
+    def z_x_pairs(self, rx, ry):
         out = set()
         for i1, up in enumerate(self.xrows):
             for i2 in _mask_iter(up):
                 out.add((self.xs[i1], self.xs[i2]))
         for xi, yi in zip(self.exi, self.eyi):
-            for i1 in _mask_iter(self.ry[yi]):
+            for i1 in _mask_iter(ry[yi]):
                 for i2 in _mask_iter(self.xrows[xi]):
                     out.add((self.xs[i1], self.xs[i2]))
         return frozenset(out)
 
-    def z_y_pairs(self):
-        return frozenset((b, a) for a, b in self.flipped().z_x_pairs())
+    def z_y_pairs(self, rx, ry):
+        return frozenset((b, a) for a, b in self.flipped().z_x_pairs(ry, rx))
 
-    def z_yx_pairs(self):
+    def z_yx_pairs(self, rx, ry):
         out = set()
         for k1 in range(len(self.ps)):
             for k2 in range(len(self.ps)):
-                if not self.rx[self.exi[k1]] >> self.eyi[k2] & 1:
+                if not rx[self.exi[k1]] >> self.eyi[k2] & 1:
                     continue
                 for j in _mask_iter(self.ycols[self.eyi[k1]]):
                     for i in _mask_iter(self.xrows[self.exi[k2]]):
@@ -321,26 +366,62 @@ class _Eval:
                     out.add((self.ys[j], self.xs[i]))
         return frozenset(out)
 
-    def e1(self):
+    def e1(self, rx, ry):
         for i1, up in enumerate(self.xrows):
             for i2 in range(len(self.xs)):
                 if i1 == i2 or up >> i2 & 1:
                     continue
-                if not self.rx[i2] & ~self.rx[i1]:
+                if not rx[i2] & ~rx[i1]:
                     return False, (self.xs[i1], self.xs[i2])
         return True, None
 
-    def e2(self):
-        return _reversed(self.flipped().e1())
+    def e2(self, rx, ry):
+        return _reversed(self.flipped().e1(ry, rx))
 
-    def s1(self):
+    def s1(self, rx, ry):
         for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            if self.xcols[xi] != self.ry[yi]:
+            if self.xcols[xi] != ry[yi]:
                 return False, self.ps[k]
         return True, None
 
-    def s2(self):
-        return self.flipped().s1()
+    def s2(self, rx, ry):
+        return self.flipped().s1(ry, rx)
+
+    # -- grading ----------------------------------------------------------
+
+    def level(self, rx, ry, upto=3):
+        """The grade of the relation capped at `upto`, None below grade
+        0; no condition past the first failing one is evaluated."""
+        return _grade(lambda name: getattr(self, name.lower())(rx, ry)[0], upto)
+
+    def report(self, rx, ry):
+        """Every condition with its witness, and the derived grade."""
+        conditions = {
+            "C1": self.c1(rx, ry),
+            "C2": self.c2(rx, ry),
+            "C3": self.c3(rx, ry),
+            "C4": self.c4(rx, ry),
+            "C5": self.c5(rx, ry),
+            "C6": self.c6(rx, ry),
+            "C7": self.c7(rx, ry),
+            "C8": self.c8(rx, ry),
+            "E1": self.e1(rx, ry),
+            "E2": self.e2(rx, ry),
+            "S1": self.s1(rx, ry),
+            "S2": self.s2(rx, ry),
+        }
+        level = _grade(lambda name: conditions[name][0])
+        meet_side, join_side = self.meet_side, self.join_side
+        return CoherenceReport(
+            conditions=conditions,
+            level=level,
+            entangled=conditions["E1"][0] and conditions["E2"][0],
+            meet_side=meet_side,
+            join_side=join_side,
+            galois=level == 3 and meet_side and join_side,
+            s1=conditions["S1"][0],
+            s2=conditions["S2"][0],
+        )
 
 
 @dataclass
@@ -356,14 +437,15 @@ class NamedRelationSets:
 
 
 def named_relation_sets(pol):
-    ev = _Eval(pol)
+    fr = _Frame.of(pol)
+    rows = fr.rows(pol.rel)
     return NamedRelationSets(
-        z_x=ev.z_x_pairs(),
-        z_y=ev.z_y_pairs(),
-        z_yx=ev.z_yx_pairs(),
-        z_yx_alt=ev.z_yx_alt_pairs(),
-        z_s=ev.z_s_pairs(),
-        z_t=ev.z_t_pairs(),
+        z_x=fr.z_x_pairs(*rows),
+        z_y=fr.z_y_pairs(*rows),
+        z_yx=fr.z_yx_pairs(*rows),
+        z_yx_alt=fr.z_yx_alt_pairs(),
+        z_s=fr.z_s_pairs(),
+        z_t=fr.z_t_pairs(),
     )
 
 
@@ -388,43 +470,8 @@ class CoherenceReport:
 
 
 def check_coherence(pol):
-    ev = _Eval(pol)
-    conditions = {
-        "C1": ev.c1(),
-        "C2": ev.c2(),
-        "C3": ev.c3(),
-        "C4": ev.c4(),
-        "C5": ev.c5(),
-        "C6": ev.c6(),
-        "C7": ev.c7(),
-        "C8": ev.c8(),
-        "E1": ev.e1(),
-        "E2": ev.e2(),
-        "S1": ev.s1(),
-        "S2": ev.s2(),
-    }
-    level = None
-    if conditions["C1"][0] and conditions["C2"][0]:
-        level = 0
-        if conditions["C3"][0] and conditions["C4"][0]:
-            level = 1
-            if conditions["C5"][0] and conditions["C6"][0]:
-                level = 2
-                if conditions["C7"][0] and conditions["C8"][0]:
-                    level = 3
-    meet_side = is_meet_extension(pol.ex)
-    join_side = is_join_extension(pol.ey)
-    entangled = conditions["E1"][0] and conditions["E2"][0]
-    return CoherenceReport(
-        conditions=conditions,
-        level=level,
-        entangled=entangled,
-        meet_side=meet_side,
-        join_side=join_side,
-        galois=level == 3 and meet_side and join_side,
-        s1=conditions["S1"][0],
-        s2=conditions["S2"][0],
-    )
+    fr = _Frame.of(pol)
+    return fr.report(*fr.rows(pol.rel))
 
 
 def coherence_level(pol):
@@ -432,8 +479,9 @@ def coherence_level(pol):
 
 
 def is_entangled(pol):
-    ev = _Eval(pol)
-    return ev.e1()[0] and ev.e2()[0]
+    fr = _Frame.of(pol)
+    rows = fr.rows(pol.rel)
+    return fr.e1(*rows)[0] and fr.e2(*rows)[0]
 
 
 def is_galois(pol):
@@ -484,13 +532,14 @@ def r_zero(pol):
 
 def r_hat_m(pol):
     """The one-step saturation of `r_zero` through the base images."""
-    ev = _Eval(pol)
+    fr = _Frame.of(pol)
+    rows = fr.rows(pol.rel)
     out = _tagged(
         pol,
-        x_pairs=ev.z_x_pairs(),
-        y_pairs=ev.z_y_pairs(),
+        x_pairs=fr.z_x_pairs(*rows),
+        y_pairs=fr.z_y_pairs(*rows),
         cross_xy=pol.rel,
-        cross_yx=ev.z_yx_pairs(),
+        cross_yx=fr.z_yx_pairs(*rows),
     )
     level = coherence_level(pol)
     if level is not None and level >= 1:
@@ -502,13 +551,13 @@ def r_hat_m(pol):
 def r_hat_g(pol):
     """`r_zero` together with all pairs forced by meets and joins of
     image sets."""
-    ev = _Eval(pol)
+    fr = _Frame.of(pol)
     return _tagged(
         pol,
         x_pairs=pol.x.pairs(),
         y_pairs=pol.y.pairs(),
         cross_xy=pol.rel,
-        cross_yx=ev.z_s_pairs() | ev.z_t_pairs(),
+        cross_yx=fr.z_s_pairs() | fr.z_t_pairs(),
     )
 
 
@@ -590,11 +639,11 @@ def is_n_preorder(pol, rel, n):
                 if rel.rel(tag_y(b1), tag_y(b2)) and not Y.leq(b1, b2):
                     return NPreorderVerdict(False, "reflectY", (b1, b2))
     if n >= 3:
-        ev = _Eval(pol)
-        for b, a in sorted(ev.z_s_pairs(), key=repr):
+        fr = _Frame.of(pol)
+        for b, a in sorted(fr.z_s_pairs(), key=repr):
             if not rel.rel(tag_y(b), tag_x(a)):
                 return NPreorderVerdict(False, "P4", (b, a))
-        for b, a in sorted(ev.z_t_pairs(), key=repr):
+        for b, a in sorted(fr.z_t_pairs(), key=repr):
             if not rel.rel(tag_y(b), tag_x(a)):
                 return NPreorderVerdict(False, "P5", (b, a))
     return NPreorderVerdict(True)
@@ -634,7 +683,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
         )
     nlen = len(carrier)
     index = {e: i for i, e in enumerate(carrier)}
-    ev = _Eval(pol)
+    fr = _Frame.of(pol)
 
     forced = [0] * nlen
     forbidden = [0] * nlen
@@ -666,7 +715,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
                 if not pol.y.leq(b1, b2):
                     mark(forbidden, tag_y(b1), tag_y(b2))
     if n >= 3:
-        for b, a in ev.z_s_pairs() | ev.z_t_pairs():
+        for b, a in fr.z_s_pairs() | fr.z_t_pairs():
             mark(forced, tag_y(b), tag_x(a))
 
     transitive_close(forced)
@@ -802,13 +851,13 @@ def unique_3preorder(pol):
     assert u.is_preorder(), "canonical relation of a Galois polarity must close"
     verdict = is_n_preorder(pol, u, 3)
     assert verdict.ok, "canonical relation must be a grade-3 preorder"
-    ev = _Eval(pol)
+    fr = _Frame.of(pol)
     alt = _tagged(
         pol,
         x_pairs=pol.x.pairs(),
         y_pairs=pol.y.pairs(),
         cross_xy=pol.rel,
-        cross_yx=ev.z_yx_alt_pairs(),
+        cross_yx=fr.z_yx_alt_pairs(),
     )
     assert alt == u, "pointwise characterisation must agree"
     nlen = len(u.carrier)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import polab
 import polab.cli as cli
 from polab.fixtures import CATALOGUE, Fixture
 
@@ -102,6 +109,41 @@ class TestFuzzCommand:
             )
             == 0
         )
+
+    @pytest.mark.parametrize(
+        "law, checker",
+        [
+            ("extension", "check_extension_preservation"),
+            ("restriction", "check_restriction_preservation"),
+        ],
+    )
+    def test_violation_exits_1_under_optimize(self, law, checker):
+        """`python -O` strips asserts; a failing clause must still fail
+        the run."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import polab.cli as cli
+            from polab.extend import ClauseReport
+
+            assert sys.flags.optimize
+            cli.%s = lambda *args: {"5": ClauseReport(True, False)}
+            sys.exit(cli.main(
+                ["fuzz", "--seed", "0", "--size", "3", "--iters", "2", "--check", "%s"]
+            ))
+            """
+            % (checker, law)
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "clause 5 fails" in done.stdout
 
     def test_unknown_law_exits_1(self, capsys):
         assert (

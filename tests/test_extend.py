@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polab.errors import CarrierMismatch, CarrierTooLarge, NotZeroPreorder
+import polab.extend
+from polab.errors import CarrierMismatch, CarrierTooLarge, NotEmbedding, NotZeroPreorder
 from polab.extend import (
     ExtensionContext,
+    _down_sets,
+    _transpose,
     check_extension_preservation,
     check_restriction_preservation,
     extend_relation,
@@ -16,8 +19,9 @@ from polab.extend import (
     slice_extension_is_slice,
 )
 from polab.fixtures import load
-from polab.order import Extension, Poset, UnionPreorder, macneille
-from polab.polarity import coherence_level, r_hat_g, r_hat_m, r_zero
+from polab.oracles import naive_coherence_level, oracle_coherent_relations
+from polab.order import Extension, MonotoneMap, Poset, UnionPreorder, _reflection_failure, macneille
+from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_zero
 from polab.randgen import random_context
 
 
@@ -29,6 +33,66 @@ def seeded_contexts(max_base=3, galois=False):
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=max_base),
     )
+
+
+def small_contexts(count, seed, max_pairs=12):
+    """Seeded contexts with 4 to `max_pairs` outer pairs, base sizes
+    cycled through 1-3."""
+    rng = random.Random(seed)
+    out = []
+    k = 0
+    while len(out) < count:
+        ctx = random_context(rng, 1 + k % 3)
+        k += 1
+        if 4 <= len(ctx.ix.target) * len(ctx.iy.target) <= max_pairs:
+            out.append(ctx)
+    return out
+
+
+def image_pairs(ctx):
+    return frozenset((ctx.ix(x), ctx.iy(y)) for x, y in ctx.inner.rel)
+
+
+def undetermined(ctx):
+    return len(ctx.ix.target) * len(ctx.iy.target) - len(image_pairs(ctx))
+
+
+def as_pairs(X, Y, rows):
+    return frozenset(
+        (X.elements[i], Y.elements[j])
+        for i, row in enumerate(rows)
+        for j in range(len(Y))
+        if row >> j & 1
+    )
+
+
+def as_rows(X, Y, rel):
+    rows = [0] * len(X)
+    for a, b in rel:
+        rows[X.index[a]] |= 1 << Y.index[b]
+    return rows
+
+
+def swept_clauses(ctx, limit=13):
+    """Clause 5's verdict and clause 6's (applicable, holds), decided by
+    the literal sweep: every 0-coherent outer relation containing the
+    image pairs, graded by the naive oracle."""
+    rbar = extend_relation(ctx)
+    outer = ctx.outer(rbar)
+    coherent = oracle_coherent_relations(outer.x, outer.y, image_pairs(ctx), limit)
+    inner_level = naive_coherence_level(ctx.inner)
+    outer_level = naive_coherence_level(outer)
+    grades = [
+        n
+        for n in (2, 3)
+        if inner_level is not None
+        and inner_level >= n
+        and (outer_level is None or outer_level < n)
+    ]
+    reachable = any(
+        naive_coherence_level(ctx.outer(s)) >= n for n in grades for s in coherent
+    )
+    return all(rbar <= s for s in coherent), (bool(grades), not reachable)
 
 
 def fixture_context(name, inner="G", ix="ix", iy="iy"):
@@ -114,6 +178,19 @@ class TestPhi:
         res = phi_map(ctx, rbar, pre)
         assert all(res.grades.values())
 
+    def test_non_embedding_raises(self, monkeypatch):
+        ctx = fixture_context("fix_g")
+        outer = ctx.outer()
+        pre = r_hat_g(outer).closed()
+        monkeypatch.setattr(polab.extend, "is_order_embedding", lambda f: False)
+        with pytest.raises(NotEmbedding):
+            phi_map(ctx, outer.rel, pre)
+
+    def test_reflection_failure_names_a_pair(self):
+        f = MonotoneMap(Poset.antichain("ab"), Poset.chain("uv"), {"a": "u", "b": "v"})
+        assert _reflection_failure(f) == ("a", "b")
+        assert _reflection_failure(MonotoneMap.identity(Poset.chain("uv"))) is None
+
 
 class TestAdjunction:
     def test_gate(self):
@@ -137,3 +214,87 @@ class TestAdjunction:
             rep = relation_lattice_adjunction(ctx)
             assert rep.unit_holds and rep.counit_holds and rep.law_holds
             done += 1
+
+
+class TestDownSets:
+    """The down-set walk against the literal 2^k sweep of `polab.oracles`."""
+
+    def test_walk_matches_the_oracle_sweep(self):
+        for ctx in small_contexts(25, seed=3):
+            X, Y = ctx.ix.target, ctx.iy.target
+            frame = ctx._outer_frame()
+            for floor in (frozenset(), image_pairs(ctx)):
+                walked = [as_pairs(X, Y, rows) for rows in _down_sets(X, Y, floor)]
+                assert walked == oracle_coherent_relations(X, Y, floor, limit=12)
+                for rows, rel in zip(_down_sets(X, Y, floor), walked):
+                    want = naive_coherence_level(ctx.outer(rel))
+                    assert want is not None
+                    for n in range(4):
+                        got = frame.level(rows, _transpose(rows, len(Y)), n)
+                        assert got == min(want, n), (rel, n)
+
+    def test_clauses_match_the_sweep(self):
+        for ctx in small_contexts(25, seed=4):
+            rep = check_extension_preservation(ctx)
+            five, six = swept_clauses(ctx)
+            assert rep["5"].holds == five and rep["5"].note == ""
+            assert (rep["6"].applicable, rep["6"].holds) == six
+
+    def test_clause_6_walk_matches_the_sweep(self, monkeypatch):
+        """Clause 6 never applies on random contexts, so the outer
+        report is made to claim grade 2 for a grade-3 inner polarity."""
+
+        def demoted(pol):
+            rep = check_coherence(pol)
+            if pol is not ctx.inner and rep.level == 3:
+                rep.level = 2
+            return rep
+
+        monkeypatch.setattr(polab.extend, "check_coherence", demoted)
+        done = 0
+        for ctx in small_contexts(40, seed=5):
+            if naive_coherence_level(ctx.inner) != 3 or undetermined(ctx) > 13:
+                continue
+            outer = ctx.outer()
+            coherent = oracle_coherent_relations(outer.x, outer.y, image_pairs(ctx))
+            reachable = any(naive_coherence_level(ctx.outer(s)) == 3 for s in coherent)
+            rep = check_extension_preservation(ctx)
+            assert rep["6"].applicable
+            assert rep["6"].holds == (not reachable)
+            assert rep["6"].note == ("grade 3 reachable" if reachable else "")
+            done += 1
+        assert done >= 3
+
+    def test_adjunction_matches_the_sweep(self, monkeypatch):
+        contexts = [
+            ctx
+            for ctx in small_contexts(15, seed=6)
+            if len(ctx.inner.x) * len(ctx.inner.y) <= 12
+        ]
+        walked = [relation_lattice_adjunction(ctx) for ctx in contexts]
+
+        def swept(X, Y, floor):
+            for rel in oracle_coherent_relations(X, Y, floor, limit=12):
+                yield as_rows(X, Y, rel)
+
+        monkeypatch.setattr(polab.extend, "_down_sets", swept)
+        assert walked == [relation_lattice_adjunction(ctx) for ctx in contexts]
+
+    def test_clause_5_needs_no_gate(self):
+        """Above 13 undetermined outer pairs clause 5 is still decided in
+        full; at 14 it agrees with the sweep run at a raised limit."""
+        rng = random.Random(8)
+        fourteen = above = 0
+        while not (fourteen and above):
+            ctx = random_context(rng, 3)
+            k = undetermined(ctx)
+            if k < 14:
+                continue
+            rep = check_extension_preservation(ctx)
+            assert rep["5"].applicable and rep["5"].holds
+            assert rep["5"].note == ""
+            if k == 14:
+                assert rep["5"].holds == swept_clauses(ctx, limit=14)[0]
+                fourteen += 1
+            else:
+                above += 1
