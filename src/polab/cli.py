@@ -16,7 +16,7 @@ from pathlib import Path
 from .concepts import concept_lattice
 from .delta1 import Delta1Completion, counit_iso, delta_on_objects, gamma_on_objects, unit
 from .docformat import Document, parse, serialize, to_dot
-from .errors import MorphismInvalid, PolabError
+from .errors import LawViolation, MorphismInvalid, PolabError
 from .extend import (
     ExtensionContext,
     check_extension_preservation,
@@ -236,7 +236,10 @@ def _law_coherence(rng, size):
     for n in range(4):
         want = level is not None and level >= n
         got = is_n_preorder(pol, CANONICAL_BUILDERS[n](pol).closed(), n).ok
-        assert want == got, "grade %d disagrees with its canonical preorder" % n
+        if want != got:
+            raise LawViolation(
+                "coherence", "grade %d disagrees with its canonical preorder" % n, pol
+            )
     if is_galois(pol):
         unique_3preorder(pol)
     return pol
@@ -245,8 +248,10 @@ def _law_coherence(rng, size):
 def _law_slice(rng, size):
     base = random_poset(rng, rng.randint(1, size))
     pol = random_galois_polarity(rng, rng.randint(1, size))
-    assert is_meet_extension(pol.ex) and is_join_extension(pol.ey)
-    assert coherence_level(pol) == 3
+    if not (is_meet_extension(pol.ex) and is_join_extension(pol.ey)):
+        raise LawViolation("slice", "sides must be a meet and a join extension", pol)
+    if coherence_level(pol) != 3:
+        raise LawViolation("slice", "slice polarity must be 3-coherent", pol)
     return pol
 
 
@@ -279,8 +284,11 @@ def _law_roundtrip(rng, size):
     from .morphisms import PolarityMorphism
 
     pol = random_galois_polarity(rng, rng.randint(1, size))
-    assert roundtrip_holds(PolarityMorphism.identity(pol))
-    assert roundtrip_holds(collapse_morphism(pol))
+    for m in (PolarityMorphism.identity(pol), collapse_morphism(pol)):
+        if not roundtrip_holds(m):
+            raise LawViolation(
+                "roundtrip", "morphism does not survive the round trip", m
+            )
     return pol
 
 
@@ -294,7 +302,12 @@ def _law_completion(rng, size):
     generated = {
         (a, b) for a, b in eta.target.rel
     }
-    assert rbar <= generated, "saturation must stay inside the generated relation"
+    if not rbar <= generated:
+        raise LawViolation(
+            "completion",
+            "saturation must stay inside the generated relation",
+            rbar - generated,
+        )
     if rbar < generated:
         return pol  # finite gap: reported as a finding by the caller
     return None

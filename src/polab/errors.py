@@ -94,6 +94,18 @@ class MorphismInvalid(PolabError):
         self.clause = clause
 
 
+class LawViolation(PolabError):
+    """A certificate of a construction, or a law the fuzzer checks, fails.
+
+    Raised instead of an `assert`, so that it also fires under `python -O`;
+    `law` names the certificate and `witness` holds the offending data.
+    """
+
+    def __init__(self, law, message, witness=None):
+        super().__init__("%s: %s" % (law, message), witness)
+        self.law = law
+
+
 class ConditionOneFails(PolabError):
     """The comparability condition of the universal property fails."""
 

@@ -30,10 +30,10 @@ from ..polarity import (
     coherence_level,
     is_galois,
     is_n_preorder,
-    intermediate_structure,
     r_hat_m,
     r_l,
     r_zero,
+    structure_of,
     unique_3preorder,
 )
 
@@ -67,7 +67,7 @@ def _check_fix_a(doc):
     yield "galois", is_galois(pol)
     yield "closed base relation is a 2-preorder", is_n_preorder(pol, r0, 2).ok
     yield "closed base relation is not a 3-preorder", not is_n_preorder(pol, r0, 3).ok
-    struct = intermediate_structure(pol, unique_3preorder(pol))
+    struct = structure_of(pol)
     yield "quotient collapses to a point", len(struct.quotient.poset.elements) == 1
 
 

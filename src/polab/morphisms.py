@@ -15,12 +15,7 @@ from .order import (
     is_cut_stable,
     is_order_embedding,
 )
-from .polarity import intermediate_structure, unique_3preorder
-
-
-def structure_of(pol):
-    """The intermediate quotient of a Galois polarity with its maps."""
-    return intermediate_structure(pol, unique_3preorder(pol))
+from .polarity import structure_of
 
 
 class PolarityMorphism:

@@ -10,6 +10,7 @@ import itertools
 
 from .errors import CarrierTooLarge
 from .order import UnionPreorder, tag_x, tag_y, transitive_close
+from .polarity import is_n_preorder
 
 
 def _subsets(items):
@@ -298,3 +299,20 @@ def oracle_enumerate_preorders(carrier, forced, forbidden):
         if ok:
             results.append(UnionPreorder(carrier, rows))
     return results
+
+
+def oracle_rigidity_failures(pol, u):
+    """The absent pairs of `u` whose closure into `u` is still a grade-3
+    preorder for the polarity, found by closing each pair in and grading
+    the result from scratch."""
+    n = len(u.carrier)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if u.rows[i] >> j & 1:
+                continue
+            rows = [r | (1 << j if k == i else 0) for k, r in enumerate(u.rows)]
+            enlarged = UnionPreorder(u.carrier, transitive_close(rows))
+            if is_n_preorder(pol, enlarged, 3).ok:
+                out.append((u.carrier[i], u.carrier[j]))
+    return out

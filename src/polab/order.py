@@ -466,12 +466,12 @@ def macneille(poset):
     return Extension(MonotoneMap(poset, lattice, assignment))
 
 
-def _preserves_bounds(f, src, tgt, limit):
-    """Whether the index map `f` (a list, as `_index_image` gives) sends
-    the meet of every subset of its source that has one to the meet of
-    the images, for `src`/`tgt` the `cols` of source and target; given
-    their `rows`, the same for joins.  Scans all subsets, so sources past
-    `limit` elements are refused."""
+def _bounds_failure(f, src, tgt, limit):
+    """The first subset (as a mask) of the source of the index map `f` (a
+    list, as `_index_image` gives) that has a meet not sent to the meet of
+    its images, or None, for `src`/`tgt` the `cols` of source and target;
+    given their `rows`, the same for joins.  Scans all subsets, so sources
+    past `limit` elements are refused."""
     n = len(src)
     if n > limit:
         raise CarrierTooLarge("preservation scan gated at %d elements" % limit)
@@ -483,8 +483,12 @@ def _preserves_bounds(f, src, tgt, limit):
         for i in _mask_iter(mask):
             images |= 1 << f[i]
         if _bound_index(tgt, images) != f[g]:
-            return False
-    return True
+            return mask
+    return None
+
+
+def _preserves_bounds(f, src, tgt, limit):
+    return _bounds_failure(f, src, tgt, limit) is None
 
 
 def is_cut_stable(f):

@@ -20,12 +20,14 @@ orders reversed, the sides swapped, the relation transposed.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
 from .errors import (
     CarrierMismatch,
     CarrierTooLarge,
+    LawViolation,
     NotCoherent,
     NotGalois,
     NotOnePreorder,
@@ -37,11 +39,13 @@ from .order import (
     MonotoneMap,
     Poset,
     UnionPreorder,
+    X_SIDE,
+    _bounds_failure,
     _expressible,
     _index_image,
     _mask_iter,
     _preserves_bounds,
-    is_order_embedding,
+    _reflection_failure,
     tag_x,
     tag_y,
     transitive_close,
@@ -564,7 +568,7 @@ def r_hat_g(pol):
 def r_l(ex, ey):
     """The slice relation: x related to y when some base element has its
     left image above x and its right image below y.  Always makes the
-    sides 2-coherent, which is asserted."""
+    sides 2-coherent, which is certified up to grade 2 and no further."""
     pairs = set()
     X, Y, P = ex.target, ey.target, ex.base
     if ey.base != P:
@@ -574,8 +578,13 @@ def r_l(ex, ey):
             for b in Y.up(ey(p)):
                 pairs.add((a, b))
     rel = frozenset(pairs)
-    level = coherence_level(ExtensionPolarity(P, ex, ey, rel))
-    assert level is not None and level >= 2, "slice relation must be 2-coherent"
+    fr = _Frame(P, ex, ey)
+    rows = fr.rows(rel)
+    if fr.level(*rows, upto=2) != 2:
+        for name in CONDITION_NAMES[:6]:
+            ok, witness = getattr(fr, name.lower())(*rows)
+            if not ok:
+                raise NotCoherent("slice relation fails %s" % name, witness)
     return rel
 
 
@@ -835,54 +844,160 @@ def entangled_consequences(pol, cap=None, max_carrier=None):
 
 # -- the unique grade-3 preorder of a Galois polarity ----------------------
 
+# Distinct polarities whose certified structure is kept; one completion
+# round trip touches three (the polarity, the one its completion
+# generates, and a collapse target).
+STRUCTURE_CACHE_SIZE = 8
+
 
 def unique_3preorder(pol):
-    """The single grade-3 preorder a Galois polarity admits.
+    """The single grade-3 preorder a Galois polarity admits: the one
+    `structure_of` certifies and quotients."""
+    return structure_of(pol).quotient.source
 
-    Certifies, beyond being a grade-3 preorder: agreement with the
-    pointwise characterisation through the base, maximality-by-rigidity
-    (closing in any one absent pair breaks the grade), the quotient
-    embeddings preserving all existing meets respectively joins, and
-    each side generating the quotient by joins respectively meets.
+
+def _differing_pair(r, s):
+    """The first pair on which two relations over one carrier differ."""
+    for i, (a, b) in enumerate(zip(r.rows, s.rows)):
+        if a != b:
+            j = next(_mask_iter(a ^ b))
+            return r.carrier[i], r.carrier[j]
+    return None
+
+
+def _rigidity_failures(u):
+    """The absent pairs of a grade-3 preorder `u` whose closure into `u`
+    is still a grade-3 preorder.
+
+    Closing (i, j) in adds exactly the pairs from below i to above j.
+    Of the grade-3 clauses only P1 and reflectX/reflectY forbid pairs,
+    and on a grade-3 preorder they pin the X×Y, X×X and Y×Y blocks, so
+    the closure keeps the grade iff every pair it adds runs from Y to X:
+    every left element below i is below j, and every right element above
+    j is above i.  An absent pair that starts in X or ends in Y fails
+    this at once.
+    """
+    n = len(u.carrier)
+    xmask = 0
+    for k, e in enumerate(u.carrier):
+        if e[0] == X_SIDE:
+            xmask |= 1 << k
+    ymask = ((1 << n) - 1) & ~xmask
+    rows = u.rows
+    cols = [0] * n
+    for i, r in enumerate(rows):
+        for j in _mask_iter(r):
+            cols[j] |= 1 << i
+    return [
+        (u.carrier[i], u.carrier[j])
+        for i in range(n)
+        for j in range(n)
+        if not rows[i] >> j & 1
+        and not rows[j] & ymask & ~rows[i]
+        and not cols[i] & xmask & ~cols[j]
+    ]
+
+
+@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+def structure_of(pol):
+    """The intermediate quotient of a Galois polarity with its maps, built
+    from its unique grade-3 preorder.
+
+    Certifies, beyond that preorder being a grade-3 preorder: agreement
+    with the pointwise characterisation through the base, maximality by
+    rigidity (closing in any one absent pair breaks the grade), the base
+    embedding onto the common image of the sides, the side embeddings
+    preserving all existing meets respectively joins, and each side
+    generating the quotient by joins respectively meets.  A failed
+    certificate raises `LawViolation` with its witness.
+
+    The result is shared: it is memoised on the polarity's value for the
+    last `STRUCTURE_CACHE_SIZE` polarities.  Errors are not cached.
     """
     if not is_galois(pol):
         raise NotGalois("the unique grade-3 preorder needs a Galois polarity")
     u = r_hat_g(pol)
-    assert u.is_preorder(), "canonical relation of a Galois polarity must close"
+    if not u.is_preorder():
+        raise LawViolation(
+            "preorder",
+            "canonical relation of a Galois polarity must close",
+            u.transitivity_witness(),
+        )
     verdict = is_n_preorder(pol, u, 3)
-    assert verdict.ok, "canonical relation must be a grade-3 preorder"
-    fr = _Frame.of(pol)
+    if not verdict.ok:
+        raise LawViolation(
+            "grade-3",
+            "canonical relation must be a grade-3 preorder (%s fails)" % verdict.clause,
+            (verdict.clause, verdict.witness),
+        )
     alt = _tagged(
         pol,
         x_pairs=pol.x.pairs(),
         y_pairs=pol.y.pairs(),
         cross_xy=pol.rel,
-        cross_yx=fr.z_yx_alt_pairs(),
+        cross_yx=_Frame.of(pol).z_yx_alt_pairs(),
     )
-    assert alt == u, "pointwise characterisation must agree"
-    nlen = len(u.carrier)
-    for i in range(nlen):
-        for j in range(nlen):
-            if u.rows[i] >> j & 1:
-                continue
-            enlarged = UnionPreorder(
-                u.carrier, transitive_close([r | (1 << j if k == i else 0) for k, r in enumerate(u.rows)])
-            )
-            assert not is_n_preorder(pol, enlarged, 3).ok, (
-                "a second grade-3 preorder exists",
-                (u.carrier[i], u.carrier[j]),
-            )
+    diff = _differing_pair(alt, u)
+    if diff is not None:
+        raise LawViolation("pointwise", "pointwise characterisation must agree", diff)
+    loose = _rigidity_failures(u)
+    if loose:
+        raise LawViolation("rigidity", "a second grade-3 preorder exists", loose[0])
     inter = intermediate_structure(pol, u)
+    _certify_base_image(pol, inter)
     q = inter.quotient.poset
+    for law, side, iota, src, tgt in (
+        ("meet-preservation", pol.x, inter.iota_x, pol.x.cols, q.cols),
+        ("join-preservation", pol.y, inter.iota_y, pol.y.rows, q.rows),
+    ):
+        f = _index_image(iota)
+        if not _preserves_bounds(f, src, tgt, 12):
+            subset = side.elements_of(_bounds_failure(f, src, tgt, 12))
+            raise LawViolation(law, "a side embedding loses a bound", subset)
     full = (1 << len(q)) - 1
-    assert _preserves_bounds(_index_image(inter.iota_x), pol.x.cols, q.cols, 12)
-    assert _preserves_bounds(_index_image(inter.iota_y), pol.y.rows, q.rows, 12)
-    assert _expressible(q.cols, q.rows, q.mask_of(inter.iota_x.image())) == full
-    assert _expressible(q.rows, q.cols, q.mask_of(inter.iota_y.image())) == full
-    return u
+    for law, up, down, image in (
+        ("join-generation", q.cols, q.rows, inter.iota_x.image()),
+        ("meet-generation", q.rows, q.cols, inter.iota_y.image()),
+    ):
+        missed = full & ~_expressible(up, down, q.mask_of(image))
+        if missed:
+            raise LawViolation(
+                law, "a side must generate the quotient", q.elements_of(missed)
+            )
+    return inter
 
 
-@dataclass
+def _certify_base_image(pol, inter):
+    """The base embeds in the quotient of a Galois polarity, into the
+    common image of the two sides, and onto it when every related pair
+    has a slice witness."""
+    gamma = inter.gamma
+    bad = _reflection_failure(gamma)
+    if bad is not None:
+        raise LawViolation("base-embedding", "base must embed in the quotient", bad)
+    both = set(inter.iota_x.image()) & set(inter.iota_y.image())
+    stray = set(gamma.image()) - both
+    if stray:
+        raise LawViolation("base-image", "base image must land in both sides", stray)
+    # Equality needs every related pair to have a slice witness; a pair
+    # like (top, top) related without one merges two non-image elements.
+    witnessed = all(
+        any(
+            pol.x.leq(a, pol.ex(p)) and pol.y.leq(pol.ey(p), b)
+            for p in pol.base.elements
+        )
+        for a, b in pol.rel
+    )
+    missed = both - set(gamma.image())
+    if witnessed and missed:
+        raise LawViolation(
+            "base-image",
+            "base image must be the intersection of the side images",
+            missed,
+        )
+
+
+@dataclass(frozen=True)
 class IntermediateStructure:
     """The quotient of a graded preorder with the three maps into it."""
 
@@ -893,6 +1008,8 @@ class IntermediateStructure:
 
 
 def intermediate_structure(pol, rel):
+    """The quotient of a grade-1 preorder with the maps of the two sides
+    and the base into it."""
     verdict = is_n_preorder(pol, rel, 1)
     if not verdict.ok:
         raise NotOnePreorder(
@@ -912,24 +1029,6 @@ def intermediate_structure(pol, rel):
         q,
         {p: quotient.project(tag_x(pol.ex(p))) for p in pol.base.elements},
     )
-    if is_galois(pol) and is_n_preorder(pol, rel, 3).ok:
-        assert is_order_embedding(gamma), "base must embed in the quotient"
-        both = set(iota_x.image()) & set(iota_y.image())
-        assert set(gamma.image()) <= both, "base image must land in both sides"
-        # Equality needs every related pair to have a slice witness; a
-        # pair like (top, top) related without one merges two non-image
-        # elements.  See the decisions ledger.
-        witnessed = all(
-            any(
-                pol.x.leq(a, pol.ex(p)) and pol.y.leq(pol.ey(p), b)
-                for p in pol.base.elements
-            )
-            for a, b in pol.rel
-        )
-        if witnessed:
-            assert set(gamma.image()) == both, (
-                "base image must be the intersection of the side images"
-            )
     return IntermediateStructure(
         quotient=quotient, iota_x=iota_x, iota_y=iota_y, gamma=gamma
     )

@@ -110,29 +110,51 @@ class TestFuzzCommand:
             == 0
         )
 
+    # What each patched checker returns, and the message the run prints.
+    SABOTAGE = {
+        "check_extension_preservation": (
+            '{"5": ClauseReport(True, False)}', "clause 5 fails"
+        ),
+        "check_restriction_preservation": (
+            '{"5": ClauseReport(True, False)}', "clause 5 fails"
+        ),
+        "is_n_preorder": ("SimpleNamespace(ok=True)", "disagrees with its canonical"),
+        "coherence_level": ("2", "must be 3-coherent"),
+        "roundtrip_holds": ("False", "does not survive the round trip"),
+        "extend_relation": (
+            'frozenset({("nowhere", "nothing")})', "must stay inside the generated"
+        ),
+    }
+
     @pytest.mark.parametrize(
         "law, checker",
         [
             ("extension", "check_extension_preservation"),
             ("restriction", "check_restriction_preservation"),
+            ("coherence", "is_n_preorder"),
+            ("slice", "coherence_level"),
+            ("roundtrip", "roundtrip_holds"),
+            ("completion", "extend_relation"),
         ],
     )
     def test_violation_exits_1_under_optimize(self, law, checker):
-        """`python -O` strips asserts; a failing clause must still fail
-        the run."""
+        """`python -O` strips asserts; a failing law must still fail the
+        run."""
+        result, message = self.SABOTAGE[checker]
         script = textwrap.dedent(
             """
             import sys
+            from types import SimpleNamespace
             import polab.cli as cli
             from polab.extend import ClauseReport
 
             assert sys.flags.optimize
-            cli.%s = lambda *args: {"5": ClauseReport(True, False)}
+            cli.%s = lambda *args: %s
             sys.exit(cli.main(
                 ["fuzz", "--seed", "0", "--size", "3", "--iters", "2", "--check", "%s"]
             ))
             """
-            % (checker, law)
+            % (checker, result, law)
         )
         env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
         done = subprocess.run(
@@ -143,7 +165,7 @@ class TestFuzzCommand:
             timeout=60,
         )
         assert done.returncode == 1, done.stdout + done.stderr
-        assert "clause 5 fails" in done.stdout
+        assert message in done.stdout
 
     def test_unknown_law_exits_1(self, capsys):
         assert (

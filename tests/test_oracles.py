@@ -16,18 +16,28 @@ from polab.oracles import (
     naive_z_t,
     oracle_enumerate_preorders,
     oracle_naive_condition_check,
+    oracle_rigidity_failures,
 )
 from polab.order import Poset, tag_x, tag_y
 from polab.polarity import (
+    ExtensionPolarity,
+    _rigidity_failures,
     check_coherence,
     coherence_level,
     enumerate_n_preorders,
     is_n_preorder,
     named_relation_sets,
+    is_galois,
     r_hat_g,
+    r_l,
     unique_3preorder,
 )
-from polab.randgen import random_extension_polarity, random_galois_polarity
+from polab.randgen import (
+    random_embedding,
+    random_extension_polarity,
+    random_galois_polarity,
+    random_poset,
+)
 
 
 def seeded_polarities(max_base=3):
@@ -90,6 +100,48 @@ class TestSubsetOracles:
         big = identity_polarity(Poset.antichain("abcdefghijk"))
         with pytest.raises(CarrierTooLarge):
             naive_c7(big)
+
+
+def _absent_pairs(u):
+    n = len(u.carrier)
+    return sum(1 for i in range(n) for j in range(n) if not u.rows[i] >> j & 1)
+
+
+class TestRigidityOracle:
+    """The mask test for rigidity against closing each absent pair in and
+    grading the result from scratch, pair by pair."""
+
+    def test_galois_polarities_are_rigid(self):
+        rng = random.Random(0)
+        absent = 0
+        for k in range(150):
+            pol = random_galois_polarity(rng, 1 + k % 5)
+            u = unique_3preorder(pol)
+            assert _rigidity_failures(u) == oracle_rigidity_failures(pol, u) == []
+            absent += _absent_pairs(u)
+        assert absent > 1000
+
+    def test_slices_with_isolated_components(self):
+        """Sides with isolated components keep the slice polarity 3-coherent
+        but not Galois, so its canonical preorder, and the other grade-3
+        preorders next to it, can take in more pairs."""
+        rng = random.Random(0)
+        checked = loose = 0
+        for k in range(300):
+            base = random_poset(rng, 1 + k % 4)
+            ex = random_embedding(rng, base, junk=rng.randrange(3), prefix="x")
+            ey = random_embedding(rng, base, junk=rng.randrange(3), prefix="y")
+            pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+            u = r_hat_g(pol).closed()
+            grade3 = [u] if is_n_preorder(pol, u, 3).ok else []
+            if len(u.carrier) <= 5:
+                grade3 += list(enumerate_n_preorders(pol, 3))
+            for v in grade3:
+                fast = _rigidity_failures(v)
+                assert fast == oracle_rigidity_failures(pol, v)
+                checked += 1
+                loose += len(fast)
+        assert checked > 200 and loose > 100
 
 
 class TestEnumerationOracle:

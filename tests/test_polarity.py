@@ -1,10 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polab.errors import CarrierTooLarge, NotGalois
+import polab
+from polab import polarity
+from polab.delta1 import delta_on_objects, gamma_on_objects
+from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois
 from polab.fixtures import CATALOGUE, identity_polarity, load
 from polab.order import (
     Poset,
@@ -25,8 +33,10 @@ from polab.polarity import (
     is_n_preorder,
     intermediate_structure,
     named_relation_sets,
+    r_hat_g,
     r_l,
     r_zero,
+    structure_of,
     unique_3preorder,
 )
 from polab.randgen import random_extension_polarity, random_galois_polarity
@@ -116,6 +126,126 @@ class TestGalois:
             assert u.rel(tag_x(e), tag_y(e)) and u.rel(tag_y(e), tag_x(e))
         struct = intermediate_structure(pol, u)
         assert len(struct.quotient.poset) == len(p)
+
+
+def _fixture_galois_polarities():
+    for fixture in CATALOGUE:
+        for pol in load(fixture.name).polarities.values():
+            if is_galois(pol):
+                yield pol
+
+
+class TestStructureOf:
+    def test_equal_polarities_share_one_structure(self):
+        d = gamma_on_objects(load("fix_e").polarities["G"])
+        first, second = delta_on_objects(d), delta_on_objects(d)
+        assert first is not second and first == second
+        assert structure_of(first) is structure_of(second)
+
+    def test_errors_are_raised_on_every_call(self):
+        structure_of.cache_clear()
+        not_galois = load("fix_b").polarities["G"]
+        # a Galois polarity whose sides exceed the 12-element preservation gate
+        too_large = identity_polarity(Poset.antichain("abcdefghijklm"))
+        for _ in range(2):
+            with pytest.raises(NotGalois):
+                structure_of(not_galois)
+            with pytest.raises(CarrierTooLarge):
+                structure_of(too_large)
+        info = structure_of.cache_info()
+        assert (info.hits, info.currsize) == (0, 0)
+
+    def test_cache_keeps_its_fixed_size(self):
+        structure_of.cache_clear()
+        rng = random.Random(5)
+        pols = {random_galois_polarity(rng, 3) for _ in range(30)}
+        assert len(pols) > polarity.STRUCTURE_CACHE_SIZE
+        for pol in pols:
+            structure_of(pol)
+        info = structure_of.cache_info()
+        assert info.maxsize == info.currsize == polarity.STRUCTURE_CACHE_SIZE
+
+    def test_structure_is_frozen(self):
+        struct = structure_of(load("fix_e").polarities["G"])
+        with pytest.raises(AttributeError):
+            struct.gamma = struct.iota_x
+
+    def test_unique_3preorder_is_the_canonical_relation(self):
+        """The certified preorder is `r_hat_g`, and where the carrier is
+        small enough to enumerate, the only grade-3 preorder there is."""
+        rng = random.Random(11)
+        pols = list(_fixture_galois_polarities())
+        pols += [random_galois_polarity(rng, 1 + k % 5) for k in range(200)]
+        for pol in pols:
+            u = unique_3preorder(pol)
+            assert u == r_hat_g(pol)
+            if len(u.carrier) <= 7:
+                assert list(enumerate_n_preorders(pol, 3)) == [u]
+
+    def test_certificates_raise_under_optimize(self):
+        """A corrupted pointwise characterisation is reported as a typed
+        violation with a differing pair, also when asserts are stripped."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from polab import polarity
+            from polab.errors import LawViolation
+            from polab.fixtures import load
+
+            assert sys.flags.optimize
+            polarity._Frame.z_yx_alt_pairs = lambda self: frozenset()
+            try:
+                polarity.structure_of(load("fix_e").polarities["G"])
+            except LawViolation as err:
+                print(err.law, err.witness)
+                sys.exit(3)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        law, witness = done.stdout.split(" ", 1)
+        assert law == "pointwise" and witness.startswith("(('Y',")
+
+    def test_rigidity_witness_is_the_absent_pair(self, monkeypatch):
+        pol = load("fix_e").polarities["G"]
+        u = r_hat_g(pol)
+        loose = next(
+            (u.carrier[i], u.carrier[j])
+            for i in range(len(u.carrier))
+            for j in range(len(u.carrier))
+            if not u.rows[i] >> j & 1
+        )
+        monkeypatch.setattr(polarity, "_rigidity_failures", lambda rel: [loose])
+        structure_of.cache_clear()
+        with pytest.raises(LawViolation) as err:
+            structure_of(pol)
+        assert err.value.law == "rigidity" and err.value.witness == loose
+
+
+class TestSliceRelation:
+    def test_certified_without_the_full_grade(self, monkeypatch):
+        def no_full_check(pol):
+            raise AssertionError("r_l must not grade all twelve conditions")
+
+        monkeypatch.setattr(polarity, "check_coherence", no_full_check)
+        pol = load("fix_e").polarities["G"]
+        assert r_l(pol.ex, pol.ey) == pol.rel
+
+    def test_failure_names_the_condition(self, monkeypatch):
+        pol = load("fix_e").polarities["G"]
+        monkeypatch.setattr(
+            polarity._Frame, "c5", lambda self, rx, ry: (False, ("w",))
+        )
+        with pytest.raises(NotCoherent, match="C5") as err:
+            r_l(pol.ex, pol.ey)
+        assert err.value.witness == ("w",)
 
 
 class TestEnumeration:
