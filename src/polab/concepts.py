@@ -8,13 +8,13 @@ and used directly as lattice element ids.
 
 from __future__ import annotations
 
-from .errors import NotCompleteLattice, PreservationViolation
+from .errors import LawViolation, NotCompleteLattice, PreservationViolation
 from .order import (
     MonotoneMap,
     UnionPreorder,
-    _bound_index,
     _index_image,
     _intersection_lattice,
+    _lift,
     _preserves_bounds,
     check_galois_connection,
     is_meet_extension,
@@ -137,42 +137,44 @@ def inclusion_preorder(pol):
     return UnionPreorder.from_pairs(carrier, pairs)
 
 
+def _embeds(side, images, pointwise):
+    """Whether a canonical map embeds the poset `side`: s1 <= s2 exactly
+    when `pointwise[s1]` lies inside `pointwise[s2]`, masks read off the
+    relation.  The inclusion of the lattice images `images` must agree
+    with that pointwise reading on every pair."""
+    verdict = True
+    for s1 in side.elements:
+        for s2 in side.elements:
+            below = pointwise[s1] & ~pointwise[s2] == 0
+            if below != (images[s1] & ~images[s2] == 0):
+                raise LawViolation(
+                    "embedding-routes",
+                    "pointwise embedding test disagrees with lattice",
+                    (s1, s2),
+                )
+            verdict = verdict and side.leq(s1, s2) == below
+    return verdict
+
+
 def xi_embedding(pol):
-    """Whether the left canonical map embeds, decided by the pointwise
-    condition and cross-checked against the lattice order."""
-    X, Y = pol.x, pol.y
-    pointwise = all(
-        X.leq(x1, x2)
-        == all((x1, y) in pol.rel for y in Y.elements if (x2, y) in pol.rel)
-        for x1 in X.elements
-        for x2 in X.elements
-    )
-    lat = concept_lattice(pol)
-    direct = all(
-        X.leq(x1, x2) == (lat.xi_mask[x1] & ~lat.xi_mask[x2] == 0)
-        for x1 in X.elements
-        for x2 in X.elements
-    )
-    assert pointwise == direct, "pointwise embedding test disagrees with lattice"
-    return pointwise
+    """Whether the left canonical map embeds: x1 goes below x2 when every
+    right element related to x2 is related to x1, that is, when the right
+    elements unrelated to x1 are unrelated to x2."""
+    unrelated = {
+        a: pol.y.mask_of(b for b in pol.y.elements if (a, b) not in pol.rel)
+        for a in pol.x.elements
+    }
+    return _embeds(pol.x, concept_lattice(pol).xi_mask, unrelated)
 
 
 def upsilon_embedding(pol):
-    X, Y = pol.x, pol.y
-    pointwise = all(
-        Y.leq(y1, y2)
-        == all((x, y2) in pol.rel for x in X.elements if (x, y1) in pol.rel)
-        for y1 in Y.elements
-        for y2 in Y.elements
-    )
-    lat = concept_lattice(pol)
-    direct = all(
-        Y.leq(y1, y2) == (lat.upsilon_mask[y1] & ~lat.upsilon_mask[y2] == 0)
-        for y1 in Y.elements
-        for y2 in Y.elements
-    )
-    assert pointwise == direct, "pointwise embedding test disagrees with lattice"
-    return pointwise
+    """Whether the right canonical map embeds: y1 goes below y2 when every
+    left element related to y1 is related to y2."""
+    related = {
+        b: pol.x.mask_of(a for a in pol.x.elements if (a, b) in pol.rel)
+        for b in pol.y.elements
+    }
+    return _embeds(pol.y, concept_lattice(pol).upsilon_mask, related)
 
 
 def _require_completion(e, kind):
@@ -185,25 +187,13 @@ def _require_completion(e, kind):
 
 
 def _adjoint(src, tgt, below, bound, side):
-    """The map from the target of `src` to the target of `tgt` sending s
-    to the bound, read off `bound`, of the `tgt` images of the base
-    elements whose `src` image lies in `below[s]`.  Verified to extend
-    the base maps."""
-    S, T = src.target, tgt.target
-    pairs = list(zip(_index_image(src.map), _index_image(tgt.map)))
-    assignment = {}
-    for s, e in enumerate(S.elements):
-        images = 0
-        for si, ti in pairs:
-            if below[s] >> si & 1:
-                images |= 1 << ti
-        assignment[e] = T.elements[_bound_index(bound, images)]
-    h = MonotoneMap(S, T, assignment)
-    for p in src.base.elements:
-        if h(src(p)) != tgt(p):
-            raise PreservationViolation(
-                "adjoint does not extend the %s base map" % side, p
-            )
+    """`_lift` of the base map `tgt` along the extension `src`, verified
+    to extend it."""
+    h, miss = _lift(src.map, tgt.map, below, bound)
+    if miss is not None:
+        raise PreservationViolation(
+            "adjoint does not extend the %s base map" % side, miss
+        )
     return h
 
 
@@ -257,7 +247,10 @@ def z_doubleprime(pol, ix, iy):
         for x in pol.x.elements:
             via_f = mx.leq(f(iy(y)), ix(x))
             via_g = my.leq(iy(y), g(ix(x)))
-            assert via_f == via_g, "the two adjoint readings must agree"
+            if via_f != via_g:
+                raise LawViolation(
+                    "adjoint-readings", "the two adjoint readings must agree", (y, x)
+                )
             if via_f:
                 out.add((y, x))
     return frozenset(out)

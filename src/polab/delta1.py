@@ -16,12 +16,16 @@ from .errors import (
     CarrierTooLarge,
     ConditionOneFails,
     DomainMismatch,
+    LawViolation,
     NotDelta1,
-    NotGalois,
 )
 from .order import (
     Extension,
     MonotoneMap,
+    _complete_hom_failure,
+    _expressible,
+    _image_mask,
+    _lift,
     compose as compose_maps,
     is_completion,
     is_delta1,
@@ -32,6 +36,11 @@ from .order import (
 )
 from .polarity import ExtensionPolarity, is_galois, r_l
 from .morphisms import PolarityMorphism, psi_of, structure_of
+
+# Side size up to which `unit` proves itself the only isomorphism over the base.
+UNIQUE_GATE = 8
+# Source lattice size up to which `mediate` searches all complete homomorphisms.
+HOM_GATE = 6
 
 
 class Delta1Completion:
@@ -62,21 +71,6 @@ class Delta1Completion:
         return hash(self.completion)
 
 
-def _is_complete_hom(g):
-    """On finite lattices: preserves both bounds and all binary meets
-    and joins."""
-    s, t = g.source, g.target
-    if g(s.top()) != t.top() or g(s.bottom()) != t.bottom():
-        return False
-    for a in s.elements:
-        for b in s.elements:
-            if g(s.meet([a, b])) != t.meet([g(a), g(b)]):
-                return False
-            if g(s.join([a, b])) != t.join([g(a), g(b)]):
-                return False
-    return True
-
-
 class Delta1Morphism:
     """A commuting square between dense completions whose lattice leg is
     a complete homomorphism."""
@@ -88,7 +82,7 @@ class Delta1Morphism:
             raise DomainMismatch("base leg must map the bases")
         if g.source != source.lattice or g.target != target.lattice:
             raise DomainMismatch("lattice leg must map the lattices")
-        if not _is_complete_hom(g):
+        if _complete_hom_failure(g) is not None:
             raise DomainMismatch("lattice leg must be a complete homomorphism")
         for p in source.base.elements:
             if g(source(p)) != target(f(p)):
@@ -133,9 +127,8 @@ def compose_delta1(outer, inner):
 
 def gamma_on_objects(pol):
     """The dense completion generated by a Galois polarity: cut complete
-    the intermediate quotient and precompose with the base map."""
-    if not is_galois(pol):
-        raise NotGalois("only Galois polarities generate dense completions")
+    the intermediate quotient and precompose with the base map.  Raises
+    `NotGalois` (from `structure_of`) for any other polarity."""
     struct = structure_of(pol)
     m = macneille(struct.quotient.poset)
     d = Extension(compose_maps(m.map, struct.gamma))
@@ -159,17 +152,9 @@ def delta_on_objects(d):
     sides are the meet and join closures of the image, related by the
     lattice order."""
     lat = d.lattice
-    img = [d(p) for p in d.base.elements]
-    x_elems = [
-        v
-        for v in lat.elements
-        if lat.meet([w for w in img if lat.leq(v, w)]) == v
-    ]
-    y_elems = [
-        v
-        for v in lat.elements
-        if lat.join([w for w in img if lat.leq(w, v)]) == v
-    ]
+    image = _image_mask(d.completion)
+    x_elems = lat.elements_of(_expressible(lat.rows, lat.cols, image))
+    y_elems = lat.elements_of(_expressible(lat.cols, lat.rows, image))
     x_side = lat.restrict(x_elems)
     y_side = lat.restrict(y_elems)
     ex = Extension(MonotoneMap(d.base, x_side, {p: d(p) for p in d.base.elements}))
@@ -178,10 +163,14 @@ def delta_on_objects(d):
         (a, b) for a in x_elems for b in y_elems if lat.leq(a, b)
     )
     pol = ExtensionPolarity(d.base, ex, ey, rel)
-    assert is_galois(pol), "a dense completion must generate a Galois polarity"
-    assert is_completion(ex) and is_completion(ey), (
-        "generated sides must be complete"
-    )
+    if not is_galois(pol):
+        raise LawViolation(
+            "galois", "a dense completion must generate a Galois polarity", rel
+        )
+    if not (is_completion(ex) and is_completion(ey)):
+        raise LawViolation(
+            "complete-sides", "generated sides must be complete", (x_elems, y_elems)
+        )
     return pol
 
 
@@ -221,13 +210,14 @@ def _polarity_isos_over_base(src, tgt):
     return out
 
 
-def unit(pol, unique_gate=8):
+def unit(pol):
     """The canonical embedding of a Galois polarity into the one its
     completion generates.
 
     Always a polarity embedding; an isomorphism exactly when both sides
     are already complete, and then the only isomorphism over the
-    identity base (checked exhaustively under the carrier gate).
+    identity base (checked exhaustively while both sides have at most
+    `UNIQUE_GATE` elements).
     """
     d = gamma_on_objects(pol)
     image = delta_on_objects(d)
@@ -242,21 +232,26 @@ def unit(pol, unique_gate=8):
     eta = PolarityMorphism(
         pol, image, hx, MonotoneMap.identity(pol.base), hy
     )
-    assert eta.is_embedding(), "unit must embed"
+    if not eta.is_embedding():
+        raise LawViolation(
+            "unit-embeds", "unit must embed", (hx.assignment, hy.assignment)
+        )
     complete = is_complete_polarity(pol)
-    assert eta.is_isomorphism() == complete, (
-        "unit is an isomorphism exactly for complete polarities"
-    )
-    if complete and len(image.x) <= unique_gate and len(image.y) <= unique_gate:
+    if eta.is_isomorphism() != complete:
+        raise LawViolation(
+            "unit-iso",
+            "unit is an isomorphism exactly for complete polarities",
+            complete,
+        )
+    if complete and len(image.x) <= UNIQUE_GATE and len(image.y) <= UNIQUE_GATE:
         isos = _polarity_isos_over_base(pol, image)
-        assert isos == [eta], "unit must be the only isomorphism over the base"
+        if isos != [eta]:
+            raise LawViolation(
+                "unit-unique",
+                "unit must be the only isomorphism over the base",
+                len(isos),
+            )
     return eta
-
-
-def _class_value(members):
-    values = {raw for _, raw in members}
-    assert len(values) == 1, "quotient classes of a lattice order carry one value"
-    return values.pop()
 
 
 def counit_iso(d):
@@ -266,27 +261,26 @@ def counit_iso(d):
     pol = delta_on_objects(d)
     back = gamma_on_objects(pol)
     struct = structure_of(pol)
-    q = struct.quotient.poset
-    m = macneille(q)
-    lat = d.lattice
-    value = {
-        rep: _class_value(struct.quotient.classes[rep]) for rep in q.elements
-    }
-    assignment = {}
-    for c in back.lattice.elements:
-        assignment[c] = lat.join(
-            [value[z] for z in q.elements if back.lattice.leq(m(z), c)]
-        )
-    t = MonotoneMap(back.lattice, lat, assignment)
+    q = struct.quotient
+    m = macneille(q.poset)
+    # The members of a class are lattice values, and they must coincide.
+    value = MonotoneMap(q.poset, d.lattice, q.descend(_same, _same))
+    # A lift along an order embedding always extends the lifted map.
+    t, _ = _lift(m.map, value, m.target.cols, d.lattice.rows)
     tau = Delta1Morphism(back, d, MonotoneMap.identity(d.base), t)
-    assert tau.is_isomorphism(), "counit must be an isomorphism"
+    if not tau.is_isomorphism():
+        raise LawViolation("counit-iso", "counit must be an isomorphism", t.assignment)
     return tau
 
 
-def _complete_homs(src, tgt, forced, gate=6):
+def _same(v):
+    return v
+
+
+def _complete_homs(src, tgt, forced):
     """All complete homomorphisms src -> tgt agreeing with `forced`,
     by backtracking over a linear extension with monotone pruning."""
-    if len(src) > gate or len(tgt) > gate + 2:
+    if len(src) > HOM_GATE or len(tgt) > HOM_GATE + 2:
         raise CarrierTooLarge("lattice too large for homomorphism search")
     order = sorted(src.elements, key=lambda e: bin(src.cols[src.index[e]]).count("1"))
     out = []
@@ -294,7 +288,7 @@ def _complete_homs(src, tgt, forced, gate=6):
     def extend(k, partial):
         if k == len(order):
             g = MonotoneMap(src, tgt, dict(partial))
-            if _is_complete_hom(g):
+            if _complete_hom_failure(g) is None:
                 out.append(g)
             return
         e = order[k]
@@ -325,7 +319,7 @@ class MediatorReport:
     exhaustive: bool
 
 
-def mediate(pol, d, h, hom_gate=6):
+def mediate(pol, d, h):
     """For a polarity morphism h from a Galois polarity into the polarity
     a completion generates, the factoring completion square through the
     unit, with a uniqueness check (exhaustive under the gate, else via
@@ -342,39 +336,21 @@ def mediate(pol, d, h, hom_gate=6):
     from .morphisms import compose as compose_morphisms
 
     factors = compose_morphisms(back, eta) == h
-    src_lat = mediator.source.lattice
-    forced = {mediator.source(p): d(h.hp(p)) for p in pol.base.elements}
-    struct = structure_of(pol)
-    m = macneille(struct.quotient.poset)
-    for x in pol.x.elements:
-        forced[m(struct.iota_x(x))] = h.hx(x)
-    for y in pol.y.elements:
-        forced[m(struct.iota_y(y))] = h.hy(y)
+    # h fixes the mediator on the cut of every class, the base cuts among
+    # them, and so on the whole dense image.
+    q = structure_of(pol).quotient
+    m = macneille(q.poset)
+    values = MonotoneMap(q.poset, d.lattice, q.descend(h.hx, h.hy))
+    forced = {m(z): values(z) for z in q.poset.elements}
     try:
-        candidates = [
-            g
-            for g in _complete_homs(src_lat, d.lattice, forced, gate=hom_gate)
-            if all(g(mediator.source(p)) == d(h.hp(p)) for p in pol.base.elements)
-        ]
-        unique = candidates == [mediator.g] or (
-            len(candidates) == 1 and candidates[0] == mediator.g
-        )
+        candidates = _complete_homs(mediator.source.lattice, d.lattice, forced)
+        unique = candidates == [mediator.g]
         exhaustive = True
     except CarrierTooLarge:
-        # A complete homomorphism is forced by its values on the dense
-        # image: every cut is the join of image elements below it.
-        determined = all(
-            mediator.g(c)
-            == d.lattice.join(
-                [
-                    v
-                    for cc, v in forced.items()
-                    if src_lat.leq(cc, c)
-                ]
-            )
-            for c in src_lat.elements
-        )
-        unique = determined
+        # A complete homomorphism is fixed by its values on the dense
+        # image: every cut is the join of the image elements below it.
+        lifted, _ = _lift(m.map, values, m.target.cols, d.lattice.rows)
+        unique = lifted == mediator.g
         exhaustive = False
     return MediatorReport(
         mediator=mediator, factors=factors, unique=unique, exhaustive=exhaustive
@@ -491,17 +467,11 @@ def universal_property(pol, f, g):
                 raise ConditionOneFails(
                     "cross order not respected", (y, x)
                 )
-    assignment = {}
-    for rep in q.elements:
-        values = {
-            f(raw) if side == "X" else g(raw)
-            for side, raw in struct.quotient.classes[rep]
-        }
-        assert len(values) == 1, "mediating map must not depend on representatives"
-        assignment[rep] = values.pop()
-    u = MonotoneMap(q, f.target, assignment)
-    for x in pol.x.elements:
-        assert u(struct.iota_x(x)) == f(x)
-    for y in pol.y.elements:
-        assert u(struct.iota_y(y)) == g(y)
+    u = MonotoneMap(q, f.target, struct.quotient.descend(f, g))
+    for h, iota in ((f, struct.iota_x), (g, struct.iota_y)):
+        for e in h.source.elements:
+            if u(iota(e)) != h(e):
+                raise LawViolation(
+                    "commute", "mediating map must extend both maps", e
+                )
     return u

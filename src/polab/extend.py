@@ -47,6 +47,15 @@ from .polarity import (
     r_l,
 )
 
+# Clause 6 walks the outer relations while at most this many outer pairs
+# are not image pairs.
+ENUMERATION_LIMIT = 13
+# The adjunction law is checked on every pair of relations up to PAIR_BUDGET
+# pairs, and on LAW_SAMPLES pairs drawn with LAW_SEED beyond it.
+PAIR_BUDGET = 1 << 20
+LAW_SAMPLES = 500
+LAW_SEED = 0
+
 
 class ExtensionContext:
     """An extension polarity plus one more extension of each side."""
@@ -204,7 +213,7 @@ def _transpose(rows, n):
     return out
 
 
-def check_extension_preservation(ctx, enumeration_limit=13):
+def check_extension_preservation(ctx):
     """Clause-by-clause report for the laws of upward relation transfer.
 
     Clauses: (1) the saturated relation is always 0-coherent; (2) inner
@@ -216,7 +225,7 @@ def check_extension_preservation(ctx, enumeration_limit=13):
     relation holds grade 2 or 3 but the saturation misses it, no
     0-coherent outer relation containing the image pairs reaches it
     either (checked on every one of them when at most
-    `enumeration_limit` outer pairs are not image pairs).
+    `ENUMERATION_LIMIT` outer pairs are not image pairs).
     """
     inner = ctx.inner
     rbar = extend_relation(ctx)
@@ -263,7 +272,7 @@ def check_extension_preservation(ctx, enumeration_limit=13):
         if outer_rep.level is not None and outer_rep.level >= n:
             continue
         applicable6 = True
-        if len(X) * len(Y) - len(image_pairs) > enumeration_limit:
+        if len(X) * len(Y) - len(image_pairs) > ENUMERATION_LIMIT:
             notes6.append("grade %d argued via monotonicity" % n)
             continue
         frame = ctx._outer_frame()
@@ -371,13 +380,13 @@ class AdjunctionReport:
     exhaustive: bool
 
 
-def relation_lattice_adjunction(ctx, seed=0, samples=500, pair_budget=1 << 20):
+def relation_lattice_adjunction(ctx):
     """The transfer maps form an adjunction between the lattice of inner
     relations and the lattice of 0-coherent outer relations.
 
     Unit and counit laws are checked for every relation when the side
     carriers allow it; the two-sided law is checked on every pair when
-    that fits the pair budget and on seeded samples otherwise.
+    that fits `PAIR_BUDGET` and on `LAW_SAMPLES` seeded samples otherwise.
     """
     inner = ctx.inner
     nx, ny = len(inner.x), len(inner.y)
@@ -422,18 +431,18 @@ def relation_lattice_adjunction(ctx, seed=0, samples=500, pair_budget=1 << 20):
             counit_holds = False
 
     law_pairs = len(all_inner) * len(coherent_outer)
-    exhaustive = law_pairs <= pair_budget
+    exhaustive = law_pairs <= PAIR_BUDGET
     law_holds = True
     if exhaustive:
         candidates = itertools.product(all_inner, coherent_outer)
         law_checked = law_pairs
     else:
-        rng = random.Random(seed)
+        rng = random.Random(LAW_SEED)
         candidates = [
             (rng.choice(all_inner), rng.choice(coherent_outer))
-            for _ in range(samples)
+            for _ in range(LAW_SAMPLES)
         ]
-        law_checked = samples
+        law_checked = LAW_SAMPLES
     for r, s in candidates:
         if (extended[r] <= s) != (r <= restricted[s]):
             law_holds = False

@@ -8,9 +8,15 @@ either direction is implemented and certified here.
 
 from __future__ import annotations
 
-from .errors import DomainMismatch, MorphismInvalid, PartialInverseUndefined
+from .errors import (
+    DomainMismatch,
+    LawViolation,
+    MorphismInvalid,
+    PartialInverseUndefined,
+)
 from .order import (
     MonotoneMap,
+    _reflection_failure,
     compose as compose_maps,
     is_cut_stable,
     is_order_embedding,
@@ -174,28 +180,28 @@ def psi_of(morphism):
 
     Certified on the way out: well defined across equivalence classes,
     stable, an embedding exactly when the morphism embeds, and onto
-    whenever both side components are.
+    whenever both side components are.  A failed certificate raises
+    `LawViolation` with its witness.
     """
     src, tgt = morphism.src_struct, morphism.tgt_struct
-    s = morphism.source
-    assignment = {}
-    for rep in src.quotient.poset.elements:
-        cls = src.quotient.classes[rep]
-        values = set()
-        for side, raw in cls:
-            if side == "X":
-                values.add(tgt.iota_x(morphism.hx(raw)))
-            else:
-                values.add(tgt.iota_y(morphism.hy(raw)))
-        assert len(values) == 1, "quotient map must not depend on representatives"
-        assignment[rep] = values.pop()
-    psi = MonotoneMap(src.quotient.poset, tgt.quotient.poset, assignment)
-    assert is_galois_stable(psi, src, tgt), "induced quotient map must be stable"
-    assert is_order_embedding(psi) == morphism.is_embedding(), (
-        "quotient map embeds exactly when the morphism does"
+    hx, hy = morphism.hx, morphism.hy
+    assignment = src.quotient.descend(
+        lambda x: tgt.iota_x(hx(x)), lambda y: tgt.iota_y(hy(y))
     )
-    if morphism.hx.is_surjective() and morphism.hy.is_surjective():
-        assert psi.is_surjective(), "surjective components force an onto map"
+    psi = MonotoneMap(src.quotient.poset, tgt.quotient.poset, assignment)
+    if not is_galois_stable(psi, src, tgt):
+        raise LawViolation("stable", "induced quotient map must be stable", assignment)
+    unreflected = _reflection_failure(psi)
+    if (unreflected is None) != morphism.is_embedding():
+        raise LawViolation(
+            "embeds", "quotient map embeds exactly when the morphism does", unreflected
+        )
+    if hx.is_surjective() and hy.is_surjective() and not psi.is_surjective():
+        raise LawViolation(
+            "onto",
+            "surjective components force an onto map",
+            set(psi.target.elements) - set(psi.image()),
+        )
     return psi
 
 
@@ -275,5 +281,9 @@ def compose(outer, inner):
     )
     lhs = psi_of(composed)
     rhs = compose_maps(psi_of(outer), psi_of(inner))
-    assert lhs == rhs, "quotient maps must compose with the morphisms"
+    for z in lhs.source.elements:
+        if lhs(z) != rhs(z):
+            raise LawViolation(
+                "compose", "quotient maps must compose with the morphisms", z
+            )
     return composed

@@ -316,3 +316,22 @@ def oracle_rigidity_failures(pol, u):
             if is_n_preorder(pol, enlarged, 3).ok:
                 out.append((u.carrier[i], u.carrier[j]))
     return out
+
+
+def oracle_complete_hom_failure(g):
+    """Why the monotone map `g` between finite lattices is not a complete
+    homomorphism, by the literal pairwise scan: ("top", t), ("bottom", b),
+    or ("meets", (a, b)) / ("joins", (a, b)) for the first pair of source
+    elements whose meet or join is lost; None when it is one."""
+    s, t = g.source, g.target
+    if g(s.top()) != t.top():
+        return "top", s.top()
+    if g(s.bottom()) != t.bottom():
+        return "bottom", s.bottom()
+    for a in s.elements:
+        for b in s.elements:
+            if g(s.meet([a, b])) != t.meet([g(a), g(b)]):
+                return "meets", (a, b)
+            if g(s.join([a, b])) != t.join([g(a), g(b)]):
+                return "joins", (a, b)
+    return None

@@ -14,6 +14,7 @@ from .errors import (
     CarrierMismatch,
     CarrierTooLarge,
     DomainMismatch,
+    LawViolation,
     LiftVerificationFailed,
     NotCutStable,
     NotEmbedding,
@@ -522,6 +523,54 @@ def is_cut_stable(f):
     return True
 
 
+def _lift(src, tgt, below, bound):
+    """Lift `tgt` along `src`, two monotone maps out of one poset: s goes
+    to the bound, read off `bound`, of the `tgt` images of the elements
+    whose `src` image lies in `below[s]`.  That is the join of the images
+    below s for `below`/`bound` the `cols`/`rows` of the two targets, the
+    meet of those above s for their `rows`/`cols`.  Returns the lift and
+    the first p with lift(src(p)) != tgt(p), or None."""
+    S, T = src.target, tgt.target
+    pairs = list(zip(_index_image(src), _index_image(tgt)))
+    lifted = []
+    for r in below:
+        images = 0
+        for si, ti in pairs:
+            if r >> si & 1:
+                images |= 1 << ti
+        lifted.append(_bound_index(bound, images))
+    h = MonotoneMap(S, T, {e: T.elements[g] for e, g in zip(S.elements, lifted)})
+    for p, (si, ti) in zip(src.source.elements, pairs):
+        if lifted[si] != ti:
+            return h, p
+    return h, None
+
+
+def _complete_hom_failure(g):
+    """Why the monotone map `g` between finite lattices is no complete
+    homomorphism: ("top", t) or ("bottom", b) when the source's top t or
+    bottom b goes elsewhere, else ("meets", (a, b)) or ("joins", (a, b))
+    for the first pair, in carrier order, whose meet or join is lost.
+    None when it is one: a finite lattice has no other meets or joins."""
+    s, t = g.source, g.target
+    f = _index_image(g)
+    meets, joins = (s.cols, t.cols), (s.rows, t.rows)
+    for kind, (src, tgt) in (("top", meets), ("bottom", joins)):
+        i = _bound_index(src, 0)
+        if f[i] != _bound_index(tgt, 0):
+            return kind, s.elements[i]
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            # A monotone map keeps the meet and join of a comparable pair.
+            if s.rows[i] >> j & 1 or s.rows[j] >> i & 1:
+                continue
+            pair, images = 1 << i | 1 << j, 1 << f[i] | 1 << f[j]
+            for kind, (src, tgt) in (("meets", meets), ("joins", joins)):
+                if f[_bound_index(src, pair)] != _bound_index(tgt, images):
+                    return kind, (s.elements[i], s.elements[j])
+    return None
+
+
 def macneille_lift(f):
     """Lift a cut-stable map to a complete homomorphism between the cut
     completions of its domain and codomain.  The lift sends a cut c to
@@ -531,29 +580,17 @@ def macneille_lift(f):
         raise NotCutStable("map is not cut-stable")
     e_src = macneille(f.source)
     e_tgt = macneille(f.target)
-    dm_src, dm_tgt = e_src.target, e_tgt.target
-    assignment = {}
-    for c in dm_src.elements:
-        below = [
-            e_tgt(f(p)) for p in f.source.elements if dm_src.leq(e_src(p), c)
-        ]
-        assignment[c] = dm_tgt.join(below)
-    lift = MonotoneMap(dm_src, dm_tgt, assignment)
-    for p in f.source.elements:
-        if lift(e_src(p)) != e_tgt(f(p)):
-            raise LiftVerificationFailed(
-                "lift does not commute with the completion embeddings", p
-            )
-    if lift(dm_src.top()) != dm_tgt.top():
-        raise LiftVerificationFailed("lift does not preserve the top")
-    if lift(dm_src.bottom()) != dm_tgt.bottom():
-        raise LiftVerificationFailed("lift does not preserve the bottom")
-    for a in dm_src.elements:
-        for b in dm_src.elements:
-            if lift(dm_src.meet([a, b])) != dm_tgt.meet([lift(a), lift(b)]):
-                raise LiftVerificationFailed("lift does not preserve meets", (a, b))
-            if lift(dm_src.join([a, b])) != dm_tgt.join([lift(a), lift(b)]):
-                raise LiftVerificationFailed("lift does not preserve joins", (a, b))
+    lift, miss = _lift(
+        e_src.map, compose(e_tgt.map, f), e_src.target.cols, e_tgt.target.rows
+    )
+    if miss is not None:
+        raise LiftVerificationFailed(
+            "lift does not commute with the completion embeddings", miss
+        )
+    failure = _complete_hom_failure(lift)
+    if failure is not None:
+        kind, witness = failure
+        raise LiftVerificationFailed("lift does not preserve %s" % kind, witness)
     return lift
 
 
@@ -835,3 +872,18 @@ class Quotient:
 
     def project(self, e):
         return self.projection[e]
+
+    def descend(self, fx, fy):
+        """The map on the classes that `fx` on left members and `fy` on
+        right members induce, as a dict from representative to value.
+        Raises `LawViolation("well-defined", ...)` with the class whose
+        members disagree."""
+        out = {}
+        for rep, members in self.classes.items():
+            values = {fx(raw) if side == X_SIDE else fy(raw) for side, raw in members}
+            if len(values) != 1:
+                raise LawViolation(
+                    "well-defined", "the members of a class disagree", members
+                )
+            out[rep] = values.pop()
+        return out

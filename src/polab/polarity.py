@@ -496,7 +496,8 @@ def galois_via_S1S2(pol):
     """The short route: under 0-coherence with a meet-extension on the
     left and a join-extension on the right, the polarity is Galois
     exactly when both one-step slice conditions hold.  Agreement with
-    the graded definition is asserted."""
+    the graded definition is certified: a disagreement raises
+    `LawViolation`."""
     report = check_coherence(pol)
     if report.level is None:
         raise NotCoherent("polarity is not 0-coherent", report.witness("C1"))
@@ -505,7 +506,10 @@ def galois_via_S1S2(pol):
     if not report.join_side:
         raise PreservationViolation("right side is not a join-extension")
     fast = report.s1 and report.s2
-    assert fast == report.galois, "slice conditions disagree with the graded route"
+    if fast != report.galois:
+        raise LawViolation(
+            "slice-route", "slice conditions disagree with the graded route", report
+        )
     return fast
 
 
@@ -548,7 +552,12 @@ def r_hat_m(pol):
     level = coherence_level(pol)
     if level is not None and level >= 1:
         verdict = is_n_preorder(pol, out, 1)
-        assert verdict.ok, "saturation of a 1-coherent polarity must be a 1-preorder"
+        if not verdict.ok:
+            raise LawViolation(
+                "grade-1",
+                "saturation of a 1-coherent polarity must be a 1-preorder",
+                (verdict.clause, verdict.witness),
+            )
     return out
 
 

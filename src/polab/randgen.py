@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import LawViolation
 from .order import Extension, MonotoneMap, Poset, macneille, transitive_close
 from .polarity import ExtensionPolarity, is_galois, r_l
 from .extend import ExtensionContext
@@ -98,7 +99,10 @@ def random_galois_polarity(rng, base_size=3, keep_theta=0.4):
     ex = random_meet_extension(rng, base, keep_theta, prefix="x")
     ey = random_join_extension(rng, base, keep_theta, prefix="y")
     pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
-    assert is_galois(pol), "slice polarity over meet/join extensions must be Galois"
+    if not is_galois(pol):
+        raise LawViolation(
+            "galois", "slice polarity over meet/join extensions must be Galois", pol
+        )
     return pol
 
 

@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import polab
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polab.delta1 import (
+    HOM_GATE,
     Delta1Completion,
     Delta1Morphism,
     check_adjunction,
@@ -95,6 +102,39 @@ class TestCounit:
         assert counit_iso(d).is_isomorphism()
 
 
+    def test_certified_under_optimize(self):
+        """A counit that fails its isomorphism certificate raises a typed
+        violation, also when asserts are stripped."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from polab import delta1
+            from polab.errors import LawViolation
+            from polab.fixtures import identity_polarity
+            from polab.order import Poset
+
+            assert sys.flags.optimize
+            delta1.Delta1Morphism.is_isomorphism = lambda self: False
+            d = delta1.gamma_on_objects(identity_polarity(Poset.chain("ab")))
+            try:
+                delta1.counit_iso(d)
+            except LawViolation as err:
+                print(err.law)
+                sys.exit(3)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.strip() == "counit-iso"
+
+
 class TestFunctorLaws:
     def test_checklist_on_a_small_corpus(self):
         rng = random.Random(21)
@@ -119,6 +159,14 @@ class TestMediator:
         eta = unit(pol)
         rep = mediate(pol, d, eta)
         assert rep.factors and rep.unique
+
+    def test_above_the_gate_the_dense_image_decides(self):
+        pol = identity_polarity(Poset.antichain("abcde"))
+        d = gamma_on_objects(pol)
+        assert len(d.lattice) > HOM_GATE
+        rep = mediate(pol, d, unit(pol))
+        assert rep.exhaustive is False
+        assert rep.unique is True and rep.factors
 
     def test_rejects_foreign_targets(self):
         pol = identity_polarity(Poset.chain("ab"))

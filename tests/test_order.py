@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from polab.errors import (
     AntisymmetryViolation,
+    LawViolation,
     NotCutStable,
     NotEmbedding,
     NotMonotone,
@@ -17,6 +18,8 @@ from polab.order import (
     Poset,
     Quotient,
     UnionPreorder,
+    _complete_hom_failure,
+    _lift,
     compose,
     extensions_isomorphic,
     is_completion,
@@ -32,7 +35,9 @@ from polab.order import (
     tag_x,
     tag_y,
 )
-from polab.randgen import random_embedding
+from polab.concepts import f_map, g_map
+from polab.oracles import oracle_complete_hom_failure
+from polab.randgen import random_embedding, random_poset
 
 from conftest import dual_extension, seeded_posets
 
@@ -48,6 +53,36 @@ def downset_extension(p):
     rows = [sum(1 << k for k, d in enumerate(masks) if c & ~d == 0) for c in masks]
     lattice = Poset(masks, rows)
     return Extension(MonotoneMap(p, lattice, {e: p.cols[i] for i, e in enumerate(p.elements)}))
+
+
+def random_monotone(rng, s, t):
+    """A random monotone map s -> t, or None when a choice runs out:
+    each element, in a linear extension, goes to a random upper bound of
+    the images already chosen below it."""
+    img = {}
+    for a in sorted(s.elements, key=lambda a: len(s.down(a))):
+        below = [img[e] for e in s.down(a) if e != a]
+        bounds = [v for v in t.elements if all(t.leq(w, v) for w in below)]
+        if not bounds:
+            return None
+        img[a] = rng.choice(bounds)
+    return MonotoneMap(s, t, img)
+
+
+def naive_lift(src, tgt, up=False):
+    """For two maps out of one poset: each element s of the target of
+    `src` sent to the join of the `tgt` images of the elements whose `src`
+    image lies below s (with `up`, to the meet of those above it)."""
+    S, T = src.target, tgt.target
+    bound = T.meet if up else T.join
+
+    def counted(p, s):
+        return S.leq(s, src(p)) if up else S.leq(src(p), s)
+
+    return {
+        s: bound([tgt(p) for p in src.source.elements if counted(p, s)])
+        for s in S.elements
+    }
 
 
 def diamond():
@@ -220,3 +255,123 @@ class TestUnionPreorder:
         q = Quotient(u)
         assert q.projection[tag_y("a")] == q.projection[tag_x("a")]
         assert q.poset.leq(q.projection[tag_x("a")], q.projection[tag_x("b")])
+
+
+class TestLift:
+    def completions(self, rng, count):
+        """Meet- and join-completions of seeded posets: the cut completion
+        is both, down-sets give a join- and up-sets a meet-completion."""
+        for _ in range(count):
+            p = random_poset(rng, rng.randint(1, 4))
+            ups = dual_extension(downset_extension(p.dual()))
+            yield (macneille(p), ups), (macneille(p), downset_extension(p))
+
+    def test_adjoints_are_the_naive_bounds(self):
+        rng = random.Random(31)
+        for meets, joins in self.completions(rng, 40):
+            for ex in meets:
+                for ey in joins:
+                    want_f = naive_lift(ey.map, ex.map)
+                    want_g = naive_lift(ex.map, ey.map, up=True)
+                    assert f_map(ex, ey).assignment == want_f
+                    assert g_map(ex, ey).assignment == want_g
+
+    def test_macneille_lift_is_the_naive_join(self):
+        rng = random.Random(32)
+        lifted = 0
+        while lifted < 60:
+            p = random_poset(rng, rng.randint(1, 4))
+            q = random_poset(rng, rng.randint(1, 4))
+            f = random_monotone(rng, p, q)
+            if f is None or not is_cut_stable(f):
+                continue
+            want = naive_lift(macneille(p).map, compose(macneille(q).map, f))
+            assert macneille_lift(f).assignment == want
+            lifted += 1
+
+    def test_first_unextended_element_is_named(self):
+        # both base elements go to one point, so the lift sends it to the
+        # join of both images, which extends neither
+        base = Poset.antichain("ab")
+        point = Poset.antichain("o")
+        src = MonotoneMap(base, point, {"a": "o", "b": "o"})
+        tgt = macneille(base).map
+        h, miss = _lift(src, tgt, point.cols, tgt.target.rows)
+        assert miss == "a"
+        assert h("o") == tgt.target.top()
+        _, miss = _lift(tgt, tgt, tgt.target.cols, tgt.target.rows)
+        assert miss is None
+
+
+def genuine(g, failure):
+    """Whether `failure`, as `_complete_hom_failure` reports it, is a law
+    that `g` really breaks."""
+    s, t = g.source, g.target
+    kind, witness = failure
+    if kind == "top":
+        return witness == s.top() and g(witness) != t.top()
+    if kind == "bottom":
+        return witness == s.bottom() and g(witness) != t.bottom()
+    a, b = witness
+    bound = {"meets": Poset.meet, "joins": Poset.join}[kind]
+    return g(bound(s, [a, b])) != bound(t, [g(a), g(b)])
+
+
+class TestCompleteHomFailure:
+    def test_matches_the_pairwise_scan(self):
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(400):
+            s = macneille(random_poset(rng, rng.randint(1, 4))).target
+            t = macneille(random_poset(rng, rng.randint(1, 4))).target
+            g = random_monotone(rng, s, t)
+            got = _complete_hom_failure(g)
+            assert got == oracle_complete_hom_failure(g)
+            assert got is None or genuine(g, got)
+            kinds.add(got and got[0])
+        assert kinds == {None, "top", "bottom", "meets", "joins"}
+
+    def test_lifts_are_homomorphisms(self):
+        rng = random.Random(42)
+        lifted = 0
+        while lifted < 40:
+            f = random_monotone(
+                rng,
+                random_poset(rng, rng.randint(1, 4)),
+                random_poset(rng, rng.randint(1, 4)),
+            )
+            if f is None or not is_cut_stable(f):
+                continue
+            lift = macneille_lift(f)
+            assert _complete_hom_failure(lift) is None
+            assert oracle_complete_hom_failure(lift) is None
+            lifted += 1
+
+    def test_witnesses_name_the_broken_law(self):
+        d = diamond()
+        low = MonotoneMap(d, d, {e: "bot" for e in d.elements})
+        assert _complete_hom_failure(low) == ("top", "top")
+        # l and r keep their order but meet above bot
+        pinch = MonotoneMap(d, d, {"bot": "bot", "l": "top", "r": "top", "top": "top"})
+        assert _complete_hom_failure(pinch) == ("meets", ("l", "r"))
+        assert _complete_hom_failure(pinch) == oracle_complete_hom_failure(pinch)
+
+
+class TestDescend:
+    def test_agreeing_classes_descend(self):
+        carrier = (tag_x("a"), tag_x("b"), tag_y("a"))
+        u = UnionPreorder.from_pairs(
+            carrier, [(carrier[0], carrier[2]), (carrier[2], carrier[0])]
+        ).closed()
+        q = u.quotient()
+        assert q.descend(str.upper, str.upper) == {tag_x("a"): "A", tag_x("b"): "B"}
+
+    def test_a_disagreeing_class_is_named(self):
+        carrier = (tag_x("a"), tag_x("b"), tag_y("a"))
+        u = UnionPreorder.from_pairs(
+            carrier, [(carrier[0], carrier[2]), (carrier[2], carrier[0])]
+        ).closed()
+        with pytest.raises(LawViolation) as err:
+            u.quotient().descend(str.upper, str.lower)
+        assert err.value.law == "well-defined"
+        assert err.value.witness == (tag_x("a"), tag_y("a"))
