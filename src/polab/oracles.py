@@ -7,10 +7,18 @@ Everything here is deliberately slow and obvious.  The fast routes in
 from __future__ import annotations
 
 import itertools
+import random
 
 from .errors import CarrierTooLarge
-from .order import UnionPreorder, tag_x, tag_y, transitive_close
-from .polarity import is_n_preorder
+from .extend import AdjunctionReport, ExtensionContext, _down_sets
+from .order import UnionPreorder, _mask_iter, tag_x, tag_y, transitive_close
+from .polarity import _Frame, is_n_preorder
+
+# The adjunction law is checked on every pair of relations up to PAIR_BUDGET
+# pairs, and on LAW_SAMPLES pairs drawn with LAW_SEED beyond it.
+PAIR_BUDGET = 1 << 20
+LAW_SAMPLES = 500
+LAW_SEED = 0
 
 
 def _subsets(items):
@@ -335,3 +343,105 @@ def oracle_complete_hom_failure(g):
             if g(s.join([a, b])) != t.join([g(a), g(b)]):
                 return "joins", (a, b)
     return None
+
+
+def oracle_extend_relation(ctx):
+    """The saturation of the inner relation, pair by pair: x' is related
+    to y' when some inner related pair brackets them through the side
+    embeddings."""
+    out = set()
+    xo, yo = ctx.ix.target, ctx.iy.target
+    for x, y in ctx.inner.rel:
+        for a in xo.down(ctx.ix(x)):
+            for b in yo.up(ctx.iy(y)):
+                out.add((a, b))
+    return frozenset(out)
+
+
+def oracle_restrict_relation(ctx, sbar):
+    """The inner pairs whose image pair lies in `sbar`."""
+    return frozenset(
+        (x, y)
+        for x in ctx.inner.x.elements
+        for y in ctx.inner.y.elements
+        if (ctx.ix(x), ctx.iy(y)) in sbar
+    )
+
+
+def oracle_relation_lattice_adjunction(ctx):
+    """The adjunction between the inner relations and the 0-coherent
+    outer relations, by brute force: the unit on every inner relation,
+    the counit on every 0-coherent outer relation, and the two-sided law
+    on every pair of them when that fits `PAIR_BUDGET` and on
+    `LAW_SAMPLES` seeded samples otherwise.  Each `*_checked` counts
+    relations (or pairs of them); the witness is the first failing
+    relation (or pair).  Gated at 12 inner and 16 outer pairs.
+    """
+    inner = ctx.inner
+    nx, ny = len(inner.x), len(inner.y)
+    nxo, nyo = len(ctx.ix.target), len(ctx.iy.target)
+    if nx * ny > 12 or nxo * nyo > 16:
+        raise CarrierTooLarge("relation lattices too large to enumerate")
+    inner_pairs = [(a, b) for a in inner.x.elements for b in inner.y.elements]
+    all_inner = [
+        frozenset(p for k, p in enumerate(inner_pairs) if m >> k & 1)
+        for m in range(1 << len(inner_pairs))
+    ]
+    xo, yo = ctx.ix.target, ctx.iy.target
+    coherent_outer = [
+        frozenset(
+            (xo.elements[i], yo.elements[j])
+            for i, row in enumerate(rows)
+            for j in _mask_iter(row)
+        )
+        for rows in _down_sets(xo, yo, ())
+    ]
+
+    frame = _Frame.of(inner)
+    failures = []
+    extended = {}
+    for r in all_inner:
+        c = ExtensionContext(inner.with_relation(r), ctx.ix, ctx.iy)
+        rb = oracle_extend_relation(c)
+        extended[r] = rb
+        back = oracle_restrict_relation(c, rb)
+        if not r <= back or (frame.level(*frame.rows(r), 0) is not None and r != back):
+            failures.append(("unit", r))
+    unit_holds = not failures
+
+    counit_holds = True
+    restricted = {}
+    for s in coherent_outer:
+        under = oracle_restrict_relation(ctx, s)
+        restricted[s] = under
+        c = ExtensionContext(inner.with_relation(under), ctx.ix, ctx.iy)
+        if not oracle_extend_relation(c) <= s:
+            counit_holds = False
+            failures.append(("counit", s))
+
+    law_pairs = len(all_inner) * len(coherent_outer)
+    if law_pairs <= PAIR_BUDGET:
+        candidates = itertools.product(all_inner, coherent_outer)
+        law_checked = law_pairs
+    else:
+        rng = random.Random(LAW_SEED)
+        candidates = [
+            (rng.choice(all_inner), rng.choice(coherent_outer))
+            for _ in range(LAW_SAMPLES)
+        ]
+        law_checked = LAW_SAMPLES
+    law_holds = True
+    for r, s in candidates:
+        if (extended[r] <= s) != (r <= restricted[s]):
+            law_holds = False
+            failures.append(("law", (r, s)))
+            break
+    return AdjunctionReport(
+        unit_checked=len(all_inner),
+        unit_holds=unit_holds,
+        counit_checked=len(coherent_outer),
+        counit_holds=counit_holds,
+        law_checked=law_checked,
+        law_holds=law_holds,
+        witness=failures[0] if failures else None,
+    )

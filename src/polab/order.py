@@ -163,9 +163,6 @@ class Poset:
     def leq(self, a, b):
         return self.rows[self._i(a)] >> self._i(b) & 1 == 1
 
-    def lt(self, a, b):
-        return a != b and self.leq(a, b)
-
     def up(self, a):
         """Elements above `a`, in carrier order."""
         return tuple(self.elements[j] for j in _mask_iter(self.rows[self._i(a)]))
@@ -311,10 +308,6 @@ class MonotoneMap:
 
     def is_injective(self):
         return len(set(self.assignment.values())) == len(self.source.elements)
-
-    def preimage(self, targets):
-        wanted = set(targets)
-        return tuple(p for p in self.source.elements if self.assignment[p] in wanted)
 
 
 def compose(outer, inner):
@@ -761,12 +754,6 @@ class UnionPreorder:
             for j in _mask_iter(self.rows[i])
         )
 
-    def x_elements(self):
-        return tuple(e for e in self.carrier if e[0] == X_SIDE)
-
-    def y_elements(self):
-        return tuple(e for e in self.carrier if e[0] == Y_SIDE)
-
     def subset_of(self, other):
         if self.carrier != other.carrier:
             raise CarrierMismatch("relations live on different carriers")
@@ -799,24 +786,6 @@ class UnionPreorder:
 
     def closed(self):
         return UnionPreorder(self.carrier, transitive_close(list(self.rows)))
-
-    def with_pairs(self, extra):
-        rows = list(self.rows)
-        for a, b in extra:
-            rows[self.index[a]] |= 1 << self.index[b]
-        return UnionPreorder(self.carrier, rows)
-
-    def restrict_side(self, side):
-        """The induced relation on one side, as a poset when antisymmetric."""
-        keep = [e for e in self.carrier if e[0] == side]
-        rows = []
-        for a in keep:
-            r = 0
-            for j, b in enumerate(keep):
-                if self.rel(a, b):
-                    r |= 1 << j
-            rows.append(r)
-        return keep, rows
 
     def quotient(self):
         if not self.is_preorder():

@@ -35,9 +35,7 @@ from .errors import (
     UnknownId,
 )
 from .order import (
-    Extension,
     MonotoneMap,
-    Poset,
     UnionPreorder,
     X_SIDE,
     _bounds_failure,
@@ -66,36 +64,6 @@ def carrier_gate(max_carrier=None):
     return DEFAULT_MAX_CARRIER
 
 
-class OrderPolarity:
-    """Two posets joined by a relation between them."""
-
-    __slots__ = ("x", "y", "rel")
-
-    def __init__(self, x, y, rel):
-        self.x = x
-        self.y = y
-        self.rel = frozenset(rel)
-        for a, b in self.rel:
-            if a not in x.index:
-                raise UnknownId("relation uses unknown left element %r" % (a,))
-            if b not in y.index:
-                raise UnknownId("relation uses unknown right element %r" % (b,))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrderPolarity)
-            and self.x == other.x
-            and self.y == other.y
-            and self.rel == other.rel
-        )
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.rel))
-
-    def holds(self, a, b):
-        return (a, b) in self.rel
-
-
 class ExtensionPolarity:
     """An order polarity whose sides both extend a common base poset."""
 
@@ -114,13 +82,6 @@ class ExtensionPolarity:
             if b not in self.y.index:
                 raise UnknownId("relation uses unknown right element %r" % (b,))
 
-    @classmethod
-    def from_order_polarity(cls, pol):
-        empty = Poset.antichain(())
-        ex = Extension(MonotoneMap(empty, pol.x, {}))
-        ey = Extension(MonotoneMap(empty, pol.y, {}))
-        return cls(empty, ex, ey, pol.rel)
-
     @property
     def x(self):
         return self.ex.target
@@ -128,10 +89,6 @@ class ExtensionPolarity:
     @property
     def y(self):
         return self.ey.target
-
-    @property
-    def polarity(self):
-        return OrderPolarity(self.x, self.y, self.rel)
 
     def __eq__(self, other):
         return (
@@ -152,9 +109,6 @@ class ExtensionPolarity:
         return tuple(tag_x(a) for a in self.x.elements) + tuple(
             tag_y(b) for b in self.y.elements
         )
-
-    def union_relation(self, pairs):
-        return UnionPreorder.from_pairs(self.carrier(), pairs)
 
 
 _GRADES = (("C1", "C2"), ("C3", "C4"), ("C5", "C6"), ("C7", "C8"))
@@ -786,69 +740,6 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
 
 
 CANONICAL_BUILDERS = (r_zero, r_hat_m, r_hat_m, r_hat_g)
-
-
-@dataclass
-class EquivalenceRow:
-    n: int
-    coherent: bool
-    canonical_ok: bool
-    some_exists: bool
-    minimal: bool
-
-    @property
-    def consistent(self):
-        return self.coherent == self.canonical_ok == self.some_exists and self.minimal
-
-
-def coherence_equivalences(pol, cap=None, max_carrier=None):
-    """For each grade: does the hierarchy condition hold, is the
-    canonical relation a preorder of that grade, does any exist at all,
-    and is the canonical one contained in every enumerated one."""
-    level = coherence_level(pol)
-    rows = []
-    for n in range(4):
-        canonical = CANONICAL_BUILDERS[n](pol)
-        canonical_ok = is_n_preorder(pol, canonical, n).ok
-        found = enumerate_n_preorders(pol, n, cap=cap, max_carrier=max_carrier)
-        minimal = all(
-            not any(
-                canonical.rows[i] & ~u.rows[i] for i in range(len(canonical.carrier))
-            )
-            for u in found
-        )
-        rows.append(
-            EquivalenceRow(
-                n=n,
-                coherent=level is not None and level >= n,
-                canonical_ok=canonical_ok,
-                some_exists=len(found) > 0,
-                minimal=minimal,
-            )
-        )
-    return rows
-
-
-def entangled_consequences(pol, cap=None, max_carrier=None):
-    """For an entangled polarity, every 1-preorder restricts on each side
-    to exactly the side order (hence is a 2-preorder).  Returns the pairs
-    (restrictions-exact, upgraded) for each enumerated 1-preorder."""
-    if not is_entangled(pol):
-        raise NotCoherent("polarity is not entangled")
-    found = enumerate_n_preorders(pol, 1, cap=cap, max_carrier=max_carrier)
-    out = []
-    for u in found:
-        exact = True
-        for a1 in pol.x.elements:
-            for a2 in pol.x.elements:
-                if u.rel(tag_x(a1), tag_x(a2)) != pol.x.leq(a1, a2):
-                    exact = False
-        for b1 in pol.y.elements:
-            for b2 in pol.y.elements:
-                if u.rel(tag_y(b1), tag_y(b2)) != pol.y.leq(b1, b2):
-                    exact = False
-        out.append((exact, is_n_preorder(pol, u, 2).ok))
-    return out
 
 
 # -- the unique grade-3 preorder of a Galois polarity ----------------------

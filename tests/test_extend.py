@@ -1,14 +1,24 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polab
 import polab.extend
-from polab.errors import CarrierMismatch, CarrierTooLarge, NotEmbedding, NotZeroPreorder
+import polab.oracles
+from polab.errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from polab.extend import (
     ExtensionContext,
     _down_sets,
+    _mask_pairs,
+    _mask_rows,
+    _pair_mask,
     _transpose,
     check_extension_preservation,
     check_restriction_preservation,
@@ -19,7 +29,13 @@ from polab.extend import (
     slice_extension_is_slice,
 )
 from polab.fixtures import load
-from polab.oracles import naive_coherence_level, oracle_coherent_relations
+from polab.oracles import (
+    naive_coherence_level,
+    oracle_coherent_relations,
+    oracle_extend_relation,
+    oracle_relation_lattice_adjunction,
+    oracle_restrict_relation,
+)
 from polab.order import Extension, MonotoneMap, Poset, UnionPreorder, _reflection_failure, macneille
 from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_zero
 from polab.randgen import random_context
@@ -192,15 +208,54 @@ class TestPhi:
         assert _reflection_failure(MonotoneMap.identity(Poset.chain("uv"))) is None
 
 
+def verdicts(rep):
+    return rep.unit_holds, rep.counit_holds, rep.law_holds
+
+
+def kernel_saturation(ctx, rel):
+    t = ctx._transfer()
+    return _mask_pairs(*t.outer, t.extend(_pair_mask(*t.inner, rel)))
+
+
+def kernel_readback(ctx, rel):
+    t = ctx._transfer()
+    return _mask_pairs(*t.inner, t.restrict(_pair_mask(*t.outer, rel)))
+
+
+def oracle_saturation(ctx, rel):
+    return oracle_extend_relation(
+        ExtensionContext(ctx.inner.with_relation(rel), ctx.ix, ctx.iy)
+    )
+
+
+def inner_relations(ctx):
+    pairs = [(a, b) for a in ctx.inner.x.elements for b in ctx.inner.y.elements]
+    for m in range(1 << len(pairs)):
+        yield frozenset(p for k, p in enumerate(pairs) if m >> k & 1)
+
+
 class TestAdjunction:
-    def test_gate(self):
+    def test_checked_above_the_old_gate(self):
+        """The seed-5 context past the old 16-outer-pair refusal is
+        decided, and on 200 seeded inner relations the kernel saturates
+        and reads back as the oracle does."""
         rng = random.Random(5)
         while True:
             ctx = random_context(rng, 4)
             if len(ctx.ix.target) * len(ctx.iy.target) > 16:
                 break
-        with pytest.raises(CarrierTooLarge):
-            relation_lattice_adjunction(ctx)
+        rep = relation_lattice_adjunction(ctx)
+        assert verdicts(rep) == (True, True, True) and rep.witness is None
+        assert rep.counit_checked == len(ctx.ix.target) * len(ctx.iy.target)
+        pairs = sorted(
+            ((a, b) for a in ctx.inner.x.elements for b in ctx.inner.y.elements), key=repr
+        )
+        for _ in range(200):
+            r = frozenset(p for p in pairs if rng.random() < 0.3)
+            sbar = oracle_saturation(ctx, r)
+            assert kernel_saturation(ctx, r) == sbar
+            c = ExtensionContext(ctx.inner.with_relation(r), ctx.ix, ctx.iy)
+            assert kernel_readback(ctx, sbar) == oracle_restrict_relation(c, sbar)
 
     def test_small_contexts_exhaustively(self):
         rng = random.Random(11)
@@ -214,6 +269,146 @@ class TestAdjunction:
             rep = relation_lattice_adjunction(ctx)
             assert rep.unit_holds and rep.counit_holds and rep.law_holds
             done += 1
+
+
+class TestTransferKernel:
+    """The mask kernel and the cached frames against the frozenset
+    oracles and freshly built polarities."""
+
+    def kernel_contexts(self):
+        """Up to 12 outer pairs, so also up to 12 inner pairs."""
+        return small_contexts(15, seed=6)
+
+    def test_saturation_and_readback_match_the_oracle(self):
+        """On every inner relation, and on every outer relation."""
+        for ctx in self.kernel_contexts():
+            for r in inner_relations(ctx):
+                assert kernel_saturation(ctx, r) == oracle_saturation(ctx, r)
+            X, Y = ctx.ix.target, ctx.iy.target
+            outer_pairs = [(a, b) for a in X.elements for b in Y.elements]
+            for m in range(1 << len(outer_pairs)):
+                s = frozenset(p for k, p in enumerate(outer_pairs) if m >> k & 1)
+                assert kernel_readback(ctx, s) == oracle_restrict_relation(ctx, s)
+
+    def test_wrappers_match_the_oracle(self):
+        for ctx in self.kernel_contexts():
+            sbar = extend_relation(ctx)
+            assert sbar == oracle_extend_relation(ctx)
+            assert restrict_relation(ctx, sbar) == oracle_restrict_relation(ctx, sbar)
+
+    def test_frame_reports_match_check_coherence(self):
+        """The cached frames grade relations, their saturations and
+        read-backs, and arbitrary outer relations as `check_coherence`
+        grades the rebuilt polarities."""
+        rng = random.Random(10)
+        for ctx in self.kernel_contexts():
+            fin, fout = ctx._inner_frame(), ctx._outer_frame()
+            X, Y = ctx.inner.x, ctx.inner.y
+            Xo, Yo = ctx.ix.target, ctx.iy.target
+            inner_pairs = [(a, b) for a in X.elements for b in Y.elements]
+            outer_pairs = [(a, b) for a in Xo.elements for b in Yo.elements]
+            rels = [ctx.inner.rel] + [
+                frozenset(p for p in inner_pairs if rng.random() < 0.5) for _ in range(10)
+            ]
+            for r in rels:
+                sbar = kernel_saturation(ctx, r)
+                under = kernel_readback(ctx, sbar)
+                rows = _mask_rows(_pair_mask(Xo, Yo, sbar), len(Xo), len(Yo))
+                assert fin.report(*fin.rows(r)) == check_coherence(ctx.inner.with_relation(r))
+                assert fout.report(*rows) == check_coherence(ctx.outer(sbar))
+                assert fin.report(
+                    *_mask_rows(_pair_mask(X, Y, under), len(X), len(Y))
+                ) == check_coherence(ctx.inner.with_relation(under))
+                s = frozenset(p for p in outer_pairs if rng.random() < 0.5)
+                assert fout.report(*fout.rows(s)) == check_coherence(ctx.outer(s))
+
+    def test_verdicts_match_the_oracle(self):
+        """300 seeded draws inside the oracle's 12/16-pair gate, base
+        sizes cycled through 1-3.  Draws with more than 9 inner pairs are
+        passed over to bound the oracle's 2^k loop; contexts with 12
+        inner pairs are compared in `test_adjunction_matches_the_sweep`."""
+        rng = random.Random(12)
+        done = k = 0
+        while done < 300:
+            ctx = random_context(rng, 1 + k % 3)
+            k += 1
+            inner = len(ctx.inner.x) * len(ctx.inner.y)
+            if inner > 9 or len(ctx.ix.target) * len(ctx.iy.target) > 16:
+                continue
+            want = verdicts(oracle_relation_lattice_adjunction(ctx))
+            assert verdicts(relation_lattice_adjunction(ctx)) == want
+            done += 1
+
+    def sabotaged(self, seed=13):
+        """A context with at least two inner pairs and an outer pair that
+        is neither an image pair nor below the image of the first."""
+        rng = random.Random(seed)
+        while True:
+            ctx = random_context(rng, 2)
+            t = ctx._transfer()
+            images = sum(1 << q for q in t.image)
+            stray = ~(t.below[t.image[0]] | images) & ((1 << len(t.below)) - 1)
+            if len(t.sat) >= 2 and stray:
+                return ctx, t, stray & -stray
+
+    def test_missing_saturation_fails_the_unit_at_that_pair(self):
+        ctx, t, _ = self.sabotaged()
+        t.sat[1] = 0
+        rep = relation_lattice_adjunction(ctx)
+        assert (rep.unit_holds, rep.counit_holds, rep.law_holds) == (False, True, False)
+        pairs = [(a, b) for a in ctx.inner.x.elements for b in ctx.inner.y.elements]
+        assert rep.witness == ("unit-inclusion", pairs[1])
+
+    def test_extra_image_pair_fails_the_unit_equality(self):
+        ctx, t, _ = self.sabotaged()
+        other = next(q for q in t.image if not t.below[t.image[0]] >> q & 1)
+        t.sat[0] |= 1 << other
+        rep = relation_lattice_adjunction(ctx)
+        assert not rep.unit_holds and not rep.counit_holds and not rep.law_holds
+        pairs = [(a, b) for a in ctx.inner.x.elements for b in ctx.inner.y.elements]
+        assert rep.witness == ("unit-equality", pairs[0])
+
+    def test_stray_outer_pair_fails_only_the_counit(self):
+        ctx, t, stray = self.sabotaged()
+        t.sat[0] |= stray
+        rep = relation_lattice_adjunction(ctx)
+        assert (rep.unit_holds, rep.counit_holds, rep.law_holds) == (True, False, False)
+        law, (a, b) = rep.witness
+        x, y = next((a, b) for a in ctx.inner.x.elements for b in ctx.inner.y.elements)
+        assert law == "counit"
+        assert ctx.ix.target.leq(ctx.ix(x), a) and ctx.iy.target.leq(b, ctx.iy(y))
+
+    def test_sabotage_reported_under_optimize(self):
+        """`python -O` strips asserts; the verdict and its witness stay."""
+        script = textwrap.dedent(
+            """
+            import random, sys
+            from polab.extend import relation_lattice_adjunction
+            from polab.randgen import random_context
+
+            assert sys.flags.optimize
+            rng = random.Random(13)
+            while True:
+                ctx = random_context(rng, 2)
+                if len(ctx.inner.x) * len(ctx.inner.y) >= 2:
+                    break
+            ctx._transfer().sat[1] = 0
+            rep = relation_lattice_adjunction(ctx)
+            x, y = rep.witness[1]
+            print(rep.unit_holds, rep.witness[0], x == ctx.inner.x.elements[1 // len(ctx.inner.y)],
+                  y == ctx.inner.y.elements[1 % len(ctx.inner.y)])
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "unit-inclusion", "True", "True"]
 
 
 class TestDownSets:
@@ -244,17 +439,22 @@ class TestDownSets:
         """Clause 6 never applies on random contexts, so the outer
         report is made to claim grade 2 for a grade-3 inner polarity."""
 
-        def demoted(pol):
-            rep = check_coherence(pol)
-            if pol is not ctx.inner and rep.level == 3:
-                rep.level = 2
-            return rep
+        def demote(frame):
+            report = frame.report
 
-        monkeypatch.setattr(polab.extend, "check_coherence", demoted)
+            def demoted(rx, ry):
+                rep = report(rx, ry)
+                if rep.level == 3:
+                    rep.level = 2
+                return rep
+
+            monkeypatch.setattr(frame, "report", demoted)
+
         done = 0
         for ctx in small_contexts(40, seed=5):
             if naive_coherence_level(ctx.inner) != 3 or undetermined(ctx) > 13:
                 continue
+            demote(ctx._outer_frame())
             outer = ctx.outer()
             coherent = oracle_coherent_relations(outer.x, outer.y, image_pairs(ctx))
             reachable = any(naive_coherence_level(ctx.outer(s)) == 3 for s in coherent)
@@ -266,19 +466,23 @@ class TestDownSets:
         assert done >= 3
 
     def test_adjunction_matches_the_sweep(self, monkeypatch):
+        """The brute-force adjunction oracle gives the same reports with
+        its 0-coherent outer relations walked or swept."""
         contexts = [
             ctx
             for ctx in small_contexts(15, seed=6)
             if len(ctx.inner.x) * len(ctx.inner.y) <= 12
         ]
-        walked = [relation_lattice_adjunction(ctx) for ctx in contexts]
+        walked = [oracle_relation_lattice_adjunction(ctx) for ctx in contexts]
 
         def swept(X, Y, floor):
             for rel in oracle_coherent_relations(X, Y, floor, limit=12):
                 yield as_rows(X, Y, rel)
 
-        monkeypatch.setattr(polab.extend, "_down_sets", swept)
-        assert walked == [relation_lattice_adjunction(ctx) for ctx in contexts]
+        monkeypatch.setattr(polab.oracles, "_down_sets", swept)
+        assert walked == [oracle_relation_lattice_adjunction(ctx) for ctx in contexts]
+        fast = [relation_lattice_adjunction(ctx) for ctx in contexts]
+        assert [verdicts(rep) for rep in fast] == [verdicts(rep) for rep in walked]
 
     def test_clause_5_needs_no_gate(self):
         """Above 13 undetermined outer pairs clause 5 is still decided in
