@@ -12,10 +12,10 @@ from .errors import LawViolation, NotCompleteLattice, PreservationViolation
 from .order import (
     MonotoneMap,
     UnionPreorder,
+    _bounds_failure,
     _index_image,
     _intersection_lattice,
     _lift,
-    _preserves_bounds,
     check_galois_connection,
     is_meet_extension,
     is_join_extension,
@@ -230,11 +230,11 @@ def z_doubleprime(pol, ix, iy):
     meets respectively joins of their sides."""
     if ix.base != pol.x or iy.base != pol.y:
         raise PreservationViolation("completions must extend the polarity sides")
-    if not _preserves_bounds(_index_image(ix.map), pol.x.cols, ix.target.cols, 14):
+    if _bounds_failure(_index_image(ix.map), pol.x.cols, ix.target.cols) is not None:
         raise PreservationViolation(
             "left completion must preserve all existing meets"
         )
-    if not _preserves_bounds(_index_image(iy.map), pol.y.rows, iy.target.rows, 14):
+    if _bounds_failure(_index_image(iy.map), pol.y.rows, iy.target.rows) is not None:
         raise PreservationViolation(
             "right completion must preserve all existing joins"
         )

@@ -5,11 +5,14 @@ completing the intermediate quotient; a dense completion generates a
 complete Galois polarity from the meet and join closures of its image.
 The two constructions are adjoint, and this module materialises the
 unit, the counit, the functor laws and the mediating-map universal
-property as finite checks.
+property as finite checks.  Both object maps are memoised like
+`structure_of`, and the generated completion keeps the cut completion
+it was built from, so each polarity's cut completion is built once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,7 +37,7 @@ from .order import (
     macneille_lift,
     order_isomorphisms,
 )
-from .polarity import ExtensionPolarity, is_galois, r_l
+from .polarity import STRUCTURE_CACHE_SIZE, ExtensionPolarity, is_galois, r_l
 from .morphisms import PolarityMorphism, psi_of, structure_of
 
 # Side size up to which `unit` proves itself the only isomorphism over the base.
@@ -44,15 +47,20 @@ HOM_GATE = 6
 
 
 class Delta1Completion:
-    """A completion of a poset whose image is doubly dense."""
+    """A completion of a poset whose image is doubly dense.
 
-    __slots__ = ("base", "completion")
+    `cut` is the cut completion of the intermediate quotient when
+    `gamma_on_objects` built the completion through it, else None; it
+    takes no part in equality."""
 
-    def __init__(self, completion):
+    __slots__ = ("base", "completion", "cut")
+
+    def __init__(self, completion, cut=None):
         if not is_delta1(completion):
             raise NotDelta1("target must be a complete lattice with a dense image")
         self.base = completion.base
         self.completion = completion
+        self.cut = cut
 
     @property
     def lattice(self):
@@ -125,14 +133,17 @@ def compose_delta1(outer, inner):
     )
 
 
+@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def gamma_on_objects(pol):
     """The dense completion generated by a Galois polarity: cut complete
-    the intermediate quotient and precompose with the base map.  Raises
-    `NotGalois` (from `structure_of`) for any other polarity."""
+    the intermediate quotient and precompose with the base map; the cut
+    completion is kept as `cut`.  Raises `NotGalois` (from
+    `structure_of`) for any other polarity.  Memoised like
+    `structure_of`, so each polarity's cut completion is built once."""
     struct = structure_of(pol)
     m = macneille(struct.quotient.poset)
     d = Extension(compose_maps(m.map, struct.gamma))
-    return Delta1Completion(d)
+    return Delta1Completion(d, cut=m)
 
 
 def gamma_on_morphisms(morphism):
@@ -147,10 +158,11 @@ def gamma_on_morphisms(morphism):
     )
 
 
+@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
 def delta_on_objects(d):
     """The complete Galois polarity generated by a dense completion:
     sides are the meet and join closures of the image, related by the
-    lattice order."""
+    lattice order.  Memoised like `structure_of`."""
     lat = d.lattice
     image = _image_mask(d.completion)
     x_elems = lat.elements_of(_expressible(lat.rows, lat.cols, image))
@@ -222,7 +234,7 @@ def unit(pol):
     d = gamma_on_objects(pol)
     image = delta_on_objects(d)
     struct = structure_of(pol)
-    m = macneille(struct.quotient.poset)
+    m = d.cut
     hx = MonotoneMap(
         pol.x, image.x, {x: m(struct.iota_x(x)) for x in pol.x.elements}
     )
@@ -260,9 +272,8 @@ def counit_iso(d):
     the values sitting below it."""
     pol = delta_on_objects(d)
     back = gamma_on_objects(pol)
-    struct = structure_of(pol)
-    q = struct.quotient
-    m = macneille(q.poset)
+    q = structure_of(pol).quotient
+    m = back.cut
     # The members of a class are lattice values, and they must coincide.
     value = MonotoneMap(q.poset, d.lattice, q.descend(_same, _same))
     # A lift along an order embedding always extends the lifted map.
@@ -339,7 +350,7 @@ def mediate(pol, d, h):
     # h fixes the mediator on the cut of every class, the base cuts among
     # them, and so on the whole dense image.
     q = structure_of(pol).quotient
-    m = macneille(q.poset)
+    m = gamma_on_objects(pol).cut
     values = MonotoneMap(q.poset, d.lattice, q.descend(h.hx, h.hy))
     forced = {m(z): values(z) for z in q.poset.elements}
     try:

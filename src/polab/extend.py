@@ -57,7 +57,8 @@ class ExtensionContext:
     """An extension polarity plus one more extension of each side."""
 
     __slots__ = (
-        "inner", "ix", "iy", "_outer_ex", "_outer_ey", "_inner_fr", "_outer_fr", "_kernel"
+        "inner", "ix", "iy", "_outer_ex", "_outer_ey",
+        "_inner_fr", "_outer_fr", "_kernel", "_guards",
     )
 
     def __init__(self, inner, ix, iy):
@@ -67,7 +68,7 @@ class ExtensionContext:
         self.ix = ix
         self.iy = iy
         self._outer_ex = self._outer_ey = None
-        self._inner_fr = self._outer_fr = self._kernel = None
+        self._inner_fr = self._outer_fr = self._kernel = self._guards = None
 
     @property
     def outer_ex(self):
@@ -103,6 +104,18 @@ class ExtensionContext:
         if self._kernel is None:
             self._kernel = _Transfer(self)
         return self._kernel
+
+    def _image_bounds_kept(self):
+        """Whether ix keeps the meets and iy the joins of subsets of the
+        base images: the guard of downward transfer, decided once."""
+        if self._guards is None:
+            X, Y = self.inner.x, self.inner.y
+            self._guards = _preserves_image_bounds(
+                self.ix, self.inner.ex, X.rows, X.cols, self.ix.target.cols
+            ) and _preserves_image_bounds(
+                self.iy, self.inner.ey, Y.cols, Y.rows, self.iy.target.rows
+            )
+        return self._guards
 
 
 class _Transfer:
@@ -354,9 +367,7 @@ def check_restriction_preservation(ctx, sbar):
             )
         else:
             report[str(n)] = ClauseReport(False, True, "outer below grade %d" % n)
-    guards = _preserves_image_bounds(
-        ctx.ix, ctx.inner.ex, X.rows, X.cols, ctx.ix.target.cols
-    ) and _preserves_image_bounds(ctx.iy, ctx.inner.ey, Y.cols, Y.rows, ctx.iy.target.rows)
+    guards = ctx._image_bounds_kept()
     if guards and outer_rep.level == 3:
         report["3"] = ClauseReport(True, inner_rep.level == 3)
     else:

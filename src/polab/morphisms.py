@@ -3,7 +3,9 @@
 A polarity morphism is a compatible triple of monotone maps between the
 two sides and the bases.  Each such triple corresponds to exactly one
 stable map between the intermediate quotients, and the translation in
-either direction is implemented and certified here.
+either direction is implemented and certified here.  Whether a triple
+reflects every absent relation pair is decided on bit-masks, with no
+loop over source pairs per target pair.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from .errors import (
 )
 from .order import (
     MonotoneMap,
+    _index_image,
+    _mask_iter,
     _reflection_failure,
     compose as compose_maps,
     is_cut_stable,
     is_order_embedding,
 )
-from .polarity import structure_of
+from .polarity import _Frame, structure_of
 
 
 class PolarityMorphism:
@@ -73,48 +77,42 @@ class PolarityMorphism:
                     raise MorphismInvalid(
                         "cross-order", "cross-side order not respected", (y, x)
                     )
-        for xp in t.x.elements:
-            for yp in t.y.elements:
-                if (xp, yp) in t.rel:
-                    continue
-                if not self._reflects(xp, yp):
-                    raise MorphismInvalid(
-                        "reflection",
-                        "absent pair has no bounding absent pair",
-                        (xp, yp),
-                    )
+        unreflected = self._unreflected()
+        if unreflected is not None:
+            raise MorphismInvalid(
+                "reflection", "absent pair has no bounding absent pair", unreflected
+            )
 
-    def _reflects(self, xp, yp):
+    def _unreflected(self):
+        """The first absent target pair (x', y'), in carrier order, that no
+        absent source pair (x, y) bounds, or None.
+
+        (x, y) bounds (x', y') when x lies below every a with x' <= hx(a)
+        and is related to every b with x' R' hy(b), and y lies above every
+        b with hy(b) <= y' and is related from every a with hx(a) R' y'.
+        Each condition involves one side only, so every target element
+        gets the mask of its admissible source elements once, and (x', y')
+        is reflected iff some admissible x misses some admissible y, that
+        is iff an admissible y lies outside the relation rows shared by
+        all admissible x: one mask test per pair.
+        """
         s, t = self.source, self.target
-        for x in s.x.elements:
-            if not all(
-                s.x.leq(x, a)
-                for a in s.x.elements
-                if t.x.leq(xp, self.hx(a))
-            ):
-                continue
-            for y in s.y.elements:
-                if (x, y) in s.rel:
-                    continue
-                if not all(
-                    s.y.leq(b, y)
-                    for b in s.y.elements
-                    if t.y.leq(self.hy(b), yp)
-                ):
-                    continue
-                if not all(
-                    (a, y) in s.rel
-                    for a in s.x.elements
-                    if (self.hx(a), yp) in t.rel
-                ):
-                    continue
-                if all(
-                    (x, b) in s.rel
-                    for b in s.y.elements
-                    if (xp, self.hy(b)) in t.rel
-                ):
-                    return True
-        return False
+        sx, sy, tx, ty = s.x, s.y, t.x, t.y
+        hx, hy = _index_image(self.hx), _index_image(self.hy)
+        s_row, s_col = _Frame.of(s).rows(s.rel)
+        t_row, t_col = _Frame.of(t).rows(t.rel)
+        xs = _admissible(tx.rows, hx, sx.cols, t_row, hy, s_col)
+        ys = _admissible(ty.cols, hy, sy.rows, t_col, hx, s_row)
+        full_t, full_s = (1 << len(ty)) - 1, (1 << len(sy)) - 1
+        for xp in range(len(tx)):
+            shared = full_s
+            for x in _mask_iter(xs[xp]):
+                shared &= s_row[x]
+            missing = full_s & ~shared
+            for yp in _mask_iter(full_t & ~t_row[xp]):
+                if not ys[yp] & missing:
+                    return tx.elements[xp], ty.elements[yp]
+        return None
 
     def __eq__(self, other):
         return (
@@ -158,6 +156,24 @@ class PolarityMorphism:
             MonotoneMap.identity(pol.base),
             MonotoneMap.identity(pol.y),
         )
+
+
+def _admissible(order, h, bound, rel, h_rel, related):
+    """Per target element t, the mask of the source elements lying in
+    `bound[a]` for every a whose image h[a] is in `order[t]` and in
+    `related[b]` for every b whose image h_rel[b] is in `rel[t]`."""
+    full = (1 << len(bound)) - 1
+    masks = []
+    for row, rel_row in zip(order, rel):
+        m = full
+        for a, ha in enumerate(h):
+            if row >> ha & 1:
+                m &= bound[a]
+        for b, hb in enumerate(h_rel):
+            if rel_row >> hb & 1:
+                m &= related[b]
+        masks.append(m)
+    return masks
 
 
 def is_galois_stable(psi, src_struct, tgt_struct):

@@ -11,7 +11,14 @@ import random
 
 from .errors import CarrierTooLarge
 from .extend import AdjunctionReport, ExtensionContext, _down_sets
-from .order import UnionPreorder, _mask_iter, tag_x, tag_y, transitive_close
+from .order import (
+    UnionPreorder,
+    _bound_index,
+    _mask_iter,
+    tag_x,
+    tag_y,
+    transitive_close,
+)
 from .polarity import _Frame, is_n_preorder
 
 # The adjunction law is checked on every pair of relations up to PAIR_BUDGET
@@ -342,6 +349,64 @@ def oracle_complete_hom_failure(g):
                 return "meets", (a, b)
             if g(s.join([a, b])) != t.join([g(a), g(b)]):
                 return "joins", (a, b)
+    return None
+
+
+def oracle_bounds_failure(f, src, tgt):
+    """The first subset (as a mask) of the source of the index map `f`
+    that has a meet not sent to the meet of its images, or None, for
+    `src`/`tgt` the `cols` of source and target; given their `rows`, the
+    same for joins.  Scans all subsets, so sources past 12 elements are
+    refused."""
+    n = len(src)
+    if n > 12:
+        raise CarrierTooLarge("preservation scan gated at 12 elements")
+    for mask in range(1 << n):
+        g = _bound_index(src, mask)
+        if g is None:
+            continue
+        images = 0
+        for i in _mask_iter(mask):
+            images |= 1 << f[i]
+        if _bound_index(tgt, images) != f[g]:
+            return mask
+    return None
+
+
+def oracle_unreflected(morphism):
+    """The first absent pair (x', y') of the morphism's target, in carrier
+    order, that no absent source pair bounds, by the literal quantifier
+    loops over both sides; None when every absent pair is reflected."""
+    s, t = morphism.source, morphism.target
+    hx, hy = morphism.hx, morphism.hy
+
+    def reflects(xp, yp):
+        for x in s.x.elements:
+            if not all(
+                s.x.leq(x, a) for a in s.x.elements if t.x.leq(xp, hx(a))
+            ):
+                continue
+            for y in s.y.elements:
+                if (x, y) in s.rel:
+                    continue
+                if not all(
+                    s.y.leq(b, y) for b in s.y.elements if t.y.leq(hy(b), yp)
+                ):
+                    continue
+                if not all(
+                    (a, y) in s.rel for a in s.x.elements if (hx(a), yp) in t.rel
+                ):
+                    continue
+                if all(
+                    (x, b) in s.rel for b in s.y.elements if (xp, hy(b)) in t.rel
+                ):
+                    return True
+        return False
+
+    for xp in t.x.elements:
+        for yp in t.y.elements:
+            if (xp, yp) not in t.rel and not reflects(xp, yp):
+                return xp, yp
     return None
 
 

@@ -5,6 +5,9 @@ Posets are stored as a tuple of element ids plus a dense bit-matrix:
 All quantifier-heavy checks work on these masks; the public API speaks
 in element ids.  A poset's dual is its ``rows`` and ``cols`` swapped, so
 each join-side check is its meet-side kernel run on the swapped arrays.
+Whether a monotone map keeps every existing meet or join is decided in
+polynomial time (`_bounds_failure`), with no subset scan and no size
+gate.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from .errors import (
     AntisymmetryViolation,
     CarrierMismatch,
-    CarrierTooLarge,
     DomainMismatch,
     LawViolation,
     LiftVerificationFailed,
@@ -460,29 +462,36 @@ def macneille(poset):
     return Extension(MonotoneMap(poset, lattice, assignment))
 
 
-def _bounds_failure(f, src, tgt, limit):
-    """The first subset (as a mask) of the source of the index map `f` (a
-    list, as `_index_image` gives) that has a meet not sent to the meet of
-    its images, or None, for `src`/`tgt` the `cols` of source and target;
-    given their `rows`, the same for joins.  Scans all subsets, so sources
-    past `limit` elements are refused."""
+def _bounds_failure(f, src, tgt):
+    """A subset (as a mask) of the source of the index map `f` (a list,
+    as `_index_image` gives) that has a meet not sent to the meet of its
+    images, or None, for `src`/`tgt` the `cols` of source and target;
+    given their `rows`, the same for joins.
+
+    Polynomial, with no subset scan: the monotone f loses a meet iff
+    some source g and target z have z not below f(g) while g is the meet
+    of T = {x >= g : z <= f(x)}.  Then T is the witness: z bounds its
+    images from below, f(g) does not lie above z, so f(g) is not their
+    meet.  Conversely a lost meet g of S, with z a lower bound of f(S)
+    not below f(g), has S inside T, so g is the meet of T."""
     n = len(src)
-    if n > limit:
-        raise CarrierTooLarge("preservation scan gated at %d elements" % limit)
-    for mask in range(1 << n):
-        g = _bound_index(src, mask)
-        if g is None:
-            continue
-        images = 0
-        for i in _mask_iter(mask):
-            images |= 1 << f[i]
-        if _bound_index(tgt, images) != f[g]:
-            return mask
+    up = [0] * n
+    for x in range(n):
+        for g in _mask_iter(src[x]):
+            up[g] |= 1 << x
+    pre = [0] * len(tgt)
+    for x in range(n):
+        for z in _mask_iter(tgt[f[x]]):
+            pre[z] |= 1 << x
+    for g in range(n):
+        below = tgt[f[g]]
+        for z in range(len(tgt)):
+            if below >> z & 1:
+                continue
+            t = up[g] & pre[z]
+            if _bound_index(src, t) == g:
+                return t
     return None
-
-
-def _preserves_bounds(f, src, tgt, limit):
-    return _bounds_failure(f, src, tgt, limit) is None
 
 
 def is_cut_stable(f):

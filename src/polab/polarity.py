@@ -42,7 +42,6 @@ from .order import (
     _expressible,
     _index_image,
     _mask_iter,
-    _preserves_bounds,
     _reflection_failure,
     tag_x,
     tag_y,
@@ -746,7 +745,8 @@ CANONICAL_BUILDERS = (r_zero, r_hat_m, r_hat_m, r_hat_g)
 
 # Distinct polarities whose certified structure is kept; one completion
 # round trip touches three (the polarity, the one its completion
-# generates, and a collapse target).
+# generates, and a collapse target).  The object maps of `polab.delta1`
+# keep as many completions and generated polarities.
 STRUCTURE_CACHE_SIZE = 8
 
 
@@ -850,10 +850,11 @@ def structure_of(pol):
         ("meet-preservation", pol.x, inter.iota_x, pol.x.cols, q.cols),
         ("join-preservation", pol.y, inter.iota_y, pol.y.rows, q.rows),
     ):
-        f = _index_image(iota)
-        if not _preserves_bounds(f, src, tgt, 12):
-            subset = side.elements_of(_bounds_failure(f, src, tgt, 12))
-            raise LawViolation(law, "a side embedding loses a bound", subset)
+        lost = _bounds_failure(_index_image(iota), src, tgt)
+        if lost is not None:
+            raise LawViolation(
+                law, "a side embedding loses a bound", side.elements_of(lost)
+            )
     full = (1 << len(q)) - 1
     for law, up, down, image in (
         ("join-generation", q.cols, q.rows, inter.iota_x.image()),

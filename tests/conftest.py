@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from polab.order import Extension, MonotoneMap
+from polab.fixtures import identity_polarity
+from polab.morphisms import PolarityMorphism
+from polab.order import Extension, MonotoneMap, Poset
 from polab.polarity import ExtensionPolarity
-from polab.randgen import random_poset
+from polab.randgen import collapse_target, random_poset
 
 
 @pytest.fixture
@@ -20,6 +22,43 @@ def seeded_posets(max_size=5):
         lambda seed, size: random_poset(random.Random(seed), size),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=0, max_value=max_size),
+    )
+
+
+def random_monotone(rng, s, t):
+    """A random monotone map s -> t, or None when a choice runs out:
+    each element, in a linear extension, goes to a random upper bound of
+    the images already chosen below it."""
+    img = {}
+    for a in sorted(s.elements, key=lambda a: len(s.down(a))):
+        below = [img[e] for e in s.down(a) if e != a]
+        bounds = [v for v in t.elements if all(t.leq(w, v) for w in below)]
+        if not bounds:
+            return None
+        img[a] = rng.choice(bounds)
+    return MonotoneMap(s, t, img)
+
+
+def lossy_side():
+    """A 16-element poset, the bottom 0 below 15 atoms, and the same
+    poset with one more element z between 0 and the atoms a and b: the
+    inclusion loses the meet of a and b."""
+    atoms = "abcdefghijklmno"
+    p = Poset.from_pairs("0" + atoms, [("0", a) for a in atoms])
+    t = Poset.from_pairs(
+        "0z" + atoms,
+        [("0", a) for a in atoms] + [("0", "z"), ("z", "a"), ("z", "b")],
+    )
+    return p, t
+
+
+def point_into_chain():
+    """The one-point polarity sent to the bottom of the chain a < b,
+    whose identity polarity has the one absent pair (b, a)."""
+    pt, tgt = collapse_target(), identity_polarity(Poset.chain("ab"))
+    to_a = lambda s, t: MonotoneMap(s, t, {"o": "a"})
+    return PolarityMorphism(
+        pt, tgt, to_a(pt.x, tgt.x), to_a(pt.base, tgt.base), to_a(pt.y, tgt.y)
     )
 
 

@@ -19,10 +19,12 @@ from polab.concepts import (
     z_doubleprime,
 )
 from polab.errors import NotCompleteLattice, PreservationViolation
-from polab.fixtures import load
-from polab.order import Extension, Poset, macneille
+from polab.fixtures import identity_polarity, load
+from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.polarity import named_relation_sets
 from polab.randgen import random_extension_polarity, random_galois_polarity
+
+from conftest import lossy_side
 
 
 def seeded_polarities(max_base=3):
@@ -151,6 +153,18 @@ class TestZDoublePrime:
             iy = macneille(pol.y)
             got = z_doubleprime(pol, ix, iy)
             assert got == named_relation_sets(pol).z_yx_alt
+
+    def test_lost_meet_on_a_large_side(self):
+        """No size gate: a 16-element side whose embedding loses a meet
+        is refused, and its cut completion is accepted."""
+        p, t = lossy_side()
+        pol = identity_polarity(p)
+        ix = Extension(MonotoneMap(pol.x, t, {e: e for e in p.elements}))
+        with pytest.raises(PreservationViolation, match="preserve all existing meets"):
+            z_doubleprime(pol, ix, macneille(pol.y))
+        assert z_doubleprime(pol, macneille(pol.x), macneille(pol.y)) == (
+            named_relation_sets(pol).z_yx_alt
+        )
 
     def test_rejects_mismatched_base(self):
         pol = load("fix_a").polarities["G"]

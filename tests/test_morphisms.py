@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import polab
 
 from polab.errors import DomainMismatch, MorphismInvalid, PartialInverseUndefined
 from polab.fixtures import identity_polarity, load
@@ -13,8 +20,15 @@ from polab.morphisms import (
     stable_roundtrip_holds,
     structure_of,
 )
+from polab.oracles import oracle_unreflected
 from polab.order import MonotoneMap, Poset
-from polab.randgen import collapse_morphism, morphism_corpus
+from polab.randgen import (
+    collapse_morphism,
+    morphism_corpus,
+    random_galois_polarity,
+)
+
+from conftest import point_into_chain, random_monotone
 
 
 def diamond():
@@ -68,6 +82,87 @@ class TestValidation:
         with pytest.raises(MorphismInvalid) as e:
             PolarityMorphism(src, tgt, to_u, to_u, to_u)
         assert e.value.clause == "reflection"
+
+    def test_reflection_witness_is_the_absent_pair(self):
+        with pytest.raises(MorphismInvalid) as e:
+            point_into_chain()
+        assert e.value.clause == "reflection" and e.value.witness == ("b", "a")
+
+    def test_certificates_raise_under_optimize(self):
+        """The reflection certificate and the meet-preservation
+        certificate of `z_doubleprime` on a 16-element side raise typed
+        errors naming their witness, also when asserts are stripped."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from conftest import lossy_side, point_into_chain
+            from polab.concepts import z_doubleprime
+            from polab.errors import MorphismInvalid, PreservationViolation
+            from polab.fixtures import identity_polarity
+            from polab.order import Extension, MonotoneMap, macneille
+
+            assert sys.flags.optimize
+            try:
+                point_into_chain()
+            except MorphismInvalid as err:
+                print(err.clause, err.witness)
+            p, t = lossy_side()
+            pol = identity_polarity(p)
+            ix = Extension(MonotoneMap(pol.x, t, {e: e for e in p.elements}))
+            try:
+                z_doubleprime(pol, ix, macneille(pol.y))
+            except PreservationViolation as err:
+                print(err)
+            """
+        )
+        path = [Path(polab.__file__).parents[1], Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines() == [
+            "reflection ('b', 'a')",
+            "left completion must preserve all existing meets",
+        ]
+
+
+def unchecked(source, target, hx, hy):
+    """A triple as a morphism object, none of its clauses checked."""
+    m = PolarityMorphism.__new__(PolarityMorphism)
+    m.source, m.target, m.hx, m.hy = source, target, hx, hy
+    return m
+
+
+class TestReflection:
+    def test_matches_the_quantifier_loops(self):
+        """On random monotone side maps between seeded Galois polarities
+        the mask route names the same first unreflected pair as the
+        literal loops."""
+        rng = random.Random(61)
+        pols = [random_galois_polarity(rng, rng.randint(1, 3)) for _ in range(40)]
+        verdicts = {True: 0, False: 0}
+        while sum(verdicts.values()) < 800:
+            s, t = rng.choice(pols), rng.choice(pols)
+            hx = random_monotone(rng, s.x, t.x)
+            hy = random_monotone(rng, s.y, t.y)
+            if hx is None or hy is None:
+                continue
+            m = unchecked(s, t, hx, hy)
+            got = m._unreflected()
+            assert got == oracle_unreflected(m)
+            verdicts[got is None] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_valid_morphisms_reflect_every_pair(self):
+        """Identities, collapses, units and their composites."""
+        for m in morphism_corpus(random.Random(62), count=40):
+            assert m._unreflected() is None
+            assert oracle_unreflected(m) is None
 
 
 class TestQuotientMaps:

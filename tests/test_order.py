@@ -18,7 +18,10 @@ from polab.order import (
     Poset,
     Quotient,
     UnionPreorder,
+    _bound_index,
+    _bounds_failure,
     _complete_hom_failure,
+    _index_image,
     _lift,
     compose,
     extensions_isomorphic,
@@ -36,10 +39,10 @@ from polab.order import (
     tag_y,
 )
 from polab.concepts import f_map, g_map
-from polab.oracles import oracle_complete_hom_failure
+from polab.oracles import oracle_bounds_failure, oracle_complete_hom_failure
 from polab.randgen import random_embedding, random_poset
 
-from conftest import dual_extension, seeded_posets
+from conftest import dual_extension, lossy_side, random_monotone, seeded_posets
 
 
 def downset_extension(p):
@@ -53,20 +56,6 @@ def downset_extension(p):
     rows = [sum(1 << k for k, d in enumerate(masks) if c & ~d == 0) for c in masks]
     lattice = Poset(masks, rows)
     return Extension(MonotoneMap(p, lattice, {e: p.cols[i] for i, e in enumerate(p.elements)}))
-
-
-def random_monotone(rng, s, t):
-    """A random monotone map s -> t, or None when a choice runs out:
-    each element, in a linear extension, goes to a random upper bound of
-    the images already chosen below it."""
-    img = {}
-    for a in sorted(s.elements, key=lambda a: len(s.down(a))):
-        below = [img[e] for e in s.down(a) if e != a]
-        bounds = [v for v in t.elements if all(t.leq(w, v) for w in below)]
-        if not bounds:
-            return None
-        img[a] = rng.choice(bounds)
-    return MonotoneMap(s, t, img)
 
 
 def naive_lift(src, tgt, up=False):
@@ -355,6 +344,59 @@ class TestCompleteHomFailure:
         pinch = MonotoneMap(d, d, {"bot": "bot", "l": "top", "r": "top", "top": "top"})
         assert _complete_hom_failure(pinch) == ("meets", ("l", "r"))
         assert _complete_hom_failure(pinch) == oracle_complete_hom_failure(pinch)
+
+
+def lost_bound(f, src, tgt, subset):
+    """Whether the index map `f` really loses the bound of `subset`: the
+    bound exists in the source (`src`/`tgt` as `_bounds_failure` takes
+    them) and is not sent to the bound of the images."""
+    g = _bound_index(src, subset)
+    images = 0
+    for i in range(len(f)):
+        if subset >> i & 1:
+            images |= 1 << f[i]
+    return g is not None and _bound_index(tgt, images) != f[g]
+
+
+class TestBoundsCertificate:
+    def test_matches_the_subset_scan(self):
+        """On random monotone maps and embeddings between posets of 1-7
+        elements, in both orientations, the polynomial certificate and
+        the subset scan agree, and every witness is a lost bound."""
+        rng = random.Random(51)
+        verdicts = {True: 0, False: 0}
+        while sum(verdicts.values()) < 1500:
+            p = random_poset(rng, rng.randint(1, 7))
+            if rng.random() < 0.5:
+                f = random_monotone(rng, p, random_poset(rng, rng.randint(1, 7)))
+            else:
+                f = random_embedding(rng, p, junk=rng.randint(0, 2)).map
+            if f is None:
+                continue
+            idx = _index_image(f)
+            for src, tgt in ((p.cols, f.target.cols), (p.rows, f.target.rows)):
+                got = _bounds_failure(idx, src, tgt)
+                want = oracle_bounds_failure(idx, src, tgt)
+                assert (got is None) == (want is None)
+                assert got is None or lost_bound(idx, src, tgt, got)
+                verdicts[got is None] += 1
+        assert min(verdicts.values()) > 300
+
+    def test_completions_keep_every_bound(self):
+        rng = random.Random(52)
+        for _ in range(100):
+            p = random_poset(rng, rng.randint(1, 7))
+            idx = _index_image(macneille(p).map)
+            t = macneille(p).target
+            assert _bounds_failure(idx, p.cols, t.cols) is None
+            assert _bounds_failure(idx, p.rows, t.rows) is None
+
+    def test_no_size_gate(self):
+        p, t = lossy_side()
+        idx = _index_image(MonotoneMap(p, t, {e: e for e in p.elements}))
+        lost = _bounds_failure(idx, p.cols, t.cols)
+        assert lost is not None and lost_bound(idx, p.cols, t.cols, lost)
+        assert _bounds_failure(idx, p.rows, t.rows) is None
 
 
 class TestDescend:

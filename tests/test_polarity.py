@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import polab
 from polab import polarity
-from polab.delta1 import delta_on_objects, gamma_on_objects
+from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
 from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois
 from polab.fixtures import CATALOGUE, identity_polarity, load
 from polab.order import (
@@ -22,8 +22,10 @@ from polab.order import (
     tag_x,
     tag_y,
 )
+from polab.morphisms import PolarityMorphism, roundtrip_holds
 from polab.polarity import (
     CANONICAL_BUILDERS,
+    ExtensionPolarity,
     check_coherence,
     coherence_level,
     enumerate_n_preorders,
@@ -39,7 +41,11 @@ from polab.polarity import (
     structure_of,
     unique_3preorder,
 )
-from polab.randgen import random_extension_polarity, random_galois_polarity
+from polab.randgen import (
+    collapse_morphism,
+    random_extension_polarity,
+    random_galois_polarity,
+)
 
 from conftest import dual_polarity
 
@@ -138,22 +144,41 @@ def _fixture_galois_polarities():
 class TestStructureOf:
     def test_equal_polarities_share_one_structure(self):
         d = gamma_on_objects(load("fix_e").polarities["G"])
-        first, second = delta_on_objects(d), delta_on_objects(d)
+        first = delta_on_objects(d)
+        second = ExtensionPolarity(first.base, first.ex, first.ey, first.rel)
         assert first is not second and first == second
         assert structure_of(first) is structure_of(second)
 
-    def test_errors_are_raised_on_every_call(self):
+    def test_errors_are_raised_on_every_call(self, monkeypatch):
         structure_of.cache_clear()
         not_galois = load("fix_b").polarities["G"]
-        # a Galois polarity whose sides exceed the 12-element preservation gate
-        too_large = identity_polarity(Poset.antichain("abcdefghijklm"))
+        galois = load("fix_e").polarities["G"]
+        # every side embedding reported as losing the meet of its first element
+        monkeypatch.setattr(polarity, "_bounds_failure", lambda f, src, tgt: 1)
         for _ in range(2):
             with pytest.raises(NotGalois):
                 structure_of(not_galois)
-            with pytest.raises(CarrierTooLarge):
-                structure_of(too_large)
+            with pytest.raises(LawViolation) as err:
+                structure_of(galois)
+            assert err.value.law == "meet-preservation"
         info = structure_of.cache_info()
         assert (info.hits, info.currsize) == (0, 0)
+
+    def test_large_sides_are_certified(self):
+        """No size gate on the preservation certificate: the identity
+        polarity of a 13-element antichain is built, and seeded Galois
+        polarities on 13 and 15 base elements pass the unit, the counit
+        and both morphism round trips."""
+        anti = Poset.antichain("abcdefghijklm")
+        struct = structure_of(identity_polarity(anti))
+        assert len(struct.quotient.poset) == len(anti)
+        rng = random.Random(13)
+        for size in (13, 15):
+            pol = random_galois_polarity(rng, size)
+            assert unit(pol).is_embedding()
+            assert counit_iso(gamma_on_objects(pol)).is_isomorphism()
+            assert roundtrip_holds(PolarityMorphism.identity(pol))
+            assert roundtrip_holds(collapse_morphism(pol))
 
     def test_cache_keeps_its_fixed_size(self):
         structure_of.cache_clear()
