@@ -33,6 +33,8 @@ from .order import (
     _index_image,
     _mask_iter,
     _reflection_failure,
+    _transpose,
+    _union_of,
     is_join_extension,
     is_meet_extension,
     is_order_embedding,
@@ -58,7 +60,7 @@ class ExtensionContext:
 
     __slots__ = (
         "inner", "ix", "iy", "_outer_ex", "_outer_ey",
-        "_inner_fr", "_outer_fr", "_kernel", "_guards",
+        "_outer_fr", "_kernel", "_guards",
     )
 
     def __init__(self, inner, ix, iy):
@@ -68,7 +70,7 @@ class ExtensionContext:
         self.ix = ix
         self.iy = iy
         self._outer_ex = self._outer_ey = None
-        self._inner_fr = self._outer_fr = self._kernel = self._guards = None
+        self._outer_fr = self._kernel = self._guards = None
 
     @property
     def outer_ex(self):
@@ -88,10 +90,9 @@ class ExtensionContext:
         return ExtensionPolarity(self.inner.base, self.outer_ex, self.outer_ey, rel)
 
     def _inner_frame(self):
-        """The condition workspace of the inner polarities, built once."""
-        if self._inner_fr is None:
-            self._inner_fr = _Frame.of(self.inner)
-        return self._inner_fr
+        """The condition workspace of the inner polarities: the inner
+        polarity's own frame."""
+        return _Frame.of(self.inner)
 
     def _outer_frame(self):
         """The condition workspace of the outer polarities, built once."""
@@ -142,7 +143,7 @@ class _Transfer:
         self.sat = [self.below[q] for q in self.image]
 
     def extend(self, mask):
-        return _down_closure(self.sat, mask)
+        return _union_of(self.sat, mask)
 
     def restrict(self, mask):
         out = 0
@@ -233,13 +234,6 @@ def _mask_rows(mask, nx, ny):
     return rx, _transpose(rx, ny)
 
 
-def _down_closure(below, mask):
-    out = 0
-    for p in _mask_iter(mask):
-        out |= below[p]
-    return out
-
-
 def _down_sets(X, Y, floor):
     """The 0-coherent relations between X and Y containing the pairs
     `floor`, as the down-sets of X × Yᵒᵖ above its down-closure.
@@ -257,7 +251,7 @@ def _down_sets(X, Y, floor):
     nx, ny = len(X), len(Y)
     below, above = _pair_orders(X, Y)
     full, row = (1 << nx * ny) - 1, (1 << ny) - 1
-    stack = [(_down_closure(below, _pair_mask(X, Y, floor)), 0)]
+    stack = [(_union_of(below, _pair_mask(X, Y, floor)), 0)]
     while stack:
         taken, left_out = stack.pop()
         free = full & ~(taken | left_out)
@@ -267,15 +261,6 @@ def _down_sets(X, Y, floor):
             left_out |= above[p]
             free &= ~above[p]
         yield [taken >> i * ny & row for i in range(nx)]
-
-
-def _transpose(rows, n):
-    """Bit-rows of the transposed relation, with `n` rows."""
-    out = [0] * n
-    for i, r in enumerate(rows):
-        for j in _mask_iter(r):
-            out[j] |= 1 << i
-    return out
 
 
 def check_extension_preservation(ctx):
@@ -301,40 +286,36 @@ def check_extension_preservation(ctx):
     image = 0
     for p in _mask_iter(r):
         image |= 1 << t.image[p]
-    inner_rep = fin.report(*fin.rows(inner.rel))
-    outer_rep = fout.report(*_mask_rows(rbar, len(X), len(Y)))
+    inner_level, inner_galois = fin.grade(*fin.rows(inner.rel))
+    outer_level, outer_galois = fout.grade(*_mask_rows(rbar, len(X), len(Y)))
     report = {}
 
-    report["1"] = ClauseReport(True, outer_rep.level is not None)
+    report["1"] = ClauseReport(True, outer_level is not None)
 
     forward = not image & ~rbar
     back = t.restrict(rbar) == r
-    report["2"] = ClauseReport(
-        True, forward and back == (inner_rep.level is not None)
-    )
+    report["2"] = ClauseReport(True, forward and back == (inner_level is not None))
 
-    if inner_rep.level is not None and inner_rep.level >= 1:
-        holds = outer_rep.level is not None and outer_rep.level >= min(
-            inner_rep.level, 2
-        )
+    if inner_level is not None and inner_level >= 1:
+        holds = outer_level is not None and outer_level >= min(inner_level, 2)
         report["3"] = ClauseReport(True, holds)
     else:
         report["3"] = ClauseReport(False, True, "inner polarity below grade 1")
 
-    if inner_rep.galois and is_meet_extension(ctx.ix) and is_join_extension(ctx.iy):
-        report["4"] = ClauseReport(True, outer_rep.galois)
+    if inner_galois and is_meet_extension(ctx.ix) and is_join_extension(ctx.iy):
+        report["4"] = ClauseReport(True, outer_galois)
     else:
         report["4"] = ClauseReport(False, True, "side extensions not meet/join")
 
-    report["5"] = ClauseReport(True, not rbar & ~_down_closure(t.below, image))
+    report["5"] = ClauseReport(True, not rbar & ~_union_of(t.below, image))
 
     notes6 = []
     holds6 = True
     applicable6 = False
     for n in (2, 3):
-        if inner_rep.level is None or inner_rep.level < n:
+        if inner_level is None or inner_level < n:
             continue
-        if outer_rep.level is not None and outer_rep.level >= n:
+        if outer_level is not None and outer_level >= n:
             continue
         applicable6 = True
         if len(X) * len(Y) - image.bit_count() > ENUMERATION_LIMIT:
@@ -357,23 +338,23 @@ def check_restriction_preservation(ctx, sbar):
     X, Y = t.inner
     fin, fout = ctx._inner_frame(), ctx._outer_frame()
     under = t.restrict(_pair_mask(*t.outer, sbar))
-    outer_rep = fout.report(*fout.rows(sbar))
-    inner_rep = fin.report(*_mask_rows(under, len(X), len(Y)))
+    outer_level, outer_galois = fout.grade(*fout.rows(sbar))
+    inner_level, inner_galois = fin.grade(*_mask_rows(under, len(X), len(Y)))
     report = {}
     for n in range(3):
-        if outer_rep.level is not None and outer_rep.level >= n:
+        if outer_level is not None and outer_level >= n:
             report[str(n)] = ClauseReport(
-                True, inner_rep.level is not None and inner_rep.level >= n
+                True, inner_level is not None and inner_level >= n
             )
         else:
             report[str(n)] = ClauseReport(False, True, "outer below grade %d" % n)
     guards = ctx._image_bounds_kept()
-    if guards and outer_rep.level == 3:
-        report["3"] = ClauseReport(True, inner_rep.level == 3)
+    if guards and outer_level == 3:
+        report["3"] = ClauseReport(True, inner_level == 3)
     else:
         report["3"] = ClauseReport(False, True, "guard conditions not met")
-    if guards and outer_rep.galois:
-        report["galois"] = ClauseReport(True, inner_rep.galois)
+    if guards and outer_galois:
+        report["galois"] = ClauseReport(True, inner_galois)
     else:
         report["galois"] = ClauseReport(False, True, "guard conditions not met")
     return report

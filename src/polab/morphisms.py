@@ -25,7 +25,7 @@ from .order import (
     is_cut_stable,
     is_order_embedding,
 )
-from .polarity import _Frame, structure_of
+from .polarity import _frame_rows, structure_of
 
 
 class PolarityMorphism:
@@ -99,8 +99,8 @@ class PolarityMorphism:
         s, t = self.source, self.target
         sx, sy, tx, ty = s.x, s.y, t.x, t.y
         hx, hy = _index_image(self.hx), _index_image(self.hy)
-        s_row, s_col = _Frame.of(s).rows(s.rel)
-        t_row, t_col = _Frame.of(t).rows(t.rel)
+        s_row, s_col = _frame_rows(s)[1]
+        t_row, t_col = _frame_rows(t)[1]
         xs = _admissible(tx.rows, hx, sx.cols, t_row, hy, s_col)
         ys = _admissible(ty.cols, hy, sy.rows, t_col, hx, s_row)
         full_t, full_s = (1 << len(ty)) - 1, (1 << len(sy)) - 1

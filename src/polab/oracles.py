@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import CarrierTooLarge
+from .errors import CarrierMismatch, CarrierTooLarge
 from .extend import AdjunctionReport, ExtensionContext, _down_sets
 from .order import (
     UnionPreorder,
@@ -19,7 +19,7 @@ from .order import (
     tag_y,
     transitive_close,
 )
-from .polarity import _Frame, is_n_preorder
+from .polarity import NamedRelationSets, NPreorderVerdict, _Frame, is_n_preorder
 
 # The adjunction law is checked on every pair of relations up to PAIR_BUDGET
 # pairs, and on LAW_SAMPLES pairs drawn with LAW_SEED beyond it.
@@ -510,3 +510,152 @@ def oracle_relation_lattice_adjunction(ctx):
         law_holds=law_holds,
         witness=failures[0] if failures else None,
     )
+
+
+# -- canonical relations and graded preorders, pair by pair ---------------
+
+
+def _z_s_pairs(fr):
+    """Pairs (y, x) forced below-left by a meet of images."""
+    out = set()
+    for j, b in enumerate(fr.ys):
+        real = fr.realizable_meets(j)
+        for i, down in enumerate(fr.xcols):
+            if real & down:
+                out.add((b, fr.xs[i]))
+    return frozenset(out)
+
+
+def _z_t_pairs(fr):
+    return frozenset((b, a) for a, b in _z_s_pairs(fr.flipped()))
+
+
+def _z_x_pairs(fr, rx, ry):
+    out = set()
+    for i1, up in enumerate(fr.xrows):
+        for i2 in _mask_iter(up):
+            out.add((fr.xs[i1], fr.xs[i2]))
+    for xi, yi in zip(fr.exi, fr.eyi):
+        for i1 in _mask_iter(ry[yi]):
+            for i2 in _mask_iter(fr.xrows[xi]):
+                out.add((fr.xs[i1], fr.xs[i2]))
+    return frozenset(out)
+
+
+def _z_y_pairs(fr, rx, ry):
+    return frozenset((b, a) for a, b in _z_x_pairs(fr.flipped(), ry, rx))
+
+
+def _z_yx_pairs(fr, rx, ry):
+    out = set()
+    for k1 in range(len(fr.ps)):
+        for k2 in range(len(fr.ps)):
+            if not rx[fr.exi[k1]] >> fr.eyi[k2] & 1:
+                continue
+            for j in _mask_iter(fr.ycols[fr.eyi[k1]]):
+                for i in _mask_iter(fr.xrows[fr.exi[k2]]):
+                    out.add((fr.ys[j], fr.xs[i]))
+    return frozenset(out)
+
+
+def _z_yx_alt_pairs(fr):
+    """Pairs (y, x) such that every base element sent below y on the
+    right is below every base element sent above x on the left."""
+    out = set()
+    for j, down in enumerate(fr.ycols):
+        below = [k for k, yi in enumerate(fr.eyi) if down >> yi & 1]
+        for i, up in enumerate(fr.xrows):
+            above = [k for k, xi in enumerate(fr.exi) if up >> xi & 1]
+            if all(fr.prows[k1] >> k2 & 1 for k1 in below for k2 in above):
+                out.add((fr.ys[j], fr.xs[i]))
+    return frozenset(out)
+
+
+def _tagged(pol, x_pairs=(), y_pairs=(), cross_xy=(), cross_yx=()):
+    pairs = []
+    pairs.extend((tag_x(a), tag_x(b)) for a, b in x_pairs)
+    pairs.extend((tag_y(a), tag_y(b)) for a, b in y_pairs)
+    pairs.extend((tag_x(a), tag_y(b)) for a, b in cross_xy)
+    pairs.extend((tag_y(a), tag_x(b)) for a, b in cross_yx)
+    carrier = pol.carrier()
+    diag = [(e, e) for e in carrier]
+    return UnionPreorder.from_pairs(carrier, diag + pairs)
+
+
+def oracle_canonical_relations(pol):
+    """The named pair-sets of the polarity, and the canonical relations
+    built from them pair by pair, keyed by name: `r_zero`, `r_hat_m`,
+    `r_hat_g`, and the pointwise relation `structure_of` compares with
+    `r_hat_g`."""
+    fr = _Frame(pol.base, pol.ex, pol.ey)
+    rx, ry = fr.rows(pol.rel)
+    sets = NamedRelationSets(
+        _z_x_pairs(fr, rx, ry),
+        _z_y_pairs(fr, rx, ry),
+        _z_yx_pairs(fr, rx, ry),
+        _z_yx_alt_pairs(fr),
+        _z_s_pairs(fr),
+        _z_t_pairs(fr),
+    )
+    sides = pol.x.pairs(), pol.y.pairs()
+    return sets, {
+        name: _tagged(pol, *along, pol.rel, back)
+        for name, along, back in (
+            ("r_zero", sides, ()),
+            ("r_hat_m", (sets.z_x, sets.z_y), sets.z_yx),
+            ("r_hat_g", sides, sets.z_s | sets.z_t),
+            ("pointwise", sides, sets.z_yx_alt),
+        )
+    }
+
+
+def oracle_is_n_preorder(pol, rel, n):
+    """`is_n_preorder` clause by clause over element pairs, with the
+    forced pairs of grade 3 taken from the pair-sets above."""
+    if not 0 <= n <= 3:
+        raise ValueError("grade must be between 0 and 3")
+    carrier = pol.carrier()
+    if rel.carrier != carrier:
+        raise CarrierMismatch("relation carrier does not match the polarity")
+    if not rel.is_reflexive():
+        missing = next(
+            e for i, e in enumerate(carrier) if not rel.rows[i] >> i & 1
+        )
+        return NPreorderVerdict(False, "reflexive", missing)
+    tw = rel.transitivity_witness()
+    if tw is not None:
+        return NPreorderVerdict(False, "transitive", tw)
+    X, Y = pol.x, pol.y
+    for a in X.elements:
+        for b in Y.elements:
+            if rel.rel(tag_x(a), tag_y(b)) != ((a, b) in pol.rel):
+                return NPreorderVerdict(False, "P1", (a, b))
+    for a1, a2 in X.pairs():
+        if not rel.rel(tag_x(a1), tag_x(a2)):
+            return NPreorderVerdict(False, "P2", (a1, a2))
+    for b1, b2 in Y.pairs():
+        if not rel.rel(tag_y(b1), tag_y(b2)):
+            return NPreorderVerdict(False, "P3", (b1, b2))
+    if n >= 1:
+        for p in pol.base.elements:
+            xi, yi = tag_x(pol.ex(p)), tag_y(pol.ey(p))
+            if not (rel.rel(xi, yi) and rel.rel(yi, xi)):
+                return NPreorderVerdict(False, "commutation", p)
+    if n >= 2:
+        for a1 in X.elements:
+            for a2 in X.elements:
+                if rel.rel(tag_x(a1), tag_x(a2)) and not X.leq(a1, a2):
+                    return NPreorderVerdict(False, "reflectX", (a1, a2))
+        for b1 in Y.elements:
+            for b2 in Y.elements:
+                if rel.rel(tag_y(b1), tag_y(b2)) and not Y.leq(b1, b2):
+                    return NPreorderVerdict(False, "reflectY", (b1, b2))
+    if n >= 3:
+        fr = _Frame(pol.base, pol.ex, pol.ey)
+        for b, a in sorted(_z_s_pairs(fr), key=repr):
+            if not rel.rel(tag_y(b), tag_x(a)):
+                return NPreorderVerdict(False, "P4", (b, a))
+        for b, a in sorted(_z_t_pairs(fr), key=repr):
+            if not rel.rel(tag_y(b), tag_x(a)):
+                return NPreorderVerdict(False, "P5", (b, a))
+    return NPreorderVerdict(True)

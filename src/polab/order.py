@@ -40,6 +40,23 @@ def transitive_close(rows):
     return rows
 
 
+def _transpose(rows, n):
+    """Bit-rows of the transposed relation, with `n` rows."""
+    out = [0] * n
+    for i, r in enumerate(rows):
+        for j in _mask_iter(r):
+            out[j] |= 1 << i
+    return out
+
+
+def _union_of(rows, mask):
+    """The union of the rows at the bits of `mask`."""
+    out = 0
+    for p in _mask_iter(mask):
+        out |= rows[p]
+    return out
+
+
 def _mask_iter(mask):
     while mask:
         low = mask & -mask

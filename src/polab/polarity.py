@@ -21,6 +21,7 @@ orders reversed, the sides swapped, the relation transposed.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ from .order import (
     _index_image,
     _mask_iter,
     _reflection_failure,
+    _transpose,
+    _union_of,
     tag_x,
     tag_y,
     transitive_close,
@@ -64,9 +67,12 @@ def carrier_gate(max_carrier=None):
 
 
 class ExtensionPolarity:
-    """An order polarity whose sides both extend a common base poset."""
+    """An order polarity whose sides both extend a common base poset.
 
-    __slots__ = ("base", "ex", "ey", "rel")
+    Its condition frame and the bit-rows of its relation are built on
+    first use and kept (`_frame_rows`); they take no part in equality."""
+
+    __slots__ = ("base", "ex", "ey", "rel", "_frame", "_rows")
 
     def __init__(self, base, ex, ey, rel):
         if ex.base != base or ey.base != base:
@@ -80,6 +86,7 @@ class ExtensionPolarity:
                 raise UnknownId("relation uses unknown left element %r" % (a,))
             if b not in self.y.index:
                 raise UnknownId("relation uses unknown right element %r" % (b,))
+        self._frame = self._rows = None
 
     @property
     def x(self):
@@ -102,12 +109,12 @@ class ExtensionPolarity:
         return hash((self.base, self.ex, self.ey, self.rel))
 
     def with_relation(self, rel):
-        return ExtensionPolarity(self.base, self.ex, self.ey, rel)
+        out = ExtensionPolarity(self.base, self.ex, self.ey, rel)
+        out._frame = self._frame
+        return out
 
     def carrier(self):
-        return tuple(tag_x(a) for a in self.x.elements) + tuple(
-            tag_y(b) for b in self.y.elements
-        )
+        return _Frame.of(self).carrier
 
 
 _GRADES = (("C1", "C2"), ("C3", "C4"), ("C5", "C6"), ("C7", "C8"))
@@ -139,6 +146,10 @@ class _Frame:
     to the j-th right element.  Only the left-hand member of each dual
     pair of conditions is written out; the right-hand one is the
     left-hand one run on `flipped()` with the rows swapped.
+
+    The canonical relations are assembled (`blocks`) from four blocks of
+    masks: one mask over X per left element for the left block, one mask
+    over X per right element for the right-to-left block, and so on.
     """
 
     def __init__(self, base, ex, ey):
@@ -150,13 +161,17 @@ class _Frame:
         self.prows, self.pcols = P.rows, P.cols
         self.exi = [X.index[ex(p)] for p in P.elements]
         self.eyi = [Y.index[ey(p)] for p in P.elements]
+        self.carrier = tuple(map(tag_x, self.xs)) + tuple(map(tag_y, self.ys))
         self._real_meets = {}
         self._flipped = None
-        self._meet_side = None
+        self._meet_side = self._z_s = self._z_t = None
 
     @classmethod
     def of(cls, pol):
-        return cls(pol.base, pol.ex, pol.ey)
+        """The frame of a polarity, built on first use and kept on it."""
+        if pol._frame is None:
+            pol._frame = cls(pol.base, pol.ex, pol.ey)
+        return pol._frame
 
     def rows(self, rel):
         """The bit-rows `(rx, ry)` of a relation given as pairs."""
@@ -180,9 +195,10 @@ class _Frame:
             f.xrows, f.xcols = self.ycols, self.yrows
             f.yrows, f.ycols = self.xcols, self.xrows
             f.exi, f.eyi = self.eyi, self.exi
+            f.carrier = None
             f._real_meets = {}
             f._flipped = None
-            f._meet_side = None
+            f._meet_side = f._z_s = f._z_t = None
             self._flipped = f
         return self._flipped
 
@@ -271,57 +287,74 @@ class _Frame:
     def c8(self, rx, ry):
         return _reversed(self.flipped().c7(ry, rx))
 
-    def z_s_pairs(self):
-        """Pairs (y, x) forced below-left by a meet of images."""
-        out = set()
-        for j, b in enumerate(self.ys):
-            real = self.realizable_meets(j)
-            for i, down in enumerate(self.xcols):
-                if real & down:
-                    out.add((b, self.xs[i]))
-        return frozenset(out)
+    # -- blocks of the canonical relations ---------------------------------
 
-    def z_t_pairs(self):
-        return frozenset((b, a) for a, b in self.flipped().z_s_pairs())
+    def z_s(self):
+        """Right-to-left block of the pairs (y, x) forced below-left by a
+        meet of images: x lies above a meet realizable at y."""
+        if self._z_s is None:
+            self._z_s = [
+                _union_of(self.xrows, self.realizable_meets(j))
+                for j in range(len(self.ys))
+            ]
+        return self._z_s
 
-    # -- one-step saturation sets -----------------------------------------
+    def z_t(self):
+        if self._z_t is None:
+            self._z_t = _transpose(self.flipped().z_s(), len(self.ys))
+        return self._z_t
 
-    def z_x_pairs(self, rx, ry):
-        out = set()
-        for i1, up in enumerate(self.xrows):
-            for i2 in _mask_iter(up):
-                out.add((self.xs[i1], self.xs[i2]))
+    def z_x(self, rx, ry):
+        """Left block of the one-step saturation: x1 below x2, or x1
+        related to the right image and x2 above the left image of one
+        base element."""
+        out = list(self.xrows)
         for xi, yi in zip(self.exi, self.eyi):
             for i1 in _mask_iter(ry[yi]):
-                for i2 in _mask_iter(self.xrows[xi]):
-                    out.add((self.xs[i1], self.xs[i2]))
-        return frozenset(out)
+                out[i1] |= self.xrows[xi]
+        return out
 
-    def z_y_pairs(self, rx, ry):
-        return frozenset((b, a) for a, b in self.flipped().z_x_pairs(ry, rx))
+    def z_y(self, rx, ry):
+        return _transpose(self.flipped().z_x(ry, rx), len(self.ys))
 
-    def z_yx_pairs(self, rx, ry):
-        out = set()
-        for k1 in range(len(self.ps)):
-            for k2 in range(len(self.ps)):
-                if not rx[self.exi[k1]] >> self.eyi[k2] & 1:
-                    continue
-                for j in _mask_iter(self.ycols[self.eyi[k1]]):
-                    for i in _mask_iter(self.xrows[self.exi[k2]]):
-                        out.add((self.ys[j], self.xs[i]))
-        return frozenset(out)
+    def z_yx(self, rx, ry):
+        """Right-to-left block of the one-step saturation: y below the
+        right image of k1 and x above the left image of k2, with the left
+        image of k1 related to the right image of k2."""
+        out = [0] * len(self.ys)
+        for x1, y1 in zip(self.exi, self.eyi):
+            above = 0
+            for x2, y2 in zip(self.exi, self.eyi):
+                if rx[x1] >> y2 & 1:
+                    above |= self.xrows[x2]
+            if above:
+                for j in _mask_iter(self.ycols[y1]):
+                    out[j] |= above
+        return out
 
-    def z_yx_alt_pairs(self):
-        """Pairs (y, x) such that every base element sent below y on the
-        right is below every base element sent above x on the left."""
-        out = set()
-        for j, down in enumerate(self.ycols):
-            below = [k for k, yi in enumerate(self.eyi) if down >> yi & 1]
-            for i, up in enumerate(self.xrows):
-                above = [k for k, xi in enumerate(self.exi) if up >> xi & 1]
-                if all(self.prows[k1] >> k2 & 1 for k1 in below for k2 in above):
-                    out.add((self.ys[j], self.xs[i]))
-        return frozenset(out)
+    def z_yx_alt(self):
+        """Right-to-left block of the pairs (y, x) such that every base
+        element sent below y on the right is below every base element sent
+        above x on the left."""
+        above = _transpose([self.xcols[xi] for xi in self.exi], len(self.xs))
+        out = []
+        for down in self.ycols:
+            common = (1 << len(self.ps)) - 1
+            for k, yi in enumerate(self.eyi):
+                if down >> yi & 1:
+                    common &= self.prows[k]
+            out.append(sum(1 << i for i, a in enumerate(above) if not a & ~common))
+        return out
+
+    def blocks(self, xx, yy, xy, yx):
+        """The relation on the carrier whose left, right, left-to-right
+        and right-to-left blocks are the given masks."""
+        nx = len(self.xs)
+        return UnionPreorder(
+            self.carrier,
+            [a | b << nx for a, b in zip(xx, xy)]
+            + [a | b << nx for a, b in zip(yx, yy)],
+        )
 
     def e1(self, rx, ry):
         for i1, up in enumerate(self.xrows):
@@ -350,6 +383,12 @@ class _Frame:
         """The grade of the relation capped at `upto`, None below grade
         0; no condition past the first failing one is evaluated."""
         return _grade(lambda name: getattr(self, name.lower())(rx, ry)[0], upto)
+
+    def grade(self, rx, ry):
+        """The grade of the relation and whether it is Galois, with no
+        condition past the first failing one evaluated."""
+        level = self.level(rx, ry)
+        return level, level == 3 and self.meet_side and self.join_side
 
     def report(self, rx, ry):
         """Every condition with its witness, and the derived grade."""
@@ -393,16 +432,22 @@ class NamedRelationSets:
     z_t: frozenset
 
 
+def _pairs(left, right, block):
+    return frozenset(
+        (left[i], right[j]) for i, row in enumerate(block) for j in _mask_iter(row)
+    )
+
+
 def named_relation_sets(pol):
-    fr = _Frame.of(pol)
-    rows = fr.rows(pol.rel)
+    fr, rows = _frame_rows(pol)
+    xs, ys = fr.xs, fr.ys
     return NamedRelationSets(
-        z_x=fr.z_x_pairs(*rows),
-        z_y=fr.z_y_pairs(*rows),
-        z_yx=fr.z_yx_pairs(*rows),
-        z_yx_alt=fr.z_yx_alt_pairs(),
-        z_s=fr.z_s_pairs(),
-        z_t=fr.z_t_pairs(),
+        z_x=_pairs(xs, xs, fr.z_x(*rows)),
+        z_y=_pairs(ys, ys, fr.z_y(*rows)),
+        z_yx=_pairs(ys, xs, fr.z_yx(*rows)),
+        z_yx_alt=_pairs(ys, xs, fr.z_yx_alt()),
+        z_s=_pairs(ys, xs, fr.z_s()),
+        z_t=_pairs(ys, xs, fr.z_t()),
     )
 
 
@@ -426,9 +471,18 @@ class CoherenceReport:
         return self.conditions[name][1]
 
 
-def check_coherence(pol):
+def _frame_rows(pol):
+    """The polarity's frame and the bit-rows of its relation, both built
+    on first use and kept on the polarity."""
     fr = _Frame.of(pol)
-    return fr.report(*fr.rows(pol.rel))
+    if pol._rows is None:
+        pol._rows = tuple(map(tuple, fr.rows(pol.rel)))
+    return fr, pol._rows
+
+
+def check_coherence(pol):
+    fr, rows = _frame_rows(pol)
+    return fr.report(*rows)
 
 
 def coherence_level(pol):
@@ -436,13 +490,13 @@ def coherence_level(pol):
 
 
 def is_entangled(pol):
-    fr = _Frame.of(pol)
-    rows = fr.rows(pol.rel)
+    fr, rows = _frame_rows(pol)
     return fr.e1(*rows)[0] and fr.e2(*rows)[0]
 
 
 def is_galois(pol):
-    return check_coherence(pol).galois
+    fr, rows = _frame_rows(pol)
+    return fr.grade(*rows)[1]
 
 
 def galois_via_S1S2(pol):
@@ -469,41 +523,18 @@ def galois_via_S1S2(pol):
 # -- canonical relations ---------------------------------------------------
 
 
-def _tagged(pol, x_pairs=(), y_pairs=(), cross_xy=(), cross_yx=()):
-    pairs = []
-    pairs.extend((tag_x(a), tag_x(b)) for a, b in x_pairs)
-    pairs.extend((tag_y(a), tag_y(b)) for a, b in y_pairs)
-    pairs.extend((tag_x(a), tag_y(b)) for a, b in cross_xy)
-    pairs.extend((tag_y(a), tag_x(b)) for a, b in cross_yx)
-    carrier = pol.carrier()
-    diag = [(e, e) for e in carrier]
-    return UnionPreorder.from_pairs(carrier, diag + pairs)
-
-
 def r_zero(pol):
     """The union of the two side orders with the relation itself.  Not
     transitively closed: whether it already is a preorder is the point."""
-    return _tagged(
-        pol,
-        x_pairs=pol.x.pairs(),
-        y_pairs=pol.y.pairs(),
-        cross_xy=pol.rel,
-    )
+    fr, (rx, ry) = _frame_rows(pol)
+    return fr.blocks(fr.xrows, fr.yrows, rx, [0] * len(fr.ys))
 
 
 def r_hat_m(pol):
     """The one-step saturation of `r_zero` through the base images."""
-    fr = _Frame.of(pol)
-    rows = fr.rows(pol.rel)
-    out = _tagged(
-        pol,
-        x_pairs=fr.z_x_pairs(*rows),
-        y_pairs=fr.z_y_pairs(*rows),
-        cross_xy=pol.rel,
-        cross_yx=fr.z_yx_pairs(*rows),
-    )
-    level = coherence_level(pol)
-    if level is not None and level >= 1:
+    fr, rows = _frame_rows(pol)
+    out = fr.blocks(fr.z_x(*rows), fr.z_y(*rows), rows[0], fr.z_yx(*rows))
+    if fr.level(*rows, upto=1) == 1:
         verdict = is_n_preorder(pol, out, 1)
         if not verdict.ok:
             raise LawViolation(
@@ -517,13 +548,9 @@ def r_hat_m(pol):
 def r_hat_g(pol):
     """`r_zero` together with all pairs forced by meets and joins of
     image sets."""
-    fr = _Frame.of(pol)
-    return _tagged(
-        pol,
-        x_pairs=pol.x.pairs(),
-        y_pairs=pol.y.pairs(),
-        cross_xy=pol.rel,
-        cross_yx=fr.z_s_pairs() | fr.z_t_pairs(),
+    fr, (rx, ry) = _frame_rows(pol)
+    return fr.blocks(
+        fr.xrows, fr.yrows, rx, list(map(operator.or_, fr.z_s(), fr.z_t()))
     )
 
 
@@ -531,23 +558,18 @@ def r_l(ex, ey):
     """The slice relation: x related to y when some base element has its
     left image above x and its right image below y.  Always makes the
     sides 2-coherent, which is certified up to grade 2 and no further."""
-    pairs = set()
-    X, Y, P = ex.target, ey.target, ex.base
-    if ey.base != P:
+    if ey.base != ex.base:
         raise CarrierMismatch("extensions must share a base poset")
-    for p in P.elements:
-        for a in X.down(ex(p)):
-            for b in Y.up(ey(p)):
-                pairs.add((a, b))
-    rel = frozenset(pairs)
-    fr = _Frame(P, ex, ey)
-    rows = fr.rows(rel)
+    fr = _Frame(ex.base, ex, ey)
+    above = _transpose([fr.xcols[xi] for xi in fr.exi], len(fr.xs))
+    rx = [_union_of([fr.yrows[yi] for yi in fr.eyi], a) for a in above]
+    rows = rx, _transpose(rx, len(fr.ys))
     if fr.level(*rows, upto=2) != 2:
         for name in CONDITION_NAMES[:6]:
             ok, witness = getattr(fr, name.lower())(*rows)
             if not ok:
                 raise NotCoherent("slice relation fails %s" % name, witness)
-    return rel
+    return _pairs(fr.xs, fr.ys, rx)
 
 
 # -- graded preorders ------------------------------------------------------
@@ -563,60 +585,61 @@ class NPreorderVerdict:
         return self.ok
 
 
+def _first_pair(left, right, bad):
+    """The first pair, row by row, whose bit is set in the masks `bad`,
+    one per element of `left`, over the elements of `right`."""
+    for i, row in enumerate(bad):
+        if row:
+            return left[i], right[(row & -row).bit_length() - 1]
+    return None
+
+
+def _clause_failures(fr, rx, rel, n):
+    """Each clause of an n-preorder with its first failure in carrier
+    order (None when it holds), lazily and in the order they are decided."""
+    rows, carrier = rel.rows, rel.carrier
+    yield "reflexive", next(
+        (carrier[i] for i, row in enumerate(rows) if not row >> i & 1), None
+    )
+    yield "transitive", rel.transitivity_witness()
+    nx, xs, ys = len(fr.xs), fr.xs, fr.ys
+    xx = [r & (1 << nx) - 1 for r in rows[:nx]]
+    xy = [r >> nx for r in rows[:nx]]
+    yx = [r & (1 << nx) - 1 for r in rows[nx:]]
+    yy = [r >> nx for r in rows[nx:]]
+    yield "P1", _first_pair(xs, ys, map(operator.xor, xy, rx))
+    yield "P2", _first_pair(xs, xs, (a & ~b for a, b in zip(fr.xrows, xx)))
+    yield "P3", _first_pair(ys, ys, (a & ~b for a, b in zip(fr.yrows, yy)))
+    if n >= 1:
+        images = zip(fr.ps, fr.exi, fr.eyi)
+        bad = (p for p, i, j in images if not (xy[i] >> j & 1 and yx[j] >> i & 1))
+        yield "commutation", next(bad, None)
+    if n >= 2:
+        yield "reflectX", _first_pair(xs, xs, (a & ~b for a, b in zip(xx, fr.xrows)))
+        yield "reflectY", _first_pair(ys, ys, (a & ~b for a, b in zip(yy, fr.yrows)))
+    if n >= 3:
+        yield "P4", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_s(), yx)))
+        yield "P5", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_t(), yx)))
+
+
 def is_n_preorder(pol, rel, n):
     """Decide whether `rel` is an n-preorder for the polarity.
 
     Grades: 0 needs a preorder matching the relation across and both
     side orders along; 1 adds commutation of the two base images; 2 adds
     order reflection on both sides; 3 adds preservation of image meets
-    and joins, checked through the canonical forced pair-sets.
+    and joins, checked through the canonical forced blocks.  Each clause
+    compares a block of `rel` with masks of the frame, and a failure
+    names its first failing pair in carrier order.
     """
     if not 0 <= n <= 3:
         raise ValueError("grade must be between 0 and 3")
-    carrier = pol.carrier()
-    if rel.carrier != carrier:
+    fr, (rx, ry) = _frame_rows(pol)
+    if rel.carrier != fr.carrier:
         raise CarrierMismatch("relation carrier does not match the polarity")
-    if not rel.is_reflexive():
-        missing = next(
-            e for i, e in enumerate(carrier) if not rel.rows[i] >> i & 1
-        )
-        return NPreorderVerdict(False, "reflexive", missing)
-    tw = rel.transitivity_witness()
-    if tw is not None:
-        return NPreorderVerdict(False, "transitive", tw)
-    X, Y = pol.x, pol.y
-    for a in X.elements:
-        for b in Y.elements:
-            if rel.rel(tag_x(a), tag_y(b)) != ((a, b) in pol.rel):
-                return NPreorderVerdict(False, "P1", (a, b))
-    for a1, a2 in X.pairs():
-        if not rel.rel(tag_x(a1), tag_x(a2)):
-            return NPreorderVerdict(False, "P2", (a1, a2))
-    for b1, b2 in Y.pairs():
-        if not rel.rel(tag_y(b1), tag_y(b2)):
-            return NPreorderVerdict(False, "P3", (b1, b2))
-    if n >= 1:
-        for p in pol.base.elements:
-            xi, yi = tag_x(pol.ex(p)), tag_y(pol.ey(p))
-            if not (rel.rel(xi, yi) and rel.rel(yi, xi)):
-                return NPreorderVerdict(False, "commutation", p)
-    if n >= 2:
-        for a1 in X.elements:
-            for a2 in X.elements:
-                if rel.rel(tag_x(a1), tag_x(a2)) and not X.leq(a1, a2):
-                    return NPreorderVerdict(False, "reflectX", (a1, a2))
-        for b1 in Y.elements:
-            for b2 in Y.elements:
-                if rel.rel(tag_y(b1), tag_y(b2)) and not Y.leq(b1, b2):
-                    return NPreorderVerdict(False, "reflectY", (b1, b2))
-    if n >= 3:
-        fr = _Frame.of(pol)
-        for b, a in sorted(fr.z_s_pairs(), key=repr):
-            if not rel.rel(tag_y(b), tag_x(a)):
-                return NPreorderVerdict(False, "P4", (b, a))
-        for b, a in sorted(fr.z_t_pairs(), key=repr):
-            if not rel.rel(tag_y(b), tag_x(a)):
-                return NPreorderVerdict(False, "P5", (b, a))
+    for clause, witness in _clause_failures(fr, rx, rel, n):
+        if witness is not None:
+            return NPreorderVerdict(False, clause, witness)
     return NPreorderVerdict(True)
 
 
@@ -646,48 +669,28 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     POLAB_MAX_CARRIER environment variable); `cap` bounds the number of
     results, with a truncation flag when the search was cut short.
     """
-    carrier = pol.carrier()
+    fr, (rx, ry) = _frame_rows(pol)
+    carrier = fr.carrier
     gate = carrier_gate(max_carrier)
     if len(carrier) > gate:
         raise CarrierTooLarge(
             "carrier has %d elements, gate is %d" % (len(carrier), gate)
         )
     nlen = len(carrier)
-    index = {e: i for i, e in enumerate(carrier)}
-    fr = _Frame.of(pol)
-
-    forced = [0] * nlen
-    forbidden = [0] * nlen
-
-    def mark(rows, a, b):
-        rows[index[a]] |= 1 << index[b]
-
-    for a1, a2 in pol.x.pairs():
-        mark(forced, tag_x(a1), tag_x(a2))
-    for b1, b2 in pol.y.pairs():
-        mark(forced, tag_y(b1), tag_y(b2))
-    for a in pol.x.elements:
-        for b in pol.y.elements:
-            if (a, b) in pol.rel:
-                mark(forced, tag_x(a), tag_y(b))
-            else:
-                mark(forbidden, tag_x(a), tag_y(b))
+    nx, ny = len(fr.xs), len(fr.ys)
+    full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
+    xy, yx = list(rx), [0] * ny
     if n >= 1:
-        for p in pol.base.elements:
-            mark(forced, tag_y(pol.ey(p)), tag_x(pol.ex(p)))
-            mark(forced, tag_x(pol.ex(p)), tag_y(pol.ey(p)))
-    if n >= 2:
-        for a1 in pol.x.elements:
-            for a2 in pol.x.elements:
-                if not pol.x.leq(a1, a2):
-                    mark(forbidden, tag_x(a1), tag_x(a2))
-        for b1 in pol.y.elements:
-            for b2 in pol.y.elements:
-                if not pol.y.leq(b1, b2):
-                    mark(forbidden, tag_y(b1), tag_y(b2))
+        for xi, yi in zip(fr.exi, fr.eyi):
+            xy[xi] |= 1 << yi
+            yx[yi] |= 1 << xi
     if n >= 3:
-        for b, a in fr.z_s_pairs() | fr.z_t_pairs():
-            mark(forced, tag_y(b), tag_x(a))
+        yx = [a | b | c for a, b, c in zip(yx, fr.z_s(), fr.z_t())]
+    forced = list(fr.blocks(fr.xrows, fr.yrows, xy, yx).rows)
+    unordered_x = [full_x & ~r if n >= 2 else 0 for r in fr.xrows]
+    unordered_y = [full_y & ~r if n >= 2 else 0 for r in fr.yrows]
+    unrelated = [full_y & ~r for r in rx]
+    forbidden = list(fr.blocks(unordered_x, unordered_y, unrelated, [0] * ny).rows)
 
     transitive_close(forced)
     if any(forced[i] & forbidden[i] for i in range(nlen)):
@@ -784,10 +787,7 @@ def _rigidity_failures(u):
             xmask |= 1 << k
     ymask = ((1 << n) - 1) & ~xmask
     rows = u.rows
-    cols = [0] * n
-    for i, r in enumerate(rows):
-        for j in _mask_iter(r):
-            cols[j] |= 1 << i
+    cols = _transpose(rows, n)
     return [
         (u.carrier[i], u.carrier[j])
         for i in range(n)
@@ -830,13 +830,8 @@ def structure_of(pol):
             "canonical relation must be a grade-3 preorder (%s fails)" % verdict.clause,
             (verdict.clause, verdict.witness),
         )
-    alt = _tagged(
-        pol,
-        x_pairs=pol.x.pairs(),
-        y_pairs=pol.y.pairs(),
-        cross_xy=pol.rel,
-        cross_yx=_Frame.of(pol).z_yx_alt_pairs(),
-    )
+    fr, (rx, ry) = _frame_rows(pol)
+    alt = fr.blocks(fr.xrows, fr.yrows, rx, fr.z_yx_alt())
     diff = _differing_pair(alt, u)
     if diff is not None:
         raise LawViolation("pointwise", "pointwise characterisation must agree", diff)

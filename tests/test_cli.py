@@ -10,6 +10,8 @@ import polab
 import polab.cli as cli
 from polab.fixtures import CATALOGUE, Fixture
 
+FIXTURES = Path(polab.__file__).parent / "fixtures"
+
 
 @pytest.fixture
 def doc_path(tmp_path):
@@ -63,6 +65,23 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as e:
             cli.main(["morphism", doc_path, "--from", "G"])
         assert e.value.code == 2
+
+    def test_morphism(self, capsys):
+        path = str(FIXTURES / "fix_j.pol")
+        assert cli.main(["morphism", path, "--from", "G", "--to", "H"]) == 0
+        assert capsys.readouterr().out == (
+            "morphism m VALID embedding=yes isomorphism=no roundtrip=yes\n"
+        )
+
+    def test_decompose(self, capsys):
+        assert cli.main(["decompose", str(FIXTURES / "fix_e.pol")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "completion K generates:",
+            "  left side 7 elements, right side 7 elements",
+            "  level 3 galois yes",
+        ]
+        assert "  'c' ~ 'm'" in lines and "  'm' ~ 'c'" not in lines
 
 
 class TestFixturesCommand:

@@ -80,6 +80,17 @@ class TestRoundTrip:
         doc = load("fix_a")
         assert serialize(doc) == serialize(parse(serialize(doc)))
 
+    def test_completion_block_round_trips(self):
+        doc = load("fix_e")
+        text = serialize(doc)
+        assert "completion K {\n  map cut;\n}" in text
+        again = parse(text)
+        assert again.completions == doc.completions
+        built = again.build_completion("K")
+        assert built == doc.build_completion("K")
+        assert built.lattice == doc.posets["L"]
+        assert [built(p) for p in "abcd"] == list("abcd")
+
 
 class TestDot:
     def test_cover_edges_only(self):

@@ -437,18 +437,16 @@ class TestDownSets:
 
     def test_clause_6_walk_matches_the_sweep(self, monkeypatch):
         """Clause 6 never applies on random contexts, so the outer
-        report is made to claim grade 2 for a grade-3 inner polarity."""
+        frame is made to grade a grade-3 relation as grade 2."""
 
         def demote(frame):
-            report = frame.report
+            grade = frame.grade
 
             def demoted(rx, ry):
-                rep = report(rx, ry)
-                if rep.level == 3:
-                    rep.level = 2
-                return rep
+                level, galois = grade(rx, ry)
+                return (2 if level == 3 else level), galois
 
-            monkeypatch.setattr(frame, "report", demoted)
+            monkeypatch.setattr(frame, "grade", demoted)
 
         done = 0
         for ctx in small_contexts(40, seed=5):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polab.errors import CarrierTooLarge
-from polab.fixtures import identity_polarity, load
+from polab.fixtures import CATALOGUE, identity_polarity, load
 from polab.oracles import (
     naive_c7,
     naive_c8,
@@ -14,13 +14,16 @@ from polab.oracles import (
     naive_p5,
     naive_z_s,
     naive_z_t,
+    oracle_canonical_relations,
     oracle_enumerate_preorders,
+    oracle_is_n_preorder,
     oracle_naive_condition_check,
     oracle_rigidity_failures,
 )
-from polab.order import Poset, tag_x, tag_y
+from polab.order import Poset, UnionPreorder, tag_x, tag_y
 from polab.polarity import (
     ExtensionPolarity,
+    _frame_rows,
     _rigidity_failures,
     check_coherence,
     coherence_level,
@@ -29,7 +32,9 @@ from polab.polarity import (
     named_relation_sets,
     is_galois,
     r_hat_g,
+    r_hat_m,
     r_l,
+    r_zero,
     unique_3preorder,
 )
 from polab.randgen import (
@@ -179,3 +184,133 @@ class TestEnumerationOracle:
             oracle_enumerate_preorders("abcdefg", [], [])
         with pytest.raises(CarrierTooLarge):
             oracle_enumerate_preorders("abcde", [], [])
+
+
+def _differential_polarities():
+    """Every fixture polarity, then 300 seeded ones on base sizes 1-3: a
+    third each arbitrary, slice relations over random embeddings, and
+    Galois."""
+    for fixture in CATALOGUE:
+        yield from load(fixture.name).polarities.values()
+    rng = random.Random(23)
+    for k in range(300):
+        size = 1 + k % 3
+        kind = k // 3 % 3
+        if kind == 0:
+            yield random_extension_polarity(rng, size)
+        elif kind == 1:
+            base = random_poset(rng, size)
+            ex = random_embedding(rng, base, prefix="x")
+            ey = random_embedding(rng, base, prefix="y")
+            yield ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+        else:
+            yield random_galois_polarity(rng, size)
+
+
+def _fast_canonical_relations(pol):
+    fr, (rx, ry) = _frame_rows(pol)
+    return {
+        "r_zero": r_zero(pol),
+        "r_hat_m": r_hat_m(pol),
+        "r_hat_g": r_hat_g(pol),
+        "pointwise": fr.blocks(fr.xrows, fr.yrows, rx, fr.z_yx_alt()),
+    }
+
+
+def _flipped(rel, i, j):
+    rows = list(rel.rows)
+    rows[i] ^= 1 << j
+    return UnionPreorder(rel.carrier, rows)
+
+
+def _variants(rng, rel):
+    """The relation, its closure, and each of them with one seeded absent
+    pair added and one seeded present pair off the diagonal removed."""
+    n = len(rel.carrier)
+    for r in (rel, rel.closed()):
+        yield r
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for present in (0, 1):
+            some = [(i, j) for i, j in pairs if r.rows[i] >> j & 1 == present]
+            if some:
+                yield _flipped(r, *rng.choice(some))
+
+
+def _clause_candidates(pol, rel, clause, sets):
+    """The candidates a clause quantifies over, in carrier order, each
+    with whether it fails there."""
+    X, Y, r = pol.x, pol.y, rel.rel
+    xs, ys = X.elements, Y.elements
+    if clause == "reflexive":
+        return [(e, not r(e, e)) for e in rel.carrier]
+    if clause == "transitive":
+        c = rel.carrier
+        return [
+            ((a, b, d), r(a, b) and r(b, d) and not r(a, d))
+            for a in c
+            for b in c
+            for d in c
+        ]
+    if clause == "commutation":
+        return [
+            (p, not (r(tag_x(pol.ex(p)), tag_y(pol.ey(p))) and r(tag_y(pol.ey(p)), tag_x(pol.ex(p)))))
+            for p in pol.base.elements
+        ]
+    if clause == "P1":
+        return [((a, b), r(tag_x(a), tag_y(b)) != ((a, b) in pol.rel)) for a in xs for b in ys]
+    if clause in ("P2", "reflectX"):
+        want = clause == "P2"
+        return [
+            ((a, b), X.leq(a, b) == want and r(tag_x(a), tag_x(b)) != want)
+            for a in xs
+            for b in xs
+        ]
+    if clause in ("P3", "reflectY"):
+        want = clause == "P3"
+        return [
+            ((a, b), Y.leq(a, b) == want and r(tag_y(a), tag_y(b)) != want)
+            for a in ys
+            for b in ys
+        ]
+    forced = sets.z_s if clause == "P4" else sets.z_t
+    return [((b, a), (b, a) in forced and not r(tag_y(b), tag_x(a))) for b in ys for a in xs]
+
+
+class TestGradedPreorderOracle:
+    """The mask route of `is_n_preorder` and the block builders against
+    the pair-by-pair route they replaced."""
+
+    def test_canonical_rows_match_the_oracle(self):
+        for pol in _differential_polarities():
+            sets, want = oracle_canonical_relations(pol)
+            assert named_relation_sets(pol) == sets
+            got = _fast_canonical_relations(pol)
+            for name, rel in want.items():
+                assert got[name] == rel, name
+                assert got[name].closed() == rel.closed(), name
+
+    def test_verdicts_match_the_oracle(self):
+        rng = random.Random(29)
+        seen = set()
+        for pol in _differential_polarities():
+            sets = named_relation_sets(pol)
+            for rel in _fast_canonical_relations(pol).values():
+                for r in _variants(rng, rel):
+                    for n in range(4):
+                        fast = is_n_preorder(pol, r, n)
+                        slow = oracle_is_n_preorder(pol, r, n)
+                        assert (fast.ok, fast.clause) == (slow.ok, slow.clause)
+                        seen.add(fast.clause)
+                        if fast.ok:
+                            continue
+                        candidates = _clause_candidates(pol, r, fast.clause, sets)
+                        first = next(w for w, fails in candidates if fails)
+                        if fast.clause == "transitive":
+                            assert fast.witness == slow.witness
+                            assert dict(candidates)[fast.witness]
+                        else:
+                            assert fast.witness == first
+        assert seen == {
+            None, "transitive", "P1", "P2", "P3", "commutation",
+            "reflectX", "reflectY", "P4", "P5",
+        }

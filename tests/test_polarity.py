@@ -218,7 +218,7 @@ class TestStructureOf:
             from polab.fixtures import load
 
             assert sys.flags.optimize
-            polarity._Frame.z_yx_alt_pairs = lambda self: frozenset()
+            polarity._Frame.z_yx_alt = lambda self: [0] * len(self.ys)
             try:
                 polarity.structure_of(load("fix_e").polarities["G"])
             except LawViolation as err:
@@ -344,6 +344,82 @@ class TestPreorderClauses:
         pol = load("fix_a").polarities["G"]
         with pytest.raises(ValueError):
             is_n_preorder(pol, r_zero(pol).closed(), 4)
+
+    def test_side_witness_ignores_the_hash_seed(self):
+        """Relations missing several left pairs, then several right pairs,
+        name the first missing pair in carrier order under every
+        PYTHONHASHSEED."""
+        script = textwrap.dedent(
+            """
+            from polab.fixtures import identity_polarity
+            from polab.order import Poset, UnionPreorder, tag_x, tag_y
+            from polab.polarity import is_n_preorder
+
+            pol = identity_polarity(Poset.chain("abcde"))
+            carrier = pol.carrier()
+            pairs = [(e, e) for e in carrier]
+            pairs += [(tag_x(a), tag_y(b)) for a, b in pol.rel]
+            for rel in (
+                UnionPreorder.from_pairs(carrier, pairs),
+                UnionPreorder.from_pairs(
+                    carrier, pairs + [(tag_x(a), tag_x(b)) for a, b in pol.x.pairs()]
+                ),
+            ):
+                v = is_n_preorder(pol, rel, 0)
+                print(v.clause, v.witness)
+            """
+        )
+        outs = set()
+        for seed in ("0", "1", "7"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(polab.__file__).parents[1]),
+                PYTHONHASHSEED=seed,
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout)
+        assert outs == {"P2 ('a', 'b')\nP3 ('a', 'b')\n"}
+
+
+class TestOneFrame:
+    def test_one_frame_per_polarity(self, monkeypatch):
+        """Grading a polarity, building its canonical relations, testing
+        them at every grade, enumerating and, for a Galois polarity,
+        building its structure construct its condition frame once."""
+        built = []
+        init = polarity._Frame.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        rng = random.Random(31)
+        drawn = [random_extension_polarity(rng, 1 + k % 4) for k in range(20)]
+        drawn += [random_galois_polarity(rng, 1 + k % 4) for k in range(20)]
+        monkeypatch.setattr(polarity._Frame, "__init__", counting)
+        structure_of.cache_clear()
+        for pol in drawn:
+            pol = ExtensionPolarity(pol.base, pol.ex, pol.ey, pol.rel)
+            before = len(built)
+            check_coherence(pol)
+            for builder in CANONICAL_BUILDERS:
+                rel = builder(pol)
+                for n in range(4):
+                    is_n_preorder(pol, rel, n)
+                    is_n_preorder(pol, rel.closed(), n)
+            if len(pol.carrier()) <= 7:
+                for n in range(4):
+                    enumerate_n_preorders(pol, n)
+            if is_galois(pol):
+                structure_of(pol)
+            assert len(built) - before == 1
 
 
 # Order duality swaps the two members of each pair of conditions.
