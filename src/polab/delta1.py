@@ -29,6 +29,7 @@ from .order import (
     _expressible,
     _image_mask,
     _lift,
+    _mask_iter,
     compose as compose_maps,
     is_completion,
     is_delta1,
@@ -165,14 +166,17 @@ def delta_on_objects(d):
     lattice order.  Memoised like `structure_of`."""
     lat = d.lattice
     image = _image_mask(d.completion)
-    x_elems = lat.elements_of(_expressible(lat.rows, lat.cols, image))
-    y_elems = lat.elements_of(_expressible(lat.cols, lat.rows, image))
+    x_mask = _expressible(lat.rows, lat.cols, image)
+    y_mask = _expressible(lat.cols, lat.rows, image)
+    x_elems, y_elems = lat.elements_of(x_mask), lat.elements_of(y_mask)
     x_side = lat.restrict(x_elems)
     y_side = lat.restrict(y_elems)
     ex = Extension(MonotoneMap(d.base, x_side, {p: d(p) for p in d.base.elements}))
     ey = Extension(MonotoneMap(d.base, y_side, {p: d(p) for p in d.base.elements}))
     rel = frozenset(
-        (a, b) for a in x_elems for b in y_elems if lat.leq(a, b)
+        (lat.elements[i], b)
+        for i in _mask_iter(x_mask)
+        for b in lat.elements_of(lat.rows[i] & y_mask)
     )
     pol = ExtensionPolarity(d.base, ex, ey, rel)
     if not is_galois(pol):

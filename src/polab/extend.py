@@ -47,7 +47,6 @@ from .polarity import (
     # Not called here any more; bench/tracer.py still wraps this name.
     coherence_level,  # noqa: F401
     is_n_preorder,
-    r_l,
 )
 
 # Clause 6 walks the outer relations while at most this many outer pairs
@@ -232,6 +231,14 @@ def _mask_rows(mask, nx, ny):
     row = (1 << ny) - 1
     rx = [mask >> i * ny & row for i in range(nx)]
     return rx, _transpose(rx, ny)
+
+
+def _rows_mask(rx, ny):
+    """The mask of a relation given by its left rows `rx`."""
+    mask = 0
+    for i, row in enumerate(rx):
+        mask |= row << i * ny
+    return mask
 
 
 def _down_sets(X, Y, floor):
@@ -483,7 +490,9 @@ def relation_lattice_adjunction(ctx):
 
 def slice_extension_is_slice(ctx):
     """The saturation of the slice relation is the slice relation of the
-    composed extensions."""
+    composed extensions.  Both slice relations are read off the frames
+    the context keeps."""
     t = ctx._transfer()
-    inner_slice = _pair_mask(*t.inner, r_l(ctx.inner.ex, ctx.inner.ey))
-    return t.extend(inner_slice) == _pair_mask(*t.outer, r_l(ctx.outer_ex, ctx.outer_ey))
+    inner = _rows_mask(ctx._inner_frame().slice_rows(), len(t.inner[1]))
+    outer = _rows_mask(ctx._outer_frame().slice_rows(), len(t.outer[1]))
+    return t.extend(inner) == outer

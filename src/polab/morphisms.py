@@ -4,8 +4,8 @@ A polarity morphism is a compatible triple of monotone maps between the
 two sides and the bases.  Each such triple corresponds to exactly one
 stable map between the intermediate quotients, and the translation in
 either direction is implemented and certified here.  Whether a triple
-reflects every absent relation pair is decided on bit-masks, with no
-loop over source pairs per target pair.
+keeps the cross-side order and reflects every absent relation pair is
+decided on bit-masks, with no loop over source pairs per target pair.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .errors import (
 from .order import (
     MonotoneMap,
     _index_image,
+    _low_index,
     _mask_iter,
+    _preimages,
     _reflection_failure,
     compose as compose_maps,
     is_cut_stable,
@@ -66,22 +68,39 @@ class PolarityMorphism:
                 raise MorphismInvalid(
                     "commute-right", "right square does not commute", p
                 )
-        qs, qt = self.src_struct.quotient.poset, self.tgt_struct.quotient.poset
-        ia, ib = self.src_struct.iota_x, self.src_struct.iota_y
-        ja, jb = self.tgt_struct.iota_x, self.tgt_struct.iota_y
-        for x in s.x.elements:
-            for y in s.y.elements:
-                if qs.leq(ib(y), ia(x)) and not qt.leq(
-                    jb(self.hy(y)), ja(self.hx(x))
-                ):
-                    raise MorphismInvalid(
-                        "cross-order", "cross-side order not respected", (y, x)
-                    )
+        crossed = self._cross_order_failure()
+        if crossed is not None:
+            raise MorphismInvalid(
+                "cross-order", "cross-side order not respected", crossed
+            )
         unreflected = self._unreflected()
         if unreflected is not None:
             raise MorphismInvalid(
                 "reflection", "absent pair has no bounding absent pair", unreflected
             )
+
+    def _cross_order_failure(self):
+        """The first (y, x), with x in carrier order and then y, whose
+        classes are ordered in the source quotient, the class of y below
+        the class of x, while those of hy(y) and hx(x) are not ordered in
+        the target quotient; None when the cross-side order is kept.
+
+        For each y, the x whose class lies above that of y are one mask
+        in the source, read off the left embedding's `pre_up`, and one in
+        the target, read off the same masks of x -> ja(hx(x))."""
+        src, tgt = self.src_struct, self.tgt_struct
+        above, ib = src.iota_x.pre_up, src.iota_y.idx
+        ja, jb = tgt.iota_x.idx, tgt.iota_y.idx
+        kept = _preimages([ja[a] for a in self.hx.idx], tgt.quotient.poset.cols)
+        bad = [above[ib[y]] & ~kept[jb[b]] for y, b in enumerate(self.hy.idx)]
+        first = 0
+        for m in bad:
+            first |= m
+        if not first:
+            return None
+        x = _low_index(first)
+        y = next(y for y, m in enumerate(bad) if m >> x & 1)
+        return self.source.y.elements[y], self.source.x.elements[x]
 
     def _unreflected(self):
         """The first absent target pair (x', y'), in carrier order, that no

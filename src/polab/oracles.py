@@ -1,7 +1,9 @@
 """Ground-truth oracles: literal quantifier scans and naive enumeration.
 
 Everything here is deliberately slow and obvious.  The fast routes in
-`polab.polarity` are validated against these in the test suite.
+`polab.order`, `polab.polarity`, `polab.morphisms` and `polab.extend`
+are validated against these in the test suite; no other module of the
+package imports this one.
 """
 
 from __future__ import annotations
@@ -370,6 +372,92 @@ def oracle_bounds_failure(f, src, tgt):
             images |= 1 << f[i]
         if _bound_index(tgt, images) != f[g]:
             return mask
+    return None
+
+
+def oracle_monotone_failure(source, target, assignment):
+    """The first pair (p, q), in carrier order, with p <= q in `source`
+    but assignment[p] !<= assignment[q] in `target`, by the literal loop
+    over `Poset.leq`; None when the assignment is monotone."""
+    for p in source.elements:
+        for q in source.up(p):
+            if not target.leq(assignment[p], assignment[q]):
+                return p, q
+    return None
+
+
+def oracle_reflection_failure(f):
+    """A pair (p, q) with f(p) <= f(q) but not p <= q, or None."""
+    for p in f.source.elements:
+        for q in f.source.elements:
+            if f.target.leq(f(p), f(q)) and not f.source.leq(p, q):
+                return p, q
+    return None
+
+
+def oracle_is_cut_stable(f):
+    """For every q1 !<= q2 in the target there are p1 !<= p2 in the source
+    with f^{-1}(up q1) inside up p1 and f^{-1}(down q2) inside down p2."""
+    src, tgt = f.source, f.target
+    for q1 in tgt.elements:
+        for q2 in tgt.elements:
+            if tgt.leq(q1, q2):
+                continue
+            pre_up = src.mask_of(
+                p for p in src.elements if tgt.leq(q1, f(p))
+            )
+            pre_down = src.mask_of(
+                p for p in src.elements if tgt.leq(f(p), q2)
+            )
+            ok = False
+            for i1, p1 in enumerate(src.elements):
+                if pre_up & ~src.rows[i1]:
+                    continue
+                for i2, p2 in enumerate(src.elements):
+                    if src.rows[i1] >> i2 & 1:
+                        continue
+                    if not pre_down & ~src.cols[i2]:
+                        ok = True
+                        break
+                if ok:
+                    break
+            if not ok:
+                return False
+    return True
+
+
+def oracle_is_complete_lattice(poset):
+    """For a finite poset: nonempty, with a top, a bottom, and all
+    binary meets and joins."""
+    n = len(poset.elements)
+    if n == 0:
+        return False
+    if poset.meet_index(0) is None or poset.join_index(0) is None:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = (1 << i) | (1 << j)
+            if poset.meet_index(m) is None or poset.join_index(m) is None:
+                return False
+    return True
+
+
+def oracle_cross_order(morphism):
+    """The first (y, x), x-major in carrier order, whose classes are
+    ordered in the source quotient while the classes of their images are
+    not ordered in the target quotient, by the literal loop over
+    `Poset.leq`; None when the cross-side order is kept."""
+    s = morphism.source
+    qs = morphism.src_struct.quotient.poset
+    qt = morphism.tgt_struct.quotient.poset
+    ia, ib = morphism.src_struct.iota_x, morphism.src_struct.iota_y
+    ja, jb = morphism.tgt_struct.iota_x, morphism.tgt_struct.iota_y
+    for x in s.x.elements:
+        for y in s.y.elements:
+            if qs.leq(ib(y), ia(x)) and not qt.leq(
+                jb(morphism.hy(y)), ja(morphism.hx(x))
+            ):
+                return y, x
     return None
 
 

@@ -7,7 +7,10 @@ in element ids.  A poset's dual is its ``rows`` and ``cols`` swapped, so
 each join-side check is its meet-side kernel run on the swapped arrays.
 Whether a monotone map keeps every existing meet or join is decided in
 polynomial time (`_bounds_failure`), with no subset scan and no size
-gate.
+gate.  A monotone map keeps its index image and, per target element,
+the mask of the source elements sent above it (`MonotoneMap.pre_up`);
+monotonicity, order reflection and cut stability are row tests on those
+masks.
 """
 
 from __future__ import annotations
@@ -57,6 +60,35 @@ def _union_of(rows, mask):
     return out
 
 
+def _preimages(f, vecs):
+    """Per index t of `vecs`, the mask of the indices x with bit t set in
+    `vecs[f[x]]`.  For `f` a map's `idx` and `vecs` its target's `cols`,
+    the x with t <= f(x); for the target's `rows`, those with f(x) <= t."""
+    out = [0] * len(vecs)
+    for x, t in enumerate(f):
+        bit, row = 1 << x, vecs[t]
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def _common(vecs, mask, full):
+    """The AND of the masks in `vecs` at the bits of `mask`; `full` for
+    the empty mask."""
+    while mask:
+        low = mask & -mask
+        full &= vecs[low.bit_length() - 1]
+        mask ^= low
+    return full
+
+
+def _low_index(mask):
+    """Index of the lowest set bit of a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _mask_iter(mask):
     while mask:
         low = mask & -mask
@@ -68,22 +100,34 @@ def _bound_index(vecs, mask):
     """Index of the meet of the indices in `mask` when `vecs` is a
     poset's `cols`, of their join when it is its `rows`; None when it does
     not exist.  The empty mask asks for a top (a bottom)."""
-    bounds = (1 << len(vecs)) - 1
-    for j in _mask_iter(mask):
-        bounds &= vecs[j]
-    for g in _mask_iter(bounds):
+    bounds = _common(vecs, mask, (1 << len(vecs)) - 1)
+    rest = bounds
+    while rest:
+        low = rest & -rest
+        g = low.bit_length() - 1
         if not bounds & ~vecs[g]:
             return g
+        rest ^= low
     return None
 
 
 def _expressible(up, down, image_mask):
     """Mask of the elements that are the meet of the elements of
     `image_mask` above them, for `up`/`down` a poset's `rows`/`cols`; with
-    the two swapped, of those that are the join of the ones below them."""
+    the two swapped, of those that are the join of the ones below them.
+
+    q is that meet iff the common lower bounds of the images above q are
+    exactly the elements below q."""
+    full = (1 << len(up)) - 1
     out = 0
-    for q in range(len(up)):
-        if _bound_index(down, image_mask & up[q]) == q:
+    for q, row in enumerate(up):
+        m = image_mask & row
+        bounds = full
+        while m:
+            low = m & -m
+            bounds &= down[low.bit_length() - 1]
+            m ^= low
+        if bounds == down[q]:
             out |= 1 << q
     return out
 
@@ -228,17 +272,18 @@ class Poset:
         return self.join(())
 
     def is_complete_lattice(self):
-        """For a finite poset: nonempty, with a top, a bottom, and all
-        binary meets and joins."""
+        """For a finite poset: nonempty, with a top and all binary meets.
+        A meet of i and j exists iff their common lower bounds are the
+        principal down-set of some element."""
         n = len(self.elements)
-        if n == 0:
+        downs = set(self.cols)
+        if n == 0 or (1 << n) - 1 not in downs:
             return False
-        if self.meet_index(0) is None or self.join_index(0) is None:
-            return False
+        cols = self.cols
         for i in range(n):
+            ci = cols[i]
             for j in range(i + 1, n):
-                m = (1 << i) | (1 << j)
-                if self.meet_index(m) is None or self.join_index(m) is None:
+                if (ci & cols[j]) not in downs:
                     return False
         return True
 
@@ -259,42 +304,54 @@ class Poset:
 
     def restrict(self, keep):
         """Induced subposet on `keep`, in carrier order."""
-        keep_ids = [e for e in self.elements if e in set(keep)]
+        keep = set(keep)
+        kept = [i for i, e in enumerate(self.elements) if e in keep]
         rows = []
-        for a in keep_ids:
-            r = 0
-            for j, b in enumerate(keep_ids):
-                if self.leq(a, b):
+        for i in kept:
+            row, r = self.rows[i], 0
+            for j, k in enumerate(kept):
+                if row >> k & 1:
                     r |= 1 << j
             rows.append(r)
-        return Poset(keep_ids, rows)
+        return Poset([self.elements[i] for i in kept], rows)
 
     def relabel(self, fn):
         return Poset([fn(e) for e in self.elements], list(self.rows))
 
 
 class MonotoneMap:
-    """A total order-preserving map between posets."""
+    """A total order-preserving map between posets.
 
-    __slots__ = ("source", "target", "assignment")
+    `idx` is the map on indices, source index to target index, and
+    `pre_up[t]` the mask of the source indices x with t <= f(x).  The
+    order checks are row tests on these: f is monotone iff each up-set
+    `source.rows[i]` lies inside `pre_up[idx[i]]`."""
+
+    __slots__ = ("source", "target", "assignment", "idx", "pre_up")
 
     def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
         self.assignment = dict(assignment)
+        index = target.index
+        idx = []
         for p in source.elements:
             if p not in self.assignment:
                 raise NotMonotone("map is not total: missing %r" % (p,))
-            if self.assignment[p] not in target.index:
+            if self.assignment[p] not in index:
                 raise UnknownId(
                     "image %r is not in the target" % (self.assignment[p],)
                 )
-        for p in source.elements:
-            for q in source.up(p):
-                if not target.leq(self.assignment[p], self.assignment[q]):
-                    raise NotMonotone(
-                        "%r <= %r but images are not ordered" % (p, q), (p, q)
-                    )
+            idx.append(index[self.assignment[p]])
+        self.idx = tuple(idx)
+        self.pre_up = pre = _preimages(idx, target.cols)
+        for i, row in enumerate(source.rows):
+            bad = row & ~pre[idx[i]]
+            if bad:
+                p, q = source.elements[i], source.elements[_low_index(bad)]
+                raise NotMonotone(
+                    "%r <= %r but images are not ordered" % (p, q), (p, q)
+                )
 
     @classmethod
     def identity(cls, poset):
@@ -341,8 +398,8 @@ def compose(outer, inner):
 
 
 def _index_image(f):
-    """The map `f` as a list: source index to target index."""
-    return [f.target.index[f(p)] for p in f.source.elements]
+    """The map `f` on indices: source index to target index."""
+    return f.idx
 
 
 def _image_mask(e):
@@ -351,11 +408,13 @@ def _image_mask(e):
 
 
 def _reflection_failure(f):
-    """A pair (p, q) with f(p) <= f(q) but not p <= q, or None."""
-    for p in f.source.elements:
-        for q in f.source.elements:
-            if f.target.leq(f(p), f(q)) and not f.source.leq(p, q):
-                return p, q
+    """The first pair (p, q), in carrier order, with f(p) <= f(q) but not
+    p <= q, or None."""
+    pre, rows = f.pre_up, f.source.rows
+    for i, t in enumerate(f.idx):
+        bad = pre[t] & ~rows[i]
+        if bad:
+            return f.source.elements[i], f.source.elements[_low_index(bad)]
     return None
 
 
@@ -492,14 +551,7 @@ def _bounds_failure(f, src, tgt):
     meet.  Conversely a lost meet g of S, with z a lower bound of f(S)
     not below f(g), has S inside T, so g is the meet of T."""
     n = len(src)
-    up = [0] * n
-    for x in range(n):
-        for g in _mask_iter(src[x]):
-            up[g] |= 1 << x
-    pre = [0] * len(tgt)
-    for x in range(n):
-        for z in _mask_iter(tgt[f[x]]):
-            pre[z] |= 1 << x
+    up, pre = _transpose(src, n), _preimages(f, tgt)
     for g in range(n):
         below = tgt[f[g]]
         for z in range(len(tgt)):
@@ -513,32 +565,25 @@ def _bounds_failure(f, src, tgt):
 
 def is_cut_stable(f):
     """For every q1 !<= q2 in the target there are p1 !<= p2 in the source
-    with f^{-1}(up q1) inside up p1 and f^{-1}(down q2) inside down p2."""
+    with f^{-1}(up q1) inside up p1 and f^{-1}(down q2) inside down p2.
+
+    Such p1 are the lower bounds of f^{-1}(up q1) and such p2 the upper
+    bounds U[q2] of f^{-1}(down q2), so the pair (q1, q2) is served iff
+    some p2 in U[q2] lies outside A[q1], the up-sets shared by every such
+    p1: one mask test per pair."""
     src, tgt = f.source, f.target
-    for q1 in tgt.elements:
-        for q2 in tgt.elements:
-            if tgt.leq(q1, q2):
-                continue
-            pre_up = src.mask_of(
-                p for p in src.elements if tgt.leq(q1, f(p))
-            )
-            pre_down = src.mask_of(
-                p for p in src.elements if tgt.leq(f(p), q2)
-            )
-            ok = False
-            for i1, p1 in enumerate(src.elements):
-                if pre_up & ~src.rows[i1]:
-                    continue
-                for i2, p2 in enumerate(src.elements):
-                    if src.rows[i1] >> i2 & 1:
-                        continue
-                    if not pre_down & ~src.cols[i2]:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+    rows, cols = src.rows, src.cols
+    full = (1 << len(rows)) - 1
+    shared = [_common(rows, _common(cols, m, full), full) for m in f.pre_up]
+    upper = [_common(rows, m, full) for m in _preimages(f.idx, tgt.rows)]
+    everything = (1 << len(tgt)) - 1
+    for q1, row in enumerate(tgt.rows):
+        a, rest = shared[q1], everything & ~row
+        while rest:
+            low = rest & -rest
+            if not upper[low.bit_length() - 1] & ~a:
                 return False
+            rest ^= low
     return True
 
 
@@ -796,12 +841,19 @@ class UnionPreorder:
         return all(self.rows[i] >> i & 1 for i in range(len(self.carrier)))
 
     def transitivity_witness(self):
-        for i in range(len(self.carrier)):
-            for k in _mask_iter(self.rows[i]):
-                extra = self.rows[k] & ~self.rows[i]
+        """The first (a, b, c), in carrier order, with a R b and b R c but
+        not a R c, or None."""
+        rows = self.rows
+        for i, row in enumerate(rows):
+            rest = row
+            while rest:
+                low = rest & -rest
+                k = low.bit_length() - 1
+                extra = rows[k] & ~row
                 if extra:
-                    j = next(_mask_iter(extra))
-                    return (self.carrier[i], self.carrier[k], self.carrier[j])
+                    c = self.carrier
+                    return c[i], c[k], c[_low_index(extra)]
+                rest ^= low
         return None
 
     def is_transitive(self):

@@ -43,6 +43,7 @@ from .order import (
     _expressible,
     _index_image,
     _mask_iter,
+    _preimages,
     _reflection_failure,
     _transpose,
     _union_of,
@@ -165,6 +166,7 @@ class _Frame:
         self._real_meets = {}
         self._flipped = None
         self._meet_side = self._z_s = self._z_t = None
+        self._slice = self._saturation = None
 
     @classmethod
     def of(cls, pol):
@@ -199,6 +201,7 @@ class _Frame:
             f._real_meets = {}
             f._flipped = None
             f._meet_side = f._z_s = f._z_t = None
+            f._slice = f._saturation = None
             self._flipped = f
         return self._flipped
 
@@ -345,6 +348,24 @@ class _Frame:
                     common &= self.prows[k]
             out.append(sum(1 << i for i, a in enumerate(above) if not a & ~common))
         return out
+
+    def slice_rows(self):
+        """The bit-rows `rx` of the slice relation: x related to y when
+        some base element has its left image above x and its right image
+        below y.  Built once and certified up to grade 2, which it always
+        reaches; a failure raises `NotCoherent` naming the first failing
+        condition and its witness."""
+        if self._slice is None:
+            above = _transpose([self.xcols[xi] for xi in self.exi], len(self.xs))
+            rx = [_union_of([self.yrows[yi] for yi in self.eyi], a) for a in above]
+            rows = rx, _transpose(rx, len(self.ys))
+            if self.level(*rows, upto=2) != 2:
+                for name in CONDITION_NAMES[:6]:
+                    ok, witness = getattr(self, name.lower())(*rows)
+                    if not ok:
+                        raise NotCoherent("slice relation fails %s" % name, witness)
+            self._slice = rx
+        return self._slice
 
     def blocks(self, xx, yy, xy, yx):
         """The relation on the carrier whose left, right, left-to-right
@@ -531,8 +552,13 @@ def r_zero(pol):
 
 
 def r_hat_m(pol):
-    """The one-step saturation of `r_zero` through the base images."""
+    """The one-step saturation of `r_zero` through the base images.  The
+    frame keeps the last one it built, with the relation rows it was
+    built from, so asking again for one polarity neither rebuilds nor
+    re-certifies it."""
     fr, rows = _frame_rows(pol)
+    if fr._saturation is not None and fr._saturation[0] == rows:
+        return fr._saturation[1]
     out = fr.blocks(fr.z_x(*rows), fr.z_y(*rows), rows[0], fr.z_yx(*rows))
     if fr.level(*rows, upto=1) == 1:
         verdict = is_n_preorder(pol, out, 1)
@@ -542,6 +568,7 @@ def r_hat_m(pol):
                 "saturation of a 1-coherent polarity must be a 1-preorder",
                 (verdict.clause, verdict.witness),
             )
+    fr._saturation = rows, out
     return out
 
 
@@ -555,21 +582,12 @@ def r_hat_g(pol):
 
 
 def r_l(ex, ey):
-    """The slice relation: x related to y when some base element has its
-    left image above x and its right image below y.  Always makes the
-    sides 2-coherent, which is certified up to grade 2 and no further."""
+    """The slice relation of two extensions of one base, as pairs (see
+    `_Frame.slice_rows`)."""
     if ey.base != ex.base:
         raise CarrierMismatch("extensions must share a base poset")
     fr = _Frame(ex.base, ex, ey)
-    above = _transpose([fr.xcols[xi] for xi in fr.exi], len(fr.xs))
-    rx = [_union_of([fr.yrows[yi] for yi in fr.eyi], a) for a in above]
-    rows = rx, _transpose(rx, len(fr.ys))
-    if fr.level(*rows, upto=2) != 2:
-        for name in CONDITION_NAMES[:6]:
-            ok, witness = getattr(fr, name.lower())(*rows)
-            if not ok:
-                raise NotCoherent("slice relation fails %s" % name, witness)
-    return _pairs(fr.xs, fr.ys, rx)
+    return _pairs(fr.xs, fr.ys, fr.slice_rows())
 
 
 # -- graded preorders ------------------------------------------------------
@@ -875,15 +893,13 @@ def _certify_base_image(pol, inter):
     stray = set(gamma.image()) - both
     if stray:
         raise LawViolation("base-image", "base image must land in both sides", stray)
-    # Equality needs every related pair to have a slice witness; a pair
-    # like (top, top) related without one merges two non-image elements.
-    witnessed = all(
-        any(
-            pol.x.leq(a, pol.ex(p)) and pol.y.leq(pol.ey(p), b)
-            for p in pol.base.elements
-        )
-        for a, b in pol.rel
-    )
+    # Equality needs every related pair (a, b) to have a slice witness, a
+    # base p with a <= ex(p) and ey(p) <= b; a pair like (top, top)
+    # related without one merges two non-image elements.
+    above = pol.ex.map.pre_up
+    below = _preimages(pol.ey.map.idx, pol.y.rows)
+    xi, yi = pol.x.index, pol.y.index
+    witnessed = all(above[xi[a]] & below[yi[b]] for a, b in pol.rel)
     missed = both - set(gamma.image())
     if witnessed and missed:
         raise LawViolation(

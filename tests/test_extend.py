@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import polab
 import polab.extend
 import polab.oracles
-from polab.errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
+from polab.errors import CarrierMismatch, NotCoherent, NotEmbedding, NotZeroPreorder
 from polab.extend import (
     ExtensionContext,
     _down_sets,
@@ -37,7 +37,7 @@ from polab.oracles import (
     oracle_restrict_relation,
 )
 from polab.order import Extension, MonotoneMap, Poset, UnionPreorder, _reflection_failure, macneille
-from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_zero
+from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_l, r_zero
 from polab.randgen import random_context
 
 
@@ -164,6 +164,37 @@ class TestTransfer:
     @settings(deadline=None, max_examples=40)
     def test_slice_relations_travel_to_slice_relations(self, ctx):
         assert slice_extension_is_slice(ctx)
+
+
+class TestSliceCheck:
+    def test_reads_the_kept_frames(self, monkeypatch):
+        """Once a context has its two frames, the slice check builds no
+        other and agrees with the slice relations built pair by pair."""
+        built = []
+        init = polab.polarity._Frame.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        for ctx in small_contexts(60, 91, max_pairs=30):
+            ctx._inner_frame(), ctx._outer_frame()
+            monkeypatch.setattr(polab.polarity._Frame, "__init__", counting)
+            got = slice_extension_is_slice(ctx)
+            monkeypatch.undo()
+            assert not built
+            inner = ctx.inner.with_relation(r_l(ctx.inner.ex, ctx.inner.ey))
+            moved = oracle_extend_relation(ExtensionContext(inner, ctx.ix, ctx.iy))
+            assert got == (moved == r_l(ctx.outer_ex, ctx.outer_ey))
+
+    def test_certificate_names_the_condition(self, monkeypatch):
+        ctx = fixture_context("fix_g")
+        monkeypatch.setattr(
+            polab.polarity._Frame, "c4", lambda self, rx, ry: (False, ("w",))
+        )
+        with pytest.raises(NotCoherent, match="C4") as err:
+            slice_extension_is_slice(ctx)
+        assert err.value.witness == ("w",)
 
 
 class TestPhi:

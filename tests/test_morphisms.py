@@ -20,7 +20,7 @@ from polab.morphisms import (
     stable_roundtrip_holds,
     structure_of,
 )
-from polab.oracles import oracle_unreflected
+from polab.oracles import oracle_cross_order, oracle_unreflected
 from polab.order import MonotoneMap, Poset
 from polab.randgen import (
     collapse_morphism,
@@ -135,7 +135,48 @@ def unchecked(source, target, hx, hy):
     """A triple as a morphism object, none of its clauses checked."""
     m = PolarityMorphism.__new__(PolarityMorphism)
     m.source, m.target, m.hx, m.hy = source, target, hx, hy
+    m.src_struct, m.tgt_struct = structure_of(source), structure_of(target)
     return m
+
+
+class TestCrossOrder:
+    def test_matches_the_pair_loop(self):
+        """On random monotone side maps between seeded Galois polarities
+        the mask route names the same first (y, x) as the literal loop."""
+        rng = random.Random(63)
+        pols = [random_galois_polarity(rng, rng.randint(1, 4)) for _ in range(40)]
+        verdicts = {True: 0, False: 0}
+        while min(verdicts.values()) < 300:
+            s, t = rng.choice(pols), rng.choice(pols)
+            hx = random_monotone(rng, s.x, t.x)
+            hy = random_monotone(rng, s.y, t.y)
+            if hx is None or hy is None:
+                continue
+            m = unchecked(s, t, hx, hy)
+            got = m._cross_order_failure()
+            assert got == oracle_cross_order(m)
+            verdicts[got is None] += 1
+
+    def test_valid_morphisms_keep_the_cross_order(self):
+        for m in morphism_corpus(random.Random(64), count=40):
+            assert m._cross_order_failure() is None
+            assert oracle_cross_order(m) is None
+
+    def test_the_witness_is_raised(self):
+        """A triple that keeps both squares but breaks the cross order is
+        refused with the oracle's witness.  Seed 1747 is the first whose
+        draw does that."""
+        rng = random.Random(1747)
+        s = random_galois_polarity(rng, rng.randint(1, 3))
+        t = random_galois_polarity(rng, rng.randint(1, 3))
+        hx = random_monotone(rng, s.x, t.x)
+        hy = random_monotone(rng, s.y, t.y)
+        hp = random_monotone(rng, s.base, t.base)
+        with pytest.raises(MorphismInvalid) as err:
+            PolarityMorphism(s, t, hx, hp, hy)
+        assert err.value.clause == "cross-order"
+        assert err.value.witness == oracle_cross_order(unchecked(s, t, hx, hy))
+        assert err.value.witness == ("y3", "x0")
 
 
 class TestReflection:

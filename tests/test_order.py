@@ -23,6 +23,7 @@ from polab.order import (
     _complete_hom_failure,
     _index_image,
     _lift,
+    _reflection_failure,
     compose,
     extensions_isomorphic,
     is_completion,
@@ -38,9 +39,17 @@ from polab.order import (
     tag_x,
     tag_y,
 )
-from polab.concepts import f_map, g_map
-from polab.oracles import oracle_bounds_failure, oracle_complete_hom_failure
-from polab.randgen import random_embedding, random_poset
+from polab.concepts import concept_lattice, f_map, g_map
+from polab.fixtures import CATALOGUE, load
+from polab.oracles import (
+    oracle_bounds_failure,
+    oracle_complete_hom_failure,
+    oracle_is_complete_lattice,
+    oracle_is_cut_stable,
+    oracle_monotone_failure,
+    oracle_reflection_failure,
+)
+from polab.randgen import random_embedding, random_extension_polarity, random_poset
 
 from conftest import dual_extension, lossy_side, random_monotone, seeded_posets
 
@@ -417,3 +426,139 @@ class TestDescend:
             u.quotient().descend(str.upper, str.lower)
         assert err.value.law == "well-defined"
         assert err.value.witness == (tag_x("a"), tag_y("a"))
+
+
+def monotone_witness(source, target, assignment):
+    """The pair a failed `MonotoneMap` construction names, or None when
+    the assignment is accepted."""
+    try:
+        MonotoneMap(source, target, assignment)
+    except NotMonotone as err:
+        return err.witness
+    return None
+
+
+def random_maps(rng, count):
+    """`count` seeded random monotone maps between posets of 1-7
+    elements."""
+    out = []
+    while len(out) < count:
+        f = random_monotone(
+            rng,
+            random_poset(rng, rng.randint(1, 7)),
+            random_poset(rng, rng.randint(1, 7)),
+        )
+        if f is not None:
+            out.append(f)
+    return out
+
+
+class TestIndexMapKernels:
+    """The row-mask order checks against the literal loops over `leq`,
+    verdict and witness."""
+
+    def test_monotonicity_names_the_first_unordered_pair(self):
+        rng = random.Random(71)
+        verdicts = {True: 0, False: 0}
+        while min(verdicts.values()) < 300:
+            s = random_poset(rng, rng.randint(1, 7))
+            t = random_poset(rng, rng.randint(1, 7))
+            f = random_monotone(rng, s, t)
+            if f is None:
+                continue
+            assignment = dict(f.assignment)
+            if rng.random() < 0.6:
+                assignment[rng.choice(s.elements)] = rng.choice(t.elements)
+            got = monotone_witness(s, t, assignment)
+            assert got == oracle_monotone_failure(s, t, assignment)
+            verdicts[got is None] += 1
+
+    def test_image_index_and_upper_preimages(self):
+        for f in random_maps(random.Random(72), 200):
+            s, t = f.source, f.target
+            assert f.idx == tuple(t.index[f(p)] for p in s.elements)
+            assert _index_image(f) == f.idx
+            assert f.pre_up == [
+                s.mask_of(p for p in s.elements if t.leq(q, f(p)))
+                for q in t.elements
+            ]
+
+    def test_reflection_matches_the_pair_loop(self):
+        rng = random.Random(73)
+        verdicts = {True: 0, False: 0}
+        for f in random_maps(rng, 1500):
+            got = _reflection_failure(f)
+            assert got == oracle_reflection_failure(f)
+            assert is_order_embedding(f) == (got is None)
+            verdicts[got is None] += 1
+        assert min(verdicts.values()) >= 300
+
+    def test_cut_stability_matches_the_pair_loop(self):
+        rng = random.Random(74)
+        verdicts = {True: 0, False: 0}
+        for f in random_maps(rng, 1500):
+            got = is_cut_stable(f)
+            assert got == oracle_is_cut_stable(f)
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 300
+
+    def test_complete_lattice_matches_the_bound_scan(self):
+        rng = random.Random(75)
+        posets = [random_poset(rng, rng.randint(0, 7)) for _ in range(400)]
+        posets += [macneille(random_poset(rng, rng.randint(0, 6))).target for _ in range(100)]
+        posets += [
+            concept_lattice(random_extension_polarity(rng, rng.randint(1, 4))).poset
+            for _ in range(100)
+        ]
+        for fx in CATALOGUE:
+            for pol in load(fx.name).polarities.values():
+                posets += [pol.x, pol.y, macneille(pol.base).target]
+                posets.append(concept_lattice(pol).poset)
+        verdicts = {True: 0, False: 0}
+        for p in posets:
+            got = p.is_complete_lattice()
+            assert got == oracle_is_complete_lattice(p)
+            verdicts[got] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_cut_and_concept_lattices_are_complete(self):
+        rng = random.Random(76)
+        for _ in range(100):
+            p = random_poset(rng, rng.randint(0, 6))
+            assert macneille(p).target.is_complete_lattice()
+            pol = random_extension_polarity(rng, rng.randint(1, 4))
+            assert concept_lattice(pol).poset.is_complete_lattice()
+
+    def test_restrict_is_the_induced_order(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            p = random_poset(rng, rng.randint(0, 7))
+            keep = [e for e in p.elements if rng.random() < 0.6] + ["absent"]
+            sub = p.restrict(reversed(keep))
+            assert sub.elements == tuple(e for e in p.elements if e in keep)
+            assert all(
+                sub.leq(a, b) == p.leq(a, b) for a in sub.elements for b in sub.elements
+            )
+
+    def test_transitivity_witness_is_the_first_in_carrier_order(self):
+        rng = random.Random(78)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            carrier = tuple(tag_x(k) for k in range(n))
+            pairs = [
+                (a, b) for a in carrier for b in carrier if rng.random() < 0.3
+            ]
+            u = UnionPreorder.from_pairs(carrier, pairs)
+            first = next(
+                (
+                    (a, b, c)
+                    for a in carrier
+                    for b in carrier
+                    if u.rel(a, b)
+                    for c in carrier
+                    if u.rel(b, c) and not u.rel(a, c)
+                ),
+                None,
+            )
+            assert u.transitivity_witness() == first
+            assert u.closed().transitivity_witness() is None

@@ -273,6 +273,64 @@ class TestSliceRelation:
         assert err.value.witness == ("w",)
 
 
+class TestSaturationMemo:
+    def test_built_and_certified_once_per_polarity(self, monkeypatch):
+        """Asking twice for the saturation of one polarity returns the
+        kept relation without a second certificate; a polarity sharing
+        the frame with another relation gets its own."""
+        certified = []
+        real = polarity.is_n_preorder
+
+        def counting(pol, rel, n):
+            certified.append(n)
+            return real(pol, rel, n)
+
+        monkeypatch.setattr(polarity, "is_n_preorder", counting)
+        rng = random.Random(33)
+        for k in range(60):
+            pol = random_extension_polarity(rng, 1 + k % 4)
+            del certified[:]
+            first = polarity.r_hat_m(pol)
+            assert polarity.r_hat_m(pol) is first
+            assert len(certified) <= 1
+            other = pol.with_relation(
+                {(a, b) for a in pol.x.elements for b in pol.y.elements if rng.random() < 0.5}
+            )
+            fresh = ExtensionPolarity(other.base, other.ex, other.ey, other.rel)
+            assert polarity.r_hat_m(other) == polarity.r_hat_m(fresh)
+            assert polarity.r_hat_m(pol) == first
+
+    def test_certificate_raises_under_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from polab import polarity
+            from polab.errors import LawViolation
+            from polab.fixtures import load
+
+            assert sys.flags.optimize
+            polarity.is_n_preorder = lambda pol, rel, n: polarity.NPreorderVerdict(
+                False, "P1", ("w",)
+            )
+            try:
+                polarity.r_hat_m(load("fix_e").polarities["G"])
+            except LawViolation as err:
+                print(err.law, err.witness)
+                sys.exit(3)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout == "grade-1 ('P1', ('w',))\n"
+
+
 class TestEnumeration:
     def test_two_element_unconstrained_count(self):
         # a one-point side against a one-point side with an empty

@@ -18,3 +18,52 @@ def test_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert not found, "bare assert in " + ", ".join(found)
+
+
+
+def _imported_modules(path, root=PACKAGE.parent):
+    """The absolute names of the modules a file under `root` imports,
+    relative imports resolved, `from m import n` giving both m and m.n."""
+    parts = path.relative_to(root).with_suffix("").parts
+    package = parts[:-1]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = list(package[: len(package) - node.level + 1]) if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names.add(module)
+            names.update(module + "." + alias.name for alias in node.names)
+    return names
+
+
+def test_oracles_stay_apart():
+    """Only `polab.oracles` itself may import the reference routes: the
+    fast routes are checked against them, never built from them."""
+    own = PACKAGE / "oracles.py"
+    found = [
+        str(path.relative_to(PACKAGE.parent))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != own and "polab.oracles" in _imported_modules(path)
+    ]
+    assert not found, "polab.oracles imported by " + ", ".join(found)
+
+
+def test_the_import_scan_resolves_every_form(tmp_path):
+    (tmp_path / "polab" / "fixtures").mkdir(parents=True)
+    probe = tmp_path / "polab" / "probe.py"
+    for text in (
+        "import polab.oracles",
+        "from polab import oracles",
+        "from polab.oracles import naive_c7",
+        "from . import oracles",
+        "from .oracles import naive_c7",
+    ):
+        probe.write_text(text + "\n")
+        assert "polab.oracles" in _imported_modules(probe, tmp_path), text
+    nested = tmp_path / "polab" / "fixtures" / "__init__.py"
+    nested.write_text("from ..oracles import naive_c7\n")
+    assert "polab.oracles" in _imported_modules(nested, tmp_path)
+    probe.write_text("from .order import Poset\nimport random\n")
+    assert "polab.oracles" not in _imported_modules(probe, tmp_path)
