@@ -13,7 +13,7 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _bounds_failure,
-    _index_image,
+    _common,
     _intersection_lattice,
     _lift,
     check_galois_connection,
@@ -22,6 +22,7 @@ from .order import (
     tag_x,
     tag_y,
 )
+from .polarity import _frame_rows
 
 
 def polar_right(pol, xs):
@@ -74,13 +75,15 @@ class ConceptLattice:
 
 
 def concept_lattice(pol):
-    X = pol.x
-    attr = {
-        b: X.mask_of(upsilon(pol, b)) for b in pol.y.elements
-    }
-    lattice = _intersection_lattice((1 << len(X)) - 1, list(attr.values()))
-    xi_mask = {a: X.mask_of(xi(pol, a)) for a in X.elements}
-    return ConceptLattice(pol, lattice, xi_mask, attr)
+    """The concept lattice, read off the polarity's kept relation rows:
+    the extent of the j-th right element is `ry[j]`, and that generated
+    by the i-th left element the intersection of the extents of the
+    right elements related to it."""
+    _, (rx, ry) = _frame_rows(pol)
+    full = (1 << len(pol.x)) - 1
+    lattice = _intersection_lattice(full, ry)
+    xi_mask = {a: _common(ry, rx[i], full) for i, a in enumerate(pol.x.elements)}
+    return ConceptLattice(pol, lattice, xi_mask, dict(zip(pol.y.elements, ry)))
 
 
 def prop_order_preorder(pol):
@@ -113,19 +116,14 @@ def prop_order_preorder(pol):
                 if (x, y1) in pol.rel
             ):
                 pairs.append((tag_y(y), tag_x(x)))
-    carrier = tuple(tag_x(a) for a in X.elements) + tuple(
-        tag_y(b) for b in Y.elements
-    )
-    return UnionPreorder.from_pairs(carrier, pairs)
+    return UnionPreorder.from_pairs(pol.carrier(), pairs)
 
 
 def inclusion_preorder(pol):
     """The same preorder read off from extent inclusion in the concept
     lattice; the independent route for the dual-route comparison."""
     lat = concept_lattice(pol)
-    carrier = tuple(tag_x(a) for a in pol.x.elements) + tuple(
-        tag_y(b) for b in pol.y.elements
-    )
+    carrier = pol.carrier()
 
     def mask(e):
         side, raw = e
@@ -230,11 +228,11 @@ def z_doubleprime(pol, ix, iy):
     meets respectively joins of their sides."""
     if ix.base != pol.x or iy.base != pol.y:
         raise PreservationViolation("completions must extend the polarity sides")
-    if _bounds_failure(_index_image(ix.map), pol.x.cols, ix.target.cols) is not None:
+    if _bounds_failure(ix.map.idx, pol.x.cols, ix.target.cols) is not None:
         raise PreservationViolation(
             "left completion must preserve all existing meets"
         )
-    if _bounds_failure(_index_image(iy.map), pol.y.rows, iy.target.rows) is not None:
+    if _bounds_failure(iy.map.idx, pol.y.rows, iy.target.rows) is not None:
         raise PreservationViolation(
             "right completion must preserve all existing joins"
         )

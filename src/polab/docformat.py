@@ -257,6 +257,12 @@ def _parse_polarity(doc, name, stmts):
     for ln, mname in (ex, ey):
         if mname not in doc.maps:
             raise ParseError("unknown map %r" % mname, ln)
+    x, y = doc.maps[ex[1]].target, doc.maps[ey[1]].target
+    for ln, a, b in rel:
+        if a not in x.index:
+            raise UnknownId("line %d: relation uses unknown left element %r" % (ln, a))
+        if b not in y.index:
+            raise UnknownId("line %d: relation uses unknown right element %r" % (ln, b))
     try:
         x_ext = Extension(doc.maps[ex[1]])
         y_ext = Extension(doc.maps[ey[1]])
@@ -266,11 +272,6 @@ def _parse_polarity(doc, name, stmts):
         pol = ExtensionPolarity(doc.posets[base[1]], x_ext, y_ext, pairs)
     except PolabError as err:
         _reraise(err, base[0])
-    for ln, a, b in rel:
-        if a not in pol.x.index:
-            raise ParseError("relation element %r not on the left side" % a, ln)
-        if b not in pol.y.index:
-            raise ParseError("relation element %r not on the right side" % b, ln)
     doc.polarities[name] = pol
 
 

@@ -16,7 +16,10 @@ decided on generators (single pairs and their principal down-sets),
 with no size gate.  Each context also keeps one condition frame per
 side, on which every relation of that side is graded.  Clause 5 is one
 closure comparison; clause 6, which quantifies over the 0-coherent outer
-relations containing the image pairs, walks them as down-sets.
+relations containing the image pairs, walks them with the package's one
+relation walker (`order._closed_relations`): R is 0-coherent exactly when
+≤X ∪ R ∪ ≤Y is transitive, so they are the closed relations on X ∪ Y
+that keep both side orders and relate nothing from right to left.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _bound_index,
+    _closed_relations,
     _expressible,
     _image_mask,
-    _index_image,
     _mask_iter,
     _reflection_failure,
     _transpose,
@@ -40,6 +43,7 @@ from .order import (
     is_order_embedding,
     tag_x,
     tag_y,
+    transitive_close,
 )
 from .polarity import (
     ExtensionPolarity,
@@ -135,7 +139,7 @@ class _Transfer:
         X, Y = ctx.inner.x, ctx.inner.y
         Xo, Yo = ctx.ix.target, ctx.iy.target
         self.inner, self.outer = (X, Y), (Xo, Yo)
-        self.below, _ = _pair_orders(Xo, Yo)
+        self.below = _pair_orders(Xo, Yo)
         xi = [Xo.index[ctx.ix(x)] for x in X.elements]
         yi = [Yo.index[ctx.iy(y)] for y in Y.elements]
         self.image = [a * len(Yo) + b for a in xi for b in yi]
@@ -173,7 +177,7 @@ def _preserves_image_bounds(i, e, up, down, outer):
     subsets matter: a subset's meet is also the meet of all images above
     it."""
     image = _image_mask(e)
-    f = _index_image(i.map)
+    f = i.map.idx
     for x in _mask_iter(_expressible(up, down, image)):
         images = 0
         for m in _mask_iter(image & up[x]):
@@ -192,21 +196,18 @@ class ClauseReport:
 
 def _pair_orders(X, Y):
     """The product order of X × Yᵒᵖ on the pairs, the pair (x_i, y_j)
-    at bit i·|Y| + j: for each pair, the mask of the pairs below it and
-    the mask of the pairs above it.  Its down-sets are exactly the
-    relations satisfying C1 and C2, the 0-coherent ones."""
+    at bit i·|Y| + j: for each pair, the mask of the pairs below it.
+    The down-sets of this order are exactly the relations satisfying C1
+    and C2, the 0-coherent ones."""
     ny = len(Y)
-    below, above = [], []
+    below = []
     for i in range(len(X)):
         for j in range(ny):
-            down = up = 0
+            down = 0
             for k in _mask_iter(X.cols[i]):
                 down |= Y.rows[j] << k * ny
-            for k in _mask_iter(X.rows[i]):
-                up |= Y.cols[j] << k * ny
             below.append(down)
-            above.append(up)
-    return below, above
+    return below
 
 
 def _pair_mask(X, Y, pairs):
@@ -241,33 +242,26 @@ def _rows_mask(rx, ny):
     return mask
 
 
-def _down_sets(X, Y, floor):
-    """The 0-coherent relations between X and Y containing the pairs
-    `floor`, as the down-sets of X × Yᵒᵖ above its down-closure.
+def _coherent_relations(frame, floor):
+    """The 0-coherent relations between the frame's sides containing the
+    pairs of the left bit-rows `floor`, each as left bit-rows.
 
-    Each comes as left bit-rows (bit j of row i for the pair (x_i, y_j)),
-    in ascending order of the relation read as the binary number with
-    that pair at bit i·|Y| + j.  The walk branches on the highest
-    undecided pair, first leaving it out together with every pair above
-    it, then taking it in together with every pair below it.  Neither
-    choice can clash with earlier ones, so every branch ends in a result
-    and consecutive results are O(|X||Y|) mask steps apart (ideal
-    enumeration; Habib, Medina, Nourine and Steiner, "Efficient
-    algorithms on distributive lattices", DAM 2001).
+    R satisfies C1 and C2 exactly when ≤X ∪ R ∪ ≤Y is transitive on the
+    carrier, so these are the closed relations (`_closed_relations`)
+    that keep both side orders as they are and relate nothing from right
+    to left.
     """
-    nx, ny = len(X), len(Y)
-    below, above = _pair_orders(X, Y)
-    full, row = (1 << nx * ny) - 1, (1 << ny) - 1
-    stack = [(_union_of(below, _pair_mask(X, Y, floor)), 0)]
-    while stack:
-        taken, left_out = stack.pop()
-        free = full & ~(taken | left_out)
-        while free:
-            p = free.bit_length() - 1
-            stack.append((taken | below[p], left_out))
-            left_out |= above[p]
-            free &= ~above[p]
-        yield [taken >> i * ny & row for i in range(nx)]
+    nx, ny = len(frame.xs), len(frame.ys)
+    full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
+    forced = frame.blocks(frame.xrows, frame.yrows, floor, [0] * ny).rows
+    forbidden = frame.blocks(
+        [full_x & ~r for r in frame.xrows],
+        [full_y & ~r for r in frame.yrows],
+        [0] * nx,
+        [full_x] * ny,
+    ).rows
+    for rows in _closed_relations(transitive_close(list(forced)), forbidden):
+        yield [r >> nx for r in rows[:nx]]
 
 
 def check_extension_preservation(ctx):
@@ -328,7 +322,7 @@ def check_extension_preservation(ctx):
         if len(X) * len(Y) - image.bit_count() > ENUMERATION_LIMIT:
             notes6.append("grade %d argued via monotonicity" % n)
             continue
-        for rx in _down_sets(X, Y, _mask_pairs(X, Y, image)):
+        for rx in _coherent_relations(fout, _mask_rows(image, len(X), len(Y))[0]):
             if fout.level(rx, _transpose(rx, len(Y)), n) == n:
                 holds6 = False
                 notes6.append("grade %d reachable" % n)
@@ -459,7 +453,7 @@ def relation_lattice_adjunction(ctx):
     """
     t = ctx._transfer()
     X, Y = t.inner
-    inner_below, _ = _pair_orders(X, Y)
+    inner_below = _pair_orders(X, Y)
     witness = None
     unit_holds = included = True
     for p, down in enumerate(inner_below):

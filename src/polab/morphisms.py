@@ -18,7 +18,6 @@ from .errors import (
 )
 from .order import (
     MonotoneMap,
-    _index_image,
     _low_index,
     _mask_iter,
     _preimages,
@@ -117,7 +116,7 @@ class PolarityMorphism:
         """
         s, t = self.source, self.target
         sx, sy, tx, ty = s.x, s.y, t.x, t.y
-        hx, hy = _index_image(self.hx), _index_image(self.hy)
+        hx, hy = self.hx.idx, self.hy.idx
         s_row, s_col = _frame_rows(s)[1]
         t_row, t_col = _frame_rows(t)[1]
         xs = _admissible(tx.rows, hx, sx.cols, t_row, hy, s_col)

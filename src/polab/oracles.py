@@ -12,7 +12,12 @@ import itertools
 import random
 
 from .errors import CarrierMismatch, CarrierTooLarge
-from .extend import AdjunctionReport, ExtensionContext, _down_sets
+from .extend import (
+    AdjunctionReport,
+    ExtensionContext,
+    _coherent_relations,
+    _rows_mask,
+)
 from .order import (
     UnionPreorder,
     _bound_index,
@@ -528,7 +533,8 @@ def oracle_relation_lattice_adjunction(ctx):
     on every pair of them when that fits `PAIR_BUDGET` and on
     `LAW_SAMPLES` seeded samples otherwise.  Each `*_checked` counts
     relations (or pairs of them); the witness is the first failing
-    relation (or pair).  Gated at 12 inner and 16 outer pairs.
+    relation (or pair), the outer relations taken in ascending order of
+    their pair masks.  Gated at 12 inner and 16 outer pairs.
     """
     inner = ctx.inner
     nx, ny = len(inner.x), len(inner.y)
@@ -541,13 +547,14 @@ def oracle_relation_lattice_adjunction(ctx):
         for m in range(1 << len(inner_pairs))
     ]
     xo, yo = ctx.ix.target, ctx.iy.target
+    walked = _coherent_relations(ctx._outer_frame(), [0] * nxo)
     coherent_outer = [
         frozenset(
             (xo.elements[i], yo.elements[j])
             for i, row in enumerate(rows)
             for j in _mask_iter(row)
         )
-        for rows in _down_sets(xo, yo, ())
+        for rows in sorted(walked, key=lambda rows: _rows_mask(rows, nyo))
     ]
 
     frame = _Frame.of(inner)

@@ -43,6 +43,39 @@ def transitive_close(rows):
     return rows
 
 
+def _closed_relations(forced, forbidden):
+    """The transitive relations on n elements that contain the bit-rows
+    `forced`, which must already be transitive, and avoid the bit-rows
+    `forbidden`, each as a tuple of n rows.
+
+    The walk visits the pairs in row-major order.  For each open pair
+    (i, j), one neither held nor barred, it first leaves the pair out,
+    barring it for the rest of the branch, and then takes it in with its
+    closure ↓i × ↑j: row i and every row holding i gain j and row j.
+    A take that meets a barred pair dies at once; every other branch
+    ends in a result, so results are a polynomial number of row steps
+    apart.  The stack holds the takes still to be tried.
+    """
+    n = len(forced)
+    stack = [(tuple(forced), tuple(forbidden), -1)]
+    while stack:
+        rows, barred, p = stack.pop()
+        if p >= 0:
+            i, j = divmod(p, n)
+            up = rows[j] | 1 << j
+            rows = tuple(
+                r | up if a == i or r >> i & 1 else r for a, r in enumerate(rows)
+            )
+        if any(r & b for r, b in zip(rows, barred)):
+            continue
+        for p in range(p + 1, n * n):
+            i, j = divmod(p, n)
+            if not (rows[i] | barred[i]) >> j & 1:
+                stack.append((rows, barred, p))
+                barred = barred[:i] + (barred[i] | 1 << j,) + barred[i + 1 :]
+        yield rows
+
+
 def _transpose(rows, n):
     """Bit-rows of the transposed relation, with `n` rows."""
     out = [0] * n
@@ -397,11 +430,6 @@ def compose(outer, inner):
     )
 
 
-def _index_image(f):
-    """The map `f` on indices: source index to target index."""
-    return f.idx
-
-
 def _image_mask(e):
     """The image of an extension, as a mask over its target."""
     return e.target.mask_of(e.map.image())
@@ -540,7 +568,7 @@ def macneille(poset):
 
 def _bounds_failure(f, src, tgt):
     """A subset (as a mask) of the source of the index map `f` (a list,
-    as `_index_image` gives) that has a meet not sent to the meet of its
+    as `MonotoneMap.idx` gives) that has a meet not sent to the meet of its
     images, or None, for `src`/`tgt` the `cols` of source and target;
     given their `rows`, the same for joins.
 
@@ -595,7 +623,7 @@ def _lift(src, tgt, below, bound):
     meet of those above s for their `rows`/`cols`.  Returns the lift and
     the first p with lift(src(p)) != tgt(p), or None."""
     S, T = src.target, tgt.target
-    pairs = list(zip(_index_image(src), _index_image(tgt)))
+    pairs = list(zip(src.idx, tgt.idx))
     lifted = []
     for r in below:
         images = 0
@@ -617,7 +645,7 @@ def _complete_hom_failure(g):
     for the first pair, in carrier order, whose meet or join is lost.
     None when it is one: a finite lattice has no other meets or joins."""
     s, t = g.source, g.target
-    f = _index_image(g)
+    f = g.idx
     meets, joins = (s.cols, t.cols), (s.rows, t.rows)
     for kind, (src, tgt) in (("top", meets), ("bottom", joins)):
         i = _bound_index(src, 0)
@@ -817,13 +845,6 @@ class UnionPreorder:
 
     def rel(self, a, b):
         return self.rows[self.index[a]] >> self.index[b] & 1 == 1
-
-    def pairs(self):
-        return frozenset(
-            (self.carrier[i], self.carrier[j])
-            for i in range(len(self.carrier))
-            for j in _mask_iter(self.rows[i])
-        )
 
     def subset_of(self, other):
         if self.carrier != other.carrier:

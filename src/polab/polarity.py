@@ -24,6 +24,7 @@ import functools
 import operator
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     CarrierMismatch,
@@ -40,8 +41,8 @@ from .order import (
     UnionPreorder,
     X_SIDE,
     _bounds_failure,
+    _closed_relations,
     _expressible,
-    _index_image,
     _mask_iter,
     _preimages,
     _reflection_failure,
@@ -673,19 +674,16 @@ class EnumerationResult:
         return len(self.preorders)
 
 
-class _CapReached(Exception):
-    pass
-
-
 def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     """All n-preorders for the polarity, exhaustively.
 
-    Backtracks over the undetermined pairs with incremental transitive
-    closure; pairs forced by every n-preorder are preloaded and pairs no
-    n-preorder may contain are barred, so every leaf is a valid result.
-    The carrier size is gated (override with `max_carrier` or the
-    POLAB_MAX_CARRIER environment variable); `cap` bounds the number of
-    results, with a truncation flag when the search was cut short.
+    The n-preorders are the transitive relations that hold the pairs
+    every n-preorder holds and none of the pairs no n-preorder may hold,
+    so `order._closed_relations` walks them on those two blocks, each
+    result a polynomial number of row steps after the last.  The carrier
+    size is gated (override with `max_carrier` or the POLAB_MAX_CARRIER
+    environment variable); `cap` bounds the number of results, with a
+    truncation flag when the search was cut short.
     """
     fr, (rx, ry) = _frame_rows(pol)
     carrier = fr.carrier
@@ -694,7 +692,6 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
         raise CarrierTooLarge(
             "carrier has %d elements, gate is %d" % (len(carrier), gate)
         )
-    nlen = len(carrier)
     nx, ny = len(fr.xs), len(fr.ys)
     full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
     xy, yx = list(rx), [0] * ny
@@ -708,55 +705,14 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     unordered_x = [full_x & ~r if n >= 2 else 0 for r in fr.xrows]
     unordered_y = [full_y & ~r if n >= 2 else 0 for r in fr.yrows]
     unrelated = [full_y & ~r for r in rx]
-    forbidden = list(fr.blocks(unordered_x, unordered_y, unrelated, [0] * ny).rows)
+    forbidden = fr.blocks(unordered_x, unordered_y, unrelated, [0] * ny).rows
 
-    transitive_close(forced)
-    if any(forced[i] & forbidden[i] for i in range(nlen)):
-        return EnumerationResult((), False)
-
-    free = [
-        (i, j)
-        for i in range(nlen)
-        for j in range(nlen)
-        if i != j
-        and not forced[i] >> j & 1
-        and not forbidden[i] >> j & 1
-    ]
-    results = []
-    truncated = False
-
-    def closure_with(rows, i, j):
-        new = list(rows)
-        new[i] |= 1 << j
-        return transitive_close(new)
-
-    def dfs(rows, k, excluded):
-        nonlocal truncated
-        while k < len(free) and rows[free[k][0]] >> free[k][1] & 1:
-            k += 1
-        if k == len(free):
-            if cap is not None and len(results) >= cap:
-                truncated = True
-                raise _CapReached
-            results.append(UnionPreorder(carrier, list(rows)))
-            return
-        i, j = free[k]
-        excluded.append((i, j))
-        dfs(rows, k + 1, excluded)
-        excluded.pop()
-        new = closure_with(rows, i, j)
-        if any(new[a] & forbidden[a] for a in range(nlen)):
-            return
-        for a, b in excluded:
-            if new[a] >> b & 1:
-                return
-        dfs(new, k + 1, excluded)
-
-    try:
-        dfs(forced, 0, [])
-    except _CapReached:
-        pass
-    return EnumerationResult(tuple(results), truncated)
+    walk = _closed_relations(transitive_close(forced), forbidden)
+    found = list(islice(walk, None if cap is None else cap + 1))
+    truncated = cap is not None and len(found) > cap
+    return EnumerationResult(
+        tuple(UnionPreorder(carrier, rows) for rows in found[:cap]), truncated
+    )
 
 
 CANONICAL_BUILDERS = (r_zero, r_hat_m, r_hat_m, r_hat_g)
@@ -863,7 +819,7 @@ def structure_of(pol):
         ("meet-preservation", pol.x, inter.iota_x, pol.x.cols, q.cols),
         ("join-preservation", pol.y, inter.iota_y, pol.y.rows, q.rows),
     ):
-        lost = _bounds_failure(_index_image(iota), src, tgt)
+        lost = _bounds_failure(iota.idx, src, tgt)
         if lost is not None:
             raise LawViolation(
                 law, "a side embedding loses a bound", side.elements_of(lost)

@@ -71,6 +71,19 @@ class TestConceptLattice:
         for a in pol.x.elements:
             assert set(lat.extent(lat.xi_mask[a])) == xi(pol, a)
 
+    def test_masks_match_the_polar_maps(self):
+        """The extents read off the kept relation rows are the extents of
+        the pair-by-pair polar maps `xi` and `upsilon`."""
+        rng = random.Random(41)
+        for k in range(300):
+            build = random_galois_polarity if k % 3 == 0 else random_extension_polarity
+            pol = build(rng, rng.randint(1, 3))
+            lat = concept_lattice(pol)
+            for a in pol.x.elements:
+                assert lat.xi_mask[a] == pol.x.mask_of(xi(pol, a))
+            for b in pol.y.elements:
+                assert lat.upsilon_mask[b] == pol.x.mask_of(upsilon(pol, b))
+
     @given(seeded_polarities())
     @settings(deadline=None, max_examples=40)
     def test_meets_are_intersections(self, pol):

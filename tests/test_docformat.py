@@ -51,14 +51,17 @@ class TestParsing:
             parse(text)
 
     def test_relation_elements_must_sit_on_the_sides(self):
-        text = (
-            "poset P {\n  elems a\n}\n"
-            "map id {\n  from P\n  to P\n  send a->a\n}\n"
-            "polarity G {\n  base P\n  ex id\n  ey id\n  rel a~zz\n}\n"
-        )
-        with pytest.raises(UnknownId) as e:
-            parse(text)
-        assert str(e.value).startswith("line ")
+        """The error names the `rel` line, not the `base` line."""
+        for token, side in (("a~zz", "right"), ("zz~a", "left")):
+            text = (
+                "poset P {\n  elems a\n}\n"
+                "map id {\n  from P\n  to P\n  send a->a\n}\n"
+                "polarity G {\n  base P\n  ex id\n  ey id\n  rel %s\n}\n" % token
+            )
+            with pytest.raises(UnknownId) as e:
+                parse(text)
+            want = "line 13: relation uses unknown %s element 'zz'" % side
+            assert str(e.value) == want
 
     def test_slice_statement(self):
         text = (

@@ -15,7 +15,7 @@ import polab.oracles
 from polab.errors import CarrierMismatch, NotCoherent, NotEmbedding, NotZeroPreorder
 from polab.extend import (
     ExtensionContext,
-    _down_sets,
+    _coherent_relations,
     _mask_pairs,
     _mask_rows,
     _pair_mask,
@@ -443,16 +443,20 @@ class TestTransferKernel:
 
 
 class TestDownSets:
-    """The down-set walk against the literal 2^k sweep of `polab.oracles`."""
+    """The walk of the 0-coherent relations, the down-sets of X × Yᵒᵖ,
+    against the literal 2^k sweep of `polab.oracles`."""
 
     def test_walk_matches_the_oracle_sweep(self):
         for ctx in small_contexts(25, seed=3):
             X, Y = ctx.ix.target, ctx.iy.target
             frame = ctx._outer_frame()
             for floor in (frozenset(), image_pairs(ctx)):
-                walked = [as_pairs(X, Y, rows) for rows in _down_sets(X, Y, floor)]
-                assert walked == oracle_coherent_relations(X, Y, floor, limit=12)
-                for rows, rel in zip(_down_sets(X, Y, floor), walked):
+                rows_walked = list(_coherent_relations(frame, as_rows(X, Y, floor)))
+                walked = [as_pairs(X, Y, rows) for rows in rows_walked]
+                assert sorted(walked, key=sorted) == sorted(
+                    oracle_coherent_relations(X, Y, floor, limit=12), key=sorted
+                )
+                for rows, rel in zip(rows_walked, walked):
                     want = naive_coherence_level(ctx.outer(rel))
                     assert want is not None
                     for n in range(4):
@@ -504,11 +508,18 @@ class TestDownSets:
         ]
         walked = [oracle_relation_lattice_adjunction(ctx) for ctx in contexts]
 
-        def swept(X, Y, floor):
+        sides = {
+            id(ctx._outer_frame()): (ctx.ix.target, ctx.iy.target)
+            for ctx in contexts
+        }
+
+        def swept(frame, floor):
+            X, Y = sides[id(frame)]
+            floor = as_pairs(X, Y, floor)
             for rel in oracle_coherent_relations(X, Y, floor, limit=12):
                 yield as_rows(X, Y, rel)
 
-        monkeypatch.setattr(polab.oracles, "_down_sets", swept)
+        monkeypatch.setattr(polab.oracles, "_coherent_relations", swept)
         assert walked == [oracle_relation_lattice_adjunction(ctx) for ctx in contexts]
         fast = [relation_lattice_adjunction(ctx) for ctx in contexts]
         assert [verdicts(rep) for rep in fast] == [verdicts(rep) for rep in walked]

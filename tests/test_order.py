@@ -20,8 +20,8 @@ from polab.order import (
     UnionPreorder,
     _bound_index,
     _bounds_failure,
+    _closed_relations,
     _complete_hom_failure,
-    _index_image,
     _lift,
     _reflection_failure,
     compose,
@@ -38,12 +38,14 @@ from polab.order import (
     order_isomorphisms,
     tag_x,
     tag_y,
+    transitive_close,
 )
 from polab.concepts import concept_lattice, f_map, g_map
 from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
     oracle_bounds_failure,
     oracle_complete_hom_failure,
+    oracle_enumerate_preorders,
     oracle_is_complete_lattice,
     oracle_is_cut_stable,
     oracle_monotone_failure,
@@ -255,6 +257,32 @@ class TestUnionPreorder:
         assert q.poset.leq(q.projection[tag_x("a")], q.projection[tag_x("b")])
 
 
+class TestClosedRelations:
+    def test_walk_matches_the_subset_sweep(self):
+        """On raw forced and forbidden pairs over carriers of 0-5
+        elements, conflicting ones included, the walk finds each preorder
+        of the literal sweep exactly once."""
+        rng = random.Random(61)
+        kinds = {"clash": 0, "one": 0, "many": 0}
+        while min(kinds.values()) < 60:
+            n = rng.randint(0, 5)
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+            forced = [p for p in pairs if rng.random() < 0.25]
+            forbidden = [p for p in pairs if rng.random() < 0.35]
+            fixed = {(a, b) for a, b in forced + forbidden if a != b}
+            if n * (n - 1) - len(fixed) > 16:
+                continue
+            rows, barred = [0] * n, [0] * n
+            for a, b in forced:
+                rows[a] |= 1 << b
+            for a, b in forbidden:
+                barred[a] |= 1 << b
+            walked = list(_closed_relations(transitive_close(rows), barred))
+            want = oracle_enumerate_preorders(range(n), forced, forbidden)
+            assert sorted(walked) == sorted(u.rows for u in want)
+            kinds["clash" if not want else "one" if len(want) == 1 else "many"] += 1
+
+
 class TestLift:
     def completions(self, rng, count):
         """Meet- and join-completions of seeded posets: the cut completion
@@ -382,7 +410,7 @@ class TestBoundsCertificate:
                 f = random_embedding(rng, p, junk=rng.randint(0, 2)).map
             if f is None:
                 continue
-            idx = _index_image(f)
+            idx = f.idx
             for src, tgt in ((p.cols, f.target.cols), (p.rows, f.target.rows)):
                 got = _bounds_failure(idx, src, tgt)
                 want = oracle_bounds_failure(idx, src, tgt)
@@ -395,14 +423,14 @@ class TestBoundsCertificate:
         rng = random.Random(52)
         for _ in range(100):
             p = random_poset(rng, rng.randint(1, 7))
-            idx = _index_image(macneille(p).map)
+            idx = macneille(p).map.idx
             t = macneille(p).target
             assert _bounds_failure(idx, p.cols, t.cols) is None
             assert _bounds_failure(idx, p.rows, t.rows) is None
 
     def test_no_size_gate(self):
         p, t = lossy_side()
-        idx = _index_image(MonotoneMap(p, t, {e: e for e in p.elements}))
+        idx = MonotoneMap(p, t, {e: e for e in p.elements}).idx
         lost = _bounds_failure(idx, p.cols, t.cols)
         assert lost is not None and lost_bound(idx, p.cols, t.cols, lost)
         assert _bounds_failure(idx, p.rows, t.rows) is None
@@ -477,7 +505,6 @@ class TestIndexMapKernels:
         for f in random_maps(random.Random(72), 200):
             s, t = f.source, f.target
             assert f.idx == tuple(t.index[f(p)] for p in s.elements)
-            assert _index_image(f) == f.idx
             assert f.pre_up == [
                 s.mask_of(p for p in s.elements if t.leq(q, f(p)))
                 for q in t.elements

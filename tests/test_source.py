@@ -1,9 +1,11 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polab"
+TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
 
 
 def test_no_bare_asserts():
@@ -19,6 +21,33 @@ def test_no_bare_asserts():
     ]
     assert not found, "bare assert in " + ", ".join(found)
 
+
+def _literal(path, name):
+    """The literal assigned to the module-level `name` of a file, read
+    without importing the file."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError("%s assigns no %s" % (path.name, name))
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer wraps still exists in the
+    package: deleting one fails here rather than in a traced run."""
+    names = [(m, (attr,)) for m, attr in _literal(TRACER, "SPANS")]
+    names += [(m, (cls, attr)) for m, cls, attr in _literal(TRACER, "COUNTS")]
+    names.append(("extend", ("coherence_level",)))
+    missing = []
+    for module, path in names:
+        obj = importlib.import_module("polab." + module)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(".".join((module,) + path))
+    assert len(names) > 20
+    assert not missing, "tracer wraps missing names: " + ", ".join(missing)
 
 
 def _imported_modules(path, root=PACKAGE.parent):
