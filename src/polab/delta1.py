@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 from .errors import (
-    CarrierTooLarge,
     ConditionOneFails,
     DomainMismatch,
     LawViolation,
@@ -36,15 +35,14 @@ from .order import (
     is_order_embedding,
     macneille,
     macneille_lift,
-    order_isomorphisms,
 )
 from .polarity import STRUCTURE_CACHE_SIZE, ExtensionPolarity, is_galois, r_l
-from .morphisms import PolarityMorphism, psi_of, structure_of
-
-# Side size up to which `unit` proves itself the only isomorphism over the base.
-UNIQUE_GATE = 8
-# Source lattice size up to which `mediate` searches all complete homomorphisms.
-HOM_GATE = 6
+from .morphisms import (
+    PolarityMorphism,
+    compose as compose_morphisms,
+    psi_of,
+    structure_of,
+)
 
 
 class Delta1Completion:
@@ -204,36 +202,17 @@ def is_complete_polarity(pol):
     return is_completion(pol.ex) and is_completion(pol.ey)
 
 
-def _polarity_isos_over_base(src, tgt):
-    """All polarity isomorphisms src -> tgt whose base component is the
-    identity."""
-    forced_x = {src.ex(p): tgt.ex(p) for p in src.base.elements}
-    forced_y = {src.ey(p): tgt.ey(p) for p in src.base.elements}
-    out = []
-    for gx in order_isomorphisms(src.x, tgt.x, forced=forced_x):
-        for gy in order_isomorphisms(src.y, tgt.y, forced=forced_y):
-            rel_ok = all(
-                ((gx(a), gy(b)) in tgt.rel) == ((a, b) in src.rel)
-                for a in src.x.elements
-                for b in src.y.elements
-            )
-            if rel_ok:
-                out.append(
-                    PolarityMorphism(
-                        src, tgt, gx, MonotoneMap.identity(src.base), gy
-                    )
-                )
-    return out
-
-
 def unit(pol):
     """The canonical embedding of a Galois polarity into the one its
     completion generates.
 
-    Always a polarity embedding; an isomorphism exactly when both sides
-    are already complete, and then the only isomorphism over the
-    identity base (checked exhaustively while both sides have at most
-    `UNIQUE_GATE` elements).
+    Always a polarity embedding, and an isomorphism exactly when both
+    sides are already complete.  The sides are meet- and join-dense over
+    the base, and an isomorphism keeps meets and joins, so one over the
+    identity base sends x to the meet of the images of the base elements
+    above x and y to the join of those below y.  The unit is certified
+    to be those two lifts at every size, which makes it the only
+    isomorphism over the base when it is one.
     """
     d = gamma_on_objects(pol)
     image = delta_on_objects(d)
@@ -259,13 +238,19 @@ def unit(pol):
             "unit is an isomorphism exactly for complete polarities",
             complete,
         )
-    if complete and len(image.x) <= UNIQUE_GATE and len(image.y) <= UNIQUE_GATE:
-        isos = _polarity_isos_over_base(pol, image)
-        if isos != [eta]:
+    lifts = (
+        (hx, _lift(pol.ex.map, image.ex.map, pol.x.rows, image.x.cols)),
+        (hy, _lift(pol.ey.map, image.ey.map, pol.y.cols, image.y.rows)),
+    )
+    for h, (lifted, miss) in lifts:
+        differs = [
+            e for e, i, j in zip(h.source.elements, h.idx, lifted.idx) if i != j
+        ]
+        if miss is not None or differs:
             raise LawViolation(
                 "unit-unique",
-                "unit must be the only isomorphism over the base",
-                len(isos),
+                "unit must be fixed by its base values",
+                differs[0] if differs else miss,
             )
     return eta
 
@@ -292,53 +277,20 @@ def _same(v):
     return v
 
 
-def _complete_homs(src, tgt, forced):
-    """All complete homomorphisms src -> tgt agreeing with `forced`,
-    by backtracking over a linear extension with monotone pruning."""
-    if len(src) > HOM_GATE or len(tgt) > HOM_GATE + 2:
-        raise CarrierTooLarge("lattice too large for homomorphism search")
-    order = sorted(src.elements, key=lambda e: bin(src.cols[src.index[e]]).count("1"))
-    out = []
-
-    def extend(k, partial):
-        if k == len(order):
-            g = MonotoneMap(src, tgt, dict(partial))
-            if _complete_hom_failure(g) is None:
-                out.append(g)
-            return
-        e = order[k]
-        choices = [forced[e]] if e in forced else list(tgt.elements)
-        for v in choices:
-            ok = True
-            for prev, pv in partial.items():
-                if src.leq(prev, e) and not tgt.leq(pv, v):
-                    ok = False
-                    break
-                if src.leq(e, prev) and not tgt.leq(v, pv):
-                    ok = False
-                    break
-            if ok:
-                partial[e] = v
-                extend(k + 1, partial)
-                del partial[e]
-
-    extend(0, {})
-    return out
-
-
 @dataclass
 class MediatorReport:
     mediator: Delta1Morphism
     factors: bool
     unique: bool
-    exhaustive: bool
 
 
 def mediate(pol, d, h):
     """For a polarity morphism h from a Galois polarity into the polarity
     a completion generates, the factoring completion square through the
-    unit, with a uniqueness check (exhaustive under the gate, else via
-    the forced values on the dense image)."""
+    unit, with a uniqueness check.  A complete homomorphism is fixed by
+    its values on the dense image, since every cut is the join of the
+    image elements below it: the mediator is unique when its lattice leg
+    is the lift of the values h forces there, at every size."""
     if h.source is not pol and h.source != pol:
         raise DomainMismatch("morphism must start at the polarity")
     target_pol = delta_on_objects(d)
@@ -348,27 +300,15 @@ def mediate(pol, d, h):
     mediator = compose_delta1(tau, gamma_on_morphisms(h))
     eta = unit(pol)
     back = delta_on_morphisms(mediator)
-    from .morphisms import compose as compose_morphisms
-
     factors = compose_morphisms(back, eta) == h
     # h fixes the mediator on the cut of every class, the base cuts among
     # them, and so on the whole dense image.
     q = structure_of(pol).quotient
     m = gamma_on_objects(pol).cut
     values = MonotoneMap(q.poset, d.lattice, q.descend(h.hx, h.hy))
-    forced = {m(z): values(z) for z in q.poset.elements}
-    try:
-        candidates = _complete_homs(mediator.source.lattice, d.lattice, forced)
-        unique = candidates == [mediator.g]
-        exhaustive = True
-    except CarrierTooLarge:
-        # A complete homomorphism is fixed by its values on the dense
-        # image: every cut is the join of the image elements below it.
-        lifted, _ = _lift(m.map, values, m.target.cols, d.lattice.rows)
-        unique = lifted == mediator.g
-        exhaustive = False
+    lifted, _ = _lift(m.map, values, m.target.cols, d.lattice.rows)
     return MediatorReport(
-        mediator=mediator, factors=factors, unique=unique, exhaustive=exhaustive
+        mediator=mediator, factors=factors, unique=lifted == mediator.g
     )
 
 
@@ -400,8 +340,6 @@ def check_adjunction(polarities, morphisms=(), composable=()):
     """Finite evidence for the adjunction: unit embeddings and round
     trips on the given polarities, naturality squares on the given
     morphisms, and functor laws on identities and composable pairs."""
-    from .morphisms import compose as compose_morphisms
-
     unit_embeds = True
     roundtrips = True
     for pol in polarities:

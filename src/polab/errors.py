@@ -51,7 +51,7 @@ class CarrierMismatch(PolabError):
 
 
 class CarrierTooLarge(PolabError):
-    """An exhaustive enumeration was requested above its size gate."""
+    """An enumeration or scan was requested above its size gate."""
 
 
 class NotGalois(PolabError):

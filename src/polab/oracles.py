@@ -1,9 +1,9 @@
 """Ground-truth oracles: literal quantifier scans and naive enumeration.
 
 Everything here is deliberately slow and obvious.  The fast routes in
-`polab.order`, `polab.polarity`, `polab.morphisms` and `polab.extend`
-are validated against these in the test suite; no other module of the
-package imports this one.
+`polab.order`, `polab.polarity`, `polab.morphisms`, `polab.extend` and
+`polab.delta1` are validated against these in the test suite; no other
+module of the package imports this one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from .extend import (
     _coherent_relations,
     _rows_mask,
 )
+from .morphisms import PolarityMorphism
 from .order import (
+    MonotoneMap,
     UnionPreorder,
     _bound_index,
     _mask_iter,
@@ -357,6 +359,38 @@ def oracle_complete_hom_failure(g):
             if g(s.join([a, b])) != t.join([g(a), g(b)]):
                 return "joins", (a, b)
     return None
+
+
+def oracle_complete_homs(src, tgt, forced):
+    """All complete homomorphisms between the lattices `src` and `tgt`
+    that agree with the assignment `forced`, by backtracking over the
+    source elements from the bottom up, keeping each partial assignment
+    monotone, and testing every full one with the pairwise scan.
+    Refuses sources past 6 and targets past 8 elements."""
+    if len(src) > 6 or len(tgt) > 8:
+        raise CarrierTooLarge("homomorphism search gated at 6 and 8 elements")
+    order = sorted(src.elements, key=lambda e: len(src.down(e)))
+    out = []
+
+    def extend(k, partial):
+        if k == len(order):
+            g = MonotoneMap(src, tgt, dict(partial))
+            if oracle_complete_hom_failure(g) is None:
+                out.append(g)
+            return
+        e = order[k]
+        for v in [forced[e]] if e in forced else tgt.elements:
+            if all(
+                (not src.leq(p, e) or tgt.leq(pv, v))
+                and (not src.leq(e, p) or tgt.leq(v, pv))
+                for p, pv in partial.items()
+            ):
+                partial[e] = v
+                extend(k + 1, partial)
+                del partial[e]
+
+    extend(0, {})
+    return out
 
 
 def oracle_bounds_failure(f, src, tgt):
@@ -754,3 +788,89 @@ def oracle_is_n_preorder(pol, rel, n):
             if not rel.rel(tag_y(b), tag_x(a)):
                 return NPreorderVerdict(False, "P5", (b, a))
     return NPreorderVerdict(True)
+
+
+# -- isomorphisms over a base, by search -----------------------------------
+
+
+def _iso_candidates(p1, p2):
+    """Per-element candidate masks for an order isomorphism p1 -> p2,
+    pruned by up/down degrees; None when the degrees cannot match."""
+    if len(p1) != len(p2):
+        return None
+    degs2 = {}
+    for j in range(len(p2)):
+        key = (p2.rows[j].bit_count(), p2.cols[j].bit_count())
+        degs2[key] = degs2.get(key, 0) | 1 << j
+    cand = []
+    for i in range(len(p1)):
+        m = degs2.get((p1.rows[i].bit_count(), p1.cols[i].bit_count()), 0)
+        if not m:
+            return None
+        cand.append(m)
+    return cand
+
+
+def oracle_order_isomorphisms(p1, p2, forced=None):
+    """Yield the order isomorphisms p1 -> p2 as MonotoneMaps,
+    lexicographically by carrier order, by backtracking over injective
+    assignments that keep the order both ways.  `forced` optionally pins
+    the images of some elements."""
+    n = len(p1)
+    cand = _iso_candidates(p1, p2)
+    if cand is None:
+        return
+    for e, im in (forced or {}).items():
+        if im not in p2.index:
+            return
+        cand[p1.index[e]] &= 1 << p2.index[im]
+
+    def extend(i, used, partial):
+        if i == n:
+            yield list(partial)
+            return
+        for j in _mask_iter(cand[i] & ~used):
+            if all(
+                (p1.rows[i] >> k & 1) == (p2.rows[j] >> jk & 1)
+                and (p1.rows[k] >> i & 1) == (p2.rows[jk] >> j & 1)
+                for k, jk in enumerate(partial)
+            ):
+                partial.append(j)
+                yield from extend(i + 1, used | 1 << j, partial)
+                partial.pop()
+
+    for sol in extend(0, 0, []):
+        yield MonotoneMap(
+            p1, p2, {p1.elements[i]: p2.elements[sol[i]] for i in range(n)}
+        )
+
+
+def oracle_extensions_isomorphic(e1, e2):
+    """An order isomorphism between the targets of two extensions of one
+    base that commutes with the embeddings, or None."""
+    if e1.base != e2.base:
+        raise CarrierMismatch("extensions do not share a base poset")
+    forced = {e1(p): e2(p) for p in e1.base.elements}
+    return next(oracle_order_isomorphisms(e1.target, e2.target, forced), None)
+
+
+def oracle_polarity_isos_over_base(src, tgt):
+    """All polarity isomorphisms src -> tgt whose base component is the
+    identity: every pair of side isomorphisms over the base, kept when
+    it carries the relation onto the relation."""
+    forced_x = {src.ex(p): tgt.ex(p) for p in src.base.elements}
+    forced_y = {src.ey(p): tgt.ey(p) for p in src.base.elements}
+    out = []
+    for gx in oracle_order_isomorphisms(src.x, tgt.x, forced_x):
+        for gy in oracle_order_isomorphisms(src.y, tgt.y, forced_y):
+            if all(
+                ((gx(a), gy(b)) in tgt.rel) == ((a, b) in src.rel)
+                for a in src.x.elements
+                for b in src.y.elements
+            ):
+                out.append(
+                    PolarityMorphism(
+                        src, tgt, gx, MonotoneMap.identity(src.base), gy
+                    )
+                )
+    return out

@@ -697,90 +697,6 @@ def check_galois_connection(alpha, beta):
     return True
 
 
-def _iso_candidates(p1, p2):
-    """Per-element candidate masks for an order isomorphism p1 -> p2,
-    pruned by up/down degrees."""
-    if len(p1) != len(p2):
-        return None
-    degs2 = {}
-    for j in range(len(p2)):
-        key = (p2.rows[j].bit_count(), p2.cols[j].bit_count())
-        degs2.setdefault(key, 0)
-        degs2[key] |= 1 << j
-    cand = []
-    for i in range(len(p1)):
-        key = (p1.rows[i].bit_count(), p1.cols[i].bit_count())
-        m = degs2.get(key, 0)
-        if not m:
-            return None
-        cand.append(m)
-    return cand
-
-
-def order_isomorphisms(p1, p2, forced=None):
-    """Yield order isomorphisms p1 -> p2 as MonotoneMaps, lexicographically
-    by carrier order.  `forced` optionally pins images of some elements."""
-    n = len(p1)
-    cand = _iso_candidates(p1, p2)
-    if cand is None:
-        return
-    if forced:
-        for e, im in forced.items():
-            i = p1.index[e]
-            if im not in p2.index:
-                return
-            cand[i] &= 1 << p2.index[im]
-
-    def extend(i, used, partial):
-        if i == n:
-            yield list(partial)
-            return
-        for j in _mask_iter(cand[i] & ~used):
-            ok = True
-            for k in range(i):
-                jk = partial[k]
-                if (p1.rows[i] >> k & 1) != (p2.rows[j] >> jk & 1):
-                    ok = False
-                    break
-                if (p1.rows[k] >> i & 1) != (p2.rows[jk] >> j & 1):
-                    ok = False
-                    break
-            if ok:
-                partial.append(j)
-                yield from extend(i + 1, used | 1 << j, partial)
-                partial.pop()
-
-    for sol in extend(0, 0, []):
-        yield MonotoneMap(
-            p1, p2, {p1.elements[i]: p2.elements[sol[i]] for i in range(n)}
-        )
-
-
-def extensions_isomorphic(e1, e2, fix_base=True):
-    """Search for an isomorphism of extensions: an order iso g_Q between
-    the targets (together with an iso g_P of the bases, identity when
-    `fix_base`) commuting with the embeddings.  Returns (g_P, g_Q) or None.
-    """
-    if fix_base:
-        if e1.base != e2.base:
-            raise CarrierMismatch("extensions do not share a base poset")
-        base_isos = [MonotoneMap.identity(e1.base)]
-    else:
-        base_isos = order_isomorphisms(e1.base, e2.base)
-    for g_p in base_isos:
-        forced = {e1(p): e2(g_p(p)) for p in e1.base.elements}
-        consistent = True
-        for p in e1.base.elements:
-            if forced.get(e1(p)) != e2(g_p(p)):
-                consistent = False
-                break
-        if not consistent:
-            continue
-        for g_q in order_isomorphisms(e1.target, e2.target, forced=forced):
-            return g_p, g_q
-    return None
-
-
 X_SIDE = "X"
 Y_SIDE = "Y"
 

@@ -136,9 +136,8 @@ def morphism_corpus(rng, count=60, base_size=4):
         ident = PolarityMorphism.identity(pol)
         fold = collapse_morphism(pol, pt)
         out += [ident, fold, compose(fold, ident)]
-        if len(pol.x) <= 6 and len(pol.y) <= 6:
-            eta = unit(pol)
-            out += [eta, compose(collapse_morphism(eta.target, pt), eta)]
+        eta = unit(pol)
+        out += [eta, compose(collapse_morphism(eta.target, pt), eta)]
     return out
 
 

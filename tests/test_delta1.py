@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polab.delta1 import (
-    HOM_GATE,
     Delta1Completion,
     Delta1Morphism,
     check_adjunction,
@@ -28,16 +27,15 @@ from polab.delta1 import (
 )
 from polab.errors import DomainMismatch, NotDelta1, NotGalois
 from polab.fixtures import identity_polarity, load
-from polab.morphisms import PolarityMorphism, compose
-from polab.order import (
-    Extension,
-    MonotoneMap,
-    Poset,
-    extensions_isomorphic,
-    macneille,
+from polab.morphisms import PolarityMorphism, compose, structure_of
+from polab.oracles import (
+    oracle_complete_homs,
+    oracle_extensions_isomorphic,
+    oracle_polarity_isos_over_base,
 )
+from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.polarity import r_l
-from polab.randgen import random_galois_polarity, random_poset
+from polab.randgen import morphism_corpus, random_galois_polarity, random_poset
 
 
 def seeded_galois(max_base=4):
@@ -77,7 +75,7 @@ class TestObjects:
     @settings(deadline=None, max_examples=40)
     def test_identity_polarity_generates_the_cut_completion(self, p):
         d = gamma_on_objects(identity_polarity(p))
-        assert extensions_isomorphic(d.completion, macneille(p))
+        assert oracle_extensions_isomorphic(d.completion, macneille(p))
 
 
 class TestUnit:
@@ -93,6 +91,55 @@ class TestUnit:
         eta = unit(image)
         assert eta.is_isomorphism()
 
+    def test_certificate_matches_the_iso_search(self):
+        """Seeded Galois polarities and their round-trip images, each of
+        whose units passes the density certificate: where the target's
+        sides have at most 8 elements, the search over all isomorphisms
+        over the base finds the unit for a complete polarity and nothing
+        for any other."""
+        rng = random.Random(5)
+        verdicts = {True: 0, False: 0}
+        for _ in range(60):
+            pol = random_galois_polarity(rng, rng.randint(1, 6))
+            for p in (pol, delta_on_objects(gamma_on_objects(pol))):
+                eta = unit(p)
+                if max(len(eta.target.x), len(eta.target.y)) > 8:
+                    continue
+                complete = is_complete_polarity(p)
+                isos = oracle_polarity_isos_over_base(p, eta.target)
+                assert isos == ([eta] if complete else [])
+                verdicts[complete] += 1
+        assert min(verdicts.values()) >= 20
+
+    def test_certified_under_optimize(self):
+        """A unit that differs from the lift of its base values, or a lift
+        that misses a base value, raises a typed violation naming the
+        first such element, also when asserts are stripped."""
+        done = _run_optimized(
+            """
+            lift = delta1._lift
+            sabotages = (
+                # every element sent to the top, no base value missed
+                lambda src, tgt, below, bound: (
+                    lift(src, tgt, [0] * len(below), bound)[0], None
+                ),
+                # the true lift, reported as missing the base element a
+                lambda src, tgt, below, bound: (
+                    lift(src, tgt, below, bound)[0], "a"
+                ),
+            )
+            for sabotage in sabotages:
+                delta1._lift = sabotage
+                try:
+                    delta1.unit(identity_polarity(Poset.chain("ab")))
+                except LawViolation as err:
+                    print(err.law, err.witness)
+            sys.exit(3)
+            """
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.split("\n")[:2] == ["unit-unique a"] * 2
+
 
 class TestCounit:
     @given(seeded_galois(max_base=3))
@@ -105,15 +152,8 @@ class TestCounit:
     def test_certified_under_optimize(self):
         """A counit that fails its isomorphism certificate raises a typed
         violation, also when asserts are stripped."""
-        script = textwrap.dedent(
+        done = _run_optimized(
             """
-            import sys
-            from polab import delta1
-            from polab.errors import LawViolation
-            from polab.fixtures import identity_polarity
-            from polab.order import Poset
-
-            assert sys.flags.optimize
             delta1.Delta1Morphism.is_isomorphism = lambda self: False
             d = delta1.gamma_on_objects(identity_polarity(Poset.chain("ab")))
             try:
@@ -122,14 +162,6 @@ class TestCounit:
                 print(err.law)
                 sys.exit(3)
             """
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
         )
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.strip() == "counit-iso"
@@ -160,13 +192,33 @@ class TestMediator:
         rep = mediate(pol, d, eta)
         assert rep.factors and rep.unique
 
-    def test_above_the_gate_the_dense_image_decides(self):
+    def test_antichain_of_five_factors_uniquely(self):
         pol = identity_polarity(Poset.antichain("abcde"))
         d = gamma_on_objects(pol)
-        assert len(d.lattice) > HOM_GATE
         rep = mediate(pol, d, unit(pol))
-        assert rep.exhaustive is False
-        assert rep.unique is True and rep.factors
+        assert rep.unique and rep.factors
+
+    def test_uniqueness_matches_the_homomorphism_search(self):
+        """Every morphism of a seeded corpus (identities, collapses,
+        units and their composites), followed by the unit of its target:
+        where the source lattice has at most 6 elements and the target
+        lattice at most 8, the mediator is unique exactly when it is the
+        only complete homomorphism taking the values the morphism forces
+        on the dense image."""
+        checked = 0
+        for g in morphism_corpus(random.Random(64), count=40):
+            d = gamma_on_objects(g.target)
+            if len(gamma_on_objects(g.source).lattice) > 6 or len(d.lattice) > 8:
+                continue
+            h = compose(unit(g.target), g)
+            rep = mediate(g.source, d, h)
+            homs = oracle_complete_homs(
+                rep.mediator.source.lattice, d.lattice, _forced(g.source, d, h)
+            )
+            assert rep.unique == (homs == [rep.mediator.g])
+            assert rep.unique and rep.factors
+            checked += 1
+        assert checked >= 20
 
     def test_rejects_foreign_targets(self):
         pol = identity_polarity(Poset.chain("ab"))
@@ -189,6 +241,39 @@ class TestUniversalProperty:
         ident = MonotoneMap.identity(pol.x)
         with pytest.raises(DomainMismatch):
             universal_property(pol, ident, ident)
+
+
+def _run_optimized(body):
+    """Run a script under `python -O` with `delta1`, `LawViolation`,
+    `identity_polarity` and `Poset` imported."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from polab import delta1
+        from polab.errors import LawViolation
+        from polab.fixtures import identity_polarity
+        from polab.order import Poset
+
+        assert sys.flags.optimize
+        """
+    ) + textwrap.dedent(body)
+    env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def _forced(pol, d, h):
+    """The values the morphism h forces on the cuts of the classes of
+    the polarity's quotient, inside the completion `d`."""
+    q = structure_of(pol).quotient
+    m = gamma_on_objects(pol).cut
+    values = MonotoneMap(q.poset, d.lattice, q.descend(h.hx, h.hy))
+    return {m(z): values(z) for z in q.poset.elements}
 
 
 def _agreeing_map(pol, f):
