@@ -11,6 +11,16 @@ gate.  A monotone map keeps its index image and, per target element,
 the mask of the source elements sent above it (`MonotoneMap.pre_up`);
 monotonicity, order reflection and cut stability are row tests on those
 masks.
+
+One trust boundary runs through this module.  The public constructors
+(`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`, `chain`)
+serve user input and check reflexivity, antisymmetry and transitivity.
+A poset derived from trusted ones (`dual`, `relabel`, `restrict`, the
+inclusion orders of `_inclusion_order` behind the cut and concept
+lattices, a `Quotient`'s classes) is built by `Poset._derived` with its
+`rows` and `cols` computed together and is not checked again; only the
+ids are, where they may repeat.  `Poset._derived` is called in this
+module only.
 """
 
 from __future__ import annotations
@@ -80,8 +90,11 @@ def _transpose(rows, n):
     """Bit-rows of the transposed relation, with `n` rows."""
     out = [0] * n
     for i, r in enumerate(rows):
-        for j in _mask_iter(r):
-            out[j] |= 1 << i
+        bit = 1 << i
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] |= bit
+            r ^= low
     return out
 
 
@@ -115,6 +128,16 @@ def _common(vecs, mask, full):
         full &= vecs[low.bit_length() - 1]
         mask ^= low
     return full
+
+
+def _squeeze(mask, bits):
+    """`mask` with each set bit i moved to the bit `bits[i]`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _low_index(mask):
@@ -198,6 +221,22 @@ class Poset:
                 if self.rows[k] & ~self.rows[i]:
                     raise NotPreorder("relation is not transitive")
         self.cols = tuple(cols)
+
+    @classmethod
+    def _derived(cls, elements, rows, cols, index=None):
+        """A poset derived from trusted ones, its `rows` and `cols`
+        computed together: no order law is checked again.  Without
+        `index` the ids are indexed and checked for duplicates."""
+        self = cls.__new__(cls)
+        self.elements = tuple(elements)
+        if index is None:
+            index = {e: i for i, e in enumerate(self.elements)}
+            if len(index) != len(self.elements):
+                raise UnknownId("duplicate element ids")
+        self.index = index
+        self.rows = tuple(rows)
+        self.cols = tuple(cols)
+        return self
 
     @classmethod
     def from_pairs(cls, ids, pairs):
@@ -321,7 +360,7 @@ class Poset:
         return True
 
     def dual(self):
-        return Poset(self.elements, list(self.cols))
+        return Poset._derived(self.elements, self.cols, self.rows, self.index)
 
     def covers(self):
         """Pairs (a, b) with a < b and nothing strictly between."""
@@ -339,17 +378,26 @@ class Poset:
         """Induced subposet on `keep`, in carrier order."""
         keep = set(keep)
         kept = [i for i, e in enumerate(self.elements) if e in keep]
-        rows = []
-        for i in kept:
-            row, r = self.rows[i], 0
-            for j, k in enumerate(kept):
-                if row >> k & 1:
-                    r |= 1 << j
-            rows.append(r)
-        return Poset([self.elements[i] for i in kept], rows)
+        return _induced(self.elements, self.rows, kept)
 
     def relabel(self, fn):
-        return Poset([fn(e) for e in self.elements], list(self.rows))
+        """The same order on the ids `fn` gives; raises `UnknownId` when
+        it sends two elements to one id."""
+        return Poset._derived([fn(e) for e in self.elements], self.rows, self.cols)
+
+
+def _induced(elements, rows, kept):
+    """The poset induced on the indices `kept`, in their order, of the
+    trusted order given by `rows` over `elements`."""
+    bits = [0] * len(rows)
+    keep = 0
+    for k, i in enumerate(kept):
+        bits[i] = 1 << k
+        keep |= 1 << i
+    up = [_squeeze(rows[i] & keep, bits) for i in kept]
+    return Poset._derived(
+        [elements[i] for i in kept], up, _transpose(up, len(kept))
+    )
 
 
 class MonotoneMap:
@@ -528,10 +576,9 @@ def is_delta1(e):
     return is_completion(e) and is_dense(e)
 
 
-def _intersection_lattice(full, generators):
-    """The intersections of the bit-masks in `generators` (the empty
-    intersection giving `full`), ordered by inclusion; each mask is used
-    directly as its element id."""
+def _closed_sets(full, generators):
+    """The intersections of the bit-masks in `generators`, the empty
+    one giving `full`, in increasing order."""
     closed = {full}
     frontier = [full]
     while frontier:
@@ -543,16 +590,34 @@ def _intersection_lattice(full, generators):
                     closed.add(d)
                     nxt.append(d)
         frontier = nxt
-    ordered = sorted(closed)
-    idx = {c: i for i, c in enumerate(ordered)}
-    rows = []
-    for c in ordered:
-        r = 0
-        for d in ordered:
-            if c & ~d == 0:
-                r |= 1 << idx[d]
-        rows.append(r)
-    return Poset(ordered, rows)
+    return sorted(closed)
+
+
+def _inclusion_order(sets, full):
+    """The distinct masks `sets`, each inside `full`, ordered by
+    inclusion; each mask is used directly as its element id.
+
+    Both matrices come from one mask per bit p of `full`: `holds[p]`,
+    the sets containing p, and `lacks[p]`, those without it.  The sets
+    above c hold every p of c; those below c lack every p outside c."""
+    every = (1 << len(sets)) - 1
+    holds = [0] * full.bit_length()
+    for k, c in enumerate(sets):
+        for p in _mask_iter(c):
+            holds[p] |= 1 << k
+    lacks = [every & ~h for h in holds]
+    return Poset._derived(
+        sets,
+        [_common(holds, c, every) for c in sets],
+        [_common(lacks, full & ~c, every) for c in sets],
+    )
+
+
+def _intersection_lattice(full, generators):
+    """The intersections of the bit-masks in `generators` (the empty
+    intersection giving `full`), ordered by inclusion; each mask is used
+    directly as its element id."""
+    return _inclusion_order(_closed_sets(full, generators), full)
 
 
 def macneille(poset):
@@ -715,16 +780,20 @@ class UnionPreorder:
     The carrier lists X-side elements first, then Y-side, each tagged
     with its side so the two may share raw ids.  The relation is held as
     a bit-matrix and need not be a preorder; `is_preorder` says whether
-    it is, and `quotient` demands it.
+    it is, and `quotient` demands it.  A relation derived on the carrier
+    of another, or of a polarity's frame, takes that carrier's `index`
+    instead of building and checking its own.
     """
 
     __slots__ = ("carrier", "index", "rows")
 
-    def __init__(self, carrier, rows):
+    def __init__(self, carrier, rows, index=None):
         self.carrier = tuple(carrier)
-        self.index = {e: i for i, e in enumerate(self.carrier)}
-        if len(self.index) != len(self.carrier):
-            raise UnknownId("duplicate carrier elements")
+        if index is None:
+            index = {e: i for i, e in enumerate(self.carrier)}
+            if len(index) != len(self.carrier):
+                raise UnknownId("duplicate carrier elements")
+        self.index = index
         self.rows = tuple(rows)
         if len(self.rows) != len(self.carrier):
             raise CarrierMismatch("matrix size does not match carrier")
@@ -771,7 +840,7 @@ class UnionPreorder:
         if self.carrier != other.carrier:
             raise CarrierMismatch("relations live on different carriers")
         return UnionPreorder(
-            self.carrier, [r & s for r, s in zip(self.rows, other.rows)]
+            self.carrier, [r & s for r, s in zip(self.rows, other.rows)], self.index
         )
 
     def is_reflexive(self):
@@ -800,14 +869,11 @@ class UnionPreorder:
         return self.is_reflexive() and self.is_transitive()
 
     def closed(self):
-        return UnionPreorder(self.carrier, transitive_close(list(self.rows)))
+        return UnionPreorder(
+            self.carrier, transitive_close(list(self.rows)), self.index
+        )
 
     def quotient(self):
-        if not self.is_preorder():
-            raise NotPreorder(
-                "cannot quotient a relation that is not a preorder",
-                self.transitivity_witness(),
-            )
         return Quotient(self)
 
 
@@ -815,42 +881,39 @@ class Quotient:
     """The poset of equivalence classes of a preorder on a tagged carrier.
 
     Each class is represented by its least-indexed member; `projection`
-    sends a carrier element to its representative.
+    sends a carrier element to its representative.  The source must be a
+    preorder (`NotPreorder` otherwise, with the transitivity witness);
+    the order on the representatives is then its restriction, a poset.
     """
 
     __slots__ = ("source", "poset", "projection", "classes")
 
     def __init__(self, source):
-        self.source = source
-        n = len(source.carrier)
-        rep_of = {}
-        reps = []
-        classes = {}
-        for i in range(n):
-            e = source.carrier[i]
-            found = None
-            for r in reps:
-                ri = source.index[r]
-                if source.rows[i] >> ri & 1 and source.rows[ri] >> i & 1:
-                    found = r
+        if not source.is_preorder():
+            raise NotPreorder(
+                "cannot quotient a relation that is not a preorder",
+                source.transitivity_witness(),
+            )
+        carrier, rows = source.carrier, source.rows
+        reps, rep_of, classes = [], {}, {}
+        seen = 0
+        for i, e in enumerate(carrier):
+            # i joins the first representative on both sides of it.
+            r, rest = i, rows[i] & seen
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if rows[j] >> i & 1:
+                    r = j
                     break
-            if found is None:
-                reps.append(e)
-                classes[e] = [e]
-                rep_of[e] = e
-            else:
-                classes[found].append(e)
-                rep_of[e] = found
-        rows = []
-        for a in reps:
-            r = 0
-            ia = source.index[a]
-            for j, b in enumerate(reps):
-                if source.rows[ia] >> source.index[b] & 1:
-                    r |= 1 << j
-            rows.append(r)
+                rest ^= low
+            if r == i:
+                reps.append(i)
+                seen |= 1 << i
+            rep_of[e] = carrier[r]
+            classes.setdefault(carrier[r], []).append(e)
         self.source = source
-        self.poset = Poset(reps, rows)
+        self.poset = _induced(carrier, rows, reps)
         self.projection = rep_of
         self.classes = {r: tuple(members) for r, members in classes.items()}
 

@@ -46,6 +46,7 @@ from .order import (
     _mask_iter,
     _preimages,
     _reflection_failure,
+    _squeeze,
     _transpose,
     _union_of,
     tag_x,
@@ -164,6 +165,7 @@ class _Frame:
         self.exi = [X.index[ex(p)] for p in P.elements]
         self.eyi = [Y.index[ey(p)] for p in P.elements]
         self.carrier = tuple(map(tag_x, self.xs)) + tuple(map(tag_y, self.ys))
+        self._index = self._meet_images = None
         self._real_meets = {}
         self._flipped = None
         self._meet_side = self._z_s = self._z_t = None
@@ -198,13 +200,21 @@ class _Frame:
             f.xrows, f.xcols = self.ycols, self.yrows
             f.yrows, f.ycols = self.xcols, self.xrows
             f.exi, f.eyi = self.eyi, self.exi
-            f.carrier = None
+            f.carrier = f._index = f._meet_images = None
             f._real_meets = {}
             f._flipped = None
             f._meet_side = f._z_s = f._z_t = None
             f._slice = f._saturation = None
             self._flipped = f
         return self._flipped
+
+    @property
+    def index(self):
+        """The index of the carrier, built on first use and shared by
+        every relation the frame assembles."""
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.carrier)}
+        return self._index
 
     @property
     def meet_side(self):
@@ -270,14 +280,19 @@ class _Frame:
 
     def realizable_meets(self, j):
         """Left elements expressible as the meet of images of base
-        elements whose right image lies above the j-th right element."""
-        if j not in self._real_meets:
-            images = 0
-            for xi, yi in zip(self.exi, self.eyi):
-                if self.yrows[j] >> yi & 1:
-                    images |= 1 << xi
-            self._real_meets[j] = _expressible(self.xrows, self.xcols, images)
-        return self._real_meets[j]
+        elements whose right image lies above the j-th right element.
+        Kept per image mask, which right elements often share."""
+        if self._meet_images is None:
+            left = [1 << xi for xi in self.exi]
+            above = _preimages(self.eyi, self.ycols)
+            self._meet_images = [_squeeze(m, left) for m in above]
+        image = self._meet_images[j]
+        got = self._real_meets.get(image)
+        if got is None:
+            got = self._real_meets[image] = _expressible(
+                self.xrows, self.xcols, image
+            )
+        return got
 
     def c7(self, rx, ry):
         for j1, up in enumerate(self.yrows):
@@ -376,6 +391,7 @@ class _Frame:
             self.carrier,
             [a | b << nx for a, b in zip(xx, xy)]
             + [a | b << nx for a, b in zip(yx, yy)],
+            self.index,
         )
 
     def e1(self, rx, ry):
@@ -711,7 +727,8 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     found = list(islice(walk, None if cap is None else cap + 1))
     truncated = cap is not None and len(found) > cap
     return EnumerationResult(
-        tuple(UnionPreorder(carrier, rows) for rows in found[:cap]), truncated
+        tuple(UnionPreorder(carrier, rows, fr.index) for rows in found[:cap]),
+        truncated,
     )
 
 

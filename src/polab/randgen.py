@@ -3,7 +3,12 @@
 Every generator takes a `random.Random` so test runs are repeatable.
 Meet and join extensions are drawn as sub-posets of the cut completion
 that contain the image: any such sub-poset keeps each of its elements
-expressible from the image on the right side.
+expressible from the image on the right side.  Each is drawn in one
+pass: the intersections of the base's principal down-sets (of its
+up-sets for a join extension) are kept or dropped in increasing order,
+only the kept ones are ordered by inclusion and renamed, the result is
+turned upside down once for a join extension, and the one embedding is
+certified at the end.  The full completion is never built.
 """
 
 from __future__ import annotations
@@ -11,7 +16,14 @@ from __future__ import annotations
 import random
 
 from .errors import LawViolation
-from .order import Extension, MonotoneMap, Poset, macneille, transitive_close
+from .order import (
+    Extension,
+    MonotoneMap,
+    Poset,
+    _closed_sets,
+    _inclusion_order,
+    transitive_close,
+)
 from .polarity import ExtensionPolarity, is_galois, r_l
 from .extend import ExtensionContext
 
@@ -28,15 +40,20 @@ def random_poset(rng, size, theta=0.3):
     return Poset(tuple(names), transitive_close(rows))
 
 
-def _cut_subposet(base, keep_theta, rng, prefix):
-    """A random sub-poset of the cut completion containing the image."""
-    m = macneille(base)
-    image = {m(p) for p in base.elements}
-    kept = [c for c in m.target.elements if c in image or rng.random() < keep_theta]
-    sub = m.target.restrict(kept)
-    renames = {c: "%s%d" % (prefix, k) for k, c in enumerate(sub.elements)}
-    sub = sub.relabel(renames.__getitem__)
-    return Extension(MonotoneMap(base, sub, {p: renames[m(p)] for p in base.elements}))
+def _cut_subposet(base, keep_theta, rng, prefix, flip=False):
+    """A random sub-poset of the cut completion containing the image;
+    with `flip`, of the completion of the dual, turned upside down."""
+    cuts = base.rows if flip else base.cols
+    full, image = (1 << len(base)) - 1, set(cuts)
+    closed = _closed_sets(full, cuts)
+    kept = [c for c in closed if c in image or rng.random() < keep_theta]
+    renames = {c: "%s%d" % (prefix, k) for k, c in enumerate(kept)}
+    sub = _inclusion_order(kept, full).relabel(renames.__getitem__)
+    if flip:
+        sub = sub.dual()
+    return Extension(
+        MonotoneMap(base, sub, {p: renames[c] for p, c in zip(base.elements, cuts)})
+    )
 
 
 def random_meet_extension(rng, base, keep_theta=0.4, prefix="m"):
@@ -44,9 +61,7 @@ def random_meet_extension(rng, base, keep_theta=0.4, prefix="m"):
 
 
 def random_join_extension(rng, base, keep_theta=0.4, prefix="j"):
-    ext = _cut_subposet(base.dual(), keep_theta, rng, prefix)
-    flipped = MonotoneMap(base, ext.target.dual(), {p: ext(p) for p in base.elements})
-    return Extension(flipped)
+    return _cut_subposet(base, keep_theta, rng, prefix, flip=True)
 
 
 def random_embedding(rng, base, keep_theta=0.4, junk=0, prefix="z"):

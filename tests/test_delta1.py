@@ -220,6 +220,30 @@ class TestMediator:
             checked += 1
         assert checked >= 20
 
+    def test_a_lift_other_than_the_mediator_is_not_unique(self, monkeypatch):
+        """Sabotage: after `unit` has run, the lift `mediate` compares
+        with the mediator, the one along the cut of the polarity's own
+        quotient, sends everything to the top of the lattice, which no
+        complete homomorphism does; `unique` must read False while the
+        square still factors.  `counit_iso` lifts along the cut of the
+        generated polarity and is left alone."""
+        pol = identity_polarity(Poset.chain("ab"))
+        d = gamma_on_objects(pol)
+        eta = unit(pol)
+        own = d.cut.map
+        real = polab.delta1._lift
+
+        def to_top(src, *rest):
+            h, miss = real(src, *rest)
+            if src != own:
+                return h, miss
+            top = dict.fromkeys(h.source.elements, h.target.top())
+            return MonotoneMap(h.source, h.target, top), miss
+
+        monkeypatch.setattr(polab.delta1, "_lift", to_top)
+        rep = mediate(pol, d, eta)
+        assert rep.factors and not rep.unique
+
     def test_rejects_foreign_targets(self):
         pol = identity_polarity(Poset.chain("ab"))
         other = gamma_on_objects(identity_polarity(Poset.chain("uv")))

@@ -1,5 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import polab
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +16,7 @@ from polab.errors import (
     NotCutStable,
     NotEmbedding,
     NotMonotone,
+    NotPreorder,
     UnknownId,
 )
 from polab.order import (
@@ -22,6 +29,8 @@ from polab.order import (
     _bounds_failure,
     _closed_relations,
     _complete_hom_failure,
+    _inclusion_order,
+    _intersection_lattice,
     _lift,
     _reflection_failure,
     compose,
@@ -51,7 +60,13 @@ from polab.oracles import (
     oracle_order_isomorphisms,
     oracle_reflection_failure,
 )
-from polab.randgen import random_embedding, random_extension_polarity, random_poset
+from polab.randgen import (
+    random_embedding,
+    random_extension_polarity,
+    random_join_extension,
+    random_meet_extension,
+    random_poset,
+)
 
 from conftest import dual_extension, lossy_side, random_monotone, seeded_posets
 
@@ -589,3 +604,159 @@ class TestIndexMapKernels:
             )
             assert u.transitivity_witness() == first
             assert u.closed().transitivity_witness() is None
+
+
+def assert_as_validated(p):
+    """A derived poset is what the validating constructor makes of its
+    ids and rows: a partial order, with the same `cols` and `index`."""
+    full = Poset(p.elements, p.rows)
+    assert (p.cols, p.index) == (full.cols, full.index)
+
+
+def poset_corpus(seed, count=150, max_size=8):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, random_poset(rng, rng.randint(0, max_size), rng.uniform(0.1, 0.7))
+
+
+def old_meet_extension(rng, base, keep_theta, prefix):
+    """The cut sub-extension as it was drawn before the single pass:
+    the whole completion, restricted, renamed, each step rebuilt through
+    the validating constructor."""
+    valid = lambda p: Poset(p.elements, p.rows)
+    m = macneille(base)
+    image = {m(p) for p in base.elements}
+    lattice = valid(m.target)
+    kept = [c for c in lattice.elements if c in image or rng.random() < keep_theta]
+    sub = valid(lattice.restrict(kept))
+    renames = {c: "%s%d" % (prefix, k) for k, c in enumerate(sub.elements)}
+    sub = valid(sub.relabel(renames.__getitem__))
+    return Extension(MonotoneMap(base, sub, {p: renames[m(p)] for p in base.elements}))
+
+
+def old_join_extension(rng, base, keep_theta, prefix):
+    ext = old_meet_extension(rng, Poset(base.elements, base.cols), keep_theta, prefix)
+    flipped = Poset(ext.target.elements, ext.target.cols)
+    return Extension(MonotoneMap(base, flipped, {p: ext(p) for p in base.elements}))
+
+
+class TestTrustBoundary:
+    """Derived posets skip validation; each route must still give what
+    the validating constructor gives."""
+
+    def test_dual_and_relabel_match_validation(self):
+        for _, p in poset_corpus(80):
+            for q in (p.dual(), p.relabel(lambda e: ("r", e)), p.dual().dual()):
+                assert_as_validated(q)
+            assert p.dual().dual() == p
+
+    def test_relabel_still_rejects_merged_ids(self):
+        with pytest.raises(UnknownId):
+            Poset.chain("abc").relabel(lambda e: "same")
+
+    def test_restrict_matches_validation(self):
+        for rng, p in poset_corpus(81):
+            for _ in range(3):
+                sub = p.restrict([e for e in p.elements if rng.random() < 0.6])
+                assert_as_validated(sub)
+
+    def test_intersection_lattice_matches_validation(self):
+        """Cut lattices of down-sets and up-sets, and intersection
+        lattices of arbitrary masks as concept lattices use: inclusion
+        order, closed under intersection, as validation builds it; and
+        the inclusion order on a sample of the closed sets, as the cut
+        sub-extensions draw it."""
+        for rng, p in poset_corpus(82):
+            n = len(p)
+            full = (1 << n) - 1
+            masks = [rng.getrandbits(n) if n else 0 for _ in range(rng.randint(0, 5))]
+            for gens in (p.cols, p.rows, masks):
+                lat = _intersection_lattice(full, gens)
+                assert_as_validated(lat)
+                cs = lat.elements
+                assert full in cs and all(c & m in lat for c in cs for m in gens)
+                assert all(lat.leq(c, d) == (c & ~d == 0) for c in cs for d in cs)
+                some = [c for c in cs if rng.random() < 0.5]
+                sub = _inclusion_order(some, full)
+                assert_as_validated(sub)
+                assert sub == lat.restrict(some)
+        with pytest.raises(UnknownId):
+            _inclusion_order([1, 1], 1)
+
+    def test_quotient_matches_validation(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            carrier = tuple(tag_x(k) for k in range(n // 2)) + tuple(
+                tag_y(k) for k in range(n - n // 2)
+            )
+            pairs = [(a, b) for a in carrier for b in carrier if rng.random() < 0.25]
+            u = UnionPreorder.from_pairs(carrier, pairs).closed()
+            q = Quotient(u)
+            assert_as_validated(q.poset)
+            for a in carrier:
+                rep = q.project(a)
+                same = [b for b in carrier if u.rel(a, b) and u.rel(b, a)]
+                assert rep == same[0] and q.classes[rep] == tuple(same)
+                for b in carrier:
+                    assert q.poset.leq(rep, q.project(b)) == u.rel(a, b)
+
+    def test_quotient_rejects_a_non_transitive_relation(self):
+        a, b, c = carrier = tuple(map(tag_x, "abc"))
+        u = UnionPreorder.from_pairs(carrier, [(e, e) for e in carrier] + [(a, b), (b, c)])
+        for build in (Quotient, UnionPreorder.quotient):
+            with pytest.raises(NotPreorder) as err:
+                build(u)
+            assert err.value.witness == (a, b, c)
+
+    def test_quotient_guard_survives_optimize(self):
+        script = textwrap.dedent(
+            """
+            import sys
+            from polab.errors import NotPreorder
+            from polab.order import Quotient, UnionPreorder, tag_x
+
+            assert sys.flags.optimize
+            a, b, c = carrier = tuple(map(tag_x, "abc"))
+            u = UnionPreorder.from_pairs(
+                carrier, [(e, e) for e in carrier] + [(a, b), (b, c)]
+            )
+            try:
+                Quotient(u)
+            except NotPreorder as err:
+                print(err.witness)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.strip() == "(('X', 'a'), ('X', 'b'), ('X', 'c'))"
+
+    def test_cut_sub_extensions_match_the_completion_route(self):
+        """Drawn from one seed, the single-pass meet and join extensions
+        equal the completion restricted and renamed (and dualised), with
+        the same random draws."""
+        for k, (_, base) in enumerate(poset_corpus(84, count=120, max_size=6)):
+            theta = (0.0, 0.4, 1.0)[k % 3]
+            for new, old in (
+                (random_meet_extension, old_meet_extension),
+                (random_join_extension, old_join_extension),
+            ):
+                fresh, ref = random.Random(k), random.Random(k)
+                got = new(fresh, base, theta, "m")
+                want = old(ref, base, theta, "m")
+                t, u = got.target, want.target
+                assert (t.elements, t.rows, t.cols, t.index) == (
+                    u.elements,
+                    u.rows,
+                    u.cols,
+                    u.index,
+                )
+                assert got.map.assignment == want.map.assignment
+                assert fresh.getstate() == ref.getstate()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polab"
 TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_bare_asserts():
@@ -96,3 +97,43 @@ def test_the_import_scan_resolves_every_form(tmp_path):
     assert "polab.oracles" in _imported_modules(nested, tmp_path)
     probe.write_text("from .order import Poset\nimport random\n")
     assert "polab.oracles" not in _imported_modules(probe, tmp_path)
+
+
+def _derived_calls(path):
+    """The lines of a file that reach a `_derived` attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_derived"
+    ]
+
+
+def test_derived_posets_stay_in_order():
+    """`Poset._derived` skips the order checks, so only `polab.order`,
+    which derives each poset from ones it trusts, may call it."""
+    own = PACKAGE / "order.py"
+    files = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+    files += sorted(TRACER.parent.glob("*.py"))
+    found = [
+        "%s:%d" % (path.name, line)
+        for path in files
+        if path != own
+        for line in _derived_calls(path)
+    ]
+    assert _derived_calls(own), "order.py no longer derives posets"
+    assert not found, "Poset._derived called outside polab.order: " + ", ".join(found)
+
+
+def test_the_derived_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text in (
+        "Poset._derived((), (), ())",
+        "order.Poset._derived",
+        "make = Poset._derived",
+        "getattr(Poset, 'x')._derived",
+    ):
+        probe.write_text(text + "\n")
+        assert _derived_calls(probe) == [1], text
+    probe.write_text("derived = Poset(('a',), (1,))\n")
+    assert _derived_calls(probe) == []
