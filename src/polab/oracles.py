@@ -15,7 +15,6 @@ from .errors import CarrierMismatch, CarrierTooLarge
 from .extend import (
     AdjunctionReport,
     ExtensionContext,
-    _coherent_relations,
     _rows_mask,
 )
 from .morphisms import PolarityMorphism
@@ -23,6 +22,7 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _bound_index,
+    _closed_relations,
     _mask_iter,
     tag_x,
     tag_y,
@@ -270,6 +270,29 @@ def oracle_coherent_relations(x, y, forced, limit=13):
         if _naive_c1(x, y, rel)[0] and _naive_c2(x, y, rel)[0]:
             results.append(rel)
     return results
+
+
+def _coherent_relations(frame, floor):
+    """The 0-coherent relations between the frame's sides containing the
+    pairs of the left bit-rows `floor`, each as left bit-rows, walked
+    rather than swept: the reference for `extend._least_graded`.
+
+    R satisfies C1 and C2 exactly when ≤X ∪ R ∪ ≤Y is transitive on the
+    carrier, so these are the closed relations (`_closed_relations`)
+    that keep both side orders as they are and relate nothing from right
+    to left.
+    """
+    nx, ny = len(frame.xs), len(frame.ys)
+    full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
+    forced = frame.blocks(frame.xrows, frame.yrows, floor, [0] * ny).rows
+    forbidden = frame.blocks(
+        [full_x & ~r for r in frame.xrows],
+        [full_y & ~r for r in frame.yrows],
+        [0] * nx,
+        [full_x] * ny,
+    ).rows
+    for rows in _closed_relations(transitive_close(list(forced)), forbidden):
+        yield [r >> nx for r in rows[:nx]]
 
 
 def oracle_enumerate_preorders(carrier, forced, forbidden):

@@ -167,3 +167,11 @@ def random_context(rng, base_size=3, keep_theta=0.5, galois=False):
     ix = random_meet_extension(rng, inner.x, keep_theta, prefix="xx")
     iy = random_join_extension(rng, inner.y, keep_theta, prefix="yy")
     return ExtensionContext(inner, ix, iy)
+
+
+def random_side_context(rng, inner):
+    """An extension context over `inner` with a `random_embedding` on
+    each side, each with up to two isolated elements glued on."""
+    ix = random_embedding(rng, inner.x, junk=rng.randint(0, 2), prefix="xx")
+    iy = random_embedding(rng, inner.y, junk=rng.randint(0, 2), prefix="yy")
+    return ExtensionContext(inner, ix, iy)

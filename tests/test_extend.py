@@ -15,7 +15,7 @@ import polab.oracles
 from polab.errors import CarrierMismatch, NotCoherent, NotEmbedding, NotZeroPreorder
 from polab.extend import (
     ExtensionContext,
-    _coherent_relations,
+    _least_graded,
     _mask_pairs,
     _mask_rows,
     _pair_mask,
@@ -30,6 +30,7 @@ from polab.extend import (
 )
 from polab.fixtures import load
 from polab.oracles import (
+    _coherent_relations,
     naive_coherence_level,
     oracle_coherent_relations,
     oracle_extend_relation,
@@ -38,7 +39,7 @@ from polab.oracles import (
 )
 from polab.order import Extension, MonotoneMap, Poset, UnionPreorder, _reflection_failure, macneille
 from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_l, r_zero
-from polab.randgen import random_context
+from polab.randgen import random_context, random_side_context
 
 
 def seeded_contexts(max_base=3, galois=False):
@@ -542,3 +543,101 @@ class TestDownSets:
                 fourteen += 1
             else:
                 above += 1
+
+
+class TestLeastGraded:
+    """Clause 6's closure: the least relation above a floor satisfying
+    C1 to C4 has grade n exactly when some 0-coherent relation above the
+    floor has."""
+
+    def test_matches_the_oracle_sweep(self):
+        """On 40 seeded contexts with at most 12 outer pairs, for the image
+        floor and two random floors, against the swept 0-coherent
+        relations graded by the naive oracle: the closure is the least
+        swept relation of grade at least 1, and it reaches each grade
+        1 to 3 exactly when a swept relation does.  On some floors the
+        C4 step adds pairs that the C1 to C3 closure lacks."""
+        rng = random.Random(21)
+        grown = 0
+        for ctx in small_contexts(40, seed=21):
+            X, Y = ctx.ix.target, ctx.iy.target
+            pairs = [(a, b) for a in X.elements for b in Y.elements]
+            base = {(ctx.outer_ex(p), ctx.outer_ey(p)) for p in ctx.inner.base.elements}
+            floors = [image_pairs(ctx)] + [
+                frozenset(p for p in pairs if rng.random() < 0.25) for _ in range(2)
+            ]
+            for floor in floors:
+                rows = _least_graded(ctx._outer_frame(), as_rows(X, Y, floor))[0]
+                least = as_pairs(X, Y, rows)
+                levels = {
+                    s: naive_coherence_level(ctx.outer(s))
+                    for s in oracle_coherent_relations(X, Y, floor, limit=12)
+                }
+                graded = [s for s, level in levels.items() if level >= 1]
+                assert least in graded and all(least <= s for s in graded)
+                for n in (1, 2, 3):
+                    reached = any(level >= n for level in levels.values())
+                    assert (levels[least] >= n) == reached, (floor, n)
+                based = frozenset.intersection(*(s for s in levels if base <= s))
+                grown += least != based
+        assert grown >= 3
+
+    def walked_reachable(self, ctx, grades):
+        """The grades among `grades` that some 0-coherent outer relation
+        above the image pairs reaches, by the walk."""
+        Y = ctx.iy.target
+        frame = ctx._outer_frame()
+        walked = list(_coherent_relations(frame, as_rows(ctx.ix.target, Y, image_pairs(ctx))))
+        return [
+            n
+            for n in grades
+            if any(frame.level(rx, _transpose(rx, len(Y)), n) == n for rx in walked)
+        ]
+
+    def test_clause_6_is_decided_above_the_old_gate(self):
+        """fix_j's H with both sides extended at random: where clause 6
+        applies with more than 13 undetermined outer pairs, a case once
+        passed over with a note, its verdict is the walk's over every
+        0-coherent relation above the image pairs."""
+        pol = load("fix_j").polarities["H"]
+        rng = random.Random(7)
+        done = 0
+        while done < 8:
+            ctx = random_side_context(rng, pol)
+            rep = check_extension_preservation(ctx)
+            if not rep["6"].applicable or undetermined(ctx) <= 13:
+                continue
+            frame = ctx._outer_frame()
+            outer = frame.level(*frame.rows(extend_relation(ctx)))
+            reachable = self.walked_reachable(
+                ctx, [n for n in (2, 3) if outer is None or outer < n]
+            )
+            assert rep["6"].holds == (not reachable)
+            assert rep["6"].note == "; ".join("grade %d reachable" % n for n in reachable)
+            assert not any("monotonicity" in clause.note for clause in rep.values())
+            done += 1
+
+    def test_grade_2_is_decided_where_clause_3_fails(self, monkeypatch):
+        """Clause 6 applies at grade 2 only where clause 3 fails, which no
+        context does, so the outer frame is made to grade one below the
+        truth on fix_j's H contexts whose saturation has grade 2.  Both
+        grades are then decided as the walk decides them: grade 2 is
+        reachable, by the saturation itself."""
+        pol = load("fix_j").polarities["H"]
+        rng = random.Random(7)
+        done = 0
+        while done < 6:
+            ctx = random_side_context(rng, pol)
+            frame = ctx._outer_frame()
+            if frame.level(*frame.rows(extend_relation(ctx))) != 2:
+                continue
+            grade = frame.grade
+            monkeypatch.setattr(
+                frame, "grade", lambda rx, ry, grade=grade: (1, grade(rx, ry)[1])
+            )
+            rep = check_extension_preservation(ctx)
+            reachable = self.walked_reachable(ctx, (2, 3))
+            assert not rep["3"].holds and rep["6"].applicable
+            assert reachable[0] == 2 and not rep["6"].holds
+            assert rep["6"].note == "; ".join("grade %d reachable" % n for n in reachable)
+            done += 1
