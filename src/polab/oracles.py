@@ -11,7 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import CarrierMismatch, CarrierTooLarge
+from .errors import (
+    AntisymmetryViolation,
+    CarrierMismatch,
+    CarrierTooLarge,
+    NotPreorder,
+)
 from .extend import (
     AdjunctionReport,
     ExtensionContext,
@@ -22,11 +27,9 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _bound_index,
-    _closed_relations,
     _mask_iter,
     tag_x,
     tag_y,
-    transitive_close,
 )
 from .polarity import NamedRelationSets, NPreorderVerdict, _Frame, is_n_preorder
 
@@ -278,7 +281,7 @@ def _coherent_relations(frame, floor):
     rather than swept: the reference for `extend._least_graded`.
 
     R satisfies C1 and C2 exactly when ≤X ∪ R ∪ ≤Y is transitive on the
-    carrier, so these are the closed relations (`_closed_relations`)
+    carrier, so these are the closed relations (`oracle_closed_relations`)
     that keep both side orders as they are and relate nothing from right
     to left.
     """
@@ -291,8 +294,96 @@ def _coherent_relations(frame, floor):
         [0] * nx,
         [full_x] * ny,
     ).rows
-    for rows in _closed_relations(transitive_close(list(forced)), forbidden):
+    forced = naive_transitive_close(list(forced))
+    for rows in oracle_closed_relations(forced, forbidden):
         yield [r >> nx for r in rows[:nx]]
+
+
+def naive_transitive_close(rows):
+    """Reflexive-transitive closure of a square bit-matrix (list of ints),
+    in place, by Warshall's pivots one row at a time."""
+    n = len(rows)
+    for i in range(n):
+        rows[i] |= 1 << i
+    for k in range(n):
+        bit = 1 << k
+        rk = rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rk
+    return rows
+
+
+def naive_transitivity_witness(carrier, rows):
+    """The first (a, b, c) over `carrier`, ordered by a, then b, then c in
+    carrier order, with a R b and b R c but not a R c for the bit-rows
+    `rows`, by the literal triple loop; None when R is transitive."""
+    n = len(carrier)
+    for i in range(n):
+        for k in range(n):
+            if not rows[i] >> k & 1:
+                continue
+            for j in range(n):
+                if rows[k] >> j & 1 and not rows[i] >> j & 1:
+                    return carrier[i], carrier[k], carrier[j]
+    return None
+
+
+def oracle_order_failure(elements, rows):
+    """The error `Poset(elements, rows)` raises on a matrix of the right
+    length, as (type, message, witness), or None: row by row the first
+    missing diagonal bit, then per set bit, lowest first, one past the
+    last element or a mutual pair; transitivity, without a witness, last.
+    """
+    n = len(elements)
+    for i in range(n):
+        if not rows[i] >> i & 1:
+            return NotPreorder, "relation is not reflexive", elements[i]
+        for j in range(rows[i].bit_length()):
+            if not rows[i] >> j & 1:
+                continue
+            if j >= n:
+                return CarrierMismatch, "matrix wider than element count", None
+            if i != j and rows[j] >> i & 1:
+                a, b = elements[i], elements[j]
+                return (
+                    AntisymmetryViolation,
+                    "elements %r and %r are mutually below each other" % (a, b),
+                    (a, b),
+                )
+    if naive_transitivity_witness(elements, rows) is not None:
+        return NotPreorder, "relation is not transitive", None
+    return None
+
+
+def oracle_closed_relations(forced, forbidden):
+    """The reference for `order._closed_relations`, results and order:
+    the same walk with the state held as tuples of bit-rows.
+
+    Pairs are visited in row-major order.  For each open pair (i, j), one
+    neither held nor barred, the walk first leaves it out, barring it for
+    the rest of the branch, and then takes it in with ↓i × ↑j: row i and
+    every row holding i gain j and row j.  A take that meets a barred
+    pair dies; every other branch yields its rows.
+    """
+    n = len(forced)
+    stack = [(tuple(forced), tuple(forbidden), -1)]
+    while stack:
+        rows, barred, p = stack.pop()
+        if p >= 0:
+            i, j = divmod(p, n)
+            up = rows[j] | 1 << j
+            rows = tuple(
+                r | up if a == i or r >> i & 1 else r for a, r in enumerate(rows)
+            )
+        if any(r & b for r, b in zip(rows, barred)):
+            continue
+        for p in range(p + 1, n * n):
+            i, j = divmod(p, n)
+            if not (rows[i] | barred[i]) >> j & 1:
+                stack.append((rows, barred, p))
+                barred = barred[:i] + (barred[i] | 1 << j,) + barred[i + 1 :]
+        yield rows
 
 
 def oracle_enumerate_preorders(carrier, forced, forbidden):
@@ -312,7 +403,7 @@ def oracle_enumerate_preorders(carrier, forced, forbidden):
         forced_rows[index[a]] |= 1 << index[b]
     for a, b in forbidden:
         forbidden_rows[index[a]] |= 1 << index[b]
-    transitive_close(forced_rows)
+    naive_transitive_close(forced_rows)
     if any(forced_rows[i] & forbidden_rows[i] for i in range(n)):
         return []
     free = [
@@ -359,7 +450,7 @@ def oracle_rigidity_failures(pol, u):
             if u.rows[i] >> j & 1:
                 continue
             rows = [r | (1 << j if k == i else 0) for k, r in enumerate(u.rows)]
-            enlarged = UnionPreorder(u.carrier, transitive_close(rows))
+            enlarged = UnionPreorder(u.carrier, naive_transitive_close(rows))
             if is_n_preorder(pol, enlarged, 3).ok:
                 out.append((u.carrier[i], u.carrier[j]))
     return out
@@ -774,7 +865,7 @@ def oracle_is_n_preorder(pol, rel, n):
             e for i, e in enumerate(carrier) if not rel.rows[i] >> i & 1
         )
         return NPreorderVerdict(False, "reflexive", missing)
-    tw = rel.transitivity_witness()
+    tw = naive_transitivity_witness(rel.carrier, rel.rows)
     if tw is not None:
         return NPreorderVerdict(False, "transitive", tw)
     X, Y = pol.x, pol.y

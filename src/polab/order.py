@@ -3,11 +3,24 @@
 Posets are stored as a tuple of element ids plus a dense bit-matrix:
 ``rows[i]`` has bit ``j`` set when element ``i`` is below element ``j``.
 All quantifier-heavy checks work on these masks; the public API speaks
-in element ids.  A poset's dual is its ``rows`` and ``cols`` swapped, so
-each join-side check is its meet-side kernel run on the swapped arrays.
-Whether a monotone map keeps every existing meet or join is decided in
-polynomial time (`_bounds_failure`), with no subset scan and no size
-gate.  A monotone map keeps its index image and, per target element,
+in element ids.
+
+Three kernels pack a square n-row matrix into one n²-bit integer, row i
+at bits i·n to i·n + n - 1 (`_pack`): the closure `transitive_close`,
+the transitivity verdict `_packed_transitive` behind `Poset(elements,
+rows)` and `UnionPreorder.is_transitive`, and the relation walk
+`_closed_relations`.  Shifting the packed matrix right by k and masking
+with the bits i·n of every row i gives the rows that hold k, at their
+row offsets; multiplying that by row k copies row k onto each of them,
+with no carries, because rows hold n bits.  So one Warshall pivot is
+one product.  Callers see row tuples only: packing happens inside this
+module, and a failed verdict is explained by a row walk that names the
+first witness in carrier order.
+
+A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
+check is its meet-side kernel run on the swapped arrays.  Whether a
+monotone map keeps every existing meet or join is decided in polynomial
+time (`_bounds_failure`), with no subset scan and no size gate.  A monotone map keeps its index image and, per target element,
 the mask of the source elements sent above it (`MonotoneMap.pre_up`);
 monotonicity, order reflection and cut stability are row tests on those
 masks.
@@ -25,6 +38,8 @@ module only.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import (
     AntisymmetryViolation,
     CarrierMismatch,
@@ -39,17 +54,56 @@ from .errors import (
 )
 
 
-def transitive_close(rows):
-    """Reflexive-transitive closure of a square bit-matrix (list of ints)."""
-    n = len(rows)
+@functools.lru_cache(maxsize=64)
+def _lanes(n):
+    """For n-row matrices packed by `_pack`: the mask with bit i·n set
+    for every row i, one row of ones, the diagonal, and the format spec
+    of the packed matrix's n² binary digits."""
+    ones = diagonal = 0
     for i in range(n):
-        rows[i] |= 1 << i
+        ones |= 1 << i * n
+        diagonal |= 1 << i * n + i
+    return ones, (1 << n) - 1, diagonal, "0%db" % (n * n)
+
+
+def _pack(rows, n):
+    """The n bit-rows, each inside n bits, as one integer: row i at bits
+    i·n to i·n + n - 1."""
+    m = 0
+    for r in reversed(rows):
+        m = m << n | r
+    return m
+
+
+def _unpack(m, n):
+    """The n bit-rows of a packed matrix, as a list."""
+    full = (1 << n) - 1
+    return [m >> i * n & full for i in range(n)]
+
+
+def _packed_transitive(m, n):
+    """Whether the packed n-row matrix is transitive: for each pivot k,
+    one product copies row k onto every row holding k, which must add
+    nothing.  Rows hold n bits, so the copies never overlap or carry."""
+    ones, full, _, _ = _lanes(n)
+    outside = ~m
     for k in range(n):
-        bit = 1 << k
-        rk = rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
+        if (m >> k & ones) * (m >> k * n & full) & outside:
+            return False
+    return True
+
+
+def transitive_close(rows):
+    """Reflexive-transitive closure of a square bit-matrix (list of ints),
+    in place: Warshall's pivots, each one product on the packed matrix."""
+    n = len(rows)
+    ones, full, diagonal, _ = _lanes(n)
+    m = _pack(rows, n) | diagonal
+    for k in range(n):
+        m |= (m >> k & ones) * (m >> k * n & full)
+    for i in range(n):
+        rows[i] = m & full
+        m >>= n
     return rows
 
 
@@ -58,32 +112,37 @@ def _closed_relations(forced, forbidden):
     `forced`, which must already be transitive, and avoid the bit-rows
     `forbidden`, each as a tuple of n rows.
 
-    The walk visits the pairs in row-major order.  For each open pair
-    (i, j), one neither held nor barred, it first leaves the pair out,
-    barring it for the rest of the branch, and then takes it in with its
-    closure ↓i × ↑j: row i and every row holding i gain j and row j.
+    The walk visits the pairs in row-major order, pair (i, j) at bit
+    i·n + j of the packed matrices of `_pack`.  For each open pair, one
+    neither held nor barred, it first leaves the pair out, barring it
+    for the rest of the branch, and then takes it in with its closure
+    ↓i × ↑j: row i and every row holding i gain j and row j.  On the
+    packed state a take is one product, the barred test one AND, and the
+    open pairs are the clear bits of held | barred above the last pair.
     A take that meets a barred pair dies at once; every other branch
-    ends in a result, so results are a polynomial number of row steps
-    apart.  The stack holds the takes still to be tried.
+    ends in a result, so results are a polynomial number of such steps
+    apart, each a constant number of n²-bit integer operations.  The
+    stack holds the takes still to be tried.
     """
     n = len(forced)
-    stack = [(tuple(forced), tuple(forbidden), -1)]
+    ones, full, _, _ = _lanes(n)
+    everything = (1 << n * n) - 1
+    stack = [(_pack(forced, n), _pack(forbidden, n), -1)]
     while stack:
-        rows, barred, p = stack.pop()
+        held, barred, p = stack.pop()
         if p >= 0:
             i, j = divmod(p, n)
-            up = rows[j] | 1 << j
-            rows = tuple(
-                r | up if a == i or r >> i & 1 else r for a, r in enumerate(rows)
-            )
-        if any(r & b for r, b in zip(rows, barred)):
+            below = held >> i & ones | 1 << i * n
+            held |= below * (held >> j * n & full | 1 << j)
+        if held & barred:
             continue
-        for p in range(p + 1, n * n):
-            i, j = divmod(p, n)
-            if not (rows[i] | barred[i]) >> j & 1:
-                stack.append((rows, barred, p))
-                barred = barred[:i] + (barred[i] | 1 << j,) + barred[i + 1 :]
-        yield rows
+        free = (everything >> p + 1 << p + 1) & ~(held | barred)
+        while free:
+            low = free & -free
+            stack.append((held, barred, low.bit_length() - 1))
+            barred |= low
+            free ^= low
+        yield tuple(_unpack(held, n))
 
 
 def _transpose(rows, n):
@@ -188,6 +247,26 @@ def _expressible(up, down, image_mask):
     return out
 
 
+def _order_failure(elements, rows):
+    """Raise the first failure of the matrix `rows` as a partial order on
+    `elements`: row by row, reflexivity, then per set bit its width and
+    antisymmetry; transitivity, which names no witness, last."""
+    n = len(elements)
+    for i in range(n):
+        if not rows[i] >> i & 1:
+            raise NotPreorder("relation is not reflexive", elements[i])
+        for j in _mask_iter(rows[i]):
+            if j >= n:
+                raise CarrierMismatch("matrix wider than element count")
+            if i != j and rows[j] >> i & 1:
+                raise AntisymmetryViolation(
+                    "elements %r and %r are mutually below each other"
+                    % (elements[i], elements[j]),
+                    (elements[i], elements[j]),
+                )
+    raise NotPreorder("relation is not transitive")
+
+
 class Poset:
     """A finite partial order."""
 
@@ -198,29 +277,25 @@ class Poset:
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise UnknownId("duplicate element ids")
-        self.rows = tuple(rows)
+        self.rows = rows = tuple(rows)
         n = len(self.elements)
-        if len(self.rows) != n:
+        if len(rows) != n:
             raise CarrierMismatch("matrix size does not match element count")
-        cols = [0] * n
-        for i in range(n):
-            if not self.rows[i] >> i & 1:
-                raise NotPreorder("relation is not reflexive", self.elements[i])
-            for j in _mask_iter(self.rows[i]):
-                if j >= n:
-                    raise CarrierMismatch("matrix wider than element count")
-                if i != j and self.rows[j] >> i & 1:
-                    raise AntisymmetryViolation(
-                        "elements %r and %r are mutually below each other"
-                        % (self.elements[i], self.elements[j]),
-                        (self.elements[i], self.elements[j]),
-                    )
-                cols[j] |= 1 << i
-        for i in range(n):
-            for k in _mask_iter(self.rows[i]):
-                if self.rows[k] & ~self.rows[i]:
-                    raise NotPreorder("relation is not transitive")
-        self.cols = tuple(cols)
+        # The packed tests only give the verdict; `_order_failure` names
+        # the first failure, in the order the laws are stated.
+        if rows and max(rows) >> n:
+            _order_failure(self.elements, rows)
+        _, _, diagonal, spec = _lanes(n)
+        m = _pack(rows, n)
+        # The binary digits of m, row n - 1 first and each row high bit
+        # first, read with stride n from offset k give column n - 1 - k
+        # the same way, so joined they are the packed transpose.
+        digits = format(m, spec)
+        mt = int("".join([digits[k::n] for k in range(n)]) or "0", 2)
+        # Reflexive and antisymmetric together: R ∩ Rᵀ is the diagonal.
+        if m & mt != diagonal or not _packed_transitive(m, n):
+            _order_failure(self.elements, rows)
+        self.cols = tuple(_unpack(mt, n))
 
     @classmethod
     def _derived(cls, elements, rows, cols, index=None):
@@ -779,7 +854,8 @@ class UnionPreorder:
 
     The carrier lists X-side elements first, then Y-side, each tagged
     with its side so the two may share raw ids.  The relation is held as
-    a bit-matrix and need not be a preorder; `is_preorder` says whether
+    a bit-matrix, each row inside the carrier (`CarrierMismatch`
+    otherwise), and need not be a preorder; `is_preorder` says whether
     it is, and `quotient` demands it.  A relation derived on the carrier
     of another, or of a polarity's frame, takes that carrier's `index`
     instead of building and checking its own.
@@ -797,6 +873,8 @@ class UnionPreorder:
         self.rows = tuple(rows)
         if len(self.rows) != len(self.carrier):
             raise CarrierMismatch("matrix size does not match carrier")
+        if self.rows and max(self.rows) >> len(self.carrier):
+            raise CarrierMismatch("matrix wider than carrier")
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
@@ -849,21 +927,19 @@ class UnionPreorder:
     def transitivity_witness(self):
         """The first (a, b, c), in carrier order, with a R b and b R c but
         not a R c, or None."""
+        if self.is_transitive():
+            return None
         rows = self.rows
         for i, row in enumerate(rows):
-            rest = row
-            while rest:
-                low = rest & -rest
-                k = low.bit_length() - 1
+            for k in _mask_iter(row):
                 extra = rows[k] & ~row
                 if extra:
                     c = self.carrier
                     return c[i], c[k], c[_low_index(extra)]
-                rest ^= low
-        return None
 
     def is_transitive(self):
-        return self.transitivity_witness() is None
+        n = len(self.rows)
+        return _packed_transitive(_pack(self.rows, n), n)
 
     def is_preorder(self):
         return self.is_reflexive() and self.is_transitive()

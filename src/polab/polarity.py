@@ -84,10 +84,11 @@ class ExtensionPolarity:
         self.ex = ex
         self.ey = ey
         self.rel = frozenset(rel)
+        left, right = ex.target.index, ey.target.index
         for a, b in self.rel:
-            if a not in self.x.index:
+            if a not in left:
                 raise UnknownId("relation uses unknown left element %r" % (a,))
-            if b not in self.y.index:
+            if b not in right:
                 raise UnknownId("relation uses unknown right element %r" % (b,))
         self._frame = self._rows = None
 
@@ -696,10 +697,10 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     The n-preorders are the transitive relations that hold the pairs
     every n-preorder holds and none of the pairs no n-preorder may hold,
     so `order._closed_relations` walks them on those two blocks, each
-    result a polynomial number of row steps after the last.  The carrier
-    size is gated (override with `max_carrier` or the POLAB_MAX_CARRIER
-    environment variable); `cap` bounds the number of results, with a
-    truncation flag when the search was cut short.
+    result a polynomial number of steps on packed n²-bit integers after
+    the last.  The carrier size is gated (override with `max_carrier` or
+    the POLAB_MAX_CARRIER environment variable); `cap` bounds the number
+    of results, with a truncation flag when the search was cut short.
     """
     fr, (rx, ry) = _frame_rows(pol)
     carrier = fr.carrier

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import islice
 from pathlib import Path
 
 import polab
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from polab.errors import (
     AntisymmetryViolation,
+    CarrierMismatch,
     LawViolation,
     NotCutStable,
     NotEmbedding,
     NotMonotone,
     NotPreorder,
+    PolabError,
     UnknownId,
 )
 from polab.order import (
@@ -50,13 +53,17 @@ from polab.order import (
 from polab.concepts import concept_lattice, f_map, g_map
 from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
+    naive_transitive_close,
+    naive_transitivity_witness,
     oracle_bounds_failure,
+    oracle_closed_relations,
     oracle_complete_hom_failure,
     oracle_enumerate_preorders,
     oracle_extensions_isomorphic,
     oracle_is_complete_lattice,
     oracle_is_cut_stable,
     oracle_monotone_failure,
+    oracle_order_failure,
     oracle_order_isomorphisms,
     oracle_reflection_failure,
 )
@@ -271,6 +278,14 @@ class TestUnionPreorder:
         assert q.projection[tag_y("a")] == q.projection[tag_x("a")]
         assert q.poset.leq(q.projection[tag_x("a")], q.projection[tag_x("b")])
 
+    def test_rows_wider_than_the_carrier_are_rejected(self):
+        """Packed rows must not bleed into the next one."""
+        carrier = (tag_x("a"), tag_x("b"))
+        for rows in ([0b101, 0b10], [0b1, 0b110]):
+            with pytest.raises(CarrierMismatch, match="wider than carrier"):
+                UnionPreorder(carrier, rows)
+        assert UnionPreorder(carrier, [0b11, 0b10]).is_preorder()
+
 
 class TestClosedRelations:
     def test_walk_matches_the_subset_sweep(self):
@@ -296,6 +311,94 @@ class TestClosedRelations:
             want = oracle_enumerate_preorders(range(n), forced, forbidden)
             assert sorted(walked) == sorted(u.rows for u in want)
             kinds["clash" if not want else "one" if len(want) == 1 else "many"] += 1
+
+    def test_walk_is_the_row_walk(self):
+        """On carriers of 0-9 elements the packed walk yields the row
+        walk's results in the row walk's order, up to 200 of them."""
+        rng = random.Random(62)
+        ended = 0
+        for _ in range(120):
+            n = rng.randint(0, 9)
+            density = rng.uniform(0.0, 0.15)
+            rows = [rng.getrandbits(n) if rng.random() < density else 0 for _ in range(n)]
+            bar = rng.uniform(0.1, 0.8)
+            forced = naive_transitive_close(rows)
+            # Mostly clear of the forced pairs, sometimes clashing with them.
+            keep = 0 if rng.random() < 0.1 else -1
+            barred = [
+                sum(1 << j for j in range(n) if rng.random() < bar) & ~(r & keep)
+                for r in forced
+            ]
+            walked = list(islice(_closed_relations(forced, barred), 201))
+            assert walked == list(islice(oracle_closed_relations(forced, barred), 201))
+            ended += len(walked) <= 200
+        assert 20 < ended < 120
+
+
+class TestPackedKernels:
+    def seeded_matrices(self, seed):
+        """Per n = 0..12 (the packed matrix passes 64 bits at n = 9):
+        random matrices of several densities, their closures, and each
+        closure with one pair taken out."""
+        rng = random.Random(seed)
+        for n in range(13):
+            for _ in range(25):
+                density = rng.choice((0.05, 0.15, 0.3, 0.6))
+                rows = [
+                    sum(1 << j for j in range(n) if rng.random() < density)
+                    for _ in range(n)
+                ]
+                yield n, rows
+                closed = naive_transitive_close(list(rows))
+                yield n, closed
+                if n:
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    yield n, [r & ~(1 << j) if a == i else r for a, r in enumerate(closed)]
+
+    def test_closure_and_transitivity_match_the_naive_ones(self):
+        verdicts = {True: 0, False: 0}
+        for n, rows in self.seeded_matrices(63):
+            assert transitive_close(list(rows)) == naive_transitive_close(list(rows))
+            carrier = tuple(tag_y(k) for k in range(n))
+            u = UnionPreorder(carrier, rows)
+            want = naive_transitivity_witness(carrier, rows)
+            assert u.transitivity_witness() == want
+            assert u.is_transitive() == (want is None)
+            verdicts[want is None] += 1
+        assert min(verdicts.values()) > 200
+
+    def test_poset_errors_are_the_stated_precedence(self):
+        """Malformed matrices raise the first failure row by row:
+        reflexivity, then per set bit width and antisymmetry, and
+        transitivity last."""
+        rng = random.Random(64)
+        seen = set()
+        for _ in range(1500):
+            n = rng.randint(1, 10)
+            rows = list(random_poset(rng, n, rng.uniform(0.1, 0.6)).rows)
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                i, j = rng.randrange(n), rng.randrange(n)
+                kind = rng.choice(("reflexive", "wide", "mutual", "drop"))
+                if kind == "reflexive":
+                    rows[i] &= ~(1 << i)
+                elif kind == "wide":
+                    rows[i] |= 1 << n + rng.randrange(3)
+                elif kind == "mutual":
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                elif i != j:
+                    rows[i] &= ~(1 << j)
+            elements = tuple("e%d" % k for k in range(n))
+            want = oracle_order_failure(elements, rows)
+            # Two kinds of NotPreorder: reflexivity names its element.
+            seen.add(None if want is None else (want[0], want[2] is None))
+            if want is None:
+                assert_as_validated(Poset(elements, rows))
+                continue
+            with pytest.raises(PolabError) as err:
+                Poset(elements, rows)
+            assert (type(err.value), str(err.value), err.value.witness) == want
+        assert len(seen) == 5, seen
 
 
 class TestLift:

@@ -99,30 +99,50 @@ def test_the_import_scan_resolves_every_form(tmp_path):
     assert "polab.oracles" not in _imported_modules(probe, tmp_path)
 
 
-def _derived_calls(path):
-    """The lines of a file that reach a `_derived` attribute."""
+# The packed bit-matrix layout of `polab.order` and its kernels.
+PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive")
+
+
+def _references(path, names):
+    """The lines of a file that reach one of `names`: as an attribute, a
+    bare name or an imported name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_derived"
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.alias) and node.name in names
+    ]
+
+
+def _outside_order(names):
+    """Where a file of the package, the tests or the benchmark other than
+    `polab/order.py` reaches one of `names`."""
+    own = PACKAGE / "order.py"
+    files = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+    files += sorted(TRACER.parent.glob("*.py"))
+    assert _references(own, names), "order.py no longer uses " + ", ".join(names)
+    return [
+        "%s:%d" % (path.name, line)
+        for path in files
+        if path != own
+        for line in _references(path, names)
     ]
 
 
 def test_derived_posets_stay_in_order():
     """`Poset._derived` skips the order checks, so only `polab.order`,
     which derives each poset from ones it trusts, may call it."""
-    own = PACKAGE / "order.py"
-    files = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
-    files += sorted(TRACER.parent.glob("*.py"))
-    found = [
-        "%s:%d" % (path.name, line)
-        for path in files
-        if path != own
-        for line in _derived_calls(path)
-    ]
-    assert _derived_calls(own), "order.py no longer derives posets"
+    found = _outside_order(("_derived",))
     assert not found, "Poset._derived called outside polab.order: " + ", ".join(found)
+
+
+def test_packing_stays_in_order():
+    """Row tuples are the representation every caller sees; the packed
+    layout is private to `polab.order`, so only its kernels depend on it."""
+    found = _outside_order(PACKING)
+    assert not found, "packing helpers used outside polab.order: " + ", ".join(found)
 
 
 def test_the_derived_scan_sees_every_form(tmp_path):
@@ -134,6 +154,20 @@ def test_the_derived_scan_sees_every_form(tmp_path):
         "getattr(Poset, 'x')._derived",
     ):
         probe.write_text(text + "\n")
-        assert _derived_calls(probe) == [1], text
+        assert _references(probe, ("_derived",)) == [1], text
     probe.write_text("derived = Poset(('a',), (1,))\n")
-    assert _derived_calls(probe) == []
+    assert _references(probe, ("_derived",)) == []
+
+
+def test_the_packing_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text in (
+        "from polab.order import _pack",
+        "from .order import Poset, _unpack as unpack",
+        "m = _packed_transitive(rows, 3)",
+        "order._lanes(3)",
+    ):
+        probe.write_text(text + "\n")
+        assert _references(probe, PACKING) == [1], text
+    probe.write_text("pack = packed = 1\nfrom polab.order import Poset\n")
+    assert _references(probe, PACKING) == []
