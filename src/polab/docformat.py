@@ -1,15 +1,23 @@
 """The text document format and the DOT export.
 
-Documents are block-structured: `kind name { statement; ... }` with `#`
-comments, whitespace-insensitive.  Kinds: poset, map, polarity,
-preorder, morphism, completion.  Later blocks may reference earlier
-ones by name.  Preorder blocks declare generating pairs on the tagged
-carrier of a polarity; the reflexive-transitive closure is taken.
+A document is a sequence of blocks `kind name { statement; ... }`: one
+header per line, statements split by `;` or newlines, `#` comments, and
+a block names only blocks above it.  `_GRAMMAR` is the whole grammar:
+per kind, its reference statements (`keyword name`, each required), its
+list statements (`keyword token ...`, pairs split at `<`, `->` or `~`,
+bare ids for `elems`) and its flags (`slice`).  One reader, `_read`,
+turns a block's statements into these, and a builder per kind calls the
+constructor.  Preorder blocks declare generating pairs on the tagged
+carrier (`X.a`, `Y.b`) of a polarity; the reflexive-transitive closure
+is taken.  An error names its statement's line, or the header's for an
+error about the whole block; a constructor's error keeps its type and
+message.  The README's "Document format" section is the reference.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import ParseError, PolabError, UnknownId
@@ -23,7 +31,12 @@ from .order import (
 )
 from .polarity import ExtensionPolarity, r_l
 
+_HEADER = re.compile(r"\s*(\w+)\s+(\S+)\s*\{(.*)$")
 _NAME = re.compile(r"[A-Za-z0-9_*.+-]+$")
+# An id reads back when it is a nonempty token free of `#`, `;`, braces
+# and the separators `<`, `~` and `->`.
+_ID = r"(?:[^\s#;{}<~-]|-(?!>))+"
+_IDS = re.compile(r"%s(?: %s)*\Z" % (_ID, _ID))
 
 
 @dataclass
@@ -43,7 +56,7 @@ class Document:
     preorders: dict = field(default_factory=dict)
     morphisms: dict = field(default_factory=dict)
     completions: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
+    order: list = field(default_factory=list, compare=False)
 
     def build_morphism(self, name):
         """Materialize a declared triple; raises MorphismInvalid on a
@@ -64,72 +77,49 @@ class Document:
 
         return Delta1Completion(self.completions[name])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Document)
-            and self.posets == other.posets
-            and self.maps == other.maps
-            and self.polarities == other.polarities
-            and self.preorders == other.preorders
-            and self.morphisms == other.morphisms
-            and self.completions == other.completions
-        )
-
-
-def _strip_comments(text):
-    lines = []
-    for raw in text.split("\n"):
-        cut = raw.find("#")
-        lines.append(raw if cut < 0 else raw[:cut])
-    return lines
-
 
 def _blocks(text):
-    """Yield (kind, name, [(line, statement)]) per block."""
-    lines = _strip_comments(text)
-    i, n = 0, len(lines)
-    while i < n:
-        if not lines[i].strip():
-            i += 1
-            continue
-        header = lines[i].strip()
-        m = re.match(r"(\w+)\s+(\S+)\s*\{(.*)$", header)
-        if not m:
-            raise ParseError("expected 'kind name {'", i + 1)
-        kind, name, rest = m.group(1), m.group(2), m.group(3)
-        if not _NAME.match(name):
-            raise ParseError("bad name %r" % name, i + 1)
-        body = []
-        line_no = i + 1
-        closed = False
-        chunk = rest
-        while True:
-            while "}" in chunk:
-                before, _, after = chunk.partition("}")
-                body.append((line_no, before))
-                if after.strip():
-                    raise ParseError("text after closing brace", line_no)
-                closed = True
-                chunk = ""
-            if closed:
-                break
-            body.append((line_no, chunk))
-            i += 1
-            if i >= n:
-                raise ParseError("unterminated block %r" % name, line_no)
-            line_no = i + 1
-            chunk = lines[i]
-        i += 1
-        stmts = []
-        for ln, part in body:
-            for stmt in part.split(";"):
-                if stmt.strip():
-                    stmts.append((ln, stmt.strip()))
-        yield kind, name, stmts
+    """Yield (kind, name, header line, [(line, statement)]) per block."""
+    block = None
+    for ln, line in enumerate(text.split("\n"), 1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        if block is None:
+            if not line.strip():
+                continue
+            m = _HEADER.match(line)
+            if not m:
+                raise ParseError("expected 'kind name {'", ln)
+            kind, name, line = m.groups()
+            if not _NAME.match(name):
+                raise ParseError("bad name %r" % name, ln)
+            stmts = []
+            block = (kind, name, ln, stmts)
+        body, brace, after = line.partition("}")
+        for stmt in body.split(";"):
+            stmt = stmt.strip()
+            if stmt:
+                stmts.append((ln, stmt))
+        if brace:
+            if after.strip():
+                raise ParseError("text after closing brace", ln)
+            yield block
+            block = None
+    if block is not None:
+        raise ParseError("unterminated block %r" % block[1], ln)
 
 
 def _reraise(err, line):
     raise type(err)("line %d: %s" % (line, err.args[0]), *err.args[1:]) from None
+
+
+def _at(line, build, *args):
+    """`build(*args)`, an error it raises put on `line`."""
+    try:
+        return build(*args)
+    except PolabError as err:
+        _reraise(err, line)
 
 
 def _tagged_token(tok, line):
@@ -140,330 +130,269 @@ def _tagged_token(tok, line):
     raise ParseError("carrier element must be X.name or Y.name", line)
 
 
-_HANDLED = ("poset", "map", "polarity", "preorder", "morphism", "completion")
-
-
-def parse(text):
-    doc = Document()
-    for kind, name, stmts in _blocks(text):
-        if kind not in _HANDLED:
-            raise ParseError("unknown block kind %r" % kind, stmts[0][0] if stmts else 1)
-        for store in (
-            doc.posets,
-            doc.maps,
-            doc.polarities,
-            doc.preorders,
-            doc.morphisms,
-            doc.completions,
-        ):
-            if name in store:
-                raise ParseError("duplicate name %r" % name, stmts[0][0] if stmts else 1)
-        builder = globals()["_parse_" + kind]
-        builder(doc, name, stmts)
-        doc.order.append((kind, name))
-    return doc
-
-
-def _parse_poset(doc, name, stmts):
-    elems = []
-    pairs = []
+def _read(doc, kind, name, header, stmts):
+    """The statements of one block, by keyword: a reference as `(line,
+    name)`, after checking that `doc` has it; a list statement as all
+    its tokens in the block, `(line, a, b)` per pair and `(line, ids)`
+    per `elems` statement; a flag as `(line, flag)`."""
+    spec = _GRAMMAR[kind]
+    refs, lists, flags = spec.refs, spec.lists, spec.flags
+    got = {kw: [] for kw in lists}
     for ln, stmt in stmts:
         parts = stmt.split()
-        if parts[0] == "elems":
-            elems.extend(parts[1:])
-        elif parts[0] == "le":
+        kw = parts[0]
+        if kw in lists:
+            sample = lists[kw]
+            out = got[kw]
+            if sample is None:
+                out.append((ln, parts[1:]))
+                continue
+            sep = sample[1:-1]
             for tok in parts[1:]:
-                if "<" not in tok:
-                    raise ParseError("le expects a<b tokens", ln)
-                a, _, b = tok.partition("<")
-                pairs.append((ln, a, b))
+                a, s, b = tok.partition(sep)
+                if not s:
+                    raise ParseError("%s expects %s tokens" % (kw, sample), ln)
+                out.append((ln, a, b))
+        elif kw in refs and len(parts) == 2 or kw in flags and len(parts) == 1:
+            got[kw] = (ln, parts[-1])
         else:
-            raise ParseError("unknown poset statement %r" % parts[0], ln)
+            raise ParseError("unknown %s statement %r" % (kind, kw), ln)
+    if not refs.keys() <= got.keys():
+        missing = ", ".join(kw for kw in refs if kw not in got)
+        raise ParseError("%s %r needs %s" % (kind, name, missing), header)
+    for kw, target in refs.items():
+        ln, ref = got[kw]
+        if ref not in getattr(doc, _GRAMMAR[target].store):
+            raise ParseError("unknown %s %r" % (target, ref), ln)
+    return got
+
+
+def _build_poset(doc, got):
+    elems = [e for _, ids in got["elems"] for e in ids]
+    pairs = got["le"]
     try:
-        poset = Poset.from_pairs(elems, [(a, b) for _, a, b in pairs])
+        return Poset.from_pairs(elems, [(a, b) for _, a, b in pairs])
     except PolabError as err:
-        bad = pairs[0][0] if pairs else (stmts[0][0] if stmts else 1)
-        for ln, a, b in pairs:
+        # The first `le` line by which the pairs so far fail.
+        bad = pairs[0][0] if pairs else got["elems"][0][0]
+        for ln, _, _ in pairs:
             try:
-                Poset.from_pairs(elems, [(x, y) for l2, x, y in pairs if l2 <= ln])
+                Poset.from_pairs(elems, [(a, b) for l2, a, b in pairs if l2 <= ln])
             except PolabError:
                 bad = ln
                 break
         _reraise(err, bad)
-    doc.posets[name] = poset
 
 
-def _parse_map(doc, name, stmts):
-    source = target = None
-    sends = []
-    for ln, stmt in stmts:
-        parts = stmt.split()
-        if parts[0] == "from" and len(parts) == 2:
-            source = (ln, parts[1])
-        elif parts[0] == "to" and len(parts) == 2:
-            target = (ln, parts[1])
-        elif parts[0] == "send":
-            for tok in parts[1:]:
-                if "->" not in tok:
-                    raise ParseError("send expects a->b tokens", ln)
-                a, _, b = tok.partition("->")
-                sends.append((ln, a, b))
-        else:
-            raise ParseError("unknown map statement %r" % parts[0], ln)
-    if source is None or target is None:
-        raise ParseError("map %r needs from and to" % name, stmts[0][0] if stmts else 1)
-    for ln, pname in (source, target):
-        if pname not in doc.posets:
-            raise ParseError("unknown poset %r" % pname, ln)
+def _build_map(doc, got):
+    source, target = doc.posets[got["from"][1]], doc.posets[got["to"][1]]
+    sends = got["send"]
     try:
-        doc.maps[name] = MonotoneMap(
-            doc.posets[source[1]],
-            doc.posets[target[1]],
-            {a: b for _, a, b in sends},
-        )
+        return MonotoneMap(source, target, {a: b for _, a, b in sends})
+    except UnknownId as err:
+        # The image named is that of the first source element, in source
+        # order, sent off the target; its last `send` is the one in force.
+        last = {a: (ln, b) for ln, a, b in sends}
+        in_force = (last[p] for p in source.elements)
+        _reraise(err, next(ln for ln, b in in_force if b not in target.index))
     except PolabError as err:
-        _reraise(err, sends[0][0] if sends else source[0])
+        _reraise(err, sends[0][0] if sends else got["from"][0])
 
 
-def _parse_polarity(doc, name, stmts):
-    base = ex = ey = None
-    rel = []
-    use_slice = False
-    for ln, stmt in stmts:
-        parts = stmt.split()
-        if parts[0] == "slice" and len(parts) == 1:
-            use_slice = True
-        elif parts[0] in ("base", "ex", "ey") and len(parts) == 2:
-            if parts[0] == "base":
-                base = (ln, parts[1])
-            elif parts[0] == "ex":
-                ex = (ln, parts[1])
-            else:
-                ey = (ln, parts[1])
-        elif parts[0] == "rel":
-            for tok in parts[1:]:
-                if "~" not in tok:
-                    raise ParseError("rel expects x~y tokens", ln)
-                a, _, b = tok.partition("~")
-                rel.append((ln, a, b))
-        else:
-            raise ParseError("unknown polarity statement %r" % parts[0], ln)
-    if base is None or ex is None or ey is None:
-        raise ParseError(
-            "polarity %r needs base, ex and ey" % name, stmts[0][0] if stmts else 1
-        )
-    if base[1] not in doc.posets:
-        raise ParseError("unknown poset %r" % base[1], base[0])
-    for ln, mname in (ex, ey):
-        if mname not in doc.maps:
-            raise ParseError("unknown map %r" % mname, ln)
-    x, y = doc.maps[ex[1]].target, doc.maps[ey[1]].target
-    for ln, a, b in rel:
-        if a not in x.index:
-            raise UnknownId("line %d: relation uses unknown left element %r" % (ln, a))
-        if b not in y.index:
-            raise UnknownId("line %d: relation uses unknown right element %r" % (ln, b))
+def _build_polarity(doc, got):
+    (base_line, base), (ex_line, ex), (ey_line, ey) = got["base"], got["ex"], got["ey"]
+    base = doc.posets[base]
+    x_ext = _at(ex_line, Extension, doc.maps[ex])
+    y_ext = _at(ey_line, Extension, doc.maps[ey])
+    rel = got["rel"]
+    pairs = {(a, b) for _, a, b in rel}
+    if "slice" in got:
+        pairs |= r_l(x_ext, y_ext)
     try:
-        x_ext = Extension(doc.maps[ex[1]])
-        y_ext = Extension(doc.maps[ey[1]])
-        pairs = {(a, b) for _, a, b in rel}
-        if use_slice:
-            pairs |= r_l(x_ext, y_ext)
-        pol = ExtensionPolarity(doc.posets[base[1]], x_ext, y_ext, pairs)
+        return ExtensionPolarity(base, x_ext, y_ext, pairs)
+    except UnknownId:
+        # The constructor checks the pairs in no fixed order: name the
+        # first `rel` line with an id off its side, in its wording.
+        for ln, a, b in rel:
+            _at(ln, ExtensionPolarity, base, x_ext, y_ext, ((a, b),))
+        raise
     except PolabError as err:
-        _reraise(err, base[0])
-    doc.polarities[name] = pol
+        _reraise(err, base_line)
 
 
-def _parse_preorder(doc, name, stmts):
-    pol = None
-    pairs = []
-    for ln, stmt in stmts:
-        parts = stmt.split()
-        if parts[0] == "polarity" and len(parts) == 2:
-            if parts[1] not in doc.polarities:
-                raise ParseError("unknown polarity %r" % parts[1], ln)
-            pol = doc.polarities[parts[1]]
-        elif parts[0] == "le":
-            for tok in parts[1:]:
-                if "<" not in tok:
-                    raise ParseError("le expects a<b tokens", ln)
-                a, _, b = tok.partition("<")
-                pairs.append((_tagged_token(a, ln), _tagged_token(b, ln), ln))
-        else:
-            raise ParseError("unknown preorder statement %r" % parts[0], ln)
-    if pol is None:
-        raise ParseError(
-            "preorder %r needs a polarity" % name, stmts[0][0] if stmts else 1
-        )
-    carrier = pol.carrier()
+def _build_preorder(doc, got):
+    carrier = doc.polarities[got["polarity"][1]].carrier()
+    le = [(ln, _tagged_token(a, ln), _tagged_token(b, ln)) for ln, a, b in got["le"]]
     diag = [(e, e) for e in carrier]
     try:
-        pre = UnionPreorder.from_pairs(
-            carrier, diag + [(a, b) for a, b, _ in pairs]
-        ).closed()
+        pre = UnionPreorder.from_pairs(carrier, diag + [(a, b) for _, a, b in le])
     except UnknownId as err:
-        _reraise(err, pairs[0][2] if pairs else stmts[0][0])
-    doc.preorders[name] = pre
+        off = (ln for ln, a, b in le if a not in carrier or b not in carrier)
+        _reraise(err, next(off))
+    return pre.closed()
 
 
-def _parse_morphism(doc, name, stmts):
-    got = {}
-    for ln, stmt in stmts:
-        parts = stmt.split()
-        if parts[0] in ("from", "to", "hx", "hp", "hy") and len(parts) == 2:
-            got[parts[0]] = (ln, parts[1])
-        else:
-            raise ParseError("unknown morphism statement %r" % parts[0], ln)
-    missing = [k for k in ("from", "to", "hx", "hp", "hy") if k not in got]
-    if missing:
-        raise ParseError(
-            "morphism %r needs %s" % (name, ", ".join(missing)),
-            stmts[0][0] if stmts else 1,
-        )
-    for key in ("from", "to"):
-        ln, ref = got[key]
-        if ref not in doc.polarities:
-            raise ParseError("unknown polarity %r" % ref, ln)
-    for key in ("hx", "hp", "hy"):
-        ln, ref = got[key]
-        if ref not in doc.maps:
-            raise ParseError("unknown map %r" % ref, ln)
-    doc.morphisms[name] = MorphismDecl(
-        source=got["from"][1],
-        target=got["to"][1],
-        hx=got["hx"][1],
-        hp=got["hp"][1],
-        hy=got["hy"][1],
-    )
+def _build_morphism(doc, got):
+    return MorphismDecl(*(got[kw][1] for kw in ("from", "to", "hx", "hp", "hy")))
 
 
-def _parse_completion(doc, name, stmts):
-    ref = None
-    for ln, stmt in stmts:
-        parts = stmt.split()
-        if parts[0] == "map" and len(parts) == 2:
-            if parts[1] not in doc.maps:
-                raise ParseError("unknown map %r" % parts[1], ln)
-            ref = parts[1]
-        else:
-            raise ParseError("unknown completion statement %r" % parts[0], ln)
-    if ref is None:
-        raise ParseError(
-            "completion %r needs a map" % name, stmts[0][0] if stmts else 1
-        )
-    try:
-        doc.completions[name] = Extension(doc.maps[ref])
-    except PolabError as err:
-        _reraise(err, stmts[0][0])
+def _build_completion(doc, got):
+    ln, ref = got["map"]
+    return _at(ln, Extension, doc.maps[ref])
 
 
 def _untag(e):
     return "%s.%s" % (e[0], e[1])
 
 
-def serialize(doc):
-    """Canonical text for a document; parse(serialize(d)) == d."""
-    out = []
-    seen = set()
-    order = list(doc.order)
-    for kind, store in (
-        ("poset", doc.posets),
-        ("map", doc.maps),
-        ("polarity", doc.polarities),
-        ("preorder", doc.preorders),
-        ("morphism", doc.morphisms),
-        ("completion", doc.completions),
-    ):
-        for name in store:
-            if (kind, name) not in order:
-                order.append((kind, name))
-    for kind, name in order:
-        if (kind, name) in seen:
-            continue
-        seen.add((kind, name))
-        out.append(globals()["_emit_" + kind](doc, name))
-    return "\n".join(out) + "\n"
+def _name_of(store, value, what, name):
+    """The name under which `store` holds `value`; UnknownId naming
+    `what` of block `name` if it holds none."""
+    for k, v in store.items():
+        if v == value:
+            return k
+    raise UnknownId("%s %r is not in the document" % (what, name))
+
+
+def _joined_ids(name, ids):
+    """The ids of poset `name`, space-joined; ParseError unless each is
+    a token that reads back, decided by one match for the whole block."""
+    try:
+        text = " ".join(ids)
+    except TypeError:
+        text = ""
+    if ids and not (_IDS.match(text) and text.count(" ") == len(ids) - 1):
+        bad = next(
+            e for e in ids if not (isinstance(e, str) and _IDS.match(e)) or " " in e
+        )
+        raise ParseError("poset %r: id %r does not read back" % (name, bad))
+    return text
+
+
+# Each emitter gives the statements of one block.
 
 
 def _emit_poset(doc, name):
     p = doc.posets[name]
-    lines = ["poset %s {" % name]
-    lines.append("  elems %s;" % " ".join(str(e) for e in p.elements))
+    stmts = ["elems " + _joined_ids(name, p.elements)]
     covers = p.covers()
     if covers:
-        lines.append("  le %s;" % " ".join("%s<%s" % (a, b) for a, b in covers))
-    lines.append("}")
-    return "\n".join(lines)
+        stmts.append("le " + " ".join("%s<%s" % ab for ab in covers))
+    return stmts
 
 
 def _emit_map(doc, name):
     m = doc.maps[name]
-    src = next(k for k, v in doc.posets.items() if v == m.source)
-    tgt = next(k for k, v in doc.posets.items() if v == m.target)
-    lines = ["map %s {" % name, "  from %s;" % src, "  to %s;" % tgt]
-    sends = " ".join("%s->%s" % (p, m(p)) for p in m.source.elements)
-    if sends:
-        lines.append("  send %s;" % sends)
-    lines.append("}")
-    return "\n".join(lines)
+    src = _name_of(doc.posets, m.source, "the source poset of map", name)
+    tgt = _name_of(doc.posets, m.target, "the target poset of map", name)
+    stmts = ["from " + src, "to " + tgt]
+    elements = m.source.elements
+    if elements:
+        stmts.append("send " + " ".join("%s->%s" % (p, m(p)) for p in elements))
+    return stmts
 
 
 def _emit_polarity(doc, name):
     pol = doc.polarities[name]
-    base = next(k for k, v in doc.posets.items() if v == pol.base)
-    ex = next(k for k, v in doc.maps.items() if v == pol.ex.map)
-    ey = next(k for k, v in doc.maps.items() if v == pol.ey.map)
-    lines = [
-        "polarity %s {" % name,
-        "  base %s;" % base,
-        "  ex %s;" % ex,
-        "  ey %s;" % ey,
-    ]
+    base = _name_of(doc.posets, pol.base, "the base poset of polarity", name)
+    ex = _name_of(doc.maps, pol.ex.map, "the ex map of polarity", name)
+    ey = _name_of(doc.maps, pol.ey.map, "the ey map of polarity", name)
+    stmts = ["base " + base, "ex " + ex, "ey " + ey]
     if pol.rel:
-        lines.append(
-            "  rel %s;" % " ".join("%s~%s" % ab for ab in sorted(pol.rel))
-        )
-    lines.append("}")
-    return "\n".join(lines)
+        stmts.append("rel " + " ".join("%s~%s" % ab for ab in sorted(pol.rel)))
+    return stmts
 
 
 def _emit_preorder(doc, name):
     pre = doc.preorders[name]
-    pol = next(
-        k for k, v in doc.polarities.items() if tuple(v.carrier()) == pre.carrier
-    )
-    lines = ["preorder %s {" % name, "  polarity %s;" % pol]
+    carriers = {k: tuple(v.carrier()) for k, v in doc.polarities.items()}
+    pol = _name_of(carriers, pre.carrier, "the polarity of preorder", name)
     pairs = [
         "%s<%s" % (_untag(a), _untag(b))
         for a in pre.carrier
         for b in pre.carrier
         if a != b and pre.rel(a, b)
     ]
+    stmts = ["polarity " + pol]
     if pairs:
-        lines.append("  le %s;" % " ".join(pairs))
-    lines.append("}")
-    return "\n".join(lines)
+        stmts.append("le " + " ".join(pairs))
+    return stmts
 
 
 def _emit_morphism(doc, name):
     d = doc.morphisms[name]
-    return "\n".join(
-        [
-            "morphism %s {" % name,
-            "  from %s;" % d.source,
-            "  to %s;" % d.target,
-            "  hx %s;" % d.hx,
-            "  hp %s;" % d.hp,
-            "  hy %s;" % d.hy,
-            "}",
-        ]
-    )
+    refs = zip(("from", "to", "hx", "hp", "hy"), (d.source, d.target, d.hx, d.hp, d.hy))
+    return ["%s %s" % ref for ref in refs]
 
 
 def _emit_completion(doc, name):
-    ref = next(k for k, v in doc.maps.items() if v == doc.completions[name].map)
-    return "completion %s {\n  map %s;\n}" % (name, ref)
+    ref = _name_of(doc.maps, doc.completions[name].map, "the map of completion", name)
+    return ["map " + ref]
+
+
+_Kind = namedtuple("_Kind", "store refs lists flags build emit")
+
+# Per block kind: the `Document` field holding its blocks; its reference
+# statements, keyword -> the kind of block named; its list statements,
+# keyword -> a sample token whose middle is the separator (None for bare
+# ids); its bare flags; its builder and its emitter.
+_GRAMMAR = {
+    "poset": _Kind(
+        "posets", {}, {"elems": None, "le": "a<b"}, (), _build_poset, _emit_poset
+    ),
+    "map": _Kind(
+        "maps", {"from": "poset", "to": "poset"}, {"send": "a->b"}, (),
+        _build_map, _emit_map,
+    ),
+    "polarity": _Kind(
+        "polarities", {"base": "poset", "ex": "map", "ey": "map"}, {"rel": "x~y"},
+        ("slice",), _build_polarity, _emit_polarity,
+    ),
+    "preorder": _Kind(
+        "preorders", {"polarity": "polarity"}, {"le": "a<b"}, (),
+        _build_preorder, _emit_preorder,
+    ),
+    "morphism": _Kind(
+        "morphisms",
+        {"from": "polarity", "to": "polarity", "hx": "map", "hp": "map", "hy": "map"},
+        {}, (), _build_morphism, _emit_morphism,
+    ),
+    "completion": _Kind(
+        "completions", {"map": "map"}, {}, (), _build_completion, _emit_completion
+    ),
+}
+
+
+def parse(text):
+    doc = Document()
+    names = set()
+    for kind, name, header, stmts in _blocks(text):
+        spec = _GRAMMAR.get(kind)
+        if spec is None:
+            raise ParseError("unknown block kind %r" % kind, header)
+        if name in names:
+            raise ParseError("duplicate name %r" % name, header)
+        names.add(name)
+        got = _read(doc, kind, name, header, stmts)
+        getattr(doc, spec.store)[name] = spec.build(doc, got)
+        doc.order.append((kind, name))
+    return doc
+
+
+def serialize(doc):
+    """Canonical text for a document; parse(serialize(d)) == d.  Raises
+    ParseError for a name or id that would not read back and UnknownId
+    for a block that names one missing from the document."""
+    blocks = list(doc.order)
+    for kind, spec in _GRAMMAR.items():
+        blocks += [(kind, name) for name in getattr(doc, spec.store)]
+    out = []
+    for kind, name in dict.fromkeys(blocks):
+        if not (isinstance(name, str) and _NAME.match(name)):
+            raise ParseError("bad name %r" % (name,))
+        stmts = ";\n  ".join(_GRAMMAR[kind].emit(doc, name))
+        out.append("%s %s {\n  %s;\n}" % (kind, name, stmts))
+    return "\n".join(out) + "\n"
 
 
 def _dot_id(e):

@@ -15,10 +15,12 @@ and both maps are unions over it.  The adjunction laws are therefore
 decided on generators (single pairs and their principal down-sets),
 with no size gate.  Each context also keeps one condition frame per
 side, on which every relation of that side is graded.  Clause 5 is one
-closure comparison.  Clause 6 is one closure too: C1 to C4 are closure
-rules and C5 to C8 only rule pairs out, so the least relation above the
-image pairs satisfying C1 to C4 (`_least_graded`) reaches every grade
-that some 0-coherent relation above them reaches.
+closure comparison, made on the outer frame's order rows and not on the
+kernel, so a fault in the kernel fails it.  Clause 6 is one closure
+too: C1 to C4 are closure rules and C5 to C8 only rule pairs out, so
+the least relation above the image pairs satisfying C1 to C4
+(`_least_graded`) reaches every grade that some 0-coherent relation
+above them reaches.
 """
 
 from __future__ import annotations
@@ -234,6 +236,14 @@ def _rows_mask(rx, ny):
     return mask
 
 
+def _down_closure(frame, rx):
+    """The down-closure in X × Yᵒᵖ of the relation with left bit-rows
+    `rx`, read off the frame's order rows: each x takes the rows of the
+    elements above it, closed upward in Y.  The least relation holding
+    the given pairs that satisfies C1 and C2."""
+    return [_union_of(frame.yrows, _union_of(rx, up)) for up in frame.xrows]
+
+
 def _least_graded(frame, rx):
     """The least relation containing the pairs of the left bit-rows `rx`
     that satisfies C1 to C4, as bit-rows `(rx, ry)`; C5 to C8 hold on
@@ -248,7 +258,7 @@ def _least_graded(frame, rx):
     rx = list(rx)
     for xi, yi in zip(frame.exi, frame.eyi):
         rx[xi] |= 1 << yi
-    rx = [_union_of(frame.yrows, _union_of(rx, up)) for up in frame.xrows]
+    rx = _down_closure(frame, rx)
     for xi, yi in zip(frame.exi, frame.eyi):
         gain = rx[xi]
         rx = [row | gain if row >> yi & 1 else row for row in rx]
@@ -263,11 +273,12 @@ def check_extension_preservation(ctx):
     (3) grades 1 and 2 transfer up; (4) Galois transfers up along
     meet/join side extensions; (5) the saturation is least among
     0-coherent outer relations containing the image pairs, that is, it
-    lies inside their down-closure in X' × Y'ᵒᵖ; (6) if the inner
-    relation holds grade 2 or 3 but the saturation misses it, no
-    0-coherent outer relation containing the image pairs reaches it
-    either, decided on `_least_graded` at every size; at grade 2 it can
-    apply only where clause 3 fails.
+    lies inside their down-closure in X' × Y'ᵒᵖ, read off the outer
+    frame's order rows rather than the transfer kernel that built it;
+    (6) if the inner relation holds grade 2 or 3 but the saturation
+    misses it, no 0-coherent outer relation containing the image pairs
+    reaches it either, decided on `_least_graded` at every size; at
+    grade 2 it can apply only where clause 3 fails.
     """
     inner = ctx.inner
     t = ctx._transfer()
@@ -299,12 +310,14 @@ def check_extension_preservation(ctx):
     else:
         report["4"] = ClauseReport(False, True, "side extensions not meet/join")
 
-    report["5"] = ClauseReport(True, not rbar & ~_union_of(t.below, image))
+    image_rx = _mask_rows(image, len(X), len(Y))[0]
+    down = _rows_mask(_down_closure(fout, image_rx), len(Y))
+    report["5"] = ClauseReport(True, not rbar & ~down)
 
     missed = [n for n in (2, 3) if (inner_level or 0) >= n > (outer_level or 0)]
     reached = []
     if missed:
-        least = _least_graded(fout, _mask_rows(image, len(X), len(Y))[0])
+        least = _least_graded(fout, image_rx)
         reached = [n for n in missed if fout.level(*least, n) == n]
     notes = "; ".join("grade %d reachable" % n for n in reached)
     report["6"] = ClauseReport(bool(missed), not reached, notes)

@@ -1,9 +1,21 @@
+import random
+
 import pytest
 
-from polab.docformat import parse, serialize, to_dot
-from polab.errors import AntisymmetryViolation, ParseError, UnknownId
+from polab import randgen
+from polab.cli import document_of
+from polab.docformat import Document, parse, serialize, to_dot
+from polab.errors import (
+    AntisymmetryViolation,
+    CarrierMismatch,
+    NotEmbedding,
+    NotMonotone,
+    ParseError,
+    UnknownId,
+)
 from polab.fixtures import CATALOGUE, load
-from polab.order import Poset
+from polab.order import MonotoneMap, Poset
+from polab.polarity import ExtensionPolarity, r_l
 
 
 class TestParsing:
@@ -73,6 +85,121 @@ class TestParsing:
         assert ("a", "b") in pol.rel and ("b", "a") not in pol.rel
 
 
+# Lines 1-27; each case below appends one or more blocks from line 28 on.
+PRELUDE = (
+    "poset P {\n  elems a b\n  le a<b\n}\n"
+    "map id {\n  from P\n  to P\n  send a->a b->b\n}\n"
+    "polarity G {\n  base P\n  ex id\n  ey id\n}\n"
+    "poset C {\n  elems c d\n}\n"
+    "map k {\n  from C\n  to P\n  send c->a d->a\n}\n"
+    "map i {\n  from C\n  to C\n  send c->c d->d\n}\n"
+)
+
+# (case, appended text, error type, message): every error `parse` raises.
+ERRORS = [
+    # blocks
+    ("header", "poset Q\n", ParseError, "line 28: expected 'kind name {'"),
+    ("bad name", "poset Q/R {\n}\n", ParseError, "line 28: bad name 'Q/R'"),
+    ("after brace", "poset Q {\n elems c } x\n", ParseError,
+     "line 29: text after closing brace"),
+    ("unterminated", "poset Q {\n elems c\n", ParseError,
+     "line 30: unterminated block 'Q'"),
+    ("kind", "widget W {\n}\n", ParseError, "line 28: unknown block kind 'widget'"),
+    ("duplicate, empty", "map P {\n}\n", ParseError, "line 28: duplicate name 'P'"),
+    ("duplicate", "poset G {\n elems c\n}\n", ParseError,
+     "line 28: duplicate name 'G'"),
+    # statements
+    ("statement", "poset Q {\n nonsense\n}\n", ParseError,
+     "line 29: unknown poset statement 'nonsense'"),
+    ("reference arity", "map m {\n from P P\n to P\n}\n", ParseError,
+     "line 29: unknown map statement 'from'"),
+    ("bare reference", "completion K {\n map\n}\n", ParseError,
+     "line 29: unknown completion statement 'map'"),
+    ("flag arity", "polarity H {\n base P\n ex id\n ey id\n slice all\n}\n",
+     ParseError, "line 32: unknown polarity statement 'slice'"),
+    ("le token", "poset Q {\n elems c d\n le c>d\n}\n", ParseError,
+     "line 30: le expects a<b tokens"),
+    ("send token", "map m {\n from P\n to P\n send a=a\n}\n", ParseError,
+     "line 31: send expects a->b tokens"),
+    ("rel token", "polarity H {\n base P\n ex id\n ey id\n rel a-b\n}\n",
+     ParseError, "line 32: rel expects x~y tokens"),
+    ("preorder le token", "preorder Q {\n polarity G\n le X.a\n}\n", ParseError,
+     "line 30: le expects a<b tokens"),
+    # missing references
+    ("map needs", "map m {\n}\n", ParseError, "line 28: map 'm' needs from, to"),
+    ("map needs to", "map m {\n from P\n}\n", ParseError,
+     "line 28: map 'm' needs to"),
+    ("polarity needs", "polarity H {\n ex id\n}\n", ParseError,
+     "line 28: polarity 'H' needs base, ey"),
+    ("preorder needs", "preorder Q {\n}\n", ParseError,
+     "line 28: preorder 'Q' needs polarity"),
+    ("morphism needs", "morphism f {\n from G\n to G\n hx id\n}\n", ParseError,
+     "line 28: morphism 'f' needs hp, hy"),
+    ("completion needs", "completion K {\n}\n", ParseError,
+     "line 28: completion 'K' needs map"),
+    # unknown references
+    ("map to", "map m {\n from P\n to Z\n}\n", ParseError,
+     "line 30: unknown poset 'Z'"),
+    ("polarity base", "polarity H {\n base Z\n ex id\n ey id\n}\n", ParseError,
+     "line 29: unknown poset 'Z'"),
+    ("polarity ey", "polarity H {\n base P\n ex id\n ey nope\n}\n", ParseError,
+     "line 31: unknown map 'nope'"),
+    ("preorder polarity", "preorder Q {\n polarity nope\n}\n", ParseError,
+     "line 29: unknown polarity 'nope'"),
+    ("morphism to", "morphism f {\n from G\n to nope\n hx id\n hp id\n hy id\n}\n",
+     ParseError, "line 30: unknown polarity 'nope'"),
+    ("morphism hp", "morphism f {\n from G\n to G\n hx id\n hp P\n hy id\n}\n",
+     ParseError, "line 32: unknown map 'P'"),
+    ("completion map", "completion K {\n map G\n}\n", ParseError,
+     "line 29: unknown map 'G'"),
+    # builders
+    ("antisymmetry", "poset Q {\n elems c d e\n le c<d\n le d<e e<c\n}\n",
+     AntisymmetryViolation,
+     "line 31: elements 'c' and 'd' are mutually below each other"),
+    ("le id", "poset Q {\n elems c d\n le c<e\n}\n", UnknownId,
+     "line 30: unknown element 'e'"),
+    ("elems duplicate", "poset Q {\n elems c c\n}\n", UnknownId,
+     "line 29: duplicate element ids"),
+    ("map total", "map m {\n from P\n to P\n send a->a\n}\n", NotMonotone,
+     "line 31: map is not total: missing 'b'"),
+    ("map image", "map m {\n from P\n to P\n send a->a\n send b->zz\n}\n",
+     UnknownId, "line 32: image 'zz' is not in the target"),
+    ("map monotone", "map m {\n from P\n to P\n send a->b b->a\n}\n",
+     NotMonotone, "line 31: 'a' <= 'b' but images are not ordered"),
+    ("ex embedding", "polarity H {\n base C\n ex k\n ey i\n}\n", NotEmbedding,
+     "line 30: extension map must be an order embedding"),
+    ("ey embedding", "polarity H {\n base C\n ex i\n ey k\n}\n", NotEmbedding,
+     "line 31: extension map must be an order embedding"),
+    ("polarity base", "polarity H {\n base P\n ex id\n ey i\n}\n", CarrierMismatch,
+     "line 29: both extensions must share the base poset"),
+    ("rel right", "polarity H {\n base P\n ex id\n ey id\n rel a~b\n rel a~zz\n}\n",
+     UnknownId, "line 33: relation uses unknown right element 'zz'"),
+    ("rel left", "polarity H {\n base P\n ex id\n ey id\n slice\n rel zz~a\n}\n",
+     UnknownId, "line 33: relation uses unknown left element 'zz'"),
+    ("preorder tag", "preorder Q {\n polarity G\n le a<Y.b\n}\n", ParseError,
+     "line 30: carrier element must be X.name or Y.name"),
+    ("preorder id", "preorder Q {\n polarity G\n le X.a<Y.b\n le X.a<Y.zz\n}\n",
+     UnknownId, "line 31: pair (('X', 'a'), ('Y', 'zz')) is not on the carrier"),
+    ("completion embedding", "completion K {\n map k\n}\n", NotEmbedding,
+     "line 29: extension map must be an order embedding"),
+]
+
+
+class TestErrors:
+    def test_prelude_parses(self):
+        doc = parse(PRELUDE)
+        assert [name for _, name in doc.order] == ["P", "id", "G", "C", "k", "i"]
+
+    @pytest.mark.parametrize(
+        "text, error, message", [case[1:] for case in ERRORS], ids=[c[0] for c in ERRORS]
+    )
+    def test_error_type_message_and_line(self, text, error, message):
+        with pytest.raises(error) as e:
+            parse(PRELUDE + text)
+        assert type(e.value) is error
+        assert str(e.value) == message
+
+
 class TestRoundTrip:
     def test_fixture_documents_round_trip(self):
         for fx in CATALOGUE:
@@ -93,6 +220,67 @@ class TestRoundTrip:
         assert built == doc.build_completion("K")
         assert built.lattice == doc.posets["L"]
         assert [built(p) for p in "abcd"] == list("abcd")
+
+
+    def test_seeded_polarities_round_trip(self):
+        """200 polarities of the `grade` pool's three kinds (arbitrary,
+        slice over random embeddings, Galois) at base sizes 1 to 9."""
+        rng = random.Random(15)
+        for k in range(200):
+            size, kind = 1 + k % 9, k // 9 % 3
+            if kind == 0:
+                pol = randgen.random_extension_polarity(rng, size)
+            elif kind == 1:
+                base = randgen.random_poset(rng, size)
+                ex = randgen.random_embedding(rng, base, prefix="x")
+                ey = randgen.random_embedding(rng, base, prefix="y")
+                pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+            else:
+                pol = randgen.random_galois_polarity(rng, size)
+            doc = document_of(pol)
+            again = parse(serialize(doc))
+            assert again.polarities["G"] == pol
+            assert again == doc
+
+    def test_ids_with_dashes_and_angles_round_trip(self):
+        p = Poset.chain(["a-", "-", "b>", ">c", "1"])
+        doc = Document(posets={"P": p}, maps={"m": MonotoneMap.identity(p)})
+        assert parse(serialize(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "ids, bad",
+        [([1, 2], 1), (["a b", "c"], "a b"), (["a", "b<c"], "b<c"), (["x->y"], "x->y"),
+         (["a~b"], "a~b"), (["a;"], "a;"), (["#"], "#"), (["}"], "}"), ([""], "")],
+    )
+    def test_ids_that_would_not_read_back_are_refused(self, ids, bad):
+        doc = Document(posets={"P": Poset.chain(ids)})
+        with pytest.raises(ParseError) as e:
+            serialize(doc)
+        assert str(e.value) == "poset 'P': id %r does not read back" % (bad,)
+
+    def test_names_that_would_not_read_back_are_refused(self):
+        doc = Document(posets={"P Q": Poset.chain("ab")})
+        with pytest.raises(ParseError) as e:
+            serialize(doc)
+        assert str(e.value) == "bad name 'P Q'"
+
+    @pytest.mark.parametrize(
+        "dropped, missing",
+        [
+            (("posets",), "the source poset of map 'ex'"),
+            (("maps",), "the ex map of polarity 'G'"),
+            (("polarities",), "the polarity of preorder 'Q'"),
+            (("maps", "polarities", "preorders"), "the map of completion 'K'"),
+        ],
+    )
+    def test_a_block_naming_a_missing_one_is_refused(self, dropped, missing):
+        doc = load("fix_e")
+        doc.order.clear()
+        for store in dropped:
+            getattr(doc, store).clear()
+        with pytest.raises(UnknownId) as e:
+            serialize(doc)
+        assert str(e.value) == missing + " is not in the document"
 
 
 class TestDot:

@@ -544,6 +544,32 @@ class TestDownSets:
             else:
                 above += 1
 
+    def test_clause_5_fails_on_a_wrong_pair_order(self, monkeypatch):
+        """Clause 5 reads the down-closure off the outer frame, not off
+        `_pair_orders`: with a stray pair in every principal down-set of
+        the transfer kernel, the saturation holds it and clause 5 fails
+        wherever the true saturation lacks it."""
+        pair_orders = polab.extend._pair_orders
+
+        def stray(X, Y):
+            below = pair_orders(X, Y)
+            top = 1 << len(below) - 1
+            return [down | top for down in below]
+
+        rng = random.Random(13)
+        caught = 0
+        while caught < 20:
+            ctx = random_context(rng, 2)
+            X, Y = ctx.ix.target, ctx.iy.target
+            if not ctx.inner.rel or (X.elements[-1], Y.elements[-1]) in extend_relation(ctx):
+                continue
+            assert check_extension_preservation(ctx)["5"].holds
+            with monkeypatch.context() as m:
+                m.setattr(polab.extend, "_pair_orders", stray)
+                fresh = ExtensionContext(ctx.inner, ctx.ix, ctx.iy)
+                assert not check_extension_preservation(fresh)["5"].holds
+            caught += 1
+
 
 class TestLeastGraded:
     """Clause 6's closure: the least relation above a floor satisfying

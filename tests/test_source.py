@@ -171,3 +171,26 @@ def test_the_packing_scan_sees_every_form(tmp_path):
         assert _references(probe, PACKING) == [1], text
     probe.write_text("pack = packed = 1\nfrom polab.order import Poset\n")
     assert _references(probe, PACKING) == []
+
+
+def _readme_section(title):
+    """The text of one `## title` section of the README."""
+    text = (PACKAGE.parents[1] / "README.md").read_text()
+    start = text.index("\n## %s\n" % title)
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else len(text)]
+
+
+def test_readme_documents_every_keyword():
+    """Each block kind, reference, list statement and flag of the
+    `.pol` grammar is named, in backticks, in the README's format
+    section."""
+    from polab.docformat import _GRAMMAR
+
+    section = _readme_section("Document format")
+    words = set(_GRAMMAR)
+    for spec in _GRAMMAR.values():
+        words.update(spec.refs, spec.lists, spec.flags)
+    missing = sorted(w for w in words if "`%s`" % w not in section)
+    assert len(words) > 15
+    assert not missing, "README Document format lacks " + ", ".join(missing)
