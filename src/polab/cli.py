@@ -14,8 +14,23 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .concepts import concept_lattice
-from .delta1 import Delta1Completion, counit_iso, delta_on_objects, gamma_on_objects, unit
+from .concepts import (
+    concept_lattice,
+    inclusion_preorder,
+    upsilon_embedding,
+    xi_embedding,
+    z_doubleprime,
+)
+from .delta1 import (
+    Delta1Completion,
+    check_adjunction,
+    counit_iso,
+    delta_on_objects,
+    gamma_on_objects,
+    mediate,
+    unit,
+    universal_property,
+)
 from .docformat import Document, parse, serialize, to_dot
 from .errors import LawViolation, MorphismInvalid, PolabError
 from .extend import (
@@ -23,16 +38,28 @@ from .extend import (
     check_extension_preservation,
     check_restriction_preservation,
     extend_relation,
+    phi_map,
     restrict_relation,
     slice_extension_is_slice,
 )
-from .morphisms import roundtrip_holds
-from .order import Extension, Quotient, is_join_extension, is_meet_extension
+from .morphisms import PolarityMorphism, psi_of, roundtrip_holds, stable_roundtrip_holds
+from .order import (
+    Extension,
+    Quotient,
+    _lift,
+    compose,
+    is_join_extension,
+    is_meet_extension,
+    macneille,
+    tag_x,
+    tag_y,
+)
 from .polarity import (
     CANONICAL_BUILDERS,
     CONDITION_NAMES,
     check_coherence,
     coherence_level,
+    galois_via_S1S2,
     is_galois,
     is_n_preorder,
     r_hat_g,
@@ -43,6 +70,7 @@ from .polarity import (
 )
 from .randgen import (
     collapse_morphism,
+    morphism_corpus,
     random_context,
     random_extension_polarity,
     random_galois_polarity,
@@ -66,14 +94,11 @@ def _pick(store, name, what):
 
 def document_of(pol, name="G"):
     """Wrap a bare polarity in a document so it can be serialized."""
-    doc = Document()
-    doc.posets["P"] = pol.base
-    doc.posets["X"] = pol.x
-    doc.posets["Y"] = pol.y
-    doc.maps["ex"] = pol.ex.map
-    doc.maps["ey"] = pol.ey.map
-    doc.polarities[name] = pol
-    return doc
+    return Document(
+        posets={"P": pol.base, "X": pol.x, "Y": pol.y},
+        maps={"ex": pol.ex.map, "ey": pol.ey.map},
+        polarities={name: pol},
+    )
 
 
 def _fmt_witness(w):
@@ -231,16 +256,19 @@ def cmd_fixtures(args):
 
 def _law_coherence(rng, size):
     pol = random_extension_polarity(rng, rng.randint(1, size))
-    level = coherence_level(pol)
+    rep = check_coherence(pol)
     for n in range(4):
-        want = level is not None and level >= n
+        want = rep.level is not None and rep.level >= n
         got = is_n_preorder(pol, CANONICAL_BUILDERS[n](pol).closed(), n).ok
         if want != got:
             raise LawViolation(
                 "coherence", "grade %d disagrees with its canonical preorder" % n, pol
             )
-    if is_galois(pol):
+    if rep.galois:
         unique_3preorder(pol)
+    sides = rep.level is not None and rep.meet_side and rep.join_side
+    if sides and galois_via_S1S2(pol) != rep.galois:
+        raise LawViolation("coherence", "slice conditions disagree with the grade", pol)
     return pol
 
 
@@ -283,18 +311,24 @@ def _law_restriction(rng, size):
     for grade, report in check_restriction_preservation(ctx, sbar).items():
         if report.applicable and not report.holds:
             raise PolabError("restriction clause %s fails" % (grade,), report)
+    # The saturation's canonical preorder, pulled back, keeps its grades.
+    outer = ctx.outer(sbar)
+    level = coherence_level(outer)
+    if level is not None:
+        pre = CANONICAL_BUILDERS[level](outer).closed()
+        for n, kept in phi_map(ctx, sbar, pre).grades.items():
+            if not kept:
+                raise LawViolation("restriction", "grade %d does not transfer down" % n, ctx)
     return ctx.inner
 
 
 def _law_roundtrip(rng, size):
-    from .morphisms import PolarityMorphism
-
     pol = random_galois_polarity(rng, rng.randint(1, size))
     for m in (PolarityMorphism.identity(pol), collapse_morphism(pol)):
         if not roundtrip_holds(m):
-            raise LawViolation(
-                "roundtrip", "morphism does not survive the round trip", m
-            )
+            raise LawViolation("roundtrip", "morphism does not survive the round trip", m)
+        if not stable_roundtrip_holds(psi_of(m), m.source, m.target):
+            raise LawViolation("roundtrip", "stable map does not survive the round trip", m)
     return pol
 
 
@@ -317,7 +351,43 @@ def _law_completion(rng, size):
     return None
 
 
+def _law_adjunction(rng, size):
+    # Once each: the identities of the point and of one drawn polarity,
+    # its collapse onto the point and, last, its unit.
+    corpus = list(dict.fromkeys(morphism_corpus(rng, count=5, base_size=size)))
+    polarities = list(dict.fromkeys(p for m in corpus for p in (m.source, m.target)))
+    # The last two pairs: the collapse and the unit after the identity.
+    pairs = [(g, f) for g in corpus for f in corpus if f.target == g.source]
+    check_adjunction(polarities, corpus, pairs[-2:])
+    pol = corpus[-1].source
+    rep = mediate(pol, gamma_on_objects(pol), unit(pol))
+    if not (rep.factors and rep.unique):
+        raise LawViolation("adjunction", "the unit must mediate itself uniquely", pol)
+    # f completes the left side; g sends y to the join of the f-images of
+    # the base elements below it, so the two agree on the base.
+    f = macneille(pol.x).map
+    g, _ = _lift(pol.ey.map, compose(f, pol.ex.map), pol.y.cols, f.target.rows)
+    universal_property(pol, f, g)
+    return pol
+
+
+def _law_concepts(rng, size):
+    pol = random_galois_polarity(rng, rng.randint(1, size))
+    u = unique_3preorder(pol)
+    if inclusion_preorder(pol) != u:
+        raise LawViolation("concepts", "extent inclusion must give the unique 3-preorder", pol)
+    got = z_doubleprime(pol, macneille(pol.x), macneille(pol.y))
+    ys, xs = pol.y.elements, pol.x.elements
+    if got != {(y, x) for y in ys for x in xs if u.rel(tag_y(y), tag_x(x))}:
+        raise LawViolation("concepts", "the adjoints must read off the right-left block", pol)
+    xi_embedding(pol)
+    upsilon_embedding(pol)
+    return pol
+
+
 _LAWS = {
+    "adjunction": _law_adjunction,
+    "concepts": _law_concepts,
     "coherence": _law_coherence,
     "slice": _law_slice,
     "extension": _law_extension,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .errors import LawViolation, NotCompleteLattice, PreservationViolation
 from .order import (
-    MonotoneMap,
     UnionPreorder,
     _bounds_failure,
     _common,
@@ -19,33 +18,8 @@ from .order import (
     check_galois_connection,
     is_meet_extension,
     is_join_extension,
-    tag_x,
-    tag_y,
 )
 from .polarity import _frame_rows
-
-
-def polar_right(pol, xs):
-    """Right elements related to everything in `xs`."""
-    return frozenset(
-        b for b in pol.y.elements if all((a, b) in pol.rel for a in xs)
-    )
-
-
-def polar_left(pol, ys):
-    return frozenset(
-        a for a in pol.x.elements if all((a, b) in pol.rel for b in ys)
-    )
-
-
-def xi(pol, x):
-    """The extent generated by one left element."""
-    return polar_left(pol, polar_right(pol, [x]))
-
-
-def upsilon(pol, y):
-    """The extent of one right element."""
-    return polar_left(pol, [y])
 
 
 class ConceptLattice:
@@ -67,12 +41,6 @@ class ConceptLattice:
     def extent(self, mask):
         return self.polarity.x.elements_of(mask)
 
-    def xi_map(self):
-        return MonotoneMap(self.polarity.x, self.poset, dict(self.xi_mask))
-
-    def upsilon_map(self):
-        return MonotoneMap(self.polarity.y, self.poset, dict(self.upsilon_mask))
-
 
 def concept_lattice(pol):
     """The concept lattice, read off the polarity's kept relation rows:
@@ -86,42 +54,12 @@ def concept_lattice(pol):
     return ConceptLattice(pol, lattice, xi_mask, dict(zip(pol.y.elements, ry)))
 
 
-def prop_order_preorder(pol):
-    """The preorder on the tagged union defined pointwise from the
-    relation alone: left-left by attribute-row containment, right-right
-    by extent containment, across by the relation, and right-left by the
-    rectangle condition.  Its agreement with the inclusion order of the
-    canonical images in the concept lattice is what the tests check."""
-    X, Y = pol.x, pol.y
-    pairs = []
-    for x1 in X.elements:
-        for x2 in X.elements:
-            if all((x1, y) in pol.rel for y in Y.elements if (x2, y) in pol.rel):
-                pairs.append((tag_x(x1), tag_x(x2)))
-    for y1 in Y.elements:
-        for y2 in Y.elements:
-            if all((x, y2) in pol.rel for x in X.elements if (x, y1) in pol.rel):
-                pairs.append((tag_y(y1), tag_y(y2)))
-    for x in X.elements:
-        for y in Y.elements:
-            if (x, y) in pol.rel:
-                pairs.append((tag_x(x), tag_y(y)))
-    for y in Y.elements:
-        for x in X.elements:
-            if all(
-                (x1, y1) in pol.rel
-                for x1 in X.elements
-                if (x1, y) in pol.rel
-                for y1 in Y.elements
-                if (x, y1) in pol.rel
-            ):
-                pairs.append((tag_y(y), tag_x(x)))
-    return UnionPreorder.from_pairs(pol.carrier(), pairs)
-
-
 def inclusion_preorder(pol):
-    """The same preorder read off from extent inclusion in the concept
-    lattice; the independent route for the dual-route comparison."""
+    """The preorder on the tagged union read off from extent inclusion in
+    the concept lattice: one element lies below another when its extent
+    lies inside the other's.  On a Galois polarity it is the unique
+    3-preorder; `oracles.prop_order_preorder` reads it off the relation
+    pair by pair."""
     lat = concept_lattice(pol)
     carrier = pol.carrier()
 
@@ -175,57 +113,45 @@ def upsilon_embedding(pol):
     return _embeds(pol.y, concept_lattice(pol).upsilon_mask, related)
 
 
-def _require_completion(e, kind):
-    if not e.target.is_complete_lattice():
-        raise NotCompleteLattice("%s target must be a complete lattice" % kind)
-    if kind == "meet" and not is_meet_extension(e):
-        raise PreservationViolation("map is not a meet-completion")
-    if kind == "join" and not is_join_extension(e):
-        raise PreservationViolation("map is not a join-completion")
-
-
-def _adjoint(src, tgt, below, bound, side):
-    """`_lift` of the base map `tgt` along the extension `src`, verified
-    to extend it."""
-    h, miss = _lift(src.map, tgt.map, below, bound)
-    if miss is not None:
-        raise PreservationViolation(
-            "adjoint does not extend the %s base map" % side, miss
-        )
-    return h
-
-
-def f_map(ex, ey):
-    """The lower adjoint Y -> X determined by a meet-completion and a
-    join-completion of the same base: each right element goes to the
-    join of the left images of the base elements below it.  Commutation
-    with the base maps is verified."""
-    _require_completion(ex, "meet")
-    _require_completion(ey, "join")
-    return _adjoint(ey, ex, ey.target.cols, ex.target.rows, "left")
-
-
-def g_map(ex, ey):
-    """The upper adjoint X -> Y: `f_map` on the dual orders."""
-    _require_completion(ex, "meet")
-    _require_completion(ey, "join")
-    return _adjoint(ex, ey, ex.target.rows, ey.target.cols, "right")
-
-
 def adjoint_pair(ex, ey):
-    """Both adjoints, verified to form a Galois connection."""
-    f = f_map(ex, ey)
-    g = g_map(ex, ey)
-    if not check_galois_connection(f, g):
+    """The Galois connection between the targets of a meet-completion
+    `ex` and a join-completion `ey` of one base: the lower adjoint Y -> X
+    sends each right element to the join of the left images of the base
+    elements below it, the upper adjoint X -> Y each left element to the
+    meet of the right images of those above it.  Both are verified to
+    extend the base maps and to be adjoint."""
+    for e, kind, is_kind in (
+        (ex, "meet", is_meet_extension),
+        (ey, "join", is_join_extension),
+    ):
+        if not e.target.is_complete_lattice():
+            raise NotCompleteLattice("%s target must be a complete lattice" % kind)
+        if not is_kind(e):
+            raise PreservationViolation("map is not a %s-completion" % kind)
+    X, Y = ex.target, ey.target
+    adjoints = []
+    for src, tgt, below, bound, side in (
+        (ey, ex, Y.cols, X.rows, "left"),
+        (ex, ey, X.rows, Y.cols, "right"),
+    ):
+        h, miss = _lift(src.map, tgt.map, below, bound)
+        if miss is not None:
+            raise PreservationViolation(
+                "adjoint does not extend the %s base map" % side, miss
+            )
+        adjoints.append(h)
+    if not check_galois_connection(*adjoints):
         raise PreservationViolation("computed maps are not adjoint")
-    return f, g
+    return tuple(adjoints)
 
 
 def z_doubleprime(pol, ix, iy):
     """The right-left pairs read off through a pair of side completions:
     (y, x) is included when the lower adjoint sends the completed y
-    below the completed x.  The completions must preserve all existing
-    meets respectively joins of their sides."""
+    below the completed x, that is, by the connection, when the completed
+    y lies below the upper adjoint's image of the completed x.  The
+    completions must preserve all existing meets respectively joins of
+    their sides."""
     if ix.base != pol.x or iy.base != pol.y:
         raise PreservationViolation("completions must extend the polarity sides")
     if _bounds_failure(ix.map.idx, pol.x.cols, ix.target.cols) is not None:
@@ -236,19 +162,10 @@ def z_doubleprime(pol, ix, iy):
         raise PreservationViolation(
             "right completion must preserve all existing joins"
         )
-    ex2 = pol.ex.compose(ix)
-    ey2 = pol.ey.compose(iy)
-    f, g = adjoint_pair(ex2, ey2)
-    mx, my = ix.target, iy.target
-    out = set()
-    for y in pol.y.elements:
-        for x in pol.x.elements:
-            via_f = mx.leq(f(iy(y)), ix(x))
-            via_g = my.leq(iy(y), g(ix(x)))
-            if via_f != via_g:
-                raise LawViolation(
-                    "adjoint-readings", "the two adjoint readings must agree", (y, x)
-                )
-            if via_f:
-                out.add((y, x))
-    return frozenset(out)
+    f, _ = adjoint_pair(pol.ex.compose(ix), pol.ey.compose(iy))
+    return frozenset(
+        (y, x)
+        for y in pol.y.elements
+        for x in pol.x.elements
+        if ix.target.leq(f(iy(y)), ix(x))
+    )

@@ -13,7 +13,7 @@ it was built from, so each polarity's cut completion is built once.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ConditionOneFails,
@@ -277,11 +277,7 @@ def _same(v):
     return v
 
 
-@dataclass
-class MediatorReport:
-    mediator: Delta1Morphism
-    factors: bool
-    unique: bool
+MediatorReport = namedtuple("MediatorReport", "mediator factors unique")
 
 
 def mediate(pol, d, h):
@@ -312,91 +308,37 @@ def mediate(pol, d, h):
     )
 
 
-@dataclass
-class AdjunctionChecklist:
-    unit_embeds: bool
-    naturality: bool
-    gamma_identity: bool
-    delta_identity: bool
-    gamma_composition: bool
-    delta_composition: bool
-    roundtrips: bool
-
-    def ok(self):
-        return all(
-            (
-                self.unit_embeds,
-                self.naturality,
-                self.gamma_identity,
-                self.delta_identity,
-                self.gamma_composition,
-                self.delta_composition,
-                self.roundtrips,
-            )
-        )
-
-
 def check_adjunction(polarities, morphisms=(), composable=()):
-    """Finite evidence for the adjunction: unit embeddings and round
-    trips on the given polarities, naturality squares on the given
-    morphisms, and functor laws on identities and composable pairs."""
-    unit_embeds = True
-    roundtrips = True
+    """Finite evidence for the adjunction: units and counits on the given
+    polarities (each certifies itself), the identity laws of both
+    functors there, naturality squares on the given morphisms, and the
+    composition laws on the composable pairs, each pair (outer, inner).
+    The first failed square raises `LawViolation` naming its law, with
+    the polarity or morphism as witness."""
     for pol in polarities:
-        eta = unit(pol)
-        if not eta.is_embedding():
-            unit_embeds = False
+        unit(pol)
         d = gamma_on_objects(pol)
-        if not counit_iso(d).is_isomorphism():
-            roundtrips = False
-        if is_complete_polarity(pol) and not eta.is_isomorphism():
-            roundtrips = False
+        counit_iso(d)
+        ident = Delta1Morphism.identity(d)
+        if gamma_on_morphisms(PolarityMorphism.identity(pol)) != ident:
+            raise LawViolation("gamma-identity", "identity lifts to another", pol)
+        if delta_on_morphisms(ident) != PolarityMorphism.identity(delta_on_objects(d)):
+            raise LawViolation("delta-identity", "identity restricts to another", pol)
 
-    naturality = True
     for g in morphisms:
-        lhs = compose_morphisms(
-            delta_on_morphisms(gamma_on_morphisms(g)), unit(g.source)
-        )
-        rhs = compose_morphisms(unit(g.target), g)
-        if lhs != rhs:
-            naturality = False
+        down = delta_on_morphisms(gamma_on_morphisms(g))
+        lhs = compose_morphisms(down, unit(g.source))
+        if lhs != compose_morphisms(unit(g.target), g):
+            raise LawViolation("naturality", "unit square does not commute", g)
 
-    gamma_identity = True
-    delta_identity = True
-    for pol in polarities:
-        ident = PolarityMorphism.identity(pol)
-        d = gamma_on_objects(pol)
-        if gamma_on_morphisms(ident) != Delta1Morphism.identity(d):
-            gamma_identity = False
-        if delta_on_morphisms(Delta1Morphism.identity(d)) != (
-            PolarityMorphism.identity(delta_on_objects(d))
-        ):
-            delta_identity = False
-
-    gamma_composition = True
-    delta_composition = True
-    for outer, inner in composable:
-        composed = compose_morphisms(outer, inner)
-        if gamma_on_morphisms(composed) != compose_delta1(
-            gamma_on_morphisms(outer), gamma_on_morphisms(inner)
-        ):
-            gamma_composition = False
-        sq = compose_delta1(gamma_on_morphisms(outer), gamma_on_morphisms(inner))
-        if delta_on_morphisms(sq) != compose_morphisms(
-            delta_on_morphisms(gamma_on_morphisms(outer)),
-            delta_on_morphisms(gamma_on_morphisms(inner)),
-        ):
-            delta_composition = False
-
-    return AdjunctionChecklist(
-        unit_embeds=unit_embeds,
-        naturality=naturality,
-        gamma_identity=gamma_identity,
-        delta_identity=delta_identity,
-        gamma_composition=gamma_composition,
-        delta_composition=delta_composition,
-        roundtrips=roundtrips,
-    )
+    for pair in composable:
+        lifts = tuple(map(gamma_on_morphisms, pair))
+        sq = compose_delta1(*lifts)
+        if gamma_on_morphisms(compose_morphisms(*pair)) != sq:
+            raise LawViolation("gamma-composition", "lift of a composite differs", pair)
+        parts = compose_morphisms(*map(delta_on_morphisms, lifts))
+        if delta_on_morphisms(sq) != parts:
+            raise LawViolation("delta-composition", "restriction differs", pair)
 
 
 def universal_property(pol, f, g):
@@ -414,12 +356,9 @@ def universal_property(pol, f, g):
     q = struct.quotient.poset
     for x in pol.x.elements:
         for y in pol.y.elements:
-            if q.leq(struct.iota_y(y), struct.iota_x(x)) and not f.target.leq(
-                g(y), f(x)
-            ):
-                raise ConditionOneFails(
-                    "cross order not respected", (y, x)
-                )
+            below = q.leq(struct.iota_y(y), struct.iota_x(x))
+            if below and not f.target.leq(g(y), f(x)):
+                raise ConditionOneFails("cross order not respected", (y, x))
     u = MonotoneMap(q, f.target, struct.quotient.descend(f, g))
     for h, iota in ((f, struct.iota_x), (g, struct.iota_y)):
         for e in h.source.elements:

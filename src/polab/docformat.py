@@ -72,11 +72,6 @@ class Document:
             self.maps[decl.hy],
         )
 
-    def build_completion(self, name):
-        from .delta1 import Delta1Completion
-
-        return Delta1Completion(self.completions[name])
-
 
 def _blocks(text):
     """Yield (kind, name, header line, [(line, statement)]) per block."""
@@ -173,7 +168,13 @@ def _build_poset(doc, got):
     try:
         return Poset.from_pairs(elems, [(a, b) for _, a, b in pairs])
     except PolabError as err:
-        # The first `le` line by which the pairs so far fail.
+        # The first `elems` line that repeats an id, else the first `le`
+        # line by which the pairs so far fail.
+        seen = set()
+        for ln, ids in got["elems"]:
+            if len(seen.union(ids)) < len(seen) + len(ids):
+                _reraise(err, ln)
+            seen.update(ids)
         bad = pairs[0][0] if pairs else got["elems"][0][0]
         for ln, _, _ in pairs:
             try:
@@ -190,11 +191,14 @@ def _build_map(doc, got):
     try:
         return MonotoneMap(source, target, {a: b for _, a, b in sends})
     except UnknownId as err:
-        # The image named is that of the first source element, in source
-        # order, sent off the target; its last `send` is the one in force.
+        # An image off the target is found first: that of the first source
+        # element, in source order, sent there by its last `send`, the one
+        # in force.  Else a key off the source: its first `send`.
         last = {a: (ln, b) for ln, a, b in sends}
         in_force = (last[p] for p in source.elements)
-        _reraise(err, next(ln for ln, b in in_force if b not in target.index))
+        off = (ln for ln, b in in_force if b not in target.index)
+        extra = (ln for ln, a, _ in sends if a not in source.index)
+        _reraise(err, next(off, None) or next(extra))
     except PolabError as err:
         _reraise(err, sends[0][0] if sends else got["from"][0])
 
@@ -381,15 +385,29 @@ def parse(text):
 
 def serialize(doc):
     """Canonical text for a document; parse(serialize(d)) == d.  Raises
-    ParseError for a name or id that would not read back and UnknownId
-    for a block that names one missing from the document."""
+    ParseError for a name or id that would not read back, and UnknownId
+    for a block that names one missing from the document or, for a
+    morphism block, written after it."""
     blocks = list(doc.order)
     for kind, spec in _GRAMMAR.items():
         blocks += [(kind, name) for name in getattr(doc, spec.store)]
+    blocks = list(dict.fromkeys(blocks))
     out = []
-    for kind, name in dict.fromkeys(blocks):
+    for k, (kind, name) in enumerate(blocks):
         if not (isinstance(name, str) and _NAME.match(name)):
             raise ParseError("bad name %r" % (name,))
+        if kind == "morphism":
+            # The other emitters look their references up in the document;
+            # a morphism block writes the names it was declared with.
+            d = doc.morphisms[name]
+            refs = [("polarity", d.source), ("polarity", d.target)]
+            refs += [("map", m) for m in (d.hx, d.hp, d.hy)]
+            missing = [ref for ref in refs if ref not in blocks[:k]]
+            if missing:
+                raise UnknownId(
+                    "morphism %r names %s %r, which does not come before it"
+                    % ((name,) + missing[0])
+                )
         stmts = ";\n  ".join(_GRAMMAR[kind].emit(doc, name))
         out.append("%s %s {\n  %s;\n}" % (kind, name, stmts))
     return "\n".join(out) + "\n"

@@ -25,6 +25,7 @@ above them reaches.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
@@ -354,11 +355,7 @@ def check_restriction_preservation(ctx, sbar):
     return report
 
 
-@dataclass
-class PhiResult:
-    inner_preorder: UnionPreorder
-    phi: MonotoneMap
-    grades: dict
+PhiResult = namedtuple("PhiResult", "inner_preorder phi grades")
 
 
 def phi_map(ctx, outer_rel, outer_preorder):

@@ -25,7 +25,6 @@ from ..order import (
     tag_y,
 )
 from ..polarity import (
-    ExtensionPolarity,
     check_coherence,
     coherence_level,
     is_galois,
@@ -42,12 +41,6 @@ def load(name):
     """Parse the named fixture document from the package data."""
     text = resources.files(__package__).joinpath(name + ".pol").read_text()
     return parse(text)
-
-
-def identity_polarity(base):
-    """The slice polarity whose sides are both the base itself."""
-    e = Extension.identity(base)
-    return ExtensionPolarity(base, e, e, r_l(e, e))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Ground-truth oracles: literal quantifier scans and naive enumeration.
 
 Everything here is deliberately slow and obvious.  The fast routes in
-`polab.order`, `polab.polarity`, `polab.morphisms`, `polab.extend` and
-`polab.delta1` are validated against these in the test suite; no other
-module of the package imports this one.
+`polab.order`, `polab.polarity`, `polab.concepts`, `polab.morphisms`,
+`polab.extend` and `polab.delta1` are validated against these in the
+test suite; no other module of the package imports this one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .order import (
     tag_x,
     tag_y,
 )
-from .polarity import NamedRelationSets, NPreorderVerdict, _Frame, is_n_preorder
+from .polarity import NPreorderVerdict, _Frame, is_n_preorder
 
 # The adjunction law is checked on every pair of relations up to PAIR_BUDGET
 # pairs, and on LAW_SAMPLES pairs drawn with LAW_SEED beyond it.
@@ -755,6 +755,66 @@ def oracle_relation_lattice_adjunction(ctx):
     )
 
 
+# -- polar maps and the concept preorder, set by set -----------------------
+
+
+def polar_right(pol, xs):
+    """Right elements related to everything in `xs`."""
+    return frozenset(
+        b for b in pol.y.elements if all((a, b) in pol.rel for a in xs)
+    )
+
+
+def polar_left(pol, ys):
+    """Left elements related to everything in `ys`."""
+    return frozenset(
+        a for a in pol.x.elements if all((a, b) in pol.rel for b in ys)
+    )
+
+
+def xi(pol, x):
+    """The extent generated by one left element."""
+    return polar_left(pol, polar_right(pol, [x]))
+
+
+def upsilon(pol, y):
+    """The extent of one right element."""
+    return polar_left(pol, [y])
+
+
+def prop_order_preorder(pol):
+    """The preorder on the tagged union defined pointwise from the
+    relation alone: left-left by attribute-row containment, right-right
+    by extent containment, across by the relation, and right-left by the
+    rectangle condition.  The reference for `concepts.inclusion_preorder`,
+    which reads the same preorder off the concept lattice."""
+    X, Y = pol.x, pol.y
+    pairs = []
+    for x1 in X.elements:
+        for x2 in X.elements:
+            if all((x1, y) in pol.rel for y in Y.elements if (x2, y) in pol.rel):
+                pairs.append((tag_x(x1), tag_x(x2)))
+    for y1 in Y.elements:
+        for y2 in Y.elements:
+            if all((x, y2) in pol.rel for x in X.elements if (x, y1) in pol.rel):
+                pairs.append((tag_y(y1), tag_y(y2)))
+    for x in X.elements:
+        for y in Y.elements:
+            if (x, y) in pol.rel:
+                pairs.append((tag_x(x), tag_y(y)))
+    for y in Y.elements:
+        for x in X.elements:
+            if all(
+                (x1, y1) in pol.rel
+                for x1 in X.elements
+                if (x1, y) in pol.rel
+                for y1 in Y.elements
+                if (x, y1) in pol.rel
+            ):
+                pairs.append((tag_y(y), tag_x(x)))
+    return UnionPreorder.from_pairs(pol.carrier(), pairs)
+
+
 # -- canonical relations and graded preorders, pair by pair ---------------
 
 
@@ -826,28 +886,28 @@ def _tagged(pol, x_pairs=(), y_pairs=(), cross_xy=(), cross_yx=()):
 
 
 def oracle_canonical_relations(pol):
-    """The named pair-sets of the polarity, and the canonical relations
-    built from them pair by pair, keyed by name: `r_zero`, `r_hat_m`,
-    `r_hat_g`, and the pointwise relation `structure_of` compares with
-    `r_hat_g`."""
+    """The named pair-sets of the polarity, keyed by name (`z_x`, `z_y`,
+    `z_yx`, `z_yx_alt`, `z_s`, `z_t`), and the canonical relations built
+    from them pair by pair, keyed by name: `r_zero`, `r_hat_m`, `r_hat_g`,
+    and the pointwise relation `structure_of` compares with `r_hat_g`."""
     fr = _Frame(pol.base, pol.ex, pol.ey)
     rx, ry = fr.rows(pol.rel)
-    sets = NamedRelationSets(
-        _z_x_pairs(fr, rx, ry),
-        _z_y_pairs(fr, rx, ry),
-        _z_yx_pairs(fr, rx, ry),
-        _z_yx_alt_pairs(fr),
-        _z_s_pairs(fr),
-        _z_t_pairs(fr),
-    )
+    sets = {
+        "z_x": _z_x_pairs(fr, rx, ry),
+        "z_y": _z_y_pairs(fr, rx, ry),
+        "z_yx": _z_yx_pairs(fr, rx, ry),
+        "z_yx_alt": _z_yx_alt_pairs(fr),
+        "z_s": _z_s_pairs(fr),
+        "z_t": _z_t_pairs(fr),
+    }
     sides = pol.x.pairs(), pol.y.pairs()
     return sets, {
         name: _tagged(pol, *along, pol.rel, back)
         for name, along, back in (
             ("r_zero", sides, ()),
-            ("r_hat_m", (sets.z_x, sets.z_y), sets.z_yx),
-            ("r_hat_g", sides, sets.z_s | sets.z_t),
-            ("pointwise", sides, sets.z_yx_alt),
+            ("r_hat_m", (sets["z_x"], sets["z_y"]), sets["z_yx"]),
+            ("r_hat_g", sides, sets["z_s"] | sets["z_t"]),
+            ("pointwise", sides, sets["z_yx_alt"]),
         )
     }
 

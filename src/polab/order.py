@@ -46,6 +46,7 @@ from .errors import (
     DomainMismatch,
     LawViolation,
     LiftVerificationFailed,
+    NotCompleteLattice,
     NotCutStable,
     NotEmbedding,
     NotMonotone,
@@ -481,7 +482,9 @@ class MonotoneMap:
     `idx` is the map on indices, source index to target index, and
     `pre_up[t]` the mask of the source indices x with t <= f(x).  The
     order checks are row tests on these: f is monotone iff each up-set
-    `source.rows[i]` lies inside `pre_up[idx[i]]`."""
+    `source.rows[i]` lies inside `pre_up[idx[i]]`.  The assignment's keys
+    are exactly the source elements: a missing one is `NotMonotone`, any
+    other key `UnknownId`."""
 
     __slots__ = ("source", "target", "assignment", "idx", "pre_up")
 
@@ -499,6 +502,9 @@ class MonotoneMap:
                     "image %r is not in the target" % (self.assignment[p],)
                 )
             idx.append(index[self.assignment[p]])
+        if len(self.assignment) != len(source):
+            extra = next(k for k in self.assignment if k not in source.index)
+            raise UnknownId("key %r is not in the source" % (extra,), extra)
         self.idx = tuple(idx)
         self.pre_up = pre = _preimages(idx, target.cols)
         for i, row in enumerate(source.rows):
@@ -587,10 +593,6 @@ class Extension:
     @classmethod
     def identity(cls, poset):
         return cls(MonotoneMap.identity(poset))
-
-    @classmethod
-    def inclusion(cls, base, target):
-        return cls(MonotoneMap(base, target, {e: e for e in base.elements}))
 
     def __call__(self, p):
         return self.map(p)
@@ -761,16 +763,21 @@ def _lift(src, tgt, below, bound):
     whose `src` image lies in `below[s]`.  That is the join of the images
     below s for `below`/`bound` the `cols`/`rows` of the two targets, the
     meet of those above s for their `rows`/`cols`.  Returns the lift and
-    the first p with lift(src(p)) != tgt(p), or None."""
+    the first p with lift(src(p)) != tgt(p), or None.  Raises
+    `NotCompleteLattice`, with s as witness, for the first s whose bound
+    the target of `tgt` lacks."""
     S, T = src.target, tgt.target
     pairs = list(zip(src.idx, tgt.idx))
     lifted = []
-    for r in below:
+    for s, r in zip(S.elements, below):
         images = 0
         for si, ti in pairs:
             if r >> si & 1:
                 images |= 1 << ti
-        lifted.append(_bound_index(bound, images))
+        g = _bound_index(bound, images)
+        if g is None:
+            raise NotCompleteLattice("lift target lacks the bound for %r" % (s,), s)
+        lifted.append(g)
     h = MonotoneMap(S, T, {e: T.elements[g] for e, g in zip(S.elements, lifted)})
     for p, (si, ti) in zip(src.source.elements, pairs):
         if lifted[si] != ti:
@@ -908,18 +915,6 @@ class UnionPreorder:
 
     def rel(self, a, b):
         return self.rows[self.index[a]] >> self.index[b] & 1 == 1
-
-    def subset_of(self, other):
-        if self.carrier != other.carrier:
-            raise CarrierMismatch("relations live on different carriers")
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
-
-    def intersect(self, other):
-        if self.carrier != other.carrier:
-            raise CarrierMismatch("relations live on different carriers")
-        return UnionPreorder(
-            self.carrier, [r & s for r, s in zip(self.rows, other.rows)], self.index
-        )
 
     def is_reflexive(self):
         return all(self.rows[i] >> i & 1 for i in range(len(self.carrier)))

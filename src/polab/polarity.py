@@ -459,34 +459,9 @@ class _Frame:
         )
 
 
-@dataclass
-class NamedRelationSets:
-    """The auxiliary pair-sets used by the canonical preorders."""
-
-    z_x: frozenset
-    z_y: frozenset
-    z_yx: frozenset
-    z_yx_alt: frozenset
-    z_s: frozenset
-    z_t: frozenset
-
-
 def _pairs(left, right, block):
     return frozenset(
         (left[i], right[j]) for i, row in enumerate(block) for j in _mask_iter(row)
-    )
-
-
-def named_relation_sets(pol):
-    fr, rows = _frame_rows(pol)
-    xs, ys = fr.xs, fr.ys
-    return NamedRelationSets(
-        z_x=_pairs(xs, xs, fr.z_x(*rows)),
-        z_y=_pairs(ys, ys, fr.z_y(*rows)),
-        z_yx=_pairs(ys, xs, fr.z_yx(*rows)),
-        z_yx_alt=_pairs(ys, xs, fr.z_yx_alt()),
-        z_s=_pairs(ys, xs, fr.z_s()),
-        z_t=_pairs(ys, xs, fr.z_t()),
     )
 
 
@@ -526,11 +501,6 @@ def check_coherence(pol):
 
 def coherence_level(pol):
     return check_coherence(pol).level
-
-
-def is_entangled(pol):
-    fr, rows = _frame_rows(pol)
-    return fr.e1(*rows)[0] and fr.e2(*rows)[0]
 
 
 def is_galois(pol):

@@ -1,12 +1,12 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from polab.fixtures import identity_polarity
 from polab.morphisms import PolarityMorphism
 from polab.order import Extension, MonotoneMap, Poset
-from polab.polarity import ExtensionPolarity
+from polab.polarity import ExtensionPolarity, _frame_rows, _pairs, r_l
 from polab.randgen import collapse_target, random_poset
 
 
@@ -22,6 +22,40 @@ def seeded_posets(max_size=5):
         lambda seed, size: random_poset(random.Random(seed), size),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=0, max_value=max_size),
+    )
+
+
+def identity_polarity(base):
+    """The slice polarity whose sides are both the base itself."""
+    e = Extension.identity(base)
+    return ExtensionPolarity(base, e, e, r_l(e, e))
+
+
+@dataclass
+class NamedRelationSets:
+    """The auxiliary pair-sets the canonical preorders are built from."""
+
+    z_x: frozenset
+    z_y: frozenset
+    z_yx: frozenset
+    z_yx_alt: frozenset
+    z_s: frozenset
+    z_t: frozenset
+
+
+def named_relation_sets(pol):
+    """The pair-sets as the polarity's frame computes them, block by
+    block; `oracles.oracle_canonical_relations` builds them pair by
+    pair."""
+    fr, rows = _frame_rows(pol)
+    xs, ys = fr.xs, fr.ys
+    return NamedRelationSets(
+        z_x=_pairs(xs, xs, fr.z_x(*rows)),
+        z_y=_pairs(ys, ys, fr.z_y(*rows)),
+        z_yx=_pairs(ys, xs, fr.z_yx(*rows)),
+        z_yx_alt=_pairs(ys, xs, fr.z_yx_alt()),
+        z_s=_pairs(ys, xs, fr.z_s()),
+        z_t=_pairs(ys, xs, fr.z_t()),
     )
 
 

@@ -143,6 +143,18 @@ class TestFuzzCommand:
         "extend_relation": (
             'frozenset({("nowhere", "nothing")})', "must stay inside the generated"
         ),
+        "mediate": (
+            "SimpleNamespace(factors=True, unique=False)",
+            "the unit must mediate itself uniquely",
+        ),
+        "inclusion_preorder": ("None", "extent inclusion must give the unique"),
+        "z_doubleprime": ("frozenset()", "must read off the right-left block"),
+        "galois_via_S1S2": ("None", "slice conditions disagree with the grade"),
+        "stable_roundtrip_holds": ("False", "stable map does not survive"),
+        "phi_map": (
+            "SimpleNamespace(grades={0: True, 1: False})",
+            "grade 1 does not transfer down",
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -154,11 +166,18 @@ class TestFuzzCommand:
             ("slice", "coherence_level"),
             ("roundtrip", "roundtrip_holds"),
             ("completion", "extend_relation"),
+            ("adjunction", "mediate"),
+            ("concepts", "inclusion_preorder"),
+            ("concepts", "z_doubleprime"),
+            ("coherence", "galois_via_S1S2"),
+            ("roundtrip", "stable_roundtrip_holds"),
+            ("restriction", "phi_map"),
         ],
     )
     def test_violation_exits_1_under_optimize(self, law, checker):
         """`python -O` strips asserts; a failing law must still fail the
-        run."""
+        run.  Eight draws reach every sabotaged check: the slice route of
+        `coherence` first applies on the third."""
         result, message = self.SABOTAGE[checker]
         script = textwrap.dedent(
             """
@@ -170,7 +189,7 @@ class TestFuzzCommand:
             assert sys.flags.optimize
             cli.%s = lambda *args: %s
             sys.exit(cli.main(
-                ["fuzz", "--seed", "0", "--size", "3", "--iters", "2", "--check", "%s"]
+                ["fuzz", "--seed", "0", "--size", "3", "--iters", "8", "--check", "%s"]
             ))
             """
             % (checker, result, law)

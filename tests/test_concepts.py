@@ -7,24 +7,18 @@ from hypothesis import strategies as st
 from polab.concepts import (
     adjoint_pair,
     concept_lattice,
-    f_map,
     inclusion_preorder,
-    polar_left,
-    polar_right,
-    prop_order_preorder,
-    upsilon,
     upsilon_embedding,
-    xi,
     xi_embedding,
     z_doubleprime,
 )
 from polab.errors import NotCompleteLattice, PreservationViolation
-from polab.fixtures import identity_polarity, load
+from polab.fixtures import load
+from polab.oracles import polar_left, polar_right, prop_order_preorder, upsilon, xi
 from polab.order import Extension, MonotoneMap, Poset, macneille
-from polab.polarity import named_relation_sets
 from polab.randgen import random_extension_polarity, random_galois_polarity
 
-from conftest import lossy_side
+from conftest import identity_polarity, lossy_side, named_relation_sets
 
 
 def seeded_polarities(max_base=3):
@@ -61,9 +55,10 @@ class TestConceptLattice:
             assert lat.poset.is_complete_lattice()
 
     def test_canonical_maps_are_monotone(self):
-        lat = concept_lattice(load("fix_a").polarities["G"])
-        lat.xi_map()
-        lat.upsilon_map()
+        pol = load("fix_a").polarities["G"]
+        lat = concept_lattice(pol)
+        MonotoneMap(pol.x, lat.poset, lat.xi_mask)
+        MonotoneMap(pol.y, lat.poset, lat.upsilon_mask)
 
     def test_extents_read_back(self):
         pol = load("fix_b").polarities["G"]
@@ -131,7 +126,7 @@ class TestAdjoints:
         e = macneille(anti)
         bad = Extension.identity(anti)
         with pytest.raises(NotCompleteLattice):
-            f_map(bad, e)
+            adjoint_pair(bad, e)
 
     def test_adjoints_form_a_connection(self):
         p = Poset.from_pairs("abc", [("a", "c"), ("b", "c")])
@@ -144,10 +139,10 @@ class TestAdjoints:
     def test_rejects_non_completions(self):
         # the bottom of the chain is not a meet of image elements
         p = Poset.antichain("b")
-        e = Extension.inclusion(p, Poset.chain("ab"))
+        e = Extension(MonotoneMap(p, Poset.chain("ab"), {"b": "b"}))
         m = macneille(p)
         with pytest.raises(PreservationViolation):
-            f_map(e, m)
+            adjoint_pair(e, m)
 
 
 class TestZDoublePrime:

@@ -26,7 +26,7 @@ from polab.delta1 import (
     universal_property,
 )
 from polab.errors import DomainMismatch, NotDelta1, NotGalois
-from polab.fixtures import identity_polarity, load
+from polab.fixtures import load
 from polab.morphisms import PolarityMorphism, compose, structure_of
 from polab.oracles import (
     oracle_complete_homs,
@@ -36,6 +36,8 @@ from polab.oracles import (
 from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.polarity import r_l
 from polab.randgen import morphism_corpus, random_galois_polarity, random_poset
+
+from conftest import identity_polarity
 
 
 def seeded_galois(max_base=4):
@@ -63,7 +65,7 @@ class TestObjects:
         anti = Poset.antichain("pq")
         chain = Poset.from_pairs("0pq", [("0", "p"), ("0", "q")])
         with pytest.raises(NotDelta1):
-            Delta1Completion(Extension.inclusion(anti, chain))
+            Delta1Completion(Extension(MonotoneMap(anti, chain, {"p": "p", "q": "q"})))
 
     @given(seeded_galois())
     @settings(deadline=None, max_examples=25)
@@ -173,8 +175,31 @@ class TestFunctorLaws:
         pols = [random_galois_polarity(rng, rng.randint(1, 3)) for _ in range(4)]
         idents = [PolarityMorphism.identity(p) for p in pols]
         pairs = [(idents[0], idents[0])]
-        rep = check_adjunction(pols[:3], morphisms=idents[:2], composable=pairs)
-        assert rep.ok()
+        check_adjunction(pols[:3], morphisms=idents[:2], composable=pairs)
+
+    def test_a_wrong_functor_fails_naturality_under_optimize(self):
+        """A lift that sends every square to the identity on its source
+        completion keeps both identity laws but breaks the naturality
+        square of a collapse: the checker raises a typed violation naming
+        the law and the morphism, also when asserts are stripped."""
+        done = _run_optimized(
+            """
+            from polab.randgen import collapse_morphism
+
+            pol = identity_polarity(Poset.chain("ab"))
+            g = collapse_morphism(pol)
+            delta1.gamma_on_morphisms = lambda m: delta1.Delta1Morphism.identity(
+                delta1.gamma_on_objects(m.source)
+            )
+            try:
+                delta1.check_adjunction([pol], morphisms=[g])
+            except LawViolation as err:
+                print(err.law, err.witness is g)
+                sys.exit(3)
+            """
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.strip() == "naturality True"
 
     def test_square_composition_needs_shared_middle(self):
         p = identity_polarity(Poset.chain("ab"))
@@ -268,15 +293,19 @@ class TestUniversalProperty:
 
 
 def _run_optimized(body):
-    """Run a script under `python -O` with `delta1`, `LawViolation`,
-    `identity_polarity` and `Poset` imported."""
+    """Run a script under `python -O` with `delta1`, `LawViolation` and
+    `Poset` imported and `identity_polarity` defined."""
     script = textwrap.dedent(
         """
         import sys
         from polab import delta1
         from polab.errors import LawViolation
-        from polab.fixtures import identity_polarity
-        from polab.order import Poset
+        from polab.order import Extension, Poset
+        from polab.polarity import ExtensionPolarity, r_l
+
+        def identity_polarity(base):
+            e = Extension.identity(base)
+            return ExtensionPolarity(base, e, e, r_l(e, e))
 
         assert sys.flags.optimize
         """

@@ -4,7 +4,8 @@ import pytest
 
 from polab import randgen
 from polab.cli import document_of
-from polab.docformat import Document, parse, serialize, to_dot
+from polab.delta1 import Delta1Completion
+from polab.docformat import Document, MorphismDecl, parse, serialize, to_dot
 from polab.errors import (
     AntisymmetryViolation,
     CarrierMismatch,
@@ -160,10 +161,14 @@ ERRORS = [
      "line 30: unknown element 'e'"),
     ("elems duplicate", "poset Q {\n elems c c\n}\n", UnknownId,
      "line 29: duplicate element ids"),
+    ("elems duplicate after le", "poset Q {\n elems c d\n le c<d\n elems c\n}\n",
+     UnknownId, "line 31: duplicate element ids"),
     ("map total", "map m {\n from P\n to P\n send a->a\n}\n", NotMonotone,
      "line 31: map is not total: missing 'b'"),
     ("map image", "map m {\n from P\n to P\n send a->a\n send b->zz\n}\n",
      UnknownId, "line 32: image 'zz' is not in the target"),
+    ("map key", "map m {\n from P\n to P\n send a->a b->b\n send zz->a\n}\n",
+     UnknownId, "line 32: key 'zz' is not in the source"),
     ("map monotone", "map m {\n from P\n to P\n send a->b b->a\n}\n",
      NotMonotone, "line 31: 'a' <= 'b' but images are not ordered"),
     ("ex embedding", "polarity H {\n base C\n ex k\n ey i\n}\n", NotEmbedding,
@@ -216,8 +221,8 @@ class TestRoundTrip:
         assert "completion K {\n  map cut;\n}" in text
         again = parse(text)
         assert again.completions == doc.completions
-        built = again.build_completion("K")
-        assert built == doc.build_completion("K")
+        built = Delta1Completion(again.completions["K"])
+        assert built == Delta1Completion(doc.completions["K"])
         assert built.lattice == doc.posets["L"]
         assert [built(p) for p in "abcd"] == list("abcd")
 
@@ -281,6 +286,34 @@ class TestRoundTrip:
         with pytest.raises(UnknownId) as e:
             serialize(doc)
         assert str(e.value) == missing + " is not in the document"
+
+    def test_morphism_blocks_round_trip(self):
+        """In the order the text gave, and after every block they name
+        when the document keeps no order."""
+        doc = load("fix_j")
+        again = parse(serialize(doc))
+        assert again == doc
+        assert again.build_morphism("m") == doc.build_morphism("m")
+        doc.order.clear()
+        assert parse(serialize(doc)) == doc
+
+    @pytest.mark.parametrize("kind, name", [("polarity", "G"), ("map", "hy")])
+    def test_a_morphism_naming_a_later_block_is_refused(self, kind, name):
+        doc = load("fix_j")
+        doc.order.remove((kind, name))
+        doc.order.append((kind, name))
+        with pytest.raises(UnknownId) as e:
+            serialize(doc)
+        want = "morphism 'm' names %s %r, which does not come before it" % (kind, name)
+        assert str(e.value) == want
+
+    def test_a_morphism_naming_a_missing_block_is_refused(self):
+        doc = Document(morphisms={"f": MorphismDecl("G", "G", "h", "h", "h")})
+        with pytest.raises(UnknownId) as e:
+            serialize(doc)
+        assert str(e.value) == (
+            "morphism 'f' names polarity 'G', which does not come before it"
+        )
 
 
 class TestDot:

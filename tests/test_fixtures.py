@@ -1,8 +1,10 @@
 import pytest
 
-from polab.fixtures import CATALOGUE, identity_polarity, load, run_all
+from polab.fixtures import CATALOGUE, load, run_all
 from polab.order import Poset
 from polab.polarity import is_galois, r_l
+
+from conftest import identity_polarity
 
 
 class TestCatalogue:

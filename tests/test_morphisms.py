@@ -10,7 +10,7 @@ import pytest
 import polab
 
 from polab.errors import DomainMismatch, MorphismInvalid, PartialInverseUndefined
-from polab.fixtures import identity_polarity, load
+from polab.fixtures import load
 from polab.morphisms import (
     PolarityMorphism,
     compose,
@@ -28,7 +28,7 @@ from polab.randgen import (
     random_galois_polarity,
 )
 
-from conftest import point_into_chain, random_monotone
+from conftest import identity_polarity, point_into_chain, random_monotone
 
 
 def diamond():
@@ -95,10 +95,9 @@ class TestValidation:
         script = textwrap.dedent(
             """
             import sys
-            from conftest import lossy_side, point_into_chain
+            from conftest import identity_polarity, lossy_side, point_into_chain
             from polab.concepts import z_doubleprime
             from polab.errors import MorphismInvalid, PreservationViolation
-            from polab.fixtures import identity_polarity
             from polab.order import Extension, MonotoneMap, macneille
 
             assert sys.flags.optimize

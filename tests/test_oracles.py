@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polab.errors import CarrierTooLarge
-from polab.fixtures import CATALOGUE, identity_polarity, load
+from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
     naive_c7,
     naive_c8,
@@ -29,7 +29,6 @@ from polab.polarity import (
     coherence_level,
     enumerate_n_preorders,
     is_n_preorder,
-    named_relation_sets,
     is_galois,
     r_hat_g,
     r_hat_m,
@@ -43,6 +42,8 @@ from polab.randgen import (
     random_galois_polarity,
     random_poset,
 )
+
+from conftest import NamedRelationSets, identity_polarity, named_relation_sets
 
 
 def seeded_polarities(max_base=3):
@@ -283,7 +284,7 @@ class TestGradedPreorderOracle:
     def test_canonical_rows_match_the_oracle(self):
         for pol in _differential_polarities():
             sets, want = oracle_canonical_relations(pol)
-            assert named_relation_sets(pol) == sets
+            assert named_relation_sets(pol) == NamedRelationSets(**sets)
             got = _fast_canonical_relations(pol)
             for name, rel in want.items():
                 assert got[name] == rel, name

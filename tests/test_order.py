@@ -15,6 +15,7 @@ from polab.errors import (
     AntisymmetryViolation,
     CarrierMismatch,
     LawViolation,
+    NotCompleteLattice,
     NotCutStable,
     NotEmbedding,
     NotMonotone,
@@ -50,7 +51,7 @@ from polab.order import (
     tag_y,
     transitive_close,
 )
-from polab.concepts import concept_lattice, f_map, g_map
+from polab.concepts import adjoint_pair, concept_lattice
 from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
     naive_transitive_close,
@@ -170,6 +171,12 @@ class TestMonotoneMap:
         a = Poset.antichain("ab")
         with pytest.raises(NotMonotone):
             MonotoneMap(c, a, {"a": "a", "b": "b"})
+
+    def test_rejects_keys_outside_the_source(self):
+        c = Poset.chain("ab")
+        with pytest.raises(UnknownId, match="key 'zz' is not in the source") as e:
+            MonotoneMap(c, c, {"a": "a", "zz": "a", "b": "b"})
+        assert e.value.witness == "zz"
 
     def test_composition_and_identity(self):
         c = Poset.chain("ab")
@@ -417,8 +424,9 @@ class TestLift:
                 for ey in joins:
                     want_f = naive_lift(ey.map, ex.map)
                     want_g = naive_lift(ex.map, ey.map, up=True)
-                    assert f_map(ex, ey).assignment == want_f
-                    assert g_map(ex, ey).assignment == want_g
+                    f, g = adjoint_pair(ex, ey)
+                    assert f.assignment == want_f
+                    assert g.assignment == want_g
 
     def test_macneille_lift_is_the_naive_join(self):
         rng = random.Random(32)
@@ -445,6 +453,16 @@ class TestLift:
         assert h("o") == tgt.target.top()
         _, miss = _lift(tgt, tgt, tgt.target.cols, tgt.target.rows)
         assert miss is None
+
+    def test_a_target_without_the_bound_is_named(self):
+        # the point would go to the join of a and b, which the antichain
+        # lacks
+        base = Poset.antichain("ab")
+        point = Poset.antichain("o")
+        src = MonotoneMap(base, point, {"a": "o", "b": "o"})
+        with pytest.raises(NotCompleteLattice) as e:
+            _lift(src, MonotoneMap.identity(base), point.cols, base.rows)
+        assert e.value.witness == "o"
 
 
 def genuine(g, failure):

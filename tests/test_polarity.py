@@ -13,7 +13,7 @@ import polab
 from polab import polarity
 from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
 from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois
-from polab.fixtures import CATALOGUE, identity_polarity, load
+from polab.fixtures import CATALOGUE, load
 from polab.order import (
     Poset,
     UnionPreorder,
@@ -30,11 +30,9 @@ from polab.polarity import (
     coherence_level,
     enumerate_n_preorders,
     galois_via_S1S2,
-    is_entangled,
     is_galois,
     is_n_preorder,
     intermediate_structure,
-    named_relation_sets,
     r_hat_g,
     r_l,
     r_zero,
@@ -47,7 +45,7 @@ from polab.randgen import (
     random_galois_polarity,
 )
 
-from conftest import dual_polarity
+from conftest import dual_polarity, identity_polarity, named_relation_sets
 
 
 def seeded_polarities(max_base=3):
@@ -101,10 +99,10 @@ class TestEntanglement:
     @given(seeded_galois())
     @settings(deadline=None, max_examples=30)
     def test_galois_polarities_are_entangled(self, pol):
-        assert is_entangled(pol)
+        assert check_coherence(pol).entangled
 
     def test_non_entangled_fixture(self):
-        assert not is_entangled(load("fix_c").polarities["G"])
+        assert not check_coherence(load("fix_c").polarities["G"]).entangled
 
 
 class TestGalois:
@@ -409,11 +407,11 @@ class TestPreorderClauses:
         PYTHONHASHSEED."""
         script = textwrap.dedent(
             """
-            from polab.fixtures import identity_polarity
-            from polab.order import Poset, UnionPreorder, tag_x, tag_y
-            from polab.polarity import is_n_preorder
+            from polab.order import Extension, Poset, UnionPreorder, tag_x, tag_y
+            from polab.polarity import ExtensionPolarity, is_n_preorder, r_l
 
-            pol = identity_polarity(Poset.chain("abcde"))
+            ident = Extension.identity(Poset.chain("abcde"))
+            pol = ExtensionPolarity(ident.base, ident, ident, r_l(ident, ident))
             carrier = pol.carrier()
             pairs = [(e, e) for e in carrier]
             pairs += [(tag_x(a), tag_y(b)) for a, b in pol.rel]

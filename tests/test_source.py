@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polab"
@@ -171,6 +172,162 @@ def test_the_packing_scan_sees_every_form(tmp_path):
         assert _references(probe, PACKING) == [1], text
     probe.write_text("pack = packed = 1\nfrom polab.order import Poset\n")
     assert _references(probe, PACKING) == []
+
+
+# -- every definition reached -----------------------------------------------
+
+# Definitions of the package that only the tests reach, as `_unreached`
+# labels them, each with why it stays in `src/`: at most three.
+TEST_ONLY = {}
+
+_IDENT = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def _mentions(node):
+    """The identifiers code refers to: bare names, attribute names,
+    imported names, and string constants that are identifiers, since the
+    benchmark's tracer names what it wraps in strings."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if _IDENT.match(n.value):
+                out.add(n.value)
+    return out
+
+
+def _definitions(path, module):
+    """(name, label, mentions) per function, class, method and assigned
+    name at the top of a module, and under the name "" the other code
+    run on import.  A class mentions what its bases, decorators and body
+    outside its methods do, dunder methods included, since they run
+    unnamed.  An import `x as y` gives y as a name that mentions x; other
+    top-level imports mention nothing, so a name only imported is not
+    reached."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, module + "." + node.name, _mentions(node)
+        elif isinstance(node, ast.ClassDef):
+            own = set()
+            for part in node.bases + node.decorator_list + node.body:
+                name = getattr(part, "name", "")
+                if isinstance(part, ast.FunctionDef) and not name.startswith("__"):
+                    label = "%s.%s.%s" % (module, node.name, name)
+                    yield name, label, _mentions(part)
+                else:
+                    own |= _mentions(part)
+            yield node.name, module + "." + node.name, own
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        # A dunder such as `__version__` is read unnamed.
+                        name = "" if n.id.startswith("__") else n.id
+                        yield name, module + "." + n.id, _mentions(node.value)
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield "", module, _mentions(node)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.alias) and n.asname:
+            yield n.asname, None, {n.name.rpartition(".")[2]}
+
+
+def _unreached(package, roots):
+    """The labels of the definitions of `package`, `oracles.py` aside,
+    that nothing reaches from `cli.main` or from the files `roots`.  The
+    scan goes by name: a definition is reached once a reached one, or a
+    root, mentions its name."""
+    defs = {}
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        parts = path.relative_to(package).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for name, label, mentions in _definitions(path, module):
+            defs.setdefault(name, []).append((label, mentions))
+    todo = {"main", ""}
+    for path in roots:
+        todo |= _mentions(ast.parse(path.read_text(), filename=str(path)))
+    seen = set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for _, mentions in defs.get(name, ()):
+            todo |= mentions - seen
+    return sorted(
+        label
+        for name, found in defs.items()
+        if name not in seen
+        for label, _ in found
+        if label is not None
+    )
+
+
+def test_every_definition_is_reached():
+    """Each function, class, method and module constant of the package
+    is reached from the command line (the fuzzer included) or the
+    benchmark; a route that only the tests use belongs in the tests, or
+    in `oracles.py` when it is a naive reference."""
+    assert len(TEST_ONLY) <= 3
+    unreached = _unreached(PACKAGE, sorted(TRACER.parent.glob("*.py")))
+    found = [label for label in unreached if label not in TEST_ONLY]
+    assert not found, "only tests reach " + ", ".join(found)
+
+
+def test_the_reach_scan_sees_every_form(tmp_path):
+    package, bench = tmp_path / "polab", tmp_path / "bench"
+    package.mkdir()
+    bench.mkdir()
+    (package / "cli.py").write_text(
+        "from .m import aliased as other\n"
+        "from .m import imported_only\n"
+        "def main():\n"
+        "    called()\n"
+        "    other()\n"
+        "    return C().used()\n"
+        "def orphan():\n"
+        "    pass\n"
+    )
+    (package / "m.py").write_text(
+        "LIMIT = 3\n"
+        "UNUSED = called\n"
+        "def called():\n"
+        "    return LIMIT\n"
+        "def aliased(): pass\n"
+        "def imported_only(): pass\n"
+        "def by_attribute(): pass\n"
+        "def by_import(): pass\n"
+        "def by_string(): pass\n"
+        "def only_oracles(): pass\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.x = from_init()\n"
+        "    def used(self): pass\n"
+        "    def unused(self): pass\n"
+        "def from_init(): pass\n"
+    )
+    (package / "oracles.py").write_text("def naive():\n    only_oracles()\n")
+    probe = bench / "probe.py"
+    probe.write_text(
+        "import polab.m as m\n"
+        "from polab.m import by_import\n"
+        "SPANS = (('m', 'by_string'), ('m', 'not an identifier'))\n"
+        "m.by_attribute()\n"
+        "# orphan\n"
+    )
+    assert _unreached(package, [probe]) == [
+        "cli.orphan",
+        "m.C.unused",
+        "m.UNUSED",
+        "m.imported_only",
+        "m.only_oracles",
+    ]
 
 
 def _readme_section(title):
