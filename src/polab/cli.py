@@ -463,7 +463,7 @@ def _parser():
     c.set_defaults(run=cmd_morphism)
 
     c = sub.add_parser("fixtures", help="run the shipped example suite")
-    c.add_argument("--only")
+    c.add_argument("--only", choices=[fx.name for fx in fixtures.CATALOGUE])
     c.set_defaults(run=cmd_fixtures)
 
     c = sub.add_parser("fuzz", help="seeded random law checking")

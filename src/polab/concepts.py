@@ -19,7 +19,6 @@ from .order import (
     is_meet_extension,
     is_join_extension,
 )
-from .polarity import _frame_rows
 
 
 class ConceptLattice:
@@ -47,7 +46,7 @@ def concept_lattice(pol):
     the extent of the j-th right element is `ry[j]`, and that generated
     by the i-th left element the intersection of the extents of the
     right elements related to it."""
-    _, (rx, ry) = _frame_rows(pol)
+    rx, ry = pol._rows
     full = (1 << len(pol.x)) - 1
     lattice = _intersection_lattice(full, ry)
     xi_mask = {a: _common(ry, rx[i], full) for i, a in enumerate(pol.x.elements)}

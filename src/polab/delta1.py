@@ -314,27 +314,30 @@ def check_adjunction(polarities, morphisms=(), composable=()):
     functors there, naturality squares on the given morphisms, and the
     composition laws on the composable pairs, each pair (outer, inner).
     The first failed square raises `LawViolation` naming its law, with
-    the polarity or morphism as witness."""
+    the polarity or morphism as witness.  Each unit and each lift is
+    built once per distinct polarity or morphism of the call."""
+    unit_of = functools.cache(unit)
+    lift = functools.cache(gamma_on_morphisms)
     for pol in polarities:
-        unit(pol)
+        unit_of(pol)
         d = gamma_on_objects(pol)
         counit_iso(d)
         ident = Delta1Morphism.identity(d)
-        if gamma_on_morphisms(PolarityMorphism.identity(pol)) != ident:
+        if lift(PolarityMorphism.identity(pol)) != ident:
             raise LawViolation("gamma-identity", "identity lifts to another", pol)
         if delta_on_morphisms(ident) != PolarityMorphism.identity(delta_on_objects(d)):
             raise LawViolation("delta-identity", "identity restricts to another", pol)
 
     for g in morphisms:
-        down = delta_on_morphisms(gamma_on_morphisms(g))
-        lhs = compose_morphisms(down, unit(g.source))
-        if lhs != compose_morphisms(unit(g.target), g):
+        down = delta_on_morphisms(lift(g))
+        lhs = compose_morphisms(down, unit_of(g.source))
+        if lhs != compose_morphisms(unit_of(g.target), g):
             raise LawViolation("naturality", "unit square does not commute", g)
 
     for pair in composable:
-        lifts = tuple(map(gamma_on_morphisms, pair))
+        lifts = tuple(map(lift, pair))
         sq = compose_delta1(*lifts)
-        if gamma_on_morphisms(compose_morphisms(*pair)) != sq:
+        if lift(compose_morphisms(*pair)) != sq:
             raise LawViolation("gamma-composition", "lift of a composite differs", pair)
         parts = compose_morphisms(*map(delta_on_morphisms, lifts))
         if delta_on_morphisms(sq) != parts:

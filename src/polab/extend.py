@@ -13,13 +13,13 @@ both preserve unions: each context keeps one transfer kernel of
 bit-masks, the saturation and the image bit of every single inner pair,
 and both maps are unions over it.  The adjunction laws are therefore
 decided on generators (single pairs and their principal down-sets),
-with no size gate.  Each context also keeps one condition frame per
-side, on which every relation of that side is graded.  Clause 5 is one
-closure comparison, made on the outer frame's order rows and not on the
-kernel, so a fault in the kernel fails it.  Clause 6 is one closure
-too: C1 to C4 are closure rules and C5 to C8 only rule pairs out, so
-the least relation above the image pairs satisfying C1 to C4
-(`_least_graded`) reaches every grade that some 0-coherent relation
+with no size gate.  Every relation of a side is graded on one
+condition frame: the inner polarity's own, or the context's outer one.
+Clause 5 is one closure comparison, made on the outer frame's order
+rows and not on the kernel, so a fault in the kernel fails it.  Clause
+6 is one closure too: C1 to C4 are closure rules and C5 to C8 only rule
+pairs out, so the least relation above the image pairs satisfying C1 to
+C4 (`_least_graded`) reaches every grade that some 0-coherent relation
 above them reaches.
 """
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from .order import (
@@ -53,13 +54,12 @@ from .polarity import (
     is_n_preorder,
 )
 
-class ExtensionContext:
-    """An extension polarity plus one more extension of each side."""
 
-    __slots__ = (
-        "inner", "ix", "iy", "_outer_ex", "_outer_ey",
-        "_outer_fr", "_kernel", "_guards",
-    )
+class ExtensionContext:
+    """An extension polarity plus one more extension of each side.  The
+    composed extensions, the outer condition frame, the transfer kernel
+    and the guard of downward transfer are built on first use and kept;
+    the inner polarities are graded on the inner polarity's own frame."""
 
     def __init__(self, inner, ix, iy):
         if ix.base != inner.x or iy.base != inner.y:
@@ -67,54 +67,39 @@ class ExtensionContext:
         self.inner = inner
         self.ix = ix
         self.iy = iy
-        self._outer_ex = self._outer_ey = None
-        self._outer_fr = self._kernel = self._guards = None
 
-    @property
+    @cached_property
     def outer_ex(self):
-        if self._outer_ex is None:
-            self._outer_ex = self.inner.ex.compose(self.ix)
-        return self._outer_ex
+        return self.inner.ex.compose(self.ix)
 
-    @property
+    @cached_property
     def outer_ey(self):
-        if self._outer_ey is None:
-            self._outer_ey = self.inner.ey.compose(self.iy)
-        return self._outer_ey
+        return self.inner.ey.compose(self.iy)
 
     def outer(self, rel=None):
         if rel is None:
             rel = extend_relation(self)
         return ExtensionPolarity(self.inner.base, self.outer_ex, self.outer_ey, rel)
 
-    def _inner_frame(self):
-        """The condition workspace of the inner polarities: the inner
-        polarity's own frame."""
-        return _Frame.of(self.inner)
-
+    @cached_property
     def _outer_frame(self):
-        """The condition workspace of the outer polarities, built once."""
-        if self._outer_fr is None:
-            self._outer_fr = _Frame(self.inner.base, self.outer_ex, self.outer_ey)
-        return self._outer_fr
+        """The condition workspace of the outer polarities."""
+        return _Frame(self.inner.base, self.outer_ex, self.outer_ey)
 
+    @cached_property
     def _transfer(self):
-        """The transfer kernel of the context, built once."""
-        if self._kernel is None:
-            self._kernel = _Transfer(self)
-        return self._kernel
+        return _Transfer(self)
 
+    @cached_property
     def _image_bounds_kept(self):
         """Whether ix keeps the meets and iy the joins of subsets of the
-        base images: the guard of downward transfer, decided once."""
-        if self._guards is None:
-            X, Y = self.inner.x, self.inner.y
-            self._guards = _preserves_image_bounds(
-                self.ix, self.inner.ex, X.rows, X.cols, self.ix.target.cols
-            ) and _preserves_image_bounds(
-                self.iy, self.inner.ey, Y.cols, Y.rows, self.iy.target.rows
-            )
-        return self._guards
+        base images: the guard of downward transfer."""
+        X, Y = self.inner.x, self.inner.y
+        return _preserves_image_bounds(
+            self.ix, self.inner.ex, X.rows, X.cols, self.ix.target.cols
+        ) and _preserves_image_bounds(
+            self.iy, self.inner.ey, Y.cols, Y.rows, self.iy.target.rows
+        )
 
 
 class _Transfer:
@@ -155,13 +140,13 @@ def extend_relation(ctx):
     """The saturation of the inner relation on the outer sides: x' is
     related to y' when some inner related pair brackets them through
     the side embeddings."""
-    t = ctx._transfer()
+    t = ctx._transfer
     return _mask_pairs(*t.outer, t.extend(_pair_mask(*t.inner, ctx.inner.rel)))
 
 
 def restrict_relation(ctx, sbar):
     """The relation read back on the inner sides through the embeddings."""
-    t = ctx._transfer()
+    t = ctx._transfer
     return _mask_pairs(*t.inner, t.restrict(_pair_mask(*t.outer, sbar)))
 
 
@@ -282,9 +267,9 @@ def check_extension_preservation(ctx):
     grade 2 it can apply only where clause 3 fails.
     """
     inner = ctx.inner
-    t = ctx._transfer()
+    t = ctx._transfer
     X, Y = t.outer
-    fin, fout = ctx._inner_frame(), ctx._outer_frame()
+    fin, fout = ctx.inner._frame, ctx._outer_frame
     r = _pair_mask(*t.inner, inner.rel)
     rbar = t.extend(r)
     image = 0
@@ -329,9 +314,9 @@ def check_restriction_preservation(ctx, sbar):
     """Downward transfer: grade is preserved by restriction, with the
     grade-3/Galois case needing the side extensions to respect image
     meets and joins."""
-    t = ctx._transfer()
+    t = ctx._transfer
     X, Y = t.inner
-    fin, fout = ctx._inner_frame(), ctx._outer_frame()
+    fin, fout = ctx.inner._frame, ctx._outer_frame
     under = t.restrict(_pair_mask(*t.outer, sbar))
     outer_level, outer_galois = fout.grade(*fout.rows(sbar))
     inner_level, inner_galois = fin.grade(*_mask_rows(under, len(X), len(Y)))
@@ -343,7 +328,7 @@ def check_restriction_preservation(ctx, sbar):
             )
         else:
             report[str(n)] = ClauseReport(False, True, "outer below grade %d" % n)
-    guards = ctx._image_bounds_kept()
+    guards = ctx._image_bounds_kept
     if guards and outer_level == 3:
         report["3"] = ClauseReport(True, inner_level == 3)
     else:
@@ -441,7 +426,7 @@ def relation_lattice_adjunction(ctx):
     The brute-force check over all relations is
     `oracles.oracle_relation_lattice_adjunction`.
     """
-    t = ctx._transfer()
+    t = ctx._transfer
     X, Y = t.inner
     inner_below = _pair_orders(X, Y)
     witness = None
@@ -474,9 +459,9 @@ def relation_lattice_adjunction(ctx):
 
 def slice_extension_is_slice(ctx):
     """The saturation of the slice relation is the slice relation of the
-    composed extensions.  Both slice relations are read off the frames
-    the context keeps."""
-    t = ctx._transfer()
-    inner = _rows_mask(ctx._inner_frame().slice_rows(), len(t.inner[1]))
-    outer = _rows_mask(ctx._outer_frame().slice_rows(), len(t.outer[1]))
+    composed extensions.  Both slice relations are read off kept frames:
+    the inner polarity's and the context's outer one."""
+    t = ctx._transfer
+    inner = _rows_mask(ctx.inner._frame.slice_rows, len(t.inner[1]))
+    outer = _rows_mask(ctx._outer_frame.slice_rows, len(t.outer[1]))
     return t.extend(inner) == outer

@@ -3,8 +3,8 @@
 Each fixture is a document shipped with the package plus a battery of
 named checks.  The checks recompute every advertised verdict from
 scratch, so running the catalogue doubles as a regression test for the
-whole library.  `run_all` returns one result per labelled check and
-never stops early; callers decide what a failure means.
+whole library.  `Fixture.run` returns one result per labelled check
+and never stops early; callers decide what a failure means.
 """
 
 from __future__ import annotations
@@ -205,15 +205,3 @@ CATALOGUE = (
     Fixture("fix_i", "galois outer relation not recovered by round trip", _check_fix_i),
     Fixture("fix_j", "stable isomorphism from a non surjective morphism", _check_fix_j),
 )
-
-
-def run_all(only=None):
-    """Run every catalogue check, or just those of the named fixture."""
-    results = []
-    for fixture in CATALOGUE:
-        if only is not None and fixture.name != only:
-            continue
-        results.extend(fixture.run())
-    if only is not None and not results:
-        raise KeyError("no fixture named %r" % only)
-    return results

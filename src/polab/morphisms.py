@@ -26,7 +26,7 @@ from .order import (
     is_cut_stable,
     is_order_embedding,
 )
-from .polarity import _frame_rows, structure_of
+from .polarity import structure_of
 
 
 class PolarityMorphism:
@@ -117,8 +117,8 @@ class PolarityMorphism:
         s, t = self.source, self.target
         sx, sy, tx, ty = s.x, s.y, t.x, t.y
         hx, hy = self.hx.idx, self.hy.idx
-        s_row, s_col = _frame_rows(s)[1]
-        t_row, t_col = _frame_rows(t)[1]
+        s_row, s_col = s._rows
+        t_row, t_col = t._rows
         xs = _admissible(tx.rows, hx, sx.cols, t_row, hy, s_col)
         ys = _admissible(ty.cols, hy, sy.rows, t_col, hx, s_row)
         full_t, full_s = (1 << len(ty)) - 1, (1 << len(sy)) - 1
@@ -135,13 +135,15 @@ class PolarityMorphism:
     def __eq__(self, other):
         return (
             isinstance(other, PolarityMorphism)
+            and self.source == other.source
+            and self.target == other.target
             and self.hx == other.hx
             and self.hp == other.hp
             and self.hy == other.hy
         )
 
     def __hash__(self):
-        return hash((self.hx, self.hp, self.hy))
+        return hash((self.source, self.target, self.hx, self.hp, self.hy))
 
     def is_embedding(self):
         s, t = self.source, self.target

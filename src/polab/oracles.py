@@ -462,10 +462,10 @@ def oracle_complete_hom_failure(g):
     or ("meets", (a, b)) / ("joins", (a, b)) for the first pair of source
     elements whose meet or join is lost; None when it is one."""
     s, t = g.source, g.target
-    if g(s.top()) != t.top():
-        return "top", s.top()
-    if g(s.bottom()) != t.bottom():
-        return "bottom", s.bottom()
+    if g(s.meet(())) != t.meet(()):
+        return "top", s.meet(())
+    if g(s.join(())) != t.join(()):
+        return "bottom", s.join(())
     for a in s.elements:
         for b in s.elements:
             if g(s.meet([a, b])) != t.meet([g(a), g(b)]):
@@ -695,7 +695,7 @@ def oracle_relation_lattice_adjunction(ctx):
         for m in range(1 << len(inner_pairs))
     ]
     xo, yo = ctx.ix.target, ctx.iy.target
-    walked = _coherent_relations(ctx._outer_frame(), [0] * nxo)
+    walked = _coherent_relations(ctx._outer_frame, [0] * nxo)
     coherent_outer = [
         frozenset(
             (xo.elements[i], yo.elements[j])
@@ -705,7 +705,7 @@ def oracle_relation_lattice_adjunction(ctx):
         for rows in sorted(walked, key=lambda rows: _rows_mask(rows, nyo))
     ]
 
-    frame = _Frame.of(inner)
+    frame = inner._frame
     failures = []
     extended = {}
     for r in all_inner:
@@ -822,7 +822,7 @@ def _z_s_pairs(fr):
     """Pairs (y, x) forced below-left by a meet of images."""
     out = set()
     for j, b in enumerate(fr.ys):
-        real = fr.realizable_meets(j)
+        real = fr.realizable_meets[j]
         for i, down in enumerate(fr.xcols):
             if real & down:
                 out.add((b, fr.xs[i]))
@@ -830,7 +830,7 @@ def _z_s_pairs(fr):
 
 
 def _z_t_pairs(fr):
-    return frozenset((b, a) for a, b in _z_s_pairs(fr.flipped()))
+    return frozenset((b, a) for a, b in _z_s_pairs(fr.flipped))
 
 
 def _z_x_pairs(fr, rx, ry):
@@ -846,7 +846,7 @@ def _z_x_pairs(fr, rx, ry):
 
 
 def _z_y_pairs(fr, rx, ry):
-    return frozenset((b, a) for a, b in _z_x_pairs(fr.flipped(), ry, rx))
+    return frozenset((b, a) for a, b in _z_x_pairs(fr.flipped, ry, rx))
 
 
 def _z_yx_pairs(fr, rx, ry):

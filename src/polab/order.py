@@ -413,12 +413,6 @@ class Poset:
         g = self.join_index(self.mask_of(subset))
         return None if g is None else self.elements[g]
 
-    def top(self):
-        return self.meet(())
-
-    def bottom(self):
-        return self.join(())
-
     def is_complete_lattice(self):
         """For a finite poset: nonempty, with a top and all binary meets.
         A meet of i and j exists iff their common lower bounds are the
@@ -530,13 +524,11 @@ class MonotoneMap:
             isinstance(other, MonotoneMap)
             and self.source == other.source
             and self.target == other.target
-            and self.assignment == other.assignment
+            and self.idx == other.idx
         )
 
     def __hash__(self):
-        return hash(
-            (self.source, self.target, tuple(sorted(self.assignment.items(), key=repr)))
-        )
+        return hash((self.source, self.target, self.idx))
 
     def image(self):
         return tuple(dict.fromkeys(self.assignment[p] for p in self.source.elements))

@@ -72,10 +72,9 @@ def carrier_gate(max_carrier=None):
 class ExtensionPolarity:
     """An order polarity whose sides both extend a common base poset.
 
-    Its condition frame and the bit-rows of its relation are built on
-    first use and kept (`_frame_rows`); they take no part in equality."""
-
-    __slots__ = ("base", "ex", "ey", "rel", "_frame", "_rows")
+    Its condition frame, the bit-rows of its relation and the one-step
+    saturation of `r_hat_m` are built on first use and kept; they take
+    no part in equality."""
 
     def __init__(self, base, ex, ey, rel):
         if ex.base != base or ey.base != base:
@@ -90,7 +89,6 @@ class ExtensionPolarity:
                 raise UnknownId("relation uses unknown left element %r" % (a,))
             if b not in right:
                 raise UnknownId("relation uses unknown right element %r" % (b,))
-        self._frame = self._rows = None
 
     @property
     def x(self):
@@ -118,7 +116,31 @@ class ExtensionPolarity:
         return out
 
     def carrier(self):
-        return _Frame.of(self).carrier
+        return self._frame.carrier
+
+    @functools.cached_property
+    def _frame(self):
+        return _Frame(self.base, self.ex, self.ey)
+
+    @functools.cached_property
+    def _rows(self):
+        return tuple(map(tuple, self._frame.rows(self.rel)))
+
+    @functools.cached_property
+    def _saturation(self):
+        """`r_hat_m`, certified once: the saturation of a 1-coherent
+        polarity must be a 1-preorder."""
+        fr, rows = self._frame, self._rows
+        out = fr.blocks(fr.z_x(*rows), fr.z_y(*rows), rows[0], fr.z_yx(*rows))
+        if fr.level(*rows, upto=1) == 1:
+            verdict = is_n_preorder(self, out, 1)
+            if not verdict.ok:
+                raise LawViolation(
+                    "grade-1",
+                    "saturation of a 1-coherent polarity must be a 1-preorder",
+                    (verdict.clause, verdict.witness),
+                )
+        return out
 
 
 _GRADES = (("C1", "C2"), ("C3", "C4"), ("C5", "C6"), ("C7", "C8"))
@@ -136,9 +158,24 @@ def _grade(holds, upto=3):
     return level
 
 
-def _reversed(verdict):
-    ok, w = verdict
-    return ok, None if w is None else w[::-1]
+# Each condition with the left-hand kernel that decides it.  A right-hand
+# condition runs its kernel on the flipped frame and gives the order in
+# which it reads that witness (None: as it is); the order of the table is
+# the order of a report.
+_CONDITIONS = {
+    "C1": ("c1",),
+    "C2": ("c1", (2, 1, 0)),
+    "C3": ("c3",),
+    "C4": ("c4",),
+    "C5": ("c5",),
+    "C6": ("c5", (1, 2, 0)),
+    "C7": ("c7",),
+    "C8": ("c7", (2, 1, 0)),
+    "E1": ("e1",),
+    "E2": ("e1", (1, 0)),
+    "S1": ("s1",),
+    "S2": ("s1", None),
+}
 
 
 class _Frame:
@@ -148,13 +185,22 @@ class _Frame:
     Every check takes the relation as bit-rows `rx, ry`: bit j of `rx[i]`
     and bit i of `ry[j]` are set when the i-th left element is related
     to the j-th right element.  Only the left-hand member of each dual
-    pair of conditions is written out; the right-hand one is the
-    left-hand one run on `flipped()` with the rows swapped.
+    pair of conditions is written out; `check` runs the right-hand one as
+    the left-hand one on `flipped` with the rows swapped.
 
     The canonical relations are assembled (`blocks`) from four blocks of
     masks: one mask over X per left element for the left block, one mask
     over X per right element for the right-to-left block, and so on.
+    What depends on the frame alone is built on first use and kept.
     """
+
+    # The arrays are slots and only the kept values go to `__dict__`: on
+    # Python 3.11, once a `cached_property` writes the instance dict,
+    # loading an attribute kept there takes the slower dict path.
+    __slots__ = (
+        "xs", "ys", "ps", "xindex", "yindex", "xrows", "xcols", "yrows",
+        "ycols", "prows", "pcols", "exi", "eyi", "carrier", "__dict__",
+    )
 
     def __init__(self, base, ex, ey):
         X, Y, P = ex.target, ey.target, base
@@ -166,18 +212,6 @@ class _Frame:
         self.exi = [X.index[ex(p)] for p in P.elements]
         self.eyi = [Y.index[ey(p)] for p in P.elements]
         self.carrier = tuple(map(tag_x, self.xs)) + tuple(map(tag_y, self.ys))
-        self._index = self._meet_images = None
-        self._real_meets = {}
-        self._flipped = None
-        self._meet_side = self._z_s = self._z_t = None
-        self._slice = self._saturation = None
-
-    @classmethod
-    def of(cls, pol):
-        """The frame of a polarity, built on first use and kept on it."""
-        if pol._frame is None:
-            pol._frame = cls(pol.base, pol.ex, pol.ey)
-        return pol._frame
 
     def rows(self, rel):
         """The bit-rows `(rx, ry)` of a relation given as pairs."""
@@ -189,49 +223,48 @@ class _Frame:
             ry[j] |= 1 << i
         return rx, ry
 
+    @functools.cached_property
     def flipped(self):
         """The frame of the dual: both orders reversed, the sides and base
-        maps swapped.  A view on the same arrays, built once; a relation
-        is carried over by swapping `rx` and `ry`."""
-        if self._flipped is None:
-            f = _Frame.__new__(_Frame)
-            f.xs, f.ys, f.ps = self.ys, self.xs, self.ps
-            f.xindex, f.yindex = self.yindex, self.xindex
-            f.prows, f.pcols = self.pcols, self.prows
-            f.xrows, f.xcols = self.ycols, self.yrows
-            f.yrows, f.ycols = self.xcols, self.xrows
-            f.exi, f.eyi = self.eyi, self.exi
-            f.carrier = f._index = f._meet_images = None
-            f._real_meets = {}
-            f._flipped = None
-            f._meet_side = f._z_s = f._z_t = None
-            f._slice = f._saturation = None
-            self._flipped = f
-        return self._flipped
+        maps swapped.  A view on the same arrays; a relation is carried
+        over by swapping `rx` and `ry`.  It keeps no link back: the cycle
+        would leave every frame to the cyclic garbage collector."""
+        f = _Frame.__new__(_Frame)
+        f.xs, f.ys, f.ps = self.ys, self.xs, self.ps
+        f.xindex, f.yindex = self.yindex, self.xindex
+        f.prows, f.pcols = self.pcols, self.prows
+        f.xrows, f.xcols = self.ycols, self.yrows
+        f.yrows, f.ycols = self.xcols, self.xrows
+        f.exi, f.eyi = self.eyi, self.exi
+        return f
 
-    @property
+    @functools.cached_property
     def index(self):
-        """The index of the carrier, built on first use and shared by
-        every relation the frame assembles."""
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.carrier)}
-        return self._index
+        """The index of the carrier, shared by every relation the frame
+        assembles."""
+        return {e: i for i, e in enumerate(self.carrier)}
 
-    @property
+    @functools.cached_property
     def meet_side(self):
         """Whether every left element is the meet of the base images
         above it."""
-        if self._meet_side is None:
-            image = 0
-            for xi in self.exi:
-                image |= 1 << xi
-            full = (1 << len(self.xs)) - 1
-            self._meet_side = _expressible(self.xrows, self.xcols, image) == full
-        return self._meet_side
+        image = 0
+        for xi in self.exi:
+            image |= 1 << xi
+        return _expressible(self.xrows, self.xcols, image) == (1 << len(self.xs)) - 1
 
     @property
     def join_side(self):
-        return self.flipped().meet_side
+        return self.flipped.meet_side
+
+    def check(self, name, rx, ry):
+        """The verdict and witness of the named condition (`_CONDITIONS`)."""
+        kernel, *flip = _CONDITIONS[name]
+        if not flip:
+            return getattr(self, kernel)(rx, ry)
+        ok, w = getattr(self.flipped, kernel)(ry, rx)
+        order = flip[0]
+        return ok, w if ok or order is None else tuple(w[i] for i in order)
 
     # -- plain conditions -------------------------------------------------
 
@@ -243,9 +276,6 @@ class _Frame:
                     j = next(_mask_iter(missing))
                     return False, (self.xs[i1], self.xs[i2], self.ys[j])
         return True, None
-
-    def c2(self, rx, ry):
-        return _reversed(self.flipped().c1(ry, rx))
 
     def c3(self, rx, ry):
         for k, (i, j) in enumerate(zip(self.exi, self.eyi)):
@@ -273,56 +303,38 @@ class _Frame:
                     return False, (self.xs[i1], self.ps[k], self.xs[i2])
         return True, None
 
-    def c6(self, rx, ry):
-        ok, w = self.flipped().c5(ry, rx)
-        return ok, None if w is None else (w[1], w[2], w[0])
-
     # -- canonical witness sets for the subset-quantified conditions ------
 
-    def realizable_meets(self, j):
-        """Left elements expressible as the meet of images of base
-        elements whose right image lies above the j-th right element.
-        Kept per image mask, which right elements often share."""
-        if self._meet_images is None:
-            left = [1 << xi for xi in self.exi]
-            above = _preimages(self.eyi, self.ycols)
-            self._meet_images = [_squeeze(m, left) for m in above]
-        image = self._meet_images[j]
-        got = self._real_meets.get(image)
-        if got is None:
-            got = self._real_meets[image] = _expressible(
-                self.xrows, self.xcols, image
-            )
-        return got
+    @functools.cached_property
+    def realizable_meets(self):
+        """Per right element, the left elements expressible as the meet
+        of images of base elements whose right image lies above it."""
+        left = [1 << xi for xi in self.exi]
+        return [
+            _expressible(self.xrows, self.xcols, _squeeze(m, left))
+            for m in _preimages(self.eyi, self.ycols)
+        ]
 
     def c7(self, rx, ry):
         for j1, up in enumerate(self.yrows):
-            for i in _mask_iter(self.realizable_meets(j1)):
+            for i in _mask_iter(self.realizable_meets[j1]):
                 missing = rx[i] & ~up
                 if missing:
                     j2 = next(_mask_iter(missing))
                     return False, (self.xs[i], self.ys[j1], self.ys[j2])
         return True, None
 
-    def c8(self, rx, ry):
-        return _reversed(self.flipped().c7(ry, rx))
-
     # -- blocks of the canonical relations ---------------------------------
 
+    @functools.cached_property
     def z_s(self):
         """Right-to-left block of the pairs (y, x) forced below-left by a
         meet of images: x lies above a meet realizable at y."""
-        if self._z_s is None:
-            self._z_s = [
-                _union_of(self.xrows, self.realizable_meets(j))
-                for j in range(len(self.ys))
-            ]
-        return self._z_s
+        return [_union_of(self.xrows, m) for m in self.realizable_meets]
 
+    @functools.cached_property
     def z_t(self):
-        if self._z_t is None:
-            self._z_t = _transpose(self.flipped().z_s(), len(self.ys))
-        return self._z_t
+        return _transpose(self.flipped.z_s, len(self.ys))
 
     def z_x(self, rx, ry):
         """Left block of the one-step saturation: x1 below x2, or x1
@@ -335,7 +347,7 @@ class _Frame:
         return out
 
     def z_y(self, rx, ry):
-        return _transpose(self.flipped().z_x(ry, rx), len(self.ys))
+        return _transpose(self.flipped.z_x(ry, rx), len(self.ys))
 
     def z_yx(self, rx, ry):
         """Right-to-left block of the one-step saturation: y below the
@@ -366,23 +378,22 @@ class _Frame:
             out.append(sum(1 << i for i, a in enumerate(above) if not a & ~common))
         return out
 
+    @functools.cached_property
     def slice_rows(self):
         """The bit-rows `rx` of the slice relation: x related to y when
         some base element has its left image above x and its right image
-        below y.  Built once and certified up to grade 2, which it always
-        reaches; a failure raises `NotCoherent` naming the first failing
-        condition and its witness."""
-        if self._slice is None:
-            above = _transpose([self.xcols[xi] for xi in self.exi], len(self.xs))
-            rx = [_union_of([self.yrows[yi] for yi in self.eyi], a) for a in above]
-            rows = rx, _transpose(rx, len(self.ys))
-            if self.level(*rows, upto=2) != 2:
-                for name in CONDITION_NAMES[:6]:
-                    ok, witness = getattr(self, name.lower())(*rows)
-                    if not ok:
-                        raise NotCoherent("slice relation fails %s" % name, witness)
-            self._slice = rx
-        return self._slice
+        below y.  Certified up to grade 2, which it always reaches; a
+        failure raises `NotCoherent` naming the first failing condition
+        and its witness."""
+        above = _transpose([self.xcols[xi] for xi in self.exi], len(self.xs))
+        rx = [_union_of([self.yrows[yi] for yi in self.eyi], a) for a in above]
+        rows = rx, _transpose(rx, len(self.ys))
+        if self.level(*rows, upto=2) != 2:
+            for name in CONDITION_NAMES[:6]:
+                ok, witness = self.check(name, *rows)
+                if not ok:
+                    raise NotCoherent("slice relation fails %s" % name, witness)
+        return rx
 
     def blocks(self, xx, yy, xy, yx):
         """The relation on the carrier whose left, right, left-to-right
@@ -404,24 +415,18 @@ class _Frame:
                     return False, (self.xs[i1], self.xs[i2])
         return True, None
 
-    def e2(self, rx, ry):
-        return _reversed(self.flipped().e1(ry, rx))
-
     def s1(self, rx, ry):
         for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
             if self.xcols[xi] != ry[yi]:
                 return False, self.ps[k]
         return True, None
 
-    def s2(self, rx, ry):
-        return self.flipped().s1(ry, rx)
-
     # -- grading ----------------------------------------------------------
 
     def level(self, rx, ry, upto=3):
         """The grade of the relation capped at `upto`, None below grade
         0; no condition past the first failing one is evaluated."""
-        return _grade(lambda name: getattr(self, name.lower())(rx, ry)[0], upto)
+        return _grade(lambda name: self.check(name, rx, ry)[0], upto)
 
     def grade(self, rx, ry):
         """The grade of the relation and whether it is Galois, with no
@@ -431,20 +436,7 @@ class _Frame:
 
     def report(self, rx, ry):
         """Every condition with its witness, and the derived grade."""
-        conditions = {
-            "C1": self.c1(rx, ry),
-            "C2": self.c2(rx, ry),
-            "C3": self.c3(rx, ry),
-            "C4": self.c4(rx, ry),
-            "C5": self.c5(rx, ry),
-            "C6": self.c6(rx, ry),
-            "C7": self.c7(rx, ry),
-            "C8": self.c8(rx, ry),
-            "E1": self.e1(rx, ry),
-            "E2": self.e2(rx, ry),
-            "S1": self.s1(rx, ry),
-            "S2": self.s2(rx, ry),
-        }
+        conditions = {name: self.check(name, rx, ry) for name in _CONDITIONS}
         level = _grade(lambda name: conditions[name][0])
         meet_side, join_side = self.meet_side, self.join_side
         return CoherenceReport(
@@ -485,18 +477,8 @@ class CoherenceReport:
         return self.conditions[name][1]
 
 
-def _frame_rows(pol):
-    """The polarity's frame and the bit-rows of its relation, both built
-    on first use and kept on the polarity."""
-    fr = _Frame.of(pol)
-    if pol._rows is None:
-        pol._rows = tuple(map(tuple, fr.rows(pol.rel)))
-    return fr, pol._rows
-
-
 def check_coherence(pol):
-    fr, rows = _frame_rows(pol)
-    return fr.report(*rows)
+    return pol._frame.report(*pol._rows)
 
 
 def coherence_level(pol):
@@ -504,8 +486,7 @@ def coherence_level(pol):
 
 
 def is_galois(pol):
-    fr, rows = _frame_rows(pol)
-    return fr.grade(*rows)[1]
+    return pol._frame.grade(*pol._rows)[1]
 
 
 def galois_via_S1S2(pol):
@@ -535,37 +516,23 @@ def galois_via_S1S2(pol):
 def r_zero(pol):
     """The union of the two side orders with the relation itself.  Not
     transitively closed: whether it already is a preorder is the point."""
-    fr, (rx, ry) = _frame_rows(pol)
-    return fr.blocks(fr.xrows, fr.yrows, rx, [0] * len(fr.ys))
+    fr = pol._frame
+    return fr.blocks(fr.xrows, fr.yrows, pol._rows[0], [0] * len(fr.ys))
 
 
 def r_hat_m(pol):
-    """The one-step saturation of `r_zero` through the base images.  The
-    frame keeps the last one it built, with the relation rows it was
-    built from, so asking again for one polarity neither rebuilds nor
-    re-certifies it."""
-    fr, rows = _frame_rows(pol)
-    if fr._saturation is not None and fr._saturation[0] == rows:
-        return fr._saturation[1]
-    out = fr.blocks(fr.z_x(*rows), fr.z_y(*rows), rows[0], fr.z_yx(*rows))
-    if fr.level(*rows, upto=1) == 1:
-        verdict = is_n_preorder(pol, out, 1)
-        if not verdict.ok:
-            raise LawViolation(
-                "grade-1",
-                "saturation of a 1-coherent polarity must be a 1-preorder",
-                (verdict.clause, verdict.witness),
-            )
-    fr._saturation = rows, out
-    return out
+    """The one-step saturation of `r_zero` through the base images, kept
+    on the polarity, so asking again neither rebuilds nor re-certifies
+    it."""
+    return pol._saturation
 
 
 def r_hat_g(pol):
     """`r_zero` together with all pairs forced by meets and joins of
     image sets."""
-    fr, (rx, ry) = _frame_rows(pol)
+    fr = pol._frame
     return fr.blocks(
-        fr.xrows, fr.yrows, rx, list(map(operator.or_, fr.z_s(), fr.z_t()))
+        fr.xrows, fr.yrows, pol._rows[0], list(map(operator.or_, fr.z_s, fr.z_t))
     )
 
 
@@ -575,7 +542,7 @@ def r_l(ex, ey):
     if ey.base != ex.base:
         raise CarrierMismatch("extensions must share a base poset")
     fr = _Frame(ex.base, ex, ey)
-    return _pairs(fr.xs, fr.ys, fr.slice_rows())
+    return _pairs(fr.xs, fr.ys, fr.slice_rows)
 
 
 # -- graded preorders ------------------------------------------------------
@@ -624,8 +591,8 @@ def _clause_failures(fr, rx, rel, n):
         yield "reflectX", _first_pair(xs, xs, (a & ~b for a, b in zip(xx, fr.xrows)))
         yield "reflectY", _first_pair(ys, ys, (a & ~b for a, b in zip(yy, fr.yrows)))
     if n >= 3:
-        yield "P4", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_s(), yx)))
-        yield "P5", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_t(), yx)))
+        yield "P4", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_s, yx)))
+        yield "P5", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_t, yx)))
 
 
 def is_n_preorder(pol, rel, n):
@@ -640,7 +607,7 @@ def is_n_preorder(pol, rel, n):
     """
     if not 0 <= n <= 3:
         raise ValueError("grade must be between 0 and 3")
-    fr, (rx, ry) = _frame_rows(pol)
+    fr, (rx, ry) = pol._frame, pol._rows
     if rel.carrier != fr.carrier:
         raise CarrierMismatch("relation carrier does not match the polarity")
     for clause, witness in _clause_failures(fr, rx, rel, n):
@@ -672,7 +639,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     the POLAB_MAX_CARRIER environment variable); `cap` bounds the number
     of results, with a truncation flag when the search was cut short.
     """
-    fr, (rx, ry) = _frame_rows(pol)
+    fr, (rx, ry) = pol._frame, pol._rows
     carrier = fr.carrier
     gate = carrier_gate(max_carrier)
     if len(carrier) > gate:
@@ -687,7 +654,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
             xy[xi] |= 1 << yi
             yx[yi] |= 1 << xi
     if n >= 3:
-        yx = [a | b | c for a, b, c in zip(yx, fr.z_s(), fr.z_t())]
+        yx = [a | b | c for a, b, c in zip(yx, fr.z_s, fr.z_t)]
     forced = list(fr.blocks(fr.xrows, fr.yrows, xy, yx).rows)
     unordered_x = [full_x & ~r if n >= 2 else 0 for r in fr.xrows]
     unordered_y = [full_y & ~r if n >= 2 else 0 for r in fr.yrows]
@@ -792,8 +759,8 @@ def structure_of(pol):
             "canonical relation must be a grade-3 preorder (%s fails)" % verdict.clause,
             (verdict.clause, verdict.witness),
         )
-    fr, (rx, ry) = _frame_rows(pol)
-    alt = fr.blocks(fr.xrows, fr.yrows, rx, fr.z_yx_alt())
+    fr = pol._frame
+    alt = fr.blocks(fr.xrows, fr.yrows, pol._rows[0], fr.z_yx_alt())
     diff = _differing_pair(alt, u)
     if diff is not None:
         raise LawViolation("pointwise", "pointwise characterisation must agree", diff)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from polab.morphisms import PolarityMorphism
 from polab.order import Extension, MonotoneMap, Poset
-from polab.polarity import ExtensionPolarity, _frame_rows, _pairs, r_l
+from polab.polarity import ExtensionPolarity, _pairs, r_l
 from polab.randgen import collapse_target, random_poset
 
 
@@ -47,15 +47,15 @@ def named_relation_sets(pol):
     """The pair-sets as the polarity's frame computes them, block by
     block; `oracles.oracle_canonical_relations` builds them pair by
     pair."""
-    fr, rows = _frame_rows(pol)
+    fr, rows = pol._frame, pol._rows
     xs, ys = fr.xs, fr.ys
     return NamedRelationSets(
         z_x=_pairs(xs, xs, fr.z_x(*rows)),
         z_y=_pairs(ys, ys, fr.z_y(*rows)),
         z_yx=_pairs(ys, xs, fr.z_yx(*rows)),
         z_yx_alt=_pairs(ys, xs, fr.z_yx_alt()),
-        z_s=_pairs(ys, xs, fr.z_s()),
-        z_t=_pairs(ys, xs, fr.z_t()),
+        z_s=_pairs(ys, xs, fr.z_s),
+        z_t=_pairs(ys, xs, fr.z_t),
     )
 
 

@@ -27,7 +27,7 @@ from polab.extend import (
     relation_lattice_adjunction,
     slice_extension_is_slice,
 )
-from polab.fixtures import CATALOGUE, Fixture, load, run_all
+from polab.fixtures import CATALOGUE, Fixture, load
 from polab.morphisms import PolarityMorphism, compose, psi_of, roundtrip_holds
 from polab.order import UnionPreorder, is_order_embedding, macneille
 from polab.oracles import (
@@ -80,7 +80,7 @@ def sample_polarities(seed, count, max_carrier, max_base=3):
 
 def test_01_fixture_regression():
     with budget(5):
-        results = run_all()
+        results = [r for fx in CATALOGUE for r in fx.run()]
         assert len(results) >= 25
         for r in results:
             assert r.ok, (r.fixture, r.label)

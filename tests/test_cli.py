@@ -90,6 +90,18 @@ class TestFixturesCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 25 and "FAIL" not in out
 
+    def test_only_runs_the_named_fixture(self, capsys):
+        assert cli.main(["fixtures", "--only", "fix_c"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("fix_c ") for line in lines)
+
+    def test_unknown_fixture_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["fixtures", "--only", "fix_zz"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fix_zz'" in err and "fix_j" in err
+
     def test_corrupted_fixture_reports_its_label(self, capsys, monkeypatch):
         broken = Fixture(
             "fix_a",

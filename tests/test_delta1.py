@@ -262,7 +262,7 @@ class TestMediator:
             h, miss = real(src, *rest)
             if src != own:
                 return h, miss
-            top = dict.fromkeys(h.source.elements, h.target.top())
+            top = dict.fromkeys(h.source.elements, h.target.meet(()))
             return MonotoneMap(h.source, h.target, top), miss
 
         monkeypatch.setattr(polab.delta1, "_lift", to_top)

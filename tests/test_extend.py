@@ -179,7 +179,7 @@ class TestSliceCheck:
             init(self, *args)
 
         for ctx in small_contexts(60, 91, max_pairs=30):
-            ctx._inner_frame(), ctx._outer_frame()
+            ctx.inner._frame, ctx._outer_frame
             monkeypatch.setattr(polab.polarity._Frame, "__init__", counting)
             got = slice_extension_is_slice(ctx)
             monkeypatch.undo()
@@ -245,12 +245,12 @@ def verdicts(rep):
 
 
 def kernel_saturation(ctx, rel):
-    t = ctx._transfer()
+    t = ctx._transfer
     return _mask_pairs(*t.outer, t.extend(_pair_mask(*t.inner, rel)))
 
 
 def kernel_readback(ctx, rel):
-    t = ctx._transfer()
+    t = ctx._transfer
     return _mask_pairs(*t.inner, t.restrict(_pair_mask(*t.outer, rel)))
 
 
@@ -334,7 +334,7 @@ class TestTransferKernel:
         grades the rebuilt polarities."""
         rng = random.Random(10)
         for ctx in self.kernel_contexts():
-            fin, fout = ctx._inner_frame(), ctx._outer_frame()
+            fin, fout = ctx.inner._frame, ctx._outer_frame
             X, Y = ctx.inner.x, ctx.inner.y
             Xo, Yo = ctx.ix.target, ctx.iy.target
             inner_pairs = [(a, b) for a in X.elements for b in Y.elements]
@@ -377,7 +377,7 @@ class TestTransferKernel:
         rng = random.Random(seed)
         while True:
             ctx = random_context(rng, 2)
-            t = ctx._transfer()
+            t = ctx._transfer
             images = sum(1 << q for q in t.image)
             stray = ~(t.below[t.image[0]] | images) & ((1 << len(t.below)) - 1)
             if len(t.sat) >= 2 and stray:
@@ -424,7 +424,7 @@ class TestTransferKernel:
                 ctx = random_context(rng, 2)
                 if len(ctx.inner.x) * len(ctx.inner.y) >= 2:
                     break
-            ctx._transfer().sat[1] = 0
+            ctx._transfer.sat[1] = 0
             rep = relation_lattice_adjunction(ctx)
             x, y = rep.witness[1]
             print(rep.unit_holds, rep.witness[0], x == ctx.inner.x.elements[1 // len(ctx.inner.y)],
@@ -450,7 +450,7 @@ class TestDownSets:
     def test_walk_matches_the_oracle_sweep(self):
         for ctx in small_contexts(25, seed=3):
             X, Y = ctx.ix.target, ctx.iy.target
-            frame = ctx._outer_frame()
+            frame = ctx._outer_frame
             for floor in (frozenset(), image_pairs(ctx)):
                 rows_walked = list(_coherent_relations(frame, as_rows(X, Y, floor)))
                 walked = [as_pairs(X, Y, rows) for rows in rows_walked]
@@ -488,7 +488,7 @@ class TestDownSets:
         for ctx in small_contexts(40, seed=5):
             if naive_coherence_level(ctx.inner) != 3 or undetermined(ctx) > 13:
                 continue
-            demote(ctx._outer_frame())
+            demote(ctx._outer_frame)
             outer = ctx.outer()
             coherent = oracle_coherent_relations(outer.x, outer.y, image_pairs(ctx))
             reachable = any(naive_coherence_level(ctx.outer(s)) == 3 for s in coherent)
@@ -510,7 +510,7 @@ class TestDownSets:
         walked = [oracle_relation_lattice_adjunction(ctx) for ctx in contexts]
 
         sides = {
-            id(ctx._outer_frame()): (ctx.ix.target, ctx.iy.target)
+            id(ctx._outer_frame): (ctx.ix.target, ctx.iy.target)
             for ctx in contexts
         }
 
@@ -593,7 +593,7 @@ class TestLeastGraded:
                 frozenset(p for p in pairs if rng.random() < 0.25) for _ in range(2)
             ]
             for floor in floors:
-                rows = _least_graded(ctx._outer_frame(), as_rows(X, Y, floor))[0]
+                rows = _least_graded(ctx._outer_frame, as_rows(X, Y, floor))[0]
                 least = as_pairs(X, Y, rows)
                 levels = {
                     s: naive_coherence_level(ctx.outer(s))
@@ -612,7 +612,7 @@ class TestLeastGraded:
         """The grades among `grades` that some 0-coherent outer relation
         above the image pairs reaches, by the walk."""
         Y = ctx.iy.target
-        frame = ctx._outer_frame()
+        frame = ctx._outer_frame
         walked = list(_coherent_relations(frame, as_rows(ctx.ix.target, Y, image_pairs(ctx))))
         return [
             n
@@ -633,7 +633,7 @@ class TestLeastGraded:
             rep = check_extension_preservation(ctx)
             if not rep["6"].applicable or undetermined(ctx) <= 13:
                 continue
-            frame = ctx._outer_frame()
+            frame = ctx._outer_frame
             outer = frame.level(*frame.rows(extend_relation(ctx)))
             reachable = self.walked_reachable(
                 ctx, [n for n in (2, 3) if outer is None or outer < n]
@@ -654,7 +654,7 @@ class TestLeastGraded:
         done = 0
         while done < 6:
             ctx = random_side_context(rng, pol)
-            frame = ctx._outer_frame()
+            frame = ctx._outer_frame
             if frame.level(*frame.rows(extend_relation(ctx))) != 2:
                 continue
             grade = frame.grade

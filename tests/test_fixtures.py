@@ -1,6 +1,7 @@
 import pytest
 
-from polab.fixtures import CATALOGUE, load, run_all
+import polab.cli as cli
+from polab.fixtures import CATALOGUE, load
 from polab.order import Poset
 from polab.polarity import is_galois, r_l
 
@@ -18,18 +19,22 @@ class TestCatalogue:
             assert doc.polarities or doc.completions
 
     def test_every_check_passes(self):
-        results = run_all()
+        results = [r for fx in CATALOGUE for r in fx.run()]
         assert len(results) >= 25
         for r in results:
             assert r.ok, (r.fixture, r.label)
 
     def test_filtering(self):
-        only_a = run_all(only="fix_a")
+        only_a = next(fx for fx in CATALOGUE if fx.name == "fix_a").run()
         assert {r.fixture for r in only_a} == {"fix_a"}
 
     def test_unknown_name_is_an_error(self):
-        with pytest.raises(KeyError):
-            run_all(only="fix_zz")
+        parser = cli._parser()
+        for fx in CATALOGUE:
+            assert parser.parse_args(["fixtures", "--only", fx.name]).only == fx.name
+        with pytest.raises(SystemExit) as e:
+            parser.parse_args(["fixtures", "--only", "fix_zz"])
+        assert e.value.code == 2
 
 
 class TestIdentityPolarity:

@@ -22,6 +22,7 @@ from polab.morphisms import (
 )
 from polab.oracles import oracle_cross_order, oracle_unreflected
 from polab.order import MonotoneMap, Poset
+from polab.polarity import is_galois
 from polab.randgen import (
     collapse_morphism,
     morphism_corpus,
@@ -48,6 +49,25 @@ class TestValidation:
         )
         assert first == second and first.source is not second.source
         assert len({first, second}) == 1
+
+    def test_morphisms_between_other_polarities_differ(self):
+        # one more related pair keeps the sides, so only the polarities differ
+        rng = random.Random(11)
+        while True:
+            pol = random_galois_polarity(rng, 4)
+            extra = [
+                (a, b)
+                for a in pol.x.elements
+                for b in pol.y.elements
+                if (a, b) not in pol.rel
+                and is_galois(pol.with_relation(pol.rel | {(a, b)}))
+            ]
+            if extra:
+                break
+        other = pol.with_relation(pol.rel | {extra[0]})
+        first, second = PolarityMorphism.identity(pol), PolarityMorphism.identity(other)
+        assert (first.hx, first.hp, first.hy) == (second.hx, second.hp, second.hy)
+        assert first != second and len({first, second}) == 2
 
     def test_component_domains_are_checked(self):
         pol = diamond()

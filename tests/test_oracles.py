@@ -23,7 +23,6 @@ from polab.oracles import (
 from polab.order import Poset, UnionPreorder, tag_x, tag_y
 from polab.polarity import (
     ExtensionPolarity,
-    _frame_rows,
     _rigidity_failures,
     check_coherence,
     coherence_level,
@@ -209,7 +208,7 @@ def _differential_polarities():
 
 
 def _fast_canonical_relations(pol):
-    fr, (rx, ry) = _frame_rows(pol)
+    fr, (rx, ry) = pol._frame, pol._rows
     return {
         "r_zero": r_zero(pol),
         "r_hat_m": r_hat_m(pol),

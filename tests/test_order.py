@@ -139,7 +139,7 @@ class TestPoset:
         d = diamond()
         assert d.meet(("l", "r")) == "bot"
         assert d.join(("l", "r")) == "top"
-        assert d.top() == "top" and d.bottom() == "bot"
+        assert d.meet(()) == "top" and d.join(()) == "bot"
         assert d.is_complete_lattice()
 
     def test_missing_meet(self):
@@ -450,7 +450,7 @@ class TestLift:
         tgt = macneille(base).map
         h, miss = _lift(src, tgt, point.cols, tgt.target.rows)
         assert miss == "a"
-        assert h("o") == tgt.target.top()
+        assert h("o") == tgt.target.meet(())
         _, miss = _lift(tgt, tgt, tgt.target.cols, tgt.target.rows)
         assert miss is None
 
@@ -471,9 +471,9 @@ def genuine(g, failure):
     s, t = g.source, g.target
     kind, witness = failure
     if kind == "top":
-        return witness == s.top() and g(witness) != t.top()
+        return witness == s.meet(()) and g(witness) != t.meet(())
     if kind == "bottom":
-        return witness == s.bottom() and g(witness) != t.bottom()
+        return witness == s.join(()) and g(witness) != t.join(())
     a, b = witness
     bound = {"meets": Poset.meet, "joins": Poset.join}[kind]
     return g(bound(s, [a, b])) != bound(t, [g(a), g(b)])

@@ -174,6 +174,55 @@ def test_the_packing_scan_sees_every_form(tmp_path):
     assert _references(probe, PACKING) == []
 
 
+def _first_use_guards(path):
+    """The lines of a file that compare an underscored attribute with
+    None by identity, the hand-rolled form of a value built on first
+    use."""
+
+    def none(e):
+        return isinstance(e, ast.Constant) and e.value is None
+
+    def private(e):
+        return isinstance(e, ast.Attribute) and e.attr.startswith("_")
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(map(none, [node.left, *node.comparators]))
+        and any(map(private, [node.left, *node.comparators]))
+    ]
+
+
+def test_first_use_state_is_a_cached_property():
+    """State an object builds on first use and keeps is a
+    `functools.cached_property`, not a None placeholder and a guard."""
+    own = PACKAGE / "oracles.py"
+    found = [
+        "%s:%d" % (path.relative_to(PACKAGE.parent), line)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path != own
+        for line in _first_use_guards(path)
+    ]
+    assert not found, "first-use guard in " + ", ".join(found)
+
+
+def test_the_guard_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text in (
+        "if self._frame is None: pass",
+        "x = pol._rows is not None",
+        "ok = fr._saturation is not None and fr._saturation[0] == rows",
+        "ok = None is ctx._kernel",
+    ):
+        probe.write_text(text + "\n")
+        assert _first_use_guards(probe) == [1], text
+    probe.write_text("a = report.level is None\nb = w is None\nc = self._x == 0\n")
+    assert _first_use_guards(probe) == []
+
+
 # -- every definition reached -----------------------------------------------
 
 # Definitions of the package that only the tests reach, as `_unreached`
