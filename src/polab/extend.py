@@ -14,12 +14,14 @@ bit-masks, the saturation and the image bit of every single inner pair,
 and both maps are unions over it.  The adjunction laws are therefore
 decided on generators (single pairs and their principal down-sets),
 with no size gate.  Every relation of a side is graded on one
-condition frame: the inner polarity's own, or the context's outer one.
-Clause 5 is one closure comparison, made on the outer frame's order
-rows and not on the kernel, so a fault in the kernel fails it.  Clause
-6 is one closure too: C1 to C4 are closure rules and C5 to C8 only rule
-pairs out, so the least relation above the image pairs satisfying C1 to
-C4 (`_least_graded`) reaches every grade that some 0-coherent relation
+condition frame, the inner polarity's own or the context's outer one,
+which shares the kernel's mask layout (the pair (x_i, y_j) at bit
+i·|Y| + j), so a relation is graded on the mask that moved it.  Clause
+5 is one closure comparison, made on the outer frame's lanes and not
+on the kernel, so a fault in the kernel fails it.  Clause 6 is one
+closure too: C1 to C4 are closure rules and C5 to C8 only rule pairs
+out, so the least relation above the image pairs satisfying C1 to C4
+(`_least_graded`) reaches every grade that some 0-coherent relation
 above them reaches.
 """
 
@@ -33,12 +35,12 @@ from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from .order import (
     MonotoneMap,
     UnionPreorder,
+    _PairLanes,
     _bound_index,
     _expressible,
     _image_mask,
     _mask_iter,
     _reflection_failure,
-    _transpose,
     _union_of,
     is_join_extension,
     is_meet_extension,
@@ -176,18 +178,10 @@ class ClauseReport:
 
 def _pair_orders(X, Y):
     """The product order of X × Yᵒᵖ on the pairs, the pair (x_i, y_j)
-    at bit i·|Y| + j: for each pair, the mask of the pairs below it.
-    The down-sets of this order are exactly the relations satisfying C1
-    and C2, the 0-coherent ones."""
-    ny = len(Y)
-    below = []
-    for i in range(len(X)):
-        for j in range(ny):
-            down = 0
-            for k in _mask_iter(X.cols[i]):
-                down |= Y.rows[j] << k * ny
-            below.append(down)
-    return below
+    at bit i·|Y| + j: for each pair, the mask of the pairs below it, the
+    lanes below x_i times the elements above y_j.  Its down-sets are the
+    relations satisfying C1 and C2, the 0-coherent ones."""
+    return [down * up for down in _PairLanes(X.cols, Y.rows).spreads for up in Y.rows]
 
 
 def _pair_mask(X, Y, pairs):
@@ -207,48 +201,18 @@ def _mask_pairs(X, Y, mask):
     return frozenset(_pair_at(X, Y, p) for p in _mask_iter(mask))
 
 
-def _mask_rows(mask, nx, ny):
-    """The bit-rows `(rx, ry)` of a relation given as a mask."""
-    row = (1 << ny) - 1
-    rx = [mask >> i * ny & row for i in range(nx)]
-    return rx, _transpose(rx, ny)
-
-
-def _rows_mask(rx, ny):
-    """The mask of a relation given by its left rows `rx`."""
-    mask = 0
-    for i, row in enumerate(rx):
-        mask |= row << i * ny
-    return mask
-
-
-def _down_closure(frame, rx):
-    """The down-closure in X × Yᵒᵖ of the relation with left bit-rows
-    `rx`, read off the frame's order rows: each x takes the rows of the
-    elements above it, closed upward in Y.  The least relation holding
-    the given pairs that satisfies C1 and C2."""
-    return [_union_of(frame.yrows, _union_of(rx, up)) for up in frame.xrows]
-
-
-def _least_graded(frame, rx):
-    """The least relation containing the pairs of the left bit-rows `rx`
-    that satisfies C1 to C4, as bit-rows `(rx, ry)`; C5 to C8 hold on
-    every subset of a relation that satisfies them, so it has grade n
-    exactly when some such relation has.  After the base pairs (C3) and
-    the down-closure in X × Yᵒᵖ (C1, C2), each base element k in turn
-    gives the row of e_X(k) to every row holding e_Y(k) (C4).  That keeps
-    C1 and C2, the rows holding e_Y(k) being a down-set of X, and one
-    pass is Warshall's closure with the base elements as pivots.  The
-    walk over all such relations is `oracles._coherent_relations`.
-    """
-    rx = list(rx)
-    for xi, yi in zip(frame.exi, frame.eyi):
-        rx[xi] |= 1 << yi
-    rx = _down_closure(frame, rx)
-    for xi, yi in zip(frame.exi, frame.eyi):
-        gain = rx[xi]
-        rx = [row | gain if row >> yi & 1 else row for row in rx]
-    return rx, _transpose(rx, len(frame.ys))
+def _least_graded(frame, mask):
+    """The pair mask of the least relation above `mask` that satisfies
+    C1 to C4; C5 to C8 hold on every subset of a relation that satisfies
+    them, so it has grade n exactly when some such relation has.  After
+    the base pairs (C3) and the down-closure in X × Yᵒᵖ (C1, C2), each
+    base element k in turn gives the row of e_X(k) to every row holding
+    e_Y(k) (C4).  That keeps C1 and C2, the rows holding e_Y(k) being a
+    down-set of X, and one pass is Warshall's closure with the base
+    elements as pivots.  The walk over all such relations is
+    `oracles._coherent_relations`."""
+    lanes = frame.lanes
+    return lanes.pivot_close(lanes.down_close(mask | lanes.pivot_bits))
 
 
 def check_extension_preservation(ctx):
@@ -259,8 +223,8 @@ def check_extension_preservation(ctx):
     (3) grades 1 and 2 transfer up; (4) Galois transfers up along
     meet/join side extensions; (5) the saturation is least among
     0-coherent outer relations containing the image pairs, that is, it
-    lies inside their down-closure in X' × Y'ᵒᵖ, read off the outer
-    frame's order rows rather than the transfer kernel that built it;
+    lies inside their down-closure in X' × Y'ᵒᵖ, closed on the outer
+    frame's lanes rather than read off the transfer kernel that built it;
     (6) if the inner relation holds grade 2 or 3 but the saturation
     misses it, no 0-coherent outer relation containing the image pairs
     reaches it either, decided on `_least_graded` at every size; at
@@ -268,15 +232,14 @@ def check_extension_preservation(ctx):
     """
     inner = ctx.inner
     t = ctx._transfer
-    X, Y = t.outer
     fin, fout = ctx.inner._frame, ctx._outer_frame
     r = _pair_mask(*t.inner, inner.rel)
     rbar = t.extend(r)
     image = 0
     for p in _mask_iter(r):
         image |= 1 << t.image[p]
-    inner_level, inner_galois = fin.grade(*fin.rows(inner.rel))
-    outer_level, outer_galois = fout.grade(*_mask_rows(rbar, len(X), len(Y)))
+    inner_level, inner_galois = fin.mask_grade(r)
+    outer_level, outer_galois = fout.mask_grade(rbar)
     report = {}
 
     report["1"] = ClauseReport(True, outer_level is not None)
@@ -296,15 +259,13 @@ def check_extension_preservation(ctx):
     else:
         report["4"] = ClauseReport(False, True, "side extensions not meet/join")
 
-    image_rx = _mask_rows(image, len(X), len(Y))[0]
-    down = _rows_mask(_down_closure(fout, image_rx), len(Y))
-    report["5"] = ClauseReport(True, not rbar & ~down)
+    report["5"] = ClauseReport(True, not rbar & ~fout.lanes.down_close(image))
 
     missed = [n for n in (2, 3) if (inner_level or 0) >= n > (outer_level or 0)]
     reached = []
     if missed:
-        least = _least_graded(fout, image_rx)
-        reached = [n for n in missed if fout.level(*least, n) == n]
+        least = _least_graded(fout, image)
+        reached = [n for n in missed if fout.mask_level(least, n) == n]
     notes = "; ".join("grade %d reachable" % n for n in reached)
     report["6"] = ClauseReport(bool(missed), not reached, notes)
     return report
@@ -315,11 +276,11 @@ def check_restriction_preservation(ctx, sbar):
     grade-3/Galois case needing the side extensions to respect image
     meets and joins."""
     t = ctx._transfer
-    X, Y = t.inner
     fin, fout = ctx.inner._frame, ctx._outer_frame
-    under = t.restrict(_pair_mask(*t.outer, sbar))
-    outer_level, outer_galois = fout.grade(*fout.rows(sbar))
-    inner_level, inner_galois = fin.grade(*_mask_rows(under, len(X), len(Y)))
+    s = _pair_mask(*t.outer, sbar)
+    under = t.restrict(s)
+    outer_level, outer_galois = fout.mask_grade(s)
+    inner_level, inner_galois = fin.mask_grade(under)
     report = {}
     for n in range(3):
         if outer_level is not None and outer_level >= n:
@@ -461,7 +422,5 @@ def slice_extension_is_slice(ctx):
     """The saturation of the slice relation is the slice relation of the
     composed extensions.  Both slice relations are read off kept frames:
     the inner polarity's and the context's outer one."""
-    t = ctx._transfer
-    inner = _rows_mask(ctx.inner._frame.slice_rows, len(t.inner[1]))
-    outer = _rows_mask(ctx._outer_frame.slice_rows, len(t.outer[1]))
-    return t.extend(inner) == outer
+    inner, outer = ctx.inner._frame, ctx._outer_frame
+    return ctx._transfer.extend(inner.slice_mask()) == outer.slice_mask()

@@ -17,11 +17,7 @@ from .errors import (
     CarrierTooLarge,
     NotPreorder,
 )
-from .extend import (
-    AdjunctionReport,
-    ExtensionContext,
-    _rows_mask,
-)
+from .extend import AdjunctionReport, ExtensionContext
 from .morphisms import PolarityMorphism
 from .order import (
     MonotoneMap,
@@ -702,7 +698,8 @@ def oracle_relation_lattice_adjunction(ctx):
             for i, row in enumerate(rows)
             for j in _mask_iter(row)
         )
-        for rows in sorted(walked, key=lambda rows: _rows_mask(rows, nyo))
+        # Rows from the last compare as their pair masks do.
+        for rows in sorted(walked, key=lambda rows: rows[::-1])
     ]
 
     frame = inner._frame

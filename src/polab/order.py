@@ -5,17 +5,17 @@ Posets are stored as a tuple of element ids plus a dense bit-matrix:
 All quantifier-heavy checks work on these masks; the public API speaks
 in element ids.
 
-Three kernels pack a square n-row matrix into one n²-bit integer, row i
-at bits i·n to i·n + n - 1 (`_pack`): the closure `transitive_close`,
-the transitivity verdict `_packed_transitive` behind `Poset(elements,
-rows)` and `UnionPreorder.is_transitive`, and the relation walk
-`_closed_relations`.  Shifting the packed matrix right by k and masking
-with the bits i·n of every row i gives the rows that hold k, at their
-row offsets; multiplying that by row k copies row k onto each of them,
-with no carries, because rows hold n bits.  So one Warshall pivot is
-one product.  Callers see row tuples only: packing happens inside this
-module, and a failed verdict is explained by a row walk that names the
-first witness in carrier order.
+Four kernels pack a matrix into one integer, row i at bits i·n to
+i·n + n - 1 (`_pack`): the closure `transitive_close`, the transitivity
+verdict `_packed_transitive` behind `Poset(elements, rows)` and
+`UnionPreorder.is_transitive`, and the relation walk `_closed_relations`
+on square matrices, and `_PairLanes` on the pair masks of relations
+between two posets.  Shifting right by k and masking with the bits i·n
+of every row i gives the rows that hold k, at their row offsets;
+multiplying that by an n-bit row copies it onto each of them, with no
+carries.  So one Warshall pivot is one product.  The square kernels
+take and return row tuples, and a failed verdict is explained by a row
+walk naming the first witness in carrier order.
 
 A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
 check is its meet-side kernel run on the swapped arrays.  Whether a
@@ -76,10 +76,10 @@ def _pack(rows, n):
     return m
 
 
-def _unpack(m, n):
-    """The n bit-rows of a packed matrix, as a list."""
+def _unpack(m, n, count=None):
+    """The first `count` (n by default) n-bit rows of a packed matrix."""
     full = (1 << n) - 1
-    return [m >> i * n & full for i in range(n)]
+    return [m >> i * n & full for i in range(n if count is None else count)]
 
 
 def _packed_transitive(m, n):
@@ -106,6 +106,67 @@ def transitive_close(rows):
         rows[i] = m & full
         m >>= n
     return rows
+
+
+def _spread(mask, width):
+    """`mask` with each set bit i moved to bit i·width."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (low.bit_length() - 1) * width
+        mask ^= low
+    return out
+
+
+class _PairLanes:
+    """Relations between posets X and Y as pair masks, the pair (x_i, y_j)
+    at bit i·|Y| + j, from X's `cols`, Y's `rows` and pivot pairs (i, j).
+    In a down-set of X × Yᵒᵖ the lanes below x_k hold lane k and the
+    lanes holding y_k hold the elements above y_k: one product per
+    element that is not minimal, resp. maximal.  Each pivot (i, j) gives
+    lane i to the lanes holding y_j.  `pivot_bits` holds the pivot pairs,
+    `beside` the pairs beside one, in its lane or column but not below."""
+
+    __slots__ = ("ny", "full", "ones", "spreads", "steps", "pivots", "pivot_bits", "beside")
+
+    def __init__(self, xcols, yrows, pivots=()):
+        ny = self.ny = len(yrows)
+        full = self.full = (1 << ny) - 1
+        ones = self.ones = _spread((1 << len(xcols)) - 1, ny)
+        spreads = self.spreads = [_spread(c, ny) for c in xcols]
+        # Each step (c, shift, lanes): m gains c times m >> shift & lanes.
+        self.steps = [(s, k * ny, full) for k, s in enumerate(spreads) if s != 1 << k * ny]
+        self.steps += [(up, k, ones) for k, up in enumerate(yrows) if up != 1 << k]
+        self.pivots, self.pivot_bits, self.beside = [], 0, 0
+        for i, j in pivots:
+            self.pivots.append((j, i * ny))
+            self.pivot_bits |= 1 << i * ny + j
+            self.beside |= (ones ^ spreads[i]) << j | (full ^ yrows[j]) << i * ny
+
+    def pack(self, rows):
+        """The pair mask of the bit-rows, one per element of X."""
+        return _pack(rows, self.ny)
+
+    def spread(self, mask):
+        """The lanes of the elements of X at the bits of `mask`."""
+        return _spread(mask, self.ny)
+
+    def rows(self, m):
+        """The bit-rows of the lanes of `m`, as a list."""
+        return _unpack(m, self.ny, len(self.spreads))
+
+    def down_close(self, m):
+        """The down-closure of `m` in X × Yᵒᵖ, the orders being transitive."""
+        for c, shift, lanes in self.steps:
+            m |= c * (m >> shift & lanes)
+        return m
+
+    def pivot_close(self, m):
+        """`m` after each pivot (i, j) gives lane i to the lanes holding y_j."""
+        ones, full = self.ones, self.full
+        for j, shift in self.pivots:
+            m |= (m >> j & ones) * (m >> shift & full)
+        return m
 
 
 def _closed_relations(forced, forbidden):

@@ -13,9 +13,13 @@ is a meet of images over some admissible subset exactly when it is the
 meet over the largest admissible subset of images above it.  The naive
 scans live in `polab.oracles` and the two routes are compared in tests.
 
-The right-hand conditions (C2, C6, C8, E2, S2 and the sets built from
-joins of images) are the left-hand code run on the dual polarity: both
-orders reversed, the sides swapped, the relation transposed.
+A grade is decided on the relation's pair mask (`_Frame.mask_level`):
+C1, C2 and C4 by products on `order._PairLanes`, C3 and C5 to C8 by one
+AND each.  The loop kernels of `_CONDITIONS` give `report` its witnesses
+and explain a failed packed verdict.  Their right-hand conditions (C2,
+C6, C8, E2, S2 and the sets built from joins of images) are the
+left-hand code run on the dual polarity: both orders reversed, the
+sides swapped, the relation transposed.
 """
 
 from __future__ import annotations
@@ -40,9 +44,11 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     X_SIDE,
+    _PairLanes,
     _bounds_failure,
     _closed_relations,
     _expressible,
+    _low_index,
     _mask_iter,
     _preimages,
     _reflection_failure,
@@ -182,11 +188,11 @@ class _Frame:
     """Index-level workspace for the condition checks over one base and
     pair of side extensions, independent of the relation.
 
-    Every check takes the relation as bit-rows `rx, ry`: bit j of `rx[i]`
-    and bit i of `ry[j]` are set when the i-th left element is related
-    to the j-th right element.  Only the left-hand member of each dual
-    pair of conditions is written out; `check` runs the right-hand one as
-    the left-hand one on `flipped` with the rows swapped.
+    Grades are decided on pair masks (`mask_level`).  The loop kernels
+    name witnesses, on the bit-rows `rx, ry` of the relation: bit j of
+    `rx[i]` and bit i of `ry[j]` are set when x_i is related to y_j.
+    Only the left-hand member of each dual pair of conditions is written
+    out; `check` runs the right-hand one on `flipped`, the rows swapped.
 
     The canonical relations are assembled (`blocks`) from four blocks of
     masks: one mask over X per left element for the left block, one mask
@@ -273,8 +279,7 @@ class _Frame:
             for i2 in _mask_iter(up):
                 missing = rx[i2] & ~rx[i1]
                 if missing:
-                    j = next(_mask_iter(missing))
-                    return False, (self.xs[i1], self.xs[i2], self.ys[j])
+                    return False, (self.xs[i1], self.xs[i2], self.ys[_low_index(missing)])
         return True, None
 
     def c3(self, rx, ry):
@@ -285,22 +290,19 @@ class _Frame:
 
     def c4(self, rx, ry):
         for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            right = rx[xi]
             for i in _mask_iter(ry[yi]):
-                missing = right & ~rx[i]
+                missing = rx[xi] & ~rx[i]
                 if missing:
-                    j = next(_mask_iter(missing))
-                    return False, (self.xs[i], self.ps[k], self.ys[j])
+                    return False, (self.xs[i], self.ps[k], self.ys[_low_index(missing)])
         return True, None
 
     def c5(self, rx, ry):
         for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            need = self.xrows[xi]
-            for i1 in _mask_iter(ry[yi]):
-                missing = need & ~self.xrows[i1]
-                if missing:
-                    i2 = next(_mask_iter(missing))
-                    return False, (self.xs[i1], self.ps[k], self.xs[i2])
+            stray = ry[yi] & ~self.xcols[xi]
+            if stray:
+                i1 = _low_index(stray)
+                i2 = _low_index(self.xrows[xi] & ~self.xrows[i1])
+                return False, (self.xs[i1], self.ps[k], self.xs[i2])
         return True, None
 
     # -- canonical witness sets for the subset-quantified conditions ------
@@ -320,8 +322,7 @@ class _Frame:
             for i in _mask_iter(self.realizable_meets[j1]):
                 missing = rx[i] & ~up
                 if missing:
-                    j2 = next(_mask_iter(missing))
-                    return False, (self.xs[i], self.ys[j1], self.ys[j2])
+                    return False, (self.xs[i], self.ys[j1], self.ys[_low_index(missing)])
         return True, None
 
     # -- blocks of the canonical relations ---------------------------------
@@ -378,22 +379,24 @@ class _Frame:
             out.append(sum(1 << i for i, a in enumerate(above) if not a & ~common))
         return out
 
-    @functools.cached_property
-    def slice_rows(self):
-        """The bit-rows `rx` of the slice relation: x related to y when
-        some base element has its left image above x and its right image
-        below y.  Certified up to grade 2, which it always reaches; a
-        failure raises `NotCoherent` naming the first failing condition
-        and its witness."""
-        above = _transpose([self.xcols[xi] for xi in self.exi], len(self.xs))
-        rx = [_union_of([self.yrows[yi] for yi in self.eyi], a) for a in above]
-        rows = rx, _transpose(rx, len(self.ys))
-        if self.level(*rows, upto=2) != 2:
+    def slice_mask(self):
+        """The pair mask of the slice relation: x related to y when some base
+        element has its left image above x and its right image below y.  It
+        reaches grade 2; a failure raises `NotCoherent` naming the first
+        failing condition, or `LawViolation` when no loop kernel finds one."""
+        lanes, m = self.lanes, 0
+        for xi, yi in zip(self.exi, self.eyi):
+            m |= lanes.spreads[xi] * self.yrows[yi]
+        level = self.mask_level(m, 2)
+        if level != 2:
+            rx = lanes.rows(m)
+            rows = rx, _transpose(rx, len(self.ys))
             for name in CONDITION_NAMES[:6]:
                 ok, witness = self.check(name, *rows)
                 if not ok:
                     raise NotCoherent("slice relation fails %s" % name, witness)
-        return rx
+            raise LawViolation("slice", "no loop kernel explains the grade", (level, rx))
+        return m
 
     def blocks(self, xx, yy, xy, yx):
         """The relation on the carrier whose left, right, left-to-right
@@ -421,17 +424,54 @@ class _Frame:
                 return False, self.ps[k]
         return True, None
 
-    # -- grading ----------------------------------------------------------
+    # -- grading on the pair mask -----------------------------------------
+
+    @functools.cached_property
+    def lanes(self):
+        """The pair masks of the frame, the base image pairs as pivots."""
+        return _PairLanes(self.xcols, self.yrows, zip(self.exi, self.eyi))
+
+    @functools.cached_property
+    def forbidden_c7(self):
+        """C7's pairs: (x, y) with x a meet realizable at y1, y not above y1."""
+        lanes, out = self.lanes, 0
+        for meets, up in zip(self.realizable_meets, self.yrows):
+            out |= lanes.spread(meets) * (lanes.full ^ up)
+        return out
+
+    @functools.cached_property
+    def forbidden_c8(self):
+        """C8's pairs, kept apart so that a grade failing C7 builds no flipped meets."""
+        lanes, out = self.lanes, 0
+        for joins, down in zip(self.flipped.realizable_meets, lanes.spreads):
+            out |= (lanes.ones ^ down) * joins
+        return out
 
     def level(self, rx, ry, upto=3):
-        """The grade of the relation capped at `upto`, None below grade
-        0; no condition past the first failing one is evaluated."""
-        return _grade(lambda name: self.check(name, rx, ry)[0], upto)
+        """`mask_level` of the relation with the bit-rows `rx, ry`."""
+        return self.mask_level(self.lanes.pack(rx), upto)
+
+    def mask_level(self, m, upto=3):
+        """The grade of the relation with pair mask `m` capped at `upto`, None
+        below grade 0; no grade past the first failing one is decided."""
+        lanes = self.lanes
+        if lanes.down_close(m) != m:
+            return None
+        if upto < 1 or lanes.pivot_bits & ~m or lanes.pivot_close(m) != m:
+            return 0
+        if upto < 2 or m & lanes.beside:
+            return 1
+        if upto < 3 or m & self.forbidden_c7 or m & self.forbidden_c8:
+            return 2
+        return 3
 
     def grade(self, rx, ry):
-        """The grade of the relation and whether it is Galois, with no
-        condition past the first failing one evaluated."""
-        level = self.level(rx, ry)
+        """`mask_grade` of the relation with the bit-rows `rx, ry`."""
+        return self.mask_grade(self.lanes.pack(rx))
+
+    def mask_grade(self, m):
+        """`mask_level` of the pair mask `m` and whether it is Galois."""
+        level = self.mask_level(m)
         return level, level == 3 and self.meet_side and self.join_side
 
     def report(self, rx, ry):
@@ -538,11 +578,11 @@ def r_hat_g(pol):
 
 def r_l(ex, ey):
     """The slice relation of two extensions of one base, as pairs (see
-    `_Frame.slice_rows`)."""
+    `_Frame.slice_mask`)."""
     if ey.base != ex.base:
         raise CarrierMismatch("extensions must share a base poset")
     fr = _Frame(ex.base, ex, ey)
-    return _pairs(fr.xs, fr.ys, fr.slice_rows)
+    return _pairs(fr.xs, fr.ys, fr.lanes.rows(fr.slice_mask()))
 
 
 # -- graded preorders ------------------------------------------------------

@@ -17,9 +17,7 @@ from polab.extend import (
     ExtensionContext,
     _least_graded,
     _mask_pairs,
-    _mask_rows,
     _pair_mask,
-    _transpose,
     check_extension_preservation,
     check_restriction_preservation,
     extend_relation,
@@ -37,7 +35,16 @@ from polab.oracles import (
     oracle_relation_lattice_adjunction,
     oracle_restrict_relation,
 )
-from polab.order import Extension, MonotoneMap, Poset, UnionPreorder, _reflection_failure, macneille
+from polab.order import (
+    Extension,
+    MonotoneMap,
+    Poset,
+    UnionPreorder,
+    _reflection_failure,
+    _transpose,
+    _union_of,
+    macneille,
+)
 from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_l, r_zero
 from polab.randgen import random_context, random_side_context
 
@@ -189,7 +196,10 @@ class TestSliceCheck:
             assert got == (moved == r_l(ctx.outer_ex, ctx.outer_ey))
 
     def test_certificate_names_the_condition(self, monkeypatch):
+        """A failed packed C4 verdict is explained by the loop kernel,
+        whose witness `NotCoherent` carries."""
         ctx = fixture_context("fix_g")
+        monkeypatch.setattr(polab.order._PairLanes, "pivot_close", lambda self, m: -1)
         monkeypatch.setattr(
             polab.polarity._Frame, "c4", lambda self, rx, ry: (False, ("w",))
         )
@@ -345,12 +355,11 @@ class TestTransferKernel:
             for r in rels:
                 sbar = kernel_saturation(ctx, r)
                 under = kernel_readback(ctx, sbar)
-                rows = _mask_rows(_pair_mask(Xo, Yo, sbar), len(Xo), len(Yo))
                 assert fin.report(*fin.rows(r)) == check_coherence(ctx.inner.with_relation(r))
-                assert fout.report(*rows) == check_coherence(ctx.outer(sbar))
-                assert fin.report(
-                    *_mask_rows(_pair_mask(X, Y, under), len(X), len(Y))
-                ) == check_coherence(ctx.inner.with_relation(under))
+                assert fout.report(*fout.rows(sbar)) == check_coherence(ctx.outer(sbar))
+                assert fin.report(*fin.rows(under)) == check_coherence(
+                    ctx.inner.with_relation(under)
+                )
                 s = frozenset(p for p in outer_pairs if rng.random() < 0.5)
                 assert fout.report(*fout.rows(s)) == check_coherence(ctx.outer(s))
 
@@ -476,13 +485,13 @@ class TestDownSets:
         frame is made to grade a grade-3 relation as grade 2."""
 
         def demote(frame):
-            grade = frame.grade
+            grade = frame.mask_grade
 
-            def demoted(rx, ry):
-                level, galois = grade(rx, ry)
+            def demoted(m):
+                level, galois = grade(m)
                 return (2 if level == 3 else level), galois
 
-            monkeypatch.setattr(frame, "grade", demoted)
+            monkeypatch.setattr(frame, "mask_grade", demoted)
 
         done = 0
         for ctx in small_contexts(40, seed=5):
@@ -593,8 +602,9 @@ class TestLeastGraded:
                 frozenset(p for p in pairs if rng.random() < 0.25) for _ in range(2)
             ]
             for floor in floors:
-                rows = _least_graded(ctx._outer_frame, as_rows(X, Y, floor))[0]
-                least = as_pairs(X, Y, rows)
+                least = _mask_pairs(
+                    X, Y, _least_graded(ctx._outer_frame, _pair_mask(X, Y, floor))
+                )
                 levels = {
                     s: naive_coherence_level(ctx.outer(s))
                     for s in oracle_coherent_relations(X, Y, floor, limit=12)
@@ -657,13 +667,68 @@ class TestLeastGraded:
             frame = ctx._outer_frame
             if frame.level(*frame.rows(extend_relation(ctx))) != 2:
                 continue
-            grade = frame.grade
-            monkeypatch.setattr(
-                frame, "grade", lambda rx, ry, grade=grade: (1, grade(rx, ry)[1])
-            )
+            grade = frame.mask_grade
+            monkeypatch.setattr(frame, "mask_grade", lambda m, grade=grade: (1, grade(m)[1]))
             rep = check_extension_preservation(ctx)
             reachable = self.walked_reachable(ctx, (2, 3))
             assert not rep["3"].holds and rep["6"].applicable
             assert reachable[0] == 2 and not rep["6"].holds
             assert rep["6"].note == "; ".join("grade %d reachable" % n for n in reachable)
             done += 1
+
+
+class TestPackedClosures:
+    """The pair-mask closures against their bit-row forms: `_pair_orders`
+    as one product per pair, the frame's down-closure and `_least_graded`
+    as one product per pivot."""
+
+    @staticmethod
+    def rows_pair_orders(X, Y):
+        ny = len(Y)
+        below = []
+        for i in range(len(X)):
+            for j in range(ny):
+                down = 0
+                for k in range(len(X)):
+                    if X.cols[i] >> k & 1:
+                        down |= Y.rows[j] << k * ny
+                below.append(down)
+        return below
+
+    @staticmethod
+    def rows_down_closure(frame, rx):
+        return [_union_of(frame.yrows, _union_of(rx, up)) for up in frame.xrows]
+
+    @classmethod
+    def rows_least_graded(cls, frame, rx):
+        rx = list(rx)
+        for xi, yi in zip(frame.exi, frame.eyi):
+            rx[xi] |= 1 << yi
+        rx = cls.rows_down_closure(frame, rx)
+        for xi, yi in zip(frame.exi, frame.eyi):
+            gain = rx[xi]
+            rx = [row | gain if row >> yi & 1 else row for row in rx]
+        return rx
+
+    def test_match_the_row_forms(self):
+        rng = random.Random(59)
+        grown = 0
+        for k in range(150):
+            ctx = random_context(rng, 1 + k % 3)
+            for frame, (X, Y) in (
+                (ctx.inner._frame, (ctx.inner.x, ctx.inner.y)),
+                (ctx._outer_frame, (ctx.ix.target, ctx.iy.target)),
+            ):
+                assert polab.extend._pair_orders(X, Y) == self.rows_pair_orders(X, Y)
+                lanes, n = frame.lanes, len(X) * len(Y)
+                for _ in range(4):
+                    m = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                    rx = as_rows(X, Y, _mask_pairs(X, Y, m))
+                    down = _mask_pairs(X, Y, lanes.down_close(m))
+                    assert down == as_pairs(X, Y, self.rows_down_closure(frame, rx))
+                    least = _least_graded(frame, m)
+                    assert _mask_pairs(X, Y, least) == as_pairs(
+                        X, Y, self.rows_least_graded(frame, rx)
+                    )
+                    grown += least != lanes.down_close(m | lanes.pivot_bits)
+        assert grown >= 3

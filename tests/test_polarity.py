@@ -18,6 +18,8 @@ from polab.fixtures import CATALOGUE, load
 from polab.order import (
     Poset,
     UnionPreorder,
+    _mask_iter,
+    _transpose,
     is_join_extension,
     is_meet_extension,
     tag_x,
@@ -40,8 +42,11 @@ from polab.polarity import (
     structure_of,
     unique_3preorder,
 )
+from polab.extend import _least_graded
+from polab.oracles import naive_coherence_level
 from polab.randgen import (
     collapse_morphism,
+    random_context,
     random_extension_polarity,
     random_galois_polarity,
 )
@@ -263,13 +268,56 @@ class TestSliceRelation:
         assert r_l(pol.ex, pol.ey) == pol.rel
 
     def test_failure_names_the_condition(self, monkeypatch):
+        """A failed packed C5 verdict is explained by the loop kernel,
+        whose witness `NotCoherent` carries."""
         pol = load("fix_e").polarities["G"]
+        lanes = polarity._Frame.lanes.func
+
+        def stray(self):
+            out = lanes(self)
+            out.beside = -1
+            return out
+
+        monkeypatch.setattr(polarity._Frame, "lanes", property(stray))
         monkeypatch.setattr(
             polarity._Frame, "c5", lambda self, rx, ry: (False, ("w",))
         )
         with pytest.raises(NotCoherent, match="C5") as err:
             r_l(pol.ex, pol.ey)
         assert err.value.witness == ("w",)
+
+    def test_unexplained_failure_raises_under_optimize(self):
+        """A packed grade below 2 that no loop kernel explains is a
+        disagreement between the two, not a certified slice relation."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from polab import polarity
+            from polab.errors import LawViolation
+            from polab.fixtures import load
+
+            assert sys.flags.optimize
+            pol = load("fix_e").polarities["G"]
+            polarity._Frame.mask_level = lambda self, m, upto=3: 1
+            try:
+                polarity.r_l(pol.ex, pol.ey)
+            except LawViolation as err:
+                level, rows = err.witness
+                print(err.law, level, len(rows))
+                sys.exit(3)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        pol = load("fix_e").polarities["G"]
+        assert done.stdout == "slice 1 %d\n" % len(pol.x)
 
 
 class TestSaturationMemo:
@@ -576,3 +624,102 @@ class TestWitnesses:
                 assert w is None, name
             else:
                 assert predicate(*(w if name != "C3" else (w,))), (name, w)
+
+
+def _graded_frames(seed, count):
+    """Seeded frames with a polarity maker each: those of
+    `random_extension_polarity` and `random_galois_polarity`, and the
+    inner and outer frames of `random_context`, base sizes 1 to 3."""
+    rng = random.Random(seed)
+    for k in range(count):
+        size = 1 + k % 3
+        pol = random_extension_polarity(rng, size)
+        yield pol._frame, pol.with_relation
+        pol = random_galois_polarity(rng, size)
+        yield pol._frame, pol.with_relation
+        ctx = random_context(rng, size)
+        yield ctx.inner._frame, ctx.inner.with_relation
+        yield ctx._outer_frame, ctx.outer
+
+
+def _frame_masks(rng, fr):
+    """Random pair masks of the frame with their down-closures and their
+    least C1-to-C4 relations, the slice relation and the full relation."""
+    everything = (1 << len(fr.xs) * len(fr.ys)) - 1
+    drawn = [rng.getrandbits(everything.bit_length()) & rng.getrandbits(everything.bit_length())
+             for _ in range(3)]
+    closed = [fr.lanes.down_close(m) for m in drawn]
+    return drawn + closed + [_least_graded(fr, m) for m in drawn] + [fr.slice_mask(), everything]
+
+
+class TestPackedGrade:
+    """The grade decided on the pair mask against the loop kernels and
+    the naive oracle."""
+
+    def test_matches_the_loop_kernels_and_the_oracle(self):
+        rng = random.Random(43)
+        seen = set()
+        for fr, polarity_with in _graded_frames(seed=43, count=40):
+            for m in _frame_masks(rng, fr):
+                rx = fr.lanes.rows(m)
+                ry = _transpose(rx, len(fr.ys))
+                pol = polarity_with(polarity._pairs(fr.xs, fr.ys, rx))
+                want = naive_coherence_level(pol)
+                seen.add(want)
+                for upto in range(4):
+                    looped = polarity._grade(lambda name: fr.check(name, rx, ry)[0], upto)
+                    capped = None if want is None else min(want, upto)
+                    assert fr.mask_level(m, upto) == looped == capped, (m, upto)
+                    assert fr.level(rx, ry, upto) == looped
+                rep = fr.report(rx, ry)
+                assert fr.mask_grade(m) == fr.grade(rx, ry) == (rep.level, rep.galois)
+        assert seen == {None, 0, 1, 2, 3}
+
+    def test_c8_is_read_only_past_c7(self, monkeypatch):
+        """A grade that stops at C7 or below never reads C8's pairs, so it
+        never builds the flipped frame's meets."""
+        read = []
+        c8 = polarity._Frame.forbidden_c8.func
+
+        def counting(self):
+            read.append(self)
+            return c8(self)
+
+        monkeypatch.setattr(polarity._Frame, "forbidden_c8", property(counting))
+        rng = random.Random(47)
+        stopped = 0
+        for fr, _ in _graded_frames(seed=47, count=40):
+            for m in _frame_masks(rng, fr):
+                del read[:]
+                level = fr.mask_level(m)
+                past_c7 = level == 3 or level == 2 and not m & fr.forbidden_c7
+                assert bool(read) == past_c7, (m, level)
+                stopped += level == 2 and not past_c7
+        assert stopped >= 5
+
+    def test_c5_witness_matches_the_loop(self):
+        """`_Frame.c5` finds its witness without an inner loop: the same
+        witness, in the same order, as the loop over the rows holding
+        e_Y(k), on both the frame (C5) and its flip (C6)."""
+
+        def looped(fr, rx, ry):
+            for k, (xi, yi) in enumerate(zip(fr.exi, fr.eyi)):
+                need = fr.xrows[xi]
+                for i1 in _mask_iter(ry[yi]):
+                    missing = need & ~fr.xrows[i1]
+                    if missing:
+                        i2 = next(_mask_iter(missing))
+                        return False, (fr.xs[i1], fr.ps[k], fr.xs[i2])
+            return True, None
+
+        rng = random.Random(53)
+        failed = 0
+        for fr, _ in _graded_frames(seed=53, count=20):
+            for m in _frame_masks(rng, fr):
+                rx = fr.lanes.rows(m)
+                ry = _transpose(rx, len(fr.ys))
+                got = fr.c5(rx, ry)
+                assert got == looped(fr, rx, ry)
+                assert fr.flipped.c5(ry, rx) == looped(fr.flipped, ry, rx)
+                failed += not got[0]
+        assert failed >= 20

@@ -101,7 +101,7 @@ def test_the_import_scan_resolves_every_form(tmp_path):
 
 
 # The packed bit-matrix layout of `polab.order` and its kernels.
-PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive")
+PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive", "_spread")
 
 
 def _references(path, names):
@@ -140,8 +140,9 @@ def test_derived_posets_stay_in_order():
 
 
 def test_packing_stays_in_order():
-    """Row tuples are the representation every caller sees; the packed
-    layout is private to `polab.order`, so only its kernels depend on it."""
+    """Callers see row tuples, or pair masks through `_PairLanes`; the
+    packing helpers are private to `polab.order`, so only its kernels
+    depend on them."""
     found = _outside_order(PACKING)
     assert not found, "packing helpers used outside polab.order: " + ", ".join(found)
 
