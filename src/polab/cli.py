@@ -423,6 +423,18 @@ def cmd_fuzz(args):
     return 0
 
 
+def _at_least(low):
+    """An argparse type: an integer of at least `low`."""
+
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return count
+
+
 def _parser():
     p = argparse.ArgumentParser(prog="polab", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -468,8 +480,8 @@ def _parser():
 
     c = sub.add_parser("fuzz", help="seeded random law checking")
     c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--size", type=int, required=True)
-    c.add_argument("--iters", type=int, required=True)
+    c.add_argument("--size", type=_at_least(1), required=True)
+    c.add_argument("--iters", type=_at_least(0), required=True)
     c.add_argument("--check")
     c.set_defaults(run=cmd_fuzz)
     return p

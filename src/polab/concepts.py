@@ -95,20 +95,15 @@ def xi_embedding(pol):
     """Whether the left canonical map embeds: x1 goes below x2 when every
     right element related to x2 is related to x1, that is, when the right
     elements unrelated to x1 are unrelated to x2."""
-    unrelated = {
-        a: pol.y.mask_of(b for b in pol.y.elements if (a, b) not in pol.rel)
-        for a in pol.x.elements
-    }
+    full = (1 << len(pol.y)) - 1
+    unrelated = {a: full & ~r for a, r in zip(pol.x.elements, pol._rows[0])}
     return _embeds(pol.x, concept_lattice(pol).xi_mask, unrelated)
 
 
 def upsilon_embedding(pol):
     """Whether the right canonical map embeds: y1 goes below y2 when every
     left element related to y1 is related to y2."""
-    related = {
-        b: pol.x.mask_of(a for a in pol.x.elements if (a, b) in pol.rel)
-        for b in pol.y.elements
-    }
+    related = dict(zip(pol.y.elements, pol._rows[1]))
     return _embeds(pol.y, concept_lattice(pol).upsilon_mask, related)
 
 

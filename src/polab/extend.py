@@ -13,14 +13,15 @@ both preserve unions: each context keeps one transfer kernel of
 bit-masks, the saturation and the image bit of every single inner pair,
 and both maps are unions over it.  The adjunction laws are therefore
 decided on generators (single pairs and their principal down-sets),
-with no size gate.  Every relation of a side is graded on one
-condition frame, the inner polarity's own or the context's outer one,
-which shares the kernel's mask layout (the pair (x_i, y_j) at bit
-i·|Y| + j), so a relation is graded on the mask that moved it.  Clause
-5 is one closure comparison, made on the outer frame's lanes and not
-on the kernel, so a fault in the kernel fails it.  Clause 6 is one
-closure too: C1 to C4 are closure rules and C5 to C8 only rule pairs
-out, so the least relation above the image pairs satisfying C1 to C4
+with no size gate.  Every relation of a side lives on one condition
+frame, the inner polarity's or the context's outer polarity's, which
+converts its pairs to masks in the kernel's layout (the pair (x_i, y_j)
+at bit i·|Y| + j) and whose lanes give the product orders
+(`_pair_orders`), so a relation is graded on the mask that moved it.
+Clause 5 is one closure comparison on the outer frame's lanes, not on
+the kernel, so a fault in the kernel fails it.  Clause 6 is one closure
+too: C1 to C4 are closure rules and C5 to C8 only rule pairs out, so
+the least relation above the image pairs satisfying C1 to C4
 (`_least_graded`) reaches every grade that some 0-coherent relation
 above them reaches.
 """
@@ -35,7 +36,6 @@ from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from .order import (
     MonotoneMap,
     UnionPreorder,
-    _PairLanes,
     _bound_index,
     _expressible,
     _image_mask,
@@ -50,7 +50,6 @@ from .order import (
 )
 from .polarity import (
     ExtensionPolarity,
-    _Frame,
     # Not called here any more; bench/tracer.py still wraps this name.
     coherence_level,  # noqa: F401
     is_n_preorder,
@@ -59,9 +58,10 @@ from .polarity import (
 
 class ExtensionContext:
     """An extension polarity plus one more extension of each side.  The
-    composed extensions, the outer condition frame, the transfer kernel
-    and the guard of downward transfer are built on first use and kept;
-    the inner polarities are graded on the inner polarity's own frame."""
+    outer polarity with no pairs, whose frame grades every outer
+    relation, the transfer kernel and the guard of downward transfer are
+    built on first use and kept; the inner polarities are graded on the
+    inner polarity's own frame."""
 
     def __init__(self, inner, ix, iy):
         if ix.base != inner.x or iy.base != inner.y:
@@ -71,22 +71,19 @@ class ExtensionContext:
         self.iy = iy
 
     @cached_property
-    def outer_ex(self):
-        return self.inner.ex.compose(self.ix)
-
-    @cached_property
-    def outer_ey(self):
-        return self.inner.ey.compose(self.iy)
+    def _outer(self):
+        inner = self.inner
+        return ExtensionPolarity(
+            inner.base, inner.ex.compose(self.ix), inner.ey.compose(self.iy), ()
+        )
 
     def outer(self, rel=None):
-        if rel is None:
-            rel = extend_relation(self)
-        return ExtensionPolarity(self.inner.base, self.outer_ex, self.outer_ey, rel)
+        return self._outer.with_relation(extend_relation(self) if rel is None else rel)
 
-    @cached_property
+    @property
     def _outer_frame(self):
         """The condition workspace of the outer polarities."""
-        return _Frame(self.inner.base, self.outer_ex, self.outer_ey)
+        return self._outer._frame
 
     @cached_property
     def _transfer(self):
@@ -115,16 +112,12 @@ class _Transfer:
     the outer pairs.
     """
 
-    __slots__ = ("inner", "outer", "below", "image", "sat")
+    __slots__ = ("below", "image", "sat")
 
     def __init__(self, ctx):
-        X, Y = ctx.inner.x, ctx.inner.y
-        Xo, Yo = ctx.ix.target, ctx.iy.target
-        self.inner, self.outer = (X, Y), (Xo, Yo)
-        self.below = _pair_orders(Xo, Yo)
-        xi = [Xo.index[ctx.ix(x)] for x in X.elements]
-        yi = [Yo.index[ctx.iy(y)] for y in Y.elements]
-        self.image = [a * len(Yo) + b for a in xi for b in yi]
+        self.below = _pair_orders(ctx._outer_frame)
+        ny = len(ctx.iy.target)
+        self.image = [a * ny + b for a in ctx.ix.map.idx for b in ctx.iy.map.idx]
         self.sat = [self.below[q] for q in self.image]
 
     def extend(self, mask):
@@ -142,14 +135,12 @@ def extend_relation(ctx):
     """The saturation of the inner relation on the outer sides: x' is
     related to y' when some inner related pair brackets them through
     the side embeddings."""
-    t = ctx._transfer
-    return _mask_pairs(*t.outer, t.extend(_pair_mask(*t.inner, ctx.inner.rel)))
+    return ctx._outer_frame.pairs(ctx._transfer.extend(ctx.inner._mask))
 
 
 def restrict_relation(ctx, sbar):
     """The relation read back on the inner sides through the embeddings."""
-    t = ctx._transfer
-    return _mask_pairs(*t.inner, t.restrict(_pair_mask(*t.outer, sbar)))
+    return ctx.inner._frame.pairs(ctx._transfer.restrict(ctx._outer_frame.mask(sbar)))
 
 
 def _preserves_image_bounds(i, e, up, down, outer):
@@ -176,29 +167,12 @@ class ClauseReport:
     note: str = ""
 
 
-def _pair_orders(X, Y):
-    """The product order of X × Yᵒᵖ on the pairs, the pair (x_i, y_j)
-    at bit i·|Y| + j: for each pair, the mask of the pairs below it, the
-    lanes below x_i times the elements above y_j.  Its down-sets are the
-    relations satisfying C1 and C2, the 0-coherent ones."""
-    return [down * up for down in _PairLanes(X.cols, Y.rows).spreads for up in Y.rows]
-
-
-def _pair_mask(X, Y, pairs):
-    ny = len(Y)
-    mask = 0
-    for a, b in pairs:
-        mask |= 1 << X.index[a] * ny + Y.index[b]
-    return mask
-
-
-def _pair_at(X, Y, p):
-    """The pair at bit p, as `_pair_mask` lays the pairs out."""
-    return X.elements[p // len(Y)], Y.elements[p % len(Y)]
-
-
-def _mask_pairs(X, Y, mask):
-    return frozenset(_pair_at(X, Y, p) for p in _mask_iter(mask))
+def _pair_orders(frame):
+    """The product order of X × Yᵒᵖ on a frame's pairs, the pair (x_i,
+    y_j) at bit i·|Y| + j: for each pair, the mask of the pairs below it,
+    the lanes below x_i times the elements above y_j.  Its down-sets are
+    the relations satisfying C1 and C2, the 0-coherent ones."""
+    return [down * up for down in frame.lanes.spreads for up in frame.yrows]
 
 
 def _least_graded(frame, mask):
@@ -230,10 +204,9 @@ def check_extension_preservation(ctx):
     reaches it either, decided on `_least_graded` at every size; at
     grade 2 it can apply only where clause 3 fails.
     """
-    inner = ctx.inner
     t = ctx._transfer
     fin, fout = ctx.inner._frame, ctx._outer_frame
-    r = _pair_mask(*t.inner, inner.rel)
+    r = ctx.inner._mask
     rbar = t.extend(r)
     image = 0
     for p in _mask_iter(r):
@@ -277,7 +250,7 @@ def check_restriction_preservation(ctx, sbar):
     meets and joins."""
     t = ctx._transfer
     fin, fout = ctx.inner._frame, ctx._outer_frame
-    s = _pair_mask(*t.outer, sbar)
+    s = fout.mask(sbar)
     under = t.restrict(s)
     outer_level, outer_galois = fout.mask_grade(s)
     inner_level, inner_galois = fin.mask_grade(under)
@@ -387,12 +360,10 @@ def relation_lattice_adjunction(ctx):
     The brute-force check over all relations is
     `oracles.oracle_relation_lattice_adjunction`.
     """
-    t = ctx._transfer
-    X, Y = t.inner
-    inner_below = _pair_orders(X, Y)
+    t, fin = ctx._transfer, ctx.inner._frame
     witness = None
     unit_holds = included = True
-    for p, down in enumerate(inner_below):
+    for p, down in enumerate(_pair_orders(fin)):
         if not t.restrict(t.sat[p]) >> p & 1:
             law, included = "unit-inclusion", False
         elif t.restrict(t.extend(down)) != down:
@@ -400,12 +371,12 @@ def relation_lattice_adjunction(ctx):
         else:
             continue
         unit_holds = False
-        witness = witness or (law, _pair_at(X, Y, p))
+        witness = witness or (law, *fin.pairs(1 << p))
     counit_holds = True
     for q, down in enumerate(t.below):
         if t.extend(t.restrict(down)) & ~down:
             counit_holds = False
-            witness = witness or ("counit", _pair_at(*t.outer, q))
+            witness = witness or ("counit", *ctx._outer_frame.pairs(1 << q))
     k, m = len(t.sat), len(t.below)
     return AdjunctionReport(
         unit_checked=k,

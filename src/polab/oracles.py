@@ -710,7 +710,7 @@ def oracle_relation_lattice_adjunction(ctx):
         rb = oracle_extend_relation(c)
         extended[r] = rb
         back = oracle_restrict_relation(c, rb)
-        if not r <= back or (frame.level(*frame.rows(r), 0) is not None and r != back):
+        if not r <= back or (frame.mask_level(frame.mask(r), 0) is not None and r != back):
             failures.append(("unit", r))
     unit_holds = not failures
 
@@ -888,7 +888,7 @@ def oracle_canonical_relations(pol):
     from them pair by pair, keyed by name: `r_zero`, `r_hat_m`, `r_hat_g`,
     and the pointwise relation `structure_of` compares with `r_hat_g`."""
     fr = _Frame(pol.base, pol.ex, pol.ey)
-    rx, ry = fr.rows(pol.rel)
+    rx, ry = fr.rows(fr.mask(pol.rel))
     sets = {
         "z_x": _z_x_pairs(fr, rx, ry),
         "z_y": _z_y_pairs(fr, rx, ry),

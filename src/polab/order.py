@@ -76,10 +76,10 @@ def _pack(rows, n):
     return m
 
 
-def _unpack(m, n, count=None):
-    """The first `count` (n by default) n-bit rows of a packed matrix."""
+def _unpack(m, n):
+    """The n bit-rows, each of n bits, of a packed matrix."""
     full = (1 << n) - 1
-    return [m >> i * n & full for i in range(n if count is None else count)]
+    return [m >> i * n & full for i in range(n)]
 
 
 def _packed_transitive(m, n):
@@ -143,17 +143,9 @@ class _PairLanes:
             self.pivot_bits |= 1 << i * ny + j
             self.beside |= (ones ^ spreads[i]) << j | (full ^ yrows[j]) << i * ny
 
-    def pack(self, rows):
-        """The pair mask of the bit-rows, one per element of X."""
-        return _pack(rows, self.ny)
-
     def spread(self, mask):
         """The lanes of the elements of X at the bits of `mask`."""
         return _spread(mask, self.ny)
-
-    def rows(self, m):
-        """The bit-rows of the lanes of `m`, as a list."""
-        return _unpack(m, self.ny, len(self.spreads))
 
     def down_close(self, m):
         """The down-closure of `m` in X × Yᵒᵖ, the orders being transitive."""
@@ -220,10 +212,13 @@ def _transpose(rows, n):
 
 
 def _union_of(rows, mask):
-    """The union of the rows at the bits of `mask`."""
+    """The union of the rows at the bits of `mask`; for rows of single
+    bits, `mask` with each bit i moved to the bit of `rows[i]`."""
     out = 0
-    for p in _mask_iter(mask):
-        out |= rows[p]
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
     return out
 
 
@@ -249,16 +244,6 @@ def _common(vecs, mask, full):
         full &= vecs[low.bit_length() - 1]
         mask ^= low
     return full
-
-
-def _squeeze(mask, bits):
-    """`mask` with each set bit i moved to the bit `bits[i]`."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= bits[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _low_index(mask):
@@ -525,7 +510,7 @@ def _induced(elements, rows, kept):
     for k, i in enumerate(kept):
         bits[i] = 1 << k
         keep |= 1 << i
-    up = [_squeeze(rows[i] & keep, bits) for i in kept]
+    up = [_union_of(bits, rows[i] & keep) for i in kept]
     return Poset._derived(
         [elements[i] for i in kept], up, _transpose(up, len(kept))
     )

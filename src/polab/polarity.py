@@ -13,13 +13,14 @@ is a meet of images over some admissible subset exactly when it is the
 meet over the largest admissible subset of images above it.  The naive
 scans live in `polab.oracles` and the two routes are compared in tests.
 
-A grade is decided on the relation's pair mask (`_Frame.mask_level`):
-C1, C2 and C4 by products on `order._PairLanes`, C3 and C5 to C8 by one
-AND each.  The loop kernels of `_CONDITIONS` give `report` its witnesses
-and explain a failed packed verdict.  Their right-hand conditions (C2,
-C6, C8, E2, S2 and the sets built from joins of images) are the
-left-hand code run on the dual polarity: both orders reversed, the
-sides swapped, the relation transposed.
+A polarity keeps its relation once, as a pair mask (`_Frame.mask`), and
+its grade is decided on it (`_Frame.mask_level`): C1, C2 and C4 by
+products on `order._PairLanes`, C3 and C5 to C8 by one AND each.  The
+loop kernels of `_CONDITIONS` read the mask's bit-rows, give `report`
+its witnesses and explain a failed packed verdict.  Their right-hand
+conditions (C2, C6, C8, E2, S2 and the sets built from joins of images)
+are the left-hand code run on the dual polarity: both orders reversed,
+the sides swapped, the relation transposed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .errors import (
 from .order import (
     MonotoneMap,
     UnionPreorder,
-    X_SIDE,
     _PairLanes,
     _bounds_failure,
     _closed_relations,
@@ -52,7 +52,6 @@ from .order import (
     _mask_iter,
     _preimages,
     _reflection_failure,
-    _squeeze,
     _transpose,
     _union_of,
     tag_x,
@@ -70,17 +69,19 @@ def carrier_gate(max_carrier=None):
     if max_carrier is not None:
         return max_carrier
     env = os.environ.get(MAX_CARRIER_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_CARRIER
+    if not env:
+        return DEFAULT_MAX_CARRIER
+    if not env.isdecimal():
+        raise ValueError("%s must be a non-negative integer, got %r" % (MAX_CARRIER_ENV, env))
+    return int(env)
 
 
 class ExtensionPolarity:
     """An order polarity whose sides both extend a common base poset.
 
-    Its condition frame, the bit-rows of its relation and the one-step
-    saturation of `r_hat_m` are built on first use and kept; they take
-    no part in equality."""
+    Its condition frame, the pair mask of its relation with its bit-rows
+    and the one-step saturation of `r_hat_m` are built on first use and
+    kept; they take no part in equality."""
 
     def __init__(self, base, ex, ey, rel):
         if ex.base != base or ey.base != base:
@@ -129,8 +130,12 @@ class ExtensionPolarity:
         return _Frame(self.base, self.ex, self.ey)
 
     @functools.cached_property
+    def _mask(self):
+        return self._frame.mask(self.rel)
+
+    @functools.cached_property
     def _rows(self):
-        return tuple(map(tuple, self._frame.rows(self.rel)))
+        return tuple(map(tuple, self._frame.rows(self._mask)))
 
     @functools.cached_property
     def _saturation(self):
@@ -138,7 +143,7 @@ class ExtensionPolarity:
         polarity must be a 1-preorder."""
         fr, rows = self._frame, self._rows
         out = fr.blocks(fr.z_x(*rows), fr.z_y(*rows), rows[0], fr.z_yx(*rows))
-        if fr.level(*rows, upto=1) == 1:
+        if fr.mask_level(self._mask, 1) == 1:
             verdict = is_n_preorder(self, out, 1)
             if not verdict.ok:
                 raise LawViolation(
@@ -188,9 +193,9 @@ class _Frame:
     """Index-level workspace for the condition checks over one base and
     pair of side extensions, independent of the relation.
 
-    Grades are decided on pair masks (`mask_level`).  The loop kernels
-    name witnesses, on the bit-rows `rx, ry` of the relation: bit j of
-    `rx[i]` and bit i of `ry[j]` are set when x_i is related to y_j.
+    Grades are decided on pair masks (`mask`, `mask_level`).  The loop
+    kernels name witnesses on a mask's bit-rows `rx, ry` (`rows`): bit j
+    of `rx[i]` and bit i of `ry[j]` are set when x_i is related to y_j.
     Only the left-hand member of each dual pair of conditions is written
     out; `check` runs the right-hand one on `flipped`, the rows swapped.
 
@@ -219,15 +224,25 @@ class _Frame:
         self.eyi = [Y.index[ey(p)] for p in P.elements]
         self.carrier = tuple(map(tag_x, self.xs)) + tuple(map(tag_y, self.ys))
 
-    def rows(self, rel):
-        """The bit-rows `(rx, ry)` of a relation given as pairs."""
-        rx = [0] * len(self.xs)
-        ry = [0] * len(self.ys)
-        for a, b in rel:
-            i, j = self.xindex[a], self.yindex[b]
-            rx[i] |= 1 << j
-            ry[j] |= 1 << i
-        return rx, ry
+    def mask(self, pairs):
+        """The pair mask of a relation given as pairs, the pair (x_i, y_j)
+        at bit i·|Y| + j."""
+        ny, xindex, yindex, m = len(self.ys), self.xindex, self.yindex, 0
+        for a, b in pairs:
+            m |= 1 << xindex[a] * ny + yindex[b]
+        return m
+
+    def pairs(self, m):
+        """The pairs of the pair mask `m`."""
+        ny = len(self.ys)
+        return frozenset((self.xs[p // ny], self.ys[p % ny]) for p in _mask_iter(m))
+
+    def rows(self, m):
+        """The bit-rows `(rx, ry)` of the pair mask `m`, read without the
+        lanes, which a relation that is never graded does not need."""
+        ny = len(self.ys)
+        rx = [m >> i * ny & (1 << ny) - 1 for i in range(len(self.xs))]
+        return rx, _transpose(rx, ny)
 
     @functools.cached_property
     def flipped(self):
@@ -313,7 +328,7 @@ class _Frame:
         of images of base elements whose right image lies above it."""
         left = [1 << xi for xi in self.exi]
         return [
-            _expressible(self.xrows, self.xcols, _squeeze(m, left))
+            _expressible(self.xrows, self.xcols, _union_of(left, m))
             for m in _preimages(self.eyi, self.ycols)
         ]
 
@@ -389,13 +404,12 @@ class _Frame:
             m |= lanes.spreads[xi] * self.yrows[yi]
         level = self.mask_level(m, 2)
         if level != 2:
-            rx = lanes.rows(m)
-            rows = rx, _transpose(rx, len(self.ys))
+            rows = self.rows(m)
             for name in CONDITION_NAMES[:6]:
                 ok, witness = self.check(name, *rows)
                 if not ok:
                     raise NotCoherent("slice relation fails %s" % name, witness)
-            raise LawViolation("slice", "no loop kernel explains the grade", (level, rx))
+            raise LawViolation("slice", "no loop kernel explains the grade", (level, rows[0]))
         return m
 
     def blocks(self, xx, yy, xy, yx):
@@ -447,10 +461,6 @@ class _Frame:
             out |= (lanes.ones ^ down) * joins
         return out
 
-    def level(self, rx, ry, upto=3):
-        """`mask_level` of the relation with the bit-rows `rx, ry`."""
-        return self.mask_level(self.lanes.pack(rx), upto)
-
     def mask_level(self, m, upto=3):
         """The grade of the relation with pair mask `m` capped at `upto`, None
         below grade 0; no grade past the first failing one is decided."""
@@ -464,10 +474,6 @@ class _Frame:
         if upto < 3 or m & self.forbidden_c7 or m & self.forbidden_c8:
             return 2
         return 3
-
-    def grade(self, rx, ry):
-        """`mask_grade` of the relation with the bit-rows `rx, ry`."""
-        return self.mask_grade(self.lanes.pack(rx))
 
     def mask_grade(self, m):
         """`mask_level` of the pair mask `m` and whether it is Galois."""
@@ -489,12 +495,6 @@ class _Frame:
             s1=conditions["S1"][0],
             s2=conditions["S2"][0],
         )
-
-
-def _pairs(left, right, block):
-    return frozenset(
-        (left[i], right[j]) for i, row in enumerate(block) for j in _mask_iter(row)
-    )
 
 
 @dataclass
@@ -526,7 +526,7 @@ def coherence_level(pol):
 
 
 def is_galois(pol):
-    return pol._frame.grade(*pol._rows)[1]
+    return pol._frame.mask_grade(pol._mask)[1]
 
 
 def galois_via_S1S2(pol):
@@ -582,7 +582,7 @@ def r_l(ex, ey):
     if ey.base != ex.base:
         raise CarrierMismatch("extensions must share a base poset")
     fr = _Frame(ex.base, ex, ey)
-    return _pairs(fr.xs, fr.ys, fr.lanes.rows(fr.slice_mask()))
+    return fr.pairs(fr.slice_mask())
 
 
 # -- graded preorders ------------------------------------------------------
@@ -645,8 +645,7 @@ def is_n_preorder(pol, rel, n):
     compares a block of `rel` with masks of the frame, and a failure
     names its first failing pair in carrier order.
     """
-    if not 0 <= n <= 3:
-        raise ValueError("grade must be between 0 and 3")
+    _check_grade(n)
     fr, (rx, ry) = pol._frame, pol._rows
     if rel.carrier != fr.carrier:
         raise CarrierMismatch("relation carrier does not match the polarity")
@@ -654,6 +653,25 @@ def is_n_preorder(pol, rel, n):
         if witness is not None:
             return NPreorderVerdict(False, clause, witness)
     return NPreorderVerdict(True)
+
+
+def _check_grade(n):
+    if not isinstance(n, int) or not 0 <= n <= 3:
+        raise ValueError("grade must be an int from 0 to 3, got %r" % (n,))
+
+
+def _forbidden(fr, rx, n):
+    """The bit-rows, over the carrier, of the pairs no n-preorder for the
+    relation with bit-rows `rx` holds: the X×Y pairs outside it (P1) and,
+    from grade 2, the pairs outside the side orders (reflectX/reflectY).
+    No other clause rules a pair out."""
+    full_x, full_y = (1 << len(fr.xs)) - 1, (1 << len(fr.ys)) - 1
+    return fr.blocks(
+        [full_x & ~r if n >= 2 else 0 for r in fr.xrows],
+        [full_y & ~r if n >= 2 else 0 for r in fr.yrows],
+        [full_y & ~r for r in rx],
+        [0] * len(fr.ys),
+    ).rows
 
 
 @dataclass
@@ -679,6 +697,9 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     the POLAB_MAX_CARRIER environment variable); `cap` bounds the number
     of results, with a truncation flag when the search was cut short.
     """
+    _check_grade(n)
+    if cap is not None and cap < 0:
+        raise ValueError("cap must not be negative, got %r" % (cap,))
     fr, (rx, ry) = pol._frame, pol._rows
     carrier = fr.carrier
     gate = carrier_gate(max_carrier)
@@ -686,9 +707,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
         raise CarrierTooLarge(
             "carrier has %d elements, gate is %d" % (len(carrier), gate)
         )
-    nx, ny = len(fr.xs), len(fr.ys)
-    full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
-    xy, yx = list(rx), [0] * ny
+    xy, yx = list(rx), [0] * len(fr.ys)
     if n >= 1:
         for xi, yi in zip(fr.exi, fr.eyi):
             xy[xi] |= 1 << yi
@@ -696,12 +715,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     if n >= 3:
         yx = [a | b | c for a, b, c in zip(yx, fr.z_s, fr.z_t)]
     forced = list(fr.blocks(fr.xrows, fr.yrows, xy, yx).rows)
-    unordered_x = [full_x & ~r if n >= 2 else 0 for r in fr.xrows]
-    unordered_y = [full_y & ~r if n >= 2 else 0 for r in fr.yrows]
-    unrelated = [full_y & ~r for r in rx]
-    forbidden = fr.blocks(unordered_x, unordered_y, unrelated, [0] * ny).rows
-
-    walk = _closed_relations(transitive_close(forced), forbidden)
+    walk = _closed_relations(transitive_close(forced), _forbidden(fr, rx, n))
     found = list(islice(walk, None if cap is None else cap + 1))
     truncated = cap is not None and len(found) > cap
     return EnumerationResult(
@@ -737,33 +751,23 @@ def _differing_pair(r, s):
     return None
 
 
-def _rigidity_failures(u):
-    """The absent pairs of a grade-3 preorder `u` whose closure into `u`
-    is still a grade-3 preorder.
+def _rigidity_failures(pol, u):
+    """The absent pairs of a grade-3 preorder `u` for the polarity whose
+    closure into `u` is still a grade-3 preorder.
 
     Closing (i, j) in adds exactly the pairs from below i to above j.
-    Of the grade-3 clauses only P1 and reflectX/reflectY forbid pairs,
-    and on a grade-3 preorder they pin the X×Y, X×X and Y×Y blocks, so
-    the closure keeps the grade iff every pair it adds runs from Y to X:
-    every left element below i is below j, and every right element above
-    j is above i.  An absent pair that starts in X or ends in Y fails
-    this at once.
+    The other grade-3 clauses ask for pairs `u` holds already, so the
+    closure keeps the grade iff it adds none of the pairs `_forbidden`
+    names: none below i is forbidden a pair above j.
     """
-    n = len(u.carrier)
-    xmask = 0
-    for k, e in enumerate(u.carrier):
-        if e[0] == X_SIDE:
-            xmask |= 1 << k
-    ymask = ((1 << n) - 1) & ~xmask
-    rows = u.rows
-    cols = _transpose(rows, n)
+    forbidden = _forbidden(pol._frame, pol._rows[0], 3)
+    rows, n = u.rows, len(u.carrier)
+    below = [_union_of(forbidden, c) for c in _transpose(rows, n)]
     return [
         (u.carrier[i], u.carrier[j])
         for i in range(n)
         for j in range(n)
-        if not rows[i] >> j & 1
-        and not rows[j] & ymask & ~rows[i]
-        and not cols[i] & xmask & ~cols[j]
+        if not rows[i] >> j & 1 and not below[i] & rows[j]
     ]
 
 
@@ -804,7 +808,7 @@ def structure_of(pol):
     diff = _differing_pair(alt, u)
     if diff is not None:
         raise LawViolation("pointwise", "pointwise characterisation must agree", diff)
-    loose = _rigidity_failures(u)
+    loose = _rigidity_failures(pol, u)
     if loose:
         raise LawViolation("rigidity", "a second grade-3 preorder exists", loose[0])
     inter = intermediate_structure(pol, u)

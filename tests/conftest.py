@@ -5,8 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from polab.morphisms import PolarityMorphism
-from polab.order import Extension, MonotoneMap, Poset
-from polab.polarity import ExtensionPolarity, _pairs, r_l
+from polab.order import Extension, MonotoneMap, Poset, _mask_iter
+from polab.polarity import ExtensionPolarity, r_l
 from polab.randgen import collapse_target, random_poset
 
 
@@ -41,6 +41,12 @@ class NamedRelationSets:
     z_yx_alt: frozenset
     z_s: frozenset
     z_t: frozenset
+
+
+def _pairs(left, right, block):
+    return frozenset(
+        (left[i], right[j]) for i, row in enumerate(block) for j in _mask_iter(row)
+    )
 
 
 def named_relation_sets(pol):

@@ -35,6 +35,19 @@ class TestExitCodes:
         assert cli.main(["check", doc_path, "--polarity", "H"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_fuzz_counts_are_usage_errors(self, capsys):
+        """A fuzz run needs polarities of size 1 or more and a count of
+        iterations that is not negative."""
+        for flag, value in (("--size", "0"), ("--size", "-1"), ("--iters", "-2")):
+            argv = ["fuzz", "--seed", "0", "--size", "2", "--iters", "1"]
+            argv[argv.index(flag) + 1] = value
+            with pytest.raises(SystemExit) as e:
+                cli.main(argv)
+            assert e.value.code == 2
+            assert "argument %s: must be at least" % flag in capsys.readouterr().err
+        assert cli.main(["fuzz", "--seed", "0", "--size", "1", "--iters", "0"]) == 0
+        assert "fuzz ok: 0 iterations" in capsys.readouterr().out
+
     def test_check_succeeds(self, doc_path, capsys):
         assert cli.main(["check", doc_path]) == 0
         out = capsys.readouterr().out

@@ -16,8 +16,6 @@ from polab.errors import CarrierMismatch, NotCoherent, NotEmbedding, NotZeroPreo
 from polab.extend import (
     ExtensionContext,
     _least_graded,
-    _mask_pairs,
-    _pair_mask,
     check_extension_preservation,
     check_restriction_preservation,
     extend_relation,
@@ -41,7 +39,6 @@ from polab.order import (
     Poset,
     UnionPreorder,
     _reflection_failure,
-    _transpose,
     _union_of,
     macneille,
 )
@@ -136,9 +133,10 @@ class TestContext:
 
     def test_outer_sides_compose(self):
         ctx = fixture_context("fix_g", inner="G")
+        outer = ctx.outer()
         for p in ctx.inner.base.elements:
-            assert ctx.outer_ex(p) == ctx.ix(ctx.inner.ex(p))
-            assert ctx.outer_ey(p) == ctx.iy(ctx.inner.ey(p))
+            assert outer.ex(p) == ctx.ix(ctx.inner.ex(p))
+            assert outer.ey(p) == ctx.iy(ctx.inner.ey(p))
 
 
 class TestTransfer:
@@ -193,7 +191,8 @@ class TestSliceCheck:
             assert not built
             inner = ctx.inner.with_relation(r_l(ctx.inner.ex, ctx.inner.ey))
             moved = oracle_extend_relation(ExtensionContext(inner, ctx.ix, ctx.iy))
-            assert got == (moved == r_l(ctx.outer_ex, ctx.outer_ey))
+            outer = ctx.outer()
+            assert got == (moved == r_l(outer.ex, outer.ey))
 
     def test_certificate_names_the_condition(self, monkeypatch):
         """A failed packed C4 verdict is explained by the loop kernel,
@@ -255,13 +254,13 @@ def verdicts(rep):
 
 
 def kernel_saturation(ctx, rel):
-    t = ctx._transfer
-    return _mask_pairs(*t.outer, t.extend(_pair_mask(*t.inner, rel)))
+    fin, fout = ctx.inner._frame, ctx._outer_frame
+    return fout.pairs(ctx._transfer.extend(fin.mask(rel)))
 
 
 def kernel_readback(ctx, rel):
-    t = ctx._transfer
-    return _mask_pairs(*t.inner, t.restrict(_pair_mask(*t.outer, rel)))
+    fin, fout = ctx.inner._frame, ctx._outer_frame
+    return fin.pairs(ctx._transfer.restrict(fout.mask(rel)))
 
 
 def oracle_saturation(ctx, rel):
@@ -355,13 +354,17 @@ class TestTransferKernel:
             for r in rels:
                 sbar = kernel_saturation(ctx, r)
                 under = kernel_readback(ctx, sbar)
-                assert fin.report(*fin.rows(r)) == check_coherence(ctx.inner.with_relation(r))
-                assert fout.report(*fout.rows(sbar)) == check_coherence(ctx.outer(sbar))
-                assert fin.report(*fin.rows(under)) == check_coherence(
+                assert fin.report(*fin.rows(fin.mask(r))) == check_coherence(
+                    ctx.inner.with_relation(r)
+                )
+                assert fout.report(*fout.rows(fout.mask(sbar))) == check_coherence(
+                    ctx.outer(sbar)
+                )
+                assert fin.report(*fin.rows(fin.mask(under))) == check_coherence(
                     ctx.inner.with_relation(under)
                 )
                 s = frozenset(p for p in outer_pairs if rng.random() < 0.5)
-                assert fout.report(*fout.rows(s)) == check_coherence(ctx.outer(s))
+                assert fout.report(*fout.rows(fout.mask(s))) == check_coherence(ctx.outer(s))
 
     def test_verdicts_match_the_oracle(self):
         """300 seeded draws inside the oracle's 12/16-pair gate, base
@@ -470,7 +473,7 @@ class TestDownSets:
                     want = naive_coherence_level(ctx.outer(rel))
                     assert want is not None
                     for n in range(4):
-                        got = frame.level(rows, _transpose(rows, len(Y)), n)
+                        got = frame.mask_level(frame.mask(rel), n)
                         assert got == min(want, n), (rel, n)
 
     def test_clauses_match_the_sweep(self):
@@ -560,8 +563,8 @@ class TestDownSets:
         wherever the true saturation lacks it."""
         pair_orders = polab.extend._pair_orders
 
-        def stray(X, Y):
-            below = pair_orders(X, Y)
+        def stray(frame):
+            below = pair_orders(frame)
             top = 1 << len(below) - 1
             return [down | top for down in below]
 
@@ -597,14 +600,13 @@ class TestLeastGraded:
         for ctx in small_contexts(40, seed=21):
             X, Y = ctx.ix.target, ctx.iy.target
             pairs = [(a, b) for a in X.elements for b in Y.elements]
-            base = {(ctx.outer_ex(p), ctx.outer_ey(p)) for p in ctx.inner.base.elements}
+            outer, frame = ctx.outer(), ctx._outer_frame
+            base = {(outer.ex(p), outer.ey(p)) for p in ctx.inner.base.elements}
             floors = [image_pairs(ctx)] + [
                 frozenset(p for p in pairs if rng.random() < 0.25) for _ in range(2)
             ]
             for floor in floors:
-                least = _mask_pairs(
-                    X, Y, _least_graded(ctx._outer_frame, _pair_mask(X, Y, floor))
-                )
+                least = frame.pairs(_least_graded(frame, frame.mask(floor)))
                 levels = {
                     s: naive_coherence_level(ctx.outer(s))
                     for s in oracle_coherent_relations(X, Y, floor, limit=12)
@@ -621,14 +623,11 @@ class TestLeastGraded:
     def walked_reachable(self, ctx, grades):
         """The grades among `grades` that some 0-coherent outer relation
         above the image pairs reaches, by the walk."""
-        Y = ctx.iy.target
+        X, Y = ctx.ix.target, ctx.iy.target
         frame = ctx._outer_frame
-        walked = list(_coherent_relations(frame, as_rows(ctx.ix.target, Y, image_pairs(ctx))))
-        return [
-            n
-            for n in grades
-            if any(frame.level(rx, _transpose(rx, len(Y)), n) == n for rx in walked)
-        ]
+        walked = _coherent_relations(frame, as_rows(X, Y, image_pairs(ctx)))
+        masks = [frame.mask(as_pairs(X, Y, rx)) for rx in walked]
+        return [n for n in grades if any(frame.mask_level(m, n) == n for m in masks)]
 
     def test_clause_6_is_decided_above_the_old_gate(self):
         """fix_j's H with both sides extended at random: where clause 6
@@ -644,7 +643,7 @@ class TestLeastGraded:
             if not rep["6"].applicable or undetermined(ctx) <= 13:
                 continue
             frame = ctx._outer_frame
-            outer = frame.level(*frame.rows(extend_relation(ctx)))
+            outer = frame.mask_level(frame.mask(extend_relation(ctx)))
             reachable = self.walked_reachable(
                 ctx, [n for n in (2, 3) if outer is None or outer < n]
             )
@@ -665,7 +664,7 @@ class TestLeastGraded:
         while done < 6:
             ctx = random_side_context(rng, pol)
             frame = ctx._outer_frame
-            if frame.level(*frame.rows(extend_relation(ctx))) != 2:
+            if frame.mask_level(frame.mask(extend_relation(ctx))) != 2:
                 continue
             grade = frame.mask_grade
             monkeypatch.setattr(frame, "mask_grade", lambda m, grade=grade: (1, grade(m)[1]))
@@ -719,15 +718,15 @@ class TestPackedClosures:
                 (ctx.inner._frame, (ctx.inner.x, ctx.inner.y)),
                 (ctx._outer_frame, (ctx.ix.target, ctx.iy.target)),
             ):
-                assert polab.extend._pair_orders(X, Y) == self.rows_pair_orders(X, Y)
+                assert polab.extend._pair_orders(frame) == self.rows_pair_orders(X, Y)
                 lanes, n = frame.lanes, len(X) * len(Y)
                 for _ in range(4):
                     m = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
-                    rx = as_rows(X, Y, _mask_pairs(X, Y, m))
-                    down = _mask_pairs(X, Y, lanes.down_close(m))
+                    rx = as_rows(X, Y, frame.pairs(m))
+                    down = frame.pairs(lanes.down_close(m))
                     assert down == as_pairs(X, Y, self.rows_down_closure(frame, rx))
                     least = _least_graded(frame, m)
-                    assert _mask_pairs(X, Y, least) == as_pairs(
+                    assert frame.pairs(least) == as_pairs(
                         X, Y, self.rows_least_graded(frame, rx)
                     )
                     grown += least != lanes.down_close(m | lanes.pivot_bits)

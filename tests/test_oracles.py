@@ -122,7 +122,7 @@ class TestRigidityOracle:
         for k in range(150):
             pol = random_galois_polarity(rng, 1 + k % 5)
             u = unique_3preorder(pol)
-            assert _rigidity_failures(u) == oracle_rigidity_failures(pol, u) == []
+            assert _rigidity_failures(pol, u) == oracle_rigidity_failures(pol, u) == []
             absent += _absent_pairs(u)
         assert absent > 1000
 
@@ -142,7 +142,7 @@ class TestRigidityOracle:
             if len(u.carrier) <= 5:
                 grade3 += list(enumerate_n_preorders(pol, 3))
             for v in grade3:
-                fast = _rigidity_failures(v)
+                fast = _rigidity_failures(pol, v)
                 assert fast == oracle_rigidity_failures(pol, v)
                 checked += 1
                 loose += len(fast)

@@ -19,7 +19,6 @@ from polab.order import (
     Poset,
     UnionPreorder,
     _mask_iter,
-    _transpose,
     is_join_extension,
     is_meet_extension,
     tag_x,
@@ -251,7 +250,7 @@ class TestStructureOf:
             for j in range(len(u.carrier))
             if not u.rows[i] >> j & 1
         )
-        monkeypatch.setattr(polarity, "_rigidity_failures", lambda rel: [loose])
+        monkeypatch.setattr(polarity, "_rigidity_failures", lambda pol, rel: [loose])
         structure_of.cache_clear()
         with pytest.raises(LawViolation) as err:
             structure_of(pol)
@@ -393,10 +392,34 @@ class TestEnumeration:
         with pytest.raises(CarrierTooLarge):
             enumerate_n_preorders(pol, 0, max_carrier=7)
 
+    def test_carrier_gate_variable_is_checked(self, monkeypatch):
+        """POLAB_MAX_CARRIER must be a non-negative integer; anything else
+        is refused with the variable named, before any gate is applied."""
+        pol = identity_polarity(Poset.antichain("a"))
+        monkeypatch.setenv(polarity.MAX_CARRIER_ENV, "2")
+        assert polarity.carrier_gate() == 2
+        assert len(enumerate_n_preorders(pol, 3)) == 1
+        for bad in ("abc", "-3", "1.5", " 4", "²"):
+            monkeypatch.setenv(polarity.MAX_CARRIER_ENV, bad)
+            with pytest.raises(ValueError, match="POLAB_MAX_CARRIER"):
+                enumerate_n_preorders(pol, 3)
+        assert polarity.carrier_gate(5) == 5
+
     def test_cap_marks_truncation(self):
         pol = identity_polarity(Poset.antichain("abc"))
         res = enumerate_n_preorders(pol, 0, cap=1)
         assert res.truncated and len(res) == 1
+        assert not enumerate_n_preorders(pol, 0, cap=0).preorders
+
+    def test_grade_and_cap_are_checked(self):
+        """A grade outside 0 to 3, or one that is not an int, and a
+        negative cap are refused rather than read as some other search."""
+        pol = identity_polarity(Poset.antichain("ab"))
+        for bad in (7, -1, 1.5, "1"):
+            with pytest.raises(ValueError, match="grade"):
+                enumerate_n_preorders(pol, bad, cap=1)
+        with pytest.raises(ValueError, match="cap"):
+            enumerate_n_preorders(pol, 0, cap=-1)
 
     @given(seeded_polarities(max_base=2))
     @settings(deadline=None, max_examples=25)
@@ -447,8 +470,9 @@ class TestPreorderClauses:
 
     def test_grade_bounds(self):
         pol = load("fix_a").polarities["G"]
-        with pytest.raises(ValueError):
-            is_n_preorder(pol, r_zero(pol).closed(), 4)
+        for bad in (4, 1.5, 1.0, None):
+            with pytest.raises(ValueError, match="grade"):
+                is_n_preorder(pol, r_zero(pol).closed(), bad)
 
     def test_side_witness_ignores_the_hash_seed(self):
         """Relations missing several left pairs, then several right pairs,
@@ -661,18 +685,17 @@ class TestPackedGrade:
         seen = set()
         for fr, polarity_with in _graded_frames(seed=43, count=40):
             for m in _frame_masks(rng, fr):
-                rx = fr.lanes.rows(m)
-                ry = _transpose(rx, len(fr.ys))
-                pol = polarity_with(polarity._pairs(fr.xs, fr.ys, rx))
+                rx, ry = fr.rows(m)
+                pol = polarity_with(fr.pairs(m))
+                assert pol._mask == m and pol._rows == (tuple(rx), tuple(ry))
                 want = naive_coherence_level(pol)
                 seen.add(want)
                 for upto in range(4):
                     looped = polarity._grade(lambda name: fr.check(name, rx, ry)[0], upto)
                     capped = None if want is None else min(want, upto)
                     assert fr.mask_level(m, upto) == looped == capped, (m, upto)
-                    assert fr.level(rx, ry, upto) == looped
                 rep = fr.report(rx, ry)
-                assert fr.mask_grade(m) == fr.grade(rx, ry) == (rep.level, rep.galois)
+                assert fr.mask_grade(m) == (rep.level, is_galois(pol)) == (rep.level, rep.galois)
         assert seen == {None, 0, 1, 2, 3}
 
     def test_c8_is_read_only_past_c7(self, monkeypatch):
@@ -716,8 +739,7 @@ class TestPackedGrade:
         failed = 0
         for fr, _ in _graded_frames(seed=53, count=20):
             for m in _frame_masks(rng, fr):
-                rx = fr.lanes.rows(m)
-                ry = _transpose(rx, len(fr.ys))
+                rx, ry = fr.rows(m)
                 got = fr.c5(rx, ry)
                 assert got == looped(fr, rx, ry)
                 assert fr.flipped.c5(ry, rx) == looped(fr.flipped, ry, rx)

@@ -175,6 +175,71 @@ def test_the_packing_scan_sees_every_form(tmp_path):
     assert _references(probe, PACKING) == []
 
 
+def _lanes_built(path):
+    """Where a file constructs `order._PairLanes`, as (the dotted name of
+    the enclosing class and function, line): a call of the class by its
+    name, as an attribute or through an import alias."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"_PairLanes"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name == "_PairLanes" and a.asname)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) in names or getattr(f, "attr", None) in names:
+                    found.append((".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_pair_lanes_are_built_by_the_frame():
+    """A condition frame keeps the lanes of its sides (`_Frame.lanes`);
+    lanes built anywhere else repeat that work for sides a frame already
+    has."""
+    files = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+    files += sorted(TRACER.parent.glob("*.py"))
+    built = {path: _lanes_built(path) for path in files}
+    assert [scope for scope, _ in built[PACKAGE / "polarity.py"]] == ["_Frame.lanes"]
+    found = [
+        "%s:%d" % (path.name, line)
+        for path, sites in built.items()
+        for scope, line in sites
+        if (path.name, scope) != ("polarity.py", "_Frame.lanes")
+    ]
+    assert not found, "_PairLanes built outside _Frame.lanes: " + ", ".join(found)
+
+
+def test_the_lanes_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text, want in (
+        ("lanes = _PairLanes(cols, rows)", [("", 1)]),
+        ("lanes = order._PairLanes(cols, rows, pivots)", [("", 1)]),
+        ("from .order import _PairLanes as Lanes\nlanes = Lanes(cols, rows)", [("", 2)]),
+        ("def f(X, Y):\n    return _PairLanes(X.cols, Y.rows).spreads", [("f", 2)]),
+        (
+            "class _Frame:\n    def lanes(self):\n        return _PairLanes(self.xcols, ())",
+            [("_Frame.lanes", 3)],
+        ),
+    ):
+        probe.write_text(text + "\n")
+        assert _lanes_built(probe) == want, text
+    probe.write_text(
+        "from polab.order import _PairLanes\n"
+        "setattr(polab.order._PairLanes, 'pivot_close', None)\n"
+        "lanes = frame.lanes\n"
+    )
+    assert _lanes_built(probe) == []
+
+
 def _first_use_guards(path):
     """The lines of a file that compare an underscored attribute with
     None by identity, the hand-rolled form of a value built on first
