@@ -14,13 +14,15 @@ meet over the largest admissible subset of images above it.  The naive
 scans live in `polab.oracles` and the two routes are compared in tests.
 
 A polarity keeps its relation once, as a pair mask (`_Frame.mask`), and
-its grade is decided on it (`_Frame.mask_level`): C1, C2 and C4 by
-products on `order._PairLanes`, C3 and C5 to C8 by one AND each.  The
-loop kernels of `_CONDITIONS` read the mask's bit-rows, give `report`
-its witnesses and explain a failed packed verdict.  Their right-hand
-conditions (C2, C6, C8, E2, S2 and the sets built from joins of images)
-are the left-hand code run on the dual polarity: both orders reversed,
-the sides swapped, the relation transposed.
+its grade is decided on it, and only there (`_Frame.mask_level`): C1, C2
+and C4 by products on `order._PairLanes`, C3 and C5 to C8 by one AND
+each.  `report` takes the conditions of every grade that level passes
+as holding; the loop kernels of `_CONDITIONS` read the mask's bit-rows
+for the conditions above it and name their witnesses, and a first
+failing grade that no kernel fails raises `LawViolation`.  Their
+right-hand conditions (C2, C6, C8, E2, S2 and the sets built from joins
+of images) are the left-hand code run on the dual polarity: both orders
+reversed, the sides swapped, the relation transposed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ from .order import (
     _reflection_failure,
     _transpose,
     _union_of,
+    is_join_extension,
+    is_meet_extension,
     tag_x,
     tag_y,
     transitive_close,
@@ -66,14 +70,15 @@ CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 
 def carrier_gate(max_carrier=None):
-    if max_carrier is not None:
-        return max_carrier
-    env = os.environ.get(MAX_CARRIER_ENV)
-    if not env:
-        return DEFAULT_MAX_CARRIER
-    if not env.isdecimal():
-        raise ValueError("%s must be a non-negative integer, got %r" % (MAX_CARRIER_ENV, env))
-    return int(env)
+    name, value = "max_carrier", max_carrier
+    if value is None:
+        name, value = MAX_CARRIER_ENV, os.environ.get(MAX_CARRIER_ENV)
+        if not value:
+            return DEFAULT_MAX_CARRIER
+        value = int(value) if value.isdecimal() else value
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError("%s must be a non-negative integer, got %r" % (name, value))
+    return value
 
 
 class ExtensionPolarity:
@@ -154,21 +159,6 @@ class ExtensionPolarity:
         return out
 
 
-_GRADES = (("C1", "C2"), ("C3", "C4"), ("C5", "C6"), ("C7", "C8"))
-
-
-def _grade(holds, upto=3):
-    """The highest n <= upto such that `holds` accepts both conditions of
-    every grade up to n, None when grade 0 fails.  Conditions are asked
-    in grade order and none after the first rejected one."""
-    level = None
-    for n, pair in enumerate(_GRADES[: upto + 1]):
-        if not all(holds(name) for name in pair):
-            break
-        level = n
-    return level
-
-
 # Each condition with the left-hand kernel that decides it.  A right-hand
 # condition runs its kernel on the flipped frame and gives the order in
 # which it reads that witness (None: as it is); the order of the table is
@@ -194,8 +184,9 @@ class _Frame:
     pair of side extensions, independent of the relation.
 
     Grades are decided on pair masks (`mask`, `mask_level`).  The loop
-    kernels name witnesses on a mask's bit-rows `rx, ry` (`rows`): bit j
-    of `rx[i]` and bit i of `ry[j]` are set when x_i is related to y_j.
+    kernels decide the conditions above that grade and name witnesses on
+    a mask's bit-rows `rx, ry` (`rows`): bit j of `rx[i]` and bit i of
+    `ry[j]` are set when x_i is related to y_j.
     Only the left-hand member of each dual pair of conditions is written
     out; `check` runs the right-hand one on `flipped`, the rows swapped.
 
@@ -210,11 +201,12 @@ class _Frame:
     # loading an attribute kept there takes the slower dict path.
     __slots__ = (
         "xs", "ys", "ps", "xindex", "yindex", "xrows", "xcols", "yrows",
-        "ycols", "prows", "pcols", "exi", "eyi", "carrier", "__dict__",
+        "ycols", "prows", "pcols", "exi", "eyi", "ex", "ey", "carrier", "__dict__",
     )
 
     def __init__(self, base, ex, ey):
         X, Y, P = ex.target, ey.target, base
+        self.ex, self.ey = ex, ey
         self.xs, self.ys, self.ps = X.elements, Y.elements, P.elements
         self.xindex, self.yindex = X.index, Y.index
         self.xrows, self.xcols = X.rows, X.cols
@@ -249,7 +241,8 @@ class _Frame:
         """The frame of the dual: both orders reversed, the sides and base
         maps swapped.  A view on the same arrays; a relation is carried
         over by swapping `rx` and `ry`.  It keeps no link back: the cycle
-        would leave every frame to the cyclic garbage collector."""
+        would leave every frame to the cyclic garbage collector.  It has no
+        extensions, so its side tests are not asked."""
         f = _Frame.__new__(_Frame)
         f.xs, f.ys, f.ps = self.ys, self.xs, self.ps
         f.xindex, f.yindex = self.yindex, self.xindex
@@ -267,16 +260,11 @@ class _Frame:
 
     @functools.cached_property
     def meet_side(self):
-        """Whether every left element is the meet of the base images
-        above it."""
-        image = 0
-        for xi in self.exi:
-            image |= 1 << xi
-        return _expressible(self.xrows, self.xcols, image) == (1 << len(self.xs)) - 1
+        return is_meet_extension(self.ex)
 
-    @property
+    @functools.cached_property
     def join_side(self):
-        return self.flipped.meet_side
+        return is_join_extension(self.ey)
 
     def check(self, name, rx, ry):
         """The verdict and witness of the named condition (`_CONDITIONS`)."""
@@ -398,18 +386,14 @@ class _Frame:
         """The pair mask of the slice relation: x related to y when some base
         element has its left image above x and its right image below y.  It
         reaches grade 2; a failure raises `NotCoherent` naming the first
-        failing condition, or `LawViolation` when no loop kernel finds one."""
+        failing condition of its `report`."""
         lanes, m = self.lanes, 0
         for xi, yi in zip(self.exi, self.eyi):
             m |= lanes.spreads[xi] * self.yrows[yi]
-        level = self.mask_level(m, 2)
-        if level != 2:
-            rows = self.rows(m)
-            for name in CONDITION_NAMES[:6]:
-                ok, witness = self.check(name, *rows)
-                if not ok:
-                    raise NotCoherent("slice relation fails %s" % name, witness)
-            raise LawViolation("slice", "no loop kernel explains the grade", (level, rows[0]))
+        if self.mask_level(m, 2) != 2:
+            conditions = self.report(m).conditions
+            name = next(name for name in CONDITION_NAMES if not conditions[name][0])
+            raise NotCoherent("slice relation fails %s" % name, conditions[name][1])
         return m
 
     def blocks(self, xx, yy, xy, yx):
@@ -480,18 +464,28 @@ class _Frame:
         level = self.mask_level(m)
         return level, level == 3 and self.meet_side and self.join_side
 
-    def report(self, rx, ry):
-        """Every condition with its witness, and the derived grade."""
-        conditions = {name: self.check(name, rx, ry) for name in _CONDITIONS}
-        level = _grade(lambda name: conditions[name][0])
-        meet_side, join_side = self.meet_side, self.join_side
+    def report(self, m):
+        """Every condition with its witness, and the grade of the pair mask
+        `m` (`mask_grade`).  The conditions of the grades that level passes
+        hold; only those above it run their loop kernels.  A first failing
+        grade that no kernel fails is a disagreement of the two routes."""
+        level, galois = self.mask_grade(m)
+        rows = self.rows(m)
+        passed = CONDITION_NAMES[: 0 if level is None else 2 * level + 2]
+        conditions = {
+            name: (True, None) if name in passed else self.check(name, *rows)
+            for name in _CONDITIONS
+        }
+        failing = CONDITION_NAMES[len(passed) : len(passed) + 2]
+        if failing and all(conditions[name][0] for name in failing):
+            raise LawViolation("packed-grade", "no loop kernel explains the grade", (level, rows[0]))
         return CoherenceReport(
             conditions=conditions,
             level=level,
             entangled=conditions["E1"][0] and conditions["E2"][0],
-            meet_side=meet_side,
-            join_side=join_side,
-            galois=level == 3 and meet_side and join_side,
+            meet_side=self.meet_side,
+            join_side=self.join_side,
+            galois=galois,
             s1=conditions["S1"][0],
             s2=conditions["S2"][0],
         )
@@ -518,11 +512,11 @@ class CoherenceReport:
 
 
 def check_coherence(pol):
-    return pol._frame.report(*pol._rows)
+    return pol._frame.report(pol._mask)
 
 
 def coherence_level(pol):
-    return check_coherence(pol).level
+    return pol._frame.mask_level(pol._mask)
 
 
 def is_galois(pol):
@@ -790,12 +784,6 @@ def structure_of(pol):
     if not is_galois(pol):
         raise NotGalois("the unique grade-3 preorder needs a Galois polarity")
     u = r_hat_g(pol)
-    if not u.is_preorder():
-        raise LawViolation(
-            "preorder",
-            "canonical relation of a Galois polarity must close",
-            u.transitivity_witness(),
-        )
     verdict = is_n_preorder(pol, u, 3)
     if not verdict.ok:
         raise LawViolation(

@@ -354,17 +354,13 @@ class TestTransferKernel:
             for r in rels:
                 sbar = kernel_saturation(ctx, r)
                 under = kernel_readback(ctx, sbar)
-                assert fin.report(*fin.rows(fin.mask(r))) == check_coherence(
-                    ctx.inner.with_relation(r)
-                )
-                assert fout.report(*fout.rows(fout.mask(sbar))) == check_coherence(
-                    ctx.outer(sbar)
-                )
-                assert fin.report(*fin.rows(fin.mask(under))) == check_coherence(
+                assert fin.report(fin.mask(r)) == check_coherence(ctx.inner.with_relation(r))
+                assert fout.report(fout.mask(sbar)) == check_coherence(ctx.outer(sbar))
+                assert fin.report(fin.mask(under)) == check_coherence(
                     ctx.inner.with_relation(under)
                 )
                 s = frozenset(p for p in outer_pairs if rng.random() < 0.5)
-                assert fout.report(*fout.rows(fout.mask(s))) == check_coherence(ctx.outer(s))
+                assert fout.report(fout.mask(s)) == check_coherence(ctx.outer(s))
 
     def test_verdicts_match_the_oracle(self):
         """300 seeded draws inside the oracle's 12/16-pair gate, base

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -27,6 +28,7 @@ from polab.order import (
 from polab.morphisms import PolarityMorphism, roundtrip_holds
 from polab.polarity import (
     CANONICAL_BUILDERS,
+    CONDITION_NAMES,
     ExtensionPolarity,
     check_coherence,
     coherence_level,
@@ -241,6 +243,19 @@ class TestStructureOf:
         law, witness = done.stdout.split(" ", 1)
         assert law == "pointwise" and witness.startswith("(('Y',")
 
+    def test_unclosed_canonical_relation_fails_the_grade_3_test(self, monkeypatch):
+        """A canonical relation that is not a preorder is caught by the
+        grade-3 test, which names the first failing clause and its witness."""
+        pol = load("fix_e").polarities["G"]
+        u = r_hat_g(pol)
+        torn = UnionPreorder(u.carrier, (u.rows[0] & ~1,) + u.rows[1:], u.index)
+        monkeypatch.setattr(polarity, "r_hat_g", lambda pol: torn)
+        structure_of.cache_clear()
+        with pytest.raises(LawViolation) as err:
+            structure_of(pol)
+        assert err.value.law == "grade-3"
+        assert err.value.witness == ("reflexive", u.carrier[0])
+
     def test_rigidity_witness_is_the_absent_pair(self, monkeypatch):
         pol = load("fix_e").polarities["G"]
         u = r_hat_g(pol)
@@ -268,7 +283,8 @@ class TestSliceRelation:
 
     def test_failure_names_the_condition(self, monkeypatch):
         """A failed packed C5 verdict is explained by the loop kernel,
-        whose witness `NotCoherent` carries."""
+        whose witness `NotCoherent` carries; the report also reads C6
+        through the flipped kernel, in its own order."""
         pol = load("fix_e").polarities["G"]
         lanes = polarity._Frame.lanes.func
 
@@ -279,15 +295,15 @@ class TestSliceRelation:
 
         monkeypatch.setattr(polarity._Frame, "lanes", property(stray))
         monkeypatch.setattr(
-            polarity._Frame, "c5", lambda self, rx, ry: (False, ("w",))
+            polarity._Frame, "c5", lambda self, rx, ry: (False, ("u", "v", "w"))
         )
         with pytest.raises(NotCoherent, match="C5") as err:
             r_l(pol.ex, pol.ey)
-        assert err.value.witness == ("w",)
+        assert err.value.witness == ("u", "v", "w")
 
     def test_unexplained_failure_raises_under_optimize(self):
-        """A packed grade below 2 that no loop kernel explains is a
-        disagreement between the two, not a certified slice relation."""
+        """A packed grade that no loop kernel explains is a disagreement
+        between the two, not a certified slice relation or a report."""
         script = textwrap.dedent(
             """
             import sys
@@ -298,12 +314,13 @@ class TestSliceRelation:
             assert sys.flags.optimize
             pol = load("fix_e").polarities["G"]
             polarity._Frame.mask_level = lambda self, m, upto=3: 1
-            try:
-                polarity.r_l(pol.ex, pol.ey)
-            except LawViolation as err:
-                level, rows = err.witness
-                print(err.law, level, len(rows))
-                sys.exit(3)
+            for run in (lambda: polarity.r_l(pol.ex, pol.ey), lambda: polarity.check_coherence(pol)):
+                try:
+                    run()
+                except LawViolation as err:
+                    level, rows = err.witness
+                    print(err.law, level, len(rows))
+            sys.exit(3)
             """
         )
         env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
@@ -316,7 +333,7 @@ class TestSliceRelation:
         )
         assert done.returncode == 3, done.stdout + done.stderr
         pol = load("fix_e").polarities["G"]
-        assert done.stdout == "slice 1 %d\n" % len(pol.x)
+        assert done.stdout == ("packed-grade 1 %d\n" % len(pol.x)) * 2
 
 
 class TestSaturationMemo:
@@ -393,8 +410,9 @@ class TestEnumeration:
             enumerate_n_preorders(pol, 0, max_carrier=7)
 
     def test_carrier_gate_variable_is_checked(self, monkeypatch):
-        """POLAB_MAX_CARRIER must be a non-negative integer; anything else
-        is refused with the variable named, before any gate is applied."""
+        """POLAB_MAX_CARRIER and an explicit `max_carrier` must be
+        non-negative integers; anything else is refused with its name,
+        before any gate is applied."""
         pol = identity_polarity(Poset.antichain("a"))
         monkeypatch.setenv(polarity.MAX_CARRIER_ENV, "2")
         assert polarity.carrier_gate() == 2
@@ -404,6 +422,9 @@ class TestEnumeration:
             with pytest.raises(ValueError, match="POLAB_MAX_CARRIER"):
                 enumerate_n_preorders(pol, 3)
         assert polarity.carrier_gate(5) == 5
+        for bad in (-3, True, 2.5, "7"):
+            with pytest.raises(ValueError, match="max_carrier must be a non-negative integer"):
+                enumerate_n_preorders(pol, 0, max_carrier=bad)
 
     def test_cap_marks_truncation(self):
         pol = identity_polarity(Poset.antichain("abc"))
@@ -681,6 +702,19 @@ class TestPackedGrade:
     the naive oracle."""
 
     def test_matches_the_loop_kernels_and_the_oracle(self):
+        """At every cap, the packed grade is the one the loop kernels give
+        (the highest grade whose conditions, and those of every grade
+        below, they all accept) and the oracle's; the report holds every
+        kernel's verdict and witness."""
+
+        def looped(fr, rx, ry, upto):
+            level = None
+            for n in range(upto + 1):
+                if not all(fr.check(name, rx, ry)[0] for name in CONDITION_NAMES[2 * n : 2 * n + 2]):
+                    break
+                level = n
+            return level
+
         rng = random.Random(43)
         seen = set()
         for fr, polarity_with in _graded_frames(seed=43, count=40):
@@ -691,12 +725,34 @@ class TestPackedGrade:
                 want = naive_coherence_level(pol)
                 seen.add(want)
                 for upto in range(4):
-                    looped = polarity._grade(lambda name: fr.check(name, rx, ry)[0], upto)
                     capped = None if want is None else min(want, upto)
-                    assert fr.mask_level(m, upto) == looped == capped, (m, upto)
-                rep = fr.report(rx, ry)
+                    assert fr.mask_level(m, upto) == looped(fr, rx, ry, upto) == capped, (m, upto)
+                rep = fr.report(m)
                 assert fr.mask_grade(m) == (rep.level, is_galois(pol)) == (rep.level, rep.galois)
+                assert rep.conditions == {name: fr.check(name, rx, ry) for name in rep.conditions}
         assert seen == {None, 0, 1, 2, 3}
+
+    def test_loop_kernels_run_only_above_the_packed_grade(self, monkeypatch):
+        """With every C-condition kernel patched to raise, a grade-3
+        polarity still gets its report, and every polarity its level."""
+        rng = random.Random(59)
+        pols = [random_galois_polarity(rng, 1 + k % 4) for k in range(20)]
+        pols += [random_extension_polarity(rng, 1 + k % 5) for k in range(200)]
+        wants = [(coherence_level(pol), check_coherence(pol)) for pol in pols]
+
+        def refuse(self, rx, ry):
+            raise AssertionError("a loop kernel ran below the packed grade")
+
+        for kernel in ("c1", "c3", "c4", "c5", "c7"):
+            monkeypatch.setattr(polarity._Frame, kernel, refuse)
+        graded = 0
+        for pol, (level, rep) in zip(pols, wants):
+            pol = ExtensionPolarity(pol.base, pol.ex, pol.ey, pol.rel)
+            assert coherence_level(pol) == level
+            if level == 3:
+                assert check_coherence(pol) == rep
+                graded += 1
+        assert graded >= 20
 
     def test_c8_is_read_only_past_c7(self, monkeypatch):
         """A grade that stops at C7 or below never reads C8's pairs, so it
@@ -745,3 +801,17 @@ class TestPackedGrade:
                 assert fr.flipped.c5(ry, rx) == looped(fr.flipped, ry, rx)
                 failed += not got[0]
         assert failed >= 20
+
+
+def test_reports_are_pinned():
+    """Every field of the reports of 400 seeded polarities, 3264 failing
+    conditions among them, hashes as pinned: a changed verdict, witness
+    or witness order shows here."""
+    rng = random.Random(0)
+    digest, failing = hashlib.sha256(), 0
+    for k in range(400):
+        rep = check_coherence(random_extension_polarity(rng, 1 + k % 5))
+        fields = (rep.level, rep.galois, rep.entangled, rep.meet_side, rep.join_side, rep.s1, rep.s2)
+        digest.update(repr(fields + (tuple(rep.conditions.items()),)).encode())
+        failing += sum(not ok for ok, _ in rep.conditions.values())
+    assert (digest.hexdigest()[:16], failing) == ("7020f31835da9716", 3264)
