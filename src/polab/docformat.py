@@ -5,13 +5,14 @@ header per line, statements split by `;` or newlines, `#` comments, and
 a block names only blocks above it.  `_GRAMMAR` is the whole grammar:
 per kind, its reference statements (`keyword name`, each required), its
 list statements (`keyword token ...`, pairs split at `<`, `->` or `~`,
-bare ids for `elems`) and its flags (`slice`).  One reader, `_read`,
-turns a block's statements into these, and a builder per kind calls the
-constructor.  Preorder blocks declare generating pairs on the tagged
-carrier (`X.a`, `Y.b`) of a polarity; the reflexive-transitive closure
-is taken.  An error names its statement's line, or the header's for an
-error about the whole block; a constructor's error keeps its type and
-message.  The README's "Document format" section is the reference.
+bare ids for `elems`) and its flags (`slice`).  `parse` reads each
+statement into these as it comes (`_read`), and at a block's closing
+brace a builder per kind calls the constructor.  Preorder blocks
+declare generating pairs on the tagged carrier (`X.a`, `Y.b`) of a
+polarity; the reflexive-transitive closure is taken.  An error names
+its statement's line, or the header's for an error about the whole
+block; a constructor's error keeps its type and message.  The README's
+"Document format" section is the reference.
 """
 
 from __future__ import annotations
@@ -73,38 +74,6 @@ class Document:
         )
 
 
-def _blocks(text):
-    """Yield (kind, name, header line, [(line, statement)]) per block."""
-    block = None
-    for ln, line in enumerate(text.split("\n"), 1):
-        cut = line.find("#")
-        if cut >= 0:
-            line = line[:cut]
-        if block is None:
-            if not line.strip():
-                continue
-            m = _HEADER.match(line)
-            if not m:
-                raise ParseError("expected 'kind name {'", ln)
-            kind, name, line = m.groups()
-            if not _NAME.match(name):
-                raise ParseError("bad name %r" % name, ln)
-            stmts = []
-            block = (kind, name, ln, stmts)
-        body, brace, after = line.partition("}")
-        for stmt in body.split(";"):
-            stmt = stmt.strip()
-            if stmt:
-                stmts.append((ln, stmt))
-        if brace:
-            if after.strip():
-                raise ParseError("text after closing brace", ln)
-            yield block
-            block = None
-    if block is not None:
-        raise ParseError("unterminated block %r" % block[1], ln)
-
-
 def _reraise(err, line):
     raise type(err)("line %d: %s" % (line, err.args[0]), *err.args[1:]) from None
 
@@ -125,48 +94,36 @@ def _tagged_token(tok, line):
     raise ParseError("carrier element must be X.name or Y.name", line)
 
 
-def _read(doc, kind, name, header, stmts):
-    """The statements of one block, by keyword: a reference as `(line,
-    name)`, after checking that `doc` has it; a list statement as all
-    its tokens in the block, `(line, a, b)` per pair and `(line, ids)`
-    per `elems` statement; a flag as `(line, flag)`."""
-    spec = _GRAMMAR[kind]
-    refs, lists, flags = spec.refs, spec.lists, spec.flags
-    got = {kw: [] for kw in lists}
-    for ln, stmt in stmts:
-        parts = stmt.split()
-        kw = parts[0]
-        if kw in lists:
-            sample = lists[kw]
-            out = got[kw]
-            if sample is None:
-                out.append((ln, parts[1:]))
-                continue
-            sep = sample[1:-1]
-            for tok in parts[1:]:
-                a, s, b = tok.partition(sep)
-                if not s:
-                    raise ParseError("%s expects %s tokens" % (kw, sample), ln)
-                out.append((ln, a, b))
-        elif kw in refs and len(parts) == 2 or kw in flags and len(parts) == 1:
-            got[kw] = (ln, parts[-1])
+def _read(got, kind, spec, ln, stmt, parts):
+    """One statement `stmt`, split into tokens `parts`, of a block into
+    `got` by keyword: a reference or a flag as `(line, word)`; a list
+    statement added to the block's as `(line, ids)` for `elems` and
+    `(line, pairs)` for pairs (`_PAIR`)."""
+    kw = parts[0]
+    if kw in spec.lists:
+        sample = spec.lists[kw]
+        if sample is None:
+            got[kw].append((ln, parts[1:]))
         else:
-            raise ParseError("unknown %s statement %r" % (kind, kw), ln)
-    if not refs.keys() <= got.keys():
-        missing = ", ".join(kw for kw in refs if kw not in got)
-        raise ParseError("%s %r needs %s" % (kind, name, missing), header)
-    for kw, target in refs.items():
-        ln, ref = got[kw]
-        if ref not in getattr(doc, _GRAMMAR[target].store):
-            raise ParseError("unknown %s %r" % (target, ref), ln)
-    return got
+            pairs = _PAIR[sample].findall(stmt)
+            if len(pairs) < len(parts) - 1:
+                raise ParseError("%s expects %s tokens" % (kw, sample), ln)
+            got[kw].append((ln, pairs))
+    elif kw in spec.refs and len(parts) == 2 or kw in spec.flags and len(parts) == 1:
+        got[kw] = (ln, parts[-1])
+    else:
+        raise ParseError("unknown %s statement %r" % (kind, kw), ln)
+
+
+def _lined(stmts):
+    """The pairs of the statements `(line, pairs)` as `(line, a, b)`."""
+    return [(ln, a, b) for ln, pairs in stmts for a, b in pairs]
 
 
 def _build_poset(doc, got):
     elems = [e for _, ids in got["elems"] for e in ids]
-    pairs = got["le"]
     try:
-        return Poset.from_pairs(elems, [(a, b) for _, a, b in pairs])
+        return Poset.from_pairs(elems, [p for _, ps in got["le"] for p in ps])
     except PolabError as err:
         # The first `elems` line that repeats an id, else the first `le`
         # line by which the pairs so far fail.
@@ -175,6 +132,7 @@ def _build_poset(doc, got):
             if len(seen.union(ids)) < len(seen) + len(ids):
                 _reraise(err, ln)
             seen.update(ids)
+        pairs = _lined(got["le"])
         bad = pairs[0][0] if pairs else got["elems"][0][0]
         for ln, _, _ in pairs:
             try:
@@ -187,20 +145,20 @@ def _build_poset(doc, got):
 
 def _build_map(doc, got):
     source, target = doc.posets[got["from"][1]], doc.posets[got["to"][1]]
-    sends = got["send"]
     try:
-        return MonotoneMap(source, target, {a: b for _, a, b in sends})
+        return MonotoneMap(source, target, {a: b for _, ps in got["send"] for a, b in ps})
     except UnknownId as err:
         # An image off the target is found first: that of the first source
         # element, in source order, sent there by its last `send`, the one
         # in force.  Else a key off the source: its first `send`.
+        sends = _lined(got["send"])
         last = {a: (ln, b) for ln, a, b in sends}
         in_force = (last[p] for p in source.elements)
         off = (ln for ln, b in in_force if b not in target.index)
         extra = (ln for ln, a, _ in sends if a not in source.index)
         _reraise(err, next(off, None) or next(extra))
     except PolabError as err:
-        _reraise(err, sends[0][0] if sends else got["from"][0])
+        _reraise(err, got["send"][0][0] if got["send"] else got["from"][0])
 
 
 def _build_polarity(doc, got):
@@ -208,8 +166,7 @@ def _build_polarity(doc, got):
     base = doc.posets[base]
     x_ext = _at(ex_line, Extension, doc.maps[ex])
     y_ext = _at(ey_line, Extension, doc.maps[ey])
-    rel = got["rel"]
-    pairs = {(a, b) for _, a, b in rel}
+    pairs = {p for _, ps in got["rel"] for p in ps}
     if "slice" in got:
         pairs |= r_l(x_ext, y_ext)
     try:
@@ -217,7 +174,7 @@ def _build_polarity(doc, got):
     except UnknownId:
         # The constructor checks the pairs in no fixed order: name the
         # first `rel` line with an id off its side, in its wording.
-        for ln, a, b in rel:
+        for ln, a, b in _lined(got["rel"]):
             _at(ln, ExtensionPolarity, base, x_ext, y_ext, ((a, b),))
         raise
     except PolabError as err:
@@ -226,7 +183,9 @@ def _build_polarity(doc, got):
 
 def _build_preorder(doc, got):
     carrier = doc.polarities[got["polarity"][1]].carrier()
-    le = [(ln, _tagged_token(a, ln), _tagged_token(b, ln)) for ln, a, b in got["le"]]
+    le = [
+        (ln, _tagged_token(a, ln), _tagged_token(b, ln)) for ln, a, b in _lined(got["le"])
+    ]
     diag = [(e, e) for e in carrier]
     try:
         pre = UnionPreorder.from_pairs(carrier, diag + [(a, b) for _, a, b in le])
@@ -367,19 +326,60 @@ _GRAMMAR = {
 }
 
 
+# Per sample pair token: a token split at its first separator, by `findall`.
+_PAIR = {
+    sample: re.compile(r"(\S*?)%s(\S*)" % re.escape(sample[1:-1]))
+    for kind in _GRAMMAR.values()
+    for sample in kind.lists.values()
+    if sample is not None
+}
+
+
 def parse(text):
-    doc = Document()
-    names = set()
-    for kind, name, header, stmts in _blocks(text):
-        spec = _GRAMMAR.get(kind)
-        if spec is None:
-            raise ParseError("unknown block kind %r" % kind, header)
-        if name in names:
-            raise ParseError("duplicate name %r" % name, header)
-        names.add(name)
-        got = _read(doc, kind, name, header, stmts)
+    """The document of `text`, in one pass over its lines: a block's kind
+    and name are checked at its header, each statement is read as it
+    comes (`_read`), and at its closing brace the block's references are
+    checked and it is built."""
+    doc, names, got = Document(), set(), None
+    for ln, line in enumerate(text.split("\n"), 1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        if got is None:
+            if not line or line.isspace():
+                continue
+            m = _HEADER.match(line)
+            if not m:
+                raise ParseError("expected 'kind name {'", ln)
+            kind, name, line = m.groups()
+            if not _NAME.match(name):
+                raise ParseError("bad name %r" % name, ln)
+            spec = _GRAMMAR.get(kind)
+            if spec is None:
+                raise ParseError("unknown block kind %r" % kind, ln)
+            if name in names:
+                raise ParseError("duplicate name %r" % name, ln)
+            header, got = ln, {kw: [] for kw in spec.lists}
+        body, brace, after = line.partition("}")
+        for stmt in body.split(";"):
+            parts = stmt.split()
+            if parts:
+                _read(got, kind, spec, ln, stmt, parts)
+        if not brace:
+            continue
+        if after and not after.isspace():
+            raise ParseError("text after closing brace", ln)
+        if not spec.refs.keys() <= got.keys():
+            missing = ", ".join(kw for kw in spec.refs if kw not in got)
+            raise ParseError("%s %r needs %s" % (kind, name, missing), header)
+        for kw, target in spec.refs.items():
+            if got[kw][1] not in getattr(doc, _GRAMMAR[target].store):
+                raise ParseError("unknown %s %r" % (target, got[kw][1]), got[kw][0])
         getattr(doc, spec.store)[name] = spec.build(doc, got)
         doc.order.append((kind, name))
+        names.add(name)
+        got = None
+    if got is not None:
+        raise ParseError("unterminated block %r" % name, ln)
     return doc
 
 

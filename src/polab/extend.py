@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from .order import (
@@ -42,6 +41,7 @@ from .order import (
     _mask_iter,
     _reflection_failure,
     _union_of,
+    cached_property,
     is_join_extension,
     is_meet_extension,
     is_order_embedding,

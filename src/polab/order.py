@@ -5,17 +5,21 @@ Posets are stored as a tuple of element ids plus a dense bit-matrix:
 All quantifier-heavy checks work on these masks; the public API speaks
 in element ids.
 
-Four kernels pack a matrix into one integer, row i at bits i·n to
-i·n + n - 1 (`_pack`): the closure `transitive_close`, the transitivity
-verdict `_packed_transitive` behind `Poset(elements, rows)` and
-`UnionPreorder.is_transitive`, and the relation walk `_closed_relations`
-on square matrices, and `_PairLanes` on the pair masks of relations
-between two posets.  Shifting right by k and masking with the bits i·n
-of every row i gives the rows that hold k, at their row offsets;
-multiplying that by an n-bit row copies it onto each of them, with no
-carries.  So one Warshall pivot is one product.  The square kernels
-take and return row tuples, and a failed verdict is explained by a row
-walk naming the first witness in carrier order.
+The kernels pack a matrix into one integer, row i at bits i·n to
+i·n + n - 1 (`_pack`): on square matrices the closure `_close` (behind
+`transitive_close`, `Poset.from_pairs` and `UnionPreorder.closed`), the
+transitivity verdict `_packed_transitive` behind `Poset(elements,
+rows)` and `UnionPreorder.is_transitive`, the relation walk
+`_closed_relations` and the rigidity test `_loose_pairs`, and
+`_PairLanes` on the pair masks of relations between two posets.
+Shifting right by k and masking with the bits i·n of every row i gives
+the rows that hold k, at their row offsets; multiplying that by an
+n-bit row copies it onto each of them, with no carries.  So one
+Warshall pivot is one product.  A `UnionPreorder` keeps its packed
+matrix beside its rows, and what each grade forces and forbids is
+stated once, as packed matrices (`_forced`, `_forbidden`).  A failed
+verdict is explained by a row walk naming the first witness in carrier
+order.
 
 A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
 check is its meet-side kernel run on the swapped arrays.  Whether a
@@ -53,6 +57,26 @@ from .errors import (
     NotPreorder,
     UnknownId,
 )
+
+
+class cached_property:
+    """A value an object builds on first use and keeps, as with
+    `functools.cached_property` but without the lock that takes on
+    Python 3.11: the first read writes the value to the instance
+    `__dict__`, where every later read finds it before this descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @functools.lru_cache(maxsize=64)
@@ -94,17 +118,30 @@ def _packed_transitive(m, n):
     return True
 
 
-def transitive_close(rows):
-    """Reflexive-transitive closure of a square bit-matrix (list of ints),
-    in place: Warshall's pivots, each one product on the packed matrix."""
-    n = len(rows)
+def _close(m, n):
+    """The reflexive-transitive closure of the packed n-row matrix `m`:
+    Warshall's pivots, each one product."""
     ones, full, diagonal, _ = _lanes(n)
-    m = _pack(rows, n) | diagonal
+    m |= diagonal
     for k in range(n):
         m |= (m >> k & ones) * (m >> k * n & full)
-    for i in range(n):
-        rows[i] = m & full
-        m >>= n
+    return m
+
+
+def _packed_transpose(m, n):
+    """The transpose of the packed n-row matrix `m`.  Its binary digits,
+    row n - 1 first and each row high bit first, read with stride n from
+    offset k give column n - 1 - k the same way, so joined they are the
+    packed transpose."""
+    digits = format(m, _lanes(n)[3])
+    return int("".join([digits[k::n] for k in range(n)]) or "0", 2)
+
+
+def transitive_close(rows):
+    """Reflexive-transitive closure of a square bit-matrix (list of ints),
+    in place (`_close`)."""
+    n = len(rows)
+    rows[:] = _unpack(_close(_pack(rows, n), n), n)
     return rows
 
 
@@ -161,10 +198,10 @@ class _PairLanes:
         return m
 
 
-def _closed_relations(forced, forbidden):
-    """The transitive relations on n elements that contain the bit-rows
-    `forced`, which must already be transitive, and avoid the bit-rows
-    `forbidden`, each as a tuple of n rows.
+def _closed_relations(forced, forbidden, n):
+    """The reflexive and transitive relations on n elements that contain
+    the packed n-row matrix `forced` and avoid the packed `forbidden`,
+    each as a packed matrix.
 
     The walk visits the pairs in row-major order, pair (i, j) at bit
     i·n + j of the packed matrices of `_pack`.  For each open pair, one
@@ -176,12 +213,12 @@ def _closed_relations(forced, forbidden):
     A take that meets a barred pair dies at once; every other branch
     ends in a result, so results are a polynomial number of such steps
     apart, each a constant number of n²-bit integer operations.  The
-    stack holds the takes still to be tried.
+    stack holds the takes still to be tried; the first is the closure of
+    `forced`.
     """
-    n = len(forced)
     ones, full, _, _ = _lanes(n)
     everything = (1 << n * n) - 1
-    stack = [(_pack(forced, n), _pack(forbidden, n), -1)]
+    stack = [(_close(forced, n), forbidden, -1)]
     while stack:
         held, barred, p = stack.pop()
         if p >= 0:
@@ -196,7 +233,79 @@ def _closed_relations(forced, forbidden):
             stack.append((held, barred, low.bit_length() - 1))
             barred |= low
             free ^= low
-        yield tuple(_unpack(held, n))
+        yield held
+
+
+def _pack_blocks(nx, xx, yy, xy, yx):
+    """The packed matrix over a carrier of `nx` left elements and then
+    the right ones, from its left, right, left-to-right and
+    right-to-left blocks as bit-rows."""
+    n, m = nx + len(yy), 0
+    for a, b in zip(reversed(yx), reversed(yy)):
+        m = m << n | a | b << nx
+    for a, b in zip(reversed(xx), reversed(xy)):
+        m = m << n | a | b << nx
+    return m
+
+
+@functools.lru_cache(maxsize=256)
+def _block_across(nx, ny):
+    """The packed left-to-right block over a carrier of `nx` left and
+    `ny` right elements."""
+    return _pack_blocks(nx, [0] * nx, [0] * ny, [(1 << ny) - 1] * nx, [0] * ny)
+
+
+# What a grade asks of a relation on the carrier of a polarity's frame
+# `fr` besides P1, which fixes the block across to the polarity's own
+# relation: an n-preorder is exactly a preorder with that block across
+# that holds the pairs `_forced` and none of `_forbidden`.
+
+
+def _forced(fr, n):
+    """The packed pairs every n-preorder holds besides those across: the
+    side orders (P2, P3), from grade 1 each base element's two image
+    pairs (commutation), and from grade 3 the right-to-left blocks `z_s`
+    and `z_t` (P4, P5)."""
+    xy, yx = [0] * len(fr.xs), [0] * len(fr.ys)
+    if n >= 1:
+        for xi, yi in zip(fr.exi, fr.eyi):
+            xy[xi] |= 1 << yi
+            yx[yi] |= 1 << xi
+    if n >= 3:
+        yx = [a | b | c for a, b, c in zip(yx, fr.z_s, fr.z_t)]
+    return _pack_blocks(len(fr.xs), fr.xrows, fr.yrows, xy, yx)
+
+
+def _forbidden(fr, n):
+    """The packed pairs no n-preorder holds besides those across: from
+    grade 2, the pairs outside the side orders (reflectX, reflectY).  No
+    other clause rules a pair out."""
+    if n < 2:
+        return 0
+    full_x, full_y = (1 << len(fr.xs)) - 1, (1 << len(fr.ys)) - 1
+    return _pack_blocks(
+        len(fr.xs),
+        [full_x & ~r for r in fr.xrows],
+        [full_y & ~r for r in fr.yrows],
+        [0] * len(fr.xs),
+        [0] * len(fr.ys),
+    )
+
+
+def _loose_pairs(u, forbidden, n):
+    """The packed pairs (i, j) outside the packed preorder `u` whose
+    closure into it, ↓i × ↑j, holds none of the packed `forbidden`: no k
+    below i is forbidden an l above j.  Two relational products, each one
+    product per pivot: Uᵀ;F gives row i the pairs forbidden below i, and
+    ;Uᵀ then every j below one of them."""
+    ones, full, _, _ = _lanes(n)
+    ut = _packed_transpose(u, n)
+    below = blocked = 0
+    for k in range(n):
+        below |= (ut >> k & ones) * (forbidden >> k * n & full)
+    for k in range(n):
+        blocked |= (below >> k & ones) * (ut >> k * n & full)
+    return (1 << n * n) - 1 & ~(u | blocked)
 
 
 def _transpose(rows, n):
@@ -332,15 +441,10 @@ class Poset:
         # the first failure, in the order the laws are stated.
         if rows and max(rows) >> n:
             _order_failure(self.elements, rows)
-        _, _, diagonal, spec = _lanes(n)
         m = _pack(rows, n)
-        # The binary digits of m, row n - 1 first and each row high bit
-        # first, read with stride n from offset k give column n - 1 - k
-        # the same way, so joined they are the packed transpose.
-        digits = format(m, spec)
-        mt = int("".join([digits[k::n] for k in range(n)]) or "0", 2)
+        mt = _packed_transpose(m, n)
         # Reflexive and antisymmetric together: R ∩ Rᵀ is the diagonal.
-        if m & mt != diagonal or not _packed_transitive(m, n):
+        if m & mt != _lanes(n)[2] or not _packed_transitive(m, n):
             _order_failure(self.elements, rows)
         self.cols = tuple(_unpack(mt, n))
 
@@ -362,21 +466,28 @@ class Poset:
 
     @classmethod
     def from_pairs(cls, ids, pairs):
-        """Build a poset from generating pairs; closes reflexively and
-        transitively and rejects any antisymmetry violation."""
+        """Build a poset from generating pairs.  The pairs are packed and
+        closed once (`_close`); the closure is reflexive and transitive by
+        construction, so antisymmetry, one AND with the transpose, is all
+        that is left to check.  The ids are indexed once, and the rows and
+        columns go to `_derived`."""
         ids = tuple(ids)
         index = {e: i for i, e in enumerate(ids)}
-        if len(index) != len(ids):
+        n = len(ids)
+        if len(index) != n:
             raise UnknownId("duplicate element ids")
-        rows = [0] * len(ids)
-        for a, b in pairs:
-            if a not in index:
-                raise UnknownId("unknown element %r" % (a,))
-            if b not in index:
-                raise UnknownId("unknown element %r" % (b,))
-            rows[index[a]] |= 1 << index[b]
-        transitive_close(rows)
-        return cls(ids, rows)
+        m = 0
+        try:
+            for a, b in pairs:
+                m |= 1 << index[a] * n + index[b]
+        except KeyError as err:
+            raise UnknownId("unknown element %r" % err.args) from None
+        m = _close(m, n)
+        mt = _packed_transpose(m, n)
+        rows = _unpack(m, n)
+        if m & mt != _lanes(n)[2]:
+            _order_failure(ids, rows)
+        return cls._derived(ids, rows, _unpack(mt, n), index)
 
     @classmethod
     def antichain(cls, ids):
@@ -900,13 +1011,17 @@ class UnionPreorder:
     The carrier lists X-side elements first, then Y-side, each tagged
     with its side so the two may share raw ids.  The relation is held as
     a bit-matrix, each row inside the carrier (`CarrierMismatch`
-    otherwise), and need not be a preorder; `is_preorder` says whether
-    it is, and `quotient` demands it.  A relation derived on the carrier
-    of another, or of a polarity's frame, takes that carrier's `index`
-    instead of building and checking its own.
+    otherwise), and beside it as the packed matrix `packed` (`_pack`);
+    it need not be a preorder.  `is_preorder` says whether it is, and
+    `quotient` demands it.  A relation derived on the carrier of another,
+    or of a polarity's frame, takes that carrier's `index` instead of
+    building and checking its own.
     """
 
-    __slots__ = ("carrier", "index", "rows")
+    # `_closed` is True once the relation is known reflexive and
+    # transitive: built by `closed`, or a preorder by `is_preorder`.
+    # A relation built from its packed matrix decodes `rows` on first use.
+    __slots__ = ("carrier", "index", "packed", "_closed", "__dict__")
 
     def __init__(self, carrier, rows, index=None):
         self.carrier = tuple(carrier)
@@ -916,10 +1031,25 @@ class UnionPreorder:
                 raise UnknownId("duplicate carrier elements")
         self.index = index
         self.rows = tuple(rows)
-        if len(self.rows) != len(self.carrier):
+        n = len(self.carrier)
+        if len(self.rows) != n:
             raise CarrierMismatch("matrix size does not match carrier")
-        if self.rows and max(self.rows) >> len(self.carrier):
+        if self.rows and max(self.rows) >> n:
             raise CarrierMismatch("matrix wider than carrier")
+        self.packed = _pack(self.rows, n)
+        self._closed = False
+
+    @classmethod
+    def _of_packed(cls, carrier, index, m, closed):
+        """The relation of the packed matrix `m` on a trusted carrier with
+        its `index`; `closed` when `m` is known reflexive and transitive."""
+        self = cls.__new__(cls)
+        self.carrier, self.index, self.packed, self._closed = carrier, index, m, closed
+        return self
+
+    @cached_property
+    def rows(self):
+        return tuple(_unpack(self.packed, len(self.carrier)))
 
     @classmethod
     def from_pairs(cls, carrier, pairs):
@@ -936,7 +1066,7 @@ class UnionPreorder:
         return (
             isinstance(other, UnionPreorder)
             and self.carrier == other.carrier
-            and self.rows == other.rows
+            and self.packed == other.packed
         )
 
     def __hash__(self):
@@ -948,14 +1078,15 @@ class UnionPreorder:
     def __repr__(self):
         return "UnionPreorder(%d elements, %d pairs)" % (
             len(self.carrier),
-            sum(r.bit_count() for r in self.rows),
+            self.packed.bit_count(),
         )
 
     def rel(self, a, b):
         return self.rows[self.index[a]] >> self.index[b] & 1 == 1
 
     def is_reflexive(self):
-        return all(self.rows[i] >> i & 1 for i in range(len(self.carrier)))
+        diagonal = _lanes(len(self.carrier))[2]
+        return self._closed or self.packed & diagonal == diagonal
 
     def transitivity_witness(self):
         """The first (a, b, c), in carrier order, with a R b and b R c but
@@ -971,16 +1102,24 @@ class UnionPreorder:
                     return c[i], c[k], c[_low_index(extra)]
 
     def is_transitive(self):
-        n = len(self.rows)
-        return _packed_transitive(_pack(self.rows, n), n)
+        return self._closed or _packed_transitive(self.packed, len(self.carrier))
 
     def is_preorder(self):
-        return self.is_reflexive() and self.is_transitive()
+        """Whether the relation is reflexive and transitive: one AND with
+        the diagonal and the packed verdict.  A preorder is kept as
+        closed."""
+        self._closed = self.is_reflexive() and self.is_transitive()
+        return self._closed
 
     def closed(self):
-        return UnionPreorder(
-            self.carrier, transitive_close(list(self.rows)), self.index
-        )
+        """The reflexive-transitive closure: one packed Warshall pass on
+        `packed` (`_close`), whose result is known closed, so that it is
+        neither tested for transitivity nor closed again; a relation
+        already known closed is its own closure."""
+        if self._closed:
+            return self
+        n = len(self.carrier)
+        return UnionPreorder._of_packed(self.carrier, self.index, _close(self.packed, n), True)
 
     def quotient(self):
         return Quotient(self)

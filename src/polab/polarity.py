@@ -23,6 +23,12 @@ failing grade that no kernel fails raises `LawViolation`.  Their
 right-hand conditions (C2, C6, C8, E2, S2 and the sets built from joins
 of images) are the left-hand code run on the dual polarity: both orders
 reversed, the sides swapped, the relation transposed.
+
+A relation on the tagged union of the sides is graded on its packed
+matrix: an n-preorder is a preorder whose block across is the relation
+and that holds the pairs `order._forced` names for grade n and none of
+those `order._forbidden` names; the clause walk runs only to name a
+failure's witness.
 """
 
 from __future__ import annotations
@@ -47,20 +53,25 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _PairLanes,
+    _block_across,
     _bounds_failure,
     _closed_relations,
     _expressible,
+    _forbidden,
+    _forced,
+    _loose_pairs,
     _low_index,
     _mask_iter,
+    _pack_blocks,
     _preimages,
     _reflection_failure,
     _transpose,
     _union_of,
+    cached_property,
     is_join_extension,
     is_meet_extension,
     tag_x,
     tag_y,
-    transitive_close,
 )
 
 DEFAULT_MAX_CARRIER = 7
@@ -130,19 +141,25 @@ class ExtensionPolarity:
     def carrier(self):
         return self._frame.carrier
 
-    @functools.cached_property
+    @cached_property
     def _frame(self):
         return _Frame(self.base, self.ex, self.ey)
 
-    @functools.cached_property
+    @cached_property
     def _mask(self):
         return self._frame.mask(self.rel)
 
-    @functools.cached_property
+    @cached_property
     def _rows(self):
         return tuple(map(tuple, self._frame.rows(self._mask)))
 
-    @functools.cached_property
+    @cached_property
+    def _packed_across(self):
+        """Its pairs, packed over the carrier."""
+        nx, ny = len(self.x), len(self.y)
+        return _pack_blocks(nx, [0] * nx, [0] * ny, self._rows[0], [0] * ny)
+
+    @cached_property
     def _saturation(self):
         """`r_hat_m`, certified once: the saturation of a 1-coherent
         polarity must be a 1-preorder."""
@@ -197,7 +214,7 @@ class _Frame:
     """
 
     # The arrays are slots and only the kept values go to `__dict__`: on
-    # Python 3.11, once a `cached_property` writes the instance dict,
+    # Python 3.11, once a kept value is written to the instance dict,
     # loading an attribute kept there takes the slower dict path.
     __slots__ = (
         "xs", "ys", "ps", "xindex", "yindex", "xrows", "xcols", "yrows",
@@ -236,7 +253,7 @@ class _Frame:
         rx = [m >> i * ny & (1 << ny) - 1 for i in range(len(self.xs))]
         return rx, _transpose(rx, ny)
 
-    @functools.cached_property
+    @cached_property
     def flipped(self):
         """The frame of the dual: both orders reversed, the sides and base
         maps swapped.  A view on the same arrays; a relation is carried
@@ -252,17 +269,17 @@ class _Frame:
         f.exi, f.eyi = self.eyi, self.exi
         return f
 
-    @functools.cached_property
+    @cached_property
     def index(self):
         """The index of the carrier, shared by every relation the frame
         assembles."""
         return {e: i for i, e in enumerate(self.carrier)}
 
-    @functools.cached_property
+    @cached_property
     def meet_side(self):
         return is_meet_extension(self.ex)
 
-    @functools.cached_property
+    @cached_property
     def join_side(self):
         return is_join_extension(self.ey)
 
@@ -310,7 +327,7 @@ class _Frame:
 
     # -- canonical witness sets for the subset-quantified conditions ------
 
-    @functools.cached_property
+    @cached_property
     def realizable_meets(self):
         """Per right element, the left elements expressible as the meet
         of images of base elements whose right image lies above it."""
@@ -330,13 +347,13 @@ class _Frame:
 
     # -- blocks of the canonical relations ---------------------------------
 
-    @functools.cached_property
+    @cached_property
     def z_s(self):
         """Right-to-left block of the pairs (y, x) forced below-left by a
         meet of images: x lies above a meet realizable at y."""
         return [_union_of(self.xrows, m) for m in self.realizable_meets]
 
-    @functools.cached_property
+    @cached_property
     def z_t(self):
         return _transpose(self.flipped.z_s, len(self.ys))
 
@@ -399,13 +416,8 @@ class _Frame:
     def blocks(self, xx, yy, xy, yx):
         """The relation on the carrier whose left, right, left-to-right
         and right-to-left blocks are the given masks."""
-        nx = len(self.xs)
-        return UnionPreorder(
-            self.carrier,
-            [a | b << nx for a, b in zip(xx, xy)]
-            + [a | b << nx for a, b in zip(yx, yy)],
-            self.index,
-        )
+        m = _pack_blocks(len(self.xs), xx, yy, xy, yx)
+        return UnionPreorder._of_packed(self.carrier, self.index, m, False)
 
     def e1(self, rx, ry):
         for i1, up in enumerate(self.xrows):
@@ -422,14 +434,26 @@ class _Frame:
                 return False, self.ps[k]
         return True, None
 
+    @cached_property
+    def _graded(self):
+        return {}
+
+    def graded(self, n):
+        """`_forced` and `_forbidden` at grade n, kept per grade, so that a
+        frame graded only below grade 3 builds no meet blocks."""
+        kept = self._graded
+        if n not in kept:
+            kept[n] = _forced(self, n), _forbidden(self, n)
+        return kept[n]
+
     # -- grading on the pair mask -----------------------------------------
 
-    @functools.cached_property
+    @cached_property
     def lanes(self):
         """The pair masks of the frame, the base image pairs as pivots."""
         return _PairLanes(self.xcols, self.yrows, zip(self.exi, self.eyi))
 
-    @functools.cached_property
+    @cached_property
     def forbidden_c7(self):
         """C7's pairs: (x, y) with x a meet realizable at y1, y not above y1."""
         lanes, out = self.lanes, 0
@@ -437,7 +461,7 @@ class _Frame:
             out |= lanes.spread(meets) * (lanes.full ^ up)
         return out
 
-    @functools.cached_property
+    @cached_property
     def forbidden_c8(self):
         """C8's pairs, kept apart so that a grade failing C7 builds no flipped meets."""
         lanes, out = self.lanes, 0
@@ -464,13 +488,15 @@ class _Frame:
         level = self.mask_level(m)
         return level, level == 3 and self.meet_side and self.join_side
 
-    def report(self, m):
+    def report(self, m, rows=None):
         """Every condition with its witness, and the grade of the pair mask
-        `m` (`mask_grade`).  The conditions of the grades that level passes
-        hold; only those above it run their loop kernels.  A first failing
-        grade that no kernel fails is a disagreement of the two routes."""
+        `m` (`mask_grade`), whose bit-rows `rows` a polarity passes as it
+        keeps them.  The conditions of the grades that level passes hold;
+        only those above it run their loop kernels.  A first failing grade
+        that no kernel fails is a disagreement of the two routes."""
         level, galois = self.mask_grade(m)
-        rows = self.rows(m)
+        if rows is None:
+            rows = self.rows(m)
         passed = CONDITION_NAMES[: 0 if level is None else 2 * level + 2]
         conditions = {
             name: (True, None) if name in passed else self.check(name, *rows)
@@ -512,7 +538,7 @@ class CoherenceReport:
 
 
 def check_coherence(pol):
-    return pol._frame.report(pol._mask)
+    return pol._frame.report(pol._mask, pol._rows)
 
 
 def coherence_level(pol):
@@ -609,6 +635,13 @@ def _clause_failures(fr, rx, rel, n):
         (carrier[i] for i, row in enumerate(rows) if not row >> i & 1), None
     )
     yield "transitive", rel.transitivity_witness()
+    yield from _block_failures(fr, rx, rel, n)
+
+
+def _block_failures(fr, rx, rel, n):
+    """The clauses of `_clause_failures` past the preorder laws, each
+    comparing a block of `rel` with masks of the frame."""
+    rows = rel.rows
     nx, xs, ys = len(fr.xs), fr.xs, fr.ys
     xx = [r & (1 << nx) - 1 for r in rows[:nx]]
     xy = [r >> nx for r in rows[:nx]]
@@ -629,43 +662,71 @@ def _clause_failures(fr, rx, rel, n):
         yield "P5", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_t, yx)))
 
 
+def _first_failure(failures):
+    """The verdict of the first clause of `failures` that fails; None
+    when all hold."""
+    for clause, witness in failures:
+        if witness is not None:
+            return NPreorderVerdict(False, clause, witness)
+    return None
+
+
 def is_n_preorder(pol, rel, n):
     """Decide whether `rel` is an n-preorder for the polarity.
 
     Grades: 0 needs a preorder matching the relation across and both
     side orders along; 1 adds commutation of the two base images; 2 adds
     order reflection on both sides; 3 adds preservation of image meets
-    and joins, checked through the canonical forced blocks.  Each clause
-    compares a block of `rel` with masks of the frame, and a failure
-    names its first failing pair in carrier order.
+    and joins, checked through the canonical forced blocks.  An
+    n-preorder is exactly a preorder whose block across is the relation
+    (P1) and that holds the pairs `_forced` and none of `_forbidden`, so
+    the verdict is a few operations on the packed matrix `rel.packed`:
+    reflexive and transitive (`is_preorder`), P1, then one AND with each
+    of the frame's masks for the grade (`_Frame.graded`).  A failure
+    names its clause and its first failing pair in carrier order: P1's
+    is the lowest bit that differs across, and a failed mask test runs
+    the clause walk (`_block_failures`) to name one; a failed test that
+    no clause explains raises `LawViolation`.
     """
     _check_grade(n)
-    fr, (rx, ry) = pol._frame, pol._rows
-    if rel.carrier != fr.carrier:
+    fr, rx = pol._frame, pol._rows[0]
+    if rel.carrier is not fr.carrier and rel.carrier != fr.carrier:
         raise CarrierMismatch("relation carrier does not match the polarity")
-    for clause, witness in _clause_failures(fr, rx, rel, n):
-        if witness is not None:
-            return NPreorderVerdict(False, clause, witness)
-    return NPreorderVerdict(True)
+    if not rel.is_preorder():
+        return _first_failure(_clause_failures(fr, rx, rel, n))
+    nx, ny = len(fr.xs), len(fr.ys)
+    m = rel.packed
+    across = m & _block_across(nx, ny) ^ pol._packed_across
+    if across:
+        i, j = divmod(_low_index(across), nx + ny)
+        return NPreorderVerdict(False, "P1", (fr.xs[i], fr.ys[j - nx]))
+    forced, forbidden = fr.graded(n)
+    bad = forced & ~m | m & forbidden
+    if not bad:
+        return NPreorderVerdict(True)
+    verdict = _first_failure(_block_failures(fr, rx, rel, n))
+    if verdict is None:
+        i, j = divmod(_low_index(bad), nx + ny)
+        raise LawViolation(
+            "n-preorder",
+            "no clause explains the failed mask test",
+            (n, fr.carrier[i], fr.carrier[j]),
+        )
+    return verdict
+
+
+def _grade_masks(pol, n):
+    """The packed pairs every n-preorder for the polarity holds, and
+    those none holds: `_forced` with the relation's pairs across, and
+    `_forbidden` with the other pairs across (P1)."""
+    fr, r = pol._frame, pol._packed_across
+    forced, forbidden = fr.graded(n)
+    return forced | r, forbidden | _block_across(len(fr.xs), len(fr.ys)) & ~r
 
 
 def _check_grade(n):
     if not isinstance(n, int) or not 0 <= n <= 3:
         raise ValueError("grade must be an int from 0 to 3, got %r" % (n,))
-
-
-def _forbidden(fr, rx, n):
-    """The bit-rows, over the carrier, of the pairs no n-preorder for the
-    relation with bit-rows `rx` holds: the X×Y pairs outside it (P1) and,
-    from grade 2, the pairs outside the side orders (reflectX/reflectY).
-    No other clause rules a pair out."""
-    full_x, full_y = (1 << len(fr.xs)) - 1, (1 << len(fr.ys)) - 1
-    return fr.blocks(
-        [full_x & ~r if n >= 2 else 0 for r in fr.xrows],
-        [full_y & ~r if n >= 2 else 0 for r in fr.yrows],
-        [full_y & ~r for r in rx],
-        [0] * len(fr.ys),
-    ).rows
 
 
 @dataclass
@@ -694,26 +755,18 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     _check_grade(n)
     if cap is not None and cap < 0:
         raise ValueError("cap must not be negative, got %r" % (cap,))
-    fr, (rx, ry) = pol._frame, pol._rows
+    fr = pol._frame
     carrier = fr.carrier
     gate = carrier_gate(max_carrier)
     if len(carrier) > gate:
         raise CarrierTooLarge(
             "carrier has %d elements, gate is %d" % (len(carrier), gate)
         )
-    xy, yx = list(rx), [0] * len(fr.ys)
-    if n >= 1:
-        for xi, yi in zip(fr.exi, fr.eyi):
-            xy[xi] |= 1 << yi
-            yx[yi] |= 1 << xi
-    if n >= 3:
-        yx = [a | b | c for a, b, c in zip(yx, fr.z_s, fr.z_t)]
-    forced = list(fr.blocks(fr.xrows, fr.yrows, xy, yx).rows)
-    walk = _closed_relations(transitive_close(forced), _forbidden(fr, rx, n))
+    walk = _closed_relations(*_grade_masks(pol, n), len(carrier))
     found = list(islice(walk, None if cap is None else cap + 1))
     truncated = cap is not None and len(found) > cap
     return EnumerationResult(
-        tuple(UnionPreorder(carrier, rows, fr.index) for rows in found[:cap]),
+        tuple(UnionPreorder._of_packed(carrier, fr.index, m, True) for m in found[:cap]),
         truncated,
     )
 
@@ -747,22 +800,16 @@ def _differing_pair(r, s):
 
 def _rigidity_failures(pol, u):
     """The absent pairs of a grade-3 preorder `u` for the polarity whose
-    closure into `u` is still a grade-3 preorder.
+    closure into `u` is still a grade-3 preorder, in carrier order.
 
     Closing (i, j) in adds exactly the pairs from below i to above j.
     The other grade-3 clauses ask for pairs `u` holds already, so the
-    closure keeps the grade iff it adds none of the pairs `_forbidden`
-    names: none below i is forbidden a pair above j.
+    closure keeps the grade iff it adds none of the pairs grade 3 rules
+    out (`_grade_masks`, `_loose_pairs`).
     """
-    forbidden = _forbidden(pol._frame, pol._rows[0], 3)
-    rows, n = u.rows, len(u.carrier)
-    below = [_union_of(forbidden, c) for c in _transpose(rows, n)]
-    return [
-        (u.carrier[i], u.carrier[j])
-        for i in range(n)
-        for j in range(n)
-        if not rows[i] >> j & 1 and not below[i] & rows[j]
-    ]
+    n = len(u.carrier)
+    loose = _loose_pairs(u.packed, _grade_masks(pol, 3)[1], n)
+    return [(u.carrier[p // n], u.carrier[p % n]) for p in _mask_iter(loose)]
 
 
 @functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -7,6 +8,7 @@ from polab.cli import document_of
 from polab.delta1 import Delta1Completion
 from polab.docformat import Document, MorphismDecl, parse, serialize, to_dot
 from polab.errors import (
+    PolabError,
     AntisymmetryViolation,
     CarrierMismatch,
     NotEmbedding,
@@ -203,6 +205,54 @@ class TestErrors:
             parse(PRELUDE + text)
         assert type(e.value) is error
         assert str(e.value) == message
+
+
+def _edit(rng, text):
+    """`text` with one seeded edit: a character or a line deleted,
+    duplicated or swapped with its neighbour, or a character of the
+    format's syntax, a letter or a space put in."""
+    kind = rng.randrange(4)
+    if kind == 0 and "\n" in text.strip():
+        lines = text.split("\n")
+        k = rng.randrange(len(lines) - 1)
+        op = rng.randrange(3)
+        if op == 0:
+            del lines[k]
+        elif op == 1:
+            lines.insert(k, lines[k])
+        else:
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        return "\n".join(lines)
+    k = rng.randrange(len(text) + 1)
+    if kind == 1 and k < len(text):
+        return text[:k] + text[k + 1 :]
+    if kind == 2 and k + 1 < len(text):
+        return text[:k] + text[k + 1] + text[k] + text[k + 2 :]
+    return text[:k] + rng.choice("{};#<~->\n .XYabxyP") + text[k:]
+
+
+class TestMutations:
+    def test_edited_fixtures_parse_or_raise_a_polab_error(self):
+        """4000 seeded documents, each a fixture after one to three edits,
+        either parse or raise a `PolabError`: untrusted text never
+        reaches a bare exception of the reader or a constructor."""
+        rng = random.Random(47)
+        texts = [
+            resources.files("polab.fixtures").joinpath(fx.name + ".pol").read_text()
+            for fx in CATALOGUE
+        ]
+        outcomes = {"parsed": 0, "refused": 0}
+        for _ in range(4000):
+            text = rng.choice(texts)
+            for _ in range(rng.randint(1, 3)):
+                text = _edit(rng, text)
+            try:
+                parse(text)
+            except PolabError:
+                outcomes["refused"] += 1
+            else:
+                outcomes["parsed"] += 1
+        assert min(outcomes.values()) > 400, outcomes
 
 
 class TestRoundTrip:

@@ -294,6 +294,18 @@ class TestUnionPreorder:
         assert UnionPreorder(carrier, [0b11, 0b10]).is_preorder()
 
 
+def _walk(forced, barred):
+    """`_closed_relations` on square bit-rows, through the packed matrices
+    a `UnionPreorder` keeps, each result as its tuple of rows."""
+    carrier = tuple(range(len(forced)))
+    found = _closed_relations(
+        UnionPreorder(carrier, forced).packed,
+        UnionPreorder(carrier, barred).packed,
+        len(carrier),
+    )
+    return (UnionPreorder._of_packed(carrier, None, m, True).rows for m in found)
+
+
 class TestClosedRelations:
     def test_walk_matches_the_subset_sweep(self):
         """On raw forced and forbidden pairs over carriers of 0-5
@@ -314,7 +326,7 @@ class TestClosedRelations:
                 rows[a] |= 1 << b
             for a, b in forbidden:
                 barred[a] |= 1 << b
-            walked = list(_closed_relations(transitive_close(rows), barred))
+            walked = list(_walk(transitive_close(rows), barred))
             want = oracle_enumerate_preorders(range(n), forced, forbidden)
             assert sorted(walked) == sorted(u.rows for u in want)
             kinds["clash" if not want else "one" if len(want) == 1 else "many"] += 1
@@ -336,7 +348,7 @@ class TestClosedRelations:
                 sum(1 << j for j in range(n) if rng.random() < bar) & ~(r & keep)
                 for r in forced
             ]
-            walked = list(islice(_closed_relations(forced, barred), 201))
+            walked = list(islice(_walk(forced, barred), 201))
             assert walked == list(islice(oracle_closed_relations(forced, barred), 201))
             ended += len(walked) <= 200
         assert 20 < ended < 120

@@ -17,6 +17,8 @@ from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
 from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois
 from polab.fixtures import CATALOGUE, load
 from polab.order import (
+    Extension,
+    MonotoneMap,
     Poset,
     UnionPreorder,
     _mask_iter,
@@ -536,6 +538,122 @@ class TestPreorderClauses:
             assert done.returncode == 0, done.stderr
             outs.add(done.stdout)
         assert outs == {"P2 ('a', 'b')\nP3 ('a', 'b')\n"}
+
+    @staticmethod
+    def _walked(pol, rel, n):
+        """The verdict of the clause walk alone, as `is_n_preorder` gave
+        it before the packed route."""
+        failures = polarity._clause_failures(pol._frame, pol._rows[0], rel, n)
+        for clause, witness in failures:
+            if witness is not None:
+                return polarity.NPreorderVerdict(False, clause, witness)
+        return polarity.NPreorderVerdict(True)
+
+    def test_packed_route_is_the_clause_walk_and_the_oracle(self):
+        """On seeded polarities of every kind, the canonical relations
+        unclosed and closed, each with one absent pair within a side added
+        (and closed again) and one present pair taken out: `is_n_preorder`
+        gives the clause walk's verdict, clause and witness at grades 0 to
+        3, and the naive oracle's verdict and clause, and its witness
+        where the oracle orders the clause's candidates in carrier
+        order."""
+        from polab.oracles import oracle_is_n_preorder
+
+        rng = random.Random(43)
+        seen, cases = set(), 0
+        for k in range(100):
+            size, kind = 1 + k % 5, k // 5 % 3
+            if kind == 0:
+                pol = random_extension_polarity(rng, size)
+            elif kind == 1:
+                pol = random_galois_polarity(rng, size)
+            else:
+                pol = random_context(rng, size, galois=True).inner
+            n_el = len(pol.carrier())
+            for builder in (r_zero, polarity.r_hat_m, r_hat_g):
+                base = builder(pol)
+                for rel in (base, base.closed()):
+                    rows = list(rel.rows)
+                    i, j = rng.randrange(n_el), rng.randrange(n_el)
+                    side = range(len(pol.x)) if i < len(pol.x) else range(len(pol.x), n_el)
+                    absent = [q for q in side if not rows[i] >> q & 1]
+                    present = [q for q in range(n_el) if rows[j] >> q & 1]
+                    variants = [rel]
+                    if absent:
+                        added = rows[:i] + [rows[i] | 1 << rng.choice(absent)] + rows[i + 1 :]
+                        added = UnionPreorder(rel.carrier, added)
+                        variants += [added, added.closed()]
+                    if present:
+                        cut = rows[:j] + [rows[j] & ~(1 << rng.choice(present))] + rows[j + 1 :]
+                        variants.append(UnionPreorder(rel.carrier, cut))
+                    for r in variants:
+                        for n in range(4):
+                            got = is_n_preorder(pol, r, n)
+                            assert got == self._walked(pol, r, n), (k, builder.__name__, n)
+                            slow = oracle_is_n_preorder(pol, r, n)
+                            assert (got.ok, got.clause) == (slow.ok, slow.clause)
+                            if got.clause not in ("P4", "P5"):
+                                assert got.witness == slow.witness
+                            seen.add(got.clause)
+                            cases += 1
+        # Seeded perturbations rarely fail reflectY alone: a right side of
+        # two incomparable elements related by the preorder does.
+        right = Poset.antichain(("b", "c"))
+        empty = Poset.antichain(())
+        pol = ExtensionPolarity(
+            empty,
+            Extension(MonotoneMap(empty, Poset.antichain(("a",)), {})),
+            Extension(MonotoneMap(empty, right, {})),
+            (),
+        )
+        pairs = [(e, e) for e in pol.carrier()] + [(tag_y("b"), tag_y("c"))]
+        got = is_n_preorder(pol, UnionPreorder.from_pairs(pol.carrier(), pairs), 2)
+        assert got == polarity.NPreorderVerdict(False, "reflectY", ("b", "c"))
+        seen.add(got.clause)
+        assert cases > 4000
+        assert seen == {
+            None, "reflexive", "transitive", "P1", "P2", "P3", "commutation",
+            "reflectX", "reflectY", "P4", "P5",
+        }
+
+    def test_unexplained_mask_test_raises_under_optimize(self):
+        """A failed mask test that no clause of the walk explains is a
+        disagreement of the two routes, and `python -O` keeps the check."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from polab import polarity
+            from polab.errors import LawViolation
+            from polab.fixtures import load
+
+            assert sys.flags.optimize
+            pol = load("fix_c").polarities["G"]
+            rel = polarity.r_zero(pol).closed()
+            polarity._block_failures = lambda fr, rx, rel, n: iter(())
+            try:
+                polarity.is_n_preorder(pol, rel, 1)
+            except LawViolation as err:
+                print(err.law, *err.witness)
+            sys.exit(3)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        pol = load("fix_c").polarities["G"]
+        v = is_n_preorder(pol, r_zero(pol).closed(), 1)
+        assert v.clause == "commutation"
+        # `r_zero` relates nothing from right to left: the first pair the
+        # masks miss is the base element's image pair that way.
+        p = v.witness
+        want = "n-preorder 1 %r %r\n" % (tag_y(pol.ey(p)), tag_x(pol.ex(p)))
+        assert done.stdout == want
 
 
 class TestOneFrame:
