@@ -23,7 +23,11 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _bound_index,
+    _expressible,
     _mask_iter,
+    _pack_blocks,
+    _preimages,
+    _union_of,
     tag_x,
     tag_y,
 )
@@ -155,8 +159,8 @@ def _naive_c2(X, Y, rel):
     return next(
         (
             (False, (x, y1, y2))
-            for y1 in Y.elements
             for y2 in Y.elements
+            for y1 in Y.elements
             for x in X.elements
             if Y.leq(y1, y2) and (x, y1) in rel and (x, y2) not in rel
         ),
@@ -165,7 +169,8 @@ def _naive_c2(X, Y, rel):
 
 
 def naive_conditions_c1_to_c6(pol):
-    """The six subset-free conditions, written as literal quantifier loops."""
+    """The six subset-free conditions, written as literal quantifier loops,
+    each witness the first in the order `check_coherence` reads it."""
     X, Y, P = pol.x, pol.y, pol.base
     out = {}
     out["C1"] = _naive_c1(X, Y, pol.rel)
@@ -206,8 +211,8 @@ def naive_conditions_c1_to_c6(pol):
         (
             (False, (p, y1, y2))
             for p in P.elements
-            for y1 in Y.elements
             for y2 in Y.elements
+            for y1 in Y.elements
             if (pol.ex(p), y2) in pol.rel
             and Y.leq(y1, pol.ey(p))
             and not Y.leq(y1, y2)
@@ -215,6 +220,81 @@ def naive_conditions_c1_to_c6(pol):
         (True, None),
     )
     return out
+
+
+def naive_e1_e2(pol):
+    """E1 and E2 as literal quantifier loops: x1 not below x2 has a right
+    element related to x2 and not to x1, y1 not below y2 a left element
+    related to y1 and not to y2; E2's witness is first in y2, then y1."""
+    X, Y, R = pol.x, pol.y, pol.rel
+    e1 = (
+        (x1, x2)
+        for x1 in X.elements
+        for x2 in X.elements
+        if x1 != x2 and not X.leq(x1, x2)
+        and all((x1, y) in R for y in Y.elements if (x2, y) in R)
+    )
+    e2 = (
+        (y1, y2)
+        for y2 in Y.elements
+        for y1 in Y.elements
+        if y1 != y2 and not Y.leq(y1, y2)
+        and all((x, y2) in R for x in X.elements if (x, y1) in R)
+    )
+    return {name: _verdict(w) for name, w in (("E1", e1), ("E2", e2))}
+
+
+def naive_s1_s2(pol):
+    """S1 and S2 as literal quantifier loops: the first base element p
+    whose left image's down-set is not the set of elements related to
+    ey(p) (S1), whose right image's up-set is not the set of elements
+    ex(p) is related to (S2)."""
+    X, Y, R, P = pol.x, pol.y, pol.rel, pol.base.elements
+    s1 = (p for p in P if {x for x in X.elements if X.leq(x, pol.ex(p))}
+          != {x for x in X.elements if (x, pol.ey(p)) in R})
+    s2 = (p for p in P if {y for y in Y.elements if Y.leq(pol.ey(p), y)}
+          != {y for y in Y.elements if (pol.ex(p), y) in R})
+    return {"S1": _verdict(s1), "S2": _verdict(s2)}
+
+
+def _verdict(witnesses):
+    w = next(witnesses, None)
+    return w is None, w
+
+
+def oracle_report_conditions(pol):
+    """The twelve conditions of `check_coherence` with their first
+    witnesses, in its order, as literal loops over elements: C1 to C6,
+    E1, E2, S1 and S2 as the naive loops above read them, and C7 (C8) in
+    the order of the right (left) element a meet (join) is realizable at.
+    A meet is realizable at y1 when it is the meet of all the images
+    ex(p) above it with y1 below ey(p); a join at x2, dually."""
+    X, Y, P, R, ex, ey = pol.x, pol.y, pol.base.elements, pol.rel, pol.ex, pol.ey
+
+    def meet_at(x, y1):
+        return X.meet([ex(p) for p in P if X.leq(x, ex(p)) and Y.leq(y1, ey(p))]) == x
+
+    def join_at(y, x2):
+        return Y.join([ey(p) for p in P if Y.leq(ey(p), y) and X.leq(ex(p), x2)]) == y
+
+    out = naive_conditions_c1_to_c6(pol)
+    out["C7"] = _verdict(
+        (x, y1, y2)
+        for y1 in Y.elements
+        for x in X.elements
+        if meet_at(x, y1)
+        for y2 in Y.elements
+        if (x, y2) in R and not Y.leq(y1, y2)
+    )
+    out["C8"] = _verdict(
+        (x1, x2, y)
+        for x2 in X.elements
+        for y in Y.elements
+        if join_at(y, x2)
+        for x1 in X.elements
+        if (x1, y) in R and not X.leq(x1, x2)
+    )
+    return {**out, **naive_e1_e2(pol), **naive_s1_s2(pol)}
 
 
 def oracle_naive_condition_check(pol, condition, rel=None):
@@ -283,13 +363,11 @@ def _coherent_relations(frame, floor):
     """
     nx, ny = len(frame.xs), len(frame.ys)
     full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
-    forced = frame.blocks(frame.xrows, frame.yrows, floor, [0] * ny).rows
-    forbidden = frame.blocks(
-        [full_x & ~r for r in frame.xrows],
-        [full_y & ~r for r in frame.yrows],
-        [0] * nx,
-        [full_x] * ny,
-    ).rows
+    forced = frame.relation(frame.pack(frame.xrows, frame.yrows, floor)).rows
+    forbidden = frame.pack(
+        [full_x & ~r for r in frame.xrows], [full_y & ~r for r in frame.yrows], yx=[full_x] * ny
+    )
+    forbidden = frame.relation(forbidden).rows
     forced = naive_transitive_close(list(forced))
     for rows in oracle_closed_relations(forced, forbidden):
         yield [r >> nx for r in rows[:nx]]
@@ -815,19 +893,47 @@ def prop_order_preorder(pol):
 # -- canonical relations and graded preorders, pair by pair ---------------
 
 
+def oracle_realizable_meets(fr):
+    """Per right element y of the frame, the mask of the left elements
+    that are the meet of the left images above them of the base elements
+    whose right image lies above y: `_expressible` once per right
+    element."""
+    left = [1 << xi for xi in fr.exi]
+    return [
+        _expressible(fr.xrows, fr.xcols, _union_of(left, m))
+        for m in _preimages(fr.eyi, fr.ycols)
+    ]
+
+
+def oracle_realizable_joins(fr):
+    """Per left element x, the mask of the right elements that are the
+    join of the right images below them of the base elements whose left
+    image lies below x."""
+    right = [1 << yi for yi in fr.eyi]
+    return [
+        _expressible(fr.ycols, fr.yrows, _union_of(right, m))
+        for m in _preimages(fr.exi, fr.xrows)
+    ]
+
+
 def _z_s_pairs(fr):
     """Pairs (y, x) forced below-left by a meet of images."""
     out = set()
-    for j, b in enumerate(fr.ys):
-        real = fr.realizable_meets[j]
+    for j, real in enumerate(oracle_realizable_meets(fr)):
         for i, down in enumerate(fr.xcols):
             if real & down:
-                out.add((b, fr.xs[i]))
+                out.add((fr.ys[j], fr.xs[i]))
     return frozenset(out)
 
 
 def _z_t_pairs(fr):
-    return frozenset((b, a) for a, b in _z_s_pairs(fr.flipped))
+    """Pairs (y, x) forced below-left by a join of images."""
+    out = set()
+    for i, real in enumerate(oracle_realizable_joins(fr)):
+        for j, up in enumerate(fr.yrows):
+            if real & up:
+                out.add((fr.ys[j], fr.xs[i]))
+    return frozenset(out)
 
 
 def _z_x_pairs(fr, rx, ry):
@@ -843,7 +949,15 @@ def _z_x_pairs(fr, rx, ry):
 
 
 def _z_y_pairs(fr, rx, ry):
-    return frozenset((b, a) for a, b in _z_x_pairs(fr.flipped, ry, rx))
+    out = set()
+    for j1, up in enumerate(fr.yrows):
+        for j2 in _mask_iter(up):
+            out.add((fr.ys[j1], fr.ys[j2]))
+    for xi, yi in zip(fr.exi, fr.eyi):
+        for j1 in _mask_iter(fr.ycols[yi]):
+            for j2 in _mask_iter(rx[xi]):
+                out.add((fr.ys[j1], fr.ys[j2]))
+    return frozenset(out)
 
 
 def _z_yx_pairs(fr, rx, ry):
@@ -907,6 +1021,38 @@ def oracle_canonical_relations(pol):
             ("pointwise", sides, sets["z_yx_alt"]),
         )
     }
+
+
+def _forced(fr, n):
+    """The packed pairs every n-preorder holds besides those across, block
+    by block: the side orders (P2, P3), from grade 1 each base element's
+    two image pairs (commutation), and from grade 3 the pairs of
+    `_z_s_pairs` and `_z_t_pairs` (P4, P5).  The reference for
+    `_Frame.graded`."""
+    xy, yx = [0] * len(fr.xs), [0] * len(fr.ys)
+    if n >= 1:
+        for xi, yi in zip(fr.exi, fr.eyi):
+            xy[xi] |= 1 << yi
+            yx[yi] |= 1 << xi
+    if n >= 3:
+        for b, a in _z_s_pairs(fr) | _z_t_pairs(fr):
+            yx[fr.yindex[b]] |= 1 << fr.xindex[a]
+    return _pack_blocks(len(fr.xs), fr.xrows, fr.yrows, xy, yx)
+
+
+def _forbidden(fr, n):
+    """The packed pairs no n-preorder holds besides those across: from
+    grade 2, the pairs outside the side orders (reflectX, reflectY)."""
+    if n < 2:
+        return 0
+    full_x, full_y = (1 << len(fr.xs)) - 1, (1 << len(fr.ys)) - 1
+    return _pack_blocks(
+        len(fr.xs),
+        [full_x & ~r for r in fr.xrows],
+        [full_y & ~r for r in fr.yrows],
+        [0] * len(fr.xs),
+        [0] * len(fr.ys),
+    )
 
 
 def oracle_is_n_preorder(pol, rel, n):

@@ -15,11 +15,10 @@ rows)` and `UnionPreorder.is_transitive`, the relation walk
 Shifting right by k and masking with the bits i·n of every row i gives
 the rows that hold k, at their row offsets; multiplying that by an
 n-bit row copies it onto each of them, with no carries.  So one
-Warshall pivot is one product.  A `UnionPreorder` keeps its packed
-matrix beside its rows, and what each grade forces and forbids is
-stated once, as packed matrices (`_forced`, `_forbidden`).  A failed
-verdict is explained by a row walk naming the first witness in carrier
-order.
+Warshall pivot is one product, and so is each base element's step of a
+polarity's one-step saturation (`_saturate`).  A `UnionPreorder` keeps
+its packed matrix beside its rows.  A failed verdict is explained by a
+row walk naming the first witness in carrier order.
 
 A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
 check is its meet-side kernel run on the swapped arrays.  Whether a
@@ -158,13 +157,17 @@ def _spread(mask, width):
 class _PairLanes:
     """Relations between posets X and Y as pair masks, the pair (x_i, y_j)
     at bit i·|Y| + j, from X's `cols`, Y's `rows` and pivot pairs (i, j).
-    In a down-set of X × Yᵒᵖ the lanes below x_k hold lane k and the
-    lanes holding y_k hold the elements above y_k: one product per
-    element that is not minimal, resp. maximal.  Each pivot (i, j) gives
-    lane i to the lanes holding y_j.  `pivot_bits` holds the pivot pairs,
-    `beside` the pairs beside one, in its lane or column but not below."""
+    In a down-set of X × Yᵒᵖ the lanes below x_k hold lane k (`xsteps`)
+    and the lanes holding y_k hold the elements above y_k (`ysteps`): one
+    product per element that is not minimal, resp. maximal.  Each pivot
+    (i, j) gives lane i to the lanes holding y_j.  Of a pivot's column,
+    `below` holds the lanes below lane i, `beside_column` the rest; of its
+    lane, `above` the columns above j, `beside_lane` the rest; `beside` is both."""
 
-    __slots__ = ("ny", "full", "ones", "spreads", "steps", "pivots", "pivot_bits", "beside")
+    __slots__ = (
+        "ny", "full", "ones", "spreads", "xsteps", "ysteps", "steps", "pivots",
+        "pivot_bits", "below", "beside_column", "above", "beside_lane", "beside",
+    )
 
     def __init__(self, xcols, yrows, pivots=()):
         ny = self.ny = len(yrows)
@@ -172,13 +175,19 @@ class _PairLanes:
         ones = self.ones = _spread((1 << len(xcols)) - 1, ny)
         spreads = self.spreads = [_spread(c, ny) for c in xcols]
         # Each step (c, shift, lanes): m gains c times m >> shift & lanes.
-        self.steps = [(s, k * ny, full) for k, s in enumerate(spreads) if s != 1 << k * ny]
-        self.steps += [(up, k, ones) for k, up in enumerate(yrows) if up != 1 << k]
-        self.pivots, self.pivot_bits, self.beside = [], 0, 0
+        self.xsteps = [(s, k * ny, full) for k, s in enumerate(spreads) if s != 1 << k * ny]
+        self.ysteps = [(up, k, ones) for k, up in enumerate(yrows) if up != 1 << k]
+        self.steps = self.xsteps + self.ysteps
+        self.pivots, bits, below, column, above, lane = [], 0, 0, 0, 0, 0
         for i, j in pivots:
             self.pivots.append((j, i * ny))
-            self.pivot_bits |= 1 << i * ny + j
-            self.beside |= (ones ^ spreads[i]) << j | (full ^ yrows[j]) << i * ny
+            bits |= 1 << i * ny + j
+            below |= spreads[i] << j
+            column |= (ones ^ spreads[i]) << j
+            above |= yrows[j] << i * ny
+            lane |= (full ^ yrows[j]) << i * ny
+        self.pivot_bits, self.below, self.above = bits, below, above
+        self.beside_column, self.beside_lane, self.beside = column, lane, column | lane
 
     def spread(self, mask):
         """The lanes of the elements of X at the bits of `mask`."""
@@ -190,12 +199,25 @@ class _PairLanes:
             m |= c * (m >> shift & lanes)
         return m
 
+    def gain(self, m, steps):
+        """The pairs one pass of `steps` (`xsteps`: C1's closure, `ysteps`:
+        C2's) adds to `m`, each step reading `m` itself."""
+        out = 0
+        for c, shift, lanes in steps:
+            out |= c * (m >> shift & lanes)
+        return out & ~m
+
     def pivot_close(self, m):
         """`m` after each pivot (i, j) gives lane i to the lanes holding y_j."""
         ones, full = self.ones, self.full
         for j, shift in self.pivots:
             m |= (m >> j & ones) * (m >> shift & full)
         return m
+
+    def low_column(self, m):
+        """The lowest column of the pair mask `m` and its lowest lane."""
+        j = next(j for j in range(self.ny) if m >> j & self.ones)
+        return j, _low_index(m >> j & self.ones) // self.ny
 
 
 def _closed_relations(forced, forbidden, n):
@@ -249,47 +271,38 @@ def _pack_blocks(nx, xx, yy, xy, yx):
 
 
 @functools.lru_cache(maxsize=256)
-def _block_across(nx, ny):
-    """The packed left-to-right block over a carrier of `nx` left and
-    `ny` right elements."""
-    return _pack_blocks(nx, [0] * nx, [0] * ny, [(1 << ny) - 1] * nx, [0] * ny)
-
-
-# What a grade asks of a relation on the carrier of a polarity's frame
-# `fr` besides P1, which fixes the block across to the polarity's own
-# relation: an n-preorder is exactly a preorder with that block across
-# that holds the pairs `_forced` and none of `_forbidden`.
-
-
-def _forced(fr, n):
-    """The packed pairs every n-preorder holds besides those across: the
-    side orders (P2, P3), from grade 1 each base element's two image
-    pairs (commutation), and from grade 3 the right-to-left blocks `z_s`
-    and `z_t` (P4, P5)."""
-    xy, yx = [0] * len(fr.xs), [0] * len(fr.ys)
-    if n >= 1:
-        for xi, yi in zip(fr.exi, fr.eyi):
-            xy[xi] |= 1 << yi
-            yx[yi] |= 1 << xi
-    if n >= 3:
-        yx = [a | b | c for a, b, c in zip(yx, fr.z_s, fr.z_t)]
-    return _pack_blocks(len(fr.xs), fr.xrows, fr.yrows, xy, yx)
-
-
-def _forbidden(fr, n):
-    """The packed pairs no n-preorder holds besides those across: from
-    grade 2, the pairs outside the side orders (reflectX, reflectY).  No
-    other clause rules a pair out."""
-    if n < 2:
-        return 0
-    full_x, full_y = (1 << len(fr.xs)) - 1, (1 << len(fr.ys)) - 1
-    return _pack_blocks(
-        len(fr.xs),
-        [full_x & ~r for r in fr.xrows],
-        [full_y & ~r for r in fr.yrows],
-        [0] * len(fr.xs),
-        [0] * len(fr.ys),
+def _carrier_blocks(nx, ny):
+    """The packed left and right blocks together, and the left-to-right
+    block, over a carrier of `nx` left and then `ny` right elements."""
+    fx, fy = (1 << nx) - 1, (1 << ny) - 1
+    return (
+        _pack_blocks(nx, [fx] * nx, [fy] * ny, [0] * nx, [0] * ny),
+        _pack_blocks(nx, [0] * nx, [0] * ny, [fy] * nx, [0] * ny),
     )
+
+
+def _back_block(m, nx, ny):
+    """The pair mask `m` over X × Y as the packed right-to-left block over
+    the carrier: read with stride ny from offset k, the binary digits of m
+    are column ny - 1 - k from x_{nx-1} down, a row of that block."""
+    digits = format(m, "0%db" % (nx * ny))
+    rows = ["0" * ny + digits[k::ny] for k in range(ny)]
+    return int("".join(rows) or "0", 2) << nx * (nx + ny)
+
+
+def _saturate(r, nx, ny, exi, eyi):
+    """The one-step saturation of the packed `r` (side orders and pairs
+    across, `nx` and `ny` elements) through base images `exi`, `eyi`: each
+    gives the rows holding ey(k) the row of ex(k), kept on the sides; back,
+    y below ey(k) gains the left block of ex(k) so gained."""
+    n, sides, back = nx + ny, 0, 0
+    ones, full, _, _ = _lanes(n)
+    for i, j in zip(exi, eyi):
+        sides |= (r >> nx + j & ones) * (r >> i * n & full)
+    below_y, left = ones >> nx * n << nx * n, (1 << nx) - 1
+    for i, j in zip(exi, eyi):
+        back |= (r >> nx + j & below_y) * (sides >> i * n & left)
+    return r | sides & _carrier_blocks(nx, ny)[0] | back
 
 
 def _loose_pairs(u, forbidden, n):
@@ -710,7 +723,10 @@ def compose(outer, inner):
 
 def _image_mask(e):
     """The image of an extension, as a mask over its target."""
-    return e.target.mask_of(e.map.image())
+    m = 0
+    for i in e.map.idx:
+        m |= 1 << i
+    return m
 
 
 def _reflection_failure(f):
@@ -1070,7 +1086,7 @@ class UnionPreorder:
         )
 
     def __hash__(self):
-        return hash((self.carrier, self.rows))
+        return hash((self.carrier, self.packed))
 
     def __len__(self):
         return len(self.carrier)

@@ -6,29 +6,15 @@ sides.  This module grades polarities by the coherence conditions they
 satisfy, builds the canonical candidate preorders on the tagged union
 of the two sides, and enumerates all preorders of a given grade.
 
-The two subset-quantified conditions (and the subset-quantified parts
-of the canonical relations) are evaluated through canonical witness
-sets rather than a scan over all subsets of the base: a target element
-is a meet of images over some admissible subset exactly when it is the
-meet over the largest admissible subset of images above it.  The naive
-scans live in `polab.oracles` and the two routes are compared in tests.
-
-A polarity keeps its relation once, as a pair mask (`_Frame.mask`), and
-its grade is decided on it, and only there (`_Frame.mask_level`): C1, C2
-and C4 by products on `order._PairLanes`, C3 and C5 to C8 by one AND
-each.  `report` takes the conditions of every grade that level passes
-as holding; the loop kernels of `_CONDITIONS` read the mask's bit-rows
-for the conditions above it and name their witnesses, and a first
-failing grade that no kernel fails raises `LawViolation`.  Their
-right-hand conditions (C2, C6, C8, E2, S2 and the sets built from joins
-of images) are the left-hand code run on the dual polarity: both orders
-reversed, the sides swapped, the relation transposed.
-
-A relation on the tagged union of the sides is graded on its packed
-matrix: an n-preorder is a preorder whose block across is the relation
-and that holds the pairs `order._forced` names for grade n and none of
-those `order._forbidden` names; the clause walk runs only to name a
-failure's witness.
+A polarity keeps its relation once, as a pair mask, and every condition
+is decided on it (`_Frame.mask_level`, `_Frame.report`): C1, C2 and C4
+by products on `order._PairLanes`, the others by one AND each but E1 and
+E2, row loops; a failed test reads its first witness off what it left.
+C7 and C8 go through the realizable meets and joins, pair masks on the
+same lanes, not a scan over subsets of the base (`polab.oracles` keeps
+the scans).  A relation on the tagged union of the sides is graded on
+its packed matrix: an n-preorder is a preorder that holds the pairs
+`_grade_masks` forces for grade n and none of those it forbids.
 """
 
 from __future__ import annotations
@@ -53,20 +39,19 @@ from .order import (
     MonotoneMap,
     UnionPreorder,
     _PairLanes,
-    _block_across,
+    _back_block,
     _bounds_failure,
+    _carrier_blocks,
     _closed_relations,
     _expressible,
-    _forbidden,
-    _forced,
     _loose_pairs,
     _low_index,
     _mask_iter,
     _pack_blocks,
     _preimages,
     _reflection_failure,
+    _saturate,
     _transpose,
-    _union_of,
     cached_property,
     is_join_extension,
     is_meet_extension,
@@ -95,9 +80,10 @@ def carrier_gate(max_carrier=None):
 class ExtensionPolarity:
     """An order polarity whose sides both extend a common base poset.
 
-    Its condition frame, the pair mask of its relation with its bit-rows
-    and the one-step saturation of `r_hat_m` are built on first use and
-    kept; they take no part in equality."""
+    The pair mask of its relation (`_mask`, bit i·|Y| + j for (x_i, y_j))
+    is read as the relation is checked; its condition frame, bit-rows and
+    the one-step saturation of `r_hat_m` are built on first use and kept.
+    None takes part in equality."""
 
     def __init__(self, base, ex, ey, rel):
         if ex.base != base or ey.base != base:
@@ -106,12 +92,14 @@ class ExtensionPolarity:
         self.ex = ex
         self.ey = ey
         self.rel = frozenset(rel)
-        left, right = ex.target.index, ey.target.index
+        left, right, ny, m = ex.target.index, ey.target.index, len(ey.target), 0
         for a, b in self.rel:
             if a not in left:
                 raise UnknownId("relation uses unknown left element %r" % (a,))
             if b not in right:
                 raise UnknownId("relation uses unknown right element %r" % (b,))
+            m |= 1 << left[a] * ny + right[b]
+        self._mask = m
 
     @property
     def x(self):
@@ -146,25 +134,21 @@ class ExtensionPolarity:
         return _Frame(self.base, self.ex, self.ey)
 
     @cached_property
-    def _mask(self):
-        return self._frame.mask(self.rel)
-
-    @cached_property
     def _rows(self):
         return tuple(map(tuple, self._frame.rows(self._mask)))
 
     @cached_property
     def _packed_across(self):
         """Its pairs, packed over the carrier."""
-        nx, ny = len(self.x), len(self.y)
-        return _pack_blocks(nx, [0] * nx, [0] * ny, self._rows[0], [0] * ny)
+        return self._frame.pack(xy=self._rows[0])
 
     @cached_property
     def _saturation(self):
         """`r_hat_m`, certified once: the saturation of a 1-coherent
         polarity must be a 1-preorder."""
-        fr, rows = self._frame, self._rows
-        out = fr.blocks(fr.z_x(*rows), fr.z_y(*rows), rows[0], fr.z_yx(*rows))
+        fr = self._frame
+        r = fr.sides | self._packed_across
+        out = fr.relation(_saturate(r, len(fr.xs), len(fr.ys), fr.exi, fr.eyi))
         if fr.mask_level(self._mask, 1) == 1:
             verdict = is_n_preorder(self, out, 1)
             if not verdict.ok:
@@ -176,66 +160,32 @@ class ExtensionPolarity:
         return out
 
 
-# Each condition with the left-hand kernel that decides it.  A right-hand
-# condition runs its kernel on the flipped frame and gives the order in
-# which it reads that witness (None: as it is); the order of the table is
-# the order of a report.
-_CONDITIONS = {
-    "C1": ("c1",),
-    "C2": ("c1", (2, 1, 0)),
-    "C3": ("c3",),
-    "C4": ("c4",),
-    "C5": ("c5",),
-    "C6": ("c5", (1, 2, 0)),
-    "C7": ("c7",),
-    "C8": ("c7", (2, 1, 0)),
-    "E1": ("e1",),
-    "E2": ("e1", (1, 0)),
-    "S1": ("s1",),
-    "S2": ("s1", None),
-}
-
-
 class _Frame:
-    """Index-level workspace for the condition checks over one base and
-    pair of side extensions, independent of the relation.
-
-    Grades are decided on pair masks (`mask`, `mask_level`).  The loop
-    kernels decide the conditions above that grade and name witnesses on
-    a mask's bit-rows `rx, ry` (`rows`): bit j of `rx[i]` and bit i of
-    `ry[j]` are set when x_i is related to y_j.
-    Only the left-hand member of each dual pair of conditions is written
-    out; `check` runs the right-hand one on `flipped`, the rows swapped.
-
-    The canonical relations are assembled (`blocks`) from four blocks of
-    masks: one mask over X per left element for the left block, one mask
-    over X per right element for the right-to-left block, and so on.
-    What depends on the frame alone is built on first use and kept.
-    """
+    """Index-level workspace for the conditions over one base and pair of
+    side extensions.  A relation is a pair mask (`mask`), bit i·|Y| + j
+    for (x_i, y_j), graded on the frame's `lanes`; its bit-rows `rx, ry`
+    (`rows`) name a failure's witness.  What depends on the frame alone
+    is built on first use and kept."""
 
     # The arrays are slots and only the kept values go to `__dict__`: on
     # Python 3.11, once a kept value is written to the instance dict,
     # loading an attribute kept there takes the slower dict path.
     __slots__ = (
         "xs", "ys", "ps", "xindex", "yindex", "xrows", "xcols", "yrows",
-        "ycols", "prows", "pcols", "exi", "eyi", "ex", "ey", "carrier", "__dict__",
+        "ycols", "prows", "exi", "eyi", "ex", "ey", "carrier", "__dict__",
     )
 
     def __init__(self, base, ex, ey):
-        X, Y, P = ex.target, ey.target, base
+        X, Y = ex.target, ey.target
         self.ex, self.ey = ex, ey
-        self.xs, self.ys, self.ps = X.elements, Y.elements, P.elements
+        self.xs, self.ys, self.ps = X.elements, Y.elements, base.elements
         self.xindex, self.yindex = X.index, Y.index
-        self.xrows, self.xcols = X.rows, X.cols
-        self.yrows, self.ycols = Y.rows, Y.cols
-        self.prows, self.pcols = P.rows, P.cols
-        self.exi = [X.index[ex(p)] for p in P.elements]
-        self.eyi = [Y.index[ey(p)] for p in P.elements]
+        self.xrows, self.xcols, self.yrows, self.ycols = X.rows, X.cols, Y.rows, Y.cols
+        self.prows, self.exi, self.eyi = base.rows, ex.map.idx, ey.map.idx
         self.carrier = tuple(map(tag_x, self.xs)) + tuple(map(tag_y, self.ys))
 
     def mask(self, pairs):
-        """The pair mask of a relation given as pairs, the pair (x_i, y_j)
-        at bit i·|Y| + j."""
+        """The pair mask of a relation given as pairs."""
         ny, xindex, yindex, m = len(self.ys), self.xindex, self.yindex, 0
         for a, b in pairs:
             m |= 1 << xindex[a] * ny + yindex[b]
@@ -247,32 +197,14 @@ class _Frame:
         return frozenset((self.xs[p // ny], self.ys[p % ny]) for p in _mask_iter(m))
 
     def rows(self, m):
-        """The bit-rows `(rx, ry)` of the pair mask `m`, read without the
-        lanes, which a relation that is never graded does not need."""
+        """The bit-rows `(rx, ry)` of the pair mask `m`, read without lanes."""
         ny = len(self.ys)
         rx = [m >> i * ny & (1 << ny) - 1 for i in range(len(self.xs))]
         return rx, _transpose(rx, ny)
 
     @cached_property
-    def flipped(self):
-        """The frame of the dual: both orders reversed, the sides and base
-        maps swapped.  A view on the same arrays; a relation is carried
-        over by swapping `rx` and `ry`.  It keeps no link back: the cycle
-        would leave every frame to the cyclic garbage collector.  It has no
-        extensions, so its side tests are not asked."""
-        f = _Frame.__new__(_Frame)
-        f.xs, f.ys, f.ps = self.ys, self.xs, self.ps
-        f.xindex, f.yindex = self.yindex, self.xindex
-        f.prows, f.pcols = self.pcols, self.prows
-        f.xrows, f.xcols = self.ycols, self.yrows
-        f.yrows, f.ycols = self.xcols, self.xrows
-        f.exi, f.eyi = self.eyi, self.exi
-        return f
-
-    @cached_property
     def index(self):
-        """The index of the carrier, shared by every relation the frame
-        assembles."""
+        """The index of the carrier, shared by the frame's relations."""
         return {e: i for i, e in enumerate(self.carrier)}
 
     @cached_property
@@ -283,107 +215,94 @@ class _Frame:
     def join_side(self):
         return is_join_extension(self.ey)
 
-    def check(self, name, rx, ry):
-        """The verdict and witness of the named condition (`_CONDITIONS`)."""
-        kernel, *flip = _CONDITIONS[name]
-        if not flip:
-            return getattr(self, kernel)(rx, ry)
-        ok, w = getattr(self.flipped, kernel)(ry, rx)
-        order = flip[0]
-        return ok, w if ok or order is None else tuple(w[i] for i in order)
+    @cached_property
+    def lanes(self):
+        """The pair masks of the frame, the base image pairs as pivots."""
+        return _PairLanes(self.xcols, self.yrows, zip(self.exi, self.eyi))
 
-    # -- plain conditions -------------------------------------------------
-
-    def c1(self, rx, ry):
-        for i1, up in enumerate(self.xrows):
-            for i2 in _mask_iter(up):
-                missing = rx[i2] & ~rx[i1]
-                if missing:
-                    return False, (self.xs[i1], self.xs[i2], self.ys[_low_index(missing)])
-        return True, None
-
-    def c3(self, rx, ry):
-        for k, (i, j) in enumerate(zip(self.exi, self.eyi)):
-            if not rx[i] >> j & 1:
-                return False, self.ps[k]
-        return True, None
-
-    def c4(self, rx, ry):
-        for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            for i in _mask_iter(ry[yi]):
-                missing = rx[xi] & ~rx[i]
-                if missing:
-                    return False, (self.xs[i], self.ps[k], self.ys[_low_index(missing)])
-        return True, None
-
-    def c5(self, rx, ry):
-        for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            stray = ry[yi] & ~self.xcols[xi]
-            if stray:
-                i1 = _low_index(stray)
-                i2 = _low_index(self.xrows[xi] & ~self.xrows[i1])
-                return False, (self.xs[i1], self.ps[k], self.xs[i2])
-        return True, None
-
-    # -- canonical witness sets for the subset-quantified conditions ------
+    # -- realizable meets and joins, and the pairs they force and forbid ----
 
     @cached_property
-    def realizable_meets(self):
-        """Per right element, the left elements expressible as the meet
-        of images of base elements whose right image lies above it."""
-        left = [1 << xi for xi in self.exi]
-        return [
-            _expressible(self.xrows, self.xcols, _union_of(left, m))
-            for m in _preimages(self.eyi, self.ycols)
-        ]
+    def rises(self):
+        """Per left element, the lanes above it."""
+        return [self.lanes.spread(r) for r in self.xrows]
 
-    def c7(self, rx, ry):
-        for j1, up in enumerate(self.yrows):
-            for i in _mask_iter(self.realizable_meets[j1]):
-                missing = rx[i] & ~up
-                if missing:
-                    return False, (self.xs[i], self.ys[j1], self.ys[_low_index(missing)])
-        return True, None
+    @cached_property
+    def meets(self):
+        """The pairs (x, y) with x realizable at y, the meet of the images
+        ex(k) above it with ey(k) above y: k covers the pairs below both."""
+        lanes, images = self.lanes, zip(self.exi, self.eyi)
+        covers = [lanes.spreads[i] * self.ycols[j] for i, j in images]
+        return _realizable(lanes, covers, self.ex.map.pre_up, [r * lanes.full for r in self.rises])
 
-    # -- blocks of the canonical relations ---------------------------------
+    @cached_property
+    def joins(self):
+        """The pairs (x, y) with y realizable at x, the join of the images
+        ey(k) below it with ex(k) below x."""
+        lanes, images = self.lanes, zip(self.exi, self.eyi)
+        covers = [self.rises[i] * self.yrows[j] for i, j in images]
+        bounds = _preimages(self.eyi, self.yrows)
+        return _realizable(lanes, covers, bounds, [lanes.ones * c for c in self.ycols])
 
     @cached_property
     def z_s(self):
-        """Right-to-left block of the pairs (y, x) forced below-left by a
-        meet of images: x lies above a meet realizable at y."""
-        return [_union_of(self.xrows, m) for m in self.realizable_meets]
+        """`meets` closed upward in X: (x, y) for the pair (y, x) forced
+        below-left, x above a meet realizable at y."""
+        full, ny = self.lanes.full, len(self.ys)
+        return _or(r * (self.meets >> i * ny & full) for i, r in enumerate(self.rises))
 
     @cached_property
     def z_t(self):
-        return _transpose(self.flipped.z_s, len(self.ys))
+        """`joins` closed downward in Y: y below a join realizable at x."""
+        ones = self.lanes.ones
+        return _or((self.joins >> j & ones) * down for j, down in enumerate(self.ycols))
 
-    def z_x(self, rx, ry):
-        """Left block of the one-step saturation: x1 below x2, or x1
-        related to the right image and x2 above the left image of one
-        base element."""
-        out = list(self.xrows)
-        for xi, yi in zip(self.exi, self.eyi):
-            for i1 in _mask_iter(ry[yi]):
-                out[i1] |= self.xrows[xi]
-        return out
+    @cached_property
+    def c7_pairs(self):
+        """Per y1, C7's pairs (x, y): x a meet realizable at y1, y not above y1."""
+        ones, full, meets = self.lanes.ones, self.lanes.full, self.meets
+        return [(meets >> j & ones) * (full ^ up) for j, up in enumerate(self.yrows)]
 
-    def z_y(self, rx, ry):
-        return _transpose(self.flipped.z_x(ry, rx), len(self.ys))
+    @cached_property
+    def c8_pairs(self):
+        """Per x1, C8's pairs (x, y): y a join realizable at x1, x not below x1."""
+        ones, full, ny, joins = self.lanes.ones, self.lanes.full, len(self.ys), self.joins
+        return [(ones ^ d) * (joins >> i * ny & full) for i, d in enumerate(self.lanes.spreads)]
 
-    def z_yx(self, rx, ry):
-        """Right-to-left block of the one-step saturation: y below the
-        right image of k1 and x above the left image of k2, with the left
-        image of k1 related to the right image of k2."""
-        out = [0] * len(self.ys)
-        for x1, y1 in zip(self.exi, self.eyi):
-            above = 0
-            for x2, y2 in zip(self.exi, self.eyi):
-                if rx[x1] >> y2 & 1:
-                    above |= self.xrows[x2]
-            if above:
-                for j in _mask_iter(self.ycols[y1]):
-                    out[j] |= above
-        return out
+    @cached_property
+    def forbidden_c7(self):
+        return _or(self.c7_pairs)
+
+    @cached_property
+    def forbidden_c8(self):
+        """Kept apart from C7's, so that a grade failing C7 builds no joins."""
+        return _or(self.c8_pairs)
+
+    # -- packed relations on the carrier --------------------------------------
+
+    def relation(self, m):
+        """The relation on the carrier with the packed matrix `m`."""
+        return UnionPreorder._of_packed(self.carrier, self.index, m, False)
+
+    def pack(self, xx=None, yy=None, xy=None, yx=None):
+        """The packed matrix with the given left, right, left-to-right and
+        right-to-left blocks as bit-rows, empty where none is given."""
+        nx, ny = len(self.xs), len(self.ys)
+        return _pack_blocks(nx, xx or [0] * nx, yy or [0] * ny, xy or [0] * nx, yx or [0] * ny)
+
+    @cached_property
+    def sides(self):
+        return self.pack(self.xrows, self.yrows)
+
+    @cached_property
+    def commuting(self):
+        """The pairs both ways between the two images of each base element."""
+        nx, n, images = len(self.xs), len(self.carrier), zip(self.exi, self.eyi)
+        return _or(1 << i * n + nx + j | 1 << (nx + j) * n + i for i, j in images)
+
+    @cached_property
+    def z_back(self):
+        return _back_block(self.z_s | self.z_t, len(self.xs), len(self.ys))
 
     def z_yx_alt(self):
         """Right-to-left block of the pairs (y, x) such that every base
@@ -413,61 +332,7 @@ class _Frame:
             raise NotCoherent("slice relation fails %s" % name, conditions[name][1])
         return m
 
-    def blocks(self, xx, yy, xy, yx):
-        """The relation on the carrier whose left, right, left-to-right
-        and right-to-left blocks are the given masks."""
-        m = _pack_blocks(len(self.xs), xx, yy, xy, yx)
-        return UnionPreorder._of_packed(self.carrier, self.index, m, False)
-
-    def e1(self, rx, ry):
-        for i1, up in enumerate(self.xrows):
-            for i2 in range(len(self.xs)):
-                if i1 == i2 or up >> i2 & 1:
-                    continue
-                if not rx[i2] & ~rx[i1]:
-                    return False, (self.xs[i1], self.xs[i2])
-        return True, None
-
-    def s1(self, rx, ry):
-        for k, (xi, yi) in enumerate(zip(self.exi, self.eyi)):
-            if self.xcols[xi] != ry[yi]:
-                return False, self.ps[k]
-        return True, None
-
-    @cached_property
-    def _graded(self):
-        return {}
-
-    def graded(self, n):
-        """`_forced` and `_forbidden` at grade n, kept per grade, so that a
-        frame graded only below grade 3 builds no meet blocks."""
-        kept = self._graded
-        if n not in kept:
-            kept[n] = _forced(self, n), _forbidden(self, n)
-        return kept[n]
-
-    # -- grading on the pair mask -----------------------------------------
-
-    @cached_property
-    def lanes(self):
-        """The pair masks of the frame, the base image pairs as pivots."""
-        return _PairLanes(self.xcols, self.yrows, zip(self.exi, self.eyi))
-
-    @cached_property
-    def forbidden_c7(self):
-        """C7's pairs: (x, y) with x a meet realizable at y1, y not above y1."""
-        lanes, out = self.lanes, 0
-        for meets, up in zip(self.realizable_meets, self.yrows):
-            out |= lanes.spread(meets) * (lanes.full ^ up)
-        return out
-
-    @cached_property
-    def forbidden_c8(self):
-        """C8's pairs, kept apart so that a grade failing C7 builds no flipped meets."""
-        lanes, out = self.lanes, 0
-        for joins, down in zip(self.flipped.realizable_meets, lanes.spreads):
-            out |= (lanes.ones ^ down) * joins
-        return out
+    # -- the grade and each condition on a pair mask m --------------------
 
     def mask_level(self, m, upto=3):
         """The grade of the relation with pair mask `m` capped at `upto`, None
@@ -488,33 +353,155 @@ class _Frame:
         level = self.mask_level(m)
         return level, level == 3 and self.meet_side and self.join_side
 
+    # Each reader decides its condition on m and, when it fails, returns
+    # its first witness in the order of `oracles.oracle_report_conditions`.
+
+    def c1(self, m, rx):
+        """(x1, x2, y): x1 is the lane of the lowest pair C1's closure adds."""
+        gain = self.lanes.gain(m, self.lanes.xsteps)
+        if gain:
+            i, xs = _low_index(gain) // len(self.ys), self.xs
+            return _first("C1", m, (
+                (xs[i], xs[k], self.ys[_low_index(rx[k] & ~rx[i])])
+                for k in _mask_iter(self.xrows[i]) if rx[k] & ~rx[i]
+            ))
+
+    def c2(self, m, ry):
+        """(x, y1, y2): y2 is the lowest column C2's closure adds to."""
+        gain = self.lanes.gain(m, self.lanes.ysteps)
+        if gain:
+            j, ys = self.lanes.low_column(gain)[0], self.ys
+            return _first("C2", m, (
+                (self.xs[_low_index(ry[k] & ~ry[j])], ys[k], ys[j])
+                for k in _mask_iter(self.ycols[j]) if ry[k] & ~ry[j]
+            ))
+
+    def c3(self, m):
+        """The first base element whose images are not related."""
+        if self.lanes.pivot_bits & ~m:
+            ny, images = len(self.ys), zip(self.ps, self.exi, self.eyi)
+            return _first("C3", m, (p for p, i, j in images if not m >> i * ny + j & 1))
+
+    def c4(self, m):
+        """(x, p, y): the first p whose pivot adds pairs, the lowest added."""
+        lanes = self.lanes
+        for p, (j, shift) in zip(self.ps, lanes.pivots):
+            gain = (m >> j & lanes.ones) * (m >> shift & lanes.full) & ~m
+            if gain:
+                i, j = divmod(_low_index(gain), len(self.ys))
+                return self.xs[i], p, self.ys[j]
+
+    def c5(self, m, ry):
+        """(x1, p, x2): the first p, the lowest x1 related to ey(p) and not
+        below ex(p), and the lowest x2 above ex(p) and not above x1."""
+        if m & self.lanes.beside_column:
+            xs, xrows, images = self.xs, self.xrows, zip(self.ps, self.exi, self.eyi)
+            return _first("C5", m, (
+                (xs[k], p, xs[_low_index(xrows[i] & ~xrows[k])])
+                for p, i, j in images if ry[j] & ~self.xcols[i]
+                for k in (_low_index(ry[j] & ~self.xcols[i]),)
+            ))
+
+    def c6(self, m, rx):
+        """(p, y1, y2): C5's reading on the other side."""
+        if m & self.lanes.beside_lane:
+            ys, ycols, images = self.ys, self.ycols, zip(self.ps, self.exi, self.eyi)
+            return _first("C6", m, (
+                (p, ys[_low_index(ycols[j] & ~ycols[k])], ys[k])
+                for p, i, j in images if rx[i] & ~self.yrows[j]
+                for k in (_low_index(rx[i] & ~self.yrows[j]),)
+            ))
+
+    def c7(self, m):
+        """(x, y1, y2): the first y1 with pairs in m, and the lowest one."""
+        if m & self.forbidden_c7:
+            ny = len(self.ys)
+            return _first("C7", m, (
+                (self.xs[p // ny], y1, self.ys[p % ny])
+                for y1, pairs in zip(self.ys, self.c7_pairs) if m & pairs
+                for p in (_low_index(m & pairs),)
+            ))
+
+    def c8(self, m):
+        """(x1, x2, y): the first x2 with pairs in m, their lowest column."""
+        if m & self.forbidden_c8:
+            low, pairs = self.lanes.low_column, zip(self.xs, self.c8_pairs)
+            firsts = ((x2, low(m & p)) for x2, p in pairs if m & p)
+            return _first("C8", m, ((self.xs[i], x2, self.ys[j]) for x2, (j, i) in firsts))
+
+    def slices(self, m, rx, ry):
+        """S1's and S2's first base element p: the down-set of ex(p) is not
+        what ey(p) is related to, resp. the up-set of ey(p) not what ex(p) is."""
+        lanes, images, s1, s2 = self.lanes, list(zip(self.ps, self.exi, self.eyi)), None, None
+        if m & (lanes.below | lanes.beside_column) != lanes.below:
+            s1 = _first("S1", m, (p for p, i, j in images if self.xcols[i] != ry[j]))
+        if m & (lanes.above | lanes.beside_lane) != lanes.above:
+            s2 = _first("S2", m, (p for p, i, j in images if self.yrows[j] != rx[i]))
+        return s1, s2
+
     def report(self, m, rows=None):
-        """Every condition with its witness, and the grade of the pair mask
-        `m` (`mask_grade`), whose bit-rows `rows` a polarity passes as it
-        keeps them.  The conditions of the grades that level passes hold;
-        only those above it run their loop kernels.  A first failing grade
-        that no kernel fails is a disagreement of the two routes."""
+        """Every condition with its witness and the grade (`mask_grade`) of
+        the pair mask `m` with bit-rows `rows`: the conditions of the grades
+        that level passes hold, and each one above it is read on m."""
         level, galois = self.mask_grade(m)
-        if rows is None:
-            rows = self.rows(m)
-        passed = CONDITION_NAMES[: 0 if level is None else 2 * level + 2]
-        conditions = {
-            name: (True, None) if name in passed else self.check(name, *rows)
-            for name in _CONDITIONS
-        }
-        failing = CONDITION_NAMES[len(passed) : len(passed) + 2]
-        if failing and all(conditions[name][0] for name in failing):
-            raise LawViolation("packed-grade", "no loop kernel explains the grade", (level, rows[0]))
+        rx, ry = self.rows(m) if rows is None else rows
+        grade = -1 if level is None else level
+        w = dict.fromkeys(CONDITION_NAMES)
+        if grade < 0:
+            w["C1"], w["C2"] = self.c1(m, rx), self.c2(m, ry)
+        if grade < 1:
+            w["C3"], w["C4"] = self.c3(m), self.c4(m)
+        if grade < 2:
+            w["C5"], w["C6"] = self.c5(m, ry), self.c6(m, rx)
+        if grade < 3:
+            w["C7"], w["C8"] = self.c7(m), self.c8(m)
+        failing = CONDITION_NAMES[2 * grade + 2 : 2 * grade + 4]
+        if failing and all(w[name] is None for name in failing):
+            raise LawViolation("packed-grade", "no condition explains the grade", (level, rx))
+        e2 = _unseparated(ry, self.ycols, self.ys)
+        w["E1"], w["E2"] = _unseparated(rx, self.xrows, self.xs), e2 and e2[::-1]
+        w["S1"], w["S2"] = self.slices(m, rx, ry)
+        conditions = {name: (witness is None, witness) for name, witness in w.items()}
+        entangled, s1, s2 = w["E1"] is None and e2 is None, w["S1"] is None, w["S2"] is None
         return CoherenceReport(
-            conditions=conditions,
-            level=level,
-            entangled=conditions["E1"][0] and conditions["E2"][0],
-            meet_side=self.meet_side,
-            join_side=self.join_side,
-            galois=galois,
-            s1=conditions["S1"][0],
-            s2=conditions["S2"][0],
+            conditions, level, entangled, self.meet_side, self.join_side, galois, s1, s2
         )
+
+
+def _or(masks):
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _realizable(lanes, covers, bounds, fences):
+    """The pairs where an element is the meet (join) of the images covering
+    them: per e of its side, those past e or covered by an image e does not
+    bound (`fences[e]`, `bounds[e]`)."""
+    out, base = lanes.ones * lanes.full, (1 << len(covers)) - 1
+    for fence, bounded in zip(fences, bounds):
+        rest = base & ~bounded
+        while rest:
+            low = rest & -rest
+            fence |= covers[low.bit_length() - 1]
+            rest ^= low
+        out &= fence
+    return out
+
+
+def _first(name, m, witnesses):
+    """The first witness a failed test on mask `m` promises; none raises `LawViolation`."""
+    for w in witnesses:
+        return w
+    raise LawViolation("packed-grade", "no witness explains the failed %s test" % name, (name, m))
+
+
+def _unseparated(rows, ups, names):
+    """E1 on a side: the first (a, b), a not below b (`ups`), rows[b] in rows[a]."""
+    for i1, (row, up) in enumerate(zip(rows, ups)):
+        outside = ~row
+        for i2, other in enumerate(rows):
+            if not other & outside and i1 != i2 and not up >> i2 & 1:
+                return names[i1], names[i2]
+    return None
 
 
 @dataclass
@@ -577,7 +564,7 @@ def r_zero(pol):
     """The union of the two side orders with the relation itself.  Not
     transitively closed: whether it already is a preorder is the point."""
     fr = pol._frame
-    return fr.blocks(fr.xrows, fr.yrows, pol._rows[0], [0] * len(fr.ys))
+    return fr.relation(fr.sides | pol._packed_across)
 
 
 def r_hat_m(pol):
@@ -591,9 +578,7 @@ def r_hat_g(pol):
     """`r_zero` together with all pairs forced by meets and joins of
     image sets."""
     fr = pol._frame
-    return fr.blocks(
-        fr.xrows, fr.yrows, pol._rows[0], list(map(operator.or_, fr.z_s, fr.z_t))
-    )
+    return fr.relation(fr.sides | pol._packed_across | fr.z_back)
 
 
 def r_l(ex, ey):
@@ -658,8 +643,8 @@ def _block_failures(fr, rx, rel, n):
         yield "reflectX", _first_pair(xs, xs, (a & ~b for a, b in zip(xx, fr.xrows)))
         yield "reflectY", _first_pair(ys, ys, (a & ~b for a, b in zip(yy, fr.yrows)))
     if n >= 3:
-        yield "P4", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_s, yx)))
-        yield "P5", _first_pair(ys, xs, (a & ~b for a, b in zip(fr.z_t, yx)))
+        for clause, z in (("P4", fr.z_s), ("P5", fr.z_t)):
+            yield clause, _first_pair(ys, xs, (a & ~b for a, b in zip(fr.rows(z)[1], yx)))
 
 
 def _first_failure(failures):
@@ -677,16 +662,12 @@ def is_n_preorder(pol, rel, n):
     Grades: 0 needs a preorder matching the relation across and both
     side orders along; 1 adds commutation of the two base images; 2 adds
     order reflection on both sides; 3 adds preservation of image meets
-    and joins, checked through the canonical forced blocks.  An
-    n-preorder is exactly a preorder whose block across is the relation
-    (P1) and that holds the pairs `_forced` and none of `_forbidden`, so
-    the verdict is a few operations on the packed matrix `rel.packed`:
-    reflexive and transitive (`is_preorder`), P1, then one AND with each
-    of the frame's masks for the grade (`_Frame.graded`).  A failure
-    names its clause and its first failing pair in carrier order: P1's
-    is the lowest bit that differs across, and a failed mask test runs
-    the clause walk (`_block_failures`) to name one; a failed test that
-    no clause explains raises `LawViolation`.
+    and joins.  The verdict is a few operations on `rel.packed`: reflexive
+    and transitive (`is_preorder`), P1, then one AND with each of the
+    masks of `_grade_masks`.  A failure names its clause and its first
+    pair in carrier order: P1's is the lowest bit that differs across; a
+    failed mask test runs the clause walk (`_block_failures`), and one
+    that no clause explains raises `LawViolation`.
     """
     _check_grade(n)
     fr, rx = pol._frame, pol._rows[0]
@@ -696,11 +677,11 @@ def is_n_preorder(pol, rel, n):
         return _first_failure(_clause_failures(fr, rx, rel, n))
     nx, ny = len(fr.xs), len(fr.ys)
     m = rel.packed
-    across = m & _block_across(nx, ny) ^ pol._packed_across
+    across = m & _carrier_blocks(nx, ny)[1] ^ pol._packed_across
     if across:
         i, j = divmod(_low_index(across), nx + ny)
         return NPreorderVerdict(False, "P1", (fr.xs[i], fr.ys[j - nx]))
-    forced, forbidden = fr.graded(n)
+    forced, forbidden = _grade_masks(pol, n)
     bad = forced & ~m | m & forbidden
     if not bad:
         return NPreorderVerdict(True)
@@ -716,12 +697,15 @@ def is_n_preorder(pol, rel, n):
 
 
 def _grade_masks(pol, n):
-    """The packed pairs every n-preorder for the polarity holds, and
-    those none holds: `_forced` with the relation's pairs across, and
-    `_forbidden` with the other pairs across (P1)."""
+    """The packed pairs every n-preorder holds: the relation across (P1),
+    the side orders (P2, P3), from grade 1 the pairs between the images of
+    a base element (commutation), from grade 3 `z_back` (P4, P5); and
+    those none holds: the others across, from grade 2 those outside the
+    side orders (reflectX, reflectY)."""
     fr, r = pol._frame, pol._packed_across
-    forced, forbidden = fr.graded(n)
-    return forced | r, forbidden | _block_across(len(fr.xs), len(fr.ys)) & ~r
+    along, across = _carrier_blocks(len(fr.xs), len(fr.ys))
+    forced = fr.sides | r | (fr.commuting if n >= 1 else 0) | (fr.z_back if n >= 3 else 0)
+    return forced, (along & ~fr.sides if n >= 2 else 0) | across & ~r
 
 
 def _check_grade(n):
@@ -791,10 +775,9 @@ def unique_3preorder(pol):
 
 def _differing_pair(r, s):
     """The first pair on which two relations over one carrier differ."""
-    for i, (a, b) in enumerate(zip(r.rows, s.rows)):
-        if a != b:
-            j = next(_mask_iter(a ^ b))
-            return r.carrier[i], r.carrier[j]
+    if r.packed != s.packed:
+        i, j = divmod(_low_index(r.packed ^ s.packed), len(r.carrier))
+        return r.carrier[i], r.carrier[j]
     return None
 
 
@@ -839,7 +822,7 @@ def structure_of(pol):
             (verdict.clause, verdict.witness),
         )
     fr = pol._frame
-    alt = fr.blocks(fr.xrows, fr.yrows, pol._rows[0], fr.z_yx_alt())
+    alt = fr.relation(fr.pack(fr.xrows, fr.yrows, pol._rows[0], fr.z_yx_alt()))
     diff = _differing_pair(alt, u)
     if diff is not None:
         raise LawViolation("pointwise", "pointwise characterisation must agree", diff)

@@ -51,17 +51,19 @@ def _pairs(left, right, block):
 
 def named_relation_sets(pol):
     """The pair-sets as the polarity's frame computes them, block by
-    block; `oracles.oracle_canonical_relations` builds them pair by
-    pair."""
-    fr, rows = pol._frame, pol._rows
-    xs, ys = fr.xs, fr.ys
+    block: the three blocks of the saturation `r_hat_m` besides the
+    relation, and the pair masks `z_s` and `z_t`;
+    `oracles.oracle_canonical_relations` builds them pair by pair."""
+    fr, sat = pol._frame, pol._saturation.rows
+    xs, ys, nx = fr.xs, fr.ys, len(fr.xs)
+    left = (1 << nx) - 1
     return NamedRelationSets(
-        z_x=_pairs(xs, xs, fr.z_x(*rows)),
-        z_y=_pairs(ys, ys, fr.z_y(*rows)),
-        z_yx=_pairs(ys, xs, fr.z_yx(*rows)),
+        z_x=_pairs(xs, xs, [r & left for r in sat[:nx]]),
+        z_y=_pairs(ys, ys, [r >> nx for r in sat[nx:]]),
+        z_yx=_pairs(ys, xs, [r & left for r in sat[nx:]]),
         z_yx_alt=_pairs(ys, xs, fr.z_yx_alt()),
-        z_s=_pairs(ys, xs, fr.z_s),
-        z_t=_pairs(ys, xs, fr.z_t),
+        z_s=_pairs(ys, xs, fr.rows(fr.z_s)[1]),
+        z_t=_pairs(ys, xs, fr.rows(fr.z_t)[1]),
     )
 
 

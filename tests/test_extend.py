@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import polab
 import polab.extend
 import polab.oracles
-from polab.errors import CarrierMismatch, NotCoherent, NotEmbedding, NotZeroPreorder
+from polab.errors import (
+    CarrierMismatch,
+    LawViolation,
+    NotCoherent,
+    NotEmbedding,
+    NotZeroPreorder,
+)
 from polab.extend import (
     ExtensionContext,
     _least_graded,
@@ -195,13 +201,16 @@ class TestSliceCheck:
             assert got == (moved == r_l(outer.ex, outer.ey))
 
     def test_certificate_names_the_condition(self, monkeypatch):
-        """A failed packed C4 verdict is explained by the loop kernel,
-        whose witness `NotCoherent` carries."""
+        """A failed packed grade-1 test is explained by C4's witness reader,
+        whose witness `NotCoherent` carries; with the reader left as it is,
+        no condition explains the broken test, which raises
+        `LawViolation`."""
         ctx = fixture_context("fix_g")
         monkeypatch.setattr(polab.order._PairLanes, "pivot_close", lambda self, m: -1)
-        monkeypatch.setattr(
-            polab.polarity._Frame, "c4", lambda self, rx, ry: (False, ("w",))
-        )
+        with pytest.raises(LawViolation, match="no condition explains") as err:
+            slice_extension_is_slice(ctx)
+        assert err.value.law == "packed-grade" and err.value.witness[0] == 0
+        monkeypatch.setattr(polab.polarity._Frame, "c4", lambda self, m: ("w",))
         with pytest.raises(NotCoherent, match="C4") as err:
             slice_extension_is_slice(ctx)
         assert err.value.witness == ("w",)

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 from polab.errors import CarrierTooLarge
 from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
+    _forbidden,
+    _forced,
+    _z_x_pairs,
+    _z_y_pairs,
+    _z_yx_pairs,
     naive_c7,
     naive_c8,
     naive_coherence_level,
@@ -18,11 +23,15 @@ from polab.oracles import (
     oracle_enumerate_preorders,
     oracle_is_n_preorder,
     oracle_naive_condition_check,
+    oracle_realizable_joins,
+    oracle_realizable_meets,
+    oracle_report_conditions,
     oracle_rigidity_failures,
 )
 from polab.order import Poset, UnionPreorder, tag_x, tag_y
 from polab.polarity import (
     ExtensionPolarity,
+    _grade_masks,
     _rigidity_failures,
     check_coherence,
     coherence_level,
@@ -213,7 +222,7 @@ def _fast_canonical_relations(pol):
         "r_zero": r_zero(pol),
         "r_hat_m": r_hat_m(pol),
         "r_hat_g": r_hat_g(pol),
-        "pointwise": fr.blocks(fr.xrows, fr.yrows, rx, fr.z_yx_alt()),
+        "pointwise": fr.relation(fr.pack(fr.xrows, fr.yrows, rx, fr.z_yx_alt())),
     }
 
 
@@ -314,3 +323,61 @@ class TestGradedPreorderOracle:
             None, "transitive", "P1", "P2", "P3", "commutation",
             "reflectX", "reflectY", "P4", "P5",
         }
+
+
+class TestPackedFrame:
+    """The frame's packed routes against the references of
+    `polab.oracles`, on every fixture polarity and 300 seeded ones."""
+
+    def test_report_matches_the_oracle(self):
+        """Every condition's verdict and witness, in the order the row
+        loops read them, on polarities of every level."""
+        levels = set()
+        for pol in _differential_polarities():
+            rep = check_coherence(pol)
+            assert rep.conditions == oracle_report_conditions(pol)
+            assert rep.level == naive_coherence_level(pol)
+            levels.add(rep.level)
+        assert levels == {None, 0, 1, 2, 3}
+
+    def test_grade_masks_match_the_block_by_block_route(self):
+        """What each grade forces and forbids, from the frame's packed
+        blocks, is the oracle's `_forced` and `_forbidden` with the pairs
+        across of P1."""
+        for pol in _differential_polarities():
+            fr, carrier = pol._frame, pol.carrier()
+            across = [(tag_x(a), tag_y(b)) for a in pol.x.elements for b in pol.y.elements]
+            r = UnionPreorder.from_pairs(carrier, [(tag_x(a), tag_y(b)) for a, b in pol.rel])
+            other = UnionPreorder.from_pairs(carrier, across).packed & ~r.packed
+            for n in range(4):
+                want = _forced(fr, n) | r.packed, _forbidden(fr, n) | other
+                assert _grade_masks(pol, n) == want, n
+
+    def test_realizable_pair_masks_match_the_expressible_route(self):
+        """The pair masks of realizable meets and joins hold the masks
+        `_expressible` gives per right, resp. left, element, and their
+        closures are the pairs the subset scans force."""
+        for pol in _differential_polarities():
+            fr = pol._frame
+            ny = len(fr.ys)
+            meets = oracle_realizable_meets(fr)
+            joins = oracle_realizable_joins(fr)
+            for i in range(len(fr.xs)):
+                for j in range(ny):
+                    assert fr.meets >> i * ny + j & 1 == meets[j] >> i & 1
+                    assert fr.joins >> i * ny + j & 1 == joins[i] >> j & 1
+            if len(pol.base) <= 3:
+                assert {(b, a) for a, b in fr.pairs(fr.z_s)} == naive_z_s(pol)
+                assert {(b, a) for a, b in fr.pairs(fr.z_t)} == naive_z_t(pol)
+
+    def test_saturation_matches_the_pair_loops(self):
+        """The saturation's three blocks besides the relation, each one
+        product per base element on the packed `r_zero`, are the pairs of
+        the oracle's loops."""
+        for pol in _differential_polarities():
+            fr = pol._frame
+            rx, ry = fr.rows(pol._mask)
+            ns = named_relation_sets(pol)
+            assert ns.z_x == _z_x_pairs(fr, rx, ry)
+            assert ns.z_y == _z_y_pairs(fr, rx, ry)
+            assert ns.z_yx == _z_yx_pairs(fr, rx, ry)

@@ -293,6 +293,20 @@ class TestUnionPreorder:
                 UnionPreorder(carrier, rows)
         assert UnionPreorder(carrier, [0b11, 0b10]).is_preorder()
 
+    def test_equal_relations_hash_equal_without_decoding_rows(self):
+        """A relation built from its rows and one built from its packed
+        matrix are equal and hash equal, and hashing the packed one does
+        not decode its rows."""
+        rng = random.Random(67)
+        for n in range(6):
+            carrier = tuple(range(n))
+            rows = [rng.getrandbits(n) for _ in range(n)]
+            built = UnionPreorder(carrier, rows)
+            packed = UnionPreorder._of_packed(carrier, built.index, built.packed, False)
+            assert packed == built and hash(packed) == hash(built)
+            assert "rows" not in packed.__dict__
+            assert hash(packed.closed()) == hash(built.closed())
+
 
 def _walk(forced, barred):
     """`_closed_relations` on square bit-rows, through the packed matrices

@@ -46,7 +46,7 @@ from polab.polarity import (
     unique_3preorder,
 )
 from polab.extend import _least_graded
-from polab.oracles import naive_coherence_level
+from polab.oracles import naive_coherence_level, oracle_report_conditions
 from polab.randgen import (
     collapse_morphism,
     random_context,
@@ -284,9 +284,8 @@ class TestSliceRelation:
         assert r_l(pol.ex, pol.ey) == pol.rel
 
     def test_failure_names_the_condition(self, monkeypatch):
-        """A failed packed C5 verdict is explained by the loop kernel,
-        whose witness `NotCoherent` carries; the report also reads C6
-        through the flipped kernel, in its own order."""
+        """A failed packed grade-2 test is explained by C5's witness
+        reader, whose witness `NotCoherent` carries."""
         pol = load("fix_e").polarities["G"]
         lanes = polarity._Frame.lanes.func
 
@@ -297,15 +296,16 @@ class TestSliceRelation:
 
         monkeypatch.setattr(polarity._Frame, "lanes", property(stray))
         monkeypatch.setattr(
-            polarity._Frame, "c5", lambda self, rx, ry: (False, ("u", "v", "w"))
+            polarity._Frame, "c5", lambda self, m, ry: ("u", "v", "w")
         )
         with pytest.raises(NotCoherent, match="C5") as err:
             r_l(pol.ex, pol.ey)
         assert err.value.witness == ("u", "v", "w")
 
     def test_unexplained_failure_raises_under_optimize(self):
-        """A packed grade that no loop kernel explains is a disagreement
-        between the two, not a certified slice relation or a report."""
+        """A packed grade that no condition's mask test explains is a
+        disagreement between the two, not a certified slice relation or a
+        report."""
         script = textwrap.dedent(
             """
             import sys
@@ -336,6 +336,44 @@ class TestSliceRelation:
         assert done.returncode == 3, done.stdout + done.stderr
         pol = load("fix_e").polarities["G"]
         assert done.stdout == ("packed-grade 1 %d\n" % len(pol.x)) * 2
+
+    def test_reader_without_a_witness_raises_under_optimize(self):
+        """A failed mask test whose witness reader finds nothing raises
+        `LawViolation` naming the condition: each reader that reads
+        bit-rows is asked, on the first seeded polarity failing its
+        condition, with bit-rows that hold no pair."""
+        script = textwrap.dedent(
+            """
+            import random
+            import sys
+            from polab.errors import LawViolation
+            from polab.randgen import random_extension_polarity
+
+            assert sys.flags.optimize
+            pols = [random_extension_polarity(random.Random(k), 3) for k in range(200)]
+            for name, side in (("c1", 0), ("c2", 1), ("c5", 1), ("c6", 0)):
+                pol = next(p for p in pols if getattr(p._frame, name)(p._mask, p._rows[side]))
+                fr, m = pol._frame, pol._mask
+                try:
+                    getattr(fr, name)(m, [0] * len((fr.xs, fr.ys)[side]))
+                except LawViolation as err:
+                    print(name, err.law, err.witness[0], err.witness[1] == m)
+            sys.exit(3)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.splitlines() == [
+            "%s packed-grade %s True" % (name, name.upper())
+            for name in ("c1", "c2", "c5", "c6")
+        ]
 
 
 class TestSaturationMemo:
@@ -816,23 +854,14 @@ def _frame_masks(rng, fr):
 
 
 class TestPackedGrade:
-    """The grade decided on the pair mask against the loop kernels and
-    the naive oracle."""
+    """The grade and the report decided on the pair mask against the
+    naive oracles."""
 
-    def test_matches_the_loop_kernels_and_the_oracle(self):
-        """At every cap, the packed grade is the one the loop kernels give
-        (the highest grade whose conditions, and those of every grade
-        below, they all accept) and the oracle's; the report holds every
-        kernel's verdict and witness."""
-
-        def looped(fr, rx, ry, upto):
-            level = None
-            for n in range(upto + 1):
-                if not all(fr.check(name, rx, ry)[0] for name in CONDITION_NAMES[2 * n : 2 * n + 2]):
-                    break
-                level = n
-            return level
-
+    def test_matches_the_oracles(self):
+        """At every cap, the packed grade is the oracle's, and the one the
+        oracle's conditions give (the highest grade whose conditions, and
+        those of every grade below, all hold); the report holds every
+        condition's verdict and witness as the oracle reads them."""
         rng = random.Random(43)
         seen = set()
         for fr, polarity_with in _graded_frames(seed=43, count=40):
@@ -842,27 +871,34 @@ class TestPackedGrade:
                 assert pol._mask == m and pol._rows == (tuple(rx), tuple(ry))
                 want = naive_coherence_level(pol)
                 seen.add(want)
+                oracle = oracle_report_conditions(pol)
+                looped = None
+                for n in range(4):
+                    if not all(oracle[name][0] for name in CONDITION_NAMES[2 * n : 2 * n + 2]):
+                        break
+                    looped = n
+                assert looped == want, m
                 for upto in range(4):
                     capped = None if want is None else min(want, upto)
-                    assert fr.mask_level(m, upto) == looped(fr, rx, ry, upto) == capped, (m, upto)
+                    assert fr.mask_level(m, upto) == capped, (m, upto)
                 rep = fr.report(m)
                 assert fr.mask_grade(m) == (rep.level, is_galois(pol)) == (rep.level, rep.galois)
-                assert rep.conditions == {name: fr.check(name, rx, ry) for name in rep.conditions}
+                assert rep.conditions == oracle, m
         assert seen == {None, 0, 1, 2, 3}
 
-    def test_loop_kernels_run_only_above_the_packed_grade(self, monkeypatch):
-        """With every C-condition kernel patched to raise, a grade-3
+    def test_readers_run_only_above_the_packed_grade(self, monkeypatch):
+        """With every C-condition reader patched to raise, a grade-3
         polarity still gets its report, and every polarity its level."""
         rng = random.Random(59)
         pols = [random_galois_polarity(rng, 1 + k % 4) for k in range(20)]
         pols += [random_extension_polarity(rng, 1 + k % 5) for k in range(200)]
         wants = [(coherence_level(pol), check_coherence(pol)) for pol in pols]
 
-        def refuse(self, rx, ry):
-            raise AssertionError("a loop kernel ran below the packed grade")
+        def refuse(self, *args):
+            raise AssertionError("a condition was read below the packed grade")
 
-        for kernel in ("c1", "c3", "c4", "c5", "c7"):
-            monkeypatch.setattr(polarity._Frame, kernel, refuse)
+        for reader in ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8"):
+            monkeypatch.setattr(polarity._Frame, reader, refuse)
         graded = 0
         for pol, (level, rep) in zip(pols, wants):
             pol = ExtensionPolarity(pol.base, pol.ex, pol.ey, pol.rel)
@@ -874,7 +910,7 @@ class TestPackedGrade:
 
     def test_c8_is_read_only_past_c7(self, monkeypatch):
         """A grade that stops at C7 or below never reads C8's pairs, so it
-        never builds the flipped frame's meets."""
+        never builds the frame's joins."""
         read = []
         c8 = polarity._Frame.forbidden_c8.func
 
@@ -895,9 +931,11 @@ class TestPackedGrade:
         assert stopped >= 5
 
     def test_c5_witness_matches_the_loop(self):
-        """`_Frame.c5` finds its witness without an inner loop: the same
-        witness, in the same order, as the loop over the rows holding
-        e_Y(k), on both the frame (C5) and its flip (C6)."""
+        """`_Frame.c5` and `_Frame.c6` decide on one AND with the pairs
+        beside a pivot and find their witness without an inner loop: the
+        same witness, in the same order, as the loop over the rows
+        holding e_Y(k) (C5) and over the columns e_X(k) is related to
+        (C6)."""
 
         def looped(fr, rx, ry):
             for k, (xi, yi) in enumerate(zip(fr.exi, fr.eyi)):
@@ -906,18 +944,27 @@ class TestPackedGrade:
                     missing = need & ~fr.xrows[i1]
                     if missing:
                         i2 = next(_mask_iter(missing))
-                        return False, (fr.xs[i1], fr.ps[k], fr.xs[i2])
-            return True, None
+                        return fr.xs[i1], fr.ps[k], fr.xs[i2]
+            return None
+
+        def looped_c6(fr, rx, ry):
+            for k, (xi, yi) in enumerate(zip(fr.exi, fr.eyi)):
+                need = fr.ycols[yi]
+                for j2 in _mask_iter(rx[xi]):
+                    missing = need & ~fr.ycols[j2]
+                    if missing:
+                        return fr.ps[k], fr.ys[next(_mask_iter(missing))], fr.ys[j2]
+            return None
 
         rng = random.Random(53)
         failed = 0
         for fr, _ in _graded_frames(seed=53, count=20):
             for m in _frame_masks(rng, fr):
                 rx, ry = fr.rows(m)
-                got = fr.c5(rx, ry)
+                got = fr.c5(m, ry)
                 assert got == looped(fr, rx, ry)
-                assert fr.flipped.c5(ry, rx) == looped(fr.flipped, ry, rx)
-                failed += not got[0]
+                assert fr.c6(m, rx) == looped_c6(fr, rx, ry)
+                failed += got is not None
         assert failed >= 20
 
 
