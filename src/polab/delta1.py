@@ -15,12 +15,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .errors import (
-    ConditionOneFails,
-    DomainMismatch,
-    LawViolation,
-    NotDelta1,
-)
+from .errors import ConditionOneFails, DomainMismatch, LawViolation, NotDelta1
 from .order import (
     Extension,
     MonotoneMap,
@@ -37,12 +32,7 @@ from .order import (
     macneille_lift,
 )
 from .polarity import STRUCTURE_CACHE_SIZE, ExtensionPolarity, is_galois, r_l
-from .morphisms import (
-    PolarityMorphism,
-    compose as compose_morphisms,
-    psi_of,
-    structure_of,
-)
+from .morphisms import PolarityMorphism, compose as compose_morphisms, psi_of, structure_of
 
 
 class Delta1Completion:
@@ -69,10 +59,7 @@ class Delta1Completion:
         return self.completion(p)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Delta1Completion)
-            and self.completion == other.completion
-        )
+        return isinstance(other, Delta1Completion) and self.completion == other.completion
 
     def __hash__(self):
         return hash(self.completion)
@@ -91,34 +78,23 @@ class Delta1Morphism:
             raise DomainMismatch("lattice leg must map the lattices")
         if _complete_hom_failure(g) is not None:
             raise DomainMismatch("lattice leg must be a complete homomorphism")
-        for p in source.base.elements:
-            if g(source(p)) != target(f(p)):
+        into, onto = source.completion.map.idx, target.completion.map.idx
+        for p, i, j in zip(source.base.elements, into, f.idx):
+            if g.idx[i] != onto[j]:
                 raise DomainMismatch("square does not commute at %r" % (p,))
         self.source, self.target = source, target
         self.f, self.g = f, g
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Delta1Morphism)
-            and self.f == other.f
-            and self.g == other.g
-        )
+        return isinstance(other, Delta1Morphism) and self.f == other.f and self.g == other.g
 
     def is_isomorphism(self):
-        return (
-            self.f.is_injective()
-            and self.f.is_surjective()
-            and is_order_embedding(self.f)
-            and self.g.is_injective()
-            and self.g.is_surjective()
-            and is_order_embedding(self.g)
-        )
+        """Both legs onto and order embeddings, so one-to-one."""
+        return all(h.is_surjective() and is_order_embedding(h) for h in (self.f, self.g))
 
     @classmethod
     def identity(cls, d):
-        return cls(
-            d, d, MonotoneMap.identity(d.base), MonotoneMap.identity(d.lattice)
-        )
+        return cls(d, d, MonotoneMap.identity(d.base), MonotoneMap.identity(d.lattice))
 
 
 def compose_delta1(outer, inner):
@@ -162,15 +138,18 @@ def delta_on_objects(d):
     """The complete Galois polarity generated by a dense completion:
     sides are the meet and join closures of the image, related by the
     lattice order.  Memoised like `structure_of`."""
-    lat = d.lattice
-    image = _image_mask(d.completion)
+    lat, into = d.lattice, d.completion.map.idx
+    image = _image_mask(into)
     x_mask = _expressible(lat.rows, lat.cols, image)
     y_mask = _expressible(lat.cols, lat.rows, image)
     x_elems, y_elems = lat.elements_of(x_mask), lat.elements_of(y_mask)
     x_side = lat.restrict(x_elems)
     y_side = lat.restrict(y_elems)
-    ex = Extension(MonotoneMap(d.base, x_side, {p: d(p) for p in d.base.elements}))
-    ey = Extension(MonotoneMap(d.base, y_side, {p: d(p) for p in d.base.elements}))
+    # The image lies in both sides, each its own meets and joins.
+    ex, ey = (
+        Extension(MonotoneMap._of_idx(d.base, side, [side.index[lat.elements[i]] for i in into]))
+        for side in (x_side, y_side)
+    )
     rel = frozenset(
         (lat.elements[i], b)
         for i in _mask_iter(x_mask)
@@ -178,9 +157,7 @@ def delta_on_objects(d):
     )
     pol = ExtensionPolarity(d.base, ex, ey, rel)
     if not is_galois(pol):
-        raise LawViolation(
-            "galois", "a dense completion must generate a Galois polarity", rel
-        )
+        raise LawViolation("galois", "a dense completion must generate a Galois polarity", rel)
     if not (is_completion(ex) and is_completion(ey)):
         raise LawViolation(
             "complete-sides", "generated sides must be complete", (x_elems, y_elems)
@@ -217,20 +194,14 @@ def unit(pol):
     d = gamma_on_objects(pol)
     image = delta_on_objects(d)
     struct = structure_of(pol)
-    m = d.cut
-    hx = MonotoneMap(
-        pol.x, image.x, {x: m(struct.iota_x(x)) for x in pol.x.elements}
+    cuts, elements = d.cut.map.idx, d.lattice.elements
+    hx, hy = (
+        MonotoneMap._of_idx(side, into, [into.index[elements[cuts[k]]] for k in iota.idx])
+        for side, into, iota in ((pol.x, image.x, struct.iota_x), (pol.y, image.y, struct.iota_y))
     )
-    hy = MonotoneMap(
-        pol.y, image.y, {y: m(struct.iota_y(y)) for y in pol.y.elements}
-    )
-    eta = PolarityMorphism(
-        pol, image, hx, MonotoneMap.identity(pol.base), hy
-    )
+    eta = PolarityMorphism(pol, image, hx, MonotoneMap.identity(pol.base), hy)
     if not eta.is_embedding():
-        raise LawViolation(
-            "unit-embeds", "unit must embed", (hx.assignment, hy.assignment)
-        )
+        raise LawViolation("unit-embeds", "unit must embed", (hx.assignment, hy.assignment))
     complete = is_complete_polarity(pol)
     if eta.is_isomorphism() != complete:
         raise LawViolation(
@@ -243,9 +214,7 @@ def unit(pol):
         (hy, _lift(pol.ey.map, image.ey.map, pol.y.cols, image.y.rows)),
     )
     for h, (lifted, miss) in lifts:
-        differs = [
-            e for e, i, j in zip(h.source.elements, h.idx, lifted.idx) if i != j
-        ]
+        differs = [e for e, i, j in zip(h.source.elements, h.idx, lifted.idx) if i != j]
         if miss is not None or differs:
             raise LawViolation(
                 "unit-unique",
@@ -264,17 +233,16 @@ def counit_iso(d):
     q = structure_of(pol).quotient
     m = back.cut
     # The members of a class are lattice values, and they must coincide.
-    value = MonotoneMap(q.poset, d.lattice, q.descend(_same, _same))
+    at = d.lattice.index
+    value = MonotoneMap._of_idx(
+        q.poset, d.lattice, q.descend([at[e] for e in pol.x.elements + pol.y.elements])
+    )
     # A lift along an order embedding always extends the lifted map.
     t, _ = _lift(m.map, value, m.target.cols, d.lattice.rows)
     tau = Delta1Morphism(back, d, MonotoneMap.identity(d.base), t)
     if not tau.is_isomorphism():
         raise LawViolation("counit-iso", "counit must be an isomorphism", t.assignment)
     return tau
-
-
-def _same(v):
-    return v
 
 
 MediatorReport = namedtuple("MediatorReport", "mediator factors unique")
@@ -301,11 +269,11 @@ def mediate(pol, d, h):
     # them, and so on the whole dense image.
     q = structure_of(pol).quotient
     m = gamma_on_objects(pol).cut
-    values = MonotoneMap(q.poset, d.lattice, q.descend(h.hx, h.hy))
+    at, sides = d.lattice.index, (target_pol.x.elements, target_pol.y.elements)
+    forced = [at[side[i]] for f, side in zip((h.hx, h.hy), sides) for i in f.idx]
+    values = MonotoneMap._of_idx(q.poset, d.lattice, q.descend(forced))
     lifted, _ = _lift(m.map, values, m.target.cols, d.lattice.rows)
-    return MediatorReport(
-        mediator=mediator, factors=factors, unique=lifted == mediator.g
-    )
+    return MediatorReport(mediator=mediator, factors=factors, unique=lifted == mediator.g)
 
 
 def check_adjunction(polarities, morphisms=(), composable=()):
@@ -362,11 +330,9 @@ def universal_property(pol, f, g):
             below = q.leq(struct.iota_y(y), struct.iota_x(x))
             if below and not f.target.leq(g(y), f(x)):
                 raise ConditionOneFails("cross order not respected", (y, x))
-    u = MonotoneMap(q, f.target, struct.quotient.descend(f, g))
+    u = MonotoneMap._of_idx(q, f.target, struct.quotient.descend(f.idx + g.idx))
     for h, iota in ((f, struct.iota_x), (g, struct.iota_y)):
         for e in h.source.elements:
             if u(iota(e)) != h(e):
-                raise LawViolation(
-                    "commute", "mediating map must extend both maps", e
-                )
+                raise LawViolation("commute", "mediating map must extend both maps", e)
     return u

@@ -149,7 +149,7 @@ def _preserves_image_bounds(i, e, up, down, outer):
     its target; given `cols`/`rows`/`rows`, joins.  Only canonical
     subsets matter: a subset's meet is also the meet of all images above
     it."""
-    image = _image_mask(e)
+    image = _image_mask(e.map.idx)
     f = i.map.idx
     for x in _mask_iter(_expressible(up, down, image)):
         images = 0

@@ -10,14 +10,11 @@ decided on bit-masks, with no loop over source pairs per target pair.
 
 from __future__ import annotations
 
-from .errors import (
-    DomainMismatch,
-    LawViolation,
-    MorphismInvalid,
-    PartialInverseUndefined,
-)
+from .errors import DomainMismatch, LawViolation, MorphismInvalid, PartialInverseUndefined
 from .order import (
     MonotoneMap,
+    _common,
+    _image_mask,
     _low_index,
     _mask_iter,
     _preimages,
@@ -58,20 +55,17 @@ class PolarityMorphism:
 
     def _validate(self):
         s, t = self.source, self.target
-        for p in s.base.elements:
-            if self.hx(s.ex(p)) != t.ex(self.hp(p)):
-                raise MorphismInvalid(
-                    "commute-left", "left square does not commute", p
-                )
-            if self.hy(s.ey(p)) != t.ey(self.hp(p)):
-                raise MorphismInvalid(
-                    "commute-right", "right square does not commute", p
-                )
+        hx, hp, hy = self.hx.idx, self.hp.idx, self.hy.idx
+        squares = zip(s.base.elements, s.ex.map.idx, s.ey.map.idx, hp)
+        tx, ty = t.ex.map.idx, t.ey.map.idx
+        for p, i, j, k in squares:
+            if hx[i] != tx[k]:
+                raise MorphismInvalid("commute-left", "left square does not commute", p)
+            if hy[j] != ty[k]:
+                raise MorphismInvalid("commute-right", "right square does not commute", p)
         crossed = self._cross_order_failure()
         if crossed is not None:
-            raise MorphismInvalid(
-                "cross-order", "cross-side order not respected", crossed
-            )
+            raise MorphismInvalid("cross-order", "cross-side order not respected", crossed)
         unreflected = self._unreflected()
         if unreflected is not None:
             raise MorphismInvalid(
@@ -123,10 +117,7 @@ class PolarityMorphism:
         ys = _admissible(ty.cols, hy, sy.rows, t_col, hx, s_row)
         full_t, full_s = (1 << len(ty)) - 1, (1 << len(sy)) - 1
         for xp in range(len(tx)):
-            shared = full_s
-            for x in _mask_iter(xs[xp]):
-                shared &= s_row[x]
-            missing = full_s & ~shared
+            missing = full_s & ~_common(s_row, xs[xp], full_s)
             for yp in _mask_iter(full_t & ~t_row[xp]):
                 if not ys[yp] & missing:
                     return tx.elements[xp], ty.elements[yp]
@@ -146,36 +137,23 @@ class PolarityMorphism:
         return hash((self.source, self.target, self.hx, self.hp, self.hy))
 
     def is_embedding(self):
-        s, t = self.source, self.target
-        return (
-            is_order_embedding(self.hx)
-            and is_order_embedding(self.hp)
-            and is_order_embedding(self.hy)
-            and all(
-                (x, y) in s.rel
-                for x in s.x.elements
-                for y in s.y.elements
-                if (self.hx(x), self.hy(y)) in t.rel
-            )
+        """Each component an order embedding, and x R y whenever hx(x) R'
+        hy(y): per x, the y whose images are related to hx(x) lie in the
+        row of x."""
+        if not all(map(is_order_embedding, (self.hx, self.hp, self.hy))):
+            return False
+        hy, t_row = self.hy.idx, self.target._rows[0]
+        return not any(
+            sum(1 << y for y, b in enumerate(hy) if t_row[a] >> b & 1) & ~row
+            for a, row in zip(self.hx.idx, self.source._rows[0])
         )
 
     def is_isomorphism(self):
-        return (
-            self.is_embedding()
-            and self.hx.is_surjective()
-            and self.hp.is_surjective()
-            and self.hy.is_surjective()
-        )
+        return self.is_embedding() and all(h.is_surjective() for h in (self.hx, self.hp, self.hy))
 
     @classmethod
     def identity(cls, pol):
-        return cls(
-            pol,
-            pol,
-            MonotoneMap.identity(pol.x),
-            MonotoneMap.identity(pol.base),
-            MonotoneMap.identity(pol.y),
-        )
+        return cls(pol, pol, *map(MonotoneMap.identity, (pol.x, pol.base, pol.y)))
 
 
 def _admissible(order, h, bound, rel, h_rel, related):
@@ -198,16 +176,17 @@ def _admissible(order, h, bound, rel, h_rel, related):
 
 def is_galois_stable(psi, src_struct, tgt_struct):
     """Order preserving, cut-stable, and carrying base and side images
-    into the corresponding images."""
+    into the corresponding images, as masks over the target quotient."""
     if not is_cut_stable(psi):
         return False
-    g_img = set(tgt_struct.gamma.image())
-    x_img = set(tgt_struct.iota_x.image())
-    y_img = set(tgt_struct.iota_y.image())
-    return (
-        all(psi(v) in g_img for v in src_struct.gamma.image())
-        and all(psi(v) in x_img for v in src_struct.iota_x.image())
-        and all(psi(v) in y_img for v in src_struct.iota_y.image())
+    f = psi.idx
+    return all(
+        not _image_mask(f[v] for v in a.idx) & ~_image_mask(b.idx)
+        for a, b in (
+            (src_struct.gamma, tgt_struct.gamma),
+            (src_struct.iota_x, tgt_struct.iota_x),
+            (src_struct.iota_y, tgt_struct.iota_y),
+        )
     )
 
 
@@ -221,12 +200,12 @@ def psi_of(morphism):
     """
     src, tgt = morphism.src_struct, morphism.tgt_struct
     hx, hy = morphism.hx, morphism.hy
-    assignment = src.quotient.descend(
-        lambda x: tgt.iota_x(hx(x)), lambda y: tgt.iota_y(hy(y))
-    )
-    psi = MonotoneMap(src.quotient.poset, tgt.quotient.poset, assignment)
+    ja, jb = tgt.iota_x.idx, tgt.iota_y.idx
+    values = [ja[a] for a in hx.idx] + [jb[b] for b in hy.idx]
+    q = src.quotient
+    psi = MonotoneMap._of_idx(q.poset, tgt.quotient.poset, q.descend(values))
     if not is_galois_stable(psi, src, tgt):
-        raise LawViolation("stable", "induced quotient map must be stable", assignment)
+        raise LawViolation("stable", "induced quotient map must be stable", psi.assignment)
     unreflected = _reflection_failure(psi)
     if (unreflected is None) != morphism.is_embedding():
         raise LawViolation(
@@ -241,15 +220,23 @@ def psi_of(morphism):
     return psi
 
 
-def _partial_inverse(emb, value, label):
-    for p in emb.source.elements:
-        if emb(p) == value:
-            return p
-    raise PartialInverseUndefined("%s misses the value %r" % (label, value))
+def _first_preimages(emb, values, label):
+    """Per index in `values`, the first source index the embedding `emb`
+    sends there; `PartialInverseUndefined` for the first value it misses."""
+    first = {}
+    for a, t in enumerate(emb.idx):
+        first.setdefault(t, a)
+    for t in values:
+        if t not in first:
+            value = emb.target.elements[t]
+            raise PartialInverseUndefined("%s misses the value %r" % (label, value))
+    return [first[t] for t in values]
 
 
 def h_of(psi, source, target, _structs=None):
-    """The polarity morphism recovered from a stable quotient map."""
+    """The polarity morphism recovered from a stable quotient map: each
+    component sends an element to the first one its image under psi
+    comes from."""
     if _structs is None:
         src, tgt = structure_of(source), structure_of(target)
     else:
@@ -258,29 +245,16 @@ def h_of(psi, source, target, _structs=None):
         raise DomainMismatch("map must run between the intermediate quotients")
     if not is_galois_stable(psi, src, tgt):
         raise MorphismInvalid("stability", "map is not stable", None)
-    hx = MonotoneMap(
-        source.x,
-        target.x,
-        {
-            x: _partial_inverse(tgt.iota_x, psi(src.iota_x(x)), "left side")
-            for x in source.x.elements
-        },
-    )
-    hy = MonotoneMap(
-        source.y,
-        target.y,
-        {
-            y: _partial_inverse(tgt.iota_y, psi(src.iota_y(y)), "right side")
-            for y in source.y.elements
-        },
-    )
-    hp = MonotoneMap(
-        source.base,
-        target.base,
-        {
-            p: _partial_inverse(tgt.gamma, psi(src.gamma(p)), "base")
-            for p in source.base.elements
-        },
+    f = psi.idx
+    hx, hy, hp = (
+        MonotoneMap._of_idx(
+            side, other, _first_preimages(into, [f[v] for v in iota.idx], label)
+        )
+        for side, other, iota, into, label in (
+            (source.x, target.x, src.iota_x, tgt.iota_x, "left side"),
+            (source.y, target.y, src.iota_y, tgt.iota_y, "right side"),
+            (source.base, target.base, src.gamma, tgt.gamma, "base"),
+        )
     )
     return PolarityMorphism(source, target, hx, hp, hy, _structs=(src, tgt))
 
@@ -317,9 +291,7 @@ def compose(outer, inner):
     )
     lhs = psi_of(composed)
     rhs = compose_maps(psi_of(outer), psi_of(inner))
-    for z in lhs.source.elements:
-        if lhs(z) != rhs(z):
-            raise LawViolation(
-                "compose", "quotient maps must compose with the morphisms", z
-            )
+    for z, a, b in zip(lhs.source.elements, lhs.idx, rhs.idx):
+        if a != b:
+            raise LawViolation("compose", "quotient maps must compose with the morphisms", z)
     return composed

@@ -22,7 +22,6 @@ from .morphisms import PolarityMorphism
 from .order import (
     MonotoneMap,
     UnionPreorder,
-    _bound_index,
     _expressible,
     _mask_iter,
     _pack_blocks,
@@ -530,22 +529,31 @@ def oracle_rigidity_failures(pol, u):
     return out
 
 
+def literal_bound(vecs, mask):
+    """The greatest lower bound of the indices in `mask`, or None, by the
+    literal loop over x <= y read as bit x of vecs[y]: for a poset's
+    `cols` its meet, for its `rows` its join.  The empty mask asks for a
+    top (a bottom)."""
+    n = len(vecs)
+    members = [m for m in range(n) if mask >> m & 1]
+    lower = [x for x in range(n) if all(vecs[m] >> x & 1 for m in members)]
+    return next((g for g in lower if all(vecs[g] >> x & 1 for x in lower)), None)
+
+
 def oracle_complete_hom_failure(g):
     """Why the monotone map `g` between finite lattices is not a complete
     homomorphism, by the literal pairwise scan: ("top", t), ("bottom", b),
     or ("meets", (a, b)) / ("joins", (a, b)) for the first pair of source
     elements whose meet or join is lost; None when it is one."""
-    s, t = g.source, g.target
-    if g(s.meet(())) != t.meet(()):
-        return "top", s.meet(())
-    if g(s.join(())) != t.join(()):
-        return "bottom", s.join(())
-    for a in s.elements:
-        for b in s.elements:
-            if g(s.meet([a, b])) != t.meet([g(a), g(b)]):
-                return "meets", (a, b)
-            if g(s.join([a, b])) != t.join([g(a), g(b)]):
-                return "joins", (a, b)
+    s, t, f = g.source, g.target, g.idx
+    sides = (("meets", s.cols, t.cols), ("joins", s.rows, t.rows))
+    for kind, (_, src, tgt) in zip(("top", "bottom"), sides):
+        if f[literal_bound(src, 0)] != literal_bound(tgt, 0):
+            return kind, s.elements[literal_bound(src, 0)]
+    for a, b in itertools.product(range(len(f)), repeat=2):
+        for kind, src, tgt in sides:
+            if f[literal_bound(src, 1 << a | 1 << b)] != literal_bound(tgt, 1 << f[a] | 1 << f[b]):
+                return kind, (s.elements[a], s.elements[b])
     return None
 
 
@@ -585,19 +593,15 @@ def oracle_bounds_failure(f, src, tgt):
     """The first subset (as a mask) of the source of the index map `f`
     that has a meet not sent to the meet of its images, or None, for
     `src`/`tgt` the `cols` of source and target; given their `rows`, the
-    same for joins.  Scans all subsets, so sources past 12 elements are
-    refused."""
+    same for joins.  Scans all subsets with `literal_bound`, so sources
+    past 12 elements are refused."""
     n = len(src)
     if n > 12:
         raise CarrierTooLarge("preservation scan gated at 12 elements")
     for mask in range(1 << n):
-        g = _bound_index(src, mask)
-        if g is None:
-            continue
-        images = 0
-        for i in _mask_iter(mask):
-            images |= 1 << f[i]
-        if _bound_index(tgt, images) != f[g]:
+        g = literal_bound(src, mask)
+        images = sum({1 << f[i] for i in range(n) if mask >> i & 1})
+        if g is not None and literal_bound(tgt, images) != f[g]:
             return mask
     return None
 
@@ -630,12 +634,8 @@ def oracle_is_cut_stable(f):
         for q2 in tgt.elements:
             if tgt.leq(q1, q2):
                 continue
-            pre_up = src.mask_of(
-                p for p in src.elements if tgt.leq(q1, f(p))
-            )
-            pre_down = src.mask_of(
-                p for p in src.elements if tgt.leq(f(p), q2)
-            )
+            pre_up = src.mask_of(p for p in src.elements if tgt.leq(q1, f(p)))
+            pre_down = src.mask_of(p for p in src.elements if tgt.leq(f(p), q2))
             ok = False
             for i1, p1 in enumerate(src.elements):
                 if pre_up & ~src.rows[i1]:

@@ -23,12 +23,13 @@ row walk naming the first witness in carrier order.
 A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
 check is its meet-side kernel run on the swapped arrays.  Whether a
 monotone map keeps every existing meet or join is decided in polynomial
-time (`_bounds_failure`), with no subset scan and no size gate.  A monotone map keeps its index image and, per target element,
-the mask of the source elements sent above it (`MonotoneMap.pre_up`);
-monotonicity, order reflection and cut stability are row tests on those
-masks.
+time (`_bounds_failure`), with no subset scan and no size gate, each
+candidate bound one compare of common lower bounds.  A monotone map
+keeps its index map and, per target element, the mask of the source
+elements sent above it (`MonotoneMap.pre_up`); monotonicity, order
+reflection and cut stability are row tests on those masks.
 
-One trust boundary runs through this module.  The public constructors
+Two trust boundaries run through this module.  The public constructors
 (`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`, `chain`)
 serve user input and check reflexivity, antisymmetry and transitivity.
 A poset derived from trusted ones (`dual`, `relabel`, `restrict`, the
@@ -36,7 +37,10 @@ inclusion orders of `_inclusion_order` behind the cut and concept
 lattices, a `Quotient`'s classes) is built by `Poset._derived` with its
 `rows` and `cols` computed together and is not checked again; only the
 ids are, where they may repeat.  `Poset._derived` is called in this
-module only.
+module only.  Likewise `MonotoneMap(source, target, assignment)` checks
+the labels of a parsed or user-supplied map and its monotonicity, while
+`MonotoneMap._of_idx(source, target, idx)`, for a map derived from held
+maps (a composite, a lift, a quotient's maps), tests monotonicity only.
 """
 
 from __future__ import annotations
@@ -644,44 +648,66 @@ class MonotoneMap:
     """A total order-preserving map between posets.
 
     `idx` is the map on indices, source index to target index, and
-    `pre_up[t]` the mask of the source indices x with t <= f(x).  The
-    order checks are row tests on these: f is monotone iff each up-set
-    `source.rows[i]` lies inside `pre_up[idx[i]]`.  The assignment's keys
-    are exactly the source elements: a missing one is `NotMonotone`, any
-    other key `UnknownId`."""
+    `pre_up[t]` the mask of the source indices x with t <= f(x).  Both
+    constructors test monotonicity on these, each up-set `source.rows[i]`
+    lying inside `pre_up[idx[i]]` (`NotMonotone`).  The public one is the
+    trust boundary for parsed and user-supplied maps: the assignment's
+    keys are exactly the source elements (a missing one is `NotMonotone`,
+    any other key `UnknownId`) and its values lie in the target
+    (`UnknownId`).  `_of_idx(source, target, idx)` makes a map the package
+    derives from maps it holds and checks no label; the source tests pin
+    where it is called."""
 
     __slots__ = ("source", "target", "assignment", "idx", "pre_up")
 
     def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
-        self.assignment = dict(assignment)
+        self.assignment = assignment = dict(assignment)
         index = target.index
         idx = []
         for p in source.elements:
-            if p not in self.assignment:
+            if p not in assignment:
                 raise NotMonotone("map is not total: missing %r" % (p,))
-            if self.assignment[p] not in index:
-                raise UnknownId(
-                    "image %r is not in the target" % (self.assignment[p],)
-                )
-            idx.append(index[self.assignment[p]])
-        if len(self.assignment) != len(source):
-            extra = next(k for k in self.assignment if k not in source.index)
+            if assignment[p] not in index:
+                raise UnknownId("image %r is not in the target" % (assignment[p],))
+            idx.append(index[assignment[p]])
+        if len(assignment) != len(source):
+            extra = next(k for k in assignment if k not in source.index)
             raise UnknownId("key %r is not in the source" % (extra,), extra)
         self.idx = tuple(idx)
-        self.pre_up = pre = _preimages(idx, target.cols)
-        for i, row in enumerate(source.rows):
-            bad = row & ~pre[idx[i]]
+        self._check_monotone()
+
+    @classmethod
+    def _of_idx(cls, source, target, idx):
+        """The map with index map `idx`, derived from maps the package
+        holds: only monotonicity is tested."""
+        self = cls.__new__(cls)
+        self.source, self.target, self.idx = source, target, tuple(idx)
+        self.assignment = dict(zip(source.elements, map(target.elements.__getitem__, self.idx)))
+        self._check_monotone()
+        return self
+
+    def _check_monotone(self):
+        """`NotMonotone` for the first i <= j, in carrier order, whose
+        images are not ordered."""
+        self.pre_up = pre = _preimages(self.idx, self.target.cols)
+        for i, row in enumerate(self.source.rows):
+            bad = row & ~pre[self.idx[i]]
             if bad:
-                p, q = source.elements[i], source.elements[_low_index(bad)]
-                raise NotMonotone(
-                    "%r <= %r but images are not ordered" % (p, q), (p, q)
-                )
+                p, q = self.source.elements[i], self.source.elements[_low_index(bad)]
+                raise NotMonotone("%r <= %r but images are not ordered" % (p, q), (p, q))
 
     @classmethod
     def identity(cls, poset):
-        return cls(poset, poset, {e: e for e in poset.elements})
+        """The identity map, monotone as it stands; its `pre_up` is the
+        poset's `rows`."""
+        self = cls.__new__(cls)
+        self.source = self.target = poset
+        self.idx = tuple(range(len(poset)))
+        self.assignment = dict(zip(poset.elements, poset.elements))
+        self.pre_up = list(poset.rows)
+        return self
 
     def __call__(self, p):
         try:
@@ -701,30 +727,24 @@ class MonotoneMap:
         return hash((self.source, self.target, self.idx))
 
     def image(self):
-        return tuple(dict.fromkeys(self.assignment[p] for p in self.source.elements))
+        return tuple(map(self.target.elements.__getitem__, dict.fromkeys(self.idx)))
 
     def is_surjective(self):
-        return set(self.image()) == set(self.target.elements)
-
-    def is_injective(self):
-        return len(set(self.assignment.values())) == len(self.source.elements)
+        return len(set(self.idx)) == len(self.target)
 
 
 def compose(outer, inner):
     """outer after inner."""
     if inner.target != outer.source:
         raise DomainMismatch("codomain of inner map differs from domain of outer")
-    return MonotoneMap(
-        inner.source,
-        outer.target,
-        {p: outer(inner(p)) for p in inner.source.elements},
-    )
+    o = outer.idx
+    return MonotoneMap._of_idx(inner.source, outer.target, [o[i] for i in inner.idx])
 
 
-def _image_mask(e):
-    """The image of an extension, as a mask over its target."""
+def _image_mask(idx):
+    """The image of an index map, as a mask over its target."""
     m = 0
-    for i in e.map.idx:
+    for i in idx:
         m |= 1 << i
     return m
 
@@ -784,12 +804,12 @@ class Extension:
 def is_meet_extension(e):
     """Every target element is the meet of the images above it."""
     t = e.target
-    return _expressible(t.rows, t.cols, _image_mask(e)) == (1 << len(t)) - 1
+    return _expressible(t.rows, t.cols, _image_mask(e.map.idx)) == (1 << len(t)) - 1
 
 
 def is_join_extension(e):
     t = e.target
-    return _expressible(t.cols, t.rows, _image_mask(e)) == (1 << len(t)) - 1
+    return _expressible(t.cols, t.rows, _image_mask(e.map.idx)) == (1 << len(t)) - 1
 
 
 def is_completion(e):
@@ -804,7 +824,7 @@ def is_dense(e):
     above it, so no subset enumeration is needed.
     """
     t = e.target
-    image = _image_mask(e)
+    image = _image_mask(e.map.idx)
     full = (1 << len(t)) - 1
     meets = _expressible(t.rows, t.cols, image)
     joins = _expressible(t.cols, t.rows, image)
@@ -869,8 +889,8 @@ def macneille(poset):
     each a bit-mask over the base carrier.
     """
     lattice = _intersection_lattice((1 << len(poset)) - 1, poset.cols)
-    assignment = {p: poset.cols[i] for i, p in enumerate(poset.elements)}
-    return Extension(MonotoneMap(poset, lattice, assignment))
+    index = lattice.index
+    return Extension(MonotoneMap._of_idx(poset, lattice, [index[c] for c in poset.cols]))
 
 
 def _bounds_failure(f, src, tgt):
@@ -884,16 +904,22 @@ def _bounds_failure(f, src, tgt):
     of T = {x >= g : z <= f(x)}.  Then T is the witness: z bounds its
     images from below, f(g) does not lie above z, so f(g) is not their
     meet.  Conversely a lost meet g of S, with z a lower bound of f(S)
-    not below f(g), has S inside T, so g is the meet of T."""
+    not below f(g), has S inside T, so g is the meet of T.  As g bounds
+    T from below, it is T's meet iff the common lower bounds of T are
+    exactly those of g, one compare (as in `_expressible`), and each
+    distinct T's common lower bounds are found once."""
     n = len(src)
-    up, pre = _transpose(src, n), _preimages(f, tgt)
-    for g in range(n):
+    full = (1 << n) - 1
+    up, pre, common = _transpose(src, n), _preimages(f, tgt), {}
+    for g, down in enumerate(src):
         below = tgt[f[g]]
-        for z in range(len(tgt)):
+        for z, bound in enumerate(pre):
             if below >> z & 1:
                 continue
-            t = up[g] & pre[z]
-            if _bound_index(src, t) == g:
+            t = up[g] & bound
+            if t not in common:
+                common[t] = _common(src, t, full)
+            if common[t] == down:
                 return t
     return None
 
@@ -905,12 +931,15 @@ def is_cut_stable(f):
     Such p1 are the lower bounds of f^{-1}(up q1) and such p2 the upper
     bounds U[q2] of f^{-1}(down q2), so the pair (q1, q2) is served iff
     some p2 in U[q2] lies outside A[q1], the up-sets shared by every such
-    p1: one mask test per pair."""
+    p1: one mask test per pair.  Each distinct preimage mask is bounded
+    once."""
     src, tgt = f.source, f.target
     rows, cols = src.rows, src.cols
     full = (1 << len(rows)) - 1
-    shared = [_common(rows, _common(cols, m, full), full) for m in f.pre_up]
-    upper = [_common(rows, m, full) for m in _preimages(f.idx, tgt.rows)]
+    pre_up, pre_down = f.pre_up, _preimages(f.idx, tgt.rows)
+    shared = {m: _common(rows, _common(cols, m, full), full) for m in set(pre_up)}
+    upper = {m: _common(rows, m, full) for m in set(pre_down)}
+    shared, upper = [shared[m] for m in pre_up], [upper[m] for m in pre_down]
     everything = (1 << len(tgt)) - 1
     for q1, row in enumerate(tgt.rows):
         a, rest = shared[q1], everything & ~row
@@ -943,7 +972,7 @@ def _lift(src, tgt, below, bound):
         if g is None:
             raise NotCompleteLattice("lift target lacks the bound for %r" % (s,), s)
         lifted.append(g)
-    h = MonotoneMap(S, T, {e: T.elements[g] for e, g in zip(S.elements, lifted)})
+    h = MonotoneMap._of_idx(S, T, lifted)
     for p, (si, ti) in zip(src.source.elements, pairs):
         if lifted[si] != ti:
             return h, p
@@ -955,22 +984,28 @@ def _complete_hom_failure(g):
     homomorphism: ("top", t) or ("bottom", b) when the source's top t or
     bottom b goes elsewhere, else ("meets", (a, b)) or ("joins", (a, b))
     for the first pair, in carrier order, whose meet or join is lost.
-    None when it is one: a finite lattice has no other meets or joins."""
+    None when it is one: a finite lattice has no other meets or joins.
+
+    The meet of a set is the element whose down-set is the set's common
+    lower bounds, so each side's bounds are read from a table of its
+    down-sets (up-sets, for joins): one AND and one lookup per bound."""
     s, t = g.source, g.target
     f = g.idx
-    meets, joins = (s.cols, t.cols), (s.rows, t.rows)
-    for kind, (src, tgt) in (("top", meets), ("bottom", joins)):
-        i = _bound_index(src, 0)
-        if f[i] != _bound_index(tgt, 0):
+    sides = []
+    for src, tgt in ((s.cols, t.cols), (s.rows, t.rows)):
+        at = {v: i for i, v in enumerate(tgt)}
+        sides.append((src, {v: i for i, v in enumerate(src)}, tgt, at))
+    for kind, (src, of, tgt, at) in zip(("top", "bottom"), sides):
+        i = of[(1 << len(src)) - 1]
+        if f[i] != at.get((1 << len(tgt)) - 1):
             return kind, s.elements[i]
     for i in range(len(f)):
         for j in range(i + 1, len(f)):
             # A monotone map keeps the meet and join of a comparable pair.
             if s.rows[i] >> j & 1 or s.rows[j] >> i & 1:
                 continue
-            pair, images = 1 << i | 1 << j, 1 << f[i] | 1 << f[j]
-            for kind, (src, tgt) in (("meets", meets), ("joins", joins)):
-                if f[_bound_index(src, pair)] != _bound_index(tgt, images):
+            for kind, (src, of, tgt, at) in zip(("meets", "joins"), sides):
+                if f[of[src[i] & src[j]]] != at.get(tgt[f[i]] & tgt[f[j]]):
                     return kind, (s.elements[i], s.elements[j])
     return None
 
@@ -984,13 +1019,9 @@ def macneille_lift(f):
         raise NotCutStable("map is not cut-stable")
     e_src = macneille(f.source)
     e_tgt = macneille(f.target)
-    lift, miss = _lift(
-        e_src.map, compose(e_tgt.map, f), e_src.target.cols, e_tgt.target.rows
-    )
+    lift, miss = _lift(e_src.map, compose(e_tgt.map, f), e_src.target.cols, e_tgt.target.rows)
     if miss is not None:
-        raise LiftVerificationFailed(
-            "lift does not commute with the completion embeddings", miss
-        )
+        raise LiftVerificationFailed("lift does not commute with the completion embeddings", miss)
     failure = _complete_hom_failure(lift)
     if failure is not None:
         kind, witness = failure
@@ -1131,9 +1162,13 @@ class UnionPreorder:
         """The reflexive-transitive closure: one packed Warshall pass on
         `packed` (`_close`), whose result is known closed, so that it is
         neither tested for transitivity nor closed again; a relation
-        already known closed is its own closure."""
-        if self._closed:
-            return self
+        already known closed is its own closure.  The closure is kept, so
+        closing a kept relation again (a polarity's saturation) costs
+        nothing."""
+        return self if self._closed else self._closure
+
+    @cached_property
+    def _closure(self):
         n = len(self.carrier)
         return UnionPreorder._of_packed(self.carrier, self.index, _close(self.packed, n), True)
 
@@ -1144,13 +1179,14 @@ class UnionPreorder:
 class Quotient:
     """The poset of equivalence classes of a preorder on a tagged carrier.
 
-    Each class is represented by its least-indexed member; `projection`
+    Each class is represented by its least-indexed member; `of[i]` is the
+    index in `poset` of the class of carrier element i, and `projection`
     sends a carrier element to its representative.  The source must be a
     preorder (`NotPreorder` otherwise, with the transitivity witness);
     the order on the representatives is then its restriction, a poset.
     """
 
-    __slots__ = ("source", "poset", "projection", "classes")
+    __slots__ = ("source", "poset", "of", "__dict__")
 
     def __init__(self, source):
         if not source.is_preorder():
@@ -1158,43 +1194,54 @@ class Quotient:
                 "cannot quotient a relation that is not a preorder",
                 source.transitivity_witness(),
             )
-        carrier, rows = source.carrier, source.rows
-        reps, rep_of, classes = [], {}, {}
+        rows = source.rows
+        reps, of = [], []
         seen = 0
-        for i, e in enumerate(carrier):
+        for i, row in enumerate(rows):
             # i joins the first representative on both sides of it.
-            r, rest = i, rows[i] & seen
+            rest = row & seen
             while rest:
                 low = rest & -rest
                 j = low.bit_length() - 1
                 if rows[j] >> i & 1:
-                    r = j
+                    of.append(of[j])
                     break
                 rest ^= low
-            if r == i:
+            else:
+                of.append(len(reps))
                 reps.append(i)
                 seen |= 1 << i
-            rep_of[e] = carrier[r]
-            classes.setdefault(carrier[r], []).append(e)
         self.source = source
-        self.poset = _induced(carrier, rows, reps)
-        self.projection = rep_of
-        self.classes = {r: tuple(members) for r, members in classes.items()}
+        self.poset = _induced(source.carrier, rows, reps)
+        self.of = tuple(of)
+
+    @cached_property
+    def projection(self):
+        reps = self.poset.elements
+        return {e: reps[k] for e, k in zip(self.source.carrier, self.of)}
+
+    @cached_property
+    def classes(self):
+        members = tuple(zip(self.of, self.source.carrier))
+        reps = enumerate(self.poset.elements)
+        return {r: tuple(e for c, e in members if c == k) for k, r in reps}
 
     def project(self, e):
         return self.projection[e]
 
-    def descend(self, fx, fy):
-        """The map on the classes that `fx` on left members and `fy` on
-        right members induce, as a dict from representative to value.
-        Raises `LawViolation("well-defined", ...)` with the class whose
-        members disagree."""
-        out = {}
-        for rep, members in self.classes.items():
-            values = {fx(raw) if side == X_SIDE else fy(raw) for side, raw in members}
-            if len(values) != 1:
-                raise LawViolation(
-                    "well-defined", "the members of a class disagree", members
-                )
-            out[rep] = values.pop()
+    def descend(self, values):
+        """The map on the classes that `values`, one per carrier element,
+        induce: the value each class takes, in `poset` order.  Raises `LawViolation("well-defined",
+        ...)` with the members of the first class whose members disagree."""
+        # Classes are numbered as their first member, the representative,
+        # comes up in carrier order.
+        out, bad = [], len(self.poset)
+        for k, v in zip(self.of, values):
+            if k == len(out):
+                out.append(v)
+            elif out[k] != v:
+                bad = min(bad, k)
+        if bad < len(out):
+            members = self.classes[self.poset.elements[bad]]
+            raise LawViolation("well-defined", "the members of a class disagree", members)
         return out

@@ -44,6 +44,7 @@ from .order import (
     _carrier_blocks,
     _closed_relations,
     _expressible,
+    _image_mask,
     _loose_pairs,
     _low_index,
     _mask_iter,
@@ -82,8 +83,8 @@ class ExtensionPolarity:
 
     The pair mask of its relation (`_mask`, bit i·|Y| + j for (x_i, y_j))
     is read as the relation is checked; its condition frame, bit-rows and
-    the one-step saturation of `r_hat_m` are built on first use and kept.
-    None takes part in equality."""
+    the one-step saturation of `r_hat_m` are built on first use and kept,
+    and so is its hash.  None takes part in equality."""
 
     def __init__(self, base, ex, ey, rel):
         if ex.base != base or ey.base != base:
@@ -119,6 +120,12 @@ class ExtensionPolarity:
         )
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The hash of the value, kept: the memoised structures look the
+        polarity up by it on every call."""
         return hash((self.base, self.ex, self.ey, self.rel))
 
     def with_relation(self, rel):
@@ -829,7 +836,7 @@ def structure_of(pol):
     loose = _rigidity_failures(pol, u)
     if loose:
         raise LawViolation("rigidity", "a second grade-3 preorder exists", loose[0])
-    inter = intermediate_structure(pol, u)
+    inter = _intermediate(pol, u)
     _certify_base_image(pol, inter)
     q = inter.quotient.poset
     for law, side, iota, src, tgt in (
@@ -838,19 +845,15 @@ def structure_of(pol):
     ):
         lost = _bounds_failure(iota.idx, src, tgt)
         if lost is not None:
-            raise LawViolation(
-                law, "a side embedding loses a bound", side.elements_of(lost)
-            )
+            raise LawViolation(law, "a side embedding loses a bound", side.elements_of(lost))
     full = (1 << len(q)) - 1
-    for law, up, down, image in (
-        ("join-generation", q.cols, q.rows, inter.iota_x.image()),
-        ("meet-generation", q.rows, q.cols, inter.iota_y.image()),
+    for law, up, down, iota in (
+        ("join-generation", q.cols, q.rows, inter.iota_x),
+        ("meet-generation", q.rows, q.cols, inter.iota_y),
     ):
-        missed = full & ~_expressible(up, down, q.mask_of(image))
+        missed = full & ~_expressible(up, down, _image_mask(iota.idx))
         if missed:
-            raise LawViolation(
-                law, "a side must generate the quotient", q.elements_of(missed)
-            )
+            raise LawViolation(law, "a side must generate the quotient", q.elements_of(missed))
     return inter
 
 
@@ -858,13 +861,14 @@ def _certify_base_image(pol, inter):
     """The base embeds in the quotient of a Galois polarity, into the
     common image of the two sides, and onto it when every related pair
     has a slice witness."""
-    gamma = inter.gamma
+    gamma, q = inter.gamma, inter.quotient.poset
     bad = _reflection_failure(gamma)
     if bad is not None:
         raise LawViolation("base-embedding", "base must embed in the quotient", bad)
-    both = set(inter.iota_x.image()) & set(inter.iota_y.image())
-    stray = set(gamma.image()) - both
-    if stray:
+    image = _image_mask(gamma.idx)
+    both = _image_mask(inter.iota_x.idx) & _image_mask(inter.iota_y.idx)
+    if image & ~both:
+        stray = set(q.elements_of(image & ~both))
         raise LawViolation("base-image", "base image must land in both sides", stray)
     # Equality needs every related pair (a, b) to have a slice witness, a
     # base p with a <= ex(p) and ey(p) <= b; a pair like (top, top)
@@ -873,12 +877,11 @@ def _certify_base_image(pol, inter):
     below = _preimages(pol.ey.map.idx, pol.y.rows)
     xi, yi = pol.x.index, pol.y.index
     witnessed = all(above[xi[a]] & below[yi[b]] for a, b in pol.rel)
-    missed = both - set(gamma.image())
-    if witnessed and missed:
+    if witnessed and both & ~image:
         raise LawViolation(
             "base-image",
             "base image must be the intersection of the side images",
-            missed,
+            set(q.elements_of(both & ~image)),
         )
 
 
@@ -894,26 +897,26 @@ class IntermediateStructure:
 
 def intermediate_structure(pol, rel):
     """The quotient of a grade-1 preorder with the maps of the two sides
-    and the base into it."""
+    and the base into it.  The relation is graded first (`NotOnePreorder`
+    otherwise)."""
     verdict = is_n_preorder(pol, rel, 1)
     if not verdict.ok:
         raise NotOnePreorder(
             "relation is not a grade-1 preorder (%s)" % verdict.clause,
             verdict.witness,
         )
+    return _intermediate(pol, rel)
+
+
+def _intermediate(pol, rel):
+    """`intermediate_structure` of a relation already certified at grade 1
+    or above, as `structure_of` certifies its grade-3 preorder: the maps
+    read the class of each carrier index off the quotient."""
     quotient = rel.quotient()
-    q = quotient.poset
-    iota_x = MonotoneMap(
-        pol.x, q, {a: quotient.project(tag_x(a)) for a in pol.x.elements}
-    )
-    iota_y = MonotoneMap(
-        pol.y, q, {b: quotient.project(tag_y(b)) for b in pol.y.elements}
-    )
-    gamma = MonotoneMap(
-        pol.base,
-        q,
-        {p: quotient.project(tag_x(pol.ex(p))) for p in pol.base.elements},
-    )
+    q, of, nx = quotient.poset, quotient.of, len(pol.x)
     return IntermediateStructure(
-        quotient=quotient, iota_x=iota_x, iota_y=iota_y, gamma=gamma
+        quotient=quotient,
+        iota_x=MonotoneMap._of_idx(pol.x, q, of[:nx]),
+        iota_y=MonotoneMap._of_idx(pol.y, q, of[nx:]),
+        gamma=MonotoneMap._of_idx(pol.base, q, [of[i] for i in pol.ex.map.idx]),
     )

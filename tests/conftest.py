@@ -115,3 +115,30 @@ def dual_polarity(pol):
     ex = Extension(MonotoneMap(base, pol.y.dual(), pol.ey.map.assignment))
     ey = Extension(MonotoneMap(base, pol.x.dual(), pol.ex.map.assignment))
     return ExtensionPolarity(base, ex, ey, {(b, a) for a, b in pol.rel})
+
+
+# A script prelude for sabotage under `python -O`: `refused` runs `run`
+# with the call-th map the package derives from an index tuple
+# (`MonotoneMap._of_idx`) given `wrong` of its tuple instead, and returns
+# the error raised, with its law or clause and witness, or "accepted".
+INDEX_SABOTAGE = """
+from polab.errors import PolabError
+from polab.order import MonotoneMap
+
+def refused(run, call, wrong):
+    derive, count = MonotoneMap._of_idx.__func__, [0]
+
+    def sabotaged(cls, source, target, idx):
+        count[0] += 1
+        return derive(cls, source, target, wrong(list(idx)) if count[0] == call else idx)
+
+    MonotoneMap._of_idx = classmethod(sabotaged)
+    try:
+        run()
+    except PolabError as err:
+        kind = getattr(err, "law", getattr(err, "clause", None))
+        return "%s %s %s" % (type(err).__name__, kind, err.witness)
+    finally:
+        MonotoneMap._of_idx = classmethod(derive)
+    return "accepted"
+"""

@@ -37,7 +37,7 @@ from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.polarity import r_l
 from polab.randgen import morphism_corpus, random_galois_polarity, random_poset
 
-from conftest import identity_polarity
+from conftest import INDEX_SABOTAGE, identity_polarity
 
 
 def seeded_galois(max_base=4):
@@ -142,6 +142,50 @@ class TestUnit:
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.split("\n")[:2] == ["unit-unique a"] * 2
 
+    def test_a_wrong_index_tuple_is_refused_under_optimize(self):
+        """Once the structures are built, `unit` derives four maps from
+        index tuples: hx, hy and the lift of each side.  A wrong tuple in
+        each raises the certificate that carries it, also when asserts
+        are stripped.  A tuple that fixes the base but is no embedding is
+        refused by the morphism's `reflection` clause, and with that
+        validation off by `unit-embeds`."""
+        done = _run_optimized(
+            INDEX_SABOTAGE
+            + textwrap.dedent(
+                """
+                from polab.morphisms import PolarityMorphism
+                from polab.polarity import structure_of
+
+                pol = identity_polarity(Poset.chain("abc"))
+                structure_of(delta1.delta_on_objects(delta1.gamma_on_objects(pol)))
+                for call in (1, 2, 3, 4):
+                    print(refused(lambda: delta1.unit(pol), call, lambda idx: [idx[0]] * len(idx)))
+                # m, the meet of a and b, sent with c below it.
+                base = Poset.from_pairs("abc", [("c", "a"), ("c", "b")])
+                x = Poset.from_pairs("cmab", [("c", "m"), ("m", "a"), ("m", "b")])
+                ex = Extension(MonotoneMap(base, x, {e: e for e in "abc"}))
+                ey = Extension.identity(base)
+                vee = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+                merge = lambda idx: idx[:1] * 2 + idx[2:]
+                structure_of(delta1.delta_on_objects(delta1.gamma_on_objects(vee)))
+                print(refused(lambda: delta1.unit(vee), 1, merge))
+                PolarityMorphism._validate = lambda self: None
+                print(refused(lambda: delta1.unit(vee), 1, merge))
+                sys.exit(3)
+                """
+            )
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.splitlines() == [
+            "MorphismInvalid commute-left b",
+            "MorphismInvalid commute-right b",
+            "LawViolation unit-unique b",
+            "LawViolation unit-unique b",
+            "MorphismInvalid reflection (3, 1)",
+            "LawViolation unit-embeds "
+            "({'c': 1, 'm': 1, 'a': 7, 'b': 11}, {'a': 7, 'b': 11, 'c': 1})",
+        ]
+
 
 class TestCounit:
     @given(seeded_galois(max_base=3))
@@ -167,6 +211,31 @@ class TestCounit:
         )
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.strip() == "counit-iso"
+
+    def test_a_wrong_index_tuple_is_refused_under_optimize(self):
+        """`counit_iso` derives the class values and their lift from index
+        tuples.  A wrong tuple in either is refused by the square's own
+        checks, a complete homomorphism that commutes with the base maps,
+        before the isomorphism certificate: over a dense completion only
+        the counit passes them.  Also when asserts are stripped."""
+        done = _run_optimized(
+            INDEX_SABOTAGE
+            + textwrap.dedent(
+                """
+                from polab.polarity import structure_of
+
+                d = delta1.gamma_on_objects(identity_polarity(Poset.antichain("ab")))
+                structure_of(delta1.delta_on_objects(d))
+                delta1.gamma_on_objects(delta1.delta_on_objects(d))
+                last = lambda idx: [idx[-1]] * len(idx)
+                for call in (1, 2):
+                    print(refused(lambda: delta1.counit_iso(d), call, last))
+                sys.exit(3)
+                """
+            )
+        )
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.splitlines() == ["DomainMismatch None None"] * 2
 
 
 class TestFunctorLaws:
@@ -300,7 +369,7 @@ def _run_optimized(body):
         import sys
         from polab import delta1
         from polab.errors import LawViolation
-        from polab.order import Extension, Poset
+        from polab.order import Extension, MonotoneMap, Poset
         from polab.polarity import ExtensionPolarity, r_l
 
         def identity_polarity(base):
@@ -325,7 +394,8 @@ def _forced(pol, d, h):
     the polarity's quotient, inside the completion `d`."""
     q = structure_of(pol).quotient
     m = gamma_on_objects(pol).cut
-    values = MonotoneMap(q.poset, d.lattice, q.descend(h.hx, h.hy))
+    forced = [h.hx(x) for x in h.source.x.elements] + [h.hy(y) for y in h.source.y.elements]
+    values = MonotoneMap(q.poset, d.lattice, dict(zip(q.poset.elements, q.descend(forced))))
     return {m(z): values(z) for z in q.poset.elements}
 
 

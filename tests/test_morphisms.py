@@ -29,7 +29,7 @@ from polab.randgen import (
     random_galois_polarity,
 )
 
-from conftest import identity_polarity, point_into_chain, random_monotone
+from conftest import INDEX_SABOTAGE, identity_polarity, point_into_chain, random_monotone
 
 
 def diamond():
@@ -107,6 +107,41 @@ class TestValidation:
         with pytest.raises(MorphismInvalid) as e:
             point_into_chain()
         assert e.value.clause == "reflection" and e.value.witness == ("b", "a")
+
+    def test_a_wrong_index_tuple_is_refused_under_optimize(self):
+        """A round trip derives the quotient map and then the three
+        components from index tuples.  A wrong component tuple breaks a
+        square, and `commute-left` or `commute-right` names its first base
+        element, also when asserts are stripped."""
+        script = INDEX_SABOTAGE + textwrap.dedent(
+            """
+            import sys
+            from conftest import identity_polarity
+            from polab.morphisms import PolarityMorphism, roundtrip_holds
+            from polab.order import Poset
+
+            assert sys.flags.optimize
+            ident = PolarityMorphism.identity(identity_polarity(Poset.chain("abc")))
+            last = lambda idx: idx[-1:] * len(idx)
+            for call in (2, 3, 4):
+                print(refused(lambda: roundtrip_holds(ident), call, last))
+            """
+        )
+        path = [Path(polab.__file__).parents[1], Path(__file__).parent]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines() == [
+            "MorphismInvalid commute-left a",
+            "MorphismInvalid commute-right a",
+            "MorphismInvalid commute-left a",
+        ]
 
     def test_certificates_raise_under_optimize(self):
         """The reflection certificate and the meet-preservation

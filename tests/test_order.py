@@ -67,16 +67,20 @@ from polab.oracles import (
     oracle_order_failure,
     oracle_order_isomorphisms,
     oracle_reflection_failure,
+    literal_bound,
 )
+from polab.morphisms import psi_of, structure_of
 from polab.randgen import (
+    morphism_corpus,
     random_embedding,
     random_extension_polarity,
+    random_galois_polarity,
     random_join_extension,
     random_meet_extension,
     random_poset,
 )
 
-from conftest import dual_extension, lossy_side, random_monotone, seeded_posets
+from conftest import INDEX_SABOTAGE, dual_extension, lossy_side, random_monotone, seeded_posets
 
 
 def downset_extension(p):
@@ -491,6 +495,82 @@ class TestLift:
         assert e.value.witness == "o"
 
 
+class TestDerivedMaps:
+    def test_a_derived_map_is_tested_for_monotonicity_under_optimize(self):
+        """A map derived from an index tuple looks up no label, but its
+        tuple is still tested for monotonicity: a reversed composite of
+        two chain maps raises `NotMonotone` with its first unordered pair,
+        also when asserts are stripped."""
+        script = INDEX_SABOTAGE + textwrap.dedent(
+            """
+            import sys
+            from polab.order import Poset, compose
+
+            assert sys.flags.optimize
+            c = MonotoneMap.identity(Poset.chain("abc"))
+            print(refused(lambda: compose(c, c), 1, lambda idx: idx[::-1]))
+            print(refused(lambda: compose(c, c), 1, lambda idx: idx))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines() == ["NotMonotone None ('a', 'b')", "accepted"]
+
+
+class TestCompletionPathCertificates:
+    """The mask forms of `_bounds_failure`, `is_cut_stable` and
+    `_complete_hom_failure` against their oracles, which take every bound
+    with `literal_bound`, on maps the completion layer builds (all pass)
+    and on random monotone maps between the same posets (many fail)."""
+
+    @staticmethod
+    def structures(rng, count):
+        for _ in range(count):
+            yield structure_of(random_galois_polarity(rng, rng.randint(1, 5)))
+
+    def test_side_embeddings_and_lossy_maps(self):
+        rng = random.Random(81)
+        verdicts = {True: 0, False: 0}
+        for s in self.structures(rng, 60):
+            q = s.quotient.poset
+            maps = [s.iota_x, s.iota_y]
+            maps += [random_monotone(rng, side, q) for side in (s.iota_x.source, s.iota_y.source)]
+            for f in filter(None, maps):
+                for src, tgt in ((f.source.cols, q.cols), (f.source.rows, q.rows)):
+                    got = _bounds_failure(f.idx, src, tgt)
+                    assert (got is None) == (oracle_bounds_failure(f.idx, src, tgt) is None)
+                    assert got is None or lost_bound(f.idx, src, tgt, got)
+                    verdicts[got is None] += 1
+        assert min(verdicts.values()) >= 40
+
+    def test_quotient_maps_and_lattice_maps(self):
+        rng = random.Random(82)
+        stable, homs = {True: 0, False: 0}, set()
+        maps = [psi_of(m) for m in morphism_corpus(rng, count=30, base_size=3)]
+        quotients = [s.quotient.poset for s in self.structures(rng, 80)]
+        maps += [random_monotone(rng, p, q) for p, q in zip(quotients, quotients[1:])]
+        for f in filter(None, maps):
+            got = is_cut_stable(f)
+            assert got == oracle_is_cut_stable(f)
+            stable[got] += 1
+        for q in quotients[:40]:
+            lattice = macneille(q).target
+            g = random_monotone(rng, lattice, lattice)
+            for f in filter(None, (MonotoneMap.identity(lattice), g)):
+                got = _complete_hom_failure(f)
+                assert got == oracle_complete_hom_failure(f)
+                homs.add(got and got[0])
+        assert min(stable.values()) >= 20
+        assert {None, "meets", "joins"} <= homs
+
+
 def genuine(g, failure):
     """Whether `failure`, as `_complete_hom_failure` reports it, is a law
     that `g` really breaks."""
@@ -548,13 +628,14 @@ class TestCompleteHomFailure:
 def lost_bound(f, src, tgt, subset):
     """Whether the index map `f` really loses the bound of `subset`: the
     bound exists in the source (`src`/`tgt` as `_bounds_failure` takes
-    them) and is not sent to the bound of the images."""
-    g = _bound_index(src, subset)
+    them) and is not sent to the bound of the images, both taken by the
+    literal loop."""
+    g = literal_bound(src, subset)
     images = 0
     for i in range(len(f)):
         if subset >> i & 1:
             images |= 1 << f[i]
-    return g is not None and _bound_index(tgt, images) != f[g]
+    return g is not None and literal_bound(tgt, images) != f[g]
 
 
 class TestBoundsCertificate:
@@ -590,6 +671,21 @@ class TestBoundsCertificate:
             assert _bounds_failure(idx, p.cols, t.cols) is None
             assert _bounds_failure(idx, p.rows, t.rows) is None
 
+    def test_bound_index_is_the_literal_bound(self):
+        """`_bound_index`, behind `meet_index`, `join_index`, `_lift` and
+        the transfer checks, against the literal loop on every subset of
+        random posets of 1-6 elements, both ways."""
+        rng = random.Random(53)
+        found = {True: 0, False: 0}
+        for _ in range(150):
+            p = random_poset(rng, rng.randint(1, 6))
+            for vecs in (p.cols, p.rows):
+                for mask in range(1 << len(p)):
+                    got = _bound_index(vecs, mask)
+                    assert got == literal_bound(vecs, mask)
+                    found[got is None] += 1
+        assert min(found.values()) > 1000
+
     def test_no_size_gate(self):
         p, t = lossy_side()
         idx = MonotoneMap(p, t, {e: e for e in p.elements}).idx
@@ -605,7 +701,8 @@ class TestDescend:
             carrier, [(carrier[0], carrier[2]), (carrier[2], carrier[0])]
         ).closed()
         q = u.quotient()
-        assert q.descend(str.upper, str.upper) == {tag_x("a"): "A", tag_x("b"): "B"}
+        values = q.descend(["A", "B", "A"])
+        assert dict(zip(q.poset.elements, values)) == {tag_x("a"): "A", tag_x("b"): "B"}
 
     def test_a_disagreeing_class_is_named(self):
         carrier = (tag_x("a"), tag_x("b"), tag_y("a"))
@@ -613,7 +710,7 @@ class TestDescend:
             carrier, [(carrier[0], carrier[2]), (carrier[2], carrier[0])]
         ).closed()
         with pytest.raises(LawViolation) as err:
-            u.quotient().descend(str.upper, str.lower)
+            u.quotient().descend(["A", "B", "a"])
         assert err.value.law == "well-defined"
         assert err.value.witness == (tag_x("a"), tag_y("a"))
 

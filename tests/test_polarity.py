@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import polab
 from polab import polarity
 from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
-from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois
+from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois, NotOnePreorder
 from polab.fixtures import CATALOGUE, load
 from polab.order import (
     Extension,
@@ -139,6 +139,15 @@ class TestGalois:
             assert u.rel(tag_x(e), tag_y(e)) and u.rel(tag_y(e), tag_x(e))
         struct = intermediate_structure(pol, u)
         assert len(struct.quotient.poset) == len(p)
+
+    def test_intermediate_structure_grades_its_argument(self):
+        """`structure_of` passes its grade-3 verdict on; a relation handed
+        in from outside is graded first: the closure of `r_zero` holds
+        ex(p) below ey(p) but not back, so grade 1 fails at commutation."""
+        pol = identity_polarity(Poset.chain("ab"))
+        with pytest.raises(NotOnePreorder) as err:
+            intermediate_structure(pol, r_zero(pol).closed())
+        assert "commutation" in str(err.value) and err.value.witness == "a"
 
 
 def _fixture_galois_polarities():

@@ -139,6 +139,75 @@ def test_derived_posets_stay_in_order():
     assert not found, "Poset._derived called outside polab.order: " + ", ".join(found)
 
 
+def _sites(path, name):
+    """Where a file reaches `name`, as `_references` finds it, each as
+    (the dotted name of the enclosing classes and functions, line)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.alias) and child.name == name
+            ):
+                found.append((".".join(scope), child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return found
+
+
+# The sites that build a `MonotoneMap` from an index tuple with
+# `MonotoneMap._of_idx`, which looks up and checks no label: each derives
+# its tuple from maps the package already holds.
+INDEX_SITES = {
+    ("order.py", "compose"),
+    ("order.py", "macneille"),
+    ("order.py", "_lift"),
+    ("polarity.py", "_intermediate"),
+    ("morphisms.py", "psi_of"),
+    ("morphisms.py", "h_of"),
+    ("delta1.py", "delta_on_objects"),
+    ("delta1.py", "unit"),
+    ("delta1.py", "counit_iso"),
+    ("delta1.py", "mediate"),
+    ("delta1.py", "universal_property"),
+}
+
+
+def test_index_maps_are_derived_where_pinned():
+    """Parsed and user-supplied maps go through the public `MonotoneMap`
+    constructor; `MonotoneMap._of_idx` is reached only at the pinned
+    sites, by the package and the benchmark alike."""
+    files = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+    files += sorted(TRACER.parent.glob("*.py"))
+    found = {
+        (path.name, scope)
+        for path in files
+        for scope, _ in _sites(path, "_of_idx")
+        if (path.name, scope) != ("order.py", "MonotoneMap._of_idx")
+    }
+    assert found == INDEX_SITES
+
+
+def test_the_site_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text, want in (
+        ("f = MonotoneMap._of_idx(s, t, (0,))", [("", 1)]),
+        ("from polab.order import _of_idx as make", [("", 1)]),
+        ("def g(s, t):\n    return [MonotoneMap._of_idx(s, t, i) for i in ()]", [("g", 2)]),
+        ("class C:\n    def m(self):\n        make = order.MonotoneMap._of_idx", [("C.m", 3)]),
+    ):
+        probe.write_text(text + "\n")
+        assert _sites(probe, "_of_idx") == want, text
+    probe.write_text("of_idx = MonotoneMap(s, t, {})\nx = '_of_idx'\n")
+    assert _sites(probe, "_of_idx") == []
+
+
 def test_packing_stays_in_order():
     """Callers see row tuples, or pair masks through `_PairLanes`; the
     packing helpers are private to `polab.order`, so only its kernels
