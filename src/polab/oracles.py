@@ -1,9 +1,43 @@
 """Ground-truth oracles: literal quantifier scans and naive enumeration.
 
-Everything here is deliberately slow and obvious.  The fast routes in
-`polab.order`, `polab.polarity`, `polab.concepts`, `polab.morphisms`,
-`polab.extend` and `polab.delta1` are validated against these in the
-test suite; no other module of the package imports this one.
+Everything here is deliberately slow and obvious, and stands apart from
+the routes it checks: the fast routes of `polab.order`, `polab.polarity`,
+`polab.concepts`, `polab.morphisms`, `polab.extend` and `polab.delta1`
+are tested against these, no other module of the package imports this
+one, and this one imports only public data types, constructors and
+errors from the package.  Its literal base:
+
+- `leq(P, a, b)`, the order read off a poset's `rows`;
+- `glb` and `lub`, the greatest lower and least upper bound of a subset
+  by the loop over elements `literal_bound`;
+- `naive_transitive_close`, closure by Warshall's pivots;
+- `tagged_carrier`, the left elements, then the right ones, tagged.
+
+One reference per definition of the paper, and the fast route it checks:
+
+- C1-C6: `naive_conditions_c1_to_c6`; `check_coherence` (`_Frame.c1`..`c6`).
+- C7, C8: `naive_c7`, `naive_c8`, over every base subset (gated at 10);
+  `coherence_level` (`mask_level`).  `oracle_report_conditions` reads them
+  through the realizable meets and joins (`realizable_meet`,
+  `realizable_join`) in the witness order of `_Frame.c7`, `c8`, `meets`
+  and `joins`.
+- E1, E2 and S1, S2: `naive_e1_e2`, `naive_s1_s2`; the report's
+  separation rows and `_Frame.slices`.
+- The grades: `naive_coherence_level`; `coherence_level`, `mask_level`.
+- P1-P5, commutation and reflection: `oracle_is_n_preorder`;
+  `is_n_preorder`.  `_forced` and `_forbidden` per grade:
+  `_grade_masks`; `oracle_enumerate_preorders`: `enumerate_n_preorders`;
+  `oracle_rigidity_failures`: `_rigidity_failures`.  P4 and P5 on a
+  preorder's quotient: `naive_p4`, `naive_p5`; `unique_3preorder`.
+- z_s, z_t: `naive_z_s`, `naive_z_t`; `_Frame.z_s`, `_Frame.z_t`.
+- The canonical relations and their pair sets:
+  `oracle_canonical_relations`; `r_zero`, `r_hat_m`, `r_hat_g` and
+  `_Frame.z_yx_alt`.
+- The completion laws: `oracle_bounds_failure` (`_bounds_failure`),
+  `oracle_is_cut_stable` (`is_cut_stable`), `oracle_complete_hom_failure`
+  (`_complete_hom_failure`), `oracle_complete_homs` (`delta1.mediate`),
+  `oracle_extensions_isomorphic` and `oracle_polarity_isos_over_base`
+  (the uniqueness certificates of `delta1`).
 """
 
 from __future__ import annotations
@@ -17,26 +51,79 @@ from .errors import (
     CarrierTooLarge,
     NotPreorder,
 )
-from .extend import AdjunctionReport, ExtensionContext
+from .extend import AdjunctionReport
 from .morphisms import PolarityMorphism
-from .order import (
-    MonotoneMap,
-    UnionPreorder,
-    _expressible,
-    _mask_iter,
-    _pack_blocks,
-    _preimages,
-    _union_of,
-    tag_x,
-    tag_y,
-)
-from .polarity import NPreorderVerdict, _Frame, is_n_preorder
+from .order import MonotoneMap, UnionPreorder, tag_x, tag_y
+from .polarity import NPreorderVerdict
 
 # The adjunction law is checked on every pair of relations up to PAIR_BUDGET
 # pairs, and on LAW_SAMPLES pairs drawn with LAW_SEED beyond it.
 PAIR_BUDGET = 1 << 20
 LAW_SAMPLES = 500
 LAW_SEED = 0
+
+
+# -- the literal base: order, bounds and closure ------------------------------
+
+
+def leq(P, a, b):
+    """a <= b in the poset P, read off its rows."""
+    return P.rows[P.index[a]] >> P.index[b] & 1 == 1
+
+
+def literal_bound(vecs, mask):
+    """The greatest lower bound of the indices in `mask`, or None, by the
+    literal loop over x <= y read as bit x of vecs[y]: for a poset's
+    `cols` its meet, for its `rows` its join.  The empty mask asks for a
+    top (a bottom)."""
+    n = len(vecs)
+    members = [m for m in range(n) if mask >> m & 1]
+    lower = [x for x in range(n) if all(vecs[m] >> x & 1 for m in members)]
+    return next((g for g in lower if all(vecs[g] >> x & 1 for x in lower)), None)
+
+
+def _bound(P, vecs, subset):
+    g = literal_bound(vecs, sum({1 << P.index[e] for e in subset}))
+    return None if g is None else P.elements[g]
+
+
+def glb(P, subset):
+    """The greatest lower bound of `subset` in the poset P, or None."""
+    return _bound(P, P.cols, subset)
+
+
+def lub(P, subset):
+    """The least upper bound of `subset` in the poset P, or None."""
+    return _bound(P, P.rows, subset)
+
+
+def naive_transitive_close(rows):
+    """Reflexive-transitive closure of a square bit-matrix (list of ints),
+    in place, by Warshall's pivots one row at a time."""
+    n = len(rows)
+    for i in range(n):
+        rows[i] |= 1 << i
+    for k in range(n):
+        bit = 1 << k
+        rk = rows[k]
+        for i in range(n):
+            if rows[i] & bit:
+                rows[i] |= rk
+    return rows
+
+
+def tagged_carrier(pol):
+    """The carrier of the polarity's preorders: its left elements, then
+    its right elements, each tagged with its side."""
+    return tuple(map(tag_x, pol.x.elements)) + tuple(map(tag_y, pol.y.elements))
+
+
+def _order_pairs(P):
+    """The pairs a <= b of the poset P, row by row."""
+    return [(a, b) for a in P.elements for b in P.elements if leq(P, a, b)]
+
+
+# -- the coherence conditions --------------------------------------------------
 
 
 def _subsets(items):
@@ -50,35 +137,40 @@ def _gate(pol, limit=10):
 
 
 def naive_c7(pol):
-    """C7 by scanning every subset of the base."""
+    """C7 by scanning every subset S of the base: where the left images of
+    S have a meet x, each y2 related from x lies above each y1 below every
+    right image of S."""
     _gate(pol)
     X, Y = pol.x, pol.y
     for s in _subsets(pol.base.elements):
-        x = X.meet([pol.ex(p) for p in s])
+        x = glb(X, [pol.ex(p) for p in s])
         if x is None:
             continue
+        below = [y1 for y1 in Y.elements if all(leq(Y, y1, pol.ey(p)) for p in s)]
         for y2 in Y.elements:
-            if (x, y2) not in pol.rel:
-                continue
-            for y1 in Y.elements:
-                if all(Y.leq(y1, pol.ey(p)) for p in s) and not Y.leq(y1, y2):
-                    return False, (x, y1, y2, s)
+            if (x, y2) in pol.rel:
+                for y1 in below:
+                    if not leq(Y, y1, y2):
+                        return False, (x, y1, y2, s)
     return True, None
 
 
 def naive_c8(pol):
+    """C8, dually: where the right images of a base subset T have a join
+    y, each x1 related to y lies below each x2 above every left image of
+    T."""
     _gate(pol)
     X, Y = pol.x, pol.y
     for t in _subsets(pol.base.elements):
-        y = Y.join([pol.ey(p) for p in t])
+        y = lub(Y, [pol.ey(p) for p in t])
         if y is None:
             continue
+        above = [x2 for x2 in X.elements if all(leq(X, pol.ex(p), x2) for p in t)]
         for x1 in X.elements:
-            if (x1, y) not in pol.rel:
-                continue
-            for x2 in X.elements:
-                if all(X.leq(pol.ex(p), x2) for p in t) and not X.leq(x1, x2):
-                    return False, (x1, x2, y, t)
+            if (x1, y) in pol.rel:
+                for x2 in above:
+                    if not leq(X, x1, x2):
+                        return False, (x1, x2, y, t)
     return True, None
 
 
@@ -89,56 +181,56 @@ def naive_z_s(pol):
     X, Y = pol.x, pol.y
     out = set()
     for s in _subsets(pol.base.elements):
-        m = X.meet([pol.ex(p) for p in s])
-        if m is None:
-            continue
-        for x in X.up(m):
-            for y in Y.elements:
-                if all(Y.leq(y, pol.ey(p)) for p in s):
-                    out.add((y, x))
+        m = glb(X, [pol.ex(p) for p in s])
+        if m is not None:
+            below = [y for y in Y.elements if all(leq(Y, y, pol.ey(p)) for p in s)]
+            out.update((y, x) for x in X.elements if leq(X, m, x) for y in below)
     return frozenset(out)
 
 
 def naive_z_t(pol):
+    """All pairs (y, x) with some base subset whose right-image join sits
+    above y while x sits above every left image of the subset."""
     _gate(pol)
     X, Y = pol.x, pol.y
     out = set()
     for t in _subsets(pol.base.elements):
-        j = Y.join([pol.ey(p) for p in t])
-        if j is None:
-            continue
-        for y in Y.down(j):
-            for x in X.elements:
-                if all(X.leq(pol.ex(p), x) for p in t):
-                    out.add((y, x))
+        j = lub(Y, [pol.ey(p) for p in t])
+        if j is not None:
+            above = [x for x in X.elements if all(leq(X, pol.ex(p), x) for p in t)]
+            out.update((y, x) for y in Y.elements if leq(Y, y, j) for x in above)
     return frozenset(out)
 
 
-def naive_p4(pol, rel):
-    """Meet preservation of the left quotient embedding, every subset."""
-    _gate(pol)
-    q = rel.quotient()
+def _bound_kept(pol, r, side, image, tag, bound):
+    """The first base subset whose images have a bound in `side` that is
+    not a greatest lower bound of the tagged images under the relation
+    `r` (a preorder's `rel`, or its converse for joins)."""
+    carrier = tagged_carrier(pol)
     for s in _subsets(pol.base.elements):
-        m = pol.x.meet([pol.ex(p) for p in s])
+        m = bound(side, [image(p) for p in s])
         if m is None:
             continue
-        imgs = [q.project(tag_x(pol.ex(p))) for p in s]
-        if q.poset.meet(imgs) != q.project(tag_x(m)):
+        images = [tag(image(p)) for p in s]
+        lower = [z for z in carrier if all(r(z, i) for i in images)]
+        if tag(m) not in lower or not all(r(z, tag(m)) for z in lower):
             return False, s
     return True, None
 
 
-def naive_p5(pol, rel):
+def naive_p4(pol, rel):
+    """P4 on the preorder `rel`, every subset: where the left images of a
+    base subset have a meet m, m is a greatest lower bound of them under
+    `rel`, so the class of m is the meet of their classes."""
     _gate(pol)
-    q = rel.quotient()
-    for t in _subsets(pol.base.elements):
-        j = pol.y.join([pol.ey(p) for p in t])
-        if j is None:
-            continue
-        imgs = [q.project(tag_y(pol.ey(p))) for p in t]
-        if q.poset.join(imgs) != q.project(tag_y(j)):
-            return False, t
-    return True, None
+    return _bound_kept(pol, rel.rel, pol.x, pol.ex, tag_x, glb)
+
+
+def naive_p5(pol, rel):
+    """P5, dually: a join of right images is a least upper bound of them
+    under `rel`."""
+    _gate(pol)
+    return _bound_kept(pol, lambda a, b: rel.rel(b, a), pol.y, pol.ey, tag_y, lub)
 
 
 def _naive_c1(X, Y, rel):
@@ -148,7 +240,7 @@ def _naive_c1(X, Y, rel):
             for x1 in X.elements
             for x2 in X.elements
             for y in Y.elements
-            if X.leq(x1, x2) and (x2, y) in rel and (x1, y) not in rel
+            if leq(X, x1, x2) and (x2, y) in rel and (x1, y) not in rel
         ),
         (True, None),
     )
@@ -161,7 +253,7 @@ def _naive_c2(X, Y, rel):
             for y2 in Y.elements
             for y1 in Y.elements
             for x in X.elements
-            if Y.leq(y1, y2) and (x, y1) in rel and (x, y2) not in rel
+            if leq(Y, y1, y2) and (x, y1) in rel and (x, y2) not in rel
         ),
         (True, None),
     )
@@ -170,55 +262,33 @@ def _naive_c2(X, Y, rel):
 def naive_conditions_c1_to_c6(pol):
     """The six subset-free conditions, written as literal quantifier loops,
     each witness the first in the order `check_coherence` reads it."""
-    X, Y, P = pol.x, pol.y, pol.base
-    out = {}
-    out["C1"] = _naive_c1(X, Y, pol.rel)
-    out["C2"] = _naive_c2(X, Y, pol.rel)
-    out["C3"] = next(
-        (
-            (False, p)
-            for p in P.elements
-            if (pol.ex(p), pol.ey(p)) not in pol.rel
-        ),
-        (True, None),
-    )
-    out["C4"] = next(
-        (
-            (False, (x, p, y))
-            for p in P.elements
+    X, Y, P, R, ex, ey = pol.x, pol.y, pol.base.elements, pol.rel, pol.ex, pol.ey
+    return {
+        "C1": _naive_c1(X, Y, R),
+        "C2": _naive_c2(X, Y, R),
+        "C3": _verdict(p for p in P if (ex(p), ey(p)) not in R),
+        "C4": _verdict(
+            (x, p, y)
+            for p in P
             for x in X.elements
             for y in Y.elements
-            if (x, pol.ey(p)) in pol.rel
-            and (pol.ex(p), y) in pol.rel
-            and (x, y) not in pol.rel
+            if (x, ey(p)) in R and (ex(p), y) in R and (x, y) not in R
         ),
-        (True, None),
-    )
-    out["C5"] = next(
-        (
-            (False, (x1, p, x2))
-            for p in P.elements
+        "C5": _verdict(
+            (x1, p, x2)
+            for p in P
             for x1 in X.elements
             for x2 in X.elements
-            if (x1, pol.ey(p)) in pol.rel
-            and X.leq(pol.ex(p), x2)
-            and not X.leq(x1, x2)
+            if (x1, ey(p)) in R and leq(X, ex(p), x2) and not leq(X, x1, x2)
         ),
-        (True, None),
-    )
-    out["C6"] = next(
-        (
-            (False, (p, y1, y2))
-            for p in P.elements
+        "C6": _verdict(
+            (p, y1, y2)
+            for p in P
             for y2 in Y.elements
             for y1 in Y.elements
-            if (pol.ex(p), y2) in pol.rel
-            and Y.leq(y1, pol.ey(p))
-            and not Y.leq(y1, y2)
+            if (ex(p), y2) in R and leq(Y, y1, ey(p)) and not leq(Y, y1, y2)
         ),
-        (True, None),
-    )
-    return out
+    }
 
 
 def naive_e1_e2(pol):
@@ -230,14 +300,14 @@ def naive_e1_e2(pol):
         (x1, x2)
         for x1 in X.elements
         for x2 in X.elements
-        if x1 != x2 and not X.leq(x1, x2)
+        if x1 != x2 and not leq(X, x1, x2)
         and all((x1, y) in R for y in Y.elements if (x2, y) in R)
     )
     e2 = (
         (y1, y2)
         for y2 in Y.elements
         for y1 in Y.elements
-        if y1 != y2 and not Y.leq(y1, y2)
+        if y1 != y2 and not leq(Y, y1, y2)
         and all((x, y2) in R for x in X.elements if (x, y1) in R)
     )
     return {name: _verdict(w) for name, w in (("E1", e1), ("E2", e2))}
@@ -249,9 +319,9 @@ def naive_s1_s2(pol):
     ey(p) (S1), whose right image's up-set is not the set of elements
     ex(p) is related to (S2)."""
     X, Y, R, P = pol.x, pol.y, pol.rel, pol.base.elements
-    s1 = (p for p in P if {x for x in X.elements if X.leq(x, pol.ex(p))}
+    s1 = (p for p in P if {x for x in X.elements if leq(X, x, pol.ex(p))}
           != {x for x in X.elements if (x, pol.ey(p)) in R})
-    s2 = (p for p in P if {y for y in Y.elements if Y.leq(pol.ey(p), y)}
+    s2 = (p for p in P if {y for y in Y.elements if leq(Y, pol.ey(p), y)}
           != {y for y in Y.elements if (pol.ex(p), y) in R})
     return {"S1": _verdict(s1), "S2": _verdict(s2)}
 
@@ -261,58 +331,46 @@ def _verdict(witnesses):
     return w is None, w
 
 
+def realizable_meet(pol, x, y):
+    """Whether x is a meet realizable at y: the meet of the left images
+    ex(p) above x of the base elements p whose right image lies above y."""
+    X, ex = pol.x, pol.ex
+    images = [ex(p) for p in pol.base.elements if leq(X, x, ex(p)) and leq(pol.y, y, pol.ey(p))]
+    return glb(X, images) == x
+
+
+def realizable_join(pol, y, x):
+    """Whether y is a join realizable at x: the join of the right images
+    ey(p) below y of the base elements p whose left image lies below x."""
+    Y, ey = pol.y, pol.ey
+    images = [ey(p) for p in pol.base.elements if leq(Y, ey(p), y) and leq(pol.x, pol.ex(p), x)]
+    return lub(Y, images) == y
+
+
 def oracle_report_conditions(pol):
     """The twelve conditions of `check_coherence` with their first
     witnesses, in its order, as literal loops over elements: C1 to C6,
     E1, E2, S1 and S2 as the naive loops above read them, and C7 (C8) in
-    the order of the right (left) element a meet (join) is realizable at.
-    A meet is realizable at y1 when it is the meet of all the images
-    ex(p) above it with y1 below ey(p); a join at x2, dually."""
-    X, Y, P, R, ex, ey = pol.x, pol.y, pol.base.elements, pol.rel, pol.ex, pol.ey
-
-    def meet_at(x, y1):
-        return X.meet([ex(p) for p in P if X.leq(x, ex(p)) and Y.leq(y1, ey(p))]) == x
-
-    def join_at(y, x2):
-        return Y.join([ey(p) for p in P if Y.leq(ey(p), y) and X.leq(ex(p), x2)]) == y
-
+    the order of the right (left) element a meet (join) is realizable at."""
+    X, Y, R = pol.x, pol.y, pol.rel
     out = naive_conditions_c1_to_c6(pol)
     out["C7"] = _verdict(
         (x, y1, y2)
         for y1 in Y.elements
         for x in X.elements
-        if meet_at(x, y1)
+        if realizable_meet(pol, x, y1)
         for y2 in Y.elements
-        if (x, y2) in R and not Y.leq(y1, y2)
+        if (x, y2) in R and not leq(Y, y1, y2)
     )
     out["C8"] = _verdict(
         (x1, x2, y)
         for x2 in X.elements
         for y in Y.elements
-        if join_at(y, x2)
+        if realizable_join(pol, y, x2)
         for x1 in X.elements
-        if (x1, y) in R and not X.leq(x1, x2)
+        if (x1, y) in R and not leq(X, x1, x2)
     )
     return {**out, **naive_e1_e2(pol), **naive_s1_s2(pol)}
-
-
-def oracle_naive_condition_check(pol, condition, rel=None):
-    """Dispatch a literal check of one condition name.
-
-    C1..C6 are plain loops, C7/C8 scan all base subsets, P4/P5 need the
-    candidate preorder `rel`.
-    """
-    if condition in ("C1", "C2", "C3", "C4", "C5", "C6"):
-        return naive_conditions_c1_to_c6(pol)[condition]
-    if condition == "C7":
-        return naive_c7(pol)
-    if condition == "C8":
-        return naive_c8(pol)
-    if condition == "P4":
-        return naive_p4(pol, rel)
-    if condition == "P5":
-        return naive_p5(pol, rel)
-    raise ValueError("unknown condition %r" % (condition,))
 
 
 def naive_coherence_level(pol):
@@ -326,6 +384,9 @@ def naive_coherence_level(pol):
     if not (naive_c7(pol)[0] and naive_c8(pol)[0]):
         return 2
     return 3
+
+
+# -- relations and preorders, pair by pair -------------------------------------
 
 
 def oracle_coherent_relations(x, y, forced, limit=13):
@@ -350,41 +411,21 @@ def oracle_coherent_relations(x, y, forced, limit=13):
     return results
 
 
-def _coherent_relations(frame, floor):
-    """The 0-coherent relations between the frame's sides containing the
+def _coherent_relations(X, Y, floor):
+    """The 0-coherent relations between the posets X and Y containing the
     pairs of the left bit-rows `floor`, each as left bit-rows, walked
     rather than swept: the reference for `extend._least_graded`.
 
     R satisfies C1 and C2 exactly when ≤X ∪ R ∪ ≤Y is transitive on the
-    carrier, so these are the closed relations (`oracle_closed_relations`)
-    that keep both side orders as they are and relate nothing from right
-    to left.
+    carrier X + Y, so these are the closed relations
+    (`oracle_closed_relations`) on the rows of X, then Y, that keep both
+    side orders as they are and relate nothing from right to left.
     """
-    nx, ny = len(frame.xs), len(frame.ys)
-    full_x, full_y = (1 << nx) - 1, (1 << ny) - 1
-    forced = frame.relation(frame.pack(frame.xrows, frame.yrows, floor)).rows
-    forbidden = frame.pack(
-        [full_x & ~r for r in frame.xrows], [full_y & ~r for r in frame.yrows], yx=[full_x] * ny
-    )
-    forbidden = frame.relation(forbidden).rows
-    forced = naive_transitive_close(list(forced))
-    for rows in oracle_closed_relations(forced, forbidden):
+    nx, full = len(X), (1 << len(X) + len(Y)) - 1
+    forced = [r | floor[i] << nx for i, r in enumerate(X.rows)] + [r << nx for r in Y.rows]
+    forbidden = [~r & (1 << nx) - 1 for r in X.rows] + [full & ~(r << nx) for r in Y.rows]
+    for rows in oracle_closed_relations(naive_transitive_close(forced), forbidden):
         yield [r >> nx for r in rows[:nx]]
-
-
-def naive_transitive_close(rows):
-    """Reflexive-transitive closure of a square bit-matrix (list of ints),
-    in place, by Warshall's pivots one row at a time."""
-    n = len(rows)
-    for i in range(n):
-        rows[i] |= 1 << i
-    for k in range(n):
-        bit = 1 << k
-        rk = rows[k]
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rk
-    return rows
 
 
 def naive_transitivity_witness(carrier, rows):
@@ -393,12 +434,12 @@ def naive_transitivity_witness(carrier, rows):
     `rows`, by the literal triple loop; None when R is transitive."""
     n = len(carrier)
     for i in range(n):
+        outside = [j for j in range(n) if not rows[i] >> j & 1]
         for k in range(n):
-            if not rows[i] >> k & 1:
-                continue
-            for j in range(n):
-                if rows[k] >> j & 1 and not rows[i] >> j & 1:
-                    return carrier[i], carrier[k], carrier[j]
+            if rows[i] >> k & 1:
+                for j in outside:
+                    if rows[k] >> j & 1:
+                        return carrier[i], carrier[k], carrier[j]
     return None
 
 
@@ -496,18 +537,7 @@ def oracle_enumerate_preorders(carrier, forced, forbidden):
             if chosen >> k & 1:
                 i, j = free[k]
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            if rows[i] & forbidden_rows[i]:
-                ok = False
-                break
-            for k in range(n):
-                if rows[i] >> k & 1 and rows[k] & ~rows[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if naive_transitivity_witness(carrier, rows) is None:
             results.append(UnionPreorder(carrier, rows))
     return results
 
@@ -515,8 +545,9 @@ def oracle_enumerate_preorders(carrier, forced, forbidden):
 def oracle_rigidity_failures(pol, u):
     """The absent pairs of `u` whose closure into `u` is still a grade-3
     preorder for the polarity, found by closing each pair in and grading
-    the result from scratch."""
+    the result anew with `oracle_is_n_preorder`."""
     n = len(u.carrier)
+    z = naive_z_s(pol), naive_z_t(pol)
     out = []
     for i in range(n):
         for j in range(n):
@@ -524,20 +555,12 @@ def oracle_rigidity_failures(pol, u):
                 continue
             rows = [r | (1 << j if k == i else 0) for k, r in enumerate(u.rows)]
             enlarged = UnionPreorder(u.carrier, naive_transitive_close(rows))
-            if is_n_preorder(pol, enlarged, 3).ok:
+            if oracle_is_n_preorder(pol, enlarged, 3, z).ok:
                 out.append((u.carrier[i], u.carrier[j]))
     return out
 
 
-def literal_bound(vecs, mask):
-    """The greatest lower bound of the indices in `mask`, or None, by the
-    literal loop over x <= y read as bit x of vecs[y]: for a poset's
-    `cols` its meet, for its `rows` its join.  The empty mask asks for a
-    top (a bottom)."""
-    n = len(vecs)
-    members = [m for m in range(n) if mask >> m & 1]
-    lower = [x for x in range(n) if all(vecs[m] >> x & 1 for m in members)]
-    return next((g for g in lower if all(vecs[g] >> x & 1 for x in lower)), None)
+# -- the completion laws ---------------------------------------------------------
 
 
 def oracle_complete_hom_failure(g):
@@ -565,7 +588,7 @@ def oracle_complete_homs(src, tgt, forced):
     Refuses sources past 6 and targets past 8 elements."""
     if len(src) > 6 or len(tgt) > 8:
         raise CarrierTooLarge("homomorphism search gated at 6 and 8 elements")
-    order = sorted(src.elements, key=lambda e: len(src.down(e)))
+    order = sorted(src.elements, key=lambda e: sum(leq(src, d, e) for d in src.elements))
     out = []
 
     def extend(k, partial):
@@ -577,8 +600,8 @@ def oracle_complete_homs(src, tgt, forced):
         e = order[k]
         for v in [forced[e]] if e in forced else tgt.elements:
             if all(
-                (not src.leq(p, e) or tgt.leq(pv, v))
-                and (not src.leq(e, p) or tgt.leq(v, pv))
+                (not leq(src, p, e) or leq(tgt, pv, v))
+                and (not leq(src, e, p) or leq(tgt, v, pv))
                 for p, pv in partial.items()
             ):
                 partial[e] = v
@@ -609,19 +632,22 @@ def oracle_bounds_failure(f, src, tgt):
 def oracle_monotone_failure(source, target, assignment):
     """The first pair (p, q), in carrier order, with p <= q in `source`
     but assignment[p] !<= assignment[q] in `target`, by the literal loop
-    over `Poset.leq`; None when the assignment is monotone."""
-    for p in source.elements:
-        for q in source.up(p):
-            if not target.leq(assignment[p], assignment[q]):
-                return p, q
-    return None
+    over `leq`; None when the assignment is monotone."""
+    return next(
+        (
+            (p, q)
+            for p, q in _order_pairs(source)
+            if not leq(target, assignment[p], assignment[q])
+        ),
+        None,
+    )
 
 
 def oracle_reflection_failure(f):
     """A pair (p, q) with f(p) <= f(q) but not p <= q, or None."""
     for p in f.source.elements:
         for q in f.source.elements:
-            if f.target.leq(f(p), f(q)) and not f.source.leq(p, q):
+            if leq(f.target, f(p), f(q)) and not leq(f.source, p, q):
                 return p, q
     return None
 
@@ -629,63 +655,49 @@ def oracle_reflection_failure(f):
 def oracle_is_cut_stable(f):
     """For every q1 !<= q2 in the target there are p1 !<= p2 in the source
     with f^{-1}(up q1) inside up p1 and f^{-1}(down q2) inside down p2."""
-    src, tgt = f.source, f.target
+    src, tgt, S = f.source, f.target, f.source.elements
     for q1 in tgt.elements:
         for q2 in tgt.elements:
-            if tgt.leq(q1, q2):
+            if leq(tgt, q1, q2):
                 continue
-            pre_up = src.mask_of(p for p in src.elements if tgt.leq(q1, f(p)))
-            pre_down = src.mask_of(p for p in src.elements if tgt.leq(f(p), q2))
-            ok = False
-            for i1, p1 in enumerate(src.elements):
-                if pre_up & ~src.rows[i1]:
-                    continue
-                for i2, p2 in enumerate(src.elements):
-                    if src.rows[i1] >> i2 & 1:
-                        continue
-                    if not pre_down & ~src.cols[i2]:
-                        ok = True
-                        break
-                if ok:
-                    break
-            if not ok:
+            pre_up = [p for p in S if leq(tgt, q1, f(p))]
+            pre_down = [p for p in S if leq(tgt, f(p), q2)]
+            below = [p1 for p1 in S if all(leq(src, p1, p) for p in pre_up)]
+            above = [p2 for p2 in S if all(leq(src, p, p2) for p in pre_down)]
+            if all(leq(src, p1, p2) for p1 in below for p2 in above):
                 return False
     return True
 
 
 def oracle_is_complete_lattice(poset):
     """For a finite poset: nonempty, with a top, a bottom, and all
-    binary meets and joins."""
+    binary meets and joins, each taken with `literal_bound`."""
     n = len(poset.elements)
-    if n == 0:
-        return False
-    if poset.meet_index(0) is None or poset.join_index(0) is None:
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = (1 << i) | (1 << j)
-            if poset.meet_index(m) is None or poset.join_index(m) is None:
-                return False
-    return True
+    masks = [0] + [1 << i | 1 << j for i in range(n) for j in range(i + 1, n)]
+    return n > 0 and all(
+        literal_bound(vecs, m) is not None for m in masks for vecs in (poset.cols, poset.rows)
+    )
+
+
+# -- polarity morphisms ----------------------------------------------------------
 
 
 def oracle_cross_order(morphism):
-    """The first (y, x), x-major in carrier order, whose classes are
-    ordered in the source quotient while the classes of their images are
-    not ordered in the target quotient, by the literal loop over
-    `Poset.leq`; None when the cross-side order is kept."""
-    s = morphism.source
-    qs = morphism.src_struct.quotient.poset
-    qt = morphism.tgt_struct.quotient.poset
-    ia, ib = morphism.src_struct.iota_x, morphism.src_struct.iota_y
-    ja, jb = morphism.tgt_struct.iota_x, morphism.tgt_struct.iota_y
-    for x in s.x.elements:
-        for y in s.y.elements:
-            if qs.leq(ib(y), ia(x)) and not qt.leq(
-                jb(morphism.hy(y)), ja(morphism.hx(x))
-            ):
-                return y, x
-    return None
+    """The first (y, x), x-major in carrier order, with y below x in the
+    grade-3 preorder of the source, whose pairs from right to left are
+    those of `naive_z_s` and `naive_z_t`, while hy(y) is not below hx(x)
+    in that of the target; None when the cross-side order is kept."""
+    s, t, hx, hy = morphism.source, morphism.target, morphism.hx, morphism.hy
+    back_s, back_t = naive_z_s(s) | naive_z_t(s), naive_z_s(t) | naive_z_t(t)
+    return next(
+        (
+            (y, x)
+            for x in s.x.elements
+            for y in s.y.elements
+            if (y, x) in back_s and (hy(y), hx(x)) not in back_t
+        ),
+        None,
+    )
 
 
 def oracle_unreflected(morphism):
@@ -698,14 +710,14 @@ def oracle_unreflected(morphism):
     def reflects(xp, yp):
         for x in s.x.elements:
             if not all(
-                s.x.leq(x, a) for a in s.x.elements if t.x.leq(xp, hx(a))
+                leq(s.x, x, a) for a in s.x.elements if leq(t.x, xp, hx(a))
             ):
                 continue
             for y in s.y.elements:
                 if (x, y) in s.rel:
                     continue
                 if not all(
-                    s.y.leq(b, y) for b in s.y.elements if t.y.leq(hy(b), yp)
+                    leq(s.y, b, y) for b in s.y.elements if leq(t.y, hy(b), yp)
                 ):
                     continue
                 if not all(
@@ -725,17 +737,23 @@ def oracle_unreflected(morphism):
     return None
 
 
+# -- the relation lattices of an extension context -----------------------------
+
+
+def _bracket(ctx, x, y):
+    """The outer pairs (x', y') that the inner pair (x, y) brackets
+    through the side embeddings: x' <= ix(x) and iy(y) <= y', read off
+    the column of ix(x) and the row of iy(y)."""
+    xo, yo = ctx.ix.target, ctx.iy.target
+    down, up = xo.cols[xo.index[ctx.ix(x)]], yo.rows[yo.index[ctx.iy(y)]]
+    below = [a for k, a in enumerate(xo.elements) if down >> k & 1]
+    return {(a, b) for k, b in enumerate(yo.elements) if up >> k & 1 for a in below}
+
+
 def oracle_extend_relation(ctx):
     """The saturation of the inner relation, pair by pair: x' is related
-    to y' when some inner related pair brackets them through the side
-    embeddings."""
-    out = set()
-    xo, yo = ctx.ix.target, ctx.iy.target
-    for x, y in ctx.inner.rel:
-        for a in xo.down(ctx.ix(x)):
-            for b in yo.up(ctx.iy(y)):
-                out.add((a, b))
-    return frozenset(out)
+    to y' when some inner related pair brackets them."""
+    return frozenset().union(*(_bracket(ctx, x, y) for x, y in ctx.inner.rel))
 
 
 def oracle_restrict_relation(ctx, sbar):
@@ -758,47 +776,47 @@ def oracle_relation_lattice_adjunction(ctx):
     relation (or pair), the outer relations taken in ascending order of
     their pair masks.  Gated at 12 inner and 16 outer pairs.
     """
-    inner = ctx.inner
-    nx, ny = len(inner.x), len(inner.y)
-    nxo, nyo = len(ctx.ix.target), len(ctx.iy.target)
-    if nx * ny > 12 or nxo * nyo > 16:
+    X, Y = ctx.inner.x, ctx.inner.y
+    xo, yo = ctx.ix.target, ctx.iy.target
+    if len(X) * len(Y) > 12 or len(xo) * len(yo) > 16:
         raise CarrierTooLarge("relation lattices too large to enumerate")
-    inner_pairs = [(a, b) for a in inner.x.elements for b in inner.y.elements]
+    inner_pairs = [(a, b) for a in X.elements for b in Y.elements]
     all_inner = [
         frozenset(p for k, p in enumerate(inner_pairs) if m >> k & 1)
         for m in range(1 << len(inner_pairs))
     ]
-    xo, yo = ctx.ix.target, ctx.iy.target
-    walked = _coherent_relations(ctx._outer_frame, [0] * nxo)
+    walked = _coherent_relations(xo, yo, [0] * len(xo))
     coherent_outer = [
         frozenset(
-            (xo.elements[i], yo.elements[j])
+            (xo.elements[i], b)
             for i, row in enumerate(rows)
-            for j in _mask_iter(row)
+            for j, b in enumerate(yo.elements)
+            if row >> j & 1
         )
         # Rows from the last compare as their pair masks do.
         for rows in sorted(walked, key=lambda rows: rows[::-1])
     ]
 
-    frame = inner._frame
+    # The saturation of a relation is the union of what its pairs bracket.
+    brackets = {p: _bracket(ctx, *p) for p in inner_pairs}
+
+    def saturation(r):
+        return frozenset().union(*(brackets[p] for p in r))
+
     failures = []
     extended = {}
     for r in all_inner:
-        c = ExtensionContext(inner.with_relation(r), ctx.ix, ctx.iy)
-        rb = oracle_extend_relation(c)
-        extended[r] = rb
-        back = oracle_restrict_relation(c, rb)
-        if not r <= back or (frame.mask_level(frame.mask(r), 0) is not None and r != back):
+        extended[r] = saturation(r)
+        back = oracle_restrict_relation(ctx, extended[r])
+        if not r <= back or r != back and _naive_c1(X, Y, r)[0] and _naive_c2(X, Y, r)[0]:
             failures.append(("unit", r))
     unit_holds = not failures
 
     counit_holds = True
     restricted = {}
     for s in coherent_outer:
-        under = oracle_restrict_relation(ctx, s)
-        restricted[s] = under
-        c = ExtensionContext(inner.with_relation(under), ctx.ix, ctx.iy)
-        if not oracle_extend_relation(c) <= s:
+        restricted[s] = under = oracle_restrict_relation(ctx, s)
+        if not saturation(under) <= s:
             counit_holds = False
             failures.append(("counit", s))
 
@@ -887,133 +905,80 @@ def prop_order_preorder(pol):
                 if (x, y1) in pol.rel
             ):
                 pairs.append((tag_y(y), tag_x(x)))
-    return UnionPreorder.from_pairs(pol.carrier(), pairs)
+    return UnionPreorder.from_pairs(tagged_carrier(pol), pairs)
 
 
 # -- canonical relations and graded preorders, pair by pair ---------------
 
 
-def oracle_realizable_meets(fr):
-    """Per right element y of the frame, the mask of the left elements
-    that are the meet of the left images above them of the base elements
-    whose right image lies above y: `_expressible` once per right
-    element."""
-    left = [1 << xi for xi in fr.exi]
-    return [
-        _expressible(fr.xrows, fr.xcols, _union_of(left, m))
-        for m in _preimages(fr.eyi, fr.ycols)
-    ]
-
-
-def oracle_realizable_joins(fr):
-    """Per left element x, the mask of the right elements that are the
-    join of the right images below them of the base elements whose left
-    image lies below x."""
-    right = [1 << yi for yi in fr.eyi]
-    return [
-        _expressible(fr.ycols, fr.yrows, _union_of(right, m))
-        for m in _preimages(fr.exi, fr.xrows)
-    ]
-
-
-def _z_s_pairs(fr):
-    """Pairs (y, x) forced below-left by a meet of images."""
-    out = set()
-    for j, real in enumerate(oracle_realizable_meets(fr)):
-        for i, down in enumerate(fr.xcols):
-            if real & down:
-                out.add((fr.ys[j], fr.xs[i]))
-    return frozenset(out)
-
-
-def _z_t_pairs(fr):
-    """Pairs (y, x) forced below-left by a join of images."""
-    out = set()
-    for i, real in enumerate(oracle_realizable_joins(fr)):
-        for j, up in enumerate(fr.yrows):
-            if real & up:
-                out.add((fr.ys[j], fr.xs[i]))
-    return frozenset(out)
-
-
-def _z_x_pairs(fr, rx, ry):
-    out = set()
-    for i1, up in enumerate(fr.xrows):
-        for i2 in _mask_iter(up):
-            out.add((fr.xs[i1], fr.xs[i2]))
-    for xi, yi in zip(fr.exi, fr.eyi):
-        for i1 in _mask_iter(ry[yi]):
-            for i2 in _mask_iter(fr.xrows[xi]):
-                out.add((fr.xs[i1], fr.xs[i2]))
-    return frozenset(out)
-
-
-def _z_y_pairs(fr, rx, ry):
-    out = set()
-    for j1, up in enumerate(fr.yrows):
-        for j2 in _mask_iter(up):
-            out.add((fr.ys[j1], fr.ys[j2]))
-    for xi, yi in zip(fr.exi, fr.eyi):
-        for j1 in _mask_iter(fr.ycols[yi]):
-            for j2 in _mask_iter(rx[xi]):
-                out.add((fr.ys[j1], fr.ys[j2]))
-    return frozenset(out)
-
-
-def _z_yx_pairs(fr, rx, ry):
-    out = set()
-    for k1 in range(len(fr.ps)):
-        for k2 in range(len(fr.ps)):
-            if not rx[fr.exi[k1]] >> fr.eyi[k2] & 1:
-                continue
-            for j in _mask_iter(fr.ycols[fr.eyi[k1]]):
-                for i in _mask_iter(fr.xrows[fr.exi[k2]]):
-                    out.add((fr.ys[j], fr.xs[i]))
-    return frozenset(out)
-
-
-def _z_yx_alt_pairs(fr):
-    """Pairs (y, x) such that every base element sent below y on the
-    right is below every base element sent above x on the left."""
-    out = set()
-    for j, down in enumerate(fr.ycols):
-        below = [k for k, yi in enumerate(fr.eyi) if down >> yi & 1]
-        for i, up in enumerate(fr.xrows):
-            above = [k for k, xi in enumerate(fr.exi) if up >> xi & 1]
-            if all(fr.prows[k1] >> k2 & 1 for k1 in below for k2 in above):
-                out.add((fr.ys[j], fr.xs[i]))
-    return frozenset(out)
-
-
 def _tagged(pol, x_pairs=(), y_pairs=(), cross_xy=(), cross_yx=()):
-    pairs = []
+    pairs = [(e, e) for e in tagged_carrier(pol)]
     pairs.extend((tag_x(a), tag_x(b)) for a, b in x_pairs)
     pairs.extend((tag_y(a), tag_y(b)) for a, b in y_pairs)
     pairs.extend((tag_x(a), tag_y(b)) for a, b in cross_xy)
     pairs.extend((tag_y(a), tag_x(b)) for a, b in cross_yx)
-    carrier = pol.carrier()
-    diag = [(e, e) for e in carrier]
-    return UnionPreorder.from_pairs(carrier, diag + pairs)
+    return UnionPreorder.from_pairs(tagged_carrier(pol), pairs)
 
 
 def oracle_canonical_relations(pol):
     """The named pair-sets of the polarity, keyed by name (`z_x`, `z_y`,
     `z_yx`, `z_yx_alt`, `z_s`, `z_t`), and the canonical relations built
     from them pair by pair, keyed by name: `r_zero`, `r_hat_m`, `r_hat_g`,
-    and the pointwise relation `structure_of` compares with `r_hat_g`."""
-    fr = _Frame(pol.base, pol.ex, pol.ey)
-    rx, ry = fr.rows(fr.mask(pol.rel))
+    and the pointwise relation `structure_of` compares with `r_hat_g`.
+
+    The saturation adds, through each base element p, x1 below x2 when
+    x1 R ey(p) and ex(p) <= x2 (`z_x`), y1 below y2 when y1 <= ey(p) and
+    ex(p) R y2 (`z_y`), and y below x when y <= ey(p1), ex(p1) R ey(p2)
+    and ex(p2) <= x (`z_yx`); pointwise, y is below x when every base
+    element sent below y on the right is below every one sent above x on
+    the left (`z_yx_alt`)."""
+    X, Y, P, R, ex, ey = pol.x, pol.y, pol.base, pol.rel, pol.ex, pol.ey
+    ps = P.elements
+    sides = _order_pairs(X), _order_pairs(Y)
     sets = {
-        "z_x": _z_x_pairs(fr, rx, ry),
-        "z_y": _z_y_pairs(fr, rx, ry),
-        "z_yx": _z_yx_pairs(fr, rx, ry),
-        "z_yx_alt": _z_yx_alt_pairs(fr),
-        "z_s": _z_s_pairs(fr),
-        "z_t": _z_t_pairs(fr),
+        "z_x": frozenset(sides[0]).union(
+            (x1, x2)
+            for p in ps
+            for x1 in X.elements
+            if (x1, ey(p)) in R
+            for x2 in X.elements
+            if leq(X, ex(p), x2)
+        ),
+        "z_y": frozenset(sides[1]).union(
+            (y1, y2)
+            for p in ps
+            for y1 in Y.elements
+            if leq(Y, y1, ey(p))
+            for y2 in Y.elements
+            if (ex(p), y2) in R
+        ),
+        "z_yx": frozenset(
+            (y, x)
+            for p1 in ps
+            for p2 in ps
+            if (ex(p1), ey(p2)) in R
+            for y in Y.elements
+            if leq(Y, y, ey(p1))
+            for x in X.elements
+            if leq(X, ex(p2), x)
+        ),
+        "z_yx_alt": frozenset(
+            (y, x)
+            for y in Y.elements
+            for x in X.elements
+            if all(
+                leq(P, k1, k2)
+                for k1 in ps
+                if leq(Y, ey(k1), y)
+                for k2 in ps
+                if leq(X, x, ex(k2))
+            )
+        ),
+        "z_s": naive_z_s(pol),
+        "z_t": naive_z_t(pol),
     }
-    sides = pol.x.pairs(), pol.y.pairs()
     return sets, {
-        name: _tagged(pol, *along, pol.rel, back)
+        name: _tagged(pol, *along, R, back)
         for name, along, back in (
             ("r_zero", sides, ()),
             ("r_hat_m", (sets["z_x"], sets["z_y"]), sets["z_yx"]),
@@ -1023,88 +988,92 @@ def oracle_canonical_relations(pol):
     }
 
 
-def _forced(fr, n):
-    """The packed pairs every n-preorder holds besides those across, block
-    by block: the side orders (P2, P3), from grade 1 each base element's
-    two image pairs (commutation), and from grade 3 the pairs of
-    `_z_s_pairs` and `_z_t_pairs` (P4, P5).  The reference for
-    `_Frame.graded`."""
-    xy, yx = [0] * len(fr.xs), [0] * len(fr.ys)
-    if n >= 1:
-        for xi, yi in zip(fr.exi, fr.eyi):
-            xy[xi] |= 1 << yi
-            yx[yi] |= 1 << xi
-    if n >= 3:
-        for b, a in _z_s_pairs(fr) | _z_t_pairs(fr):
-            yx[fr.yindex[b]] |= 1 << fr.xindex[a]
-    return _pack_blocks(len(fr.xs), fr.xrows, fr.yrows, xy, yx)
-
-
-def _forbidden(fr, n):
-    """The packed pairs no n-preorder holds besides those across: from
-    grade 2, the pairs outside the side orders (reflectX, reflectY)."""
-    if n < 2:
-        return 0
-    full_x, full_y = (1 << len(fr.xs)) - 1, (1 << len(fr.ys)) - 1
-    return _pack_blocks(
-        len(fr.xs),
-        [full_x & ~r for r in fr.xrows],
-        [full_y & ~r for r in fr.yrows],
-        [0] * len(fr.xs),
-        [0] * len(fr.ys),
-    )
-
-
-def oracle_is_n_preorder(pol, rel, n):
-    """`is_n_preorder` clause by clause over element pairs, with the
-    forced pairs of grade 3 taken from the pair-sets above."""
-    if not 0 <= n <= 3:
-        raise ValueError("grade must be between 0 and 3")
-    carrier = pol.carrier()
-    if rel.carrier != carrier:
-        raise CarrierMismatch("relation carrier does not match the polarity")
-    if not rel.is_reflexive():
-        missing = next(
-            e for i, e in enumerate(carrier) if not rel.rows[i] >> i & 1
-        )
-        return NPreorderVerdict(False, "reflexive", missing)
-    tw = naive_transitivity_witness(rel.carrier, rel.rows)
-    if tw is not None:
-        return NPreorderVerdict(False, "transitive", tw)
-    X, Y = pol.x, pol.y
-    for a in X.elements:
-        for b in Y.elements:
-            if rel.rel(tag_x(a), tag_y(b)) != ((a, b) in pol.rel):
-                return NPreorderVerdict(False, "P1", (a, b))
-    for a1, a2 in X.pairs():
-        if not rel.rel(tag_x(a1), tag_x(a2)):
-            return NPreorderVerdict(False, "P2", (a1, a2))
-    for b1, b2 in Y.pairs():
-        if not rel.rel(tag_y(b1), tag_y(b2)):
-            return NPreorderVerdict(False, "P3", (b1, b2))
+def _forced(pol, n):
+    """The tagged pairs every n-preorder holds besides those across: the
+    side orders (P2, P3), from grade 1 each base element's two image pairs
+    (commutation), and from grade 3 the pairs of `naive_z_s` and
+    `naive_z_t` (P4, P5).  The reference for `polarity._grade_masks`."""
+    out = {(tag_x(a), tag_x(b)) for a, b in _order_pairs(pol.x)}
+    out |= {(tag_y(a), tag_y(b)) for a, b in _order_pairs(pol.y)}
     if n >= 1:
         for p in pol.base.elements:
-            xi, yi = tag_x(pol.ex(p)), tag_y(pol.ey(p))
-            if not (rel.rel(xi, yi) and rel.rel(yi, xi)):
-                return NPreorderVerdict(False, "commutation", p)
-    if n >= 2:
-        for a1 in X.elements:
-            for a2 in X.elements:
-                if rel.rel(tag_x(a1), tag_x(a2)) and not X.leq(a1, a2):
-                    return NPreorderVerdict(False, "reflectX", (a1, a2))
-        for b1 in Y.elements:
-            for b2 in Y.elements:
-                if rel.rel(tag_y(b1), tag_y(b2)) and not Y.leq(b1, b2):
-                    return NPreorderVerdict(False, "reflectY", (b1, b2))
+            out |= {(tag_x(pol.ex(p)), tag_y(pol.ey(p))), (tag_y(pol.ey(p)), tag_x(pol.ex(p)))}
     if n >= 3:
-        fr = _Frame(pol.base, pol.ex, pol.ey)
-        for b, a in sorted(_z_s_pairs(fr), key=repr):
-            if not rel.rel(tag_y(b), tag_x(a)):
-                return NPreorderVerdict(False, "P4", (b, a))
-        for b, a in sorted(_z_t_pairs(fr), key=repr):
-            if not rel.rel(tag_y(b), tag_x(a)):
-                return NPreorderVerdict(False, "P5", (b, a))
-    return NPreorderVerdict(True)
+        out |= {(tag_y(b), tag_x(a)) for b, a in naive_z_s(pol) | naive_z_t(pol)}
+    return out
+
+
+def _forbidden(pol, n):
+    """The tagged pairs no n-preorder holds besides those across: from
+    grade 2, the pairs outside the side orders (reflectX, reflectY)."""
+    if n < 2:
+        return set()
+    return {
+        (tag(a), tag(b))
+        for side, tag in ((pol.x, tag_x), (pol.y, tag_y))
+        for a in side.elements
+        for b in side.elements
+        if not leq(side, a, b)
+    }
+
+
+def _clause_failures(pol, rel, n, z):
+    """Each clause of an n-preorder with its first failure, or None, in
+    the order `is_n_preorder` decides them; lazily, so that grade 3's
+    pairs are built only when every clause before them holds."""
+    X, Y, r, rows, carrier = pol.x, pol.y, rel.rel, rel.rows, rel.carrier
+
+    def along(side, tag, ordered):
+        return next(
+            (
+                (a, b)
+                for a in side.elements
+                for b in side.elements
+                if leq(side, a, b) == ordered and r(tag(a), tag(b)) != ordered
+            ),
+            None,
+        )
+
+    yield "reflexive", next((e for i, e in enumerate(carrier) if not rows[i] >> i & 1), None)
+    yield "transitive", naive_transitivity_witness(carrier, rows)
+    yield "P1", next(
+        (
+            (a, b)
+            for a in X.elements
+            for b in Y.elements
+            if r(tag_x(a), tag_y(b)) != ((a, b) in pol.rel)
+        ),
+        None,
+    )
+    yield "P2", along(X, tag_x, True)
+    yield "P3", along(Y, tag_y, True)
+    if n >= 1:
+        images = [(p, tag_x(pol.ex(p)), tag_y(pol.ey(p))) for p in pol.base.elements]
+        yield "commutation", next((p for p, a, b in images if not (r(a, b) and r(b, a))), None)
+    if n >= 2:
+        yield "reflectX", along(X, tag_x, False)
+        yield "reflectY", along(Y, tag_y, False)
+    if n >= 3:
+        for clause, pairs in zip(("P4", "P5"), z or (naive_z_s(pol), naive_z_t(pol))):
+            yield clause, next(
+                ((b, a) for b, a in sorted(pairs, key=repr) if not r(tag_y(b), tag_x(a))), None
+            )
+
+
+def oracle_is_n_preorder(pol, rel, n, z=None):
+    """`is_n_preorder` clause by clause over elements in carrier order:
+    reflexive, transitive, P1, P2, P3, from grade 1 commutation, from
+    grade 2 reflectX and reflectY, from grade 3 P4 and P5, the pairs of
+    `naive_z_s` and `naive_z_t`, or of `z`, those two computed once."""
+    if not 0 <= n <= 3:
+        raise ValueError("grade must be between 0 and 3")
+    if rel.carrier != tagged_carrier(pol):
+        raise CarrierMismatch("relation carrier does not match the polarity")
+    failures = _clause_failures(pol, rel, n, z)
+    return next(
+        (NPreorderVerdict(False, c, w) for c, w in failures if w is not None),
+        NPreorderVerdict(True),
+    )
 
 
 # -- isomorphisms over a base, by search -----------------------------------
@@ -1146,7 +1115,9 @@ def oracle_order_isomorphisms(p1, p2, forced=None):
         if i == n:
             yield list(partial)
             return
-        for j in _mask_iter(cand[i] & ~used):
+        for j in range(len(p2)):
+            if not (cand[i] & ~used) >> j & 1:
+                continue
             if all(
                 (p1.rows[i] >> k & 1) == (p2.rows[j] >> jk & 1)
                 and (p1.rows[k] >> i & 1) == (p2.rows[jk] >> j & 1)

@@ -1081,7 +1081,7 @@ class UnionPreorder:
         n = len(self.carrier)
         if len(self.rows) != n:
             raise CarrierMismatch("matrix size does not match carrier")
-        if self.rows and max(self.rows) >> n:
+        if self.rows and (max(self.rows) >> n or min(self.rows) < 0):
             raise CarrierMismatch("matrix wider than carrier")
         self.packed = _pack(self.rows, n)
         self._closed = False

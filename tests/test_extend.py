@@ -469,7 +469,7 @@ class TestDownSets:
             X, Y = ctx.ix.target, ctx.iy.target
             frame = ctx._outer_frame
             for floor in (frozenset(), image_pairs(ctx)):
-                rows_walked = list(_coherent_relations(frame, as_rows(X, Y, floor)))
+                rows_walked = list(_coherent_relations(X, Y, as_rows(X, Y, floor)))
                 walked = [as_pairs(X, Y, rows) for rows in rows_walked]
                 assert sorted(walked, key=sorted) == sorted(
                     oracle_coherent_relations(X, Y, floor, limit=12), key=sorted
@@ -526,13 +526,7 @@ class TestDownSets:
         ]
         walked = [oracle_relation_lattice_adjunction(ctx) for ctx in contexts]
 
-        sides = {
-            id(ctx._outer_frame): (ctx.ix.target, ctx.iy.target)
-            for ctx in contexts
-        }
-
-        def swept(frame, floor):
-            X, Y = sides[id(frame)]
+        def swept(X, Y, floor):
             floor = as_pairs(X, Y, floor)
             for rel in oracle_coherent_relations(X, Y, floor, limit=12):
                 yield as_rows(X, Y, rel)
@@ -630,7 +624,7 @@ class TestLeastGraded:
         above the image pairs reaches, by the walk."""
         X, Y = ctx.ix.target, ctx.iy.target
         frame = ctx._outer_frame
-        walked = _coherent_relations(frame, as_rows(X, Y, image_pairs(ctx)))
+        walked = _coherent_relations(X, Y, as_rows(X, Y, image_pairs(ctx)))
         masks = [frame.mask(as_pairs(X, Y, rx)) for rx in walked]
         return [n for n in grades if any(frame.mask_level(m, n) == n for m in masks)]
 

@@ -9,12 +9,10 @@ from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
     _forbidden,
     _forced,
-    _z_x_pairs,
-    _z_y_pairs,
-    _z_yx_pairs,
     naive_c7,
     naive_c8,
     naive_coherence_level,
+    naive_conditions_c1_to_c6,
     naive_p4,
     naive_p5,
     naive_z_s,
@@ -22,11 +20,10 @@ from polab.oracles import (
     oracle_canonical_relations,
     oracle_enumerate_preorders,
     oracle_is_n_preorder,
-    oracle_naive_condition_check,
-    oracle_realizable_joins,
-    oracle_realizable_meets,
     oracle_report_conditions,
     oracle_rigidity_failures,
+    realizable_join,
+    realizable_meet,
 )
 from polab.order import Poset, UnionPreorder, tag_x, tag_y
 from polab.polarity import (
@@ -72,19 +69,14 @@ class TestConditionOracles:
     @settings(deadline=None, max_examples=60)
     def test_per_condition_verdicts_agree(self, pol):
         rep = check_coherence(pol)
-        for name in ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8"):
-            ok, _ = oracle_naive_condition_check(pol, name)
+        naive = {**naive_conditions_c1_to_c6(pol), "C7": naive_c7(pol), "C8": naive_c8(pol)}
+        for name, (ok, _) in naive.items():
             assert rep.ok(name) == ok, name
 
     def test_fixture_witnesses_match_failures(self):
         pol = load("fix_c").polarities["G"]
-        ok, witness = oracle_naive_condition_check(pol, "C5")
+        ok, witness = naive_conditions_c1_to_c6(pol)["C5"]
         assert not ok and witness is not None
-
-    def test_unknown_condition(self):
-        pol = load("fix_a").polarities["G"]
-        with pytest.raises(ValueError):
-            oracle_naive_condition_check(pol, "C9")
 
 
 class TestSubsetOracles:
@@ -226,6 +218,12 @@ def _fast_canonical_relations(pol):
     }
 
 
+def _pairs_of(rel):
+    """The pairs of a relation on a tagged carrier, read off its rows."""
+    c = rel.carrier
+    return {(c[i], c[j]) for i, row in enumerate(rel.rows) for j in range(len(c)) if row >> j & 1}
+
+
 def _flipped(rel, i, j):
     rows = list(rel.rows)
     rows[i] ^= 1 << j
@@ -342,42 +340,36 @@ class TestPackedFrame:
 
     def test_grade_masks_match_the_block_by_block_route(self):
         """What each grade forces and forbids, from the frame's packed
-        blocks, is the oracle's `_forced` and `_forbidden` with the pairs
-        across of P1."""
+        blocks and read back through a relation's rows, is the oracle's
+        `_forced` and `_forbidden` with the pairs across of P1."""
         for pol in _differential_polarities():
-            fr, carrier = pol._frame, pol.carrier()
-            across = [(tag_x(a), tag_y(b)) for a in pol.x.elements for b in pol.y.elements]
-            r = UnionPreorder.from_pairs(carrier, [(tag_x(a), tag_y(b)) for a, b in pol.rel])
-            other = UnionPreorder.from_pairs(carrier, across).packed & ~r.packed
+            fr = pol._frame
+            across = {(tag_x(a), tag_y(b)) for a in pol.x.elements for b in pol.y.elements}
+            r = {(tag_x(a), tag_y(b)) for a, b in pol.rel}
             for n in range(4):
-                want = _forced(fr, n) | r.packed, _forbidden(fr, n) | other
-                assert _grade_masks(pol, n) == want, n
+                forced, forbidden = (_pairs_of(fr.relation(m)) for m in _grade_masks(pol, n))
+                assert forced == _forced(pol, n) | r, n
+                assert forbidden == _forbidden(pol, n) | across - r, n
 
     def test_realizable_pair_masks_match_the_expressible_route(self):
-        """The pair masks of realizable meets and joins hold the masks
-        `_expressible` gives per right, resp. left, element, and their
-        closures are the pairs the subset scans force."""
+        """The pair masks of realizable meets and joins hold the pairs the
+        literal loops `realizable_meet` and `realizable_join` find, and
+        their closures are the pairs the subset scans force."""
         for pol in _differential_polarities():
             fr = pol._frame
             ny = len(fr.ys)
-            meets = oracle_realizable_meets(fr)
-            joins = oracle_realizable_joins(fr)
-            for i in range(len(fr.xs)):
-                for j in range(ny):
-                    assert fr.meets >> i * ny + j & 1 == meets[j] >> i & 1
-                    assert fr.joins >> i * ny + j & 1 == joins[i] >> j & 1
-            if len(pol.base) <= 3:
-                assert {(b, a) for a, b in fr.pairs(fr.z_s)} == naive_z_s(pol)
-                assert {(b, a) for a, b in fr.pairs(fr.z_t)} == naive_z_t(pol)
+            for i, x in enumerate(fr.xs):
+                for j, y in enumerate(fr.ys):
+                    assert fr.meets >> i * ny + j & 1 == realizable_meet(pol, x, y)
+                    assert fr.joins >> i * ny + j & 1 == realizable_join(pol, y, x)
+            assert {(b, a) for a, b in fr.pairs(fr.z_s)} == naive_z_s(pol)
+            assert {(b, a) for a, b in fr.pairs(fr.z_t)} == naive_z_t(pol)
 
     def test_saturation_matches_the_pair_loops(self):
         """The saturation's three blocks besides the relation, each one
         product per base element on the packed `r_zero`, are the pairs of
         the oracle's loops."""
         for pol in _differential_polarities():
-            fr = pol._frame
-            rx, ry = fr.rows(pol._mask)
+            sets, _ = oracle_canonical_relations(pol)
             ns = named_relation_sets(pol)
-            assert ns.z_x == _z_x_pairs(fr, rx, ry)
-            assert ns.z_y == _z_y_pairs(fr, rx, ry)
-            assert ns.z_yx == _z_yx_pairs(fr, rx, ry)
+            assert (ns.z_x, ns.z_y, ns.z_yx) == (sets["z_x"], sets["z_y"], sets["z_yx"])

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import polab
@@ -33,6 +33,7 @@ from polab.order import (
     _bounds_failure,
     _closed_relations,
     _complete_hom_failure,
+    _expressible,
     _inclusion_order,
     _intersection_lattice,
     _lift,
@@ -54,6 +55,9 @@ from polab.order import (
 from polab.concepts import adjoint_pair, concept_lattice
 from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
+    glb,
+    leq,
+    lub,
     naive_transitive_close,
     naive_transitivity_witness,
     oracle_bounds_failure,
@@ -296,6 +300,22 @@ class TestUnionPreorder:
             with pytest.raises(CarrierMismatch, match="wider than carrier"):
                 UnionPreorder(carrier, rows)
         assert UnionPreorder(carrier, [0b11, 0b10]).is_preorder()
+
+    def test_negative_rows_are_rejected(self):
+        """A negative row sets every bit past the carrier, beside rows
+        that do not: each 3-row matrix with entries from -9 to 7 that
+        holds one is refused by both constructors."""
+        carrier = (tag_x("a"), tag_x("b"), tag_y("a"))
+        refused = 0
+        for rows in product(range(-9, 8), repeat=3):
+            if min(rows) >= 0:
+                continue
+            with pytest.raises(CarrierMismatch, match="wider than carrier"):
+                UnionPreorder(carrier, rows)
+            with pytest.raises(PolabError):
+                Poset("abc", rows)
+            refused += 1
+        assert refused == 17**3 - 8**3
 
     def test_equal_relations_hash_equal_without_decoding_rows(self):
         """A relation built from its rows and one built from its packed
@@ -684,6 +704,35 @@ class TestBoundsCertificate:
                     got = _bound_index(vecs, mask)
                     assert got == literal_bound(vecs, mask)
                     found[got is None] += 1
+        assert min(found.values()) > 1000
+
+    def test_expressible_is_the_literal_bound(self):
+        """`_expressible`, behind `is_meet_extension`, `is_join_extension`,
+        `is_dense`, `delta_on_objects` and the generation certificates of
+        `structure_of`, against the literal loop: q is the meet (join) of
+        the images above (below) it.  On every fixture poset and on random
+        posets of 1-12 elements, with no image, every element and random
+        image masks, both ways."""
+        rng = random.Random(54)
+        posets = [
+            side
+            for fx in CATALOGUE
+            for pol in load(fx.name).polarities.values()
+            for side in (pol.base, pol.x, pol.y)
+        ]
+        posets += [random_poset(rng, rng.randint(1, 12)) for _ in range(120)]
+        found = {True: 0, False: 0}
+        for p in posets:
+            n = len(p)
+            for images in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]:
+                chosen = [e for i, e in enumerate(p.elements) if images >> i & 1]
+                for up, down, bound, below in ((p.rows, p.cols, glb, False), (p.cols, p.rows, lub, True)):
+                    got = _expressible(up, down, images)
+                    for q, e in enumerate(p.elements):
+                        near = [a for a in chosen if (leq(p, a, e) if below else leq(p, e, a))]
+                        want = bound(p, near) == e
+                        assert (got >> q & 1 == 1) == want, (p, images, below, e)
+                        found[want] += 1
         assert min(found.values()) > 1000
 
     def test_no_size_gate(self):

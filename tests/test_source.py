@@ -100,6 +100,63 @@ def test_the_import_scan_resolves_every_form(tmp_path):
     assert "polab.oracles" not in _imported_modules(probe, tmp_path)
 
 
+# The fast routes and the packed frame of `polab.order` and
+# `polab.polarity`, which the oracles are compared with and so must not
+# reach.
+FAST_ROUTES = (
+    "is_n_preorder", "check_coherence", "coherence_level", "mask_level",
+    "mask_grade", "meet", "join", "meet_index", "join_index", "quotient",
+    "project", "closed", "_frame", "_outer_frame", "_rows", "_mask",
+)
+
+
+def _shared_with_fast_routes(path, root=PACKAGE.parent):
+    """What a file shares with the fast routes: each underscore name it
+    imports from the package, then each line that reaches a name of
+    `FAST_ROUTES` as `_references` finds it."""
+    private = sorted(
+        name
+        for name in _imported_modules(path, root)
+        if name.startswith("polab.") and any(p.startswith("_") for p in name.split(".")[1:])
+    )
+    return private + _references(path, FAST_ROUTES)
+
+
+def test_oracles_share_no_fast_route():
+    """Each oracle is stated on the literal base of `polab.oracles`
+    (`leq`, `glb`/`lub`, `naive_transitive_close`): it imports only public
+    names from the package and reaches no fast route or frame, so a fault
+    in a kernel cannot move a route and its reference together."""
+    found = _shared_with_fast_routes(PACKAGE / "oracles.py")
+    assert not found, "oracles.py shares with the fast routes: %s" % found
+
+
+def test_the_fast_route_scan_sees_every_form(tmp_path):
+    (tmp_path / "polab").mkdir()
+    probe = tmp_path / "polab" / "oracles.py"
+    for text, want in (
+        ("from .order import _expressible", ["polab.order._expressible"]),
+        ("from polab.polarity import _Frame as F", ["polab.polarity._Frame"]),
+        ("from .order import Poset, _mask_iter", ["polab.order._mask_iter"]),
+        ("import polab._private", ["polab._private"]),
+        ("m = X.meet([a, b])", [1]),
+        ("rows = pol._frame.rows(pol._mask)", [1, 1]),
+        ("from .polarity import is_n_preorder", [1]),
+        ("level = coherence_level(pol)", [1]),
+        ("q = rel.closed().quotient()", [1, 1]),
+    ):
+        probe.write_text(text + "\n")
+        assert _shared_with_fast_routes(probe, tmp_path) == want, text
+    probe.write_text(
+        "from .order import Poset, UnionPreorder, tag_x\n"
+        "from . import polarity\n"
+        "meets = glb(X, s)\n"
+        "oracle_closed_relations(rows, barred)\n"
+        "x = 'meet'\n"
+    )
+    assert _shared_with_fast_routes(probe, tmp_path) == []
+
+
 # The packed bit-matrix layout of `polab.order` and its kernels.
 PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive", "_spread")
 
