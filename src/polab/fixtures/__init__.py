@@ -3,8 +3,9 @@
 Each fixture is a document shipped with the package plus a battery of
 named checks.  The checks recompute every advertised verdict from
 scratch, so running the catalogue doubles as a regression test for the
-whole library.  `Fixture.run` returns one result per labelled check
-and never stops early; callers decide what a failure means.
+whole library.  `Fixture.run` returns one result per labelled check,
+the last that the document reads back from its serialized text, and
+never stops early; callers decide what a failure means.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from ..docformat import parse
+from ..docformat import parse, serialize
 from ..extend import ExtensionContext, extend_relation, restrict_relation
 from ..morphisms import psi_of, roundtrip_holds
 from ..order import (
@@ -190,7 +191,9 @@ class Fixture:
 
     def run(self):
         doc = load(self.name)
-        return [CheckResult(self.name, label, bool(ok)) for label, ok in self.check(doc)]
+        checks = list(self.check(doc))
+        checks.append(("document round-trips through serialize", parse(serialize(doc)) == doc))
+        return [CheckResult(self.name, label, bool(ok)) for label, ok in checks]
 
 
 CATALOGUE = (

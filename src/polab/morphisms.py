@@ -233,10 +233,22 @@ def _first_preimages(emb, values, label):
     return [first[t] for t in values]
 
 
+def _recovered_idx(psi, src, tgt):
+    """The index tuples of the left, right and base components of the
+    morphism recovered from psi, one by one: each sends an element to the
+    first one its image under psi comes from."""
+    f = psi.idx
+    for iota, into, label in (
+        (src.iota_x, tgt.iota_x, "left side"),
+        (src.iota_y, tgt.iota_y, "right side"),
+        (src.gamma, tgt.gamma, "base"),
+    ):
+        yield tuple(_first_preimages(into, [f[v] for v in iota.idx], label))
+
+
 def h_of(psi, source, target, _structs=None):
-    """The polarity morphism recovered from a stable quotient map: each
-    component sends an element to the first one its image under psi
-    comes from."""
+    """The polarity morphism recovered from a stable quotient map
+    (`_recovered_idx`)."""
     if _structs is None:
         src, tgt = structure_of(source), structure_of(target)
     else:
@@ -245,29 +257,27 @@ def h_of(psi, source, target, _structs=None):
         raise DomainMismatch("map must run between the intermediate quotients")
     if not is_galois_stable(psi, src, tgt):
         raise MorphismInvalid("stability", "map is not stable", None)
-    f = psi.idx
+    sides = ((source.x, target.x), (source.y, target.y), (source.base, target.base))
     hx, hy, hp = (
-        MonotoneMap._of_idx(
-            side, other, _first_preimages(into, [f[v] for v in iota.idx], label)
-        )
-        for side, other, iota, into, label in (
-            (source.x, target.x, src.iota_x, tgt.iota_x, "left side"),
-            (source.y, target.y, src.iota_y, tgt.iota_y, "right side"),
-            (source.base, target.base, src.gamma, tgt.gamma, "base"),
-        )
+        MonotoneMap._of_idx(side, other, idx)
+        for (side, other), idx in zip(sides, _recovered_idx(psi, src, tgt))
     )
     return PolarityMorphism(source, target, hx, hp, hy, _structs=(src, tgt))
 
 
 def roundtrip_holds(morphism):
-    """Translating a morphism to its quotient map and back returns it."""
-    back = h_of(
-        psi_of(morphism),
-        morphism.source,
-        morphism.target,
-        _structs=(morphism.src_struct, morphism.tgt_struct),
-    )
-    return back == morphism
+    """Translating a morphism to its quotient map and back returns it.
+
+    psi_of certifies psi stable, and the morphism was validated when it
+    was built, so recovered index tuples equal to its own are the
+    morphism itself and are not validated again.  Other tuples are
+    built and validated by `h_of`, which raises on an invalid triple."""
+    psi = psi_of(morphism)
+    structs = (morphism.src_struct, morphism.tgt_struct)
+    own = (morphism.hx.idx, morphism.hy.idx, morphism.hp.idx)
+    if tuple(_recovered_idx(psi, *structs)) == own:
+        return True
+    return h_of(psi, morphism.source, morphism.target, _structs=structs) == morphism
 
 
 def stable_roundtrip_holds(psi, source, target):

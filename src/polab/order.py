@@ -511,12 +511,6 @@ class Poset:
         ids = tuple(ids)
         return cls(ids, [1 << i for i in range(len(ids))])
 
-    @classmethod
-    def chain(cls, ids):
-        ids = tuple(ids)
-        n = len(ids)
-        return cls(ids, [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
-
     def __len__(self):
         return len(self.elements)
 
@@ -548,26 +542,6 @@ class Poset:
     def leq(self, a, b):
         return self.rows[self._i(a)] >> self._i(b) & 1 == 1
 
-    def up(self, a):
-        """Elements above `a`, in carrier order."""
-        return tuple(self.elements[j] for j in _mask_iter(self.rows[self._i(a)]))
-
-    def down(self, a):
-        return tuple(self.elements[j] for j in _mask_iter(self.cols[self._i(a)]))
-
-    def pairs(self):
-        return frozenset(
-            (self.elements[i], self.elements[j])
-            for i in range(len(self.elements))
-            for j in _mask_iter(self.rows[i])
-        )
-
-    def mask_of(self, subset):
-        m = 0
-        for e in subset:
-            m |= 1 << self._i(e)
-        return m
-
     def elements_of(self, mask):
         return tuple(self.elements[i] for i in _mask_iter(mask))
 
@@ -578,14 +552,6 @@ class Poset:
 
     def join_index(self, mask):
         return _bound_index(self.rows, mask)
-
-    def meet(self, subset):
-        g = self.meet_index(self.mask_of(subset))
-        return None if g is None else self.elements[g]
-
-    def join(self, subset):
-        g = self.join_index(self.mask_of(subset))
-        return None if g is None else self.elements[g]
 
     def is_complete_lattice(self):
         """For a finite poset: nonempty, with a top and all binary meets.
@@ -619,9 +585,9 @@ class Poset:
         return out
 
     def restrict(self, keep):
-        """Induced subposet on `keep`, in carrier order."""
-        keep = set(keep)
-        kept = [i for i, e in enumerate(self.elements) if e in keep]
+        """Induced subposet on `keep`, in carrier order; `UnknownId` for
+        the first id of `keep` that is not an element."""
+        kept = sorted(set(map(self._i, keep)))
         return _induced(self.elements, self.rows, kept)
 
     def relabel(self, fn):

@@ -716,7 +716,7 @@ def _grade_masks(pol, n):
 
 
 def _check_grade(n):
-    if not isinstance(n, int) or not 0 <= n <= 3:
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= 3:
         raise ValueError("grade must be an int from 0 to 3, got %r" % (n,))
 
 

@@ -13,6 +13,7 @@ certified at the end.  The full completion is never built.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import LawViolation
@@ -121,8 +122,10 @@ def random_galois_polarity(rng, base_size=3, keep_theta=0.4):
     return pol
 
 
+@functools.cache
 def collapse_target():
-    """The one-point slice polarity, the terminal object for morphisms."""
+    """The one-point slice polarity, the terminal object for morphisms,
+    built once, so its structures are memoised once."""
     point = Poset.antichain(("o",))
     e = Extension.identity(point)
     return ExtensionPolarity(point, e, e, frozenset({("o", "o")}))

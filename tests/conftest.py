@@ -25,6 +25,18 @@ def seeded_posets(max_size=5):
     )
 
 
+def chain(ids):
+    """The chain ids[0] < ids[1] < ... through the checked constructor."""
+    ids = tuple(ids)
+    n = len(ids)
+    return Poset(ids, [((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)])
+
+
+def mask_of(poset, ids):
+    """The ids of a poset as a mask over its elements."""
+    return sum(1 << i for i in {poset.index[e] for e in ids})
+
+
 def identity_polarity(base):
     """The slice polarity whose sides are both the base itself."""
     e = Extension.identity(base)
@@ -72,8 +84,9 @@ def random_monotone(rng, s, t):
     each element, in a linear extension, goes to a random upper bound of
     the images already chosen below it."""
     img = {}
-    for a in sorted(s.elements, key=lambda a: len(s.down(a))):
-        below = [img[e] for e in s.down(a) if e != a]
+    down = lambda a: s.elements_of(s.cols[s.index[a]])
+    for a in sorted(s.elements, key=lambda a: len(down(a))):
+        below = [img[e] for e in down(a) if e != a]
         bounds = [v for v in t.elements if all(t.leq(w, v) for w in below)]
         if not bounds:
             return None
@@ -97,7 +110,7 @@ def lossy_side():
 def point_into_chain():
     """The one-point polarity sent to the bottom of the chain a < b,
     whose identity polarity has the one absent pair (b, a)."""
-    pt, tgt = collapse_target(), identity_polarity(Poset.chain("ab"))
+    pt, tgt = collapse_target(), identity_polarity(chain("ab"))
     to_a = lambda s, t: MonotoneMap(s, t, {"o": "a"})
     return PolarityMorphism(
         pt, tgt, to_a(pt.x, tgt.x), to_a(pt.base, tgt.base), to_a(pt.y, tgt.y)

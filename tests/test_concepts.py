@@ -18,7 +18,7 @@ from polab.oracles import polar_left, polar_right, prop_order_preorder, upsilon,
 from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.randgen import random_extension_polarity, random_galois_polarity
 
-from conftest import identity_polarity, lossy_side, named_relation_sets
+from conftest import chain, identity_polarity, lossy_side, mask_of, named_relation_sets
 
 
 def seeded_polarities(max_base=3):
@@ -75,18 +75,18 @@ class TestConceptLattice:
             pol = build(rng, rng.randint(1, 3))
             lat = concept_lattice(pol)
             for a in pol.x.elements:
-                assert lat.xi_mask[a] == pol.x.mask_of(xi(pol, a))
+                assert lat.xi_mask[a] == mask_of(pol.x, xi(pol, a))
             for b in pol.y.elements:
-                assert lat.upsilon_mask[b] == pol.x.mask_of(upsilon(pol, b))
+                assert lat.upsilon_mask[b] == mask_of(pol.x, upsilon(pol, b))
 
     @given(seeded_polarities())
     @settings(deadline=None, max_examples=40)
     def test_meets_are_intersections(self, pol):
         lat = concept_lattice(pol)
         els = lat.poset.elements
-        for c in els:
-            for d in els:
-                m = lat.poset.meet([c, d])
+        for i, c in enumerate(els):
+            for j, d in enumerate(els):
+                m = els[lat.poset.meet_index(1 << i | 1 << j)]
                 assert m == c & d
 
 
@@ -139,7 +139,7 @@ class TestAdjoints:
     def test_rejects_non_completions(self):
         # the bottom of the chain is not a meet of image elements
         p = Poset.antichain("b")
-        e = Extension(MonotoneMap(p, Poset.chain("ab"), {"b": "b"}))
+        e = Extension(MonotoneMap(p, chain("ab"), {"b": "b"}))
         m = macneille(p)
         with pytest.raises(PreservationViolation):
             adjoint_pair(e, m)
@@ -176,6 +176,6 @@ class TestZDoublePrime:
 
     def test_rejects_mismatched_base(self):
         pol = load("fix_a").polarities["G"]
-        wrong = macneille(Poset.chain("uv"))
+        wrong = macneille(chain("uv"))
         with pytest.raises(PreservationViolation):
             z_doubleprime(pol, wrong, macneille(pol.y))

@@ -20,6 +20,8 @@ from polab.fixtures import CATALOGUE, load
 from polab.order import MonotoneMap, Poset
 from polab.polarity import ExtensionPolarity, r_l
 
+from conftest import chain
+
 
 class TestParsing:
     def test_minimal_document(self):
@@ -298,7 +300,7 @@ class TestRoundTrip:
             assert again == doc
 
     def test_ids_with_dashes_and_angles_round_trip(self):
-        p = Poset.chain(["a-", "-", "b>", ">c", "1"])
+        p = chain(["a-", "-", "b>", ">c", "1"])
         doc = Document(posets={"P": p}, maps={"m": MonotoneMap.identity(p)})
         assert parse(serialize(doc)) == doc
 
@@ -308,13 +310,13 @@ class TestRoundTrip:
          (["a~b"], "a~b"), (["a;"], "a;"), (["#"], "#"), (["}"], "}"), ([""], "")],
     )
     def test_ids_that_would_not_read_back_are_refused(self, ids, bad):
-        doc = Document(posets={"P": Poset.chain(ids)})
+        doc = Document(posets={"P": chain(ids)})
         with pytest.raises(ParseError) as e:
             serialize(doc)
         assert str(e.value) == "poset 'P': id %r does not read back" % (bad,)
 
     def test_names_that_would_not_read_back_are_refused(self):
-        doc = Document(posets={"P Q": Poset.chain("ab")})
+        doc = Document(posets={"P Q": chain("ab")})
         with pytest.raises(ParseError) as e:
             serialize(doc)
         assert str(e.value) == "bad name 'P Q'"
@@ -368,7 +370,7 @@ class TestRoundTrip:
 
 class TestDot:
     def test_cover_edges_only(self):
-        p = Poset.chain("abc")
+        p = chain("abc")
         dot = to_dot(p)
         assert '"a" -> "b"' in dot and '"b" -> "c"' in dot
         assert '"a" -> "c"' not in dot

@@ -51,6 +51,8 @@ from polab.order import (
 from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_l, r_zero
 from polab.randgen import random_context, random_side_context
 
+from conftest import chain
+
 
 def seeded_contexts(max_base=3, galois=False):
     return st.builds(
@@ -133,7 +135,7 @@ def fixture_context(name, inner="G", ix="ix", iy="iy"):
 class TestContext:
     def test_rejects_mismatched_sides(self):
         pol = load("fix_a").polarities["G"]
-        wrong = macneille(Poset.chain("uv"))
+        wrong = macneille(chain("uv"))
         with pytest.raises(CarrierMismatch):
             ExtensionContext(pol, wrong, macneille(pol.y))
 
@@ -253,9 +255,9 @@ class TestPhi:
             phi_map(ctx, outer.rel, pre)
 
     def test_reflection_failure_names_a_pair(self):
-        f = MonotoneMap(Poset.antichain("ab"), Poset.chain("uv"), {"a": "u", "b": "v"})
+        f = MonotoneMap(Poset.antichain("ab"), chain("uv"), {"a": "u", "b": "v"})
         assert _reflection_failure(f) == ("a", "b")
-        assert _reflection_failure(MonotoneMap.identity(Poset.chain("uv"))) is None
+        assert _reflection_failure(MonotoneMap.identity(chain("uv"))) is None
 
 
 def verdicts(rep):

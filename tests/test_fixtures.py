@@ -23,6 +23,8 @@ class TestCatalogue:
         assert len(results) >= 25
         for r in results:
             assert r.ok, (r.fixture, r.label)
+        round_trips = [r.fixture for r in results if r.label.startswith("document round-trips")]
+        assert round_trips == [fx.name for fx in CATALOGUE]
 
     def test_filtering(self):
         only_a = next(fx for fx in CATALOGUE if fx.name == "fix_a").run()

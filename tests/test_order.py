@@ -84,7 +84,15 @@ from polab.randgen import (
     random_poset,
 )
 
-from conftest import INDEX_SABOTAGE, dual_extension, lossy_side, random_monotone, seeded_posets
+from conftest import (
+    INDEX_SABOTAGE,
+    chain,
+    dual_extension,
+    lossy_side,
+    mask_of,
+    random_monotone,
+    seeded_posets,
+)
 
 
 def downset_extension(p):
@@ -105,15 +113,16 @@ def naive_lift(src, tgt, up=False):
     `src` sent to the join of the `tgt` images of the elements whose `src`
     image lies below s (with `up`, to the meet of those above it)."""
     S, T = src.target, tgt.target
-    bound = T.meet if up else T.join
+    bound = T.meet_index if up else T.join_index
 
     def counted(p, s):
         return S.leq(s, src(p)) if up else S.leq(src(p), s)
 
-    return {
-        s: bound([tgt(p) for p in src.source.elements if counted(p, s)])
-        for s in S.elements
-    }
+    def value(s):
+        k = bound(mask_of(T, [tgt(p) for p in src.source.elements if counted(p, s)]))
+        return None if k is None else T.elements[k]
+
+    return {s: value(s) for s in S.elements}
 
 
 def diamond():
@@ -122,7 +131,7 @@ def diamond():
 
 class TestPoset:
     def test_chain_order(self):
-        c = Poset.chain("abc")
+        c = chain("abc")
         assert c.leq("a", "c") and not c.leq("c", "a")
         assert c.covers() == [("a", "b"), ("b", "c")]
 
@@ -139,30 +148,39 @@ class TestPoset:
             Poset.from_pairs("ab", [("a", "b"), ("b", "a")])
 
     def test_unknown_element(self):
-        p = Poset.chain("ab")
+        p = chain("ab")
         with pytest.raises(UnknownId):
             p.leq("a", "zz")
 
     def test_meet_and_join_on_diamond(self):
         d = diamond()
-        assert d.meet(("l", "r")) == "bot"
-        assert d.join(("l", "r")) == "top"
-        assert d.meet(()) == "top" and d.join(()) == "bot"
+        lr = 1 << d.index["l"] | 1 << d.index["r"]
+        assert d.elements[d.meet_index(lr)] == "bot"
+        assert d.elements[d.join_index(lr)] == "top"
+        assert d.elements[d.meet_index(0)] == "top" and d.elements[d.join_index(0)] == "bot"
         assert d.is_complete_lattice()
 
     def test_missing_meet(self):
         a = Poset.antichain("xy")
-        assert a.meet(("x", "y")) is None
+        assert a.meet_index(0b11) is None
         assert not a.is_complete_lattice()
 
     def test_dual_swaps_meet_and_join(self):
-        d = diamond()
-        assert d.dual().meet(("l", "r")) == "top"
+        d = diamond().dual()
+        assert d.elements[d.meet_index(1 << d.index["l"] | 1 << d.index["r"])] == "top"
 
     def test_restrict_keeps_induced_order(self):
         d = diamond()
         sub = d.restrict(["bot", "top", "l"])
         assert sub.leq("bot", "top") and sub.leq("l", "top")
+
+    def test_restrict_refuses_unknown_ids(self):
+        """As `leq` and `relabel` do: the first id that is not an
+        element is named."""
+        c = chain("ab")
+        for keep in (["a", "zz"], ["zz"], ["zz", "a", "yy"]):
+            with pytest.raises(UnknownId, match="unknown element 'zz'"):
+                c.restrict(keep)
 
     @given(seeded_posets())
     def test_covers_regenerate_the_order(self, p):
@@ -175,29 +193,29 @@ class TestPoset:
 
 class TestMonotoneMap:
     def test_rejects_non_monotone(self):
-        c = Poset.chain("ab")
+        c = chain("ab")
         a = Poset.antichain("ab")
         with pytest.raises(NotMonotone):
             MonotoneMap(c, a, {"a": "a", "b": "b"})
 
     def test_rejects_keys_outside_the_source(self):
-        c = Poset.chain("ab")
+        c = chain("ab")
         with pytest.raises(UnknownId, match="key 'zz' is not in the source") as e:
             MonotoneMap(c, c, {"a": "a", "zz": "a", "b": "b"})
         assert e.value.witness == "zz"
 
     def test_composition_and_identity(self):
-        c = Poset.chain("ab")
-        d = Poset.chain("abc")
+        c = chain("ab")
+        d = chain("abc")
         f = MonotoneMap(c, d, {"a": "a", "b": "c"})
         assert compose(MonotoneMap.identity(d), f) == f
         assert compose(f, MonotoneMap.identity(c)) == f
 
     def test_embedding_detection(self):
-        c = Poset.chain("ab")
+        c = chain("ab")
         a = Poset.antichain("ab")
-        assert is_order_embedding(MonotoneMap(c, Poset.chain("abc"), {"a": "a", "b": "b"}))
-        assert not is_order_embedding(MonotoneMap(a, Poset.chain("xy"), {"a": "x", "b": "y"}))
+        assert is_order_embedding(MonotoneMap(c, chain("abc"), {"a": "a", "b": "b"}))
+        assert not is_order_embedding(MonotoneMap(a, chain("xy"), {"a": "x", "b": "y"}))
 
 
 class TestMacneille:
@@ -255,8 +273,8 @@ class TestMacneille:
 
 class TestIsomorphisms:
     def test_order_isomorphisms_of_a_chain(self):
-        c = Poset.chain("ab")
-        isos = list(oracle_order_isomorphisms(c, Poset.chain("xy")))
+        c = chain("ab")
+        isos = list(oracle_order_isomorphisms(c, chain("xy")))
         assert len(isos) == 1 and isos[0]("a") == "x"
 
     def test_antichain_has_two_isos(self):
@@ -500,7 +518,7 @@ class TestLift:
         tgt = macneille(base).map
         h, miss = _lift(src, tgt, point.cols, tgt.target.rows)
         assert miss == "a"
-        assert h("o") == tgt.target.meet(())
+        assert h("o") == tgt.target.elements[tgt.target.meet_index(0)]
         _, miss = _lift(tgt, tgt, tgt.target.cols, tgt.target.rows)
         assert miss is None
 
@@ -527,7 +545,7 @@ class TestDerivedMaps:
             from polab.order import Poset, compose
 
             assert sys.flags.optimize
-            c = MonotoneMap.identity(Poset.chain("abc"))
+            c = MonotoneMap.identity(Poset.from_pairs("abc", [("a", "b"), ("b", "c")]))
             print(refused(lambda: compose(c, c), 1, lambda idx: idx[::-1]))
             print(refused(lambda: compose(c, c), 1, lambda idx: idx))
             """
@@ -596,12 +614,16 @@ def genuine(g, failure):
     that `g` really breaks."""
     s, t = g.source, g.target
     kind, witness = failure
-    if kind == "top":
-        return witness == s.meet(()) and g(witness) != t.meet(())
-    if kind == "bottom":
-        return witness == s.join(()) and g(witness) != t.join(())
+
+    def bound(p, ids):
+        """The meet (for "top" and "meets") or join of `ids` in p, or None."""
+        index = p.meet_index if kind in ("top", "meets") else p.join_index
+        k = index(mask_of(p, ids))
+        return None if k is None else p.elements[k]
+
+    if kind in ("top", "bottom"):
+        return witness == bound(s, ()) and g(witness) != bound(t, ())
     a, b = witness
-    bound = {"meets": Poset.meet, "joins": Poset.join}[kind]
     return g(bound(s, [a, b])) != bound(t, [g(a), g(b)])
 
 
@@ -814,7 +836,7 @@ class TestIndexMapKernels:
             s, t = f.source, f.target
             assert f.idx == tuple(t.index[f(p)] for p in s.elements)
             assert f.pre_up == [
-                s.mask_of(p for p in s.elements if t.leq(q, f(p)))
+                sum(1 << i for i, p in enumerate(s.elements) if t.leq(q, f(p)))
                 for q in t.elements
             ]
 
@@ -868,12 +890,14 @@ class TestIndexMapKernels:
         rng = random.Random(77)
         for _ in range(200):
             p = random_poset(rng, rng.randint(0, 7))
-            keep = [e for e in p.elements if rng.random() < 0.6] + ["absent"]
+            keep = [e for e in p.elements if rng.random() < 0.6]
             sub = p.restrict(reversed(keep))
             assert sub.elements == tuple(e for e in p.elements if e in keep)
             assert all(
                 sub.leq(a, b) == p.leq(a, b) for a in sub.elements for b in sub.elements
             )
+            with pytest.raises(UnknownId, match="'absent'"):
+                p.restrict(keep + ["absent"])
 
     def test_transitivity_witness_is_the_first_in_carrier_order(self):
         rng = random.Random(78)
@@ -945,7 +969,7 @@ class TestTrustBoundary:
 
     def test_relabel_still_rejects_merged_ids(self):
         with pytest.raises(UnknownId):
-            Poset.chain("abc").relabel(lambda e: "same")
+            chain("abc").relabel(lambda e: "same")
 
     def test_restrict_matches_validation(self):
         for rng, p in poset_corpus(81):

@@ -54,7 +54,7 @@ from polab.randgen import (
     random_galois_polarity,
 )
 
-from conftest import dual_polarity, identity_polarity, named_relation_sets
+from conftest import chain, dual_polarity, identity_polarity, named_relation_sets
 
 
 def seeded_polarities(max_base=3):
@@ -144,7 +144,7 @@ class TestGalois:
         """`structure_of` passes its grade-3 verdict on; a relation handed
         in from outside is graded first: the closure of `r_zero` holds
         ex(p) below ey(p) but not back, so grade 1 fails at commutation."""
-        pol = identity_polarity(Poset.chain("ab"))
+        pol = identity_polarity(chain("ab"))
         with pytest.raises(NotOnePreorder) as err:
             intermediate_structure(pol, r_zero(pol).closed())
         assert "commutation" in str(err.value) and err.value.witness == "a"
@@ -482,10 +482,11 @@ class TestEnumeration:
         assert not enumerate_n_preorders(pol, 0, cap=0).preorders
 
     def test_grade_and_cap_are_checked(self):
-        """A grade outside 0 to 3, or one that is not an int, and a
-        negative cap are refused rather than read as some other search."""
+        """A grade outside 0 to 3, or one that is not an int (a bool
+        included), and a negative cap are refused rather than read as some
+        other search."""
         pol = identity_polarity(Poset.antichain("ab"))
-        for bad in (7, -1, 1.5, "1"):
+        for bad in (7, -1, 1.5, "1", False):
             with pytest.raises(ValueError, match="grade"):
                 enumerate_n_preorders(pol, bad, cap=1)
         with pytest.raises(ValueError, match="cap"):
@@ -526,8 +527,9 @@ class TestPreorderClauses:
         pol = load("fix_a").polarities["G"]
         carrier = pol.carrier()
         pairs = [(e, e) for e in carrier]
-        pairs += [(tag_x(a), tag_x(b)) for a, b in pol.x.pairs()]
-        pairs += [(tag_y(a), tag_y(b)) for a, b in pol.y.pairs()]
+        xs, ys = pol.x.elements, pol.y.elements
+        pairs += [(tag_x(a), tag_x(b)) for a in xs for b in xs if pol.x.leq(a, b)]
+        pairs += [(tag_y(a), tag_y(b)) for a in ys for b in ys if pol.y.leq(a, b)]
         u = UnionPreorder.from_pairs(carrier, pairs).closed()
         v = is_n_preorder(pol, u, 0)
         assert not v.ok and v.clause == "P1" and v.witness in pol.rel
@@ -540,8 +542,8 @@ class TestPreorderClauses:
 
     def test_grade_bounds(self):
         pol = load("fix_a").polarities["G"]
-        for bad in (4, 1.5, 1.0, None):
-            with pytest.raises(ValueError, match="grade"):
+        for bad in (4, 1.5, 1.0, None, True):
+            with pytest.raises(ValueError, match="grade must be an int from 0 to 3, got"):
                 is_n_preorder(pol, r_zero(pol).closed(), bad)
 
     def test_side_witness_ignores_the_hash_seed(self):
@@ -553,7 +555,7 @@ class TestPreorderClauses:
             from polab.order import Extension, Poset, UnionPreorder, tag_x, tag_y
             from polab.polarity import ExtensionPolarity, is_n_preorder, r_l
 
-            ident = Extension.identity(Poset.chain("abcde"))
+            ident = Extension.identity(Poset.from_pairs("abcde", zip("abcd", "bcde")))
             pol = ExtensionPolarity(ident.base, ident, ident, r_l(ident, ident))
             carrier = pol.carrier()
             pairs = [(e, e) for e in carrier]
@@ -561,7 +563,8 @@ class TestPreorderClauses:
             for rel in (
                 UnionPreorder.from_pairs(carrier, pairs),
                 UnionPreorder.from_pairs(
-                    carrier, pairs + [(tag_x(a), tag_x(b)) for a, b in pol.x.pairs()]
+                    carrier,
+                    pairs + [(tag_x(a), tag_x(b)) for a in "abcde" for b in "abcde" if pol.x.leq(a, b)],
                 ),
             ):
                 v = is_n_preorder(pol, rel, 0)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polab"
@@ -569,6 +570,49 @@ def test_the_reach_scan_sees_every_form(tmp_path):
         "m.imported_only",
         "m.only_oracles",
     ]
+
+
+def test_reach_trace_sees_every_form(tmp_path):
+    """The trace of the opt-in script `tests/reach.py` names a function
+    no route entered, a decorated and a nested one included, honours an
+    exemption, and names an exemption that is entered or gone."""
+    import reach
+
+    package = tmp_path / "reachprobe"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "m.py").write_text(
+        "import functools\n"
+        "def called():\n"
+        "    return C().used() + cached()\n"
+        "def never(): pass\n"
+        "def exempt(): pass\n"
+        "@functools.cache\n"
+        "def cached():\n"
+        "    def inner(): return 1\n"
+        "    def unused_inner(): pass\n"
+        "    return inner()\n"
+        "class C:\n"
+        "    def used(self): return 0\n"
+        "    def unused(self): pass\n"
+    )
+    (package / "oracles.py").write_text("def naive(): pass\n")
+    sys.path.insert(0, str(tmp_path))
+    try:
+        entered = reach.trace(lambda: importlib.import_module("reachprobe.m").called())
+    finally:
+        sys.path.remove(str(tmp_path))
+        for name in [n for n in sys.modules if n.startswith("reachprobe")]:
+            del sys.modules[name]
+    defs = reach.definitions(package)
+    assert sorted(defs) == [
+        "m.C.unused", "m.C.used", "m.cached", "m.cached.inner",
+        "m.cached.unused_inner", "m.called", "m.exempt", "m.never",
+    ]
+    missed = ["m.C.unused", "m.cached.unused_inner", "m.never"]
+    assert reach.unexplained(defs, entered, {"m.exempt": "why"}) == (missed, [])
+    exempt = {"m.exempt": "why", "m.called": "entered", "m.gone": "deleted"}
+    assert reach.unexplained(defs, entered, exempt) == (missed, ["m.called", "m.gone"])
 
 
 def _readme_section(title):
