@@ -5,9 +5,10 @@ completing the intermediate quotient; a dense completion generates a
 complete Galois polarity from the meet and join closures of its image.
 The two constructions are adjoint, and this module materialises the
 unit, the counit, the functor laws and the mediating-map universal
-property as finite checks.  Both object maps are memoised like
-`structure_of`, and the generated completion keeps the cut completion
-it was built from, so each polarity's cut completion is built once.
+property as finite checks.  Both object maps are kept like
+`structure_of` (`order.kept`), and the generated completion keeps the
+cut completion it was built from, so each polarity's cut completion is
+built once.  Neither kept value refers to its argument.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .order import (
     is_completion,
     is_delta1,
     is_order_embedding,
+    kept,
     macneille,
     macneille_lift,
 )
-from .polarity import STRUCTURE_CACHE_SIZE, ExtensionPolarity, is_galois, r_l
+from .polarity import ExtensionPolarity, is_galois, r_l
 from .morphisms import PolarityMorphism, compose as compose_morphisms, psi_of, structure_of
 
 
@@ -42,7 +44,7 @@ class Delta1Completion:
     `gamma_on_objects` built the completion through it, else None; it
     takes no part in equality."""
 
-    __slots__ = ("base", "completion", "cut")
+    __slots__ = ("base", "completion", "cut", "__weakref__")
 
     def __init__(self, completion, cut=None):
         if not is_delta1(completion):
@@ -59,7 +61,9 @@ class Delta1Completion:
         return self.completion(p)
 
     def __eq__(self, other):
-        return isinstance(other, Delta1Completion) and self.completion == other.completion
+        return self is other or (
+            isinstance(other, Delta1Completion) and self.completion == other.completion
+        )
 
     def __hash__(self):
         return hash(self.completion)
@@ -108,13 +112,13 @@ def compose_delta1(outer, inner):
     )
 
 
-@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+@kept
 def gamma_on_objects(pol):
     """The dense completion generated by a Galois polarity: cut complete
     the intermediate quotient and precompose with the base map; the cut
     completion is kept as `cut`.  Raises `NotGalois` (from
-    `structure_of`) for any other polarity.  Memoised like
-    `structure_of`, so each polarity's cut completion is built once."""
+    `structure_of`) for any other polarity.  Kept like `structure_of`,
+    so each polarity's cut completion is built once."""
     struct = structure_of(pol)
     m = macneille(struct.quotient.poset)
     d = Extension(compose_maps(m.map, struct.gamma))
@@ -133,11 +137,11 @@ def gamma_on_morphisms(morphism):
     )
 
 
-@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+@kept
 def delta_on_objects(d):
     """The complete Galois polarity generated by a dense completion:
     sides are the meet and join closures of the image, related by the
-    lattice order.  Memoised like `structure_of`."""
+    lattice order.  Kept like `structure_of`."""
     lat, into = d.lattice, d.completion.map.idx
     image = _image_mask(into)
     x_mask = _expressible(lat.rows, lat.cols, image)

@@ -262,8 +262,8 @@ def check_restriction_preservation(ctx, sbar):
             )
         else:
             report[str(n)] = ClauseReport(False, True, "outer below grade %d" % n)
-    guards = ctx._image_bounds_kept
-    if guards and outer_level == 3:
+    guards = outer_level == 3 and ctx._image_bounds_kept
+    if guards:
         report["3"] = ClauseReport(True, inner_level == 3)
     else:
         report["3"] = ClauseReport(False, True, "guard conditions not met")

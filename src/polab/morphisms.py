@@ -36,7 +36,7 @@ class PolarityMorphism:
 
     __slots__ = ("source", "target", "hx", "hp", "hy", "src_struct", "tgt_struct")
 
-    def __init__(self, source, target, hx, hp, hy, _structs=None):
+    def __init__(self, source, target, hx, hp, hy):
         if hx.source != source.x or hx.target != target.x:
             raise DomainMismatch("left component must map the left sides")
         if hy.source != source.y or hy.target != target.y:
@@ -46,11 +46,8 @@ class PolarityMorphism:
         self.source = source
         self.target = target
         self.hx, self.hp, self.hy = hx, hp, hy
-        if _structs is None:
-            self.src_struct = structure_of(source)
-            self.tgt_struct = structure_of(target)
-        else:
-            self.src_struct, self.tgt_struct = _structs
+        self.src_struct = structure_of(source)
+        self.tgt_struct = structure_of(target)
         self._validate()
 
     def _validate(self):
@@ -246,13 +243,10 @@ def _recovered_idx(psi, src, tgt):
         yield tuple(_first_preimages(into, [f[v] for v in iota.idx], label))
 
 
-def h_of(psi, source, target, _structs=None):
+def h_of(psi, source, target):
     """The polarity morphism recovered from a stable quotient map
     (`_recovered_idx`)."""
-    if _structs is None:
-        src, tgt = structure_of(source), structure_of(target)
-    else:
-        src, tgt = _structs
+    src, tgt = structure_of(source), structure_of(target)
     if psi.source != src.quotient.poset or psi.target != tgt.quotient.poset:
         raise DomainMismatch("map must run between the intermediate quotients")
     if not is_galois_stable(psi, src, tgt):
@@ -262,7 +256,7 @@ def h_of(psi, source, target, _structs=None):
         MonotoneMap._of_idx(side, other, idx)
         for (side, other), idx in zip(sides, _recovered_idx(psi, src, tgt))
     )
-    return PolarityMorphism(source, target, hx, hp, hy, _structs=(src, tgt))
+    return PolarityMorphism(source, target, hx, hp, hy)
 
 
 def roundtrip_holds(morphism):
@@ -273,18 +267,15 @@ def roundtrip_holds(morphism):
     morphism itself and are not validated again.  Other tuples are
     built and validated by `h_of`, which raises on an invalid triple."""
     psi = psi_of(morphism)
-    structs = (morphism.src_struct, morphism.tgt_struct)
     own = (morphism.hx.idx, morphism.hy.idx, morphism.hp.idx)
-    if tuple(_recovered_idx(psi, *structs)) == own:
+    if tuple(_recovered_idx(psi, morphism.src_struct, morphism.tgt_struct)) == own:
         return True
-    return h_of(psi, morphism.source, morphism.target, _structs=structs) == morphism
+    return h_of(psi, morphism.source, morphism.target) == morphism
 
 
 def stable_roundtrip_holds(psi, source, target):
     """Translating a stable map to a morphism and back returns it."""
-    src, tgt = structure_of(source), structure_of(target)
-    h = h_of(psi, source, target, _structs=(src, tgt))
-    return psi_of(h) == psi
+    return psi_of(h_of(psi, source, target)) == psi
 
 
 def compose(outer, inner):
@@ -297,7 +288,6 @@ def compose(outer, inner):
         compose_maps(outer.hx, inner.hx),
         compose_maps(outer.hp, inner.hp),
         compose_maps(outer.hy, inner.hy),
-        _structs=(inner.src_struct, outer.tgt_struct),
     )
     lhs = psi_of(composed)
     rhs = compose_maps(psi_of(outer), psi_of(inner))

@@ -46,6 +46,7 @@ maps (a composite, a lift, a quotient's maps), tests monotonicity only.
 from __future__ import annotations
 
 import functools
+import weakref
 
 from .errors import (
     AntisymmetryViolation,
@@ -80,6 +81,24 @@ class cached_property:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
         return value
+
+
+def kept(fn):
+    """`fn` of one argument, each result kept in `memo`, a
+    `weakref.WeakKeyDictionary`, while its argument lives, and found by an
+    equal argument.  Errors are not kept.  A kept value must not refer to
+    its argument, or the argument could never die."""
+    memo = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def lookup(arg):
+        value = memo.get(arg, memo)
+        if value is memo:
+            value = memo[arg] = fn(arg)
+        return value
+
+    lookup.memo = memo
+    return lookup
 
 
 @functools.lru_cache(maxsize=64)
@@ -161,15 +180,15 @@ def _spread(mask, width):
 class _PairLanes:
     """Relations between posets X and Y as pair masks, the pair (x_i, y_j)
     at bit i·|Y| + j, from X's `cols`, Y's `rows` and pivot pairs (i, j).
-    In a down-set of X × Yᵒᵖ the lanes below x_k hold lane k (`xsteps`)
-    and the lanes holding y_k hold the elements above y_k (`ysteps`): one
-    product per element that is not minimal, resp. maximal.  Each pivot
+    In a down-set of X × Yᵒᵖ the lanes below x_k hold lane k and the
+    lanes holding y_k hold the elements above y_k (`steps`): one product
+    per element that is not minimal, resp. maximal.  Each pivot
     (i, j) gives lane i to the lanes holding y_j.  Of a pivot's column,
     `below` holds the lanes below lane i, `beside_column` the rest; of its
     lane, `above` the columns above j, `beside_lane` the rest; `beside` is both."""
 
     __slots__ = (
-        "ny", "full", "ones", "spreads", "xsteps", "ysteps", "steps", "pivots",
+        "ny", "full", "ones", "spreads", "steps", "pivots",
         "pivot_bits", "below", "beside_column", "above", "beside_lane", "beside",
     )
 
@@ -179,9 +198,8 @@ class _PairLanes:
         ones = self.ones = _spread((1 << len(xcols)) - 1, ny)
         spreads = self.spreads = [_spread(c, ny) for c in xcols]
         # Each step (c, shift, lanes): m gains c times m >> shift & lanes.
-        self.xsteps = [(s, k * ny, full) for k, s in enumerate(spreads) if s != 1 << k * ny]
-        self.ysteps = [(up, k, ones) for k, up in enumerate(yrows) if up != 1 << k]
-        self.steps = self.xsteps + self.ysteps
+        self.steps = [(s, k * ny, full) for k, s in enumerate(spreads) if s != 1 << k * ny]
+        self.steps += [(up, k, ones) for k, up in enumerate(yrows) if up != 1 << k]
         self.pivots, bits, below, column, above, lane = [], 0, 0, 0, 0, 0
         for i, j in pivots:
             self.pivots.append((j, i * ny))
@@ -202,14 +220,6 @@ class _PairLanes:
         for c, shift, lanes in self.steps:
             m |= c * (m >> shift & lanes)
         return m
-
-    def gain(self, m, steps):
-        """The pairs one pass of `steps` (`xsteps`: C1's closure, `ysteps`:
-        C2's) adds to `m`, each step reading `m` itself."""
-        out = 0
-        for c, shift, lanes in steps:
-            out |= c * (m >> shift & lanes)
-        return out & ~m
 
     def pivot_close(self, m):
         """`m` after each pivot (i, j) gives lane i to the lanes holding y_j."""

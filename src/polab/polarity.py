@@ -56,6 +56,7 @@ from .order import (
     cached_property,
     is_join_extension,
     is_meet_extension,
+    kept,
     tag_x,
     tag_y,
 )
@@ -111,7 +112,7 @@ class ExtensionPolarity:
         return self.ey.target
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, ExtensionPolarity)
             and self.base == other.base
             and self.ex == other.ex
@@ -124,8 +125,8 @@ class ExtensionPolarity:
 
     @cached_property
     def _hash(self):
-        """The hash of the value, kept: the memoised structures look the
-        polarity up by it on every call."""
+        """The hash of the value, kept: the kept structures (`order.kept`)
+        look the polarity up by it on every call."""
         return hash((self.base, self.ex, self.ey, self.rel))
 
     def with_relation(self, rel):
@@ -360,28 +361,25 @@ class _Frame:
         level = self.mask_level(m)
         return level, level == 3 and self.meet_side and self.join_side
 
-    # Each reader decides its condition on m and, when it fails, returns
-    # its first witness in the order of `oracles.oracle_report_conditions`.
+    # Each reader decides its condition on m, or C1 and C2 on the bit-rows,
+    # and, when it fails, returns its first witness in the order of
+    # `oracles.oracle_report_conditions`.
 
-    def c1(self, m, rx):
-        """(x1, x2, y): x1 is the lane of the lowest pair C1's closure adds."""
-        gain = self.lanes.gain(m, self.lanes.xsteps)
-        if gain:
-            i, xs = _low_index(gain) // len(self.ys), self.xs
-            return _first("C1", m, (
-                (xs[i], xs[k], self.ys[_low_index(rx[k] & ~rx[i])])
-                for k in _mask_iter(self.xrows[i]) if rx[k] & ~rx[i]
-            ))
+    def c1(self, rx):
+        """(x1, x2, y): the first x1 below an x2 related to a y that x1 is
+        not, the first such x2 and the lowest such y."""
+        for i, up in enumerate(self.xrows):
+            for k in _mask_iter(up):
+                if rx[k] & ~rx[i]:
+                    return self.xs[i], self.xs[k], self.ys[_low_index(rx[k] & ~rx[i])]
 
-    def c2(self, m, ry):
-        """(x, y1, y2): y2 is the lowest column C2's closure adds to."""
-        gain = self.lanes.gain(m, self.lanes.ysteps)
-        if gain:
-            j, ys = self.lanes.low_column(gain)[0], self.ys
-            return _first("C2", m, (
-                (self.xs[_low_index(ry[k] & ~ry[j])], ys[k], ys[j])
-                for k in _mask_iter(self.ycols[j]) if ry[k] & ~ry[j]
-            ))
+    def c2(self, ry):
+        """(x, y1, y2): the first y2 above a y1 that an x is related to and
+        y2 is not, the first such y1 and the lowest such x."""
+        for j, down in enumerate(self.ycols):
+            for k in _mask_iter(down):
+                if ry[k] & ~ry[j]:
+                    return self.xs[_low_index(ry[k] & ~ry[j])], self.ys[k], self.ys[j]
 
     def c3(self, m):
         """The first base element whose images are not related."""
@@ -455,7 +453,7 @@ class _Frame:
         grade = -1 if level is None else level
         w = dict.fromkeys(CONDITION_NAMES)
         if grade < 0:
-            w["C1"], w["C2"] = self.c1(m, rx), self.c2(m, ry)
+            w["C1"], w["C2"] = self.c1(rx), self.c2(ry)
         if grade < 1:
             w["C3"], w["C4"] = self.c3(m), self.c4(m)
         if grade < 2:
@@ -767,12 +765,6 @@ CANONICAL_BUILDERS = (r_zero, r_hat_m, r_hat_m, r_hat_g)
 
 # -- the unique grade-3 preorder of a Galois polarity ----------------------
 
-# Distinct polarities whose certified structure is kept; one completion
-# round trip touches three (the polarity, the one its completion
-# generates, and a collapse target).  The object maps of `polab.delta1`
-# keep as many completions and generated polarities.
-STRUCTURE_CACHE_SIZE = 8
-
 
 def unique_3preorder(pol):
     """The single grade-3 preorder a Galois polarity admits: the one
@@ -802,7 +794,7 @@ def _rigidity_failures(pol, u):
     return [(u.carrier[p // n], u.carrier[p % n]) for p in _mask_iter(loose)]
 
 
-@functools.lru_cache(maxsize=STRUCTURE_CACHE_SIZE)
+@kept
 def structure_of(pol):
     """The intermediate quotient of a Galois polarity with its maps, built
     from its unique grade-3 preorder.
@@ -815,8 +807,8 @@ def structure_of(pol):
     generating the quotient by joins respectively meets.  A failed
     certificate raises `LawViolation` with its witness.
 
-    The result is shared: it is memoised on the polarity's value for the
-    last `STRUCTURE_CACHE_SIZE` polarities.  Errors are not cached.
+    The result is kept (`order.kept`) while the polarity lives; it holds
+    the polarity's sides and base, not the polarity.  Errors are not kept.
     """
     if not is_galois(pol):
         raise NotGalois("the unique grade-3 preorder needs a Galois polarity")

@@ -125,7 +125,7 @@ def random_galois_polarity(rng, base_size=3, keep_theta=0.4):
 @functools.cache
 def collapse_target():
     """The one-point slice polarity, the terminal object for morphisms,
-    built once, so its structures are memoised once."""
+    built once, so its kept structures are built once."""
     point = Poset.antichain(("o",))
     e = Extension.identity(point)
     return ExtensionPolarity(point, e, e, frozenset({("o", "o")}))

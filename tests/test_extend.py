@@ -174,6 +174,23 @@ class TestTransfer:
         for key, clause in rep.items():
             assert clause.holds, (key, clause.note)
 
+    def test_the_guard_is_decided_only_at_grade_3(self):
+        """Below grade 3 no clause reads the downward guard, so it is not
+        built, and the report is the one given when it is built."""
+        rng = random.Random(17)
+        levels = set()
+        for _ in range(60):
+            ctx = random_context(rng, rng.randint(1, 3))
+            sbar = extend_relation(ctx)
+            got = check_restriction_preservation(ctx, sbar)
+            level = coherence_level(ctx.outer(sbar))
+            levels.add(level)
+            assert ("_image_bounds_kept" in ctx.__dict__) == (level == 3)
+            guarded = ExtensionContext(ctx.inner, ctx.ix, ctx.iy)
+            guarded._image_bounds_kept
+            assert check_restriction_preservation(guarded, sbar) == got
+        assert levels == {0, 1, 3}
+
     @given(seeded_contexts())
     @settings(deadline=None, max_examples=40)
     def test_slice_relations_travel_to_slice_relations(self, ctx):

@@ -157,6 +157,14 @@ def _fixture_galois_polarities():
                 yield pol
 
 
+def _unkept(*pols):
+    """The polarities, checked to have no structure kept for them or for
+    equal ones; garbage left by earlier tests is collected first."""
+    gc.collect()
+    assert not any(pol in structure_of.memo for pol in pols)
+    return pols
+
+
 class TestStructureOf:
     def test_equal_polarities_share_one_structure(self):
         d = gamma_on_objects(load("fix_e").polarities["G"])
@@ -166,9 +174,9 @@ class TestStructureOf:
         assert structure_of(first) is structure_of(second)
 
     def test_errors_are_raised_on_every_call(self, monkeypatch):
-        structure_of.cache_clear()
-        not_galois = load("fix_b").polarities["G"]
-        galois = load("fix_e").polarities["G"]
+        not_galois, galois = _unkept(
+            load("fix_b").polarities["G"], load("fix_e").polarities["G"]
+        )
         # every side embedding reported as losing the meet of its first element
         monkeypatch.setattr(polarity, "_bounds_failure", lambda f, src, tgt: 1)
         for _ in range(2):
@@ -177,8 +185,7 @@ class TestStructureOf:
             with pytest.raises(LawViolation) as err:
                 structure_of(galois)
             assert err.value.law == "meet-preservation"
-        info = structure_of.cache_info()
-        assert (info.hits, info.currsize) == (0, 0)
+        assert not_galois not in structure_of.memo and galois not in structure_of.memo
 
     def test_large_sides_are_certified(self):
         """No size gate on the preservation certificate: the identity
@@ -196,15 +203,65 @@ class TestStructureOf:
             assert roundtrip_holds(PolarityMorphism.identity(pol))
             assert roundtrip_holds(collapse_morphism(pol))
 
-    def test_cache_keeps_its_fixed_size(self):
-        structure_of.cache_clear()
+    def test_built_once_per_live_value(self, monkeypatch):
+        """However many live polarities are in use, each value's structure
+        is built once, and a polarity built apart with an equal value finds
+        it; the completion and the polarity it generates are kept alike."""
+        built, build = [], polarity._intermediate
+
+        def counting(pol, u):
+            built.append(pol)
+            return build(pol, u)
+
+        monkeypatch.setattr(polarity, "_intermediate", counting)
         rng = random.Random(5)
-        pols = {random_galois_polarity(rng, 3) for _ in range(30)}
-        assert len(pols) > polarity.STRUCTURE_CACHE_SIZE
-        for pol in pols:
-            structure_of(pol)
-        info = structure_of.cache_info()
-        assert info.maxsize == info.currsize == polarity.STRUCTURE_CACHE_SIZE
+        pols = _unkept(*{random_galois_polarity(rng, 3) for _ in range(30)})
+        assert len(pols) > 8
+        first = [structure_of(pol) for pol in pols]
+        twins = [ExtensionPolarity(pol.base, pol.ex, pol.ey, pol.rel) for pol in pols]
+        for pol, twin, kept in zip(pols, twins, first):
+            assert structure_of(pol) is kept and structure_of(twin) is kept
+        assert built == list(pols)
+        for pol, twin in zip(pols, twins):
+            d = gamma_on_objects(pol)
+            assert gamma_on_objects(twin) is d
+            assert delta_on_objects(d) is delta_on_objects(gamma_on_objects(pol))
+
+    def test_a_dead_polarity_leaves_nothing_kept(self):
+        """Once a polarity whose unit, counit and round trips were built
+        is deleted, reference counting alone frees it and every value kept
+        for it, and the cyclic collector finds nothing."""
+        script = textwrap.dedent(
+            """
+            import gc, weakref
+            from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
+            from polab.fixtures import load
+            from polab.morphisms import (
+                PolarityMorphism, psi_of, roundtrip_holds, stable_roundtrip_holds,
+            )
+            from polab.polarity import structure_of
+
+            memos = (structure_of.memo, gamma_on_objects.memo, delta_on_objects.memo)
+            gc.collect()
+            gc.disable()
+            pol = load("fix_e").polarities["G"]
+            assert unit(pol).is_embedding()
+            assert counit_iso(gamma_on_objects(pol)).is_isomorphism()
+            ident = PolarityMorphism.identity(pol)
+            assert roundtrip_holds(ident)
+            assert stable_roundtrip_holds(psi_of(ident), pol, pol)
+            print([len(m) for m in memos])
+            alive = weakref.ref(pol)
+            del pol, ident
+            print(alive() is None, [len(m) for m in memos], gc.collect())
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines() == ["[2, 2, 1]", "True [0, 0, 0] 0"]
 
     def test_structure_is_frozen(self):
         struct = structure_of(load("fix_e").polarities["G"])
@@ -261,7 +318,7 @@ class TestStructureOf:
         u = r_hat_g(pol)
         torn = UnionPreorder(u.carrier, (u.rows[0] & ~1,) + u.rows[1:], u.index)
         monkeypatch.setattr(polarity, "r_hat_g", lambda pol: torn)
-        structure_of.cache_clear()
+        _unkept(pol)
         with pytest.raises(LawViolation) as err:
             structure_of(pol)
         assert err.value.law == "grade-3"
@@ -277,7 +334,7 @@ class TestStructureOf:
             if not u.rows[i] >> j & 1
         )
         monkeypatch.setattr(polarity, "_rigidity_failures", lambda pol, rel: [loose])
-        structure_of.cache_clear()
+        _unkept(pol)
         with pytest.raises(LawViolation) as err:
             structure_of(pol)
         assert err.value.law == "rigidity" and err.value.witness == loose
@@ -348,9 +405,12 @@ class TestSliceRelation:
 
     def test_reader_without_a_witness_raises_under_optimize(self):
         """A failed mask test whose witness reader finds nothing raises
-        `LawViolation` naming the condition: each reader that reads
-        bit-rows is asked, on the first seeded polarity failing its
-        condition, with bit-rows that hold no pair."""
+        `LawViolation`: C5's and C6's readers, which read bit-rows, are
+        asked on the first seeded polarity failing their condition with
+        bit-rows that hold no pair, and name the condition; C1's and C2's
+        scans find no witness in bit-rows that hold every pair, and the
+        report of the first polarity below grade 0, read on such rows,
+        names its grade."""
         script = textwrap.dedent(
             """
             import random
@@ -360,13 +420,19 @@ class TestSliceRelation:
 
             assert sys.flags.optimize
             pols = [random_extension_polarity(random.Random(k), 3) for k in range(200)]
-            for name, side in (("c1", 0), ("c2", 1), ("c5", 1), ("c6", 0)):
+            for name, side in (("c5", 1), ("c6", 0)):
                 pol = next(p for p in pols if getattr(p._frame, name)(p._mask, p._rows[side]))
                 fr, m = pol._frame, pol._mask
                 try:
                     getattr(fr, name)(m, [0] * len((fr.xs, fr.ys)[side]))
                 except LawViolation as err:
                     print(name, err.law, err.witness[0], err.witness[1] == m)
+            pol = next(p for p in pols if p._frame.mask_level(p._mask) is None)
+            fr, nx, ny = pol._frame, len(pol.x), len(pol.y)
+            try:
+                fr.report(pol._mask, ([(1 << ny) - 1] * nx, [(1 << nx) - 1] * ny))
+            except LawViolation as err:
+                print("report", err.law, err.witness[0])
             sys.exit(3)
             """
         )
@@ -380,8 +446,7 @@ class TestSliceRelation:
         )
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.splitlines() == [
-            "%s packed-grade %s True" % (name, name.upper())
-            for name in ("c1", "c2", "c5", "c6")
+            "c5 packed-grade C5 True", "c6 packed-grade C6 True", "report packed-grade None"
         ]
 
 
@@ -722,7 +787,6 @@ class TestOneFrame:
         drawn = [random_extension_polarity(rng, 1 + k % 4) for k in range(20)]
         drawn += [random_galois_polarity(rng, 1 + k % 4) for k in range(20)]
         monkeypatch.setattr(polarity._Frame, "__init__", counting)
-        structure_of.cache_clear()
         for pol in drawn:
             pol = ExtensionPolarity(pol.base, pol.ex, pol.ey, pol.rel)
             before = len(built)
