@@ -290,27 +290,29 @@ def _law_extension(rng, size):
         fixture, name = rng.choice(_CLAUSE_6_SOURCES)
         ctx = random_side_context(rng, fixtures.load(fixture).polarities[name])
     else:
-        ctx = random_context(rng, rng.randint(1, min(size, 3)))
+        ctx = random_context(rng, rng.randint(1, size))
     for grade, report in check_extension_preservation(ctx).items():
         if report.applicable and not report.holds:
-            raise PolabError("extension clause %s fails" % (grade,), report)
+            raise LawViolation("extension", "extension clause %s fails" % (grade,), report)
     if not slice_extension_is_slice(ctx):
-        raise PolabError("saturated slice relation is not the outer slice")
+        raise LawViolation("extension", "saturated slice relation is not the outer slice")
     return ctx.inner
 
 
 def _law_restriction(rng, size):
-    ctx = random_context(rng, rng.randint(1, min(size, 3)))
+    ctx = random_context(rng, rng.randint(1, size))
     sbar = extend_relation(ctx)
     sub = restrict_relation(ctx, sbar)
     if not ctx.inner.rel <= sub:
-        raise PolabError("readback must contain the inner relation", ctx.inner.rel - sub)
+        raise LawViolation(
+            "restriction", "readback must contain the inner relation", ctx.inner.rel - sub
+        )
     coherent = coherence_level(ctx.inner) is not None
     if (sub == ctx.inner.rel) != coherent:
-        raise PolabError("readback equality marks coherence", sub - ctx.inner.rel)
+        raise LawViolation("restriction", "readback equality marks coherence", sub - ctx.inner.rel)
     for grade, report in check_restriction_preservation(ctx, sbar).items():
         if report.applicable and not report.holds:
-            raise PolabError("restriction clause %s fails" % (grade,), report)
+            raise LawViolation("restriction", "restriction clause %s fails" % (grade,), report)
     # The saturation's canonical preorder, pulled back, keeps its grades.
     outer = ctx.outer(sbar)
     level = coherence_level(outer)
@@ -333,7 +335,7 @@ def _law_roundtrip(rng, size):
 
 
 def _law_completion(rng, size):
-    pol = random_galois_polarity(rng, rng.randint(1, min(size, 3)))
+    pol = random_galois_polarity(rng, rng.randint(1, size))
     d = gamma_on_objects(pol)
     counit_iso(d)
     eta = unit(pol)

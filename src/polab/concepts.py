@@ -15,6 +15,9 @@ from .order import (
     _common,
     _intersection_lattice,
     _lift,
+    _low_index,
+    _mask_iter,
+    _preimages,
     check_galois_connection,
     is_meet_extension,
     is_join_extension,
@@ -53,58 +56,50 @@ def concept_lattice(pol):
     return ConceptLattice(pol, lattice, xi_mask, dict(zip(pol.y.elements, ry)))
 
 
+def _inclusion_rows(masks):
+    """Bit j of row i is set when `masks[i]` lies inside `masks[j]`."""
+    return [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks]
+
+
 def inclusion_preorder(pol):
-    """The preorder on the tagged union read off from extent inclusion in
-    the concept lattice: one element lies below another when its extent
-    lies inside the other's.  On a Galois polarity it is the unique
-    3-preorder; `oracles.prop_order_preorder` reads it off the relation
-    pair by pair."""
+    """Extent inclusion in the concept lattice as a preorder on the frame's
+    carrier: one element lies below another when its extent lies inside
+    the other's.  On a Galois polarity it is the unique 3-preorder;
+    `oracles.prop_order_preorder` reads it off the relation pair by pair."""
     lat = concept_lattice(pol)
-    carrier = pol.carrier()
-
-    def mask(e):
-        side, raw = e
-        return lat.xi_mask[raw] if side == "X" else lat.upsilon_mask[raw]
-
-    pairs = [
-        (a, b) for a in carrier for b in carrier if mask(a) & ~mask(b) == 0
-    ]
-    return UnionPreorder.from_pairs(carrier, pairs)
+    extents = [lat.xi_mask[a] for a in pol.x.elements] + list(lat.upsilon_mask.values())
+    return UnionPreorder(pol.carrier(), _inclusion_rows(extents), pol._frame.index)
 
 
 def _embeds(side, images, pointwise):
-    """Whether a canonical map embeds the poset `side`: s1 <= s2 exactly
-    when `pointwise[s1]` lies inside `pointwise[s2]`, masks read off the
-    relation.  The inclusion of the lattice images `images` must agree
-    with that pointwise reading on every pair."""
-    verdict = True
-    for s1 in side.elements:
-        for s2 in side.elements:
-            below = pointwise[s1] & ~pointwise[s2] == 0
-            if below != (images[s1] & ~images[s2] == 0):
-                raise LawViolation(
-                    "embedding-routes",
-                    "pointwise embedding test disagrees with lattice",
-                    (s1, s2),
-                )
-            verdict = verdict and side.leq(s1, s2) == below
-    return verdict
+    """Whether a canonical map embeds the poset `side`: s_i <= s_j exactly
+    when `pointwise[i]` lies inside `pointwise[j]`, masks read off the
+    relation.  The inclusion rows of the lattice images `images` must be
+    the same; the first that differs and its lowest column are the witness."""
+    below = _inclusion_rows(pointwise)
+    for i, (a, b) in enumerate(zip(below, _inclusion_rows(images))):
+        if a != b:
+            raise LawViolation(
+                "embedding-routes",
+                "pointwise embedding test disagrees with lattice",
+                (side.elements[i], side.elements[_low_index(a ^ b)]),
+            )
+    return below == list(side.rows)
 
 
 def xi_embedding(pol):
     """Whether the left canonical map embeds: x1 goes below x2 when every
     right element related to x2 is related to x1, that is, when the right
     elements unrelated to x1 are unrelated to x2."""
-    full = (1 << len(pol.y)) - 1
-    unrelated = {a: full & ~r for a, r in zip(pol.x.elements, pol._rows[0])}
-    return _embeds(pol.x, concept_lattice(pol).xi_mask, unrelated)
+    xi, full = concept_lattice(pol).xi_mask, (1 << len(pol.y)) - 1
+    return _embeds(pol.x, [xi[a] for a in pol.x.elements], [full & ~r for r in pol._rows[0]])
 
 
 def upsilon_embedding(pol):
     """Whether the right canonical map embeds: y1 goes below y2 when every
     left element related to y1 is related to y2."""
-    related = dict(zip(pol.y.elements, pol._rows[1]))
-    return _embeds(pol.y, concept_lattice(pol).upsilon_mask, related)
+    upsilon = concept_lattice(pol).upsilon_mask
+    return _embeds(pol.y, [upsilon[b] for b in pol.y.elements], pol._rows[1])
 
 
 def adjoint_pair(ex, ey):
@@ -157,9 +152,9 @@ def z_doubleprime(pol, ix, iy):
             "right completion must preserve all existing joins"
         )
     f, _ = adjoint_pair(pol.ex.compose(ix), pol.ey.compose(iy))
+    above = _preimages(ix.map.idx, ix.target.cols)
     return frozenset(
-        (y, x)
-        for y in pol.y.elements
-        for x in pol.x.elements
-        if ix.target.leq(f(iy(y)), ix(x))
+        (y, pol.x.elements[i])
+        for y, j in zip(pol.y.elements, iy.map.idx)
+        for i in _mask_iter(above[f.idx[j]])
     )

@@ -39,14 +39,14 @@ from .order import (
     _expressible,
     _image_mask,
     _mask_iter,
+    _preimages,
     _reflection_failure,
+    _transpose,
     _union_of,
     cached_property,
     is_join_extension,
     is_meet_extension,
     is_order_embedding,
-    tag_x,
-    tag_y,
 )
 from .polarity import (
     ExtensionPolarity,
@@ -289,30 +289,15 @@ def phi_map(ctx, outer_rel, outer_preorder):
     if not is_n_preorder(outer, outer_preorder, 0).ok:
         raise NotZeroPreorder("outer relation is not a 0-preorder")
     inner = ctx.inner.with_relation(restrict_relation(ctx, outer_rel))
-
-    def lift(e):
-        side, raw = e
-        return tag_x(ctx.ix(raw)) if side == "X" else tag_y(ctx.iy(raw))
-
-    carrier = inner.carrier()
-    pairs = [
-        (a, b)
-        for a in carrier
-        for b in carrier
-        if outer_preorder.rel(lift(a), lift(b))
-    ]
-    pulled = UnionPreorder.from_pairs(carrier, pairs)
+    # The carrier index map: X into X', then Y into Y' after X'.
+    lift = ctx.ix.map.idx + tuple(len(ctx.ix.target) + j for j in ctx.iy.map.idx)
+    above = _preimages(lift, _transpose(outer_preorder.rows, len(outer_preorder.carrier)))
+    pulled = UnionPreorder(inner.carrier(), [above[t] for t in lift], inner._frame.index)
     q_in = pulled.quotient()
     q_out = outer_preorder.quotient()
-    phi = MonotoneMap(
-        q_in.poset,
-        q_out.poset,
-        {rep: q_out.project(lift(rep)) for rep in q_in.poset.elements},
-    )
+    phi = MonotoneMap._of_idx(q_in.poset, q_out.poset, q_in.descend([q_out.of[t] for t in lift]))
     if not is_order_embedding(phi):
-        raise NotEmbedding(
-            "quotient comparison map must embed", _reflection_failure(phi)
-        )
+        raise NotEmbedding("quotient comparison map must embed", _reflection_failure(phi))
     # A grade held upstairs must hold downstairs.
     grades = {
         n: (not is_n_preorder(outer, outer_preorder, n).ok)

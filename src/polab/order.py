@@ -1006,14 +1006,12 @@ def macneille_lift(f):
 
 
 def check_galois_connection(alpha, beta):
-    """alpha(p) <= q iff p <= beta(q), for alpha : P -> Q and beta : Q -> P."""
+    """alpha(p) <= q iff p <= beta(q), for alpha : P -> Q and beta : Q -> P:
+    per p, the q above alpha(p) are those beta sends above p."""
     if alpha.source != beta.target or alpha.target != beta.source:
         raise DomainMismatch("maps do not run between the same pair of posets")
-    for p in alpha.source.elements:
-        for q in alpha.target.elements:
-            if alpha.target.leq(alpha(p), q) != alpha.source.leq(p, beta(q)):
-                return False
-    return True
+    rows = alpha.target.rows
+    return all(rows[t] == up for t, up in zip(alpha.idx, beta.pre_up))
 
 
 X_SIDE = "X"
@@ -1105,7 +1103,10 @@ class UnionPreorder:
         )
 
     def rel(self, a, b):
-        return self.rows[self.index[a]] >> self.index[b] & 1 == 1
+        try:
+            return self.rows[self.index[a]] >> self.index[b] & 1 == 1
+        except KeyError as err:
+            raise UnknownId("unknown element %r" % (err.args[0],)) from None
 
     def is_reflexive(self):
         diagonal = _lanes(len(self.carrier))[2]
@@ -1201,9 +1202,6 @@ class Quotient:
         members = tuple(zip(self.of, self.source.carrier))
         reps = enumerate(self.poset.elements)
         return {r: tuple(e for c, e in members if c == k) for k, r in reps}
-
-    def project(self, e):
-        return self.projection[e]
 
     def descend(self, values):
         """The map on the classes that `values`, one per carrier element,

@@ -79,6 +79,19 @@ def carrier_gate(max_carrier=None):
     return value
 
 
+def _pair_mask(left, right, pairs):
+    """The pair mask, bit i·|Y| + j for (x_i, y_j), of `pairs` on the sides
+    indexed by `left` and `right`; `UnknownId` for the first pair off them."""
+    ny, m = len(right), 0
+    try:
+        for a, b in pairs:
+            m |= 1 << left[a] * ny + right[b]
+    except KeyError:
+        side, e = ("left", a) if a not in left else ("right", b)
+        raise UnknownId("relation uses unknown %s element %r" % (side, e)) from None
+    return m
+
+
 class ExtensionPolarity:
     """An order polarity whose sides both extend a common base poset.
 
@@ -94,14 +107,7 @@ class ExtensionPolarity:
         self.ex = ex
         self.ey = ey
         self.rel = frozenset(rel)
-        left, right, ny, m = ex.target.index, ey.target.index, len(ey.target), 0
-        for a, b in self.rel:
-            if a not in left:
-                raise UnknownId("relation uses unknown left element %r" % (a,))
-            if b not in right:
-                raise UnknownId("relation uses unknown right element %r" % (b,))
-            m |= 1 << left[a] * ny + right[b]
-        self._mask = m
+        self._mask = _pair_mask(ex.target.index, ey.target.index, self.rel)
 
     @property
     def x(self):
@@ -194,10 +200,7 @@ class _Frame:
 
     def mask(self, pairs):
         """The pair mask of a relation given as pairs."""
-        ny, xindex, yindex, m = len(self.ys), self.xindex, self.yindex, 0
-        for a, b in pairs:
-            m |= 1 << xindex[a] * ny + yindex[b]
-        return m
+        return _pair_mask(self.xindex, self.yindex, pairs)
 
     def pairs(self, m):
         """The pairs of the pair mask `m`."""

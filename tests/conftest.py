@@ -1,13 +1,23 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import polab
 from polab.morphisms import PolarityMorphism
 from polab.order import Extension, MonotoneMap, Poset, _mask_iter
 from polab.polarity import ExtensionPolarity, r_l
-from polab.randgen import collapse_target, random_poset
+from polab.randgen import (
+    collapse_target,
+    random_extension_polarity,
+    random_galois_polarity,
+    random_poset,
+)
 
 
 @pytest.fixture
@@ -22,6 +32,37 @@ def seeded_posets(max_size=5):
         lambda seed, size: random_poset(random.Random(seed), size),
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=0, max_value=max_size),
+    )
+
+
+def seeded_polarities(max_base=3):
+    return st.builds(
+        lambda seed, size: random_extension_polarity(random.Random(seed), size),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=max_base),
+    )
+
+
+def seeded_galois(max_base=4):
+    return st.builds(
+        lambda seed, size: random_galois_polarity(random.Random(seed), size),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=max_base),
+    )
+
+
+def run_optimized(script, optimize=True, **env):
+    """Run `script` in a fresh `python -O` (plain `python` when not
+    `optimize`), with the package and this directory importable and
+    `env` added to the environment; the finished process, its output
+    captured as text."""
+    path = os.pathsep.join(map(str, (Path(polab.__file__).parents[1], Path(__file__).parent)))
+    return subprocess.run(
+        [sys.executable] + (["-O"] if optimize else []) + ["-c", script],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
 
 

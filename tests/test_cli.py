@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
@@ -9,6 +6,8 @@ import pytest
 import polab
 import polab.cli as cli
 from polab.fixtures import CATALOGUE, Fixture
+
+from conftest import run_optimized
 
 FIXTURES = Path(polab.__file__).parent / "fixtures"
 
@@ -219,14 +218,7 @@ class TestFuzzCommand:
             """
             % (checker, result, law)
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 1, done.stdout + done.stderr
         assert message in done.stdout
 

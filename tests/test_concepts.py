@@ -2,9 +2,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from polab import concepts
 from polab.concepts import (
+    ConceptLattice,
     adjoint_pair,
     concept_lattice,
     inclusion_preorder,
@@ -12,21 +13,20 @@ from polab.concepts import (
     xi_embedding,
     z_doubleprime,
 )
-from polab.errors import NotCompleteLattice, PreservationViolation
+from polab.errors import LawViolation, NotCompleteLattice, PreservationViolation
 from polab.fixtures import load
 from polab.oracles import polar_left, polar_right, prop_order_preorder, upsilon, xi
 from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.randgen import random_extension_polarity, random_galois_polarity
 
-from conftest import chain, identity_polarity, lossy_side, mask_of, named_relation_sets
-
-
-def seeded_polarities(max_base=3):
-    return st.builds(
-        lambda seed, size: random_extension_polarity(random.Random(seed), size),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=max_base),
-    )
+from conftest import (
+    chain,
+    identity_polarity,
+    lossy_side,
+    mask_of,
+    named_relation_sets,
+    seeded_polarities,
+)
 
 
 class TestOperators:
@@ -118,6 +118,42 @@ class TestDualRoutes:
         )
         assert xi_embedding(pol) == xi_emb
         assert upsilon_embedding(pol) == ups_emb
+
+    def test_a_sabotaged_image_names_the_first_pair(self, monkeypatch):
+        """With one `xi_mask` entry set to the empty or the full left set,
+        `xi_embedding` raises `embedding-routes` naming the first pair
+        (x1, x2), in carrier order, whose inclusion of the right elements
+        unrelated to them and of their lattice images differ; it accepts
+        the entries that change no such inclusion."""
+        rng = random.Random(41)
+        named = accepted = 0
+        for _ in range(40):
+            pol = random_galois_polarity(rng, rng.randint(1, 4))
+            lat, xs = concept_lattice(pol), pol.x.elements
+            unrelated = {a: {b for b in pol.y.elements if (a, b) not in pol.rel} for a in xs}
+            for a in xs:
+                for wrong in (0, (1 << len(xs)) - 1):
+                    images = {**lat.xi_mask, a: wrong}
+                    want = next(
+                        (
+                            (s, t)
+                            for s in xs
+                            for t in xs
+                            if (unrelated[s] <= unrelated[t]) != (images[s] & ~images[t] == 0)
+                        ),
+                        None,
+                    )
+                    sabotaged = ConceptLattice(pol, lat.poset, images, lat.upsilon_mask)
+                    monkeypatch.setattr(concepts, "concept_lattice", lambda p: sabotaged)
+                    if want is None:
+                        xi_embedding(pol)
+                        accepted += 1
+                        continue
+                    with pytest.raises(LawViolation) as err:
+                        xi_embedding(pol)
+                    assert (err.value.law, err.value.witness) == ("embedding-routes", want)
+                    named += 1
+        assert named >= 100 and accepted >= 10, (named, accepted)
 
 
 class TestAdjoints:

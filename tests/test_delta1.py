@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import polab
 import pytest
@@ -37,15 +33,14 @@ from polab.order import Extension, MonotoneMap, Poset, macneille
 from polab.polarity import r_l
 from polab.randgen import morphism_corpus, random_galois_polarity, random_poset
 
-from conftest import INDEX_SABOTAGE, chain, identity_polarity, mask_of
-
-
-def seeded_galois(max_base=4):
-    return st.builds(
-        lambda seed, size: random_galois_polarity(random.Random(seed), size),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=max_base),
-    )
+from conftest import (
+    INDEX_SABOTAGE,
+    chain,
+    identity_polarity,
+    mask_of,
+    run_optimized,
+    seeded_galois,
+)
 
 
 def seeded_posets(max_size=5):
@@ -117,27 +112,30 @@ class TestUnit:
         """A unit that differs from the lift of its base values, or a lift
         that misses a base value, raises a typed violation naming the
         first such element, also when asserts are stripped."""
-        done = _run_optimized(
-            """
-            lift = delta1._lift
-            sabotages = (
-                # every element sent to the top, no base value missed
-                lambda src, tgt, below, bound: (
-                    lift(src, tgt, [0] * len(below), bound)[0], None
-                ),
-                # the true lift, reported as missing the base element a
-                lambda src, tgt, below, bound: (
-                    lift(src, tgt, below, bound)[0], "a"
-                ),
+        done = run_optimized(
+            OPTIMIZED_PRELUDE
+            + textwrap.dedent(
+                """
+                lift = delta1._lift
+                sabotages = (
+                    # every element sent to the top, no base value missed
+                    lambda src, tgt, below, bound: (
+                        lift(src, tgt, [0] * len(below), bound)[0], None
+                    ),
+                    # the true lift, reported as missing the base element a
+                    lambda src, tgt, below, bound: (
+                        lift(src, tgt, below, bound)[0], "a"
+                    ),
+                )
+                for sabotage in sabotages:
+                    delta1._lift = sabotage
+                    try:
+                        delta1.unit(identity_polarity(Poset.from_pairs("ab", [("a", "b")])))
+                    except LawViolation as err:
+                        print(err.law, err.witness)
+                sys.exit(3)
+                """
             )
-            for sabotage in sabotages:
-                delta1._lift = sabotage
-                try:
-                    delta1.unit(identity_polarity(Poset.from_pairs("ab", [("a", "b")])))
-                except LawViolation as err:
-                    print(err.law, err.witness)
-            sys.exit(3)
-            """
         )
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.split("\n")[:2] == ["unit-unique a"] * 2
@@ -149,8 +147,9 @@ class TestUnit:
         are stripped.  A tuple that fixes the base but is no embedding is
         refused by the morphism's `reflection` clause, and with that
         validation off by `unit-embeds`."""
-        done = _run_optimized(
-            INDEX_SABOTAGE
+        done = run_optimized(
+            OPTIMIZED_PRELUDE
+            + INDEX_SABOTAGE
             + textwrap.dedent(
                 """
                 from polab.morphisms import PolarityMorphism
@@ -198,16 +197,19 @@ class TestCounit:
     def test_certified_under_optimize(self):
         """A counit that fails its isomorphism certificate raises a typed
         violation, also when asserts are stripped."""
-        done = _run_optimized(
-            """
-            delta1.Delta1Morphism.is_isomorphism = lambda self: False
-            d = delta1.gamma_on_objects(identity_polarity(Poset.from_pairs("ab", [("a", "b")])))
-            try:
-                delta1.counit_iso(d)
-            except LawViolation as err:
-                print(err.law)
-                sys.exit(3)
-            """
+        done = run_optimized(
+            OPTIMIZED_PRELUDE
+            + textwrap.dedent(
+                """
+                delta1.Delta1Morphism.is_isomorphism = lambda self: False
+                d = delta1.gamma_on_objects(identity_polarity(Poset.from_pairs("ab", [("a", "b")])))
+                try:
+                    delta1.counit_iso(d)
+                except LawViolation as err:
+                    print(err.law)
+                    sys.exit(3)
+                """
+            )
         )
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.strip() == "counit-iso"
@@ -218,8 +220,9 @@ class TestCounit:
         checks, a complete homomorphism that commutes with the base maps,
         before the isomorphism certificate: over a dense completion only
         the counit passes them.  Also when asserts are stripped."""
-        done = _run_optimized(
-            INDEX_SABOTAGE
+        done = run_optimized(
+            OPTIMIZED_PRELUDE
+            + INDEX_SABOTAGE
             + textwrap.dedent(
                 """
                 from polab.polarity import structure_of
@@ -251,21 +254,24 @@ class TestFunctorLaws:
         completion keeps both identity laws but breaks the naturality
         square of a collapse: the checker raises a typed violation naming
         the law and the morphism, also when asserts are stripped."""
-        done = _run_optimized(
-            """
-            from polab.randgen import collapse_morphism
+        done = run_optimized(
+            OPTIMIZED_PRELUDE
+            + textwrap.dedent(
+                """
+                from polab.randgen import collapse_morphism
 
-            pol = identity_polarity(Poset.from_pairs("ab", [("a", "b")]))
-            g = collapse_morphism(pol)
-            delta1.gamma_on_morphisms = lambda m: delta1.Delta1Morphism.identity(
-                delta1.gamma_on_objects(m.source)
+                pol = identity_polarity(Poset.from_pairs("ab", [("a", "b")]))
+                g = collapse_morphism(pol)
+                delta1.gamma_on_morphisms = lambda m: delta1.Delta1Morphism.identity(
+                    delta1.gamma_on_objects(m.source)
+                )
+                try:
+                    delta1.check_adjunction([pol], morphisms=[g])
+                except LawViolation as err:
+                    print(err.law, err.witness is g)
+                    sys.exit(3)
+                """
             )
-            try:
-                delta1.check_adjunction([pol], morphisms=[g])
-            except LawViolation as err:
-                print(err.law, err.witness is g)
-                sys.exit(3)
-            """
         )
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.strip() == "naturality True"
@@ -361,32 +367,21 @@ class TestUniversalProperty:
             universal_property(pol, ident, ident)
 
 
-def _run_optimized(body):
-    """Run a script under `python -O` with `delta1`, `LawViolation` and
-    `Poset` imported and `identity_polarity` defined."""
-    script = textwrap.dedent(
-        """
-        import sys
-        from polab import delta1
-        from polab.errors import LawViolation
-        from polab.order import Extension, MonotoneMap, Poset
-        from polab.polarity import ExtensionPolarity, r_l
+# The prelude of the `python -O` scripts below: `delta1`, `LawViolation`
+# and `Poset` imported and `identity_polarity` defined.
+OPTIMIZED_PRELUDE = """
+import sys
+from polab import delta1
+from polab.errors import LawViolation
+from polab.order import Extension, MonotoneMap, Poset
+from polab.polarity import ExtensionPolarity, r_l
 
-        def identity_polarity(base):
-            e = Extension.identity(base)
-            return ExtensionPolarity(base, e, e, r_l(e, e))
+def identity_polarity(base):
+    e = Extension.identity(base)
+    return ExtensionPolarity(base, e, e, r_l(e, e))
 
-        assert sys.flags.optimize
-        """
-    ) + textwrap.dedent(body)
-    env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+assert sys.flags.optimize
+"""
 
 
 def _forced(pol, d, h):

@@ -1,9 +1,5 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +14,7 @@ from polab.errors import (
     NotCoherent,
     NotEmbedding,
     NotZeroPreorder,
+    UnknownId,
 )
 from polab.extend import (
     ExtensionContext,
@@ -48,10 +45,18 @@ from polab.order import (
     _union_of,
     macneille,
 )
-from polab.polarity import check_coherence, coherence_level, r_hat_g, r_hat_m, r_l, r_zero
+from polab.polarity import (
+    CANONICAL_BUILDERS,
+    check_coherence,
+    coherence_level,
+    r_hat_g,
+    r_hat_m,
+    r_l,
+    r_zero,
+)
 from polab.randgen import random_context, random_side_context
 
-from conftest import chain
+from conftest import chain, run_optimized
 
 
 def seeded_contexts(max_base=3, galois=False):
@@ -159,6 +164,19 @@ class TestTransfer:
         small = restrict_relation(ctx, outer.rel - {("x", "y")})
         assert small <= restrict_relation(ctx, outer.rel)
 
+    def test_an_off_side_pair_is_unknown(self):
+        """An outer relation with a pair off the outer sides is refused by
+        the read-back and the downward clauses as by `ctx.outer`: an
+        `UnknownId` naming the side and the element."""
+        ctx = fixture_context("fix_i")
+        sbar = load("fix_i").polarities["Gout"].rel
+        x, y = min(sbar)
+        for bad, side in ((("nope", y), "left"), ((x, "nope"), "right"), (("nope", "nope"), "left")):
+            want = "relation uses unknown %s element 'nope'" % side
+            for route in (restrict_relation, check_restriction_preservation, ExtensionContext.outer):
+                with pytest.raises(UnknownId, match=want):
+                    route(ctx, sbar | {bad})
+
     @given(seeded_contexts())
     @settings(deadline=None, max_examples=50)
     def test_upward_clauses(self, ctx):
@@ -263,6 +281,27 @@ class TestPhi:
         res = phi_map(ctx, rbar, pre)
         assert all(res.grades.values())
 
+    def test_matches_the_label_construction(self):
+        """On seeded contexts, base 1-4 with and without Galois inner
+        relations, and each canonical preorder the saturation's grade
+        reaches, the pulled-back preorder and φ are those built on labels
+        (`label_phi`)."""
+        rng = random.Random(29)
+        checked = 0
+        for k in range(160):
+            ctx = random_context(rng, 1 + k % 4, galois=k % 2 == 1)
+            sbar = extend_relation(ctx)
+            outer = ctx.outer(sbar)
+            level = coherence_level(outer)
+            for n in range(0 if level is None else level + 1):
+                pre = CANONICAL_BUILDERS[n](outer).closed()
+                pulled, phi = label_phi(ctx, sbar, pre)
+                res = phi_map(ctx, sbar, pre)
+                assert res.inner_preorder == pulled
+                assert res.phi == phi and res.phi.assignment == phi.assignment
+                checked += 1
+        assert checked >= 400, checked
+
     def test_non_embedding_raises(self, monkeypatch):
         ctx = fixture_context("fix_g")
         outer = ctx.outer()
@@ -275,6 +314,26 @@ class TestPhi:
         f = MonotoneMap(Poset.antichain("ab"), chain("uv"), {"a": "u", "b": "v"})
         assert _reflection_failure(f) == ("a", "b")
         assert _reflection_failure(MonotoneMap.identity(chain("uv"))) is None
+
+
+def label_phi(ctx, outer_rel, outer_preorder):
+    """The pulled-back preorder and φ of `phi_map`, built on labels: each
+    pair of the inner carrier asked of the outer preorder through the
+    side embeddings, each inner class sent to the outer class of the
+    image of its representative."""
+    inner = ctx.inner.with_relation(restrict_relation(ctx, outer_rel))
+
+    def lift(e):
+        side, raw = e
+        return side, ctx.ix(raw) if side == "X" else ctx.iy(raw)
+
+    carrier = inner.carrier()
+    pairs = [(a, b) for a in carrier for b in carrier if outer_preorder.rel(lift(a), lift(b))]
+    pulled = UnionPreorder.from_pairs(carrier, pairs)
+    q_in, q_out = pulled.quotient(), outer_preorder.quotient()
+    reps = q_in.poset.elements
+    phi = MonotoneMap(q_in.poset, q_out.poset, {r: q_out.projection[lift(r)] for r in reps})
+    return pulled, phi
 
 
 def verdicts(rep):
@@ -467,14 +526,7 @@ class TestTransferKernel:
                   y == ctx.inner.y.elements[1 % len(ctx.inner.y)])
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "unit-inclusion", "True", "True"]
 

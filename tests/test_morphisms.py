@@ -1,13 +1,7 @@
-import os
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
-
-import polab
 
 from polab.errors import DomainMismatch, MorphismInvalid, PartialInverseUndefined
 from polab.fixtures import load
@@ -30,7 +24,7 @@ from polab.randgen import (
     random_galois_polarity,
 )
 
-from conftest import chain, identity_polarity, point_into_chain, random_monotone
+from conftest import chain, identity_polarity, point_into_chain, random_monotone, run_optimized
 
 
 def diamond():
@@ -138,15 +132,7 @@ class TestValidation:
                     print(type(err).__name__, err.clause, err.witness)
             """
         )
-        path = [Path(polab.__file__).parents[1], Path(__file__).parent]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines() == [
             "MorphismInvalid commute-left a",
@@ -180,15 +166,7 @@ class TestValidation:
                 print(err)
             """
         )
-        path = [Path(polab.__file__).parents[1], Path(__file__).parent]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines() == [
             "reflection ('b', 'a')",

@@ -2,7 +2,6 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from polab.errors import CarrierTooLarge
 from polab.fixtures import CATALOGUE, load
@@ -48,15 +47,7 @@ from polab.randgen import (
     random_poset,
 )
 
-from conftest import NamedRelationSets, identity_polarity, named_relation_sets
-
-
-def seeded_polarities(max_base=3):
-    return st.builds(
-        lambda seed, size: random_extension_polarity(random.Random(seed), size),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=max_base),
-    )
+from conftest import NamedRelationSets, identity_polarity, named_relation_sets, seeded_polarities
 
 
 class TestConditionOracles:

@@ -1,12 +1,9 @@
-import os
 import random
-import subprocess
-import sys
+import re
 import textwrap
+from collections import Counter
 from itertools import islice, product
-from pathlib import Path
 
-import polab
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +11,7 @@ from hypothesis import strategies as st
 from polab.errors import (
     AntisymmetryViolation,
     CarrierMismatch,
+    DomainMismatch,
     LawViolation,
     NotCompleteLattice,
     NotCutStable,
@@ -38,6 +36,7 @@ from polab.order import (
     _intersection_lattice,
     _lift,
     _reflection_failure,
+    check_galois_connection,
     compose,
     is_completion,
     is_cut_stable,
@@ -74,6 +73,7 @@ from polab.oracles import (
     literal_bound,
 )
 from polab.morphisms import psi_of, structure_of
+from polab.polarity import r_zero
 from polab.randgen import (
     morphism_corpus,
     random_embedding,
@@ -91,6 +91,7 @@ from conftest import (
     lossy_side,
     mask_of,
     random_monotone,
+    run_optimized,
     seeded_posets,
 )
 
@@ -335,6 +336,17 @@ class TestUnionPreorder:
             refused += 1
         assert refused == 17**3 - 8**3
 
+    def test_an_element_off_the_carrier_is_unknown(self):
+        """`rel` names an element off the carrier with `UnknownId`, as
+        `Poset.leq` does, on a relation built from pairs and on one built
+        from its packed matrix."""
+        pol = load("fix_a").polarities["G"]
+        x, y = tag_x(pol.x.elements[0]), tag_y(pol.y.elements[0])
+        for u in (r_zero(pol), UnionPreorder.from_pairs(pol.carrier(), [])):
+            for a, b, missing in ((tag_x("nope"), y, tag_x("nope")), (x, "nope", "nope")):
+                with pytest.raises(UnknownId, match=re.escape("unknown element %r" % (missing,))):
+                    u.rel(a, b)
+
     def test_equal_relations_hash_equal_without_decoding_rows(self):
         """A relation built from its rows and one built from its packed
         matrix are equal and hash equal, and hashing the packed one does
@@ -550,14 +562,7 @@ class TestDerivedMaps:
             print(refused(lambda: compose(c, c), 1, lambda idx: idx))
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines() == ["NotMonotone None ('a', 'b')", "accepted"]
 
@@ -786,6 +791,44 @@ class TestDescend:
         assert err.value.witness == (tag_x("a"), tag_y("a"))
 
 
+class TestGaloisConnection:
+    def test_matches_the_literal_double_loop(self):
+        """`check_galois_connection` against its definition, alpha(p) <= q
+        iff p <= beta(q) for every p and q, on seeded map pairs between
+        posets of 1-4 elements: a random beta, which is seldom adjoint,
+        and, where every q has a greatest p that alpha sends below it,
+        the upper adjoint those p make."""
+        rng = random.Random(33)
+        verdicts = Counter()
+        for _ in range(400):
+            P, Q = random_poset(rng, rng.randint(1, 4)), random_poset(rng, rng.randint(1, 4))
+            alpha = random_monotone(rng, P, Q)
+            if alpha is None:
+                continue
+            betas = [random_monotone(rng, Q, P)]
+            upper = {}
+            for q in Q.elements:
+                below = [p for p in P.elements if Q.leq(alpha(p), q)]
+                upper.update({q: p for p in below if all(P.leq(b, p) for b in below)})
+            if len(upper) == len(Q):
+                betas.append(MonotoneMap(Q, P, upper))
+            for beta in filter(None, betas):
+                literal = all(
+                    Q.leq(alpha(p), q) == P.leq(p, beta(q))
+                    for p in P.elements
+                    for q in Q.elements
+                )
+                assert check_galois_connection(alpha, beta) == literal
+                verdicts[literal] += 1
+        assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
+
+    def test_maps_between_other_posets_are_refused(self):
+        P, Q = chain("ab"), chain("uv")
+        alpha = MonotoneMap(P, Q, {"a": "u", "b": "v"})
+        with pytest.raises(DomainMismatch):
+            check_galois_connection(alpha, alpha)
+
+
 def monotone_witness(source, target, assignment):
     """The pair a failed `MonotoneMap` construction names, or None when
     the assignment is accepted."""
@@ -1012,11 +1055,11 @@ class TestTrustBoundary:
             q = Quotient(u)
             assert_as_validated(q.poset)
             for a in carrier:
-                rep = q.project(a)
+                rep = q.projection[a]
                 same = [b for b in carrier if u.rel(a, b) and u.rel(b, a)]
                 assert rep == same[0] and q.classes[rep] == tuple(same)
                 for b in carrier:
-                    assert q.poset.leq(rep, q.project(b)) == u.rel(a, b)
+                    assert q.poset.leq(rep, q.projection[b]) == u.rel(a, b)
 
     def test_quotient_rejects_a_non_transitive_relation(self):
         a, b, c = carrier = tuple(map(tag_x, "abc"))
@@ -1044,14 +1087,7 @@ class TestTrustBoundary:
                 print(err.witness)
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.strip() == "(('X', 'a'), ('X', 'b'), ('X', 'c'))"
 

@@ -1,17 +1,11 @@
 import gc
 import hashlib
-import os
 import random
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import polab
 from polab import polarity
 from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
 from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois, NotOnePreorder
@@ -54,23 +48,15 @@ from polab.randgen import (
     random_galois_polarity,
 )
 
-from conftest import chain, dual_polarity, identity_polarity, named_relation_sets
-
-
-def seeded_polarities(max_base=3):
-    return st.builds(
-        lambda seed, size: random_extension_polarity(random.Random(seed), size),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=max_base),
-    )
-
-
-def seeded_galois(max_base=4):
-    return st.builds(
-        lambda seed, size: random_galois_polarity(random.Random(seed), size),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=max_base),
-    )
+from conftest import (
+    chain,
+    dual_polarity,
+    identity_polarity,
+    named_relation_sets,
+    run_optimized,
+    seeded_galois,
+    seeded_polarities,
+)
 
 
 class TestCoherenceLevels:
@@ -256,10 +242,7 @@ class TestStructureOf:
             print(alive() is None, [len(m) for m in memos], gc.collect())
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
+        done = run_optimized(script, optimize=False)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines() == ["[2, 2, 1]", "True [0, 0, 0] 0"]
 
@@ -299,14 +282,7 @@ class TestStructureOf:
                 sys.exit(3)
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 3, done.stdout + done.stderr
         law, witness = done.stdout.split(" ", 1)
         assert law == "pointwise" and witness.startswith("(('Y',")
@@ -391,14 +367,7 @@ class TestSliceRelation:
             sys.exit(3)
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 3, done.stdout + done.stderr
         pol = load("fix_e").polarities["G"]
         assert done.stdout == ("packed-grade 1 %d\n" % len(pol.x)) * 2
@@ -436,14 +405,7 @@ class TestSliceRelation:
             sys.exit(3)
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout.splitlines() == [
             "c5 packed-grade C5 True", "c6 packed-grade C6 True", "report packed-grade None"
@@ -496,14 +458,7 @@ class TestSaturationMemo:
                 sys.exit(3)
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 3, done.stdout + done.stderr
         assert done.stdout == "grade-1 ('P1', ('w',))\n"
 
@@ -638,18 +593,7 @@ class TestPreorderClauses:
         )
         outs = set()
         for seed in ("0", "1", "7"):
-            env = dict(
-                os.environ,
-                PYTHONPATH=str(Path(polab.__file__).parents[1]),
-                PYTHONHASHSEED=seed,
-            )
-            done = subprocess.run(
-                [sys.executable, "-c", script],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=60,
-            )
+            done = run_optimized(script, optimize=False, PYTHONHASHSEED=seed)
             assert done.returncode == 0, done.stderr
             outs.add(done.stdout)
         assert outs == {"P2 ('a', 'b')\nP3 ('a', 'b')\n"}
@@ -752,14 +696,7 @@ class TestPreorderClauses:
             sys.exit(3)
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        done = run_optimized(script)
         assert done.returncode == 3, done.stdout + done.stderr
         pol = load("fix_c").polarities["G"]
         v = is_n_preorder(pol, r_zero(pol).closed(), 1)

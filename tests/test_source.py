@@ -107,7 +107,7 @@ def test_the_import_scan_resolves_every_form(tmp_path):
 FAST_ROUTES = (
     "is_n_preorder", "check_coherence", "coherence_level", "mask_level",
     "mask_grade", "meet", "join", "meet_index", "join_index", "quotient",
-    "project", "closed", "_frame", "_outer_frame", "_rows", "_mask",
+    "projection", "closed", "_frame", "_outer_frame", "_rows", "_mask",
 )
 
 
@@ -234,6 +234,7 @@ INDEX_SITES = {
     ("delta1.py", "counit_iso"),
     ("delta1.py", "mediate"),
     ("delta1.py", "universal_property"),
+    ("extend.py", "phi_map"),
 }
 
 
