@@ -48,8 +48,6 @@ from .order import (
     Quotient,
     _lift,
     compose,
-    is_join_extension,
-    is_meet_extension,
     macneille,
     tag_x,
     tag_y,
@@ -274,10 +272,8 @@ def _law_coherence(rng, size):
 
 def _law_slice(rng, size):
     pol = random_galois_polarity(rng, rng.randint(1, size))
-    if not (is_meet_extension(pol.ex) and is_join_extension(pol.ey)):
-        raise LawViolation("slice", "sides must be a meet and a join extension", pol)
-    if coherence_level(pol) != 3:
-        raise LawViolation("slice", "slice polarity must be 3-coherent", pol)
+    if not galois_via_S1S2(pol):
+        raise LawViolation("slice", "slice conditions disagree with the grade", pol)
     return pol
 
 

@@ -74,10 +74,11 @@ def inclusion_preorder(pol):
 def _embeds(side, images, pointwise):
     """Whether a canonical map embeds the poset `side`: s_i <= s_j exactly
     when `pointwise[i]` lies inside `pointwise[j]`, masks read off the
-    relation.  The inclusion rows of the lattice images `images` must be
-    the same; the first that differs and its lowest column are the witness."""
+    relation.  The rows `images` of the order of the lattice images, bit j
+    of row i set when the image of s_i lies below that of s_j, must be the
+    same; the first that differs and its lowest column are the witness."""
     below = _inclusion_rows(pointwise)
-    for i, (a, b) in enumerate(zip(below, _inclusion_rows(images))):
+    for i, (a, b) in enumerate(zip(below, images)):
         if a != b:
             raise LawViolation(
                 "embedding-routes",
@@ -92,14 +93,18 @@ def xi_embedding(pol):
     right element related to x2 is related to x1, that is, when the right
     elements unrelated to x1 are unrelated to x2."""
     xi, full = concept_lattice(pol).xi_mask, (1 << len(pol.y)) - 1
-    return _embeds(pol.x, [xi[a] for a in pol.x.elements], [full & ~r for r in pol._rows[0]])
+    images = _inclusion_rows([xi[a] for a in pol.x.elements])
+    return _embeds(pol.x, images, [full & ~r for r in pol._rows[0]])
 
 
 def upsilon_embedding(pol):
     """Whether the right canonical map embeds: y1 goes below y2 when every
-    left element related to y1 is related to y2."""
-    upsilon = concept_lattice(pol).upsilon_mask
-    return _embeds(pol.y, [upsilon[b] for b in pol.y.elements], pol._rows[1])
+    left element related to y1 is related to y2.  The images are ordered
+    as the lattice's poset orders them."""
+    lat = concept_lattice(pol)
+    at = [lat.poset.index[lat.upsilon_mask[b]] for b in pol.y.elements]
+    above = _preimages(at, lat.poset.cols)
+    return _embeds(pol.y, [above[t] for t in at], pol._rows[1])
 
 
 def adjoint_pair(ex, ey):

@@ -1056,7 +1056,13 @@ def _clause_failures(pol, rel, n, z):
     if n >= 3:
         for clause, pairs in zip(("P4", "P5"), z or (naive_z_s(pol), naive_z_t(pol))):
             yield clause, next(
-                ((b, a) for b, a in sorted(pairs, key=repr) if not r(tag_y(b), tag_x(a))), None
+                (
+                    (b, a)
+                    for b in Y.elements
+                    for a in X.elements
+                    if (b, a) in pairs and not r(tag_y(b), tag_x(a))
+                ),
+                None,
             )
 
 

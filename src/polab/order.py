@@ -286,11 +286,12 @@ def _pack_blocks(nx, xx, yy, xy, yx):
 
 @functools.lru_cache(maxsize=256)
 def _carrier_blocks(nx, ny):
-    """The packed left and right blocks together, and the left-to-right
-    block, over a carrier of `nx` left and then `ny` right elements."""
+    """The packed left, right and left-to-right blocks over a carrier of
+    `nx` left and then `ny` right elements."""
     fx, fy = (1 << nx) - 1, (1 << ny) - 1
     return (
-        _pack_blocks(nx, [fx] * nx, [fy] * ny, [0] * nx, [0] * ny),
+        _pack_blocks(nx, [fx] * nx, [0] * ny, [0] * nx, [0] * ny),
+        _pack_blocks(nx, [0] * nx, [fy] * ny, [0] * nx, [0] * ny),
         _pack_blocks(nx, [0] * nx, [0] * ny, [fy] * nx, [0] * ny),
     )
 
@@ -316,7 +317,8 @@ def _saturate(r, nx, ny, exi, eyi):
     below_y, left = ones >> nx * n << nx * n, (1 << nx) - 1
     for i, j in zip(exi, eyi):
         back |= (r >> nx + j & below_y) * (sides >> i * n & left)
-    return r | sides & _carrier_blocks(nx, ny)[0] | back
+    xx, yy, _ = _carrier_blocks(nx, ny)
+    return r | sides & (xx | yy) | back
 
 
 def _loose_pairs(u, forbidden, n):

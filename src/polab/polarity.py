@@ -13,8 +13,11 @@ E2, row loops; a failed test reads its first witness off what it left.
 C7 and C8 go through the realizable meets and joins, pair masks on the
 same lanes, not a scan over subsets of the base (`polab.oracles` keeps
 the scans).  A relation on the tagged union of the sides is graded on
-its packed matrix: an n-preorder is a preorder that holds the pairs
-`_grade_masks` forces for grade n and none of those it forbids.
+its packed matrix: an n-preorder is a preorder that, for each clause of
+grade n's table (`_clauses`, packed masks over the carrier), holds the
+pairs the clause forces and none of those it forbids.  The first clause
+that fails and the lowest pair it misses or holds give the verdict and
+its witness; the OR of the table (`_grade_masks`) bounds enumeration.
 """
 
 from __future__ import annotations
@@ -306,14 +309,35 @@ class _Frame:
         return self.pack(self.xrows, self.yrows)
 
     @cached_property
-    def commuting(self):
-        """The pairs both ways between the two images of each base element."""
+    def image_pairs(self):
+        """Per base element, the pairs both ways between its two images."""
         nx, n, images = len(self.xs), len(self.carrier), zip(self.exi, self.eyi)
-        return _or(1 << i * n + nx + j | 1 << (nx + j) * n + i for i, j in images)
+        return [1 << i * n + nx + j | 1 << (nx + j) * n + i for i, j in images]
+
+    # -- the clauses of an n-preorder, each (name, pairs forced, pairs
+    # forbidden) packed over the carrier (see `_clauses`) -----------------
 
     @cached_property
-    def z_back(self):
-        return _back_block(self.z_s | self.z_t, len(self.xs), len(self.ys))
+    def clauses(self):
+        """P2 and P3 force the side orders; from grade 1 commutation forces
+        `image_pairs`; from grade 2 reflectX and reflectY forbid the pairs
+        along each side outside its order."""
+        left, right, _ = _carrier_blocks(len(self.xs), len(self.ys))
+        px, py = self.sides & left, self.sides & right
+        return (
+            ("P2", px, 0),
+            ("P3", py, 0),
+            ("commutation", _or(self.image_pairs), 0),
+            ("reflectX", 0, left ^ px),
+            ("reflectY", 0, right ^ py),
+        )
+
+    @cached_property
+    def back_clauses(self):
+        """From grade 3, P4 and P5 force the right-to-left blocks of `z_s`
+        and of `z_t`."""
+        nx, ny = len(self.xs), len(self.ys)
+        return (("P4", _back_block(self.z_s, nx, ny), 0), ("P5", _back_block(self.z_t, nx, ny), 0))
 
     def z_yx_alt(self):
         """Right-to-left block of the pairs (y, x) such that every base
@@ -586,7 +610,8 @@ def r_hat_g(pol):
     """`r_zero` together with all pairs forced by meets and joins of
     image sets."""
     fr = pol._frame
-    return fr.relation(fr.sides | pol._packed_across | fr.z_back)
+    (_, p4, _), (_, p5, _) = fr.back_clauses
+    return fr.relation(fr.sides | pol._packed_across | p4 | p5)
 
 
 def r_l(ex, ey):
@@ -611,59 +636,6 @@ class NPreorderVerdict:
         return self.ok
 
 
-def _first_pair(left, right, bad):
-    """The first pair, row by row, whose bit is set in the masks `bad`,
-    one per element of `left`, over the elements of `right`."""
-    for i, row in enumerate(bad):
-        if row:
-            return left[i], right[(row & -row).bit_length() - 1]
-    return None
-
-
-def _clause_failures(fr, rx, rel, n):
-    """Each clause of an n-preorder with its first failure in carrier
-    order (None when it holds), lazily and in the order they are decided."""
-    rows, carrier = rel.rows, rel.carrier
-    yield "reflexive", next(
-        (carrier[i] for i, row in enumerate(rows) if not row >> i & 1), None
-    )
-    yield "transitive", rel.transitivity_witness()
-    yield from _block_failures(fr, rx, rel, n)
-
-
-def _block_failures(fr, rx, rel, n):
-    """The clauses of `_clause_failures` past the preorder laws, each
-    comparing a block of `rel` with masks of the frame."""
-    rows = rel.rows
-    nx, xs, ys = len(fr.xs), fr.xs, fr.ys
-    xx = [r & (1 << nx) - 1 for r in rows[:nx]]
-    xy = [r >> nx for r in rows[:nx]]
-    yx = [r & (1 << nx) - 1 for r in rows[nx:]]
-    yy = [r >> nx for r in rows[nx:]]
-    yield "P1", _first_pair(xs, ys, map(operator.xor, xy, rx))
-    yield "P2", _first_pair(xs, xs, (a & ~b for a, b in zip(fr.xrows, xx)))
-    yield "P3", _first_pair(ys, ys, (a & ~b for a, b in zip(fr.yrows, yy)))
-    if n >= 1:
-        images = zip(fr.ps, fr.exi, fr.eyi)
-        bad = (p for p, i, j in images if not (xy[i] >> j & 1 and yx[j] >> i & 1))
-        yield "commutation", next(bad, None)
-    if n >= 2:
-        yield "reflectX", _first_pair(xs, xs, (a & ~b for a, b in zip(xx, fr.xrows)))
-        yield "reflectY", _first_pair(ys, ys, (a & ~b for a, b in zip(yy, fr.yrows)))
-    if n >= 3:
-        for clause, z in (("P4", fr.z_s), ("P5", fr.z_t)):
-            yield clause, _first_pair(ys, xs, (a & ~b for a, b in zip(fr.rows(z)[1], yx)))
-
-
-def _first_failure(failures):
-    """The verdict of the first clause of `failures` that fails; None
-    when all hold."""
-    for clause, witness in failures:
-        if witness is not None:
-            return NPreorderVerdict(False, clause, witness)
-    return None
-
-
 def is_n_preorder(pol, rel, n):
     """Decide whether `rel` is an n-preorder for the polarity.
 
@@ -671,49 +643,55 @@ def is_n_preorder(pol, rel, n):
     side orders along; 1 adds commutation of the two base images; 2 adds
     order reflection on both sides; 3 adds preservation of image meets
     and joins.  The verdict is a few operations on `rel.packed`: reflexive
-    and transitive (`is_preorder`), P1, then one AND with each of the
-    masks of `_grade_masks`.  A failure names its clause and its first
-    pair in carrier order: P1's is the lowest bit that differs across; a
-    failed mask test runs the clause walk (`_block_failures`), and one
-    that no clause explains raises `LawViolation`.
+    and transitive (`is_preorder`), then each clause of `_clauses` in
+    turn.  A failure names its clause and its first witness in carrier
+    order: the first element off the diagonal, the first transitivity
+    witness, or the lowest pair the clause misses or holds against it,
+    untagged; commutation's is the first base element whose images miss
+    a pair.
     """
     _check_grade(n)
-    fr, rx = pol._frame, pol._rows[0]
+    fr = pol._frame
     if rel.carrier is not fr.carrier and rel.carrier != fr.carrier:
         raise CarrierMismatch("relation carrier does not match the polarity")
     if not rel.is_preorder():
-        return _first_failure(_clause_failures(fr, rx, rel, n))
-    nx, ny = len(fr.xs), len(fr.ys)
+        if rel.is_reflexive():
+            return NPreorderVerdict(False, "transitive", rel.transitivity_witness())
+        i = next(i for i, row in enumerate(rel.rows) if not row >> i & 1)
+        return NPreorderVerdict(False, "reflexive", rel.carrier[i])
     m = rel.packed
-    across = m & _carrier_blocks(nx, ny)[1] ^ pol._packed_across
-    if across:
-        i, j = divmod(_low_index(across), nx + ny)
-        return NPreorderVerdict(False, "P1", (fr.xs[i], fr.ys[j - nx]))
-    forced, forbidden = _grade_masks(pol, n)
-    bad = forced & ~m | m & forbidden
-    if not bad:
-        return NPreorderVerdict(True)
-    verdict = _first_failure(_block_failures(fr, rx, rel, n))
-    if verdict is None:
-        i, j = divmod(_low_index(bad), nx + ny)
-        raise LawViolation(
-            "n-preorder",
-            "no clause explains the failed mask test",
-            (n, fr.carrier[i], fr.carrier[j]),
-        )
-    return verdict
+    missing = ~m
+    for clause, forced, forbidden in _clauses(pol, n):
+        bad = forced & missing | m & forbidden
+        if bad:
+            if clause == "commutation":
+                p = next(p for p, pairs in zip(fr.ps, fr.image_pairs) if bad & pairs)
+                return NPreorderVerdict(False, clause, p)
+            i, j = divmod(_low_index(bad), len(fr.carrier))
+            names = fr.xs + fr.ys
+            return NPreorderVerdict(False, clause, (names[i], names[j]))
+    return NPreorderVerdict(True)
+
+
+def _clauses(pol, n):
+    """The clauses of an n-preorder past the preorder laws, in the order
+    they are decided: P1 forces the relation across and forbids the other
+    pairs across; grade n holds the first 2, 3, 5 or 5 of `_Frame.clauses`
+    and at grade 3 P4 and P5 (`_Frame.back_clauses`)."""
+    fr, r = pol._frame, pol._packed_across
+    p1 = ("P1", r, _carrier_blocks(len(fr.xs), len(fr.ys))[2] ^ r)
+    table = (p1,) + fr.clauses[: (2, 3, 5, 5)[n]]
+    return table + fr.back_clauses if n == 3 else table
 
 
 def _grade_masks(pol, n):
-    """The packed pairs every n-preorder holds: the relation across (P1),
-    the side orders (P2, P3), from grade 1 the pairs between the images of
-    a base element (commutation), from grade 3 `z_back` (P4, P5); and
-    those none holds: the others across, from grade 2 those outside the
-    side orders (reflectX, reflectY)."""
-    fr, r = pol._frame, pol._packed_across
-    along, across = _carrier_blocks(len(fr.xs), len(fr.ys))
-    forced = fr.sides | r | (fr.commuting if n >= 1 else 0) | (fr.z_back if n >= 3 else 0)
-    return forced, (along & ~fr.sides if n >= 2 else 0) | across & ~r
+    """The packed pairs every n-preorder holds and those none holds: the
+    OR of its clauses (`_clauses`)."""
+    forced = forbidden = 0
+    for _, f, b in _clauses(pol, n):
+        forced |= f
+        forbidden |= b
+    return forced, forbidden
 
 
 def _check_grade(n):
@@ -740,9 +718,9 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     every n-preorder holds and none of the pairs no n-preorder may hold,
     so `order._closed_relations` walks them on those two blocks, each
     result a polynomial number of steps on packed n²-bit integers after
-    the last.  The carrier size is gated (override with `max_carrier` or
-    the POLAB_MAX_CARRIER environment variable); `cap` bounds the number
-    of results, with a truncation flag when the search was cut short.
+    the last.  `cap` bounds the number of results, with a truncation flag
+    when the search was cut short; an uncapped walk has its carrier size
+    gated (override with `max_carrier` or POLAB_MAX_CARRIER).
     """
     _check_grade(n)
     if cap is not None and cap < 0:
@@ -750,7 +728,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     fr = pol._frame
     carrier = fr.carrier
     gate = carrier_gate(max_carrier)
-    if len(carrier) > gate:
+    if cap is None and len(carrier) > gate:
         raise CarrierTooLarge(
             "carrier has %d elements, gate is %d" % (len(carrier), gate)
         )

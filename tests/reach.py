@@ -36,8 +36,6 @@ EXEMPT = {
     "order.MonotoneMap.image": "the witness of psi_of's failed `onto` certificate",
     "order.Quotient.classes": "the witness of Quotient.descend's failed `well-defined`",
     "order.UnionPreorder.transitivity_witness": "the witness of a Quotient of a non-preorder",
-    "polarity._clause_failures": "is_n_preorder on a relation that is not a preorder; "
-    "parsed preorder blocks are closed",
     "order.Poset.__contains__": "Python calls it for `in`",
     "order.Poset.__repr__": "Python calls it for repr()",
     "order.UnionPreorder.__hash__": "Python calls it for hash()",

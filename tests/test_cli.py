@@ -162,7 +162,6 @@ class TestFuzzCommand:
             '{"5": ClauseReport(True, False)}', "clause 5 fails"
         ),
         "is_n_preorder": ("SimpleNamespace(ok=True)", "disagrees with its canonical"),
-        "coherence_level": ("2", "must be 3-coherent"),
         "roundtrip_holds": ("False", "does not survive the round trip"),
         "extend_relation": (
             'frozenset({("nowhere", "nothing")})', "must stay inside the generated"
@@ -187,7 +186,7 @@ class TestFuzzCommand:
             ("extension", "check_extension_preservation"),
             ("restriction", "check_restriction_preservation"),
             ("coherence", "is_n_preorder"),
-            ("slice", "coherence_level"),
+            ("slice", "galois_via_S1S2"),
             ("roundtrip", "roundtrip_holds"),
             ("completion", "extend_relation"),
             ("adjunction", "mediate"),
@@ -221,6 +220,26 @@ class TestFuzzCommand:
         done = run_optimized(script)
         assert done.returncode == 1, done.stdout + done.stderr
         assert message in done.stdout
+
+    def test_sabotaged_slice_conditions_exit_1_under_optimize(self):
+        """The `slice` law reads the slice conditions of its Galois
+        polarities, so a wrong S1 reader fails the run under `python -O`."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import polab.cli as cli
+            from polab import polarity
+
+            assert sys.flags.optimize
+            polarity._Frame.slices = lambda self, m, rx, ry: (self.ps[0], None)
+            sys.exit(cli.main(
+                ["fuzz", "--seed", "0", "--size", "3", "--iters", "4", "--check", "slice"]
+            ))
+            """
+        )
+        done = run_optimized(script)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "law 'slice' violated on iteration 0" in done.stdout
 
     def test_unknown_law_exits_1(self, capsys):
         assert (

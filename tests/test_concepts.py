@@ -16,7 +16,7 @@ from polab.concepts import (
 from polab.errors import LawViolation, NotCompleteLattice, PreservationViolation
 from polab.fixtures import load
 from polab.oracles import polar_left, polar_right, prop_order_preorder, upsilon, xi
-from polab.order import Extension, MonotoneMap, Poset, macneille
+from polab.order import Extension, MonotoneMap, Poset, _mask_iter, macneille
 from polab.randgen import random_extension_polarity, random_galois_polarity
 
 from conftest import (
@@ -154,6 +154,42 @@ class TestDualRoutes:
                     assert (err.value.law, err.value.witness) == ("embedding-routes", want)
                     named += 1
         assert named >= 100 and accepted >= 10, (named, accepted)
+
+    def test_a_sabotaged_lattice_order_is_caught_on_the_right(self, monkeypatch):
+        """With the first covering pair of the concept lattice's order
+        taken out, `upsilon_embedding` raises `embedding-routes` when that
+        pair lies between two right images, and otherwise keeps its
+        verdict."""
+        rng = random.Random(1)
+        caught = kept = 0
+        lattice = concepts._intersection_lattice
+        for _ in range(60):
+            pol = random_galois_polarity(rng, rng.randint(1, 4))
+            want, q = upsilon_embedding(pol), concept_lattice(pol).poset
+            covers = [
+                (i, j)
+                for i, up in enumerate(q.rows)
+                for j in _mask_iter(up)
+                if i != j and up & q.cols[j] == 1 << i | 1 << j
+            ]
+            if not covers:
+                continue
+            i, j = covers[0]
+            rows = list(q.rows)
+            rows[i] ^= 1 << j
+            broken = Poset(q.elements, rows)
+            monkeypatch.setattr(concepts, "_intersection_lattice", lambda *args: broken)
+            images = set(concept_lattice(pol).upsilon_mask.values())
+            if {q.elements[i], q.elements[j]} <= images:
+                with pytest.raises(LawViolation) as err:
+                    upsilon_embedding(pol)
+                assert err.value.law == "embedding-routes"
+                caught += 1
+            else:
+                assert upsilon_embedding(pol) == want
+                kept += 1
+            monkeypatch.setattr(concepts, "_intersection_lattice", lattice)
+        assert caught >= 10 and kept >= 10, (caught, kept)
 
 
 class TestAdjoints:
