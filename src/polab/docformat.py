@@ -5,19 +5,20 @@ header per line, statements split by `;` or newlines, `#` comments, and
 a block names only blocks above it.  `_GRAMMAR` is the whole grammar:
 per kind, its reference statements (`keyword name`, each required), its
 list statements (`keyword token ...`, pairs split at `<`, `->` or `~`,
-bare ids for `elems`) and its flags (`slice`).  `parse` reads each
-statement into these as it comes (`_read`), and at a block's closing
-brace a builder per kind calls the constructor.  Preorder blocks
-declare generating pairs on the tagged carrier (`X.a`, `Y.b`) of a
-polarity; the reflexive-transitive closure is taken.  An error names
-its statement's line, or the header's for an error about the whole
-block; a constructor's error keeps its type and message.  The README's
-"Document format" section is the reference.
+bare ids for `elems`) and its flags (`slice`).  `parse` makes one pass
+over the text, one match per block; a builder per kind hands the tokens
+to the constructors, which check them.  Preorder blocks declare
+generating pairs on the tagged carrier (`X.a`, `Y.b`) of a polarity;
+the reflexive-transitive closure is taken.  An error names its
+statement's line, or the header's for an error about the whole block; a
+constructor's error keeps its type and message.  The README's "Document
+format" section is the reference.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -32,7 +33,6 @@ from .order import (
 )
 from .polarity import ExtensionPolarity, r_l
 
-_HEADER = re.compile(r"\s*(\w+)\s+(\S+)\s*\{(.*)$")
 _NAME = re.compile(r"[A-Za-z0-9_*.+-]+$")
 # An id reads back when it is a nonempty token free of `#`, `;`, braces
 # and the separators `<`, `~` and `->`.
@@ -74,134 +74,111 @@ class Document:
         )
 
 
-def _reraise(err, line):
-    raise type(err)("line %d: %s" % (line, err.args[0]), *err.args[1:]) from None
+class _At(Exception):
+    """An error or a reader's message, and its statement's index in the block."""
 
 
-def _at(line, build, *args):
-    """`build(*args)`, an error it raises put on `line`."""
+def _each(stmts, kw):
+    """`(k, text after the keyword)` for each statement `stmts[k]` with keyword `kw`."""
+    split = enumerate(stmt.split(None, 1) for stmt in stmts)
+    return [(k, "".join(p[1:])) for k, p in split if p[:1] == [kw]]
+
+
+def _pairs(text, sep):
+    """The tokens of `text`, each holding `sep` (`_read`), split at their first
+    `sep`: the halves pair up in order when twice the separators in number,
+    else some token has an empty half or a second `sep`, and each is split."""
+    halves = text.replace(sep, " ").split()
+    if len(halves) == 2 * text.count(sep):
+        it = iter(halves)
+        return zip(it, it)
+    return [tuple(t.split(sep, 1)) for t in text.split()]
+
+
+def _build_poset(doc, got, stmts):
+    ids = got.get("elems", "").split()
     try:
-        return build(*args)
+        return Poset.from_pairs(ids, _pairs(got.get("le", ""), "<"))
     except PolabError as err:
-        _reraise(err, line)
-
-
-def _tagged_token(tok, line):
-    if tok.startswith("X."):
-        return tag_x(tok[2:])
-    if tok.startswith("Y."):
-        return tag_y(tok[2:])
-    raise ParseError("carrier element must be X.name or Y.name", line)
-
-
-def _read(got, kind, spec, ln, stmt, parts):
-    """One statement `stmt`, split into tokens `parts`, of a block into
-    `got` by keyword: a reference or a flag as `(line, word)`; a list
-    statement added to the block's as `(line, ids)` for `elems` and
-    `(line, pairs)` for pairs (`_PAIR`)."""
-    kw = parts[0]
-    if kw in spec.lists:
-        sample = spec.lists[kw]
-        if sample is None:
-            got[kw].append((ln, parts[1:]))
-        else:
-            pairs = _PAIR[sample].findall(stmt)
-            if len(pairs) < len(parts) - 1:
-                raise ParseError("%s expects %s tokens" % (kw, sample), ln)
-            got[kw].append((ln, pairs))
-    elif kw in spec.refs and len(parts) == 2 or kw in spec.flags and len(parts) == 1:
-        got[kw] = (ln, parts[-1])
-    else:
-        raise ParseError("unknown %s statement %r" % (kind, kw), ln)
-
-
-def _lined(stmts):
-    """The pairs of the statements `(line, pairs)` as `(line, a, b)`."""
-    return [(ln, a, b) for ln, pairs in stmts for a, b in pairs]
-
-
-def _build_poset(doc, got):
-    elems = [e for _, ids in got["elems"] for e in ids]
-    try:
-        return Poset.from_pairs(elems, [p for _, ps in got["le"] for p in ps])
-    except PolabError as err:
-        # The first `elems` line that repeats an id, else the first `le`
-        # line by which the pairs so far fail.
-        seen = set()
-        for ln, ids in got["elems"]:
-            if len(seen.union(ids)) < len(seen) + len(ids):
-                _reraise(err, ln)
-            seen.update(ids)
-        pairs = _lined(got["le"])
-        bad = pairs[0][0] if pairs else got["elems"][0][0]
-        for ln, _, _ in pairs:
+        # The first `elems` that repeats an id, else the first `le` by which it fails.
+        seen, le = [], ""
+        for k, text in _each(stmts, "elems"):
+            seen += text.split()
+            if len(set(seen)) < len(seen):
+                raise _At(err, k)
+        for k, text in _each(stmts, "le"):
+            le += " " + text
             try:
-                Poset.from_pairs(elems, [(a, b) for l2, a, b in pairs if l2 <= ln])
+                Poset.from_pairs(ids, _pairs(le, "<"))
             except PolabError:
-                bad = ln
-                break
-        _reraise(err, bad)
+                raise _At(err, k)
 
 
-def _build_map(doc, got):
-    source, target = doc.posets[got["from"][1]], doc.posets[got["to"][1]]
+def _build_map(doc, got, stmts):
+    source, target = doc.posets[got["from"]], doc.posets[got["to"]]
     try:
-        return MonotoneMap(source, target, {a: b for _, ps in got["send"] for a, b in ps})
+        return MonotoneMap(source, target, _pairs(got.get("send", ""), "->"))
     except UnknownId as err:
-        # An image off the target is found first: that of the first source
-        # element, in source order, sent there by its last `send`, the one
-        # in force.  Else a key off the source: its first `send`.
-        sends = _lined(got["send"])
-        last = {a: (ln, b) for ln, a, b in sends}
-        in_force = (last[p] for p in source.elements)
-        off = (ln for ln, b in in_force if b not in target.index)
-        extra = (ln for ln, a, _ in sends if a not in source.index)
-        _reraise(err, next(off, None) or next(extra))
+        # The `send` in force of the first element imaged off the target, else a key's first.
+        sends = [(k, a, b) for k, text in _each(stmts, "send") for a, b in _pairs(text, "->")]
+        last = {a: (k, b) for k, a, b in sends}
+        off = (k for k, b in map(last.__getitem__, source.elements) if b not in target.index)
+        raise _At(err, next(chain(off, (k for k, a, _ in sends if a not in source.index))))
     except PolabError as err:
-        _reraise(err, got["send"][0][0] if got["send"] else got["from"][0])
+        raise _At(err, (_each(stmts, "send") or _each(stmts, "from")[-1:])[0][0])
 
 
-def _build_polarity(doc, got):
-    (base_line, base), (ex_line, ex), (ey_line, ey) = got["base"], got["ex"], got["ey"]
-    base = doc.posets[base]
-    x_ext = _at(ex_line, Extension, doc.maps[ex])
-    y_ext = _at(ey_line, Extension, doc.maps[ey])
-    pairs = {p for _, ps in got["rel"] for p in ps}
-    if "slice" in got:
-        pairs |= r_l(x_ext, y_ext)
+def _build_polarity(doc, got, stmts):
+    base, kw = doc.posets[got["base"]], "ex"
+    try:
+        x_ext = Extension(doc.maps[got["ex"]])
+        kw = "ey"
+        y_ext = Extension(doc.maps[got["ey"]])
+    except PolabError as err:
+        raise _At(err, _each(stmts, kw)[-1][0])
+    pairs = _pairs(got.get("rel", ""), "~")
+    pairs = r_l(x_ext, y_ext).union(pairs) if "slice" in got else pairs
     try:
         return ExtensionPolarity(base, x_ext, y_ext, pairs)
     except UnknownId:
         # The constructor checks the pairs in no fixed order: name the
-        # first `rel` line with an id off its side, in its wording.
-        for ln, a, b in _lined(got["rel"]):
-            _at(ln, ExtensionPolarity, base, x_ext, y_ext, ((a, b),))
+        # first `rel` pair with an id off its side, in its wording.
+        for k, text in _each(stmts, "rel"):
+            for pair in _pairs(text, "~"):
+                try:
+                    ExtensionPolarity(base, x_ext, y_ext, (pair,))
+                except UnknownId as err:
+                    raise _At(err, k)
         raise
     except PolabError as err:
-        _reraise(err, base_line)
+        raise _At(err, _each(stmts, "base")[-1][0])
 
 
-def _build_preorder(doc, got):
-    carrier = doc.polarities[got["polarity"][1]].carrier()
-    le = [
-        (ln, _tagged_token(a, ln), _tagged_token(b, ln)) for ln, a, b in _lined(got["le"])
-    ]
-    diag = [(e, e) for e in carrier]
+def _build_preorder(doc, got, stmts):
+    carrier = doc.polarities[got["polarity"]].carrier()
+    tag = {"X.": tag_x, "Y.": tag_y}
+    le = []
+    for k, text in _each(stmts, "le"):
+        for pair in _pairs(text, "<"):
+            if any(t[:2] not in tag for t in pair):
+                raise _At("carrier element must be X.name or Y.name", k)
+            le.append((k, *(tag[t[:2]](t[2:]) for t in pair)))
     try:
-        pre = UnionPreorder.from_pairs(carrier, diag + [(a, b) for _, a, b in le])
+        pre = UnionPreorder.from_pairs(carrier, [(e, e) for e in carrier] + [p[1:] for p in le])
     except UnknownId as err:
-        off = (ln for ln, a, b in le if a not in carrier or b not in carrier)
-        _reraise(err, next(off))
+        raise _At(err, next(k for k, a, b in le if a not in carrier or b not in carrier))
     return pre.closed()
 
 
-def _build_morphism(doc, got):
-    return MorphismDecl(*(got[kw][1] for kw in ("from", "to", "hx", "hp", "hy")))
+def _build_morphism(doc, got, stmts):
+    return MorphismDecl(*(got[kw] for kw in ("from", "to", "hx", "hp", "hy")))
 
 
-def _build_completion(doc, got):
-    ln, ref = got["map"]
-    return _at(ln, Extension, doc.maps[ref])
+def _build_completion(doc, got, stmts):
+    try:
+        return Extension(doc.maps[got["map"]])
+    except PolabError as err:
+        raise _At(err, _each(stmts, "map")[-1][0])
 
 
 def _untag(e):
@@ -326,60 +303,95 @@ _GRAMMAR = {
 }
 
 
-# Per sample pair token: a token split at its first separator, by `findall`.
-_PAIR = {
-    sample: re.compile(r"(\S*?)%s(\S*)" % re.escape(sample[1:-1]))
-    for kind in _GRAMMAR.values()
-    for sample in kind.lists.values()
-    if sample is not None
-}
+# A block: its kind and name on the header line, the body up to the first
+# `}`, the brace if there is one, and the rest of its line.
+_BLOCK = re.compile(r"\s*(\w+)[^\S\n]+(\S+)[^\S\n]*\{([^}]*)(\}?)([^\n]*)")
+
+
+def _line(text, pos):
+    return text.count("\n", 0, pos) + 1
+
+
+def _read(kind, name, spec, stmts):
+    """A block's statements by keyword: a reference's or a flag's word (the
+    last counts), a list's texts joined.  Raises `_At` at the first fault,
+    which lies in a statement's text alone: `stmts.index` finds it."""
+    lists, got = spec.lists, {}
+    for stmt in filter(None, stmts):
+        parts = stmt.split(None, 1)
+        if not parts:
+            continue
+        kw, text = parts[0], parts[1] if len(parts) == 2 else ""
+        if kw not in lists:
+            words = stmt.split()
+            if kw in spec.refs and len(words) == 2 or kw in spec.flags and len(words) == 1:
+                got[kw] = words[-1]
+                continue
+            raise _At("unknown %s statement %r" % (kind, kw), stmts.index(stmt))
+        elif lists[kw] is None:
+            # Of the characters `_IDS` refuses, `#`, `;` and `}` never get here.
+            if "{" in text or "<" in text or "~" in text or "->" in text:
+                bad = next(e for e in text.split() if not _IDS.match(e))
+                error = "%s %r: id %r does not read back" % (kind, name, bad)
+                raise _At(error, stmts.index(stmt))
+        else:
+            sep = lists[kw][1:-1]
+            for tok in text.split():
+                if sep not in tok:
+                    raise _At("%s expects %s tokens" % (kw, lists[kw]), stmts.index(stmt))
+        got[kw] = got[kw] + " " + text if kw in got else text
+    return got
 
 
 def parse(text):
-    """The document of `text`, in one pass over its lines: a block's kind
-    and name are checked at its header, each statement is read as it
-    comes (`_read`), and at its closing brace the block's references are
-    checked and it is built."""
-    doc, names, got = Document(), set(), None
-    for ln, line in enumerate(text.split("\n"), 1):
-        if "#" in line:
-            line = line[: line.index("#")]
-        if got is None:
-            if not line or line.isspace():
-                continue
-            m = _HEADER.match(line)
-            if not m:
-                raise ParseError("expected 'kind name {'", ln)
-            kind, name, line = m.groups()
-            if not _NAME.match(name):
-                raise ParseError("bad name %r" % name, ln)
-            spec = _GRAMMAR.get(kind)
-            if spec is None:
-                raise ParseError("unknown block kind %r" % kind, ln)
-            if name in names:
-                raise ParseError("duplicate name %r" % name, ln)
-            header, got = ln, {kw: [] for kw in spec.lists}
-        body, brace, after = line.partition("}")
-        for stmt in body.split(";"):
-            parts = stmt.split()
-            if parts:
-                _read(got, kind, spec, ln, stmt, parts)
-        if not brace:
-            continue
-        if after and not after.isspace():
-            raise ParseError("text after closing brace", ln)
-        if not spec.refs.keys() <= got.keys():
-            missing = ", ".join(kw for kw in spec.refs if kw not in got)
-            raise ParseError("%s %r needs %s" % (kind, name, missing), header)
-        for kw, target in spec.refs.items():
-            if got[kw][1] not in getattr(doc, _GRAMMAR[target].store):
-                raise ParseError("unknown %s %r" % (target, got[kw][1]), got[kw][0])
-        getattr(doc, spec.store)[name] = spec.build(doc, got)
+    """The document of `text`, in one pass over it with its comments cut.
+    A block is one match (`_BLOCK`): its kind and name are checked, its
+    body is split into statements at `;` and newlines and each is read
+    as it comes (`_read`), then its brace and what follows, its references,
+    and it is built.  An error's line is counted only when it is raised."""
+    if "#" in text:
+        text = re.sub(r"#[^\n]*", "", text)
+    doc, names, pos = Document(), set(), 0
+    while pos < len(text):
+        block = _BLOCK.match(text, pos)
+        if block is None:
+            rest = text[pos:]
+            if rest.isspace():
+                break
+            raise ParseError("expected 'kind name {'", _line(text, len(text) - len(rest.lstrip())))
+        kind, name, body, brace, after = block.groups()
+        spec = _GRAMMAR.get(kind)
+        # Most names are ASCII letters and digits, which `_NAME` allows.
+        if not (name.isascii() and name.isalnum() or _NAME.match(name)):
+            raise ParseError("bad name %r" % name, _line(text, block.start(1)))
+        if spec is None:
+            raise ParseError("unknown block kind %r" % kind, _line(text, block.start(1)))
+        if name in names:
+            raise ParseError("duplicate name %r" % name, _line(text, block.start(1)))
+        stmts = body.replace("\n", ";").split(";")
+        try:
+            got = _read(kind, name, spec, stmts)
+            if not brace:
+                raise ParseError("unterminated block %r" % name, text.count("\n") + 1)
+            if after and not after.isspace():
+                raise ParseError("text after closing brace", _line(text, block.start(4)))
+            if not spec.refs.keys() <= got.keys():
+                missing = ", ".join(kw for kw in spec.refs if kw not in got)
+                error = "%s %r needs %s" % (kind, name, missing)
+                raise ParseError(error, _line(text, block.start(1)))
+            for kw, target in spec.refs.items():
+                if got[kw] not in getattr(doc, _GRAMMAR[target].store):
+                    raise _At("unknown %s %r" % (target, got[kw]), _each(stmts, kw)[-1][0])
+            getattr(doc, spec.store)[name] = spec.build(doc, got, stmts)
+        except _At as at:
+            err, k = at.args
+            ln = _line(text, block.start(3) + sum(map(len, stmts[:k])) + k)
+            if isinstance(err, str):
+                raise ParseError(err, ln) from None
+            raise type(err)("line %d: %s" % (ln, err.args[0]), *err.args[1:]) from None
         doc.order.append((kind, name))
         names.add(name)
-        got = None
-    if got is not None:
-        raise ParseError("unterminated block %r" % name, ln)
+        pos = block.end()
     return doc
 
 

@@ -629,12 +629,12 @@ class MonotoneMap:
     `pre_up[t]` the mask of the source indices x with t <= f(x).  Both
     constructors test monotonicity on these, each up-set `source.rows[i]`
     lying inside `pre_up[idx[i]]` (`NotMonotone`).  The public one is the
-    trust boundary for parsed and user-supplied maps: the assignment's
-    keys are exactly the source elements (a missing one is `NotMonotone`,
-    any other key `UnknownId`) and its values lie in the target
-    (`UnknownId`).  `_of_idx(source, target, idx)` makes a map the package
-    derives from maps it holds and checks no label; the source tests pin
-    where it is called."""
+    trust boundary for parsed and user-supplied maps: the keys of the
+    assignment, a mapping or its pairs, are exactly the source elements (a
+    missing one is `NotMonotone`, any other key `UnknownId`) and its values
+    lie in the target (`UnknownId`).  `_of_idx(source, target, idx)` makes
+    a map the package derives from maps it holds and checks no label; the
+    source tests pin where it is called."""
 
     __slots__ = ("source", "target", "assignment", "idx", "pre_up")
 

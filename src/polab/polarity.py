@@ -160,6 +160,12 @@ class ExtensionPolarity:
         return self._frame.pack(xy=self._rows[0])
 
     @cached_property
+    def _p1(self):
+        """P1 of `_clauses`: its pairs across forced, the others forbidden."""
+        fr, r = self._frame, self._packed_across
+        return ("P1", r, _carrier_blocks(len(fr.xs), len(fr.ys))[2] ^ r)
+
+    @cached_property
     def _saturation(self):
         """`r_hat_m`, certified once: the saturation of a 1-coherent
         polarity must be a 1-preorder."""
@@ -319,18 +325,20 @@ class _Frame:
 
     @cached_property
     def clauses(self):
-        """P2 and P3 force the side orders; from grade 1 commutation forces
-        `image_pairs`; from grade 2 reflectX and reflectY forbid the pairs
-        along each side outside its order."""
+        """Per grade below 3, its clauses: P2 and P3 force the side orders;
+        from grade 1 commutation forces `image_pairs`; from grade 2
+        reflectX and reflectY forbid the pairs along each side outside its
+        order."""
         left, right, _ = _carrier_blocks(len(self.xs), len(self.ys))
         px, py = self.sides & left, self.sides & right
-        return (
+        table = (
             ("P2", px, 0),
             ("P3", py, 0),
             ("commutation", _or(self.image_pairs), 0),
             ("reflectX", 0, left ^ px),
             ("reflectY", 0, right ^ py),
         )
+        return table[:2], table[:3], table
 
     @cached_property
     def back_clauses(self):
@@ -676,12 +684,11 @@ def is_n_preorder(pol, rel, n):
 def _clauses(pol, n):
     """The clauses of an n-preorder past the preorder laws, in the order
     they are decided: P1 forces the relation across and forbids the other
-    pairs across; grade n holds the first 2, 3, 5 or 5 of `_Frame.clauses`
-    and at grade 3 P4 and P5 (`_Frame.back_clauses`)."""
-    fr, r = pol._frame, pol._packed_across
-    p1 = ("P1", r, _carrier_blocks(len(fr.xs), len(fr.ys))[2] ^ r)
-    table = (p1,) + fr.clauses[: (2, 3, 5, 5)[n]]
-    return table + fr.back_clauses if n == 3 else table
+    pairs across (`ExtensionPolarity._p1`); grade n < 3 holds
+    `_Frame.clauses[n]`, and grade 3 those of grade 2 and P4 and P5
+    (`_Frame.back_clauses`).  Each part is built once and kept."""
+    fr = pol._frame
+    return (pol._p1,) + (fr.clauses[n] if n < 3 else fr.clauses[2] + fr.back_clauses)
 
 
 def _grade_masks(pol, n):

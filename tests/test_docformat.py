@@ -1,4 +1,7 @@
+import hashlib
 import random
+import re
+from functools import lru_cache
 from importlib import resources
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from polab import randgen
 from polab.cli import document_of
 from polab.delta1 import Delta1Completion
-from polab.docformat import Document, MorphismDecl, parse, serialize, to_dot
+from polab.docformat import _ID, Document, MorphismDecl, parse, serialize, to_dot
 from polab.errors import (
     PolabError,
     AntisymmetryViolation,
@@ -79,6 +82,22 @@ class TestParsing:
                 parse(text)
             want = "line 13: relation uses unknown %s element 'zz'" % side
             assert str(e.value) == want
+
+    # One document in the layouts a whole-text reader could misread.
+    LAYOUTS = [
+        ("crlf", "poset P {\r\n  elems a b c;\r\n  le a<b b<c;\r\n}\r\n"),
+        ("braces in comments", "poset P { # { } ;\n  elems a b c # }\n  le a<b b<c # ;\n}\n"),
+        ("one line", "poset P { elems a b c; le a<b b<c }\n"),
+        ("no final newline", "poset P {\n  elems a b c;\n  le a<b b<c;\n}"),
+        ("tabs", "poset P {\n\telems\ta b c;\n\tle a<b\tb<c;\n}\n"),
+        ("comment after brace", "poset P {\n  elems a b c;\n  le a<b b<c;\n} # done\n"),
+    ]
+
+    @pytest.mark.parametrize("text", [t for _, t in LAYOUTS], ids=[n for n, _ in LAYOUTS])
+    def test_layouts_read_as_the_canonical_text(self, text):
+        canonical = "poset P {\n  elems a b c;\n  le a<b b<c;\n}\n"
+        assert parse(text) == parse(canonical)
+        assert serialize(parse(text)) == canonical
 
     def test_slice_statement(self):
         text = (
@@ -191,6 +210,15 @@ ERRORS = [
      UnknownId, "line 31: pair (('X', 'a'), ('Y', 'zz')) is not on the carrier"),
     ("completion embedding", "completion K {\n map k\n}\n", NotEmbedding,
      "line 29: extension map must be an order embedding"),
+    # an id `serialize` could not write back
+    ("elems id", "poset Q {\n elems c\n elems d e<f\n}\n", ParseError,
+     "line 30: poset 'Q': id 'e<f' does not read back"),
+    ("elems id ~", "poset Q {\n elems a~b c\n}\n", ParseError,
+     "line 29: poset 'Q': id 'a~b' does not read back"),
+    ("elems id ->", "poset Q { elems c a->b }\n", ParseError,
+     "line 28: poset 'Q': id 'a->b' does not read back"),
+    ("elems id {", "poset Q {\n elems a{b\n}\n", ParseError,
+     "line 29: poset 'Q': id 'a{b' does not read back"),
 ]
 
 
@@ -207,6 +235,8 @@ class TestErrors:
             parse(PRELUDE + text)
         assert type(e.value) is error
         assert str(e.value) == message
+        if error is ParseError:
+            assert "line %d: " % e.value.line == message[: message.index(":") + 2]
 
 
 def _edit(rng, text):
@@ -233,21 +263,41 @@ def _edit(rng, text):
     return text[:k] + rng.choice("{};#<~->\n .XYabxyP") + text[k:]
 
 
+@lru_cache(maxsize=1)
+def _edited_fixtures():
+    """4000 seeded documents, each a fixture after one to three edits."""
+    rng = random.Random(47)
+    texts = [
+        resources.files("polab.fixtures").joinpath(fx.name + ".pol").read_text()
+        for fx in CATALOGUE
+    ]
+    out = []
+    for _ in range(4000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _edit(rng, text)
+        out.append(text)
+    return out
+
+
+# The `elems` statements of a text with its comments cut, and an id that
+# reads back: a statement starts a line or follows `;`, `{` or `}`.
+ELEMS = re.compile(r"(?:^|[;{}])[^\S\n]*elems(?=\s|$)([^;}\n]*)", re.M)
+READS_BACK = re.compile(_ID + r"\Z")
+
+# The sha256 of the outcomes of the edited fixtures whose `elems` ids all
+# read back, as the reader of commit e82a057 gave them, before it refused
+# the others.
+PINNED_OUTCOMES = "939f86418b4231b6a1876343bbff0feb46594cb1663fcdf3097965804f448696"
+
+
 class TestMutations:
     def test_edited_fixtures_parse_or_raise_a_polab_error(self):
-        """4000 seeded documents, each a fixture after one to three edits,
-        either parse or raise a `PolabError`: untrusted text never
-        reaches a bare exception of the reader or a constructor."""
-        rng = random.Random(47)
-        texts = [
-            resources.files("polab.fixtures").joinpath(fx.name + ".pol").read_text()
-            for fx in CATALOGUE
-        ]
+        """The edited fixtures either parse or raise a `PolabError`:
+        untrusted text never reaches a bare exception of the reader or a
+        constructor."""
         outcomes = {"parsed": 0, "refused": 0}
-        for _ in range(4000):
-            text = rng.choice(texts)
-            for _ in range(rng.randint(1, 3)):
-                text = _edit(rng, text)
+        for text in _edited_fixtures():
             try:
                 parse(text)
             except PolabError:
@@ -255,6 +305,24 @@ class TestMutations:
             else:
                 outcomes["parsed"] += 1
         assert min(outcomes.values()) > 400, outcomes
+
+    def test_outcomes_are_those_pinned(self):
+        """Over the edited fixtures whose ids all read back, each outcome,
+        the text `serialize` writes of the document or the error's type
+        and message, hashes to the pinned digest."""
+        digest, kept = hashlib.sha256(), 0
+        for text in _edited_fixtures():
+            cut = re.sub(r"#[^\n]*", "", text)
+            if not all(READS_BACK.match(e) for m in ELEMS.finditer(cut) for e in m[1].split()):
+                continue
+            kept += 1
+            try:
+                out = serialize(parse(text))
+            except PolabError as err:
+                out = "%s: %s" % (type(err).__name__, err)
+            digest.update(out.encode() + b"\0")
+        assert kept == 3986
+        assert digest.hexdigest() == PINNED_OUTCOMES
 
 
 class TestRoundTrip:
@@ -280,24 +348,31 @@ class TestRoundTrip:
 
 
     def test_seeded_polarities_round_trip(self):
-        """200 polarities of the `grade` pool's three kinds (arbitrary,
-        slice over random embeddings, Galois) at base sizes 1 to 9."""
+        """1000 draws of the `grade` pool's kinds (arbitrary, slice over
+        random embeddings, arbitrary, Galois) at base sizes 1 to 9 read
+        back equal, and each poset read has as `cols` the transpose of its
+        `rows` (`Poset.__eq__` compares `rows` alone)."""
         rng = random.Random(15)
-        for k in range(200):
-            size, kind = 1 + k % 9, k // 9 % 3
-            if kind == 0:
-                pol = randgen.random_extension_polarity(rng, size)
-            elif kind == 1:
+        for k in range(1000):
+            size, kind = 1 + k % 9, k // 9 % 4
+            if kind == 1:
                 base = randgen.random_poset(rng, size)
                 ex = randgen.random_embedding(rng, base, prefix="x")
                 ey = randgen.random_embedding(rng, base, prefix="y")
                 pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
-            else:
+            elif kind == 3:
                 pol = randgen.random_galois_polarity(rng, size)
+            else:
+                pol = randgen.random_extension_polarity(rng, size)
             doc = document_of(pol)
             again = parse(serialize(doc))
             assert again.polarities["G"] == pol
             assert again == doc
+            for p in again.posets.values():
+                n = len(p)
+                assert p.cols == tuple(
+                    sum(1 << i for i in range(n) if p.rows[i] >> j & 1) for j in range(n)
+                )
 
     def test_ids_with_dashes_and_angles_round_trip(self):
         p = chain(["a-", "-", "b>", ">c", "1"])

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import operator
 import random
 import textwrap
 
@@ -560,6 +561,19 @@ class TestPreorderClauses:
         assert not {"meets", "joins", "z_s", "z_t", "back_clauses"} & kept
         is_n_preorder(pol, rel, 3)
         assert {"z_s", "z_t", "back_clauses"} <= kept
+
+    def test_clause_tables_are_built_once_per_polarity_and_grade(self):
+        """Each call reads P1 kept on its polarity and the grade's clauses
+        kept on its frame; a polarity sharing the frame with another
+        relation builds its own P1."""
+        pol = load("fix_a").polarities["G"]
+        tables = [polarity._clauses(pol, n) for n in range(4)]
+        for n in range(4):
+            assert all(map(operator.is_, polarity._clauses(pol, n), tables[n]))
+        assert [len(t) for t in tables] == [3, 4, 6, 8]
+        other = pol.with_relation(frozenset())
+        assert polarity._clauses(other, 2)[1:] == tables[2][1:]
+        assert polarity._clauses(other, 2)[0] == ("P1", 0, tables[2][0][1] | tables[2][0][2])
 
     def test_reflexivity_clause(self):
         pol = load("fix_a").polarities["G"]
