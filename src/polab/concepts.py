@@ -17,7 +17,7 @@ from .order import (
     _lift,
     _low_index,
     _mask_iter,
-    _preimages,
+    _transpose,
     check_galois_connection,
     is_meet_extension,
     is_join_extension,
@@ -103,7 +103,7 @@ def upsilon_embedding(pol):
     as the lattice's poset orders them."""
     lat = concept_lattice(pol)
     at = [lat.poset.index[lat.upsilon_mask[b]] for b in pol.y.elements]
-    above = _preimages(at, lat.poset.cols)
+    above = _transpose([lat.poset.cols[t] for t in at], len(lat.poset))
     return _embeds(pol.y, [above[t] for t in at], pol._rows[1])
 
 
@@ -148,16 +148,16 @@ def z_doubleprime(pol, ix, iy):
     their sides."""
     if ix.base != pol.x or iy.base != pol.y:
         raise PreservationViolation("completions must extend the polarity sides")
-    if _bounds_failure(ix.map.idx, pol.x.cols, ix.target.cols) is not None:
+    if _bounds_failure(ix.map) is not None:
         raise PreservationViolation(
             "left completion must preserve all existing meets"
         )
-    if _bounds_failure(iy.map.idx, pol.y.rows, iy.target.rows) is not None:
+    if _bounds_failure(iy.map, join=True) is not None:
         raise PreservationViolation(
             "right completion must preserve all existing joins"
         )
     f, _ = adjoint_pair(pol.ex.compose(ix), pol.ey.compose(iy))
-    above = _preimages(ix.map.idx, ix.target.cols)
+    above = ix.map.pre_up
     return frozenset(
         (y, pol.x.elements[i])
         for y, j in zip(pol.y.elements, iy.map.idx)

@@ -24,7 +24,9 @@ from .order import (
     _expressible,
     _image_mask,
     _lift,
+    _low_index,
     _mask_iter,
+    _transpose,
     compose as compose_maps,
     is_completion,
     is_delta1,
@@ -33,7 +35,7 @@ from .order import (
     macneille,
     macneille_lift,
 )
-from .polarity import ExtensionPolarity, is_galois, r_l
+from .polarity import ExtensionPolarity, is_galois
 from .morphisms import PolarityMorphism, compose as compose_morphisms, psi_of, structure_of
 
 
@@ -319,24 +321,26 @@ def check_adjunction(polarities, morphisms=(), composable=()):
 def universal_property(pol, f, g):
     """For a polarity whose relation is the slice relation: two maps into
     a common poset agreeing on the base factor uniquely through the
-    intermediate quotient exactly when the cross order is respected."""
-    if pol.rel != r_l(pol.ex, pol.ey):
+    intermediate quotient exactly when the cross order is respected: per
+    x, each y whose class lies below that of x has g(y) below f(x)."""
+    if pol._mask != pol._frame.slice_mask():
         raise DomainMismatch("relation must be the slice relation")
     if f.source != pol.x or g.source != pol.y or f.target != g.target:
         raise DomainMismatch("maps must leave the sides into a common poset")
-    for p in pol.base.elements:
-        if f(pol.ex(p)) != g(pol.ey(p)):
-            raise DomainMismatch("maps must agree on the base image")
+    fi, gi = f.idx, g.idx
+    if any(fi[i] != gi[j] for i, j in zip(pol.ex.map.idx, pol.ey.map.idx)):
+        raise DomainMismatch("maps must agree on the base image")
     struct = structure_of(pol)
-    q = struct.quotient.poset
-    for x in pol.x.elements:
-        for y in pol.y.elements:
-            below = q.leq(struct.iota_y(y), struct.iota_x(x))
-            if below and not f.target.leq(g(y), f(x)):
-                raise ConditionOneFails("cross order not respected", (y, x))
-    u = MonotoneMap._of_idx(q, f.target, struct.quotient.descend(f.idx + g.idx))
+    q, t = struct.quotient.poset, f.target
+    below_q = _transpose([q.rows[j] for j in struct.iota_y.idx], len(q))
+    below_t = _transpose([t.rows[j] for j in gi], len(t))
+    for x, a, b in zip(pol.x.elements, struct.iota_x.idx, fi):
+        bad = below_q[a] & ~below_t[b]
+        if bad:
+            raise ConditionOneFails("cross order not respected", (pol.y.elements[_low_index(bad)], x))
+    u = MonotoneMap._of_idx(q, t, struct.quotient.descend(fi + gi))
     for h, iota in ((f, struct.iota_x), (g, struct.iota_y)):
-        for e in h.source.elements:
-            if u(iota(e)) != h(e):
+        for e, i, k in zip(h.source.elements, iota.idx, h.idx):
+            if u.idx[i] != k:
                 raise LawViolation("commute", "mediating map must extend both maps", e)
     return u

@@ -37,11 +37,10 @@ from .order import (
     UnionPreorder,
     _bound_index,
     _expressible,
+    _gather,
     _image_mask,
     _mask_iter,
-    _preimages,
     _reflection_failure,
-    _transpose,
     _union_of,
     cached_property,
     is_join_extension,
@@ -291,8 +290,7 @@ def phi_map(ctx, outer_rel, outer_preorder):
     inner = ctx.inner.with_relation(restrict_relation(ctx, outer_rel))
     # The carrier index map: X into X', then Y into Y' after X'.
     lift = ctx.ix.map.idx + tuple(len(ctx.ix.target) + j for j in ctx.iy.map.idx)
-    above = _preimages(lift, _transpose(outer_preorder.rows, len(outer_preorder.carrier)))
-    pulled = UnionPreorder(inner.carrier(), [above[t] for t in lift], inner._frame.index)
+    pulled = UnionPreorder(inner.carrier(), _gather(outer_preorder.rows, lift), inner._frame.index)
     q_in = pulled.quotient()
     q_out = outer_preorder.quotient()
     phi = MonotoneMap._of_idx(q_in.poset, q_out.poset, q_in.descend([q_out.of[t] for t in lift]))

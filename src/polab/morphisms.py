@@ -17,8 +17,8 @@ from .order import (
     _image_mask,
     _low_index,
     _mask_iter,
-    _preimages,
     _reflection_failure,
+    _transpose,
     compose as compose_maps,
     is_cut_stable,
     is_order_embedding,
@@ -81,7 +81,8 @@ class PolarityMorphism:
         src, tgt = self.src_struct, self.tgt_struct
         above, ib = src.iota_x.pre_up, src.iota_y.idx
         ja, jb = tgt.iota_x.idx, tgt.iota_y.idx
-        kept = _preimages([ja[a] for a in self.hx.idx], tgt.quotient.poset.cols)
+        cols = tgt.quotient.poset.cols
+        kept = _transpose([cols[ja[a]] for a in self.hx.idx], len(cols))
         bad = [above[ib[y]] & ~kept[jb[b]] for y, b in enumerate(self.hy.idx)]
         first = 0
         for m in bad:
@@ -106,13 +107,16 @@ class PolarityMorphism:
         all admissible x: one mask test per pair.
         """
         s, t = self.source, self.target
-        sx, sy, tx, ty = s.x, s.y, t.x, t.y
+        tx, ty = t.x, t.y
         hx, hy = self.hx.idx, self.hy.idx
         s_row, s_col = s._rows
         t_row, t_col = t._rows
-        xs = _admissible(tx.rows, hx, sx.cols, t_row, hy, s_col)
-        ys = _admissible(ty.cols, hy, sy.rows, t_col, hx, s_row)
-        full_t, full_s = (1 << len(ty)) - 1, (1 << len(sy)) - 1
+        related_x = _transpose([t_col[b] for b in hy], len(tx))
+        xs = _admissible(self.hx.pre_up, s.x.cols, related_x, s_col)
+        below_y = _transpose([ty.rows[b] for b in hy], len(ty))
+        related_y = _transpose([t_row[a] for a in hx], len(ty))
+        ys = _admissible(below_y, s.y.rows, related_y, s_row)
+        full_t, full_s = (1 << len(ty)) - 1, (1 << len(s.y)) - 1
         for xp in range(len(tx)):
             missing = full_s & ~_common(s_row, xs[xp], full_s)
             for yp in _mask_iter(full_t & ~t_row[xp]):
@@ -139,10 +143,10 @@ class PolarityMorphism:
         row of x."""
         if not all(map(is_order_embedding, (self.hx, self.hp, self.hy))):
             return False
-        hy, t_row = self.hy.idx, self.target._rows[0]
+        t_col = self.target._rows[1]
+        related = _transpose([t_col[b] for b in self.hy.idx], len(self.target.x))
         return not any(
-            sum(1 << y for y, b in enumerate(hy) if t_row[a] >> b & 1) & ~row
-            for a, row in zip(self.hx.idx, self.source._rows[0])
+            related[a] & ~row for a, row in zip(self.hx.idx, self.source._rows[0])
         )
 
     def is_isomorphism(self):
@@ -153,22 +157,12 @@ class PolarityMorphism:
         return cls(pol, pol, *map(MonotoneMap.identity, (pol.x, pol.base, pol.y)))
 
 
-def _admissible(order, h, bound, rel, h_rel, related):
+def _admissible(pre, bound, pre_rel, related):
     """Per target element t, the mask of the source elements lying in
-    `bound[a]` for every a whose image h[a] is in `order[t]` and in
-    `related[b]` for every b whose image h_rel[b] is in `rel[t]`."""
-    full = (1 << len(bound)) - 1
-    masks = []
-    for row, rel_row in zip(order, rel):
-        m = full
-        for a, ha in enumerate(h):
-            if row >> ha & 1:
-                m &= bound[a]
-        for b, hb in enumerate(h_rel):
-            if rel_row >> hb & 1:
-                m &= related[b]
-        masks.append(m)
-    return masks
+    `bound[a]` for every a in `pre[t]` and in `related[b]` for every b in
+    `pre_rel[t]`: one AND over `bound` and `related` side by side."""
+    full, shift, vecs = (1 << len(bound)) - 1, len(bound), list(bound) + list(related)
+    return [_common(vecs, m | r << shift, full) for m, r in zip(pre, pre_rel)]
 
 
 def is_galois_stable(psi, src_struct, tgt_struct):

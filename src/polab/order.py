@@ -338,7 +338,8 @@ def _loose_pairs(u, forbidden, n):
 
 
 def _transpose(rows, n):
-    """Bit-rows of the transposed relation, with `n` rows."""
+    """Bit-rows of the transposed relation, with `n` rows: of a target's
+    `cols` gathered at a map's `idx`, row t holds the x with t <= f(x)."""
     out = [0] * n
     for i, r in enumerate(rows):
         bit = 1 << i
@@ -357,20 +358,6 @@ def _union_of(rows, mask):
         low = mask & -mask
         out |= rows[low.bit_length() - 1]
         mask ^= low
-    return out
-
-
-def _preimages(f, vecs):
-    """Per index t of `vecs`, the mask of the indices x with bit t set in
-    `vecs[f[x]]`.  For `f` a map's `idx` and `vecs` its target's `cols`,
-    the x with t <= f(x); for the target's `rows`, those with f(x) <= t."""
-    out = [0] * len(vecs)
-    for x, t in enumerate(f):
-        bit, row = 1 << x, vecs[t]
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= bit
-            row ^= low
     return out
 
 
@@ -608,15 +595,21 @@ class Poset:
         return Poset._derived([fn(e) for e in self.elements], self.rows, self.cols)
 
 
-def _induced(elements, rows, kept):
-    """The poset induced on the indices `kept`, in their order, of the
-    trusted order given by `rows` over `elements`."""
+def _gather(rows, kept):
+    """The relation `rows` induces on the distinct indices `kept`: row k
+    is `rows[kept[k]]` with each bit kept[l] moved to bit l."""
     bits = [0] * len(rows)
     keep = 0
     for k, i in enumerate(kept):
         bits[i] = 1 << k
         keep |= 1 << i
-    up = [_union_of(bits, rows[i] & keep) for i in kept]
+    return [_union_of(bits, rows[i] & keep) for i in kept]
+
+
+def _induced(elements, rows, kept):
+    """The poset induced on the indices `kept`, in their order, of the
+    trusted order given by `rows` over `elements`."""
+    up = _gather(rows, kept)
     return Poset._derived(
         [elements[i] for i in kept], up, _transpose(up, len(kept))
     )
@@ -626,7 +619,8 @@ class MonotoneMap:
     """A total order-preserving map between posets.
 
     `idx` is the map on indices, source index to target index, and
-    `pre_up[t]` the mask of the source indices x with t <= f(x).  Both
+    `pre_up[t]` the mask of the source indices x with t <= f(x), kept for
+    `_bounds_failure`, order reflection and cut stability to read.  Both
     constructors test monotonicity on these, each up-set `source.rows[i]`
     lying inside `pre_up[idx[i]]` (`NotMonotone`).  The public one is the
     trust boundary for parsed and user-supplied maps: the keys of the
@@ -669,7 +663,8 @@ class MonotoneMap:
     def _check_monotone(self):
         """`NotMonotone` for the first i <= j, in carrier order, whose
         images are not ordered."""
-        self.pre_up = pre = _preimages(self.idx, self.target.cols)
+        cols = self.target.cols
+        self.pre_up = pre = _transpose([cols[t] for t in self.idx], len(cols))
         for i, row in enumerate(self.source.rows):
             bad = row & ~pre[self.idx[i]]
             if bad:
@@ -841,10 +836,7 @@ def _inclusion_order(sets, full):
     the sets containing p, and `lacks[p]`, those without it.  The sets
     above c hold every p of c; those below c lack every p outside c."""
     every = (1 << len(sets)) - 1
-    holds = [0] * full.bit_length()
-    for k, c in enumerate(sets):
-        for p in _mask_iter(c):
-            holds[p] |= 1 << k
+    holds = _transpose(sets, full.bit_length())
     lacks = [every & ~h for h in holds]
     return Poset._derived(
         sets,
@@ -871,11 +863,10 @@ def macneille(poset):
     return Extension(MonotoneMap._of_idx(poset, lattice, [index[c] for c in poset.cols]))
 
 
-def _bounds_failure(f, src, tgt):
-    """A subset (as a mask) of the source of the index map `f` (a list,
-    as `MonotoneMap.idx` gives) that has a meet not sent to the meet of its
-    images, or None, for `src`/`tgt` the `cols` of source and target;
-    given their `rows`, the same for joins.
+def _bounds_failure(f, join=False):
+    """A subset (as a mask) of the source of the monotone map `f` that has
+    a meet not sent to the meet of its images, or None; with `join`, the
+    same for joins.
 
     Polynomial, with no subset scan: the monotone f loses a meet iff
     some source g and target z have z not below f(g) while g is the meet
@@ -885,12 +876,17 @@ def _bounds_failure(f, src, tgt):
     not below f(g), has S inside T, so g is the meet of T.  As g bounds
     T from below, it is T's meet iff the common lower bounds of T are
     exactly those of g, one compare (as in `_expressible`), and each
-    distinct T's common lower bounds are found once."""
-    n = len(src)
-    full = (1 << n) - 1
-    up, pre, common = _transpose(src, n), _preimages(f, tgt), {}
+    distinct T's common lower bounds are found once.  For meets T is read
+    off kept arrays, `rows[g] & pre_up[z]`; joins swap `rows` and `cols`."""
+    p, q, idx = f.source, f.target, f.idx
+    if join:
+        src, up, tgt = p.rows, p.cols, q.rows
+        pre = _transpose([tgt[i] for i in idx], len(tgt))
+    else:
+        src, up, tgt, pre = p.cols, p.rows, q.cols, f.pre_up
+    full, common = (1 << len(src)) - 1, {}
     for g, down in enumerate(src):
-        below = tgt[f[g]]
+        below = tgt[idx[g]]
         for z, bound in enumerate(pre):
             if below >> z & 1:
                 continue
@@ -914,7 +910,7 @@ def is_cut_stable(f):
     src, tgt = f.source, f.target
     rows, cols = src.rows, src.cols
     full = (1 << len(rows)) - 1
-    pre_up, pre_down = f.pre_up, _preimages(f.idx, tgt.rows)
+    pre_up, pre_down = f.pre_up, _transpose([tgt.rows[t] for t in f.idx], len(tgt))
     shared = {m: _common(rows, _common(cols, m, full), full) for m in set(pre_up)}
     upper = {m: _common(rows, m, full) for m in set(pre_down)}
     shared, upper = [shared[m] for m in pre_up], [upper[m] for m in pre_down]

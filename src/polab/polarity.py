@@ -52,7 +52,6 @@ from .order import (
     _low_index,
     _mask_iter,
     _pack_blocks,
-    _preimages,
     _reflection_failure,
     _saturate,
     _transpose,
@@ -261,7 +260,7 @@ class _Frame:
         ey(k) below it with ex(k) below x."""
         lanes, images = self.lanes, zip(self.exi, self.eyi)
         covers = [self.rises[i] * self.yrows[j] for i, j in images]
-        bounds = _preimages(self.eyi, self.yrows)
+        bounds = _transpose([self.yrows[j] for j in self.eyi], len(self.ys))
         return _realizable(lanes, covers, bounds, [lanes.ones * c for c in self.ycols])
 
     @cached_property
@@ -361,14 +360,19 @@ class _Frame:
             out.append(sum(1 << i for i, a in enumerate(above) if not a & ~common))
         return out
 
-    def slice_mask(self):
+    @cached_property
+    def slice_pairs(self):
         """The pair mask of the slice relation: x related to y when some base
-        element has its left image above x and its right image below y.  It
-        reaches grade 2; a failure raises `NotCoherent` naming the first
-        failing condition of its `report`."""
+        element has its left image above x and its right image below y."""
         lanes, m = self.lanes, 0
         for xi, yi in zip(self.exi, self.eyi):
             m |= lanes.spreads[xi] * self.yrows[yi]
+        return m
+
+    def slice_mask(self):
+        """`slice_pairs`, which reaches grade 2; a failure raises
+        `NotCoherent` naming the first failing condition of its `report`."""
+        m = self.slice_pairs
         if self.mask_level(m, 2) != 2:
             conditions = self.report(m).conditions
             name = next(name for name in CONDITION_NAMES if not conditions[name][0])
@@ -819,11 +823,11 @@ def structure_of(pol):
     inter = _intermediate(pol, u)
     _certify_base_image(pol, inter)
     q = inter.quotient.poset
-    for law, side, iota, src, tgt in (
-        ("meet-preservation", pol.x, inter.iota_x, pol.x.cols, q.cols),
-        ("join-preservation", pol.y, inter.iota_y, pol.y.rows, q.rows),
+    for law, side, iota, join in (
+        ("meet-preservation", pol.x, inter.iota_x, False),
+        ("join-preservation", pol.y, inter.iota_y, True),
     ):
-        lost = _bounds_failure(iota.idx, src, tgt)
+        lost = _bounds_failure(iota, join=join)
         if lost is not None:
             raise LawViolation(law, "a side embedding loses a bound", side.elements_of(lost))
     full = (1 << len(q)) - 1
@@ -851,13 +855,10 @@ def _certify_base_image(pol, inter):
         stray = set(q.elements_of(image & ~both))
         raise LawViolation("base-image", "base image must land in both sides", stray)
     # Equality needs every related pair (a, b) to have a slice witness, a
-    # base p with a <= ex(p) and ey(p) <= b; a pair like (top, top)
-    # related without one merges two non-image elements.
-    above = pol.ex.map.pre_up
-    below = _preimages(pol.ey.map.idx, pol.y.rows)
-    xi, yi = pol.x.index, pol.y.index
-    witnessed = all(above[xi[a]] & below[yi[b]] for a, b in pol.rel)
-    if witnessed and both & ~image:
+    # base p with a <= ex(p) and ey(p) <= b, that is to lie in the slice
+    # relation; a pair like (top, top) related without one merges two
+    # non-image elements.
+    if both & ~image and not pol._mask & ~pol._frame.slice_pairs:
         raise LawViolation(
             "base-image",
             "base image must be the intersection of the side images",

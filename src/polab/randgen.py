@@ -14,7 +14,6 @@ certified at the end.  The full completion is never built.
 from __future__ import annotations
 
 import functools
-import random
 
 from .errors import LawViolation
 from .order import (

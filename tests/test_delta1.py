@@ -21,10 +21,11 @@ from polab.delta1 import (
     unit,
     universal_property,
 )
-from polab.errors import DomainMismatch, NotDelta1, NotGalois
+from polab.errors import ConditionOneFails, DomainMismatch, NotDelta1, NotGalois
 from polab.fixtures import load
 from polab.morphisms import PolarityMorphism, compose, structure_of
 from polab.oracles import (
+    leq,
     oracle_complete_homs,
     oracle_extensions_isomorphic,
     oracle_polarity_isos_over_base,
@@ -38,6 +39,7 @@ from conftest import (
     chain,
     identity_polarity,
     mask_of,
+    random_monotone,
     run_optimized,
     seeded_galois,
 )
@@ -360,6 +362,36 @@ class TestUniversalProperty:
         u = universal_property(pol, f, g)
         assert u.target == f.target
 
+    def test_cross_order_failure_names_the_first_pair(self):
+        """Pairs of maps agreeing on the base: into the cut completion of
+        the left side, f and its agreeing join map; into a three-element
+        chain, from random values v on the base, f at x the largest v(p)
+        with ex(p) <= x and g at y the least v(p) with y <= ey(p), the
+        pair most likely to break the cross order.  Whether the mediating
+        map exists, and the first (y, x) whose classes are ordered while
+        g(y) is not below f(x), x first in carrier order and then y, are
+        those of the literal loop."""
+        rng = random.Random(23)
+        three = chain("012")
+        verdicts = {True: 0, False: 0}
+        for _ in range(60):
+            pol = random_galois_polarity(rng, rng.randint(2, 4), keep_theta=0.9)
+            f = macneille(pol.x).map
+            pairs = [(f, _agreeing_map(pol, f))]
+            for _ in range(3):
+                v = random_monotone(rng, pol.base, three)
+                pairs.append(_widest_pair(pol, v))
+            for f, g in pairs:
+                want = literal_cross_failure(pol, f, g)
+                if want is None:
+                    assert universal_property(pol, f, g).target == f.target
+                else:
+                    with pytest.raises(ConditionOneFails) as err:
+                        universal_property(pol, f, g)
+                    assert err.value.witness == want
+                verdicts[want is None] += 1
+        assert min(verdicts.values()) > 40
+
     def test_rejects_non_slice_relations(self):
         pol = load("fix_b").polarities["G"]
         ident = MonotoneMap.identity(pol.x)
@@ -401,3 +433,31 @@ def _agreeing_map(pol, f):
         below = [f(pol.ex(p)) for p in pol.base.elements if pol.y.leq(pol.ey(p), y)]
         assignment[y] = target.elements[target.join_index(mask_of(target, below))]
     return MonotoneMap(pol.y, target, assignment)
+
+
+def _widest_pair(pol, v):
+    """From the values v on the base, in a chain: x to the largest value
+    of the base elements below it, y to the least of those above it, the
+    chain's ends where there are none."""
+    t, base = v.target, pol.base.elements
+    low, high, rank = t.elements[0], t.elements[-1], t.index.__getitem__
+    f = {
+        x: max([v(p) for p in base if pol.x.leq(pol.ex(p), x)], default=low, key=rank)
+        for x in pol.x.elements
+    }
+    g = {
+        y: min([v(p) for p in base if pol.y.leq(y, pol.ey(p))], default=high, key=rank)
+        for y in pol.y.elements
+    }
+    return MonotoneMap(pol.x, t, f), MonotoneMap(pol.y, t, g)
+
+
+def literal_cross_failure(pol, f, g):
+    """The first (y, x), x first in carrier order, whose classes are
+    ordered in the quotient while g(y) is not below f(x), over `leq`."""
+    s = structure_of(pol)
+    for x in pol.x.elements:
+        for y in pol.y.elements:
+            if leq(s.quotient.poset, s.iota_y(y), s.iota_x(x)) and not leq(f.target, g(y), f(x)):
+                return y, x
+    return None

@@ -1,5 +1,6 @@
 import random
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from polab.morphisms import (
     stable_roundtrip_holds,
     structure_of,
 )
-from polab.oracles import oracle_cross_order, oracle_unreflected
+from polab.oracles import leq, oracle_cross_order, oracle_unreflected
 from polab.order import MonotoneMap, Poset
 from polab.polarity import is_galois
 from polab.randgen import (
@@ -297,6 +298,53 @@ class TestQuotientMaps:
         bad = MonotoneMap.identity(st.quotient.poset)
         with pytest.raises(DomainMismatch):
             h_of(bad, pol, other)
+
+
+class TestIsEmbedding:
+    def test_matches_the_pair_loop(self):
+        """`is_embedding` against the literal loop over pairs: on the valid
+        morphisms of the corpus (identities and units embed, most
+        collapses do not), on identity triples into the same sides with
+        another relation (only the relation clause decides), and on
+        random monotone triples."""
+        rng = random.Random(65)
+        ms = morphism_corpus(rng, count=60, base_size=3)
+        verdicts = Counter(("valid", m.is_embedding()) for m in ms)
+        pols = [random_galois_polarity(rng, rng.randint(1, 3)) for _ in range(30)]
+        triples = []
+        for pol in pols:
+            pairs = [(a, b) for a in pol.x.elements for b in pol.y.elements]
+            other = pol.with_relation(p for p in pairs if rng.random() < 0.5)
+            ids = [MonotoneMap.identity(side) for side in (pol.x, pol.base, pol.y)]
+            triples += [(pol, other, *ids), (other, pol, *ids)]
+        while len(triples) < 400:
+            s, t = rng.choice(pols), rng.choice(pols)
+            hs = [random_monotone(rng, getattr(s, k), getattr(t, k)) for k in ("x", "base", "y")]
+            if None not in hs:
+                triples.append((s, t, *hs))
+        for s, t, hx, hp, hy in triples:
+            m = PolarityMorphism.__new__(PolarityMorphism)
+            m.source, m.target, m.hx, m.hp, m.hy = s, t, hx, hp, hy
+            verdicts["triple", m.is_embedding()] += 1
+            ms.append(m)
+        for m in ms:
+            assert m.is_embedding() == literal_is_embedding(m)
+        assert min(verdicts.values()) >= 20, verdicts
+
+
+def literal_is_embedding(m):
+    """Each component reflects the order, and x R y whenever hx(x) R'
+    hy(y), pair by pair over `leq` and the relations' pairs."""
+    for h in (m.hx, m.hp, m.hy):
+        ps = h.source.elements
+        if any(leq(h.target, h(p), h(q)) and not leq(h.source, p, q) for p in ps for q in ps):
+            return False
+    return all(
+        (x, y) in m.source.rel
+        for x in m.source.x.elements
+        for y in m.source.y.elements
+        if (m.hx(x), m.hy(y)) in m.target.rel
+    )
 
 
 def is_embedding_agrees(m):

@@ -36,6 +36,7 @@ from polab.order import (
     _intersection_lattice,
     _lift,
     _reflection_failure,
+    _transpose,
     check_galois_connection,
     compose,
     is_completion,
@@ -586,8 +587,9 @@ class TestCompletionPathCertificates:
             maps = [s.iota_x, s.iota_y]
             maps += [random_monotone(rng, side, q) for side in (s.iota_x.source, s.iota_y.source)]
             for f in filter(None, maps):
-                for src, tgt in ((f.source.cols, q.cols), (f.source.rows, q.rows)):
-                    got = _bounds_failure(f.idx, src, tgt)
+                sides = ((False, f.source.cols, q.cols), (True, f.source.rows, q.rows))
+                for join, src, tgt in sides:
+                    got = _bounds_failure(f, join=join)
                     assert (got is None) == (oracle_bounds_failure(f.idx, src, tgt) is None)
                     assert got is None or lost_bound(f.idx, src, tgt, got)
                     verdicts[got is None] += 1
@@ -674,9 +676,9 @@ class TestCompleteHomFailure:
 
 def lost_bound(f, src, tgt, subset):
     """Whether the index map `f` really loses the bound of `subset`: the
-    bound exists in the source (`src`/`tgt` as `_bounds_failure` takes
-    them) and is not sent to the bound of the images, both taken by the
-    literal loop."""
+    bound exists in the source (`src`/`tgt` the `cols` of source and
+    target for a meet, their `rows` for a join) and is not sent to the
+    bound of the images, both taken by the literal loop."""
     g = literal_bound(src, subset)
     images = 0
     for i in range(len(f)):
@@ -701,8 +703,9 @@ class TestBoundsCertificate:
             if f is None:
                 continue
             idx = f.idx
-            for src, tgt in ((p.cols, f.target.cols), (p.rows, f.target.rows)):
-                got = _bounds_failure(idx, src, tgt)
+            sides = ((False, p.cols, f.target.cols), (True, p.rows, f.target.rows))
+            for join, src, tgt in sides:
+                got = _bounds_failure(f, join=join)
                 want = oracle_bounds_failure(idx, src, tgt)
                 assert (got is None) == (want is None)
                 assert got is None or lost_bound(idx, src, tgt, got)
@@ -713,10 +716,9 @@ class TestBoundsCertificate:
         rng = random.Random(52)
         for _ in range(100):
             p = random_poset(rng, rng.randint(1, 7))
-            idx = macneille(p).map.idx
-            t = macneille(p).target
-            assert _bounds_failure(idx, p.cols, t.cols) is None
-            assert _bounds_failure(idx, p.rows, t.rows) is None
+            f = macneille(p).map
+            assert _bounds_failure(f) is None
+            assert _bounds_failure(f, join=True) is None
 
     def test_bound_index_is_the_literal_bound(self):
         """`_bound_index`, behind `meet_index`, `join_index`, `_lift` and
@@ -764,10 +766,10 @@ class TestBoundsCertificate:
 
     def test_no_size_gate(self):
         p, t = lossy_side()
-        idx = MonotoneMap(p, t, {e: e for e in p.elements}).idx
-        lost = _bounds_failure(idx, p.cols, t.cols)
-        assert lost is not None and lost_bound(idx, p.cols, t.cols, lost)
-        assert _bounds_failure(idx, p.rows, t.rows) is None
+        f = MonotoneMap(p, t, {e: e for e in p.elements})
+        lost = _bounds_failure(f)
+        assert lost is not None and lost_bound(f.idx, p.cols, t.cols, lost)
+        assert _bounds_failure(f, join=True) is None
 
 
 class TestDescend:
@@ -857,6 +859,20 @@ def random_maps(rng, count):
 class TestIndexMapKernels:
     """The row-mask order checks against the literal loops over `leq`,
     verdict and witness."""
+
+    def test_transpose_of_gathered_rows_is_the_literal_loop(self):
+        """`_transpose` of the rows an index map f gathers from n target
+        rows: row t holds x when bit t of `vecs[f[x]]` is set.  Empty,
+        1×1 and rectangular inputs up to 20 sources by 25 targets, both
+        ways round."""
+        rng = random.Random(73)
+        shapes = [(0, 0), (0, 4), (1, 1), (20, 25), (25, 20)]
+        shapes += [(rng.randint(0, 20), rng.randint(1, 25)) for _ in range(300)]
+        for m, n in shapes:
+            vecs = [rng.getrandbits(n) for _ in range(n)]
+            f = [rng.randrange(n) for _ in range(m)]
+            want = [sum(1 << x for x in range(m) if vecs[f[x]] >> t & 1) for t in range(n)]
+            assert _transpose([vecs[t] for t in f], n) == want, (m, n)
 
     def test_monotonicity_names_the_first_unordered_pair(self):
         rng = random.Random(71)

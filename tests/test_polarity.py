@@ -41,7 +41,7 @@ from polab.polarity import (
     unique_3preorder,
 )
 from polab.extend import _least_graded
-from polab.oracles import naive_coherence_level, oracle_report_conditions
+from polab.oracles import leq, naive_coherence_level, oracle_report_conditions
 from polab.randgen import (
     collapse_morphism,
     random_context,
@@ -165,7 +165,7 @@ class TestStructureOf:
             load("fix_b").polarities["G"], load("fix_e").polarities["G"]
         )
         # every side embedding reported as losing the meet of its first element
-        monkeypatch.setattr(polarity, "_bounds_failure", lambda f, src, tgt: 1)
+        monkeypatch.setattr(polarity, "_bounds_failure", lambda f, join=False: 1)
         for _ in range(2):
             with pytest.raises(NotGalois):
                 structure_of(not_galois)
@@ -315,6 +315,78 @@ class TestStructureOf:
         with pytest.raises(LawViolation) as err:
             structure_of(pol)
         assert err.value.law == "rigidity" and err.value.witness == loose
+
+
+class TestBaseImage:
+    def test_slice_witness_test_is_the_pair_loop(self):
+        """Whether every related pair has a slice witness is one mask test
+        in `structure_of`'s base-image certificate, the relation inside
+        `_Frame.slice_pairs`; against the loop over the relation's pairs,
+        each (a, b) looking for a base p with a <= ex(p) and ey(p) <= b.
+        Random relations, and random parts of the slice relation."""
+        rng = random.Random(37)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            pol = random_extension_polarity(rng, rng.randint(1, 4))
+            inside = [p for p in pol._frame.pairs(pol._frame.slice_pairs) if rng.random() < 0.7]
+            for p in (pol, pol.with_relation(inside)):
+                want = all(
+                    any(leq(p.x, a, p.ex(k)) and leq(p.y, p.ey(k), b) for k in p.base.elements)
+                    for a, b in p.rel
+                )
+                assert (not p._mask & ~p._frame.slice_pairs) == want
+                verdicts[want] += 1
+        assert min(verdicts.values()) > 100
+
+    @pytest.mark.parametrize(
+        "spoiled, spoil, message",
+        [
+            ("iota_x", "0", "base image must land in both sides"),
+            ("gamma", "m & m - 1", "base image must be the intersection of the side images"),
+        ],
+    )
+    def test_base_image_certificates_raise_under_optimize(self, spoiled, spoil, message):
+        """Each base-image certificate fires, also when asserts are
+        stripped: on a seeded slice polarity, the image mask of the left
+        embedding read as empty puts the base image outside both sides,
+        and the base image read without its lowest class leaves a class
+        of both sides outside it.  The witness is the classes at fault."""
+        script = textwrap.dedent(
+            """
+            import random
+            import sys
+            from polab import polarity
+            from polab.errors import LawViolation
+            from polab.randgen import random_galois_polarity
+
+            assert sys.flags.optimize
+            real_mask, real_intermediate, held = polarity._image_mask, polarity._intermediate, []
+
+            def intermediate(pol, rel):
+                held.append(real_intermediate(pol, rel))
+                return held[-1]
+
+            def image_mask(idx):
+                m = real_mask(idx)
+                return %s if idx is held[-1].%s.idx else m
+
+            polarity._intermediate, polarity._image_mask = intermediate, image_mask
+            try:
+                polarity.structure_of(random_galois_polarity(random.Random(5), 3))
+            except LawViolation as err:
+                inter, q = held[-1], held[-1].quotient.poset
+                image = real_mask(inter.gamma.idx)
+                both = real_mask(inter.iota_x.idx) & real_mask(inter.iota_y.idx)
+                at_fault = {"iota_x": image, "gamma": image & -image}["%s"]
+                print(err.args[0])
+                print(err.witness == set(q.elements_of(at_fault)), image == both)
+                sys.exit(3)
+            """
+            % (spoil, spoiled, spoiled)
+        )
+        done = run_optimized(script)
+        assert done.returncode == 3, done.stdout + done.stderr
+        assert done.stdout.splitlines() == ["base-image: " + message, "True True"]
 
 
 class TestSliceRelation:

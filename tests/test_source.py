@@ -101,6 +101,59 @@ def test_the_import_scan_resolves_every_form(tmp_path):
     assert "polab.oracles" not in _imported_modules(probe, tmp_path)
 
 
+# Top-level imports that no code of their module reads, each kept for a
+# reason outside the package.
+UNREAD_IMPORTS = {
+    ("extend.py", "coherence_level"): "bench/tracer.py wraps it as `extend.coherence_level`",
+}
+
+
+def _unread_imports(path):
+    """The names the top-level imports of a file bind that none of its
+    code reads as a bare name or as the base of an attribute; a name met
+    only in a string or a docstring is not read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.partition(".")[0]) not in read
+    ]
+
+
+def test_every_import_is_read():
+    """Every top-level import of a package module is read by it, but the
+    exemptions, each of which must still be unread."""
+    found = {
+        (path.relative_to(PACKAGE).as_posix(), name)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name in _unread_imports(path)
+    }
+    unexpected = sorted(found - set(UNREAD_IMPORTS))
+    assert found == set(UNREAD_IMPORTS), "unread imports: %s" % unexpected
+
+
+def test_the_unread_import_scan_sees_every_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    for text, want in (
+        ("import random as rnd\nrnd.random()", []),
+        ("import random as rnd\nrandom.random()", ["rnd"]),
+        ("import os.path\nos.path.join('a')", []),
+        ("from .order import _transpose\nrows = _transpose([], 0)", []),
+        ("from .order import _common, _transpose\nrows = _transpose([], 0)", ["_common"]),
+        ("from .order import kept as k\n@k\ndef f(x): pass", []),
+        ('from .order import _transpose\ndef f():\n    """Reads `_transpose`."""', ["_transpose"]),
+        ("from .order import _transpose\nname = '_transpose'", ["_transpose"]),
+        ("from __future__ import annotations", []),
+        ("def f():\n    import random", []),
+    ):
+        probe.write_text(text + "\n")
+        assert _unread_imports(probe) == want, text
+
+
 # The fast routes and the packed frame of `polab.order` and
 # `polab.polarity`, which the oracles are compared with and so must not
 # reach.
