@@ -34,7 +34,7 @@ class PolarityMorphism:
     absent relation pair back to an absent pair bounding it.
     """
 
-    __slots__ = ("source", "target", "hx", "hp", "hy", "src_struct", "tgt_struct")
+    __slots__ = ("source", "target", "hx", "hp", "hy", "src_struct", "tgt_struct", "_related")
 
     def __init__(self, source, target, hx, hp, hy):
         if hx.source != source.x or hx.target != target.x:
@@ -63,6 +63,9 @@ class PolarityMorphism:
         crossed = self._cross_order_failure()
         if crossed is not None:
             raise MorphismInvalid("cross-order", "cross-side order not respected", crossed)
+        # Per target x', the source y with x' R' hy(y): read by the
+        # reflection check and by `is_embedding`.
+        self._related = _transpose([t._rows[1][b] for b in hy], len(t.x))
         unreflected = self._unreflected()
         if unreflected is not None:
             raise MorphismInvalid(
@@ -109,10 +112,8 @@ class PolarityMorphism:
         s, t = self.source, self.target
         tx, ty = t.x, t.y
         hx, hy = self.hx.idx, self.hy.idx
-        s_row, s_col = s._rows
-        t_row, t_col = t._rows
-        related_x = _transpose([t_col[b] for b in hy], len(tx))
-        xs = _admissible(self.hx.pre_up, s.x.cols, related_x, s_col)
+        (s_row, s_col), t_row = s._rows, t._rows[0]
+        xs = _admissible(self.hx.pre_up, s.x.cols, self._related, s_col)
         below_y = _transpose([ty.rows[b] for b in hy], len(ty))
         related_y = _transpose([t_row[a] for a in hx], len(ty))
         ys = _admissible(below_y, s.y.rows, related_y, s_row)
@@ -143,11 +144,7 @@ class PolarityMorphism:
         row of x."""
         if not all(map(is_order_embedding, (self.hx, self.hp, self.hy))):
             return False
-        t_col = self.target._rows[1]
-        related = _transpose([t_col[b] for b in self.hy.idx], len(self.target.x))
-        return not any(
-            related[a] & ~row for a, row in zip(self.hx.idx, self.source._rows[0])
-        )
+        return not any(self._related[a] & ~r for a, r in zip(self.hx.idx, self.source._rows[0]))
 
     def is_isomorphism(self):
         return self.is_embedding() and all(h.is_surjective() for h in (self.hx, self.hp, self.hy))

@@ -1,5 +1,9 @@
 """Which definitions of `polab` the command line, the fuzzer and the
-benchmark run, measured by a trace rather than matched by name.
+benchmark reach, matched by name and measured by a trace.
+
+`unreached` matches by name: tier-1's `test_every_definition_is_reached`
+calls it on the package and the benchmark.  A name match can be fooled
+by a shared name, so the script measures reach by trace as well:
 
     PYTHONPATH=src python3 tests/reach.py
 
@@ -20,11 +24,12 @@ import ast
 import contextlib
 import io
 import random
+import re
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "polab"
+import scan
+from scan import PACKAGE, ROOT
 
 # Definitions no route enters, each with why it stays in `src/`.
 EXEMPT = {
@@ -50,25 +55,16 @@ def definitions(package):
     """Label -> (file, first line) for each function and method of
     `package`, nested ones included, `oracles.py` aside.  The first line
     is that of the code object: the first decorator's, if any."""
-    out = {}
-
-    def visit(node, path, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = scope + (child.name,)
-                if not isinstance(child, ast.ClassDef):
-                    first = min([d.lineno for d in child.decorator_list] + [child.lineno])
-                    out[".".join(inner)] = (str(path), first)
-            visit(child, path, inner)
-
-    for path in sorted(package.rglob("*.py")):
-        if path.name == "oracles.py":
-            continue
-        parts = path.relative_to(package).with_suffix("").parts
-        module = parts[:-1] if parts[-1] == "__init__" else parts
-        visit(ast.parse(path.read_text(), filename=str(path)), path.resolve(), module)
-    return out
+    return {
+        ".".join(filter(None, (scan.module(src), scope, node.name))): (
+            str((package.parent / src.name).resolve()),
+            min([d.lineno for d in node.decorator_list] + [line]),
+        )
+        for src in scan.package(package)
+        for scope, line, node in src.nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not src.name.endswith("/oracles.py")
+    }
 
 
 def trace(run):
@@ -95,6 +91,90 @@ def unexplained(defs, entered, exempt):
     missed = sorted(k for k, at in defs.items() if at not in entered and k not in exempt)
     stale = sorted(k for k in exempt if k not in defs or defs[k] in entered)
     return missed, stale
+
+
+# -- reach by name ----------------------------------------------------------
+
+_IDENT = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def _mentions(node):
+    """The identifiers code refers to: bare names, attribute names,
+    imported names, and string constants that are identifiers, since the
+    benchmark's tracer names what it wraps in strings."""
+    out = set()
+    for n in ast.walk(node):
+        name = scan.name_of(n)
+        if name:
+            out.add(name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _IDENT.match(n.value):
+            out.add(n.value)
+    return out
+
+
+def _declared(src):
+    """(name, label, mentions) per function, class, method and assigned
+    name at the top of a module, and under the name "" the other code
+    run on import.  A class mentions what its bases, decorators and body
+    outside its methods do, dunder methods included, since they run
+    unnamed.  An import `x as y` gives y as a name that mentions x; other
+    top-level imports mention nothing, so a name only imported is not
+    reached."""
+    module = scan.module(src)
+    for node in src.tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, module + "." + node.name, _mentions(node)
+        elif isinstance(node, ast.ClassDef):
+            own = set()
+            for part in node.bases + node.decorator_list + node.body:
+                name = getattr(part, "name", "")
+                if isinstance(part, ast.FunctionDef) and not name.startswith("__"):
+                    label = "%s.%s.%s" % (module, node.name, name)
+                    yield name, label, _mentions(part)
+                else:
+                    own |= _mentions(part)
+            yield node.name, module + "." + node.name, own
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        # A dunder such as `__version__` is read unnamed.
+                        name = "" if n.id.startswith("__") else n.id
+                        yield name, module + "." + n.id, _mentions(node.value)
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield "", module, _mentions(node)
+    for alias in src.imports:
+        if alias.asname:
+            yield alias.asname, None, {alias.name.rpartition(".")[2]}
+
+
+def unreached(package, roots):
+    """The labels of the definitions of the package files `package`,
+    `oracles.py` aside, that nothing reaches from `cli.main` or from the
+    files `roots`.  The scan goes by name: a definition is reached once a
+    reached one, or a root, mentions its name."""
+    defs = {}
+    for src in package:
+        if not src.name.endswith("/oracles.py"):
+            for name, label, mentions in _declared(src):
+                defs.setdefault(name, []).append((label, mentions))
+    todo = {"main", ""}
+    for src in roots:
+        todo |= _mentions(src.tree)
+    seen = set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for _, mentions in defs.get(name, ()):
+            todo |= mentions - seen
+    return sorted(
+        label
+        for name, found in defs.items()
+        if name not in seen
+        for label, _ in found
+        if label is not None
+    )
 
 
 # -- the routes --------------------------------------------------------------
@@ -135,7 +215,7 @@ def _error_documents():
     """The documents of `tests/test_docformat.py`'s error table, the
     prelude prefixed, read from its source: the table names pytest's
     exception classes, and this script imports no test module."""
-    tree = ast.parse((Path(__file__).parent / "test_docformat.py").read_text())
+    tree = scan.read(ROOT / "tests" / "test_docformat.py", ROOT).tree
     found = {}
     for node in tree.body:
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):

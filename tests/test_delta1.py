@@ -31,7 +31,7 @@ from polab.oracles import (
     oracle_polarity_isos_over_base,
 )
 from polab.order import Extension, MonotoneMap, Poset, macneille
-from polab.polarity import r_l
+from polab.polarity import ExtensionPolarity, r_l
 from polab.randgen import morphism_corpus, random_galois_polarity, random_poset
 
 from conftest import (
@@ -391,6 +391,25 @@ class TestUniversalProperty:
                     assert err.value.witness == want
                 verdicts[want is None] += 1
         assert min(verdicts.values()) > 40
+
+    def test_cross_order_failure_names_the_lowest_y(self):
+        """One x, the top t of the antichain a, b, c, with two y below it,
+        ab and ac, neither of whose images lies below the image of t: the
+        witness names the first of them in carrier order."""
+        base = Poset.from_pairs("abc", [])
+        x = Poset.from_pairs("abct", [(e, "t") for e in "abc"])
+        y = Poset.from_pairs(["a", "b", "c", "ab", "ac"], [(e, p) for p in ("ab", "ac") for e in p])
+        ex, ey = (Extension(MonotoneMap(base, side, {e: e for e in "abc"})) for side in (x, y))
+        pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+        t = Poset.from_pairs(
+            ["a", "b", "c", "u", "v1", "v2"],
+            [(e, "u") for e in "abc"] + [("a", "v1"), ("b", "v1"), ("a", "v2"), ("c", "v2")],
+        )
+        f = MonotoneMap(x, t, {"a": "a", "b": "b", "c": "c", "t": "u"})
+        g = MonotoneMap(y, t, {"a": "a", "b": "b", "c": "c", "ab": "v1", "ac": "v2"})
+        with pytest.raises(ConditionOneFails) as err:
+            universal_property(pol, f, g)
+        assert err.value.witness == ("ab", "t") == literal_cross_failure(pol, f, g)
 
     def test_rejects_non_slice_relations(self):
         pol = load("fix_b").polarities["G"]

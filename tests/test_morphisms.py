@@ -180,7 +180,16 @@ def unchecked(source, target, hx, hy):
     m = PolarityMorphism.__new__(PolarityMorphism)
     m.source, m.target, m.hx, m.hy = source, target, hx, hy
     m.src_struct, m.tgt_struct = structure_of(source), structure_of(target)
+    m._related = related(target, hy)
     return m
+
+
+def related(target, hy):
+    """Per x' of the target, the mask of the y with x' R' hy(y), pair by
+    pair: the masks `_validate` keeps for the reflection check and
+    `is_embedding`."""
+    ys = list(enumerate(hy.source.elements))
+    return [sum(1 << i for i, y in ys if (a, hy(y)) in target.rel) for a in target.x.elements]
 
 
 class TestCrossOrder:
@@ -325,6 +334,7 @@ class TestIsEmbedding:
         for s, t, hx, hp, hy in triples:
             m = PolarityMorphism.__new__(PolarityMorphism)
             m.source, m.target, m.hx, m.hp, m.hy = s, t, hx, hp, hy
+            m._related = related(t, hy)
             verdicts["triple", m.is_embedding()] += 1
             ms.append(m)
         for m in ms:
