@@ -250,10 +250,15 @@ def cmd_fixtures(args):
 
 
 # -- fuzzing ---------------------------------------------------------------
+# A law is a draw, `draw(rng, size)` -> a case, and a check, `check(case)`,
+# which raises `LawViolation` or returns a finding's message or None.
 
 
-def _law_coherence(rng, size):
-    pol = random_extension_polarity(rng, rng.randint(1, size))
+def _sized(gen):
+    return lambda rng, size: gen(rng, rng.randint(1, size))
+
+
+def _law_coherence(pol):
     rep = check_coherence(pol)
     for n in range(4):
         want = rep.level is not None and rep.level >= n
@@ -267,36 +272,33 @@ def _law_coherence(rng, size):
     sides = rep.level is not None and rep.meet_side and rep.join_side
     if sides and galois_via_S1S2(pol) != rep.galois:
         raise LawViolation("coherence", "slice conditions disagree with the grade", pol)
-    return pol
 
 
-def _law_slice(rng, size):
-    pol = random_galois_polarity(rng, rng.randint(1, size))
+def _law_slice(pol):
     if not galois_via_S1S2(pol):
         raise LawViolation("slice", "slice conditions disagree with the grade", pol)
-    return pol
 
 
 # Clause 6 applies on side extensions of these, never on `random_context`.
 _CLAUSE_6_SOURCES = (("fix_a", "G"), ("fix_j", "H"))
 
 
-def _law_extension(rng, size):
+def _draw_extension(rng, size):
     if rng.random() < 0.25:
         fixture, name = rng.choice(_CLAUSE_6_SOURCES)
-        ctx = random_side_context(rng, fixtures.load(fixture).polarities[name])
-    else:
-        ctx = random_context(rng, rng.randint(1, size))
+        return random_side_context(rng, fixtures.load(fixture).polarities[name])
+    return random_context(rng, rng.randint(1, size))
+
+
+def _law_extension(ctx):
     for grade, report in check_extension_preservation(ctx).items():
         if report.applicable and not report.holds:
             raise LawViolation("extension", "extension clause %s fails" % (grade,), report)
     if not slice_extension_is_slice(ctx):
         raise LawViolation("extension", "saturated slice relation is not the outer slice")
-    return ctx.inner
 
 
-def _law_restriction(rng, size):
-    ctx = random_context(rng, rng.randint(1, size))
+def _law_restriction(ctx):
     sbar = extend_relation(ctx)
     sub = restrict_relation(ctx, sbar)
     if not ctx.inner.rel <= sub:
@@ -317,21 +319,17 @@ def _law_restriction(rng, size):
         for n, kept in phi_map(ctx, sbar, pre).grades.items():
             if not kept:
                 raise LawViolation("restriction", "grade %d does not transfer down" % n, ctx)
-    return ctx.inner
 
 
-def _law_roundtrip(rng, size):
-    pol = random_galois_polarity(rng, rng.randint(1, size))
+def _law_roundtrip(pol):
     for m in (PolarityMorphism.identity(pol), collapse_morphism(pol)):
         if not roundtrip_holds(m):
             raise LawViolation("roundtrip", "morphism does not survive the round trip", m)
         if not stable_roundtrip_holds(psi_of(m), m.source, m.target):
             raise LawViolation("roundtrip", "stable map does not survive the round trip", m)
-    return pol
 
 
-def _law_completion(rng, size):
-    pol = random_galois_polarity(rng, rng.randint(1, size))
+def _law_completion(pol):
     d = gamma_on_objects(pol)
     counit_iso(d)
     eta = unit(pol)
@@ -345,14 +343,17 @@ def _law_completion(rng, size):
             rbar - generated,
         )
     if rbar < generated:
-        return pol  # finite gap: reported as a finding by the caller
+        return "generated relation strictly exceeds the saturation"
     return None
 
 
-def _law_adjunction(rng, size):
+def _draw_corpus(rng, size):
     # Once each: the identities of the point and of one drawn polarity,
     # its collapse onto the point and, last, its unit.
-    corpus = list(dict.fromkeys(morphism_corpus(rng, count=5, base_size=size)))
+    return list(dict.fromkeys(morphism_corpus(rng, count=5, base_size=size)))
+
+
+def _law_adjunction(corpus):
     polarities = list(dict.fromkeys(p for m in corpus for p in (m.source, m.target)))
     # The last two pairs: the collapse and the unit after the identity.
     pairs = [(g, f) for g in corpus for f in corpus if f.target == g.source]
@@ -366,11 +367,9 @@ def _law_adjunction(rng, size):
     f = macneille(pol.x).map
     g, _ = _lift(pol.ey.map, compose(f, pol.ex.map), pol.y.cols, f.target.rows)
     universal_property(pol, f, g)
-    return pol
 
 
-def _law_concepts(rng, size):
-    pol = random_galois_polarity(rng, rng.randint(1, size))
+def _law_concepts(pol):
     u = unique_3preorder(pol)
     if inclusion_preorder(pol) != u:
         raise LawViolation("concepts", "extent inclusion must give the unique 3-preorder", pol)
@@ -380,18 +379,18 @@ def _law_concepts(rng, size):
         raise LawViolation("concepts", "the adjoints must read off the right-left block", pol)
     xi_embedding(pol)
     upsilon_embedding(pol)
-    return pol
 
 
+_GALOIS = _sized(random_galois_polarity)
 _LAWS = {
-    "adjunction": _law_adjunction,
-    "concepts": _law_concepts,
-    "coherence": _law_coherence,
-    "slice": _law_slice,
-    "extension": _law_extension,
-    "restriction": _law_restriction,
-    "roundtrip": _law_roundtrip,
-    "completion": _law_completion,
+    "adjunction": (_draw_corpus, _law_adjunction),
+    "concepts": (_GALOIS, _law_concepts),
+    "coherence": (_sized(random_extension_polarity), _law_coherence),
+    "slice": (_GALOIS, _law_slice),
+    "extension": (_draw_extension, _law_extension),
+    "restriction": (_sized(random_context), _law_restriction),
+    "roundtrip": (_GALOIS, _law_roundtrip),
+    "completion": (_GALOIS, _law_completion),
 }
 
 
@@ -404,19 +403,18 @@ def cmd_fuzz(args):
     findings = 0
     for i in range(args.iters):
         law = names[i % len(names)]
+        draw, check = _LAWS[law]
         try:
-            outcome = _LAWS[law](rng, args.size)
+            case = draw(rng, args.size)
+            finding = check(case)
         except (AssertionError, PolabError) as err:
             print("law %r violated on iteration %d: %s" % (law, i, err))
             return 1
-        if law == "completion" and outcome is not None:
+        if finding is not None:
             findings += 1
-            print(
-                "# finding %d: generated relation strictly exceeds the saturation"
-                % findings
-            )
+            print("# finding %d: %s" % (findings, finding))
             if findings == 1:
-                print(serialize(document_of(outcome)), end="")
+                print(serialize(document_of(case)), end="")
     print("fuzz ok: %d iterations, laws: %s, findings: %d" % (args.iters, ",".join(names), findings))
     return 0
 

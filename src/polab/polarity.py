@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import os
 from dataclasses import dataclass
 from itertools import islice
 
@@ -64,21 +63,16 @@ from .order import (
 )
 
 DEFAULT_MAX_CARRIER = 7
-MAX_CARRIER_ENV = "POLAB_MAX_CARRIER"
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 
 def carrier_gate(max_carrier=None):
-    name, value = "max_carrier", max_carrier
-    if value is None:
-        name, value = MAX_CARRIER_ENV, os.environ.get(MAX_CARRIER_ENV)
-        if not value:
-            return DEFAULT_MAX_CARRIER
-        value = int(value) if value.isdecimal() else value
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError("%s must be a non-negative integer, got %r" % (name, value))
-    return value
+    if max_carrier is None:
+        return DEFAULT_MAX_CARRIER
+    if isinstance(max_carrier, bool) or not isinstance(max_carrier, int) or max_carrier < 0:
+        raise ValueError("max_carrier must be a non-negative integer, got %r" % (max_carrier,))
+    return max_carrier
 
 
 def _pair_mask(left, right, pairs):
@@ -731,7 +725,7 @@ def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
     result a polynomial number of steps on packed n²-bit integers after
     the last.  `cap` bounds the number of results, with a truncation flag
     when the search was cut short; an uncapped walk has its carrier size
-    gated (override with `max_carrier` or POLAB_MAX_CARRIER).
+    gated at `max_carrier` elements, `DEFAULT_MAX_CARRIER` if None.
     """
     _check_grade(n)
     if cap is not None and cap < 0:

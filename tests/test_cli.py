@@ -5,7 +5,8 @@ import pytest
 
 import polab
 import polab.cli as cli
-from polab.fixtures import CATALOGUE, Fixture
+from polab.docformat import parse
+from polab.fixtures import CATALOGUE, Fixture, load
 
 from conftest import run_optimized
 
@@ -152,6 +153,29 @@ class TestFuzzCommand:
             )
             == 0
         )
+
+    def test_any_law_may_report_a_finding(self, monkeypatch, capsys):
+        """The driver counts each finding a check returns, prints its
+        message, and prints the `.pol` reproducer of the first case."""
+        pol = load("fix_a").polarities["G"]
+        monkeypatch.setitem(cli._LAWS, "fake", (lambda rng, size: pol, lambda case: "odd"))
+        argv = ["fuzz", "--seed", "0", "--size", "2", "--iters", "3", "--check", "fake"]
+        assert cli.main(argv) == 0
+        head, _, rest = capsys.readouterr().out.partition("\n")
+        reproducer, _, tail = rest.partition("# finding 2: odd\n")
+        assert head == "# finding 1: odd"
+        assert parse(reproducer).polarities["G"] == pol
+        assert tail == "# finding 3: odd\nfuzz ok: 3 iterations, laws: fake, findings: 3\n"
+
+    def test_a_draw_that_raises_violates_its_law(self, monkeypatch, capsys):
+        """A Galois draw certifies what it returns; its failure fails the
+        run as a violation of the law that drew."""
+        import polab.randgen
+
+        monkeypatch.setattr(polab.randgen, "is_galois", lambda pol: False)
+        argv = ["fuzz", "--seed", "0", "--size", "2", "--iters", "1", "--check", "roundtrip"]
+        assert cli.main(argv) == 1
+        assert "law 'roundtrip' violated on iteration 0: galois" in capsys.readouterr().out
 
     # What each patched checker returns, and the message the run prints.
     SABOTAGE = {

@@ -559,19 +559,14 @@ class TestEnumeration:
         for u in res:
             assert is_n_preorder(pol, u, 0).ok
 
-    def test_carrier_gate_variable_is_checked(self, monkeypatch):
-        """POLAB_MAX_CARRIER and an explicit `max_carrier` must be
-        non-negative integers; anything else is refused with its name,
-        before any gate is applied."""
+    def test_carrier_gate_variable_is_checked(self):
+        """An explicit `max_carrier` must be a non-negative integer;
+        anything else is refused with its name, before any gate is
+        applied."""
         pol = identity_polarity(Poset.antichain("a"))
-        monkeypatch.setenv(polarity.MAX_CARRIER_ENV, "2")
-        assert polarity.carrier_gate() == 2
-        assert len(enumerate_n_preorders(pol, 3)) == 1
-        for bad in ("abc", "-3", "1.5", " 4", "²"):
-            monkeypatch.setenv(polarity.MAX_CARRIER_ENV, bad)
-            with pytest.raises(ValueError, match="POLAB_MAX_CARRIER"):
-                enumerate_n_preorders(pol, 3)
+        assert polarity.carrier_gate() == polarity.DEFAULT_MAX_CARRIER
         assert polarity.carrier_gate(5) == 5
+        assert len(enumerate_n_preorders(pol, 3, max_carrier=2)) == 1
         for bad in (-3, True, 2.5, "7"):
             with pytest.raises(ValueError, match="max_carrier must be a non-negative integer"):
                 enumerate_n_preorders(pol, 0, max_carrier=bad)

@@ -99,6 +99,12 @@ INDEX_SITES = {
     for scope in scopes
 }
 
+# The functions of `polab.cli` that read the fuzzer's random source: the
+# draws and the driver.
+FUZZ_DRAWS = {
+    ("polab/cli.py", scope): ANY for scope in ("_sized", "_draw_extension", "_draw_corpus", "cmd_fuzz")
+}
+
 # The packed bit-matrix layout of `polab.order` and its kernels.
 PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive", "_spread")
 
@@ -142,6 +148,11 @@ RULES = (
     Row("instance_dicts_stay_in_cached_property", _outside_oracles,
         lambda src, node: isinstance(node, ast.Attribute) and node.attr == "__dict__",
         {("polab/order.py", "cached_property.__get__"): 1}, "test_the_dict_scan_sees_every_form"),
+    # A fuzz law's check takes only its case, so the census can run it on
+    # enumerated input.
+    Row("fuzz_checks_draw_nothing", lambda name: name == "polab/cli.py",
+        lambda src, node: isinstance(node, ast.Name) and node.id in ("rng", "random"),
+        FUZZ_DRAWS, "test_the_draw_scan_sees_every_form"),
 )
 
 
@@ -172,18 +183,18 @@ UNREAD_IMPORTS = {
 
 
 def _unread_imports(src):
-    """The names the top-level imports of a file bind that none of its
-    code reads as a bare name or as the base of an attribute; a name met
-    only in a string or a docstring is not read."""
+    """The names the module-level imports of a file bind, under a `try:`
+    or an `if` too, that none of its code reads as a bare name or as the
+    base of an attribute; a name met only in a string or a docstring is
+    not read."""
     read = {node.id for _, _, node in src.nodes if isinstance(node, ast.Name)}
-    return [
+    bound = (
         alias.asname or alias.name.partition(".")[0]
-        for node in src.tree.body
-        if isinstance(node, ast.Import)
-        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-        if (alias.asname or alias.name.partition(".")[0]) not in read
-    ]
+        for scope, _, alias in src.nodes
+        if scope == "" and alias in src.imports
+        and not src.imports[alias].startswith("__future__.")
+    )
+    return [name for name in bound if name not in read]
 
 
 def test_every_import_is_read():
@@ -225,6 +236,7 @@ PROBES = {
         ("from .order import _transpose\nname = '_transpose'", ["_transpose"]),
         ("from __future__ import annotations", []),
         ("def f():\n    import random", []),
+        ("try:\n    import random\nexcept ImportError:\n    pass", ["random"]),
     ],
     "oracles_share_no_fast_route": [
         ("from .order import _expressible", [("", 1)]),
@@ -282,6 +294,11 @@ PROBES = {
         ("class C:\n    def f(self):\n        x = self.__dict__.get('_x')\n        return x is None",
          [("C.f", 3)]),
         ("__slots__ = ('__dict__',)\nname = '__dict__'", []),
+    ],
+    "fuzz_checks_draw_nothing": [
+        ("def _law_x(pol):\n    rng.random()", [("_law_x", 2)]),
+        ("def _draw_x(rng, size):\n    return random.Random(0)", [("_draw_x", 2)]),
+        ("import random\ndef _law_x(ctx):\n    return ctx.rng, 'random'", []),
     ],
 }
 
