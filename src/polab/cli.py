@@ -55,6 +55,7 @@ from .order import (
 from .polarity import (
     CANONICAL_BUILDERS,
     CONDITION_NAMES,
+    ExtensionPolarity,
     check_coherence,
     coherence_level,
     galois_via_S1S2,
@@ -404,11 +405,16 @@ def cmd_fuzz(args):
     for i in range(args.iters):
         law = names[i % len(names)]
         draw, check = _LAWS[law]
+        case = None
         try:
             case = draw(rng, args.size)
             finding = check(case)
         except (AssertionError, PolabError) as err:
             print("law %r violated on iteration %d: %s" % (law, i, err))
+            rerun = (args.seed, args.size, i + 1, ",".join(names))
+            print("# rerun: polab fuzz --seed %d --size %d --iters %d --check %s" % rerun)
+            if isinstance(case, ExtensionPolarity):
+                print(serialize(document_of(case)), end="")
             return 1
         if finding is not None:
             findings += 1

@@ -13,6 +13,7 @@ from .order import (
     UnionPreorder,
     _bounds_failure,
     _common,
+    _inclusion,
     _intersection_lattice,
     _lift,
     _low_index,
@@ -56,11 +57,6 @@ def concept_lattice(pol):
     return ConceptLattice(pol, lattice, xi_mask, dict(zip(pol.y.elements, ry)))
 
 
-def _inclusion_rows(masks):
-    """Bit j of row i is set when `masks[i]` lies inside `masks[j]`."""
-    return [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks]
-
-
 def inclusion_preorder(pol):
     """Extent inclusion in the concept lattice as a preorder on the frame's
     carrier: one element lies below another when its extent lies inside
@@ -68,7 +64,7 @@ def inclusion_preorder(pol):
     `oracles.prop_order_preorder` reads it off the relation pair by pair."""
     lat = concept_lattice(pol)
     extents = [lat.xi_mask[a] for a in pol.x.elements] + list(lat.upsilon_mask.values())
-    return UnionPreorder(pol.carrier(), _inclusion_rows(extents), pol._frame.index)
+    return UnionPreorder(pol.carrier(), _inclusion(extents)[0], pol._frame.index)
 
 
 def _embeds(side, images, pointwise):
@@ -77,7 +73,7 @@ def _embeds(side, images, pointwise):
     relation.  The rows `images` of the order of the lattice images, bit j
     of row i set when the image of s_i lies below that of s_j, must be the
     same; the first that differs and its lowest column are the witness."""
-    below = _inclusion_rows(pointwise)
+    below = _inclusion(pointwise)[0]
     for i, (a, b) in enumerate(zip(below, images)):
         if a != b:
             raise LawViolation(
@@ -93,7 +89,7 @@ def xi_embedding(pol):
     right element related to x2 is related to x1, that is, when the right
     elements unrelated to x1 are unrelated to x2."""
     xi, full = concept_lattice(pol).xi_mask, (1 << len(pol.y)) - 1
-    images = _inclusion_rows([xi[a] for a in pol.x.elements])
+    images = _inclusion([xi[a] for a in pol.x.elements])[0]
     return _embeds(pol.x, images, [full & ~r for r in pol._rows[0]])
 
 

@@ -33,19 +33,21 @@ Two trust boundaries run through this module.  The public constructors
 (`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`, `chain`)
 serve user input and check reflexivity, antisymmetry and transitivity.
 A poset derived from trusted ones (`dual`, `relabel`, `restrict`, the
-inclusion orders of `_inclusion_order` behind the cut and concept
-lattices, a `Quotient`'s classes) is built by `Poset._derived` with its
-`rows` and `cols` computed together and is not checked again; only the
-ids are, where they may repeat.  `Poset._derived` is called in this
-module only.  Likewise `MonotoneMap(source, target, assignment)` checks
-the labels of a parsed or user-supplied map and its monotonicity, while
+inclusion orders `_inclusion` gives the cut and concept lattices, a
+`Quotient`'s classes) is built by `Poset._derived` with its `rows` and
+`cols` computed together and is not checked again; only the ids are,
+where they may repeat.  `Poset._derived` is called in this module only.
+Likewise `MonotoneMap(source, target, assignment)` checks the labels of
+a parsed or user-supplied map and its monotonicity, while
 `MonotoneMap._of_idx(source, target, idx)`, for a map derived from held
-maps (a composite, a lift, a quotient's maps), tests monotonicity only.
+maps (a composite, a lift, a cut or quotient map), tests monotonicity
+only.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import weakref
 
 from .errors import (
@@ -828,18 +830,17 @@ def _closed_sets(full, generators):
     return sorted(closed)
 
 
-def _inclusion_order(sets, full):
-    """The distinct masks `sets`, each inside `full`, ordered by
-    inclusion; each mask is used directly as its element id.
-
-    Both matrices come from one mask per bit p of `full`: `holds[p]`,
-    the sets containing p, and `lacks[p]`, those without it.  The sets
-    above c hold every p of c; those below c lack every p outside c."""
+def _inclusion(sets):
+    """The inclusion rows and cols of the masks `sets`, which may repeat:
+    bit j of `rows[i]` is set when `sets[i]` lies inside `sets[j]`.  Both
+    come from one mask per bit p of the sets' union: `holds[p]`, the sets
+    containing p, and `lacks[p]`, those without it.  The sets above c
+    hold every p of c; those below c lack every p outside c."""
     every = (1 << len(sets)) - 1
+    full = functools.reduce(operator.or_, sets, 0)
     holds = _transpose(sets, full.bit_length())
     lacks = [every & ~h for h in holds]
-    return Poset._derived(
-        sets,
+    return (
         [_common(holds, c, every) for c in sets],
         [_common(lacks, full & ~c, every) for c in sets],
     )
@@ -849,7 +850,18 @@ def _intersection_lattice(full, generators):
     """The intersections of the bit-masks in `generators` (the empty
     intersection giving `full`), ordered by inclusion; each mask is used
     directly as its element id."""
-    return _inclusion_order(_closed_sets(full, generators), full)
+    sets = _closed_sets(full, generators)
+    return Poset._derived(sets, *_inclusion(sets))
+
+
+def _cut_extension(base, kept, ids=None, flip=False):
+    """The extension of `base` into the distinct closed sets `kept` of its
+    principal down-sets (with `flip`, of its up-sets, the order turned
+    upside down), ordered by inclusion and named `ids` or by the masks.
+    Each base element goes to its principal cut, which `kept` holds."""
+    target = Poset._derived(kept if ids is None else ids, *_inclusion(kept))
+    idx = [kept.index(c) for c in (base.rows if flip else base.cols)]
+    return Extension(MonotoneMap._of_idx(base, target.dual() if flip else target, idx))
 
 
 def macneille(poset):
@@ -858,9 +870,7 @@ def macneille(poset):
     Closed sets are exactly the intersections of principal down-sets,
     each a bit-mask over the base carrier.
     """
-    lattice = _intersection_lattice((1 << len(poset)) - 1, poset.cols)
-    index = lattice.index
-    return Extension(MonotoneMap._of_idx(poset, lattice, [index[c] for c in poset.cols]))
+    return _cut_extension(poset, _closed_sets((1 << len(poset)) - 1, poset.cols))
 
 
 def _bounds_failure(f, join=False):

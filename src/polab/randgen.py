@@ -3,12 +3,13 @@
 Every generator takes a `random.Random` so test runs are repeatable.
 Meet and join extensions are drawn as sub-posets of the cut completion
 that contain the image: any such sub-poset keeps each of its elements
-expressible from the image on the right side.  Each is drawn in one
-pass: the intersections of the base's principal down-sets (of its
-up-sets for a join extension) are kept or dropped in increasing order,
-only the kept ones are ordered by inclusion and renamed, the result is
-turned upside down once for a join extension, and the one embedding is
-certified at the end.  The full completion is never built.
+expressible from the image on the right side.  Only the random choices
+are made here: the intersections of the base's principal down-sets (of
+its up-sets for a join extension) are kept or dropped in increasing
+order, and the kept ones are handed with their names to
+`order._cut_extension`, the builder of `macneille`, which orders them,
+turns a join extension upside down and certifies the embedding.  The
+full completion is never built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .order import (
     MonotoneMap,
     Poset,
     _closed_sets,
-    _inclusion_order,
+    _cut_extension,
     transitive_close,
 )
 from .polarity import ExtensionPolarity, is_galois, r_l
@@ -44,16 +45,10 @@ def _cut_subposet(base, keep_theta, rng, prefix, flip=False):
     """A random sub-poset of the cut completion containing the image;
     with `flip`, of the completion of the dual, turned upside down."""
     cuts = base.rows if flip else base.cols
-    full, image = (1 << len(base)) - 1, set(cuts)
-    closed = _closed_sets(full, cuts)
+    image = set(cuts)
+    closed = _closed_sets((1 << len(base)) - 1, cuts)
     kept = [c for c in closed if c in image or rng.random() < keep_theta]
-    renames = {c: "%s%d" % (prefix, k) for k, c in enumerate(kept)}
-    sub = _inclusion_order(kept, full).relabel(renames.__getitem__)
-    if flip:
-        sub = sub.dual()
-    return Extension(
-        MonotoneMap(base, sub, {p: renames[c] for p, c in zip(base.elements, cuts)})
-    )
+    return _cut_extension(base, kept, ["%s%d" % (prefix, k) for k in range(len(kept))], flip)
 
 
 def random_meet_extension(rng, base, keep_theta=0.4, prefix="m"):
@@ -73,18 +68,10 @@ def random_embedding(rng, base, keep_theta=0.4, junk=0, prefix="z"):
         ext = random_join_extension(rng, base, keep_theta, prefix)
     if junk <= 0:
         return ext
-    extra = random_poset(rng, junk)
-    extra = extra.relabel(lambda e: "%siso_%s" % (prefix, e))
+    extra = random_poset(rng, junk).relabel(lambda e: "%siso_%s" % (prefix, e))
     t = ext.target
-    elems = t.elements + extra.elements
-    n = len(t)
-    rows = [t.rows[i] for i in range(n)] + [
-        extra.rows[i] << n for i in range(len(extra))
-    ]
-    glued = Poset(elems, tuple(rows))
-    return Extension(
-        MonotoneMap(base, glued, {p: ext(p) for p in base.elements})
-    )
+    glued = Poset(t.elements + extra.elements, t.rows + tuple(r << len(t) for r in extra.rows))
+    return Extension(MonotoneMap(base, glued, ext.map.assignment))
 
 
 def random_relation(rng, x, y, theta=0.3):

@@ -6,6 +6,7 @@ import pytest
 import polab
 import polab.cli as cli
 from polab.docformat import parse
+from polab.errors import LawViolation
 from polab.fixtures import CATALOGUE, Fixture, load
 
 from conftest import run_optimized
@@ -167,15 +168,42 @@ class TestFuzzCommand:
         assert parse(reproducer).polarities["G"] == pol
         assert tail == "# finding 3: odd\nfuzz ok: 3 iterations, laws: fake, findings: 3\n"
 
+    def test_a_violation_prints_its_rerun_and_reproducer(self, monkeypatch, capsys):
+        """A violation is followed by the arguments that end a run on the
+        same iteration, and the `.pol` reproducer of the case it drew:
+        the rerun prints the same."""
+        pols = [load(name).polarities["G"] for name in ("fix_a", "fix_b")]
+
+        def check(case):
+            if case is pols[1]:
+                raise LawViolation("fake", "second fixture drawn")
+
+        monkeypatch.setitem(cli._LAWS, "fake", (lambda rng, size: rng.choice(pols), check))
+        argv = ["fuzz", "--seed", "2", "--size", "2", "--iters", "50", "--check", "fake"]
+        assert cli.main(argv) == 1
+        out = capsys.readouterr().out
+        head, rerun, reproducer = out.split("\n", 2)
+        assert head == "law 'fake' violated on iteration 3: fake: second fixture drawn"
+        assert rerun == "# rerun: polab fuzz --seed 2 --size 2 --iters 4 --check fake"
+        assert parse(reproducer).polarities["G"] == pols[1]
+        assert cli.main(rerun.split()[3:]) == 1
+        assert capsys.readouterr().out == out
+
     def test_a_draw_that_raises_violates_its_law(self, monkeypatch, capsys):
         """A Galois draw certifies what it returns; its failure fails the
-        run as a violation of the law that drew."""
+        run as a violation of the law that drew, with the rerun line and
+        no reproducer: not even the case the iteration before drew."""
         import polab.randgen
 
-        monkeypatch.setattr(polab.randgen, "is_galois", lambda pol: False)
-        argv = ["fuzz", "--seed", "0", "--size", "2", "--iters", "1", "--check", "roundtrip"]
+        verdicts = iter((True, False))
+        monkeypatch.setattr(polab.randgen, "is_galois", lambda pol: next(verdicts))
+        argv = ["fuzz", "--seed", "0", "--size", "2", "--iters", "2", "--check", "roundtrip"]
         assert cli.main(argv) == 1
-        assert "law 'roundtrip' violated on iteration 0: galois" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            "law 'roundtrip' violated on iteration 1: galois: slice polarity over"
+            " meet/join extensions must be Galois",
+            "# rerun: polab fuzz --seed 0 --size 2 --iters 2 --check roundtrip",
+        ]
 
     # What each patched checker returns, and the message the run prints.
     SABOTAGE = {
@@ -264,6 +292,7 @@ class TestFuzzCommand:
         done = run_optimized(script)
         assert done.returncode == 1, done.stdout + done.stderr
         assert "law 'slice' violated on iteration 0" in done.stdout
+        assert "# rerun: polab fuzz --seed 0 --size 3 --iters 1 --check slice\n" in done.stdout
 
     def test_unknown_law_exits_1(self, capsys):
         assert (

@@ -31,8 +31,9 @@ from polab.order import (
     _bounds_failure,
     _closed_relations,
     _complete_hom_failure,
+    _cut_extension,
     _expressible,
-    _inclusion_order,
+    _inclusion,
     _intersection_lattice,
     _lift,
     _reflection_failure,
@@ -1036,28 +1037,60 @@ class TestTrustBoundary:
                 sub = p.restrict([e for e in p.elements if rng.random() < 0.6])
                 assert_as_validated(sub)
 
+    def test_inclusion_is_the_pairwise_loop(self):
+        """The one inclusion kernel gives what the literal pairwise loops
+        give, rows (inside) and columns (contains), on no masks, the
+        empty mask, masks of unequal widths and masks that repeat."""
+        inside = lambda ms: [sum(1 << j for j, b in enumerate(ms) if not a & ~b) for a in ms]
+        contains = lambda ms: [sum(1 << j for j, b in enumerate(ms) if not b & ~a) for a in ms]
+        rng = random.Random(84)
+        cases = [[], [0], [0, 0], [0b101, 0b10], [1, 0b110, 0b1110000, 0b110]]
+        for _ in range(400):
+            pool = [rng.getrandbits(rng.randint(0, 9)) for _ in range(rng.randint(1, 5))]
+            cases.append([rng.choice(pool) for _ in range(rng.randint(0, 8))])
+        for masks in cases:
+            rows, cols = _inclusion(masks)
+            assert (rows, cols) == (inside(masks), contains(masks)), masks
+            assert cols == _transpose(rows, len(masks))
+
     def test_intersection_lattice_matches_validation(self):
         """Cut lattices of down-sets and up-sets, and intersection
         lattices of arbitrary masks as concept lattices use: inclusion
-        order, closed under intersection, as validation builds it; and
-        the inclusion order on a sample of the closed sets, as the cut
-        sub-extensions draw it."""
+        order, closed under intersection, as validation builds it; the
+        cut completion is the first of them with its principal cuts as
+        the map; and the cut sub-extensions on a sample of the closed
+        sets, as the draws build them, are the lattice restricted to it,
+        turned upside down for up-sets."""
         for rng, p in poset_corpus(82):
             n = len(p)
             full = (1 << n) - 1
             masks = [rng.getrandbits(n) if n else 0 for _ in range(rng.randint(0, 5))]
-            for gens in (p.cols, p.rows, masks):
+            cut = macneille(p)
+            lat = _intersection_lattice(full, p.cols)
+            assert (cut.target.elements, cut.target.rows) == (lat.elements, lat.rows)
+            assert (cut.target.cols, cut.target.index) == (lat.cols, lat.index)
+            assert cut.map.idx == tuple(lat.index[c] for c in p.cols)
+            for gens, flip in ((p.cols, False), (p.rows, True), (masks, None)):
                 lat = _intersection_lattice(full, gens)
                 assert_as_validated(lat)
                 cs = lat.elements
                 assert full in cs and all(c & m in lat for c in cs for m in gens)
                 assert all(lat.leq(c, d) == (c & ~d == 0) for c in cs for d in cs)
-                some = [c for c in cs if rng.random() < 0.5]
-                sub = _inclusion_order(some, full)
-                assert_as_validated(sub)
-                assert sub == lat.restrict(some)
+                some = [c for c in cs if c in gens or rng.random() < 0.5]
+                want = lat.restrict(some)
+                if flip is None:
+                    assert _inclusion(some) == (list(want.rows), list(want.cols))
+                    continue
+                ids = ["s%d" % k for k in range(len(some))]
+                sub = _cut_extension(p, some, ids, flip)
+                assert_as_validated(sub.target)
+                want = want.relabel(dict(zip(some, ids)).__getitem__)
+                assert sub.target == (want.dual() if flip else want)
+                assert sub.map.idx == tuple(some.index(c) for c in gens)
         with pytest.raises(UnknownId):
-            _inclusion_order([1, 1], 1)
+            _cut_extension(Poset.antichain("a"), [1, 1])
+        with pytest.raises(UnknownId):
+            _cut_extension(chain("ab"), [1, 3], ["s", "s"])
 
     def test_quotient_matches_validation(self):
         rng = random.Random(83)

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from polab import polarity
+from polab.cli import document_of
+from polab.docformat import serialize
 from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
 from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois, NotOnePreorder
 from polab.fixtures import CATALOGUE, load
@@ -1049,3 +1051,30 @@ def test_reports_are_pinned():
         digest.update(repr(fields + (tuple(rep.conditions.items()),)).encode())
         failing += sum(not ok for ok, _ in rep.conditions.values())
     assert (digest.hexdigest()[:16], failing) == ("7020f31835da9716", 3264)
+
+
+def _draws_digest(draws):
+    """The hash of the serialized documents of (polarity, extensions)
+    pairs, a context's side extensions named XX and YY, ix and iy."""
+    digest = hashlib.sha256()
+    for pol, sides in draws:
+        doc = document_of(pol)
+        for side, ext in zip("xy", sides):
+            doc.posets[side.upper() * 2] = ext.target
+            doc.maps["i" + side] = ext.map
+        digest.update(serialize(doc).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_draw_streams_are_pinned():
+    """The serialized documents of 300 seeded Galois polarities, and of
+    300 seeded contexts, each its inner polarity and both side
+    extensions, hash as pinned: a draw that reads the random source in
+    another order, or names an element otherwise, shows here."""
+    rng = random.Random(0)
+    galois = [(random_galois_polarity(rng, 1 + k % 6), ()) for k in range(300)]
+    rng = random.Random(1)
+    ctxs = [random_context(rng, 1 + k % 4, galois=k % 2 == 1) for k in range(300)]
+    contexts = [(c.inner, (c.ix, c.iy)) for c in ctxs]
+    pins = ("d4feca6a1a72b485", "e77035e8feb9757c")
+    assert (_draws_digest(galois), _draws_digest(contexts)) == pins

@@ -90,7 +90,7 @@ def _none_guard(src, node):
 INDEX_SITES = {
     ("polab/%s.py" % module, scope): 3 if scope == "_intermediate" else 1
     for module, scopes in (
-        ("order", ("compose", "macneille", "_lift")),
+        ("order", ("compose", "_cut_extension", "_lift")),
         ("polarity", ("_intermediate",)),
         ("morphisms", ("psi_of", "h_of")),
         ("delta1", ("delta_on_objects", "unit", "counit_iso", "mediate", "universal_property")),
