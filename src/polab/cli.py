@@ -91,12 +91,17 @@ def _pick(store, name, what):
     return store
 
 
-def document_of(pol, name="G"):
-    """Wrap a bare polarity in a document so it can be serialized."""
+def document_of(case, name="G"):
+    """A document of a polarity; of a context, with `ix: X -> XX`, `iy: Y -> YY`."""
+    if isinstance(case, ExtensionContext):
+        doc = document_of(case.inner, name)
+        doc.posets.update(XX=case.ix.target, YY=case.iy.target)
+        doc.maps.update(ix=case.ix.map, iy=case.iy.map)
+        return doc
     return Document(
-        posets={"P": pol.base, "X": pol.x, "Y": pol.y},
-        maps={"ex": pol.ex.map, "ey": pol.ey.map},
-        polarities={name: pol},
+        posets={"P": case.base, "X": case.x, "Y": case.y},
+        maps={"ex": case.ex.map, "ey": case.ey.map},
+        polarities={name: case},
     )
 
 
@@ -413,13 +418,13 @@ def cmd_fuzz(args):
             print("law %r violated on iteration %d: %s" % (law, i, err))
             rerun = (args.seed, args.size, i + 1, ",".join(names))
             print("# rerun: polab fuzz --seed %d --size %d --iters %d --check %s" % rerun)
-            if isinstance(case, ExtensionPolarity):
+            if isinstance(case, (ExtensionPolarity, ExtensionContext)):
                 print(serialize(document_of(case)), end="")
             return 1
         if finding is not None:
             findings += 1
             print("# finding %d: %s" % (findings, finding))
-            if findings == 1:
+            if findings == 1 and isinstance(case, (ExtensionPolarity, ExtensionContext)):
                 print(serialize(document_of(case)), end="")
     print("fuzz ok: %d iterations, laws: %s, findings: %d" % (args.iters, ",".join(names), findings))
     return 0

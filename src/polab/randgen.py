@@ -9,7 +9,8 @@ its up-sets for a join extension) are kept or dropped in increasing
 order, and the kept ones are handed with their names to
 `order._cut_extension`, the builder of `macneille`, which orders them,
 turns a join extension upside down and certifies the embedding.  The
-full completion is never built.
+full completion is never built.  Repeated draws share the closed sets of
+the cuts and the certified extension, each in a 256-entry LRU cache.
 """
 
 from __future__ import annotations
@@ -41,14 +42,23 @@ def random_poset(rng, size, theta=0.3):
     return Poset(tuple(names), transitive_close(rows))
 
 
+@functools.lru_cache(maxsize=256)
+def _closed_cuts(cuts):
+    """The cuts as a set, and the closed sets they generate in order."""
+    return frozenset(cuts), tuple(_closed_sets((1 << len(cuts)) - 1, cuts))
+
+
+@functools.lru_cache(maxsize=256)
+def _cut_draw(base, kept, prefix, flip):
+    return _cut_extension(base, kept, ["%s%d" % (prefix, k) for k in range(len(kept))], flip)
+
+
 def _cut_subposet(base, keep_theta, rng, prefix, flip=False):
     """A random sub-poset of the cut completion containing the image;
     with `flip`, of the completion of the dual, turned upside down."""
-    cuts = base.rows if flip else base.cols
-    image = set(cuts)
-    closed = _closed_sets((1 << len(base)) - 1, cuts)
-    kept = [c for c in closed if c in image or rng.random() < keep_theta]
-    return _cut_extension(base, kept, ["%s%d" % (prefix, k) for k in range(len(kept))], flip)
+    image, closed = _closed_cuts(base.rows if flip else base.cols)
+    kept = tuple(c for c in closed if c in image or rng.random() < keep_theta)
+    return _cut_draw(base, kept, prefix, flip)
 
 
 def random_meet_extension(rng, base, keep_theta=0.4, prefix="m"):

@@ -1,3 +1,4 @@
+import random
 import textwrap
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import polab.cli as cli
 from polab.docformat import parse
 from polab.errors import LawViolation
 from polab.fixtures import CATALOGUE, Fixture, load
+from polab.randgen import random_context
 
 from conftest import run_optimized
 
@@ -188,6 +190,25 @@ class TestFuzzCommand:
         assert parse(reproducer).polarities["G"] == pols[1]
         assert cli.main(rerun.split()[3:]) == 1
         assert capsys.readouterr().out == out
+
+    def test_a_context_case_prints_its_sides(self, monkeypatch, capsys):
+        """The reproducer of a context law's case holds the inner
+        polarity and both side extensions, and parses back to them; a
+        finding on a context prints the same document."""
+        ctx = random_context(random.Random(3), 3)
+
+        def check(case):
+            raise LawViolation("fake", "context drawn")
+
+        for law in (check, lambda case: "odd"):
+            monkeypatch.setitem(cli._LAWS, "fake", (lambda rng, size: ctx, law))
+            cli.main(["fuzz", "--seed", "0", "--size", "2", "--iters", "1", "--check", "fake"])
+            out = capsys.readouterr().out
+            start = out.index("poset P {")
+            doc = parse(out[start : out.rindex("}\n") + 2])
+            assert doc.polarities["G"] == ctx.inner
+            assert (doc.maps["ix"], doc.maps["iy"]) == (ctx.ix.map, ctx.iy.map)
+            assert out[:start].splitlines()[-1].startswith(("# rerun: ", "# finding 1: odd"))
 
     def test_a_draw_that_raises_violates_its_law(self, monkeypatch, capsys):
         """A Galois draw certifies what it returns; its failure fails the

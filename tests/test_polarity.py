@@ -7,7 +7,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings
 
-from polab import polarity
+from polab import polarity, randgen
 from polab.cli import document_of
 from polab.docformat import serialize
 from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
@@ -42,7 +42,15 @@ from polab.polarity import (
     structure_of,
     unique_3preorder,
 )
-from polab.extend import _least_graded
+from polab.extend import (
+    _least_graded,
+    check_extension_preservation,
+    check_restriction_preservation,
+    extend_relation,
+    phi_map,
+    relation_lattice_adjunction,
+    slice_extension_is_slice,
+)
 from polab.oracles import leq, naive_coherence_level, oracle_report_conditions
 from polab.randgen import (
     collapse_morphism,
@@ -1053,28 +1061,60 @@ def test_reports_are_pinned():
     assert (digest.hexdigest()[:16], failing) == ("7020f31835da9716", 3264)
 
 
-def _draws_digest(draws):
-    """The hash of the serialized documents of (polarity, extensions)
-    pairs, a context's side extensions named XX and YY, ix and iy."""
+def _draws_digest(cases):
+    """The hash of the serialized documents of polarities or contexts, a
+    context's side extensions named XX and YY, ix and iy."""
     digest = hashlib.sha256()
-    for pol, sides in draws:
-        doc = document_of(pol)
-        for side, ext in zip("xy", sides):
-            doc.posets[side.upper() * 2] = ext.target
-            doc.maps["i" + side] = ext.map
-        digest.update(serialize(doc).encode())
+    for case in cases:
+        digest.update(serialize(document_of(case)).encode())
     return digest.hexdigest()[:16]
+
+
+def _cold_draws():
+    """Empty the memos of `randgen`'s cut draws."""
+    randgen._closed_cuts.cache_clear()
+    randgen._cut_draw.cache_clear()
+
+
+def _seeded_contexts():
+    rng = random.Random(1)
+    return [random_context(rng, 1 + k % 4, galois=k % 2 == 1) for k in range(300)]
 
 
 def test_draw_streams_are_pinned():
     """The serialized documents of 300 seeded Galois polarities, and of
     300 seeded contexts, each its inner polarity and both side
-    extensions, hash as pinned: a draw that reads the random source in
-    another order, or names an element otherwise, shows here."""
-    rng = random.Random(0)
-    galois = [(random_galois_polarity(rng, 1 + k % 6), ()) for k in range(300)]
-    rng = random.Random(1)
-    ctxs = [random_context(rng, 1 + k % 4, galois=k % 2 == 1) for k in range(300)]
-    contexts = [(c.inner, (c.ix, c.iy)) for c in ctxs]
+    extensions, hash as pinned, drawn on empty memos and again on full
+    ones: a draw that reads the random source in another order, names
+    an element otherwise or depends on what an earlier draw kept shows
+    here."""
+
+    def digests():
+        rng = random.Random(0)
+        galois = [random_galois_polarity(rng, 1 + k % 6) for k in range(300)]
+        return _draws_digest(galois), _draws_digest(_seeded_contexts())
+
     pins = ("d4feca6a1a72b485", "e77035e8feb9757c")
-    assert (_draws_digest(galois), _draws_digest(contexts)) == pins
+    _cold_draws()
+    assert digests() == pins
+    assert digests() == pins
+
+
+def test_checks_leave_shared_draws_as_drawn():
+    """Equal cut draws share one extension.  Every transfer check run on
+    300 seeded contexts leaves them serializing as a redraw on empty
+    memos does: no check writes into a draw another context holds."""
+    warm = _seeded_contexts()
+    for ctx in warm:
+        check_extension_preservation(ctx)
+        sbar = extend_relation(ctx)
+        check_restriction_preservation(ctx, sbar)
+        slice_extension_is_slice(ctx)
+        relation_lattice_adjunction(ctx)
+        outer = ctx.outer(sbar)
+        level = coherence_level(outer)
+        if level is not None:
+            phi_map(ctx, sbar, CANONICAL_BUILDERS[level](outer).closed())
+    _cold_draws()
+    cold = _seeded_contexts()
+    assert [serialize(document_of(c)) for c in warm] == [serialize(document_of(c)) for c in cold]

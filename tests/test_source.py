@@ -105,6 +105,32 @@ FUZZ_DRAWS = {
     ("polab/cli.py", scope): ANY for scope in ("_sized", "_draw_extension", "_draw_corpus", "cmd_fuzz")
 }
 
+# The functions that hold a `functools.cache` or `lru_cache`, with how
+# many: the bounded kernels of `polab.order`, the one-point target and
+# the two memos of the cut draws in `polab.randgen`, and the two caches
+# `check_adjunction` builds for one call.
+PROCESS_CACHES = {
+    ("polab/order.py", "_lanes"): 1,
+    ("polab/order.py", "_carrier_blocks"): 1,
+    ("polab/randgen.py", "collapse_target"): 1,
+    ("polab/randgen.py", "_closed_cuts"): 1,
+    ("polab/randgen.py", "_cut_draw"): 1,
+    ("polab/delta1.py", "check_adjunction"): 2,
+}
+
+
+def _caches(src, node):
+    """`functools.cache` or `functools.lru_cache`, as an attribute of the
+    module under any alias or as a name imported from it."""
+    made = ("functools.cache", "functools.lru_cache")
+    modules = {a.asname or a.name for a, full in src.imports.items() if full == "functools"}
+    names = {a.asname or a.name for a, full in src.imports.items() if full in made}
+    if isinstance(node, ast.Attribute):
+        base = node.value
+        return isinstance(base, ast.Name) and base.id in modules and node.attr in ("cache", "lru_cache")
+    return isinstance(node, ast.Name) and node.id in names
+
+
 # The packed bit-matrix layout of `polab.order` and its kernels.
 PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive", "_spread")
 
@@ -148,6 +174,11 @@ RULES = (
     Row("instance_dicts_stay_in_cached_property", _outside_oracles,
         lambda src, node: isinstance(node, ast.Attribute) and node.attr == "__dict__",
         {("polab/order.py", "cached_property.__get__"): 1}, "test_the_dict_scan_sees_every_form"),
+    # A cache shares what it keeps between callers for as long as it
+    # lives, so each one is pinned; the naive references of `oracles.py`
+    # are not scanned.
+    Row("process_caches_are_pinned", _outside_oracles, _caches,
+        PROCESS_CACHES, "test_the_cache_scan_sees_every_form"),
     # A fuzz law's check takes only its case, so the census can run it on
     # enumerated input.
     Row("fuzz_checks_draw_nothing", lambda name: name == "polab/cli.py",
@@ -294,6 +325,13 @@ PROBES = {
         ("class C:\n    def f(self):\n        x = self.__dict__.get('_x')\n        return x is None",
          [("C.f", 3)]),
         ("__slots__ = ('__dict__',)\nname = '__dict__'", []),
+    ],
+    "process_caches_are_pinned": [
+        ("import functools\n@functools.lru_cache(maxsize=8)\ndef f(x): pass", [("f", 2)]),
+        ("import functools as ft\ndef g(f):\n    return ft.cache(f)", [("g", 3)]),
+        ("from functools import lru_cache as memo\n@memo(maxsize=None)\ndef f(x): pass",
+         [("f", 2)]),
+        ("import functools\n@functools.wraps(g)\ndef f(x): pass\ncache = self.cache = {}", []),
     ],
     "fuzz_checks_draw_nothing": [
         ("def _law_x(pol):\n    rng.random()", [("_law_x", 2)]),
