@@ -137,19 +137,13 @@ def _build_polarity(doc, got, stmts):
     except PolabError as err:
         raise _At(err, _each(stmts, kw)[-1][0])
     pairs = _pairs(got.get("rel", ""), "~")
-    pairs = r_l(x_ext, y_ext).union(pairs) if "slice" in got else pairs
+    pairs = chain(pairs, r_l(x_ext, y_ext)) if "slice" in got else pairs
     try:
         return ExtensionPolarity(base, x_ext, y_ext, pairs)
-    except UnknownId:
-        # The constructor checks the pairs in no fixed order: name the
-        # first `rel` pair with an id off its side, in its wording.
-        for k, text in _each(stmts, "rel"):
-            for pair in _pairs(text, "~"):
-                try:
-                    ExtensionPolarity(base, x_ext, y_ext, (pair,))
-                except UnknownId as err:
-                    raise _At(err, k)
-        raise
+    except UnknownId as err:
+        # The constructor names the first pair off the sides, a `rel` pair.
+        rels = _each(stmts, "rel")
+        raise _At(err, next(k for k, text in rels if err.witness in _pairs(text, "~")))
     except PolabError as err:
         raise _At(err, _each(stmts, "base")[-1][0])
 

@@ -519,7 +519,7 @@ class Poset:
         return e in self.index
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Poset)
             and self.elements == other.elements
             and self.rows == other.rows
@@ -618,11 +618,12 @@ def _induced(elements, rows, kept):
 
 
 class MonotoneMap:
-    """A total order-preserving map between posets.
+    """A total order-preserving map between posets, held by index.
 
     `idx` is the map on indices, source index to target index, and
     `pre_up[t]` the mask of the source indices x with t <= f(x), kept for
-    `_bounds_failure`, order reflection and cut stability to read.  Both
+    `_bounds_failure`, order reflection and cut stability to read; the
+    label form `assignment` is built from `idx` on first use.  Both
     constructors test monotonicity on these, each up-set `source.rows[i]`
     lying inside `pre_up[idx[i]]` (`NotMonotone`).  The public one is the
     trust boundary for parsed and user-supplied maps: the keys of the
@@ -632,12 +633,12 @@ class MonotoneMap:
     a map the package derives from maps it holds and checks no label; the
     source tests pin where it is called."""
 
-    __slots__ = ("source", "target", "assignment", "idx", "pre_up")
+    __slots__ = ("source", "target", "idx", "pre_up", "__dict__")
 
     def __init__(self, source, target, assignment):
         self.source = source
         self.target = target
-        self.assignment = assignment = dict(assignment)
+        assignment = dict(assignment)
         index = target.index
         idx = []
         for p in source.elements:
@@ -658,9 +659,13 @@ class MonotoneMap:
         holds: only monotonicity is tested."""
         self = cls.__new__(cls)
         self.source, self.target, self.idx = source, target, tuple(idx)
-        self.assignment = dict(zip(source.elements, map(target.elements.__getitem__, self.idx)))
         self._check_monotone()
         return self
+
+    @cached_property
+    def assignment(self):
+        """The map as a dict from source to target elements, read off `idx`."""
+        return dict(zip(self.source.elements, map(self.target.elements.__getitem__, self.idx)))
 
     def _check_monotone(self):
         """`NotMonotone` for the first i <= j, in carrier order, whose
@@ -680,7 +685,6 @@ class MonotoneMap:
         self = cls.__new__(cls)
         self.source = self.target = poset
         self.idx = tuple(range(len(poset)))
-        self.assignment = dict(zip(poset.elements, poset.elements))
         self.pre_up = list(poset.rows)
         return self
 
@@ -1038,18 +1042,17 @@ class UnionPreorder:
     """A binary relation on a two-sided tagged carrier.
 
     The carrier lists X-side elements first, then Y-side, each tagged
-    with its side so the two may share raw ids.  The relation is held as
-    a bit-matrix, each row inside the carrier (`CarrierMismatch`
-    otherwise), and beside it as the packed matrix `packed` (`_pack`);
-    it need not be a preorder.  `is_preorder` says whether it is, and
-    `quotient` demands it.  A relation derived on the carrier of another,
-    or of a polarity's frame, takes that carrier's `index` instead of
-    building and checking its own.
+    with its side so the two may share raw ids.  The relation is given
+    as a bit-matrix, each row inside the carrier (`CarrierMismatch`
+    otherwise), and held as its packed matrix `packed` (`_pack`); its
+    `rows` are decoded from it on first use.  It need not be a preorder:
+    `is_preorder` says whether it is, and `quotient` demands it.  A
+    relation derived on the carrier of another, or of a polarity's frame,
+    takes that carrier's `index` instead of building and checking its own.
     """
 
     # `_closed` is True once the relation is known reflexive and
     # transitive: built by `closed`, or a preorder by `is_preorder`.
-    # A relation built from its packed matrix decodes `rows` on first use.
     __slots__ = ("carrier", "index", "packed", "_closed", "__dict__")
 
     def __init__(self, carrier, rows, index=None):
@@ -1059,13 +1062,13 @@ class UnionPreorder:
             if len(index) != len(self.carrier):
                 raise UnknownId("duplicate carrier elements")
         self.index = index
-        self.rows = tuple(rows)
+        rows = tuple(rows)
         n = len(self.carrier)
-        if len(self.rows) != n:
+        if len(rows) != n:
             raise CarrierMismatch("matrix size does not match carrier")
-        if self.rows and (max(self.rows) >> n or min(self.rows) < 0):
+        if rows and (max(rows) >> n or min(rows) < 0):
             raise CarrierMismatch("matrix wider than carrier")
-        self.packed = _pack(self.rows, n)
+        self.packed = _pack(rows, n)
         self._closed = False
 
     @classmethod

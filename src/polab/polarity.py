@@ -84,17 +84,24 @@ def _pair_mask(left, right, pairs):
             m |= 1 << left[a] * ny + right[b]
     except KeyError:
         side, e = ("left", a) if a not in left else ("right", b)
-        raise UnknownId("relation uses unknown %s element %r" % (side, e)) from None
+        raise UnknownId("relation uses unknown %s element %r" % (side, e), (a, b)) from None
     return m
+
+
+def _pairs_of(xs, ys, m):
+    """The pairs of the pair mask `m` on the sides `xs` and `ys`, read off
+    a list: on Python 3.11 a set resumes a generator once per pair."""
+    ny = len(ys)
+    return frozenset([(xs[p // ny], ys[p % ny]) for p in _mask_iter(m)])
 
 
 class ExtensionPolarity:
     """An order polarity whose sides both extend a common base poset.
 
-    The pair mask of its relation (`_mask`, bit i·|Y| + j for (x_i, y_j))
-    is read as the relation is checked; its condition frame, bit-rows and
-    the one-step saturation of `r_hat_m` are built on first use and kept,
-    and so is its hash.  None takes part in equality."""
+    Its relation is held once, as its pair mask (`_mask`, bit i·|Y| + j
+    for (x_i, y_j)), which equality and the hash read; the pair set `rel`,
+    the condition frame, bit-rows and the one-step saturation of `r_hat_m`
+    are built on first use and kept, and so is the hash."""
 
     def __init__(self, base, ex, ey, rel):
         if ex.base != base or ey.base != base:
@@ -102,8 +109,12 @@ class ExtensionPolarity:
         self.base = base
         self.ex = ex
         self.ey = ey
-        self.rel = frozenset(rel)
-        self._mask = _pair_mask(ex.target.index, ey.target.index, self.rel)
+        self._mask = _pair_mask(ex.target.index, ey.target.index, rel)
+
+    @cached_property
+    def rel(self):
+        """The relation as a frozenset of pairs (x, y), read off `_mask`."""
+        return _pairs_of(self.x.elements, self.y.elements, self._mask)
 
     @property
     def x(self):
@@ -119,7 +130,7 @@ class ExtensionPolarity:
             and self.base == other.base
             and self.ex == other.ex
             and self.ey == other.ey
-            and self.rel == other.rel
+            and self._mask == other._mask
         )
 
     def __hash__(self):
@@ -129,7 +140,7 @@ class ExtensionPolarity:
     def _hash(self):
         """The hash of the value, kept: the kept structures (`order.kept`)
         look the polarity up by it on every call."""
-        return hash((self.base, self.ex, self.ey, self.rel))
+        return hash((self.base, self.ex, self.ey, self._mask))
 
     def with_relation(self, rel):
         out = ExtensionPolarity(self.base, self.ex, self.ey, rel)
@@ -206,8 +217,7 @@ class _Frame:
 
     def pairs(self, m):
         """The pairs of the pair mask `m`."""
-        ny = len(self.ys)
-        return frozenset((self.xs[p // ny], self.ys[p % ny]) for p in _mask_iter(m))
+        return _pairs_of(self.xs, self.ys, m)
 
     def rows(self, m):
         """The bit-rows `(rx, ry)` of the pair mask `m`, read without lanes."""

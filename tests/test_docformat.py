@@ -204,6 +204,11 @@ ERRORS = [
      UnknownId, "line 33: relation uses unknown right element 'zz'"),
     ("rel left", "polarity H {\n base P\n ex id\n ey id\n slice\n rel zz~a\n}\n",
      UnknownId, "line 33: relation uses unknown left element 'zz'"),
+    ("rel first of two", "polarity H {\n base P\n ex id\n ey id\n slice\n rel a~a b~zz\n"
+     " rel yy~b vv~a ww~b uu~a\n}\n",
+     UnknownId, "line 33: relation uses unknown right element 'zz'"),
+    ("rel repeated", "polarity H {\n base P\n ex id\n ey id\n rel a~zz\n rel b~b a~zz\n}\n",
+     UnknownId, "line 32: relation uses unknown right element 'zz'"),
     ("preorder tag", "preorder Q {\n polarity G\n le a<Y.b\n}\n", ParseError,
      "line 30: carrier element must be X.name or Y.name"),
     ("preorder id", "preorder Q {\n polarity G\n le X.a<Y.b\n le X.a<Y.zz\n}\n",

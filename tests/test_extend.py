@@ -17,6 +17,7 @@ from polab.errors import (
     UnknownId,
 )
 from polab.extend import (
+    ClauseReport,
     ExtensionContext,
     _least_graded,
     check_extension_preservation,
@@ -47,6 +48,7 @@ from polab.order import (
 )
 from polab.polarity import (
     CANONICAL_BUILDERS,
+    ExtensionPolarity,
     check_coherence,
     coherence_level,
     r_hat_g,
@@ -208,6 +210,25 @@ class TestTransfer:
             guarded._image_bounds_kept
             assert check_restriction_preservation(guarded, sbar) == got
         assert levels == {0, 1, 3}
+
+    def test_a_lost_image_meet_fails_the_guard(self):
+        """X' puts n between m, the meet of the base images a and b in X,
+        and both of them, so ix loses that meet: the saturation has grade
+        3, the guard fails, and clauses 3 and galois do not apply."""
+        P, Y = Poset.antichain("ab"), Poset.antichain("ab")
+        X = Poset.from_pairs("abm", [("m", "a"), ("m", "b")])
+        names = {"a": "a", "b": "b"}
+        ex, ey = Extension(MonotoneMap(P, X, names)), Extension(MonotoneMap(P, Y, names))
+        outer_x = Poset.from_pairs("abmn", [("m", "n"), ("n", "a"), ("n", "b")])
+        ix = Extension(MonotoneMap(X, outer_x, dict(names, m="m")))
+        inner = ExtensionPolarity(P, ex, ey, r_l(ex, ey))
+        ctx = ExtensionContext(inner, ix, Extension.identity(Y))
+        sbar = extend_relation(ctx)
+        assert coherence_level(ctx.outer(sbar)) == 3 and not ctx._image_bounds_kept
+        rep = check_restriction_preservation(ctx, sbar)
+        assert all(rep[n] == ClauseReport(True, True) for n in "012")
+        for clause in ("3", "galois"):
+            assert rep[clause] == ClauseReport(False, True, "guard conditions not met")
 
     @given(seeded_contexts())
     @settings(deadline=None, max_examples=40)

@@ -214,6 +214,31 @@ class TestMonotoneMap:
         assert compose(MonotoneMap.identity(d), f) == f
         assert compose(f, MonotoneMap.identity(c)) == f
 
+    def test_the_labels_are_read_off_the_index_map(self):
+        """`assignment` is the label dict of a map from any constructor:
+        the dict given to the public one, the composite of the dicts for
+        `compose`, and each element to itself for `identity`; each
+        monotone dict between small seeded posets is tried."""
+
+        def monotone(source, target):
+            for images in product(target.elements, repeat=len(source)):
+                given = dict(zip(source.elements, images))
+                try:
+                    yield MonotoneMap(source, target, given), given
+                except NotMonotone:
+                    pass
+
+        rng = random.Random(75)
+        for _ in range(40):
+            s, t = (random_poset(rng, rng.randint(1, 3)) for _ in range(2))
+            assert MonotoneMap.identity(t).assignment == {q: q for q in t.elements}
+            ends = list(monotone(t, t))
+            for f, given in monotone(s, t):
+                assert f.assignment == given
+                for g, outer in ends:
+                    assert g.assignment == outer
+                    assert compose(g, f).assignment == {p: outer[q] for p, q in given.items()}
+
     def test_embedding_detection(self):
         c = chain("ab")
         a = Poset.antichain("ab")
@@ -360,7 +385,8 @@ class TestUnionPreorder:
             built = UnionPreorder(carrier, rows)
             packed = UnionPreorder._of_packed(carrier, built.index, built.packed, False)
             assert packed == built and hash(packed) == hash(built)
-            assert "rows" not in packed.__dict__
+            assert "rows" not in packed.__dict__ and "rows" not in built.__dict__
+            assert built.rows == tuple(rows)
             assert hash(packed.closed()) == hash(built.closed())
 
 
@@ -450,6 +476,7 @@ class TestPackedKernels:
             assert transitive_close(list(rows)) == naive_transitive_close(list(rows))
             carrier = tuple(tag_y(k) for k in range(n))
             u = UnionPreorder(carrier, rows)
+            assert u.rows == tuple(rows)
             want = naive_transitivity_witness(carrier, rows)
             assert u.transitivity_witness() == want
             assert u.is_transitive() == (want is None)

@@ -826,6 +826,32 @@ class TestOneFrame:
             gc.enable()
 
 
+def test_a_polarity_is_its_pair_mask():
+    """Rebuilt from its pairs reversed, with a pair repeated, or from a
+    generator, a drawn polarity is equal, hashes alike and reads back the
+    same `rel`, a frozenset; so does a seeded subset of X × Y, given in
+    any order, read back as that subset.  A pair fewer or more makes the
+    polarity unequal."""
+    rng = random.Random(45)
+    for k in range(300):
+        pol = random_extension_polarity(rng, 1 + k % 4)
+        pairs = list(pol.rel)
+        cross = [(x, y) for x in pol.x.elements for y in pol.y.elements]
+        subset = [p for p in cross if rng.random() < 0.5]
+        rng.shuffle(subset)
+        for given, want in ((pairs[::-1], pol), (pairs + pairs[:1], pol), (iter(pairs), pol),
+                            (subset, pol.with_relation(subset[::-1]))):
+            again = ExtensionPolarity(pol.base, pol.ex, pol.ey, given)
+            assert again == want and hash(again) == hash(want)
+            assert type(again.rel) is frozenset and again.rel == want.rel
+        assert pol.with_relation(subset).rel == frozenset(subset)
+        if pairs:
+            assert pol.with_relation(pairs[1:]) != pol
+        extra = [p for p in cross if p not in pol.rel]
+        if extra:
+            assert pol.with_relation(pairs + extra[:1]) != pol
+
+
 # Order duality swaps the two members of each pair of conditions.
 SWAPPED = {"C1": "C2", "C5": "C6", "C7": "C8", "E1": "E2", "S1": "S2"}
 

@@ -131,6 +131,16 @@ def _caches(src, node):
     return isinstance(node, ast.Name) and node.id in names
 
 
+def _stores_a_label_form(src, node):
+    """A store to an attribute named `rel` or `assignment`, the label
+    forms of a polarity's relation and of a map."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("rel", "assignment")
+        and isinstance(node.ctx, ast.Store)
+    )
+
+
 # The packed bit-matrix layout of `polab.order` and its kernels.
 PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive", "_spread")
 
@@ -179,6 +189,11 @@ RULES = (
     # are not scanned.
     Row("process_caches_are_pinned", _outside_oracles, _caches,
         PROCESS_CACHES, "test_the_cache_scan_sees_every_form"),
+    # A value stores only the index form its kernels read: a polarity's
+    # pair set `rel` and a map's label dict `assignment` are views, each
+    # built on first use by its `cached_property`.
+    Row("label_forms_are_views", _outside_oracles, _stores_a_label_form,
+        {}, "test_the_label_scan_sees_every_form"),
     # A fuzz law's check takes only its case, so the census can run it on
     # enumerated input.
     Row("fuzz_checks_draw_nothing", lambda name: name == "polab/cli.py",
@@ -332,6 +347,13 @@ PROBES = {
         ("from functools import lru_cache as memo\n@memo(maxsize=None)\ndef f(x): pass",
          [("f", 2)]),
         ("import functools\n@functools.wraps(g)\ndef f(x): pass\ncache = self.cache = {}", []),
+    ],
+    "label_forms_are_views": [
+        ("self.rel = frozenset(pairs)", [("", 1)]),
+        ("m.assignment = {}", [("", 1)]),
+        ("class C:\n    def f(self):\n        n, self.assignment = 0, {}", [("C.f", 3)]),
+        ("pol.rel |= {(x, y)}", [("", 1)]),
+        ("rel = frozenset()\nlabels = m.assignment\npairs = pol.rel | rel\nu.rel(a, b)", []),
     ],
     "fuzz_checks_draw_nothing": [
         ("def _law_x(pol):\n    rng.random()", [("_law_x", 2)]),
