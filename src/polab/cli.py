@@ -164,9 +164,7 @@ def cmd_preorder(args):
 
 def _lattice_doc(lat, name):
     labels = {e: "c%d" % k for k, e in enumerate(lat.elements)}
-    doc = Document()
-    doc.posets[name] = lat.relabel(labels.__getitem__)
-    return doc, labels
+    return Document(posets={name: lat.relabel(labels.__getitem__)}), labels
 
 
 def cmd_complete(args):

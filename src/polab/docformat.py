@@ -20,9 +20,8 @@ from __future__ import annotations
 import re
 from itertools import chain
 from collections import namedtuple
-from dataclasses import dataclass, field
 
-from .errors import ParseError, PolabError, UnknownId
+from .errors import CarrierMismatch, ParseError, PolabError, UnknownId
 from .order import (
     Extension,
     MonotoneMap,
@@ -31,7 +30,7 @@ from .order import (
     tag_x,
     tag_y,
 )
-from .polarity import ExtensionPolarity, r_l
+from .polarity import ExtensionPolarity
 
 _NAME = re.compile(r"[A-Za-z0-9_*.+-]+$")
 # An id reads back when it is a nonempty token free of `#`, `;`, braces
@@ -40,24 +39,32 @@ _ID = r"(?:[^\s#;{}<~-]|-(?!>))+"
 _IDS = re.compile(r"%s(?: %s)*\Z" % (_ID, _ID))
 
 
-@dataclass
-class MorphismDecl:
-    source: str
-    target: str
-    hx: str
-    hp: str
-    hy: str
+# A declared morphism: the names of its polarities and of its three maps.
+MorphismDecl = namedtuple("MorphismDecl", "source target hx hp hy")
 
 
-@dataclass
 class Document:
-    posets: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    polarities: dict = field(default_factory=dict)
-    preorders: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
-    completions: dict = field(default_factory=dict)
-    order: list = field(default_factory=list, compare=False)
+    """Per block kind, a dict from name to value, and `order`, the (kind,
+    name) of each block as read; equality ignores `order`."""
+
+    __slots__ = ("posets", "maps", "polarities", "preorders", "morphisms", "completions", "order")
+
+    def __init__(self, posets=None, maps=None, polarities=None, preorders=None,
+                 morphisms=None, completions=None, order=None):
+        stores = (posets, maps, polarities, preorders, morphisms, completions)
+        for name, store in zip(self.__slots__, stores):
+            setattr(self, name, {} if store is None else store)
+        self.order = [] if order is None else order
+
+    def __eq__(self, other):
+        if not isinstance(other, Document):
+            return NotImplemented
+        # `order`, the last slot, is not compared.
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__[:-1])
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "Document(%s)" % fields
 
     def build_morphism(self, name):
         """Materialize a declared triple; raises MorphismInvalid on a
@@ -136,16 +143,20 @@ def _build_polarity(doc, got, stmts):
         y_ext = Extension(doc.maps[got["ey"]])
     except PolabError as err:
         raise _At(err, _each(stmts, kw)[-1][0])
-    pairs = _pairs(got.get("rel", ""), "~")
-    pairs = chain(pairs, r_l(x_ext, y_ext)) if "slice" in got else pairs
+    if "slice" in got and x_ext.base != y_ext.base:
+        # The slice relation's own refusal, which comes before the constructor's.
+        raise CarrierMismatch("extensions must share a base poset")
     try:
-        return ExtensionPolarity(base, x_ext, y_ext, pairs)
+        pol = ExtensionPolarity(base, x_ext, y_ext, _pairs(got.get("rel", ""), "~"))
     except UnknownId as err:
         # The constructor names the first pair off the sides, a `rel` pair.
         rels = _each(stmts, "rel")
         raise _At(err, next(k for k, text in rels if err.witness in _pairs(text, "~")))
     except PolabError as err:
         raise _At(err, _each(stmts, "base")[-1][0])
+    if "slice" in got:
+        pol = ExtensionPolarity._of_mask(pol._frame, pol._mask | pol._frame.slice_mask())
+    return pol
 
 
 def _build_preorder(doc, got, stmts):

@@ -29,7 +29,6 @@ above them reaches.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from .order import (
@@ -159,11 +158,8 @@ def _preserves_image_bounds(i, e, up, down, outer):
     return True
 
 
-@dataclass
-class ClauseReport:
-    applicable: bool
-    holds: bool
-    note: str = ""
+# A clause of a transfer law: whether it applies, whether it holds, and a note.
+ClauseReport = namedtuple("ClauseReport", "applicable holds note", defaults=("",))
 
 
 def _pair_orders(frame):
@@ -305,22 +301,15 @@ def phi_map(ctx, outer_rel, outer_preorder):
     return PhiResult(inner_preorder=pulled, phi=phi, grades=grades)
 
 
-@dataclass
-class AdjunctionReport:
-    """The verdicts of the adjunction laws.  Each `*_checked` counts the
-    generators its law was decided on: the inner pairs for the unit, the
-    outer pairs for the counit, both for the two-sided law.  `witness`
-    is the first failing generator as (law, pair), the law one of
-    "unit-inclusion", "unit-equality" and "counit"; None when every law
-    holds."""
-
-    unit_checked: int
-    unit_holds: bool
-    counit_checked: int
-    counit_holds: bool
-    law_checked: int
-    law_holds: bool
-    witness: object
+# The verdicts of the adjunction laws.  Each `*_checked` counts the generators
+# its law was decided on: the inner pairs for the unit, the outer pairs for the
+# counit, both for the two-sided law.  `witness` is the first failing generator
+# as (law, pair), the law one of "unit-inclusion", "unit-equality" and "counit";
+# None when every law holds.
+AdjunctionReport = namedtuple(
+    "AdjunctionReport",
+    "unit_checked unit_holds counit_checked counit_holds law_checked law_holds witness",
+)
 
 
 def relation_lattice_adjunction(ctx):

@@ -1,16 +1,17 @@
 """Worked examples with known verdicts.
 
-Each fixture is a document shipped with the package plus a battery of
-named checks.  The checks recompute every advertised verdict from
-scratch, so running the catalogue doubles as a regression test for the
-whole library.  `Fixture.run` returns one result per labelled check,
-the last that the document reads back from its serialized text, and
-never stops early; callers decide what a failure means.
+Each fixture, a namedtuple, is a document shipped with the package plus
+a battery of named checks.  The checks recompute every advertised
+verdict from scratch, so running the catalogue doubles as a regression
+test for the whole library.  `Fixture.run` returns one `CheckResult`
+namedtuple per labelled check, the last that the document reads back
+from its serialized text, and never stops early; callers decide what a
+failure means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from ..docformat import parse, serialize
@@ -44,11 +45,10 @@ def load(name):
     return parse(text)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    fixture: str
-    label: str
-    ok: bool
+class CheckResult(namedtuple("CheckResult", "fixture label ok")):
+    """One labelled check of a fixture, true when `ok`, as a tuple alone never is."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -183,11 +183,8 @@ def _check_fix_j(doc):
     yield "morphism is not an isomorphism", not m.is_isomorphism()
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    summary: str
-    check: object
+class Fixture(namedtuple("Fixture", "name summary check")):
+    __slots__ = ()
 
     def run(self):
         doc = load(self.name)

@@ -444,7 +444,7 @@ def _order_failure(elements, rows):
 class Poset:
     """A finite partial order."""
 
-    __slots__ = ("elements", "index", "rows", "cols")
+    __slots__ = ("elements", "index", "rows", "cols", "__dict__")
 
     def __init__(self, elements, rows):
         self.elements = tuple(elements)
@@ -526,6 +526,11 @@ class Poset:
         )
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        """The hash of the value, kept: every value holding a poset hashes it."""
         return hash((self.elements, self.rows))
 
     def __repr__(self):

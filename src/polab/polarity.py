@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .errors import (
@@ -142,10 +142,17 @@ class ExtensionPolarity:
         look the polarity up by it on every call."""
         return hash((self.base, self.ex, self.ey, self._mask))
 
+    @classmethod
+    def _of_mask(cls, frame, mask):
+        """The polarity with pair mask `mask` on `frame`, which it keeps; it
+        checks nothing, so only code holding a frame of trusted parts calls it."""
+        self = cls.__new__(cls)
+        self.base, self.ex, self.ey, self._mask = frame.base, frame.ex, frame.ey, mask
+        self._frame = frame
+        return self
+
     def with_relation(self, rel):
-        out = ExtensionPolarity(self.base, self.ex, self.ey, rel)
-        out._frame = self._frame
-        return out
+        return self._of_mask(self._frame, self._frame.mask(rel))
 
     def carrier(self):
         return self._frame.carrier
@@ -199,12 +206,12 @@ class _Frame:
     # loading an attribute kept there takes the slower dict path.
     __slots__ = (
         "xs", "ys", "ps", "xindex", "yindex", "xrows", "xcols", "yrows",
-        "ycols", "prows", "exi", "eyi", "ex", "ey", "carrier", "__dict__",
+        "ycols", "prows", "exi", "eyi", "base", "ex", "ey", "carrier", "__dict__",
     )
 
     def __init__(self, base, ex, ey):
         X, Y = ex.target, ey.target
-        self.ex, self.ey = ex, ey
+        self.base, self.ex, self.ey = base, ex, ey
         self.xs, self.ys, self.ps = X.elements, Y.elements, base.elements
         self.xindex, self.yindex = X.index, Y.index
         self.xrows, self.xcols, self.yrows, self.ycols = X.rows, X.cols, Y.rows, Y.cols
@@ -552,18 +559,12 @@ def _unseparated(rows, ups, names):
     return None
 
 
-@dataclass
-class CoherenceReport:
+class CoherenceReport(
+    namedtuple("CoherenceReport", "conditions level entangled meet_side join_side galois s1 s2")
+):
     """Per-condition verdicts and the derived grade of one polarity."""
 
-    conditions: dict
-    level: object
-    entangled: bool
-    meet_side: bool
-    join_side: bool
-    galois: bool
-    s1: bool
-    s2: bool
+    __slots__ = ()
 
     def ok(self, name):
         return self.conditions[name][0]
@@ -642,11 +643,10 @@ def r_l(ex, ey):
 # -- graded preorders ------------------------------------------------------
 
 
-@dataclass
-class NPreorderVerdict:
-    ok: bool
-    clause: object = None
-    witness: object = None
+class NPreorderVerdict(namedtuple("NPreorderVerdict", "ok clause witness", defaults=(None, None))):
+    """An n-preorder verdict: true when `ok`, as a tuple alone never is."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -714,16 +714,25 @@ def _check_grade(n):
         raise ValueError("grade must be an int from 0 to 3, got %r" % (n,))
 
 
-@dataclass
 class EnumerationResult:
-    preorders: tuple
-    truncated: bool
+    __slots__ = ("preorders", "truncated")
+
+    def __init__(self, preorders, truncated):
+        self.preorders, self.truncated = preorders, truncated
 
     def __iter__(self):
         return iter(self.preorders)
 
     def __len__(self):
         return len(self.preorders)
+
+    def __eq__(self, other):
+        if not isinstance(other, EnumerationResult):
+            return NotImplemented
+        return self.preorders == other.preorders and self.truncated == other.truncated
+
+    def __repr__(self):
+        return "EnumerationResult(preorders=%r, truncated=%r)" % (self.preorders, self.truncated)
 
 
 def enumerate_n_preorders(pol, n, cap=None, max_carrier=None):
@@ -870,14 +879,8 @@ def _certify_base_image(pol, inter):
         )
 
 
-@dataclass(frozen=True)
-class IntermediateStructure:
-    """The quotient of a graded preorder with the three maps into it."""
-
-    quotient: object
-    iota_x: MonotoneMap
-    iota_y: MonotoneMap
-    gamma: MonotoneMap
+# The quotient of a graded preorder with the three maps into it.
+IntermediateStructure = namedtuple("IntermediateStructure", "quotient iota_x iota_y gamma")
 
 
 def intermediate_structure(pol, rel):

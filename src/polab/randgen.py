@@ -26,7 +26,7 @@ from .order import (
     _cut_extension,
     transitive_close,
 )
-from .polarity import ExtensionPolarity, is_galois, r_l
+from .polarity import ExtensionPolarity, _Frame, is_galois
 from .extend import ExtensionContext
 
 
@@ -84,24 +84,20 @@ def random_embedding(rng, base, keep_theta=0.4, junk=0, prefix="z"):
     return Extension(MonotoneMap(base, glued, ext.map.assignment))
 
 
-def random_relation(rng, x, y, theta=0.3):
-    return frozenset(
-        (a, b) for a in x.elements for b in y.elements if rng.random() < theta
-    )
-
-
 def random_extension_polarity(rng, base_size=3, keep_theta=0.4, junk_theta=0.3):
     """An arbitrary polarity over extensions: random relation, sides that
-    may carry isolated components, no coherence promised."""
+    may carry isolated components, no coherence promised; the relation is
+    drawn as a pair mask on the polarity's one frame."""
     base = random_poset(rng, base_size)
     jx = rng.randrange(3) if rng.random() < junk_theta else 0
     jy = rng.randrange(3) if rng.random() < junk_theta else 0
     ex = random_embedding(rng, base, keep_theta, junk=jx, prefix="x")
     ey = random_embedding(rng, base, keep_theta, junk=jy, prefix="y")
-    rel = random_relation(rng, ex.target, ey.target)
+    fr = _Frame(base, ex, ey)
+    m = sum(1 << p for p in range(len(fr.xs) * len(fr.ys)) if rng.random() < 0.3)
     if rng.random() < 0.5:
-        rel = rel | r_l(ex, ey)
-    return ExtensionPolarity(base, ex, ey, rel)
+        m |= fr.slice_mask()
+    return ExtensionPolarity._of_mask(fr, m)
 
 
 def random_galois_polarity(rng, base_size=3, keep_theta=0.4):
@@ -110,7 +106,8 @@ def random_galois_polarity(rng, base_size=3, keep_theta=0.4):
     base = random_poset(rng, base_size)
     ex = random_meet_extension(rng, base, keep_theta, prefix="x")
     ey = random_join_extension(rng, base, keep_theta, prefix="y")
-    pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+    fr = _Frame(base, ex, ey)
+    pol = ExtensionPolarity._of_mask(fr, fr.slice_mask())
     if not is_galois(pol):
         raise LawViolation(
             "galois", "slice polarity over meet/join extensions must be Galois", pol

@@ -47,6 +47,9 @@ EXEMPT = {
     "order.UnionPreorder.__len__": "Python calls it for len()",
     "order.UnionPreorder.__repr__": "Python calls it for repr()",
     "polarity.NPreorderVerdict.__bool__": "without it a failed verdict is truthy",
+    "polarity.EnumerationResult.__eq__": "Python calls it for ==",
+    "polarity.EnumerationResult.__repr__": "Python calls it for repr()",
+    "docformat.Document.__repr__": "Python calls it for repr()",
     "fixtures.CheckResult.__bool__": "without it a failed check is truthy",
 }
 

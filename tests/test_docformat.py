@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from polab import randgen
+from polab import polarity, randgen
 from polab.cli import document_of
 from polab.delta1 import Delta1Completion
 from polab.docformat import _ID, Document, MorphismDecl, parse, serialize, to_dot
@@ -107,6 +107,38 @@ class TestParsing:
         )
         pol = parse(text).polarities["G"]
         assert ("a", "b") in pol.rel and ("b", "a") not in pol.rel
+
+    def test_the_slice_flag_builds_one_frame(self, monkeypatch):
+        """With `slice`, the slice pairs are added on the frame of the
+        polarity the given pairs build, so a block builds one frame, and
+        the polarity is the one its pairs and the slice pairs give."""
+        built = []
+        init = polarity._Frame.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        text = (
+            "poset P {\n  elems a b\n  le a<b\n}\n"
+            "map id {\n  from P\n  to P\n  send a->a b->b\n}\n"
+            "polarity G {\n  base P\n  ex id\n  ey id\n  rel b~a\n  slice\n}\n"
+        )
+        monkeypatch.setattr(polarity._Frame, "__init__", counting)
+        pol = parse(text).polarities["G"]
+        assert len(built) == 1 and pol._frame is built[0]
+        monkeypatch.undo()
+        pairs = r_l(pol.ex, pol.ey) | {("b", "a")}
+        assert pol == ExtensionPolarity(pol.base, pol.ex, pol.ey, pairs)
+
+    def test_slice_refuses_two_bases_before_the_constructor(self):
+        """With `slice`, two extensions over different bases meet the slice
+        relation's refusal, as when the reader drew the slice pairs before
+        building the polarity: it comes before any `rel` pair is read."""
+        text = PRELUDE + "polarity H {\n base P\n ex id\n ey i\n slice\n rel zz~a\n}\n"
+        with pytest.raises(CarrierMismatch) as e:
+            parse(text)
+        assert str(e.value) == "extensions must share a base poset"
 
 
 # Lines 1-27; each case below appends one or more blocks from line 28 on.

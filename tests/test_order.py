@@ -193,6 +193,19 @@ class TestPoset:
     def test_dual_is_involutive(self, p):
         assert p.dual().dual() == p
 
+    def test_the_hash_is_kept(self):
+        """The hash is that of the ids and rows, computed once and kept,
+        and equal posets built apart hash equal."""
+        rng = random.Random(53)
+        for size in range(6):
+            p = random_poset(rng, size)
+            assert "_hash" not in p.__dict__
+            assert hash(p) == hash((p.elements, p.rows)) == p.__dict__["_hash"]
+            p.__dict__["_hash"] = 17
+            assert hash(p) == 17
+            again = Poset.from_pairs(p.elements, p.covers())
+            assert again == p and hash(again) == hash((p.elements, p.rows))
+
 
 class TestMonotoneMap:
     def test_rejects_non_monotone(self):

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 
 from polab import polarity, randgen
 from polab.cli import document_of
-from polab.docformat import serialize
+from polab.docformat import Document, MorphismDecl, serialize
 from polab.delta1 import counit_iso, delta_on_objects, gamma_on_objects, unit
 from polab.errors import CarrierTooLarge, LawViolation, NotCoherent, NotGalois, NotOnePreorder
-from polab.fixtures import CATALOGUE, load
+from polab.fixtures import CATALOGUE, CheckResult, Fixture, load
 from polab.order import (
     Extension,
     MonotoneMap,
@@ -28,7 +28,11 @@ from polab.morphisms import PolarityMorphism, roundtrip_holds
 from polab.polarity import (
     CANONICAL_BUILDERS,
     CONDITION_NAMES,
+    CoherenceReport,
+    EnumerationResult,
     ExtensionPolarity,
+    IntermediateStructure,
+    NPreorderVerdict,
     check_coherence,
     coherence_level,
     enumerate_n_preorders,
@@ -43,6 +47,8 @@ from polab.polarity import (
     unique_3preorder,
 )
 from polab.extend import (
+    AdjunctionReport,
+    ClauseReport,
     _least_graded,
     check_extension_preservation,
     check_restriction_preservation,
@@ -806,6 +812,29 @@ class TestOneFrame:
                 structure_of(pol)
             assert len(built) - before == 1
 
+    def test_a_draw_builds_one_frame(self, monkeypatch):
+        """Each drawn polarity, Galois or not, is certified on the one frame
+        it keeps, grading builds no other, and a change of relation keeps
+        it; the draw equals the polarity its pairs give the constructor."""
+        built = []
+        init = polarity._Frame.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(polarity._Frame, "__init__", counting)
+        rng = random.Random(43)
+        for k in range(120):
+            draw = random_galois_polarity if k % 2 else random_extension_polarity
+            before = len(built)
+            pol = draw(rng, 1 + k % 5)
+            check_coherence(pol)
+            assert len(built) - before == 1 and pol._frame is built[-1]
+            assert pol.with_relation(()).carrier() is pol.carrier()
+            assert pol == ExtensionPolarity(pol.base, pol.ex, pol.ey, pol.rel)
+            assert len(built) - before == 1
+
     def test_kept_state_leaves_no_cyclic_garbage(self):
         """A polarity, its frame and the frame's flip are freed by
         reference counting alone, so grading leaves the cyclic garbage
@@ -1144,3 +1173,102 @@ def test_checks_leave_shared_draws_as_drawn():
     _cold_draws()
     cold = _seeded_contexts()
     assert [serialize(document_of(c)) for c in warm] == [serialize(document_of(c)) for c in cold]
+
+
+# Per record: a sample, its field names, its defaults and the text its
+# repr printed when the records were dataclasses.
+RECORDS = [
+    (CoherenceReport({"C1": (True, None)}, 3, True, True, False, False, True, None),
+     "conditions level entangled meet_side join_side galois s1 s2", {},
+     "CoherenceReport(conditions={'C1': (True, None)}, level=3, entangled=True, meet_side=True,"
+     " join_side=False, galois=False, s1=True, s2=None)"),
+    (NPreorderVerdict(False, "P1", ("a", "b")), "ok clause witness",
+     {"clause": None, "witness": None},
+     "NPreorderVerdict(ok=False, clause='P1', witness=('a', 'b'))"),
+    (IntermediateStructure(1, 2, 3, 4), "quotient iota_x iota_y gamma", {},
+     "IntermediateStructure(quotient=1, iota_x=2, iota_y=3, gamma=4)"),
+    (ClauseReport(False, True, "guard conditions not met"), "applicable holds note", {"note": ""},
+     "ClauseReport(applicable=False, holds=True, note='guard conditions not met')"),
+    (AdjunctionReport(3, True, 4, False, 7, False, ("counit", "x", "y")),
+     "unit_checked unit_holds counit_checked counit_holds law_checked law_holds witness", {},
+     "AdjunctionReport(unit_checked=3, unit_holds=True, counit_checked=4, counit_holds=False,"
+     " law_checked=7, law_holds=False, witness=('counit', 'x', 'y'))"),
+    (MorphismDecl("G", "H", "hx", "hp", "hy"), "source target hx hp hy", {},
+     "MorphismDecl(source='G', target='H', hx='hx', hp='hp', hy='hy')"),
+    (CheckResult("fix_a", "galois", False), "fixture label ok", {},
+     "CheckResult(fixture='fix_a', label='galois', ok=False)"),
+    (Fixture("fix_a", "one point", len), "name summary check", {},
+     "Fixture(name='fix_a', summary='one point', check=<built-in function len>)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "sample, fields, defaults, text", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS]
+    )
+    def test_fields_defaults_equality_and_repr(self, sample, fields, defaults, text):
+        record = type(sample)
+        assert record._fields == tuple(fields.split())
+        assert record._field_defaults == defaults
+        assert repr(sample) == text
+        again = record(*sample)
+        assert again == sample and again is not sample
+        for name in record._fields:
+            assert sample._replace(**{name: "changed"}) != sample, name
+        assert not hasattr(sample, "__dict__")
+
+    def test_defaults_fill_the_short_forms(self):
+        assert NPreorderVerdict(True) == NPreorderVerdict(True, None, None)
+        assert ClauseReport(True, False) == ClauseReport(True, False, "")
+
+    def test_a_failed_verdict_is_false(self):
+        assert bool(NPreorderVerdict(False)) is False
+        assert bool(CheckResult("f", "l", False)) is False
+        assert bool(NPreorderVerdict(True)) is True
+        assert bool(CheckResult("f", "l", True)) is True
+
+    def test_a_document_compares_its_stores_not_its_order(self):
+        stores = ("posets", "maps", "polarities", "preorders", "morphisms", "completions")
+        doc = Document(posets={"P": 1}, order=[("poset", "P")])
+        assert doc == Document(posets={"P": 1}) and doc != "P"
+        for store in stores:
+            other = Document(posets={"P": 1})
+            getattr(other, store)["Q"] = 2
+            assert other != doc, store
+        assert repr(doc) == (
+            "Document(posets={'P': 1}, maps={}, polarities={}, preorders={}, morphisms={},"
+            " completions={}, order=[('poset', 'P')])"
+        )
+        given = {}
+        assert Document(maps=given).maps is given
+        assert Document().posets is not Document().posets
+        assert Document().order == [] and Document().order is not Document().order
+        with pytest.raises(TypeError):
+            Document(blocks={})
+
+    def test_an_enumeration_result_is_its_preorders(self):
+        found = EnumerationResult(("a", "b"), False)
+        assert len(found) == 2 and list(found) == ["a", "b"]
+        assert found == EnumerationResult(("a", "b"), False)
+        assert found != EnumerationResult(("a", "b"), True)
+        assert found != EnumerationResult(("a",), False)
+        assert found != ("a", "b")
+        assert repr(found) == "EnumerationResult(preorders=('a', 'b'), truncated=False)"
+        walk = enumerate_n_preorders(load("fix_e").polarities["G"], 0, cap=2)
+        assert len(walk) == len(walk.preorders) and list(walk) == list(walk.preorders)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+    def test_the_package_loads_no_dataclasses(self, optimize):
+        """In a fresh interpreter, plain and under `python -O`, the command
+        line and the oracles load none of `dataclasses` and the modules it
+        brings, which a bare interpreter does not load either."""
+        script = textwrap.dedent(
+            """
+            import sys
+            import polab.cli, polab.oracles
+            print(sorted(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+            """
+        )
+        done = run_optimized(script, optimize=optimize)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines() == ["[]"]

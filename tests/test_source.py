@@ -99,6 +99,17 @@ INDEX_SITES = {
     for scope in scopes
 }
 
+# The sites that build a polarity on a condition frame they hold with
+# `ExtensionPolarity._of_mask`, which checks nothing: a polarity's change
+# of relation, the two polarity draws, and the reader's `slice` flag,
+# each on a frame built from parts already checked.
+FRAME_SITES = {
+    ("polab/polarity.py", "ExtensionPolarity.with_relation"): 1,
+    ("polab/randgen.py", "random_extension_polarity"): 1,
+    ("polab/randgen.py", "random_galois_polarity"): 1,
+    ("polab/docformat.py", "_build_polarity"): 1,
+}
+
 # The functions of `polab.cli` that read the fuzzer's random source: the
 # draws and the driver.
 FUZZ_DRAWS = {
@@ -167,6 +178,11 @@ RULES = (
     # constructor, in the package and the benchmark alike.
     Row("index_maps_are_derived_where_pinned", lambda name: True, _reaches("_of_idx"),
         INDEX_SITES, "test_the_site_scan_sees_every_form"),
+    # Parsed and user-supplied polarities go through the public
+    # `ExtensionPolarity` constructor; a polarity is built on a frame
+    # only where the frame's parts are trusted.
+    Row("polarities_on_a_frame_are_pinned", lambda name: True, _reaches("_of_mask"),
+        FRAME_SITES, "test_the_frame_scan_sees_every_form"),
     # Callers see row tuples, or pair masks through `_PairLanes`; only the
     # kernels of `polab.order` depend on the packing.
     Row("packing_stays_in_order", lambda name: True, _reaches(*PACKING),
@@ -303,6 +319,15 @@ PROBES = {
         ("def g(s, t):\n    return [MonotoneMap._of_idx(s, t, i) for i in ()]", [("g", 2)]),
         ("class C:\n    def m(self):\n        make = order.MonotoneMap._of_idx", [("C.m", 3)]),
         ("of_idx = MonotoneMap(s, t, {})\nx = '_of_idx'", []),
+    ],
+    "polarities_on_a_frame_are_pinned": [
+        ("pol = ExtensionPolarity._of_mask(fr, m)", [("", 1)]),
+        ("from polab.polarity import ExtensionPolarity\nmake = ExtensionPolarity._of_mask",
+         [("", 2)]),
+        ("def draw(rng):\n    return polarity.ExtensionPolarity._of_mask(fr, 0)", [("draw", 2)]),
+        ("class P:\n    def with_relation(self, rel):\n        return self._of_mask(fr, 0)",
+         [("P.with_relation", 3)]),
+        ("pol = ExtensionPolarity(base, ex, ey, rel)\nof_mask = '_of_mask'", []),
     ],
     "derived_posets_stay_in_order": [
         ("Poset._derived((), (), ())", [("", 1)]),
