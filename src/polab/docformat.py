@@ -30,7 +30,7 @@ from .order import (
     tag_x,
     tag_y,
 )
-from .polarity import ExtensionPolarity
+from .polarity import ExtensionPolarity, _pairs_of
 
 _NAME = re.compile(r"[A-Za-z0-9_*.+-]+$")
 # An id reads back when it is a nonempty token free of `#`, `;`, braces
@@ -191,10 +191,11 @@ def _untag(e):
 
 
 def _name_of(store, value, what, name):
-    """The name under which `store` holds `value`; UnknownId naming
-    `what` of block `name` if it holds none."""
+    """The name under which `store` holds `value`, the value itself found
+    without a call of `==`; UnknownId naming `what` of block `name` if it
+    holds none."""
     for k, v in store.items():
-        if v == value:
+        if v is value or v == value:
             return k
     raise UnknownId("%s %r is not in the document" % (what, name))
 
@@ -222,7 +223,7 @@ def _emit_poset(doc, name):
     stmts = ["elems " + _joined_ids(name, p.elements)]
     covers = p.covers()
     if covers:
-        stmts.append("le " + " ".join("%s<%s" % ab for ab in covers))
+        stmts.append("le " + " ".join(map("%s<%s".__mod__, covers)))
     return stmts
 
 
@@ -231,9 +232,9 @@ def _emit_map(doc, name):
     src = _name_of(doc.posets, m.source, "the source poset of map", name)
     tgt = _name_of(doc.posets, m.target, "the target poset of map", name)
     stmts = ["from " + src, "to " + tgt]
-    elements = m.source.elements
-    if elements:
-        stmts.append("send " + " ".join("%s->%s" % (p, m(p)) for p in elements))
+    if m.idx:
+        sends = zip(m.source.elements, map(m.target.elements.__getitem__, m.idx))
+        stmts.append("send " + " ".join(map("%s->%s".__mod__, sends)))
     return stmts
 
 
@@ -243,8 +244,11 @@ def _emit_polarity(doc, name):
     ex = _name_of(doc.maps, pol.ex.map, "the ex map of polarity", name)
     ey = _name_of(doc.maps, pol.ey.map, "the ey map of polarity", name)
     stmts = ["base " + base, "ex " + ex, "ey " + ey]
-    if pol.rel:
-        stmts.append("rel " + " ".join("%s~%s" % ab for ab in sorted(pol.rel)))
+    # Sorted by label, not by index: `x10` comes before `x2`.
+    pairs = _pairs_of(pol.x.elements, pol.y.elements, pol._mask)
+    if pairs:
+        pairs.sort()
+        stmts.append("rel " + " ".join(map("%s~%s".__mod__, pairs)))
     return stmts
 
 
@@ -252,12 +256,14 @@ def _emit_preorder(doc, name):
     pre = doc.preorders[name]
     carriers = {k: tuple(v.carrier()) for k, v in doc.polarities.items()}
     pol = _name_of(carriers, pre.carrier, "the polarity of preorder", name)
-    pairs = [
-        "%s<%s" % (_untag(a), _untag(b))
-        for a in pre.carrier
-        for b in pre.carrier
-        if a != b and pre.rel(a, b)
-    ]
+    ids, pairs = list(map(_untag, pre.carrier)), []
+    for i, row in enumerate(pre.rows):
+        # The off-diagonal bits of each row, in row order.
+        row &= ~(1 << i)
+        while row:
+            low = row & -row
+            pairs.append("%s<%s" % (ids[i], ids[low.bit_length() - 1]))
+            row ^= low
     stmts = ["polarity " + pol]
     if pairs:
         stmts.append("le " + " ".join(pairs))
@@ -401,18 +407,25 @@ def parse(text):
 
 
 def serialize(doc):
-    """Canonical text for a document; parse(serialize(d)) == d.  Raises
-    ParseError for a name or id that would not read back, and UnknownId
-    for a block that names one missing from the document or, for a
-    morphism block, written after it."""
-    blocks = list(doc.order)
-    for kind, spec in _GRAMMAR.items():
-        blocks += [(kind, name) for name in getattr(doc, spec.store)]
+    """Canonical text for a document; parse(serialize(d)) == d.  The
+    blocks of `order` still in their stores come first.  Raises
+    ParseError for a name or id that would not read back, a name two
+    blocks share included, and UnknownId for a block that names one
+    missing from the document or, for a morphism block, written after it."""
+    blocks = [(kind, name) for kind, name in doc.order
+              if name in getattr(doc, _GRAMMAR[kind].store)]
+    blocks += [(kind, name) for kind, spec in _GRAMMAR.items()
+               for name in getattr(doc, spec.store)]
     blocks = list(dict.fromkeys(blocks))
-    out = []
+    out, names = [], set()
     for k, (kind, name) in enumerate(blocks):
-        if not (isinstance(name, str) and _NAME.match(name)):
+        # Most names are ASCII letters and digits, which `_NAME` allows.
+        ok = isinstance(name, str) and (name.isascii() and name.isalnum() or _NAME.match(name))
+        if not ok:
             raise ParseError("bad name %r" % (name,))
+        if name in names:
+            raise ParseError("duplicate name %r" % (name,))
+        names.add(name)
         if kind == "morphism":
             # The other emitters look their references up in the document;
             # a morphism block writes the names it was declared with.

@@ -579,15 +579,18 @@ class Poset:
         return Poset._derived(self.elements, self.cols, self.rows, self.index)
 
     def covers(self):
-        """Pairs (a, b) with a < b and nothing strictly between."""
-        out = []
-        n = len(self.elements)
-        for i in range(n):
-            strict_up = self.rows[i] & ~(1 << i)
-            for j in _mask_iter(strict_up):
-                between = strict_up & self.cols[j] & ~(1 << j)
-                if not between:
-                    out.append((self.elements[i], self.elements[j]))
+        """Pairs (a, b) with a < b and nothing strictly between, a then b
+        in carrier order: b covers a when no other element of a's whole
+        strict up-set lies below b."""
+        out, elements, cols = [], self.elements, self.cols
+        for i, row in enumerate(self.rows):
+            strict_up = rest = row & ~(1 << i)
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                if not strict_up & cols[j] & ~low:
+                    out.append((elements[i], elements[j]))
+                rest ^= low
         return out
 
     def restrict(self, keep):

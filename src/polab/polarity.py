@@ -89,10 +89,16 @@ def _pair_mask(left, right, pairs):
 
 
 def _pairs_of(xs, ys, m):
-    """The pairs of the pair mask `m` on the sides `xs` and `ys`, read off
-    a list: on Python 3.11 a set resumes a generator once per pair."""
-    ny = len(ys)
-    return frozenset([(xs[p // ny], ys[p % ny]) for p in _mask_iter(m)])
+    """The pairs of the pair mask `m` on the sides `xs` and `ys`, as a list
+    in mask order, read with the kernels' low-bit loop: `_mask_iter`, a
+    generator, is resumed once per pair on Python 3.11."""
+    ny, out = len(ys), []
+    while m:
+        low = m & -m
+        p = low.bit_length() - 1
+        out.append((xs[p // ny], ys[p % ny]))
+        m ^= low
+    return out
 
 
 class ExtensionPolarity:
@@ -114,7 +120,7 @@ class ExtensionPolarity:
     @cached_property
     def rel(self):
         """The relation as a frozenset of pairs (x, y), read off `_mask`."""
-        return _pairs_of(self.x.elements, self.y.elements, self._mask)
+        return frozenset(_pairs_of(self.x.elements, self.y.elements, self._mask))
 
     @property
     def x(self):
@@ -224,7 +230,7 @@ class _Frame:
 
     def pairs(self, m):
         """The pairs of the pair mask `m`."""
-        return _pairs_of(self.xs, self.ys, m)
+        return frozenset(_pairs_of(self.xs, self.ys, m))
 
     def rows(self, m):
         """The bit-rows `(rx, ry)` of the pair mask `m`, read without lanes."""

@@ -24,7 +24,6 @@ from .order import (
     Poset,
     _closed_sets,
     _cut_extension,
-    transitive_close,
 )
 from .polarity import ExtensionPolarity, _Frame, is_galois
 from .extend import ExtensionContext
@@ -32,14 +31,15 @@ from .extend import ExtensionContext
 
 def random_poset(rng, size, theta=0.3):
     """Random poset on `size` elements: a random DAG on an index order,
-    transitively closed."""
+    whose pairs `Poset.from_pairs` closes once."""
     names = ["e%d" % i for i in range(size)]
-    rows = [1 << i for i in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < theta:
-                rows[i] |= 1 << j
-    return Poset(tuple(names), transitive_close(rows))
+    pairs = [
+        (names[i], names[j])
+        for i in range(size)
+        for j in range(i + 1, size)
+        if rng.random() < theta
+    ]
+    return Poset.from_pairs(names, pairs)
 
 
 @functools.lru_cache(maxsize=256)

@@ -36,6 +36,7 @@ EXEMPT = {
     "order.Poset.meet_index": "bench/tracer.py counts its calls; goes with ROADMAP item 1(a)",
     "order.Poset.join_index": "bench/tracer.py counts its calls; goes with ROADMAP item 1(a)",
     "polarity.intermediate_structure": "bench/tracer.py spans it; goes with ROADMAP item 1(a)",
+    "order.transitive_close": "bench/tracer.py counts its calls; goes with ROADMAP item 1(a)",
     "errors.MorphismInvalid.__init__": "builds the error of a morphism clause that fails",
     "errors.LawViolation.__init__": "builds the error of a certificate that fails",
     "order.MonotoneMap.image": "the witness of psi_of's failed `onto` certificate",

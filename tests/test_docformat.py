@@ -20,8 +20,8 @@ from polab.errors import (
     UnknownId,
 )
 from polab.fixtures import CATALOGUE, load
-from polab.order import MonotoneMap, Poset
-from polab.polarity import ExtensionPolarity, r_l
+from polab.order import MonotoneMap, Poset, macneille
+from polab.polarity import ExtensionPolarity, _pairs_of, r_l
 
 from conftest import chain
 
@@ -451,6 +451,26 @@ class TestRoundTrip:
             serialize(doc)
         assert str(e.value) == missing + " is not in the document"
 
+    def test_a_stale_order_entry_is_not_written(self):
+        """`order` is the layout as read: an entry whose block was deleted
+        is skipped, and a block naming a deleted one is still refused."""
+        doc = parse("poset P {\n  elems a\n}\nposet Q {\n  elems b\n}\n")
+        del doc.posets["Q"]
+        assert serialize(doc) == "poset P {\n  elems a;\n}\n"
+        doc = parse("poset P {\n  elems a\n}\nmap m {\n  from P\n  to P\n  send a->a\n}\n")
+        del doc.posets["P"]
+        with pytest.raises(UnknownId) as e:
+            serialize(doc)
+        assert str(e.value) == "the source poset of map 'm' is not in the document"
+
+    def test_a_name_two_blocks_share_is_refused(self):
+        """The text would not read back, so none is written."""
+        p = chain("ab")
+        doc = Document(posets={"A": p}, maps={"A": MonotoneMap.identity(p)})
+        with pytest.raises(ParseError) as e:
+            serialize(doc)
+        assert str(e.value) == "duplicate name 'A'"
+
     def test_morphism_blocks_round_trip(self):
         """In the order the text gave, and after every block they name
         when the document keeps no order."""
@@ -478,6 +498,145 @@ class TestRoundTrip:
         assert str(e.value) == (
             "morphism 'f' names polarity 'G', which does not come before it"
         )
+
+
+# The label-level writer that the emitters replaced, kept literally as
+# the reference: `sorted(pol.rel)`, the map called per element, covers by
+# their definition from `leq`, and `pre.rel(a, b)` for every pair.
+
+
+def _ref_name(store, value):
+    return next(k for k, v in store.items() if v == value)
+
+
+def _ref_poset(doc, p):
+    els = p.elements
+    covers = [
+        (a, b) for a in els for b in els
+        if a != b and p.leq(a, b)
+        and not any(c not in (a, b) and p.leq(a, c) and p.leq(c, b) for c in els)
+    ]
+    stmts = ["elems " + " ".join(els)]
+    if covers:
+        stmts.append("le " + " ".join("%s<%s" % ab for ab in covers))
+    return stmts
+
+
+def _ref_map(doc, m):
+    stmts = ["from " + _ref_name(doc.posets, m.source), "to " + _ref_name(doc.posets, m.target)]
+    if m.source.elements:
+        stmts.append("send " + " ".join("%s->%s" % (p, m(p)) for p in m.source.elements))
+    return stmts
+
+
+def _ref_polarity(doc, pol):
+    stmts = ["base " + _ref_name(doc.posets, pol.base)]
+    stmts += ["ex " + _ref_name(doc.maps, pol.ex.map), "ey " + _ref_name(doc.maps, pol.ey.map)]
+    if pol.rel:
+        stmts.append("rel " + " ".join("%s~%s" % ab for ab in sorted(pol.rel)))
+    return stmts
+
+
+def _ref_preorder(doc, pre):
+    carriers = {k: tuple(v.carrier()) for k, v in doc.polarities.items()}
+    pairs = [
+        "%s.%s<%s.%s" % (*a, *b)
+        for a in pre.carrier for b in pre.carrier
+        if a != b and pre.rel(a, b)
+    ]
+    stmts = ["polarity " + _ref_name(carriers, pre.carrier)]
+    if pairs:
+        stmts.append("le " + " ".join(pairs))
+    return stmts
+
+
+def _ref_morphism(doc, d):
+    refs = zip(("from", "to", "hx", "hp", "hy"), d)
+    return ["%s %s" % ref for ref in refs]
+
+
+def _ref_completion(doc, ext):
+    return ["map " + _ref_name(doc.maps, ext.map)]
+
+
+REFERENCE = {
+    "poset": ("posets", _ref_poset),
+    "map": ("maps", _ref_map),
+    "polarity": ("polarities", _ref_polarity),
+    "preorder": ("preorders", _ref_preorder),
+    "morphism": ("morphisms", _ref_morphism),
+    "completion": ("completions", _ref_completion),
+}
+
+
+def reference_text(doc):
+    blocks = list(doc.order)
+    for kind, (store, _) in REFERENCE.items():
+        blocks += [(kind, name) for name in getattr(doc, store)]
+    out = []
+    for kind, name in dict.fromkeys(blocks):
+        store, emit = REFERENCE[kind]
+        stmts = ";\n  ".join(emit(doc, getattr(doc, store)[name]))
+        out.append("%s %s {\n  %s;\n}" % (kind, name, stmts))
+    return "\n".join(out) + "\n"
+
+
+def _seeded_documents():
+    """Documents of seeded polarities of every kind the benchmark draws,
+    junk sides and sides of ten or more elements among them, each with
+    the relabelled cut completion of its base; and one whose base poset
+    is stored as an equal but distinct object."""
+    rng = random.Random(47)
+    for k in range(240):
+        size, kind = 1 + k % 9, k // 9 % 3
+        if kind == 0:
+            pol = randgen.random_extension_polarity(rng, size, junk_theta=0.6)
+        elif kind == 1:
+            base = randgen.random_poset(rng, size)
+            ex = randgen.random_embedding(rng, base, junk=rng.randint(0, 2), prefix="x")
+            ey = randgen.random_embedding(rng, base, prefix="y")
+            pol = ExtensionPolarity(base, ex, ey, r_l(ex, ey))
+        else:
+            pol = randgen.random_galois_polarity(rng, size)
+        doc = document_of(pol)
+        lattice = macneille(pol.base).target
+        labels = {e: "c%d" % i for i, e in enumerate(lattice.elements)}
+        doc.posets["L"] = lattice.relabel(labels.__getitem__)
+        yield doc
+    doc = document_of(pol)
+    doc.posets["P"] = Poset(pol.base.elements, pol.base.rows)
+    assert doc.posets["P"] is not pol.base
+    yield doc
+
+
+class TestWriter:
+    def test_the_writer_prints_what_the_label_writer_printed(self):
+        """Byte for byte, on seeded documents and every fixture; among
+        the seeded ones, relations whose label order is not their mask
+        order, `xiso_` ids and sides of ten or more elements."""
+        docs = list(_seeded_documents()) + [load(fx.name) for fx in CATALOGUE]
+        texts = [serialize(doc) for doc in docs]
+        assert texts == [reference_text(doc) for doc in docs]
+        pols = [pol for doc in docs for pol in doc.polarities.values()]
+        read = [_pairs_of(pol.x.elements, pol.y.elements, pol._mask) for pol in pols]
+        assert any(sorted(pairs) != pairs for pairs in read)
+        assert any("xiso_" in text for text in texts)
+        assert max(len(pol.x) for pol in pols) >= 11
+        kinds = {kind for doc in docs for kind, _ in doc.order}
+        assert {"preorder", "morphism", "completion"} <= kinds
+
+    def test_the_pair_reader_lists_the_view(self):
+        """`_pairs_of` lists the pairs of a mask once each, in mask order,
+        and its set is the polarity's `rel` and the frame's `pairs`."""
+        rng = random.Random(11)
+        for k in range(300):
+            pol = randgen.random_extension_polarity(rng, 1 + k % 7)
+            xs, ys = pol.x.elements, pol.y.elements
+            pairs = _pairs_of(xs, ys, pol._mask)
+            ny = len(ys)
+            bits = [p for p in range(len(xs) * ny) if pol._mask >> p & 1]
+            assert pairs == [(xs[p // ny], ys[p % ny]) for p in bits]
+            assert frozenset(pairs) == pol.rel == pol._frame.pairs(pol._mask)
 
 
 class TestDot:

@@ -189,6 +189,41 @@ class TestPoset:
     def test_covers_regenerate_the_order(self, p):
         assert Poset.from_pairs(p.elements, p.covers()) == p
 
+    def test_covers_are_their_definition(self):
+        """The pairs a < b with no c strictly between, a then b in
+        carrier order, on the empty poset, an antichain, a chain and
+        seeded posets, half of them rebuilt on shuffled carriers."""
+        rng = random.Random(47)
+        posets = [Poset.antichain(()), Poset.antichain("abcd"), chain("abcdef")]
+        for k in range(300):
+            p = random_poset(rng, k % 13, rng.uniform(0.1, 0.7))
+            if k % 2:
+                p = Poset.from_pairs(rng.sample(p.elements, len(p)), p.covers())
+            posets.append(p)
+        for p in posets:
+            els = p.elements
+            between = lambda a, b: any(
+                c not in (a, b) and p.leq(a, c) and p.leq(c, b) for c in els
+            )
+            want = [(a, b) for a in els for b in els
+                    if a != b and p.leq(a, b) and not between(a, b)]
+            assert p.covers() == want
+
+    def test_a_random_poset_is_its_closed_draws(self):
+        """`random_poset` reads the random source as the index-order DAG
+        it closes, and gives the poset that DAG closes to."""
+        rng, again = random.Random(61), random.Random(61)
+        for k in range(500):
+            size = k % 11
+            rows = [1 << i for i in range(size)]
+            for i in range(size):
+                for j in range(i + 1, size):
+                    if again.random() < 0.3:
+                        rows[i] |= 1 << j
+            want = Poset(["e%d" % i for i in range(size)], transitive_close(rows))
+            assert random_poset(rng, size) == want
+            assert rng.getstate() == again.getstate()
+
     @given(seeded_posets())
     def test_dual_is_involutive(self, p):
         assert p.dual().dual() == p

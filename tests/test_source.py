@@ -152,6 +152,16 @@ def _stores_a_label_form(src, node):
     )
 
 
+def _reads_a_label_view(src, node):
+    """A load of an attribute named `rel` or `assignment`, the label views
+    of a polarity's relation and of a map, or `_mask_iter` reached."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("rel", "assignment")
+        and isinstance(node.ctx, ast.Load)
+    ) or name_of(node) == "_mask_iter"
+
+
 # The packed bit-matrix layout of `polab.order` and its kernels.
 PACKING = ("_lanes", "_pack", "_unpack", "_packed_transitive", "_spread")
 
@@ -210,6 +220,11 @@ RULES = (
     # built on first use by its `cached_property`.
     Row("label_forms_are_views", _outside_oracles, _stores_a_label_form,
         {}, "test_the_label_scan_sees_every_form"),
+    # The writer prints a document from what each value stores: the pair
+    # mask, the index tuples and the bit-rows, not the label views built
+    # from them, and reads a mask with the kernels' low-bit loop.
+    Row("the_writer_builds_no_label_view", lambda name: name == "polab/docformat.py",
+        _reads_a_label_view, {}, "test_the_writer_scan_sees_every_form"),
     # A fuzz law's check takes only its case, so the census can run it on
     # enumerated input.
     Row("fuzz_checks_draw_nothing", lambda name: name == "polab/cli.py",
@@ -379,6 +394,13 @@ PROBES = {
         ("class C:\n    def f(self):\n        n, self.assignment = 0, {}", [("C.f", 3)]),
         ("pol.rel |= {(x, y)}", [("", 1)]),
         ("rel = frozenset()\nlabels = m.assignment\npairs = pol.rel | rel\nu.rel(a, b)", []),
+    ],
+    "the_writer_builds_no_label_view": [
+        ("text = ' '.join(sorted(pol.rel))", [("", 1)]),
+        ("def emit(m, p):\n    return m.assignment[p]", [("emit", 2)]),
+        ("ok = pre.rel(a, b)", [("", 1)]),
+        ("from .order import _mask_iter", [("", 1)]),
+        ("rel = pol._mask\ntext = got.get('rel', '')\nline = 'rel ' + text", []),
     ],
     "fuzz_checks_draw_nothing": [
         ("def _law_x(pol):\n    rng.random()", [("_law_x", 2)]),
