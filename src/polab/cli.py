@@ -77,8 +77,17 @@ from .randgen import (
 )
 
 
+class _Unreadable(Exception):
+    """A document path that cannot be read as UTF-8 text: a usage error."""
+
+
 def _load(path):
-    return parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise _Unreadable("cannot read %r: %s" % (path, reason)) from None
+    return parse(text)
 
 
 def _pick(store, name, what):
@@ -92,7 +101,10 @@ def _pick(store, name, what):
 
 
 def document_of(case, name="G"):
-    """A document of a polarity; of a context, with `ix: X -> XX`, `iy: Y -> YY`."""
+    """A polarity's document: the polarity `name` over `P`, `X` and `Y`
+    with maps `ex` and `ey`; of a context, the inner polarity's, with the
+    outer sides as posets `XX` and `YY` and the side extensions as maps
+    `ix: X -> XX` and `iy: Y -> YY`."""
     if isinstance(case, ExtensionContext):
         doc = document_of(case.inner, name)
         doc.posets.update(XX=case.ix.target, YY=case.iy.target)
@@ -259,6 +271,7 @@ def cmd_fixtures(args):
 
 
 def _sized(gen):
+    """The draw of `gen` on a base size from 1 to `size`."""
     return lambda rng, size: gen(rng, rng.randint(1, size))
 
 
@@ -334,6 +347,11 @@ def _law_roundtrip(pol):
 
 
 def _law_completion(pol):
+    """The saturation along the unit stays inside the generated relation.
+    A strict enclosure is a finding, not a violation: the smallest is on a
+    two-element base, and on the census the Galois polarities with one are
+    exactly those whose unit is not an isomorphism, a match observed
+    there, not proved."""
     d = gamma_on_objects(pol)
     counit_iso(d)
     eta = unit(pol)
@@ -399,6 +417,14 @@ _LAWS = {
 
 
 def cmd_fuzz(args):
+    """Run the laws of `--check`, all of `_LAWS` by default, in turn for
+    `--iters` iterations, drawing from one seeded source.  A finding is
+    counted and printed, the first with its case's document.  A violation
+    ends the run with exit 1.  It prints the law and the iteration, a
+    `# rerun:` line whose seed, size, iteration count and law list end
+    the run on that iteration, and the document of the case when the
+    draw gave a polarity or a context.  A draw that raises has no case;
+    a corpus prints only its rerun line."""
     names = sorted(_LAWS) if args.check is None else args.check.split(",")
     for n in names:
         if n not in _LAWS:
@@ -499,6 +525,9 @@ def main(argv=None):
     except PolabError as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
+    except _Unreadable as err:
+        print("error: %s" % err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .order import (
     _lift,
     _low_index,
     _mask_iter,
-    _transpose,
     compose as compose_maps,
     is_completion,
     is_delta1,
@@ -332,8 +331,7 @@ def universal_property(pol, f, g):
         raise DomainMismatch("maps must agree on the base image")
     struct = structure_of(pol)
     q, t = struct.quotient.poset, f.target
-    below_q = _transpose([q.rows[j] for j in struct.iota_y.idx], len(q))
-    below_t = _transpose([t.rows[j] for j in gi], len(t))
+    below_q, below_t = struct.iota_y.pre_down, g.pre_down
     for x, a, b in zip(pol.x.elements, struct.iota_x.idx, fi):
         bad = below_q[a] & ~below_t[b]
         if bad:

@@ -90,7 +90,8 @@ class ExtensionContext:
     @cached_property
     def _image_bounds_kept(self):
         """Whether ix keeps the meets and iy the joins of subsets of the
-        base images: the guard of downward transfer."""
+        base images: the guard of downward transfer, read only for an
+        outer relation at grade 3."""
         X, Y = self.inner.x, self.inner.y
         return _preserves_image_bounds(
             self.ix, self.inner.ex, X.rows, X.cols, self.ix.target.cols

@@ -41,7 +41,7 @@ from ..polarity import (
 
 def load(name):
     """Parse the named fixture document from the package data."""
-    text = resources.files(__package__).joinpath(name + ".pol").read_text()
+    text = resources.files(__package__).joinpath(name + ".pol").read_text(encoding="utf-8")
     return parse(text)
 
 

@@ -111,12 +111,11 @@ class PolarityMorphism:
         """
         s, t = self.source, self.target
         tx, ty = t.x, t.y
-        hx, hy = self.hx.idx, self.hy.idx
+        hx = self.hx.idx
         (s_row, s_col), t_row = s._rows, t._rows[0]
         xs = _admissible(self.hx.pre_up, s.x.cols, self._related, s_col)
-        below_y = _transpose([ty.rows[b] for b in hy], len(ty))
         related_y = _transpose([t_row[a] for a in hx], len(ty))
-        ys = _admissible(below_y, s.y.rows, related_y, s_row)
+        ys = _admissible(self.hy.pre_down, s.y.rows, related_y, s_row)
         full_t, full_s = (1 << len(ty)) - 1, (1 << len(s.y)) - 1
         for xp in range(len(tx)):
             missing = full_s & ~_common(s_row, xs[xp], full_s)

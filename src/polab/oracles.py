@@ -37,7 +37,18 @@ One reference per definition of the paper, and the fast route it checks:
   `oracle_is_cut_stable` (`is_cut_stable`), `oracle_complete_hom_failure`
   (`_complete_hom_failure`), `oracle_complete_homs` (`delta1.mediate`),
   `oracle_extensions_isomorphic` and `oracle_polarity_isos_over_base`
-  (the uniqueness certificates of `delta1`).
+  (the uniqueness certificates of `delta1`), the last two by way of
+  `oracle_order_isomorphisms`.
+- The transfer laws: `oracle_extend_relation`, `oracle_restrict_relation`
+  and the brute-force adjunction `oracle_relation_lattice_adjunction`.
+- A polarity morphism's clauses: the literal loops `oracle_cross_order`
+  and `oracle_unreflected`.  The `leq` loops for monotonicity, order
+  reflection and the lattice test: `oracle_monotone_failure`,
+  `oracle_reflection_failure`, `oracle_is_complete_lattice`.
+- The set-by-set polar maps and concept preorder (`polar_left`,
+  `polar_right`, `xi`, `upsilon`, `prop_order_preorder`); `polab.concepts`.
+
+A scan that grows with its input raises `CarrierTooLarge` past a gate.
 """
 
 from __future__ import annotations
@@ -447,7 +458,8 @@ def oracle_order_failure(elements, rows):
     """The error `Poset(elements, rows)` raises on a matrix of the right
     length, as (type, message, witness), or None: row by row the first
     missing diagonal bit, then per set bit, lowest first, one past the
-    last element or a mutual pair; transitivity, without a witness, last.
+    last element or a mutual pair; transitivity, with the first witness
+    of `naive_transitivity_witness`, last.
     """
     n = len(elements)
     for i in range(n):
@@ -465,8 +477,9 @@ def oracle_order_failure(elements, rows):
                     "elements %r and %r are mutually below each other" % (a, b),
                     (a, b),
                 )
-    if naive_transitivity_witness(elements, rows) is not None:
-        return NotPreorder, "relation is not transitive", None
+    witness = naive_transitivity_witness(elements, rows)
+    if witness is not None:
+        return NotPreorder, "relation is not transitive", witness
     return None
 
 

@@ -6,19 +6,29 @@ All quantifier-heavy checks work on these masks; the public API speaks
 in element ids.
 
 The kernels pack a matrix into one integer, row i at bits i·n to
-i·n + n - 1 (`_pack`): on square matrices the closure `_close` (behind
-`transitive_close`, `Poset.from_pairs` and `UnionPreorder.closed`), the
-transitivity verdict `_packed_transitive` behind `Poset(elements,
-rows)` and `UnionPreorder.is_transitive`, the relation walk
-`_closed_relations` and the rigidity test `_loose_pairs`, and
-`_PairLanes` on the pair masks of relations between two posets.
+i·n + n - 1 (`_pack`, `_unpack`).  On square matrices: the closure
+`_close` (behind `Poset.from_pairs` and `UnionPreorder.closed`), the
+transitivity verdict `_packed_transitive` (behind `Poset(elements,
+rows)` and `UnionPreorder.is_transitive`, so behind `is_n_preorder`,
+`structure_of` and `Quotient` too), the transpose `_packed_transpose`,
+the relation walk `_closed_relations`, the rigidity test `_loose_pairs`
+and a polarity's one-step saturation `_saturate`.  Over a polarity's
+carrier, `_back_block` lays a pair mask out as the right-to-left block.
+`_PairLanes` works on the pair masks of relations between two posets.
 Shifting right by k and masking with the bits i·n of every row i gives
 the rows that hold k, at their row offsets; multiplying that by an
 n-bit row copies it onto each of them, with no carries.  So one
-Warshall pivot is one product, and so is each base element's step of a
-polarity's one-step saturation (`_saturate`).  A `UnionPreorder` keeps
-its packed matrix beside its rows.  A failed verdict is explained by a
-row walk naming the first witness in carrier order.
+Warshall pivot is one product, and so is each base element's step of
+`_saturate`.  A `UnionPreorder` stores only its packed matrix.  A failed
+verdict is explained by a row walk naming the first witness in carrier
+order (`_transitivity_failure`), so witnesses and messages do not
+depend on the packing.
+
+Some names stay only because `bench/tracer.py` wraps them, and no route
+calls them: `transitive_close`, `Poset.meet_index` and
+`Poset.join_index` here, `polarity.intermediate_structure`, and the
+`coherence_level` import of `polab.extend`.  They go when the benchmark
+stops wrapping them.
 
 A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
 check is its meet-side kernel run on the swapped arrays.  Whether a
@@ -26,12 +36,13 @@ monotone map keeps every existing meet or join is decided in polynomial
 time (`_bounds_failure`), with no subset scan and no size gate, each
 candidate bound one compare of common lower bounds.  A monotone map
 keeps its index map and, per target element, the mask of the source
-elements sent above it (`MonotoneMap.pre_up`); monotonicity, order
-reflection and cut stability are row tests on those masks.
+elements sent above it (`MonotoneMap.pre_up`), and builds on first use
+the mask of those sent below it (`MonotoneMap.pre_down`); monotonicity,
+order reflection and cut stability are row tests on those masks.
 
 Two trust boundaries run through this module.  The public constructors
-(`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`, `chain`)
-serve user input and check reflexivity, antisymmetry and transitivity.
+(`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`) serve user
+input and check reflexivity, antisymmetry and transitivity.
 A poset derived from trusted ones (`dual`, `relabel`, `restrict`, the
 inclusion orders `_inclusion` gives the cut and concept lattices, a
 `Quotient`'s classes) is built by `Poset._derived` with its `rows` and
@@ -41,7 +52,8 @@ Likewise `MonotoneMap(source, target, assignment)` checks the labels of
 a parsed or user-supplied map and its monotonicity, while
 `MonotoneMap._of_idx(source, target, idx)`, for a map derived from held
 maps (a composite, a lift, a cut or quotient map), tests monotonicity
-only.
+only.  `UnionPreorder._of_packed` takes a packed matrix on a carrier and
+index its caller holds, and checks nothing.
 """
 
 from __future__ import annotations
@@ -421,10 +433,23 @@ def _expressible(up, down, image_mask):
     return out
 
 
+def _transitivity_failure(carrier, rows):
+    """The first (a, b, c), in carrier order, with a R b and b R c but not
+    a R c for the bit-rows `rows`, or None: per row a, the first b whose
+    row holds what a's lacks, and the lowest such c."""
+    for i, row in enumerate(rows):
+        for k in _mask_iter(row):
+            extra = rows[k] & ~row
+            if extra:
+                return carrier[i], carrier[k], carrier[_low_index(extra)]
+    return None
+
+
 def _order_failure(elements, rows):
     """Raise the first failure of the matrix `rows` as a partial order on
     `elements`: row by row, reflexivity, then per set bit its width and
-    antisymmetry; transitivity, which names no witness, last."""
+    antisymmetry; transitivity, with its first witness
+    (`_transitivity_failure`), last."""
     n = len(elements)
     for i in range(n):
         if not rows[i] >> i & 1:
@@ -438,7 +463,7 @@ def _order_failure(elements, rows):
                     % (elements[i], elements[j]),
                     (elements[i], elements[j]),
                 )
-    raise NotPreorder("relation is not transitive")
+    raise NotPreorder("relation is not transitive", _transitivity_failure(elements, rows))
 
 
 class Poset:
@@ -630,10 +655,11 @@ class MonotoneMap:
 
     `idx` is the map on indices, source index to target index, and
     `pre_up[t]` the mask of the source indices x with t <= f(x), kept for
-    `_bounds_failure`, order reflection and cut stability to read; the
-    label form `assignment` is built from `idx` on first use.  Both
-    constructors test monotonicity on these, each up-set `source.rows[i]`
-    lying inside `pre_up[idx[i]]` (`NotMonotone`).  The public one is the
+    `_bounds_failure`, order reflection and cut stability to read;
+    `pre_down[t]`, the x with f(x) <= t, and the label form `assignment`
+    are built from `idx` on first use.  Both constructors test
+    monotonicity on these, each up-set `source.rows[i]` lying inside
+    `pre_up[idx[i]]` (`NotMonotone`).  The public one is the
     trust boundary for parsed and user-supplied maps: the keys of the
     assignment, a mapping or its pairs, are exactly the source elements (a
     missing one is `NotMonotone`, any other key `UnknownId`) and its values
@@ -669,6 +695,13 @@ class MonotoneMap:
         self.source, self.target, self.idx = source, target, tuple(idx)
         self._check_monotone()
         return self
+
+    @cached_property
+    def pre_down(self):
+        """Per target element t, the mask of the source indices x with
+        f(x) <= t: the target's `rows` gathered at `idx`, transposed."""
+        rows = self.target.rows
+        return _transpose([rows[t] for t in self.idx], len(rows))
 
     @cached_property
     def assignment(self):
@@ -899,11 +932,11 @@ def _bounds_failure(f, join=False):
     T from below, it is T's meet iff the common lower bounds of T are
     exactly those of g, one compare (as in `_expressible`), and each
     distinct T's common lower bounds are found once.  For meets T is read
-    off kept arrays, `rows[g] & pre_up[z]`; joins swap `rows` and `cols`."""
+    off kept arrays, `rows[g] & pre_up[z]`; joins swap `rows` and `cols`
+    and read `pre_down`."""
     p, q, idx = f.source, f.target, f.idx
     if join:
-        src, up, tgt = p.rows, p.cols, q.rows
-        pre = _transpose([tgt[i] for i in idx], len(tgt))
+        src, up, tgt, pre = p.rows, p.cols, q.rows, f.pre_down
     else:
         src, up, tgt, pre = p.cols, p.rows, q.cols, f.pre_up
     full, common = (1 << len(src)) - 1, {}
@@ -932,7 +965,7 @@ def is_cut_stable(f):
     src, tgt = f.source, f.target
     rows, cols = src.rows, src.cols
     full = (1 << len(rows)) - 1
-    pre_up, pre_down = f.pre_up, _transpose([tgt.rows[t] for t in f.idx], len(tgt))
+    pre_up, pre_down = f.pre_up, f.pre_down
     shared = {m: _common(rows, _common(cols, m, full), full) for m in set(pre_up)}
     upper = {m: _common(rows, m, full) for m in set(pre_down)}
     shared, upper = [shared[m] for m in pre_up], [upper[m] for m in pre_down]
@@ -1132,17 +1165,9 @@ class UnionPreorder:
         return self._closed or self.packed & diagonal == diagonal
 
     def transitivity_witness(self):
-        """The first (a, b, c), in carrier order, with a R b and b R c but
-        not a R c, or None."""
-        if self.is_transitive():
-            return None
-        rows = self.rows
-        for i, row in enumerate(rows):
-            for k in _mask_iter(row):
-                extra = rows[k] & ~row
-                if extra:
-                    c = self.carrier
-                    return c[i], c[k], c[_low_index(extra)]
+        """`_transitivity_failure` of the relation: its first (a, b, c) in
+        carrier order, or None when it is transitive."""
+        return None if self.is_transitive() else _transitivity_failure(self.carrier, self.rows)
 
     def is_transitive(self):
         return self._closed or _packed_transitive(self.packed, len(self.carrier))

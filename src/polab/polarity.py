@@ -8,8 +8,9 @@ of the two sides, and enumerates all preorders of a given grade.
 
 A polarity keeps its relation once, as a pair mask, and every condition
 is decided on it (`_Frame.mask_level`, `_Frame.report`): C1, C2 and C4
-by products on `order._PairLanes`, the others by one AND each but E1 and
-E2, row loops; a failed test reads its first witness off what it left.
+are closure rules, products on `order._PairLanes` that hold when the
+closure adds nothing; the others take one AND each but E1 and E2, row
+loops.  A failed test reads its first witness off what it left.
 C7 and C8 go through the realizable meets and joins, pair masks on the
 same lanes, not a scan over subsets of the base (`polab.oracles` keeps
 the scans).  A relation on the tagged union of the sides is graded on
@@ -68,6 +69,9 @@ CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 
 
 def carrier_gate(max_carrier=None):
+    """The carrier size an uncapped enumeration may reach:
+    `DEFAULT_MAX_CARRIER`, or `max_carrier`, which must be a non-negative
+    integer (`ValueError` naming the argument otherwise)."""
     if max_carrier is None:
         return DEFAULT_MAX_CARRIER
     if isinstance(max_carrier, bool) or not isinstance(max_carrier, int) or max_carrier < 0:
@@ -77,7 +81,9 @@ def carrier_gate(max_carrier=None):
 
 def _pair_mask(left, right, pairs):
     """The pair mask, bit i·|Y| + j for (x_i, y_j), of `pairs` on the sides
-    indexed by `left` and `right`; `UnknownId` for the first pair off them."""
+    indexed by `left` and `right`; `UnknownId` for the first pair off them,
+    the witness the reader names for a `rel` line.  The one conversion of
+    labelled pairs to a mask."""
     ny, m = len(right), 0
     try:
         for a, b in pairs:
@@ -89,9 +95,10 @@ def _pair_mask(left, right, pairs):
 
 
 def _pairs_of(xs, ys, m):
-    """The pairs of the pair mask `m` on the sides `xs` and `ys`, as a list
-    in mask order, read with the kernels' low-bit loop: `_mask_iter`, a
-    generator, is resumed once per pair on Python 3.11."""
+    """The pairs of the pair mask `m` on the sides `xs` and `ys`, the one
+    conversion back to labels, as a list in mask order, read with the
+    kernels' low-bit loop: `_mask_iter`, a generator, is resumed once per
+    pair on Python 3.11."""
     ny, out = len(ys), []
     while m:
         low = m & -m
@@ -274,11 +281,12 @@ class _Frame:
     @cached_property
     def joins(self):
         """The pairs (x, y) with y realizable at x, the join of the images
-        ey(k) below it with ex(k) below x."""
+        ey(k) below it with ex(k) below x: the dual of `meets` on the same
+        lanes, so no dual frame is built."""
         lanes, images = self.lanes, zip(self.exi, self.eyi)
         covers = [self.rises[i] * self.yrows[j] for i, j in images]
-        bounds = _transpose([self.yrows[j] for j in self.eyi], len(self.ys))
-        return _realizable(lanes, covers, bounds, [lanes.ones * c for c in self.ycols])
+        fences = [lanes.ones * c for c in self.ycols]
+        return _realizable(lanes, covers, self.ey.map.pre_down, fences)
 
     @cached_property
     def z_s(self):
@@ -367,8 +375,7 @@ class _Frame:
         """Right-to-left block of the pairs (y, x) such that every base
         element sent below y on the right is below every base element sent
         above x on the left."""
-        above = _transpose([self.xcols[xi] for xi in self.exi], len(self.xs))
-        out = []
+        above, out = self.ex.map.pre_up, []
         for down in self.ycols:
             common = (1 << len(self.ps)) - 1
             for k, yi in enumerate(self.eyi):
@@ -721,6 +728,9 @@ def _check_grade(n):
 
 
 class EnumerationResult:
+    """The n-preorders found, iterated and counted like them, and whether
+    a cap cut the walk short (`truncated`)."""
+
     __slots__ = ("preorders", "truncated")
 
     def __init__(self, preorders, truncated):

@@ -10,7 +10,13 @@ order, and the kept ones are handed with their names to
 `order._cut_extension`, the builder of `macneille`, which orders them,
 turns a join extension upside down and certifies the embedding.  The
 full completion is never built.  Repeated draws share the closed sets of
-the cuts and the certified extension, each in a 256-entry LRU cache.
+the cuts and the certified extension, each in a 256-entry LRU cache
+(`_closed_cuts`, `_cut_draw`).  The keep-or-drop loop stays outside
+both, so a seed makes the same `rng.random()` calls in the same order,
+and draws equal objects, as with no cache.  An equal input gets the
+same object back, which is safe: no code changes the value of a
+`Poset`, `MonotoneMap` or `Extension` after construction.  `macneille` is not
+cached, so a timed completion never reuses another item's work.
 """
 
 from __future__ import annotations
@@ -71,7 +77,10 @@ def random_join_extension(rng, base, keep_theta=0.4, prefix="j"):
 
 def random_embedding(rng, base, keep_theta=0.4, junk=0, prefix="z"):
     """A random order embedding: a cut sub-poset of either orientation,
-    possibly with a small poset glued in as an isolated component."""
+    possibly with a small poset glued in as an isolated component.  The
+    glued target keeps the cut sub-poset's indices first, so the map keeps
+    its index tuple (`MonotoneMap._of_idx`); `Extension` checks that it
+    still embeds."""
     if rng.random() < 0.5:
         ext = random_meet_extension(rng, base, keep_theta, prefix)
     else:
@@ -81,7 +90,7 @@ def random_embedding(rng, base, keep_theta=0.4, junk=0, prefix="z"):
     extra = random_poset(rng, junk).relabel(lambda e: "%siso_%s" % (prefix, e))
     t = ext.target
     glued = Poset(t.elements + extra.elements, t.rows + tuple(r << len(t) for r in extra.rows))
-    return Extension(MonotoneMap(base, glued, ext.map.assignment))
+    return Extension(MonotoneMap._of_idx(base, glued, ext.map.idx))
 
 
 def random_extension_polarity(rng, base_size=3, keep_theta=0.4, junk_theta=0.3):

@@ -42,6 +42,7 @@ EXEMPT = {
     "order.MonotoneMap.image": "the witness of psi_of's failed `onto` certificate",
     "order.Quotient.classes": "the witness of Quotient.descend's failed `well-defined`",
     "order.UnionPreorder.transitivity_witness": "the witness of a Quotient of a non-preorder",
+    "order._transitivity_failure": "the witness of a non-transitive Poset or Quotient source",
     "order.Poset.__contains__": "Python calls it for `in`",
     "order.Poset.__repr__": "Python calls it for repr()",
     "order.UnionPreorder.__hash__": "Python calls it for hash()",

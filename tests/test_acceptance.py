@@ -2,6 +2,12 @@
 
 Each test pins a wall-clock budget alongside its functional assertions,
 so a regression in either behaviour or performance fails here first.
+The criteria: the fixture regression, strictness of the grade ladder,
+the three-way characterisation of graded preorders on random instances,
+uniqueness of the grade-3 preorder, agreement of the two concept-lattice
+routes, the transfer and adjunction laws, morphism round trips, the
+completion adjunction, the naive-oracle differentials, and the CLI
+contract.
 """
 
 import random

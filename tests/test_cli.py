@@ -51,6 +51,21 @@ class TestExitCodes:
         assert cli.main(["fuzz", "--seed", "0", "--size", "1", "--iters", "0"]) == 0
         assert "fuzz ok: 0 iterations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_an_unreadable_document_is_a_usage_error(self, kind, tmp_path, capsys):
+        """A path that cannot be read as UTF-8 text exits 2 with one
+        `error:` line naming it, not a traceback."""
+        path = tmp_path / "doc.pol"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"poset P {\n  elems \xff\n}\n")
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read %r: " % str(path))
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_check_succeeds(self, doc_path, capsys):
         assert cli.main(["check", doc_path]) == 0
         out = capsys.readouterr().out

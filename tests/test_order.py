@@ -554,8 +554,9 @@ class TestPackedKernels:
                     rows[i] &= ~(1 << j)
             elements = tuple("e%d" % k for k in range(n))
             want = oracle_order_failure(elements, rows)
-            # Two kinds of NotPreorder: reflexivity names its element.
-            seen.add(None if want is None else (want[0], want[2] is None))
+            # Two kinds of NotPreorder, told apart by their messages; the
+            # antisymmetry message names its pair, so only its type counts.
+            seen.add(None if want is None else (want[0], want[0] is NotPreorder and want[1]))
             if want is None:
                 assert_as_validated(Poset(elements, rows))
                 continue
@@ -563,6 +564,14 @@ class TestPackedKernels:
                 Poset(elements, rows)
             assert (type(err.value), str(err.value), err.value.witness) == want
         assert len(seen) == 5, seen
+
+    def test_a_non_transitive_poset_names_its_witness(self):
+        """a <= b and b <= c without a <= c: the first such triple in
+        carrier order is the witness."""
+        with pytest.raises(NotPreorder) as err:
+            Poset(("a", "b", "c"), [0b011, 0b110, 0b100])
+        assert str(err.value) == "relation is not transitive"
+        assert err.value.witness == ("a", "b", "c")
 
 
 class TestLift:
@@ -972,6 +981,24 @@ class TestIndexMapKernels:
             assert f.idx == tuple(t.index[f(p)] for p in s.elements)
             assert f.pre_up == [
                 sum(1 << i for i, p in enumerate(s.elements) if t.leq(q, f(p)))
+                for q in t.elements
+            ]
+
+    def test_lower_preimages_match_the_pair_loop(self):
+        """`pre_down[t]` holds the source x with f(x) <= t, on seeded
+        maps, identities and composites."""
+        rng = random.Random(74)
+        maps = random_maps(rng, 200)
+        maps += [MonotoneMap.identity(f.target) for f in maps[:40]]
+        for f in maps[:120]:
+            g = random_monotone(rng, f.target, random_poset(rng, rng.randint(1, 7)))
+            if g is not None:
+                maps.append(compose(g, f))
+        assert len(maps) > 300
+        for f in maps:
+            s, t = f.source, f.target
+            assert f.pre_down == [
+                sum(1 << i for i, p in enumerate(s.elements) if t.leq(f(p), q))
                 for q in t.elements
             ]
 

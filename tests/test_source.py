@@ -6,12 +6,15 @@ flags, and how many flagged nodes each allowed (file, scope) site holds
 after it, and fails on a flagged node anywhere else or an allowed site
 that holds another number.  `PROBES` holds, per scan, the forms it must
 see; each scan has a form it flags and a form it passes.  Unread
-imports, the tracer's names, reach by name (`reach.unreached`) and the
-README's keywords have other shapes and keep their own checks.
+imports, the tracer's names, reach by name (`reach.unreached`), the
+README's keywords and the README's names have other shapes and keep their
+own checks.
 """
 
 import ast
 import importlib
+import pkgutil
+import re
 import sys
 from collections import Counter
 from functools import partial
@@ -86,7 +89,8 @@ def _none_guard(src, node):
 # The sites that build a `MonotoneMap` from an index tuple with
 # `MonotoneMap._of_idx`, which looks up and checks no label: each derives
 # its tuple from maps the package already holds.  `_intermediate` builds
-# three maps, each other site one.
+# three maps, each other site one; `random_embedding` keeps a drawn map's
+# tuple on a target that only gains elements after the old ones.
 INDEX_SITES = {
     ("polab/%s.py" % module, scope): 3 if scope == "_intermediate" else 1
     for module, scopes in (
@@ -95,6 +99,7 @@ INDEX_SITES = {
         ("morphisms", ("psi_of", "h_of")),
         ("delta1", ("delta_on_objects", "unit", "counit_iso", "mediate", "universal_property")),
         ("extend", ("phi_map",)),
+        ("randgen", ("random_embedding",)),
     )
     for scope in scopes
 }
@@ -579,3 +584,70 @@ def test_readme_documents_every_keyword():
     missing = sorted(w for w in words if "`%s`" % w not in section)
     assert len(words) > 15
     assert not missing, "README Document format lacks " + ", ".join(missing)
+
+
+# A README name: a backticked span that is a dotted name, its call
+# arguments aside.  Fenced blocks are not read, and a name ending in a
+# file suffix is a file.
+README_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?", re.S)
+FENCED = re.compile(r"```.*?```", re.S)
+FILE_SUFFIXES = ("py", "pol", "md", "json")
+
+
+def _roots():
+    """The first parts a README name is checked from: `polab`, each module
+    of the package and each class a module defines."""
+    import polab
+
+    roots = {"polab": polab}
+    for info in pkgutil.iter_modules(polab.__path__):
+        roots[info.name] = importlib.import_module("polab." + info.name)
+    for module in list(roots.values()):
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                roots.setdefault(name, obj)
+    return roots
+
+
+def _readme_names(text):
+    """Each README name of `text` whose first part is a root, with whether
+    attribute lookup from that root resolves it; a name that starts with
+    anything else, such as a variable, is not checked."""
+    roots, out, missing = _roots(), [], object()
+    for span in re.findall(r"`([^`]+)`", FENCED.sub("", text)):
+        match = README_NAME.fullmatch(span)
+        if match is None:
+            continue
+        first, *parts = match[1].split(".")
+        if first not in roots or parts[-1] in FILE_SUFFIXES:
+            continue
+        obj = roots[first]
+        for part in parts:
+            obj = getattr(obj, part, missing)
+        out.append((match[1], obj is not missing))
+    return out
+
+
+def test_readme_names_resolve():
+    """Every module, class and attribute the README names by a dotted
+    name exists: renaming or deleting one fails here."""
+    names = _readme_names((ROOT / "README.md").read_text())
+    stale = sorted(name for name, ok in names if not ok)
+    assert len(names) > 20
+    assert not stale, "README names missing attributes: " + ", ".join(stale)
+
+
+def test_the_readme_name_scan_sees_every_form():
+    text = (
+        "`order._closer`, `order._close`, `polab.order.Poset.nothing` and\n"
+        "`MonotoneMap._of_idx(source,\n  target, idx)`; `Poset.meet_index`/`join_index`;\n"
+        "`order.py`, `tests/scan.py`, `pol.ex.map`, `ctx.outer(rel)`, `(m >> k) * row`\n"
+        "```\n`order._gone`\n```\n"
+    )
+    assert _readme_names(text) == [
+        ("order._closer", False),
+        ("order._close", True),
+        ("polab.order.Poset.nothing", False),
+        ("MonotoneMap._of_idx", True),
+        ("Poset.meet_index", True),
+    ]
