@@ -158,9 +158,7 @@ def cmd_preorder(args):
         rel = _KINDS[args.kind](pol).closed()
         if args.quotient or args.dot:
             quot = Quotient(rel)
-            filled = {
-                quot.projection[("X", pol.ex(p))] for p in pol.base.elements
-            }
+            filled = {quot.projection[tag_x(pol.ex(p))] for p in pol.base.elements}
             if args.dot:
                 print(to_dot(quot.poset, name=name, filled=filled), end="")
             else:

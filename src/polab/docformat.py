@@ -1,18 +1,10 @@
 """The text document format and the DOT export.
 
-A document is a sequence of blocks `kind name { statement; ... }`: one
-header per line, statements split by `;` or newlines, `#` comments, and
-a block names only blocks above it.  `_GRAMMAR` is the whole grammar:
-per kind, its reference statements (`keyword name`, each required), its
-list statements (`keyword token ...`, pairs split at `<`, `->` or `~`,
-bare ids for `elems`) and its flags (`slice`).  `parse` makes one pass
-over the text, one match per block; a builder per kind hands the tokens
-to the constructors, which check them.  Preorder blocks declare
-generating pairs on the tagged carrier (`X.a`, `Y.b`) of a polarity;
-the reflexive-transitive closure is taken.  An error names its
-statement's line, or the header's for an error about the whole block; a
-constructor's error keeps its type and message.  The README's "Document
-format" section is the reference.
+README's "Document format" section is the reference for the format: its
+grammar, its separators, the line an error names and what `serialize`
+refuses.  `_GRAMMAR` holds the grammar as data; `parse` reads a document
+in one pass, a builder per kind handing the tokens to the constructors,
+which check them, and `serialize` writes it back, an emitter per kind.
 """
 
 from __future__ import annotations
@@ -355,11 +347,13 @@ def _read(kind, name, spec, stmts):
 
 
 def parse(text):
-    """The document of `text`, in one pass over it with its comments cut.
-    A block is one match (`_BLOCK`): its kind and name are checked, its
-    body is split into statements at `;` and newlines and each is read
-    as it comes (`_read`), then its brace and what follows, its references,
-    and it is built.  An error's line is counted only when it is raised."""
+    """The document of `text`, in one pass over it with its comments cut;
+    the first error met is the one raised.  A block is one match
+    (`_BLOCK`): its kind and name are checked, its body is split into
+    statements at `;` and newlines and each is read as it comes (`_read`),
+    then its brace and what follows, its missing and then its unknown
+    references, and it is built.  No line is counted as the text is read:
+    an error's line is counted from its statement's place when it is raised."""
     if "#" in text:
         text = re.sub(r"#[^\n]*", "", text)
     doc, names, pos = Document(), set(), 0
@@ -408,10 +402,8 @@ def parse(text):
 
 def serialize(doc):
     """Canonical text for a document; parse(serialize(d)) == d.  The
-    blocks of `order` still in their stores come first.  Raises
-    ParseError for a name or id that would not read back, a name two
-    blocks share included, and UnknownId for a block that names one
-    missing from the document or, for a morphism block, written after it."""
+    blocks of `order` still in their stores come first.  It refuses what
+    README's "Document format" says it refuses."""
     blocks = [(kind, name) for kind, name in doc.order
               if name in getattr(doc, _GRAMMAR[kind].store)]
     blocks += [(kind, name) for kind, spec in _GRAMMAR.items()

@@ -206,7 +206,7 @@ class _PairLanes:
         "pivot_bits", "below", "beside_column", "above", "beside_lane", "beside",
     )
 
-    def __init__(self, xcols, yrows, pivots=()):
+    def __init__(self, xcols, yrows, pivots):
         ny = self.ny = len(yrows)
         full = self.full = (1 << ny) - 1
         ones = self.ones = _spread((1 << len(xcols)) - 1, ny)
@@ -241,11 +241,6 @@ class _PairLanes:
         for j, shift in self.pivots:
             m |= (m >> j & ones) * (m >> shift & full)
         return m
-
-    def low_column(self, m):
-        """The lowest column of the pair mask `m` and its lowest lane."""
-        j = next(j for j in range(self.ny) if m >> j & self.ones)
-        return j, _low_index(m >> j & self.ones) // self.ny
 
 
 def _closed_relations(forced, forbidden, n):

@@ -133,12 +133,11 @@ def collapse_target():
     return ExtensionPolarity(point, e, e, frozenset({("o", "o")}))
 
 
-def collapse_morphism(pol, target=None):
+def collapse_morphism(pol):
     """Everything onto the one-point polarity."""
     from .morphisms import PolarityMorphism
 
-    if target is None:
-        target = collapse_target()
+    target = collapse_target()
     const = lambda poset: MonotoneMap(poset, target.base, dict.fromkeys(poset.elements, "o"))
     return PolarityMorphism(pol, target, const(pol.x), const(pol.base), const(pol.y))
 
@@ -150,14 +149,14 @@ def morphism_corpus(rng, count=60, base_size=4):
     from .morphisms import PolarityMorphism, compose
 
     pt = collapse_target()
-    out = [PolarityMorphism.identity(pt), collapse_morphism(pt, pt)]
+    out = [PolarityMorphism.identity(pt), collapse_morphism(pt)]
     while len(out) < count:
         pol = random_galois_polarity(rng, rng.randint(1, base_size))
         ident = PolarityMorphism.identity(pol)
-        fold = collapse_morphism(pol, pt)
+        fold = collapse_morphism(pol)
         out += [ident, fold, compose(fold, ident)]
         eta = unit(pol)
-        out += [eta, compose(collapse_morphism(eta.target, pt), eta)]
+        out += [eta, compose(collapse_morphism(eta.target), eta)]
     return out
 
 

@@ -104,6 +104,30 @@ class TestSubcommands:
             "morphism m VALID embedding=yes isomorphism=no roundtrip=yes\n"
         )
 
+    def test_check_picks_one_polarity_by_name(self, capsys):
+        """Of a document with two polarities, `--polarity` reports the one named."""
+        assert cli.main(["check", str(FIXTURES / "fix_j.pol"), "--polarity", "H"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "polarity H" and not any(line.startswith("polarity") for line in lines[1:])
+
+    def test_a_morphism_failing_a_clause_is_invalid(self, tmp_path, capsys):
+        """fix_j with `hp` swapping the base points: the left square no
+        longer commutes, and the morphism is reported INVALID with exit 1."""
+        text = (FIXTURES / "fix_j.pol").read_text()
+        path = tmp_path / "bad.pol"
+        path.write_text(text.replace("map hp { from P; to Y; send p->p q->q; }",
+                                     "map hp { from P; to Y; send p->q q->p; }"))
+        assert cli.main(["morphism", str(path), "--from", "G", "--to", "H"]) == 1
+        assert capsys.readouterr().out == (
+            "morphism m INVALID: commute-left: left square does not commute\n"
+        )
+
+    def test_an_undeclared_morphism_is_an_error(self, capsys):
+        path = str(FIXTURES / "fix_j.pol")
+        assert cli.main(["morphism", path, "--from", "H", "--to", "G"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: no declared morphism from 'H' to 'G'\n"
+
     def test_decompose(self, capsys):
         assert cli.main(["decompose", str(FIXTURES / "fix_e.pol")]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -147,6 +171,15 @@ class TestFixturesCommand:
         assert cli.main(["fixtures"]) == 1
         out = capsys.readouterr().out
         assert "fix_a" in out and "level is three" in out and "FAIL" in out
+
+    def test_a_fixture_that_fails_to_load_reports_it(self, capsys, monkeypatch):
+        import polab.fixtures
+
+        monkeypatch.setattr(polab.fixtures, "load", lambda name: parse("poset P {\n  elems a\n"))
+        assert cli.main(["fixtures", "--only", "fix_c"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("fix_c    loads and validates")
+        assert out.rstrip().endswith("FAIL (line 3: unterminated block 'P')")
 
 
 class TestFuzzCommand:

@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import reach
 import scan
+from conftest import run_optimized
 from scan import ROOT, name_of
 
 TRACER = ROOT / "bench" / "tracer.py"
@@ -115,6 +116,16 @@ FRAME_SITES = {
     ("polab/docformat.py", "_build_polarity"): 1,
 }
 
+# The sites that build a relation from a packed matrix with
+# `UnionPreorder._of_packed`, which checks no order law: a relation's
+# closure, a frame's relations and the enumerated n-preorders, each on a
+# carrier and index the caller already holds.
+PACKED_SITES = {
+    ("polab/order.py", "UnionPreorder._closure"): 1,
+    ("polab/polarity.py", "_Frame.relation"): 1,
+    ("polab/polarity.py", "enumerate_n_preorders"): 1,
+}
+
 # The functions of `polab.cli` that read the fuzzer's random source: the
 # draws and the driver.
 FUZZ_DRAWS = {
@@ -198,6 +209,11 @@ RULES = (
     # only where the frame's parts are trusted.
     Row("polarities_on_a_frame_are_pinned", lambda name: True, _reaches("_of_mask"),
         FRAME_SITES, "test_the_frame_scan_sees_every_form"),
+    # Read or supplied relations go through the public `UnionPreorder`
+    # constructor, which checks the matrix fits its carrier; the tests
+    # call `_of_packed` directly, so they are not scanned.
+    Row("packed_relations_are_pinned", lambda name: _package(name) or name.startswith("bench/"),
+        _reaches("_of_packed"), PACKED_SITES, "test_the_packed_scan_sees_every_form"),
     # Callers see row tuples, or pair masks through `_PairLanes`; only the
     # kernels of `polab.order` depend on the packing.
     Row("packing_stays_in_order", lambda name: True, _reaches(*PACKING),
@@ -243,12 +259,19 @@ def _sites(row, src):
     return [(scope, line) for scope, line, node in src.nodes if row.match(src, node)]
 
 
+def _pinned(row, src, scope):
+    """The site of `row` that a node flagged in `scope` of a file counts
+    toward; None for a stray."""
+    site = (src.name, ANYWHERE) if (src.name, ANYWHERE) in row.allowed else (src.name, scope)
+    return site if site in row.allowed else None
+
+
 def _check(row):
     held, stray = Counter(), []
     for src in (src for src in scan.repository() if row.scans(src.name)):
         for scope, line in _sites(row, src):
-            site = (src.name, ANYWHERE) if (src.name, ANYWHERE) in row.allowed else (src.name, scope)
-            if site in row.allowed:
+            site = _pinned(row, src, scope)
+            if site is not None:
                 held[site] += 1
             else:
                 stray.append("%s:%d (%s)" % (src.name, line, scope))
@@ -363,6 +386,13 @@ PROBES = {
         ("order._lanes(3)", [("", 1)]),
         ("pack = packed = 1\nfrom polab.order import Poset", []),
     ],
+    "packed_relations_are_pinned": [
+        ("u = UnionPreorder._of_packed(carrier, index, 0, False)", [("", 1)]),
+        ("from polab.order import UnionPreorder\nmake = UnionPreorder._of_packed", [("", 2)]),
+        ("def walk(fr, m):\n    return order.UnionPreorder._of_packed(fr.carrier, fr.index, m, True)",
+         [("walk", 2)]),
+        ("u = UnionPreorder(carrier, rows)\nm = u.packed\nof_packed = '_of_packed'", []),
+    ],
     "pair_lanes_are_built_by_the_frame": [
         ("lanes = _PairLanes(cols, rows)", [("", 1)]),
         ("lanes = order._PairLanes(cols, rows, pivots)", [("", 1)]),
@@ -424,6 +454,21 @@ for _row in RULES:
     globals()["test_" + _row.name] = partial(_check, _row)
     globals()[_row.probe] = partial(_probe, _row.name)
 test_the_unread_import_scan_sees_every_form = partial(_probe, "every_import_is_read")
+
+
+def test_a_packed_relation_is_pinned_by_its_site():
+    """`packed_relations_are_pinned` counts a call at a pinned site toward
+    it and names one beside it as a stray."""
+    row = next(row for row in RULES if row.name == "packed_relations_are_pinned")
+    src = scan.source("polab/polarity.py", (
+        "class _Frame:\n"
+        "    def relation(self, m):\n"
+        "        return UnionPreorder._of_packed(self.carrier, self.index, m, False)\n"
+        "    def closed_relation(self, m):\n"
+        "        return UnionPreorder._of_packed(self.carrier, self.index, m, True)\n"
+    ))
+    sites = [_pinned(row, src, scope) for scope, _ in _sites(row, src)]
+    assert sites == [("polab/polarity.py", "_Frame.relation"), None]
 
 
 def test_every_scan_has_a_form_it_flags_and_one_it_passes():
@@ -568,6 +613,18 @@ def test_reach_trace_sees_every_form(tmp_path):
     assert reach.unexplained(defs, entered, {"m.exempt": "why"}) == (missed, [])
     exempt = {"m.exempt": "why", "m.called": "entered", "m.gone": "deleted"}
     assert reach.unexplained(defs, entered, exempt) == (missed, ["m.called", "m.gone"])
+
+
+def test_opcode_counts_repeat():
+    """The opt-in script `tests/opcodes.py` counts the same opcodes in two
+    fresh processes, on pools of a tenth of a second of each workload."""
+    script = "import opcodes, sys; sys.exit(opcodes.main(['--seconds', '0.1']))"
+    first, second = (run_optimized(script, optimize=False) for _ in range(2))
+    assert first.returncode == 0, first.stderr
+    assert re.findall(r"^(\w+)  items \d+  opcodes \d+$", first.stdout, re.M) == [
+        "grade", "complete", "transfer",
+    ]
+    assert second.stdout == first.stdout
 
 
 def test_readme_documents_every_keyword():
