@@ -385,7 +385,7 @@ def _law_adjunction(corpus):
     # f completes the left side; g sends y to the join of the f-images of
     # the base elements below it, so the two agree on the base.
     f = macneille(pol.x).map
-    g, _ = _lift(pol.ey.map, compose(f, pol.ex.map), pol.y.cols, f.target.rows)
+    g, _ = _lift(pol.ey.map, compose(f, pol.ex.map), join=True)
     universal_property(pol, f, g)
 
 

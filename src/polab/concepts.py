@@ -118,13 +118,9 @@ def adjoint_pair(ex, ey):
             raise NotCompleteLattice("%s target must be a complete lattice" % kind)
         if not is_kind(e):
             raise PreservationViolation("map is not a %s-completion" % kind)
-    X, Y = ex.target, ey.target
     adjoints = []
-    for src, tgt, below, bound, side in (
-        (ey, ex, Y.cols, X.rows, "left"),
-        (ex, ey, X.rows, Y.cols, "right"),
-    ):
-        h, miss = _lift(src.map, tgt.map, below, bound)
+    for src, tgt, join, side in ((ey, ex, True, "left"), (ex, ey, False, "right")):
+        h, miss = _lift(src.map, tgt.map, join)
         if miss is not None:
             raise PreservationViolation(
                 "adjoint does not extend the %s base map" % side, miss

@@ -145,8 +145,8 @@ def delta_on_objects(d):
     lattice order.  Kept like `structure_of`."""
     lat, into = d.lattice, d.completion.map.idx
     image = _image_mask(into)
-    x_mask = _expressible(lat.rows, lat.cols, image)
-    y_mask = _expressible(lat.cols, lat.rows, image)
+    x_mask = _expressible(lat, image)
+    y_mask = _expressible(lat, image, join=True)
     x_elems, y_elems = lat.elements_of(x_mask), lat.elements_of(y_mask)
     x_side = lat.restrict(x_elems)
     y_side = lat.restrict(y_elems)
@@ -215,8 +215,8 @@ def unit(pol):
             complete,
         )
     lifts = (
-        (hx, _lift(pol.ex.map, image.ex.map, pol.x.rows, image.x.cols)),
-        (hy, _lift(pol.ey.map, image.ey.map, pol.y.cols, image.y.rows)),
+        (hx, _lift(pol.ex.map, image.ex.map)),
+        (hy, _lift(pol.ey.map, image.ey.map, join=True)),
     )
     for h, (lifted, miss) in lifts:
         differs = [e for e, i, j in zip(h.source.elements, h.idx, lifted.idx) if i != j]
@@ -243,7 +243,7 @@ def counit_iso(d):
         q.poset, d.lattice, q.descend([at[e] for e in pol.x.elements + pol.y.elements])
     )
     # A lift along an order embedding always extends the lifted map.
-    t, _ = _lift(m.map, value, m.target.cols, d.lattice.rows)
+    t, _ = _lift(m.map, value, join=True)
     tau = Delta1Morphism(back, d, MonotoneMap.identity(d.base), t)
     if not tau.is_isomorphism():
         raise LawViolation("counit-iso", "counit must be an isomorphism", t.assignment)
@@ -277,7 +277,7 @@ def mediate(pol, d, h):
     at, sides = d.lattice.index, (target_pol.x.elements, target_pol.y.elements)
     forced = [at[side[i]] for f, side in zip((h.hx, h.hy), sides) for i in f.idx]
     values = MonotoneMap._of_idx(q.poset, d.lattice, q.descend(forced))
-    lifted, _ = _lift(m.map, values, m.target.cols, d.lattice.rows)
+    lifted, _ = _lift(m.map, values, join=True)
     return MediatorReport(mediator=mediator, factors=factors, unique=lifted == mediator.g)
 
 

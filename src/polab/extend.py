@@ -34,7 +34,6 @@ from .errors import CarrierMismatch, NotEmbedding, NotZeroPreorder
 from .order import (
     MonotoneMap,
     UnionPreorder,
-    _bound_index,
     _expressible,
     _gather,
     _image_mask,
@@ -92,11 +91,9 @@ class ExtensionContext:
         """Whether ix keeps the meets and iy the joins of subsets of the
         base images: the guard of downward transfer, read only for an
         outer relation at grade 3."""
-        X, Y = self.inner.x, self.inner.y
-        return _preserves_image_bounds(
-            self.ix, self.inner.ex, X.rows, X.cols, self.ix.target.cols
-        ) and _preserves_image_bounds(
-            self.iy, self.inner.ey, Y.cols, Y.rows, self.iy.target.rows
+        inner = self.inner
+        return _preserves_image_bounds(self.ix, inner.ex) and _preserves_image_bounds(
+            self.iy, inner.ey, join=True
         )
 
 
@@ -142,19 +139,20 @@ def restrict_relation(ctx, sbar):
     return ctx.inner._frame.pairs(ctx._transfer.restrict(ctx._outer_frame.mask(sbar)))
 
 
-def _preserves_image_bounds(i, e, up, down, outer):
-    """i preserves meets in its base of subsets of the image of e, for
-    `up`/`down`/`outer` the `rows`/`cols` of its base and the `cols` of
-    its target; given `cols`/`rows`/`rows`, joins.  Only canonical
-    subsets matter: a subset's meet is also the meet of all images above
-    it."""
+def _preserves_image_bounds(i, e, join=False):
+    """The extension i preserves meets in its base of subsets of the
+    image of e; with `join`, joins.  Only canonical subsets matter: a
+    subset's meet is also the meet of all images above it."""
+    base, target = i.base, i.target
+    near = base.cols if join else base.rows
+    bound = target.join_index if join else target.meet_index
     image = _image_mask(e.map.idx)
     f = i.map.idx
-    for x in _mask_iter(_expressible(up, down, image)):
+    for x in _mask_iter(_expressible(base, image, join)):
         images = 0
-        for m in _mask_iter(image & up[x]):
+        for m in _mask_iter(image & near[x]):
             images |= 1 << f[m]
-        if _bound_index(outer, images) != f[x]:
+        if bound(images) != f[x]:
             return False
     return True
 

@@ -24,21 +24,25 @@ verdict is explained by a row walk naming the first witness in carrier
 order (`_transitivity_failure`), so witnesses and messages do not
 depend on the packing.
 
-Some names stay only because `bench/tracer.py` wraps them, and no route
-calls them: `transitive_close`, `Poset.meet_index` and
-`Poset.join_index` here, `polarity.intermediate_structure`, and the
-`coherence_level` import of `polab.extend`.  They go when the benchmark
-stops wrapping them.
+Two names stay only because `bench/tracer.py` wraps them, and no route
+calls them: `transitive_close` here and the `coherence_level` import of
+`polab.extend`.  They go when the benchmark stops wrapping them.
 
-A poset's dual is its ``rows`` and ``cols`` swapped, so each join-side
-check is its meet-side kernel run on the swapped arrays.  Whether a
-monotone map keeps every existing meet or join is decided in polynomial
-time (`_bounds_failure`), with no subset scan and no size gate, each
-candidate bound one compare of common lower bounds.  A monotone map
-keeps its index map and, per target element, the mask of the source
-elements sent above it (`MonotoneMap.pre_up`), and builds on first use
-the mask of those sent below it (`MonotoneMap.pre_down`); monotonicity,
-order reflection and cut stability are row tests on those masks.
+A poset's dual is its ``rows`` and ``cols`` swapped.  Each kernel with
+a join side takes the poset, or a map, and a `join` flag, and swaps the
+two itself.  The meet of a set is the element whose down-set is the
+set's common lower bounds, so a poset keeps, built on first use, its
+down-sets and its up-sets each keyed to its element (`Poset._downs`,
+`Poset._ups`): `meet_index`, `join_index`, `is_complete_lattice` and
+`_complete_hom_failure` read a bound with one AND per member and one
+lookup.  Whether a monotone map keeps every existing meet or join is
+decided in polynomial time (`_bounds_failure`), with no subset scan and
+no size gate, each candidate bound one compare of common lower bounds.
+A monotone map keeps its index map and, per target element, the mask of
+the source elements sent above it (`MonotoneMap.pre_up`), and builds on
+first use the mask of those sent below it (`MonotoneMap.pre_down`);
+monotonicity, order reflection and cut stability are row tests on those
+masks.
 
 Two trust boundaries run through this module.  The public constructors
 (`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`) serve user
@@ -392,28 +396,14 @@ def _mask_iter(mask):
         mask ^= low
 
 
-def _bound_index(vecs, mask):
-    """Index of the meet of the indices in `mask` when `vecs` is a
-    poset's `cols`, of their join when it is its `rows`; None when it does
-    not exist.  The empty mask asks for a top (a bottom)."""
-    bounds = _common(vecs, mask, (1 << len(vecs)) - 1)
-    rest = bounds
-    while rest:
-        low = rest & -rest
-        g = low.bit_length() - 1
-        if not bounds & ~vecs[g]:
-            return g
-        rest ^= low
-    return None
-
-
-def _expressible(up, down, image_mask):
-    """Mask of the elements that are the meet of the elements of
-    `image_mask` above them, for `up`/`down` a poset's `rows`/`cols`; with
-    the two swapped, of those that are the join of the ones below them.
+def _expressible(poset, image_mask, join=False):
+    """Mask of the elements of `poset` that are the meet of the elements
+    of `image_mask` above them; with `join`, of those that are the join
+    of the ones below them.
 
     q is that meet iff the common lower bounds of the images above q are
     exactly the elements below q."""
+    up, down = (poset.cols, poset.rows) if join else (poset.rows, poset.cols)
     full = (1 << len(up)) - 1
     out = 0
     for q, row in enumerate(up):
@@ -571,20 +561,32 @@ class Poset:
     def elements_of(self, mask):
         return tuple(self.elements[i] for i in _mask_iter(mask))
 
+    @cached_property
+    def _downs(self):
+        """Each element's index, keyed by its down-set."""
+        return dict(zip(self.cols, range(len(self.cols))))
+
+    @cached_property
+    def _ups(self):
+        """Each element's index, keyed by its up-set."""
+        return dict(zip(self.rows, range(len(self.rows))))
+
     def meet_index(self, mask):
         """Index of the greatest lower bound of the indices in `mask`,
-        or None when it does not exist.  The empty mask asks for a top."""
-        return _bound_index(self.cols, mask)
+        or None when it does not exist: the element whose down-set is
+        their common lower bounds.  The empty mask asks for a top."""
+        return self._downs.get(_common(self.cols, mask, (1 << len(self.cols)) - 1))
 
     def join_index(self, mask):
-        return _bound_index(self.rows, mask)
+        """Dually, the least upper bound; the empty mask asks for a bottom."""
+        return self._ups.get(_common(self.rows, mask, (1 << len(self.rows)) - 1))
 
     def is_complete_lattice(self):
         """For a finite poset: nonempty, with a top and all binary meets.
         A meet of i and j exists iff their common lower bounds are the
         principal down-set of some element."""
         n = len(self.elements)
-        downs = set(self.cols)
+        downs = self._downs
         if n == 0 or (1 << n) - 1 not in downs:
             return False
         cols = self.cols
@@ -819,12 +821,12 @@ class Extension:
 def is_meet_extension(e):
     """Every target element is the meet of the images above it."""
     t = e.target
-    return _expressible(t.rows, t.cols, _image_mask(e.map.idx)) == (1 << len(t)) - 1
+    return _expressible(t, _image_mask(e.map.idx)) == (1 << len(t)) - 1
 
 
 def is_join_extension(e):
     t = e.target
-    return _expressible(t.cols, t.rows, _image_mask(e.map.idx)) == (1 << len(t)) - 1
+    return _expressible(t, _image_mask(e.map.idx), join=True) == (1 << len(t)) - 1
 
 
 def is_completion(e):
@@ -841,12 +843,9 @@ def is_dense(e):
     t = e.target
     image = _image_mask(e.map.idx)
     full = (1 << len(t)) - 1
-    meets = _expressible(t.rows, t.cols, image)
-    joins = _expressible(t.cols, t.rows, image)
-    return (
-        _expressible(t.cols, t.rows, meets) == full
-        and _expressible(t.rows, t.cols, joins) == full
-    )
+    meets = _expressible(t, image)
+    joins = _expressible(t, image, join=True)
+    return _expressible(t, meets, join=True) == full and _expressible(t, joins) == full
 
 
 def is_delta1(e):
@@ -975,24 +974,24 @@ def is_cut_stable(f):
     return True
 
 
-def _lift(src, tgt, below, bound):
+def _lift(src, tgt, join=False):
     """Lift `tgt` along `src`, two monotone maps out of one poset: s goes
-    to the bound, read off `bound`, of the `tgt` images of the elements
-    whose `src` image lies in `below[s]`.  That is the join of the images
-    below s for `below`/`bound` the `cols`/`rows` of the two targets, the
-    meet of those above s for their `rows`/`cols`.  Returns the lift and
-    the first p with lift(src(p)) != tgt(p), or None.  Raises
-    `NotCompleteLattice`, with s as witness, for the first s whose bound
-    the target of `tgt` lacks."""
+    to the meet of the `tgt` images of the elements whose `src` image lies
+    above s; with `join`, to the join of those whose image lies below s.
+    Returns the lift and the first p with lift(src(p)) != tgt(p), or None.
+    Raises `NotCompleteLattice`, with s as witness, for the first s whose
+    bound the target of `tgt` lacks."""
     S, T = src.target, tgt.target
+    near = S.cols if join else S.rows
+    bound = T.join_index if join else T.meet_index
     pairs = list(zip(src.idx, tgt.idx))
     lifted = []
-    for s, r in zip(S.elements, below):
+    for s, r in zip(S.elements, near):
         images = 0
         for si, ti in pairs:
             if r >> si & 1:
                 images |= 1 << ti
-        g = _bound_index(bound, images)
+        g = bound(images)
         if g is None:
             raise NotCompleteLattice("lift target lacks the bound for %r" % (s,), s)
         lifted.append(g)
@@ -1010,15 +1009,11 @@ def _complete_hom_failure(g):
     for the first pair, in carrier order, whose meet or join is lost.
     None when it is one: a finite lattice has no other meets or joins.
 
-    The meet of a set is the element whose down-set is the set's common
-    lower bounds, so each side's bounds are read from a table of its
-    down-sets (up-sets, for joins): one AND and one lookup per bound."""
+    Each side's bounds are read from its kept table of down-sets
+    (up-sets, for joins): one AND and one lookup per bound."""
     s, t = g.source, g.target
     f = g.idx
-    sides = []
-    for src, tgt in ((s.cols, t.cols), (s.rows, t.rows)):
-        at = {v: i for i, v in enumerate(tgt)}
-        sides.append((src, {v: i for i, v in enumerate(src)}, tgt, at))
+    sides = ((s.cols, s._downs, t.cols, t._downs), (s.rows, s._ups, t.rows, t._ups))
     for kind, (src, of, tgt, at) in zip(("top", "bottom"), sides):
         i = of[(1 << len(src)) - 1]
         if f[i] != at.get((1 << len(tgt)) - 1):
@@ -1043,7 +1038,7 @@ def macneille_lift(f):
         raise NotCutStable("map is not cut-stable")
     e_src = macneille(f.source)
     e_tgt = macneille(f.target)
-    lift, miss = _lift(e_src.map, compose(e_tgt.map, f), e_src.target.cols, e_tgt.target.rows)
+    lift, miss = _lift(e_src.map, compose(e_tgt.map, f), join=True)
     if miss is not None:
         raise LiftVerificationFailed("lift does not commute with the completion embeddings", miss)
     failure = _complete_hom_failure(lift)

@@ -852,7 +852,7 @@ def structure_of(pol):
     loose = _rigidity_failures(pol, u)
     if loose:
         raise LawViolation("rigidity", "a second grade-3 preorder exists", loose[0])
-    inter = _intermediate(pol, u)
+    inter = intermediate_structure(pol, u)
     _certify_base_image(pol, inter)
     q = inter.quotient.poset
     for law, side, iota, join in (
@@ -863,11 +863,11 @@ def structure_of(pol):
         if lost is not None:
             raise LawViolation(law, "a side embedding loses a bound", side.elements_of(lost))
     full = (1 << len(q)) - 1
-    for law, up, down, iota in (
-        ("join-generation", q.cols, q.rows, inter.iota_x),
-        ("meet-generation", q.rows, q.cols, inter.iota_y),
+    for law, iota, join in (
+        ("join-generation", inter.iota_x, True),
+        ("meet-generation", inter.iota_y, False),
     ):
-        missed = full & ~_expressible(up, down, _image_mask(iota.idx))
+        missed = full & ~_expressible(q, _image_mask(iota.idx), join)
         if missed:
             raise LawViolation(law, "a side must generate the quotient", q.elements_of(missed))
     return inter
@@ -904,21 +904,16 @@ IntermediateStructure = namedtuple("IntermediateStructure", "quotient iota_x iot
 
 def intermediate_structure(pol, rel):
     """The quotient of a grade-1 preorder with the maps of the two sides
-    and the base into it.  The relation is graded first (`NotOnePreorder`
-    otherwise)."""
+    and the base into it, each reading the class of a carrier index off
+    the quotient.  The relation is graded first (`NotOnePreorder`
+    otherwise); a relation `structure_of` has certified at grade 3 is
+    known closed, so grading it again costs only the clause tests."""
     verdict = is_n_preorder(pol, rel, 1)
     if not verdict.ok:
         raise NotOnePreorder(
             "relation is not a grade-1 preorder (%s)" % verdict.clause,
             verdict.witness,
         )
-    return _intermediate(pol, rel)
-
-
-def _intermediate(pol, rel):
-    """`intermediate_structure` of a relation already certified at grade 1
-    or above, as `structure_of` certifies its grade-3 preorder: the maps
-    read the class of each carrier index off the quotient."""
     quotient = rel.quotient()
     q, of, nx = quotient.poset, quotient.of, len(pol.x)
     return IntermediateStructure(

@@ -9,7 +9,11 @@ For each workload of `bench/workloads.py` the script draws the pool that
 warms up.  It then counts the opcode events of one `run` of every pool
 item under `sys.settrace`, with `f_trace_opcodes` set on every frame
 entered, and prints the total, the item count and the five code objects
-that executed the most.  Set iteration order moves the count, so the
+that executed the most.  The count is of a cold pass: the pool's first
+run fills process caches (`order._lanes`, `order._carrier_blocks`, the
+`randgen` memos) that the warm-up, drawn after the pool, leaves unfilled,
+so a second count in one process reads lower, and counts compare only
+between fresh processes.  Set iteration order moves the count, so the
 script runs itself again under PYTHONHASHSEED=0 unless a hash seed is
 set.  Each item's summary is then taken again in an untraced pass; the
 script exits 1 when one differs from the traced one.  It is opt-in:

@@ -119,15 +119,17 @@ class TestUnit:
             + textwrap.dedent(
                 """
                 lift = delta1._lift
+
+                def to_top(src, tgt, join=False):
+                    h = lift(src, tgt, join)[0]
+                    top = h.target.elements[h.target.meet_index(0)]
+                    return MonotoneMap(h.source, h.target, dict.fromkeys(h.source.elements, top))
+
                 sabotages = (
                     # every element sent to the top, no base value missed
-                    lambda src, tgt, below, bound: (
-                        lift(src, tgt, [0] * len(below), bound)[0], None
-                    ),
+                    lambda src, tgt, join=False: (to_top(src, tgt, join), None),
                     # the true lift, reported as missing the base element a
-                    lambda src, tgt, below, bound: (
-                        lift(src, tgt, below, bound)[0], "a"
-                    ),
+                    lambda src, tgt, join=False: (lift(src, tgt, join)[0], "a"),
                 )
                 for sabotage in sabotages:
                     delta1._lift = sabotage
@@ -335,8 +337,8 @@ class TestMediator:
         own = d.cut.map
         real = polab.delta1._lift
 
-        def to_top(src, *rest):
-            h, miss = real(src, *rest)
+        def to_top(src, tgt, join=False):
+            h, miss = real(src, tgt, join)
             if src != own:
                 return h, miss
             top = dict.fromkeys(h.source.elements, h.target.elements[h.target.meet_index(0)])

@@ -154,6 +154,18 @@ class TestContext:
             assert outer.ey(p) == ctx.iy(ctx.inner.ey(p))
 
 
+def _assert_guard_fails(ctx):
+    """The saturation of the context's relation has grade 3 but the guard
+    of downward transfer fails: clauses 0-2 hold, 3 and galois do not
+    apply."""
+    sbar = extend_relation(ctx)
+    assert coherence_level(ctx.outer(sbar)) == 3 and not ctx._image_bounds_kept
+    rep = check_restriction_preservation(ctx, sbar)
+    assert all(rep[n] == ClauseReport(True, True) for n in "012")
+    for clause in ("3", "galois"):
+        assert rep[clause] == ClauseReport(False, True, "guard conditions not met")
+
+
 class TestTransfer:
     def test_extend_then_restrict_on_fixture(self):
         ctx = fixture_context("fix_h", ix="id")
@@ -222,13 +234,21 @@ class TestTransfer:
         outer_x = Poset.from_pairs("abmn", [("m", "n"), ("n", "a"), ("n", "b")])
         ix = Extension(MonotoneMap(X, outer_x, dict(names, m="m")))
         inner = ExtensionPolarity(P, ex, ey, r_l(ex, ey))
-        ctx = ExtensionContext(inner, ix, Extension.identity(Y))
-        sbar = extend_relation(ctx)
-        assert coherence_level(ctx.outer(sbar)) == 3 and not ctx._image_bounds_kept
-        rep = check_restriction_preservation(ctx, sbar)
-        assert all(rep[n] == ClauseReport(True, True) for n in "012")
-        for clause in ("3", "galois"):
-            assert rep[clause] == ClauseReport(False, True, "guard conditions not met")
+        _assert_guard_fails(ExtensionContext(inner, ix, Extension.identity(Y)))
+
+    def test_a_lost_image_join_fails_the_guard(self):
+        """The dual on Y: Y' puts n between j, the join of the base images
+        a and b in Y, and both of them, so iy loses that join: the
+        saturation has grade 3, the guard fails, and clauses 3 and galois
+        do not apply."""
+        P, X = Poset.antichain("ab"), Poset.antichain("ab")
+        Y = Poset.from_pairs("abj", [("a", "j"), ("b", "j")])
+        names = {"a": "a", "b": "b"}
+        ex, ey = Extension(MonotoneMap(P, X, names)), Extension(MonotoneMap(P, Y, names))
+        outer_y = Poset.from_pairs("abjn", [("a", "n"), ("b", "n"), ("n", "j")])
+        iy = Extension(MonotoneMap(Y, outer_y, dict(names, j="j")))
+        inner = ExtensionPolarity(P, ex, ey, r_l(ex, ey))
+        _assert_guard_fails(ExtensionContext(inner, Extension.identity(X), iy))
 
     @given(seeded_contexts())
     @settings(deadline=None, max_examples=40)

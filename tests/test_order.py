@@ -27,7 +27,6 @@ from polab.order import (
     Poset,
     Quotient,
     UnionPreorder,
-    _bound_index,
     _bounds_failure,
     _closed_relations,
     _complete_hom_failure,
@@ -614,10 +613,10 @@ class TestLift:
         point = Poset.antichain("o")
         src = MonotoneMap(base, point, {"a": "o", "b": "o"})
         tgt = macneille(base).map
-        h, miss = _lift(src, tgt, point.cols, tgt.target.rows)
+        h, miss = _lift(src, tgt, join=True)
         assert miss == "a"
         assert h("o") == tgt.target.elements[tgt.target.meet_index(0)]
-        _, miss = _lift(tgt, tgt, tgt.target.cols, tgt.target.rows)
+        _, miss = _lift(tgt, tgt, join=True)
         assert miss is None
 
     def test_a_target_without_the_bound_is_named(self):
@@ -627,7 +626,7 @@ class TestLift:
         point = Poset.antichain("o")
         src = MonotoneMap(base, point, {"a": "o", "b": "o"})
         with pytest.raises(NotCompleteLattice) as e:
-            _lift(src, MonotoneMap.identity(base), point.cols, base.rows)
+            _lift(src, MonotoneMap.identity(base), join=True)
         assert e.value.witness == "o"
 
 
@@ -806,16 +805,16 @@ class TestBoundsCertificate:
             assert _bounds_failure(f, join=True) is None
 
     def test_bound_index_is_the_literal_bound(self):
-        """`_bound_index`, behind `meet_index`, `join_index`, `_lift` and
-        the transfer checks, against the literal loop on every subset of
-        random posets of 1-6 elements, both ways."""
+        """`meet_index` and `join_index`, behind `_lift` and the transfer
+        checks, against the literal loop on every subset of random posets
+        of 1-6 elements."""
         rng = random.Random(53)
         found = {True: 0, False: 0}
         for _ in range(150):
             p = random_poset(rng, rng.randint(1, 6))
-            for vecs in (p.cols, p.rows):
+            for index, vecs in ((p.meet_index, p.cols), (p.join_index, p.rows)):
                 for mask in range(1 << len(p)):
-                    got = _bound_index(vecs, mask)
+                    got = index(mask)
                     assert got == literal_bound(vecs, mask)
                     found[got is None] += 1
         assert min(found.values()) > 1000
@@ -840,8 +839,8 @@ class TestBoundsCertificate:
             n = len(p)
             for images in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]:
                 chosen = [e for i, e in enumerate(p.elements) if images >> i & 1]
-                for up, down, bound, below in ((p.rows, p.cols, glb, False), (p.cols, p.rows, lub, True)):
-                    got = _expressible(up, down, images)
+                for bound, below in ((glb, False), (lub, True)):
+                    got = _expressible(p, images, join=below)
                     for q, e in enumerate(p.elements):
                         near = [a for a in chosen if (leq(p, a, e) if below else leq(p, e, a))]
                         want = bound(p, near) == e

@@ -210,13 +210,13 @@ class TestStructureOf:
         """However many live polarities are in use, each value's structure
         is built once, and a polarity built apart with an equal value finds
         it; the completion and the polarity it generates are kept alike."""
-        built, build = [], polarity._intermediate
+        built, build = [], polarity.intermediate_structure
 
         def counting(pol, u):
             built.append(pol)
             return build(pol, u)
 
-        monkeypatch.setattr(polarity, "_intermediate", counting)
+        monkeypatch.setattr(polarity, "intermediate_structure", counting)
         rng = random.Random(5)
         pols = _unkept(*{random_galois_polarity(rng, 3) for _ in range(30)})
         assert len(pols) > 8
@@ -376,7 +376,9 @@ class TestBaseImage:
             from polab.randgen import random_galois_polarity
 
             assert sys.flags.optimize
-            real_mask, real_intermediate, held = polarity._image_mask, polarity._intermediate, []
+            real_mask, real_intermediate, held = (
+                polarity._image_mask, polarity.intermediate_structure, []
+            )
 
             def intermediate(pol, rel):
                 held.append(real_intermediate(pol, rel))
@@ -386,7 +388,7 @@ class TestBaseImage:
                 m = real_mask(idx)
                 return %s if idx is held[-1].%s.idx else m
 
-            polarity._intermediate, polarity._image_mask = intermediate, image_mask
+            polarity.intermediate_structure, polarity._image_mask = intermediate, image_mask
             try:
                 polarity.structure_of(random_galois_polarity(random.Random(5), 3))
             except LawViolation as err:
