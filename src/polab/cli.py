@@ -326,13 +326,13 @@ def _law_restriction(ctx):
     for grade, report in check_restriction_preservation(ctx, sbar).items():
         if report.applicable and not report.holds:
             raise LawViolation("restriction", "restriction clause %s fails" % (grade,), report)
-    # The saturation's canonical preorder, pulled back, keeps its grades.
+    # The saturation's canonical preorder, pulled back, keeps grades 0-2, and 3 under the guard.
     outer = ctx.outer(sbar)
     level = coherence_level(outer)
     if level is not None:
         pre = CANONICAL_BUILDERS[level](outer).closed()
         for n, kept in phi_map(ctx, sbar, pre).grades.items():
-            if not kept:
+            if not kept and (n < 3 or ctx._image_bounds_kept):
                 raise LawViolation("restriction", "grade %d does not transfer down" % n, ctx)
 
 
@@ -408,7 +408,7 @@ _LAWS = {
     "coherence": (_sized(random_extension_polarity), _law_coherence),
     "slice": (_GALOIS, _law_slice),
     "extension": (_draw_extension, _law_extension),
-    "restriction": (_sized(random_context), _law_restriction),
+    "restriction": (_draw_extension, _law_restriction),
     "roundtrip": (_GALOIS, _law_roundtrip),
     "completion": (_GALOIS, _law_completion),
 }

@@ -102,29 +102,30 @@ class _Transfer:
 
     Bit i·|Y| + j of an inner relation stands for the pair (x_i, y_j),
     and likewise for the outer sides.  Saturation sends the inner pair p
-    to `sat[p]`, the pairs below its image pair (at bit `image[p]`) in
-    X' × Y'ᵒᵖ, and preserves unions; read-back keeps the inner pairs
-    whose image bit is set.  `below` holds the principal down-sets of
-    the outer pairs.
+    to `sat[p]`, the pairs below its image pair (at bit `image[p]`, the
+    mask `image_bit[p]`) in X' × Y'ᵒᵖ, and preserves unions.  Read-back,
+    a preimage, does too: it is the union over `back[q]`, the inner pair
+    sent to the outer pair q, if any, as the sides embed.  `below` holds
+    the principal down-sets of the outer pairs.
     """
 
-    __slots__ = ("below", "image", "sat")
+    __slots__ = ("back", "below", "image", "image_bit", "sat")
 
     def __init__(self, ctx):
         self.below = _pair_orders(ctx._outer_frame)
         ny = len(ctx.iy.target)
-        self.image = [a * ny + b for a in ctx.ix.map.idx for b in ctx.iy.map.idx]
-        self.sat = [self.below[q] for q in self.image]
+        self.image = image = [a * ny + b for a in ctx.ix.map.idx for b in ctx.iy.map.idx]
+        self.image_bit = [1 << q for q in image]
+        self.sat = [self.below[q] for q in image]
+        self.back = back = [0] * len(self.below)
+        for p, q in enumerate(image):
+            back[q] = 1 << p
 
     def extend(self, mask):
         return _union_of(self.sat, mask)
 
     def restrict(self, mask):
-        out = 0
-        for p, q in enumerate(self.image):
-            if mask >> q & 1:
-                out |= 1 << p
-        return out
+        return _union_of(self.back, mask)
 
 
 def extend_relation(ctx):
@@ -148,11 +149,9 @@ def _preserves_image_bounds(i, e, join=False):
     bound = target.join_index if join else target.meet_index
     image = _image_mask(e.map.idx)
     f = i.map.idx
+    bits = [1 << t for t in f]
     for x in _mask_iter(_expressible(base, image, join)):
-        images = 0
-        for m in _mask_iter(image & near[x]):
-            images |= 1 << f[m]
-        if bound(images) != f[x]:
+        if bound(_union_of(bits, image & near[x])) != f[x]:
             return False
     return True
 
@@ -202,9 +201,7 @@ def check_extension_preservation(ctx):
     fin, fout = ctx.inner._frame, ctx._outer_frame
     r = ctx.inner._mask
     rbar = t.extend(r)
-    image = 0
-    for p in _mask_iter(r):
-        image |= 1 << t.image[p]
+    image = _union_of(t.image_bit, r)
     inner_level, inner_galois = fin.mask_grade(r)
     outer_level, outer_galois = fout.mask_grade(rbar)
     report = {}
@@ -291,7 +288,8 @@ def phi_map(ctx, outer_rel, outer_preorder):
     phi = MonotoneMap._of_idx(q_in.poset, q_out.poset, q_in.descend([q_out.of[t] for t in lift]))
     if not is_order_embedding(phi):
         raise NotEmbedding("quotient comparison map must embed", _reflection_failure(phi))
-    # A grade held upstairs must hold downstairs.
+    # Whether a grade held upstairs holds downstairs: grades 0 to 2 must, and
+    # grade 3 where `ExtensionContext._image_bounds_kept` (downward clause 3).
     grades = {
         n: (not is_n_preorder(outer, outer_preorder, n).ok)
         or is_n_preorder(inner, pulled, n).ok

@@ -42,7 +42,9 @@ A monotone map keeps its index map and, per target element, the mask of
 the source elements sent above it (`MonotoneMap.pre_up`), and builds on
 first use the mask of those sent below it (`MonotoneMap.pre_down`);
 monotonicity, order reflection and cut stability are row tests on those
-masks.
+masks.  A map acts on a mask by one `_union_of` over a per-element bit
+table: an image is the union of `1 << f[i]`, a preimage that of the masks
+sent to each member, as in `_lift` and the transfer of `polab.extend`.
 
 Two trust boundaries run through this module.  The public constructors
 (`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`) serve user
@@ -984,19 +986,17 @@ def _lift(src, tgt, join=False):
     S, T = src.target, tgt.target
     near = S.cols if join else S.rows
     bound = T.join_index if join else T.meet_index
-    pairs = list(zip(src.idx, tgt.idx))
+    bits = [0] * len(S)
+    for si, ti in zip(src.idx, tgt.idx):
+        bits[si] |= 1 << ti
     lifted = []
     for s, r in zip(S.elements, near):
-        images = 0
-        for si, ti in pairs:
-            if r >> si & 1:
-                images |= 1 << ti
-        g = bound(images)
+        g = bound(_union_of(bits, r))
         if g is None:
             raise NotCompleteLattice("lift target lacks the bound for %r" % (s,), s)
         lifted.append(g)
     h = MonotoneMap._of_idx(S, T, lifted)
-    for p, (si, ti) in zip(src.source.elements, pairs):
+    for p, si, ti in zip(src.source.elements, src.idx, tgt.idx):
         if lifted[si] != ti:
             return h, p
     return h, None

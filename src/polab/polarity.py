@@ -50,6 +50,7 @@ from .order import (
     _bounds_failure,
     _carrier_blocks,
     _closed_relations,
+    _common,
     _expressible,
     _image_mask,
     _loose_pairs,
@@ -370,12 +371,9 @@ class _Frame:
         """Right-to-left block of the pairs (y, x) such that every base
         element sent below y on the right is below every base element sent
         above x on the left."""
-        above, out = self.ex.map.pre_up, []
-        for down in self.ycols:
-            common = (1 << len(self.ps)) - 1
-            for k, yi in enumerate(self.eyi):
-                if down >> yi & 1:
-                    common &= self.prows[k]
+        above, full, out = self.ex.map.pre_up, (1 << len(self.ps)) - 1, []
+        for below in self.ey.map.pre_down:
+            common = _common(self.prows, below, full)
             out.append(sum(1 << i for i, a in enumerate(above) if not a & ~common))
         return out
 

@@ -8,16 +8,17 @@ For each workload of `bench/workloads.py` the script draws the pool that
 `WARMUP_ITEMS` inputs drawn after it once, untraced, as `bench/run.py`
 warms up.  It then counts the opcode events of one `run` of every pool
 item under `sys.settrace`, with `f_trace_opcodes` set on every frame
-entered, and prints the total, the item count and the five code objects
-that executed the most.  The count is of a cold pass: the pool's first
-run fills process caches (`order._lanes`, `order._carrier_blocks`, the
-`randgen` memos) that the warm-up, drawn after the pool, leaves unfilled,
-so a second count in one process reads lower, and counts compare only
-between fresh processes.  Set iteration order moves the count, so the
-script runs itself again under PYTHONHASHSEED=0 unless a hash seed is
-set.  Each item's summary is then taken again in an untraced pass; the
-script exits 1 when one differs from the traced one.  It is opt-in:
-pytest does not collect this file.
+entered, and prints the total, the item count, the p50 and p90 of the
+per-item counts (nearest rank, so each is one item's count) and the five
+code objects that executed the most.  The count is of a cold pass: the
+pool's first run fills process caches (`order._lanes`,
+`order._carrier_blocks`, the `randgen` memos) that the warm-up, drawn
+after the pool, leaves unfilled, so a second count in one process reads
+lower, and counts compare only between fresh processes.  Set iteration
+order moves the count, so the script runs itself again under
+PYTHONHASHSEED=0 unless a hash seed is set.  Each item's summary is then
+taken again in an untraced pass; the script exits 1 when one differs
+from the traced one.  It is opt-in: pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ def _summary(w, out):
     return repr(("gated",) if out is None else w.summary(out))
 
 
-def count(run):
-    """Run `run()` under an opcode trace; its opcode events per code object."""
+def count(fn, *args):
+    """Run `fn(*args)` under an opcode trace: its result, and its opcode
+    events per code object."""
     counts = Counter()
 
     def local(frame, event, arg):
@@ -72,26 +74,35 @@ def count(run):
 
     sys.settrace(call)
     try:
-        run()
+        out = fn(*args)
     finally:
         sys.settrace(None)
-    return counts
+    return out, counts
+
+
+def rank(values, p):
+    """The nearest-rank p-quantile of `values`."""
+    ordered = sorted(values)
+    return ordered[max(0, -(-len(ordered) * p // 100) - 1)]
 
 
 def measure(w, seed, seconds):
     """The seed's `seconds` pool of workload `w`, warmed up as
-    `bench/run.py` warms up: its item count, the opcode events of one
-    `run` of every item per code object, and the indices of the items
+    `bench/run.py` warms up: the opcode events of one `run` of every item
+    per code object, each item's total, and the indices of the items
     whose summary an untraced pass changes."""
     rng = random.Random(seed)
     pool = w.pool(rng, seconds)
     for k in range(len(pool), len(pool) + WARMUP_ITEMS):
         _run(w, w.draw(rng, k))
-    outs = []
-    counts = count(lambda: outs.extend(_run(w, inp) for inp in pool))
-    traced = [_summary(w, out) for out in outs]
+    counts, per_item, traced = Counter(), [], []
+    for inp in pool:
+        out, item = count(_run, w, inp)
+        counts.update(item)
+        per_item.append(sum(item.values()))
+        traced.append(_summary(w, out))
     changed = [k for k, inp in enumerate(pool) if _summary(w, _run(w, inp)) != traced[k]]
-    return len(pool), counts, changed
+    return counts, per_item, changed
 
 
 def _label(code):
@@ -114,8 +125,11 @@ def main(argv=None):
     names = list(workloads) if args.workload == "all" else [args.workload]
     status = 0
     for name in names:
-        items, counts, changed = measure(workloads[name], args.seed, args.seconds)
-        print("%s  items %d  opcodes %d" % (name, items, sum(counts.values())))
+        counts, per_item, changed = measure(workloads[name], args.seed, args.seconds)
+        print(
+            "%s  items %d  opcodes %d  per item p50 %d  p90 %d"
+            % (name, len(per_item), sum(per_item), rank(per_item, 50), rank(per_item, 90))
+        )
         for code, n in counts.most_common(TOP):
             print("  %12d  %s" % (n, _label(code)))
         if changed:

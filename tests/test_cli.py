@@ -8,7 +8,15 @@ import polab
 import polab.cli as cli
 from polab.docformat import parse
 from polab.errors import LawViolation
+from polab.extend import (
+    ExtensionContext,
+    check_restriction_preservation,
+    extend_relation,
+    phi_map,
+)
 from polab.fixtures import CATALOGUE, Fixture, load
+from polab.order import Extension, MonotoneMap, Poset
+from polab.polarity import CANONICAL_BUILDERS, coherence_level
 from polab.randgen import random_context
 
 from conftest import run_optimized
@@ -257,6 +265,27 @@ class TestFuzzCommand:
             assert doc.polarities["G"] == ctx.inner
             assert (doc.maps["ix"], doc.maps["iy"]) == (ctx.ix.map, ctx.iy.map)
             assert out[:start].splitlines()[-1].startswith(("# rerun: ", "# finding 1: odd"))
+
+    def test_restriction_owes_grade_3_only_under_the_guard(self):
+        """The `restriction` law draws side contexts too.  Its seed-0 side
+        context sends `fix_a`'s one-point X into a three-element
+        antichain, so ix loses the empty meet: the guard of downward
+        transfer fails, grade 3 does not transfer down, and the law holds."""
+        assert cli._LAWS["restriction"][0] is cli._draw_extension
+        inner = load("fix_a").polarities["G"]
+        xx = Poset.antichain(["xx0", "xx1", "xx2"])
+        yy = Poset.from_pairs(["yy0", "yy1", "yy2"], [("yy1", "yy2")])
+        ix = Extension(MonotoneMap(inner.x, xx, {"x": "xx0"}))
+        iy = Extension(MonotoneMap(inner.y, yy, {"y": "yy0"}))
+        ctx = ExtensionContext(inner, ix, iy)
+        sbar = extend_relation(ctx)
+        outer = ctx.outer(sbar)
+        pre = CANONICAL_BUILDERS[coherence_level(outer)](outer).closed()
+        grades = phi_map(ctx, sbar, pre).grades
+        assert not ctx._image_bounds_kept
+        assert grades == {0: True, 1: True, 2: True, 3: False}
+        assert check_restriction_preservation(ctx, sbar)["3"].applicable is False
+        assert cli._law_restriction(ctx) is None
 
     def test_a_draw_that_raises_violates_its_law(self, monkeypatch, capsys):
         """A Galois draw certifies what it returns; its failure fails the

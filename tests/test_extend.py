@@ -1,5 +1,6 @@
 import random
 import textwrap
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from polab.extend import (
 from polab.fixtures import load
 from polab.oracles import (
     _coherent_relations,
+    glb,
+    lub,
     naive_coherence_level,
     oracle_coherent_relations,
     oracle_extend_relation,
@@ -56,7 +59,12 @@ from polab.polarity import (
     r_l,
     r_zero,
 )
-from polab.randgen import random_context, random_side_context
+from polab.randgen import (
+    random_context,
+    random_extension_polarity,
+    random_galois_polarity,
+    random_side_context,
+)
 
 from conftest import chain, run_optimized
 
@@ -222,6 +230,34 @@ class TestTransfer:
             guarded._image_bounds_kept
             assert check_restriction_preservation(guarded, sbar) == got
         assert levels == {0, 1, 3}
+
+    def test_the_guard_is_the_literal_loop(self):
+        """`_preserves_image_bounds` against the loop over the base
+        elements and their images, both ways round, on side contexts over
+        seeded Galois polarities: x is the meet of the base images above
+        it exactly when its image is the meet of theirs, and dually."""
+
+        def literal(i, e, join):
+            base, target, f = i.base, i.target, i.map
+            bound = lub if join else glb
+            images = {e(p) for p in e.base.elements}
+            for x in base.elements:
+                kept = [m for m in images if (base.leq(m, x) if join else base.leq(x, m))]
+                if bound(base, kept) == x and bound(target, [f(m) for m in kept]) != f(x):
+                    return False
+            return True
+
+        rng = random.Random(18)
+        seen = Counter()
+        for k in range(300):
+            pol = random_galois_polarity(rng, 1 + k % 5)
+            ctx = random_side_context(rng, pol)
+            for i, e in ((ctx.ix, pol.ex), (ctx.iy, pol.ey)):
+                for join in (False, True):
+                    got = polab.extend._preserves_image_bounds(i, e, join)
+                    assert got == literal(i, e, join)
+                    seen[got] += 1
+        assert min(seen.values()) > 100
 
     def test_a_lost_image_meet_fails_the_guard(self):
         """X' puts n between m, the meet of the base images a and b in X,
@@ -458,6 +494,28 @@ class TestTransferKernel:
             for m in range(1 << len(outer_pairs)):
                 s = frozenset(p for k, p in enumerate(outer_pairs) if m >> k & 1)
                 assert kernel_readback(ctx, s) == oracle_restrict_relation(ctx, s)
+
+    def test_readback_and_image_pairs_are_the_literal_loops(self):
+        """Read-back, the union over `back`, and the image pairs, the
+        union over `image_bit`, against the loops over the inner pairs,
+        on seeded contexts and side contexts and seeded masks, the full
+        ones included."""
+        rng = random.Random(15)
+        for k in range(240):
+            base = 1 + k % 4
+            if k % 2:
+                ctx = random_side_context(rng, random_extension_polarity(rng, base))
+            else:
+                ctx = random_context(rng, base)
+            t = ctx._transfer
+            full_out, full_in = (1 << len(t.below)) - 1, (1 << len(t.sat)) - 1
+            for s, r in [(full_out, full_in)] + [
+                (rng.getrandbits(len(t.below)), rng.getrandbits(len(t.sat))) for _ in range(8)
+            ]:
+                back = sum(1 << p for p, q in enumerate(t.image) if s >> q & 1)
+                image = sum(1 << q for p, q in enumerate(t.image) if r >> p & 1)
+                assert t.restrict(s) == back
+                assert _union_of(t.image_bit, r) == image
 
     def test_wrappers_match_the_oracle(self):
         for ctx in self.kernel_contexts():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from polab.errors import DomainMismatch, MorphismInvalid, PartialInverseUndefined
+from polab import morphisms
 from polab.fixtures import load
 from polab.morphisms import (
     PolarityMorphism,
@@ -307,6 +308,14 @@ class TestQuotientMaps:
         bad = MonotoneMap.identity(st.quotient.poset)
         with pytest.raises(DomainMismatch):
             h_of(bad, pol, other)
+
+    def test_a_missed_value_has_no_first_preimage(self):
+        """The partial inverse of an embedding is defined on its image
+        only: a value it misses is `PartialInverseUndefined`, named."""
+        emb = MonotoneMap(chain("ab"), chain("abc"), {"a": "a", "b": "c"})
+        assert morphisms._first_preimages(emb, [2, 0], "left side") == [1, 0]
+        with pytest.raises(PartialInverseUndefined, match="left side misses the value 'b'"):
+            morphisms._first_preimages(emb, [0, 1], "left side")
 
 
 class TestIsEmbedding:

@@ -2,7 +2,7 @@ import random
 import re
 import textwrap
 from collections import Counter
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from polab.errors import (
     LawViolation,
     NotCompleteLattice,
     NotCutStable,
+    NotDelta1,
     NotEmbedding,
     NotMonotone,
     NotPreorder,
@@ -53,6 +54,7 @@ from polab.order import (
     transitive_close,
 )
 from polab.concepts import adjoint_pair, concept_lattice
+from polab.delta1 import Delta1Completion
 from polab.fixtures import CATALOGUE, load
 from polab.oracles import (
     glb,
@@ -254,6 +256,12 @@ class TestMonotoneMap:
             MonotoneMap(c, c, {"a": "a", "zz": "a", "b": "b"})
         assert e.value.witness == "zz"
 
+    def test_an_id_outside_the_domain_is_unknown(self):
+        f = MonotoneMap(chain("ab"), chain("xy"), {"a": "x", "b": "y"})
+        assert f("b") == "y"
+        with pytest.raises(UnknownId, match="element 'x' is not in the domain"):
+            f("x")
+
     def test_composition_and_identity(self):
         c = chain("ab")
         d = chain("abc")
@@ -321,6 +329,30 @@ class TestMacneille:
     def test_downsets_of_an_antichain_are_only_a_join_extension(self):
         e = downset_extension(Poset.antichain("abc"))
         assert is_join_extension(e) and not is_meet_extension(e)
+
+    def test_each_half_of_density_is_needed(self):
+        """The lattice of the masks {0, 4, 8, 10, 12, 13, 15} under
+        inclusion, with the base a < c < d, b < d sent to 4, 13, 15 and
+        10: every element is a join of meets of images, not every one a
+        meet of joins, so this completion is not Δ₁.  On the dual lattice
+        and base the halves swap.  Each half is read off the literal
+        subset bounds."""
+        masks = [0, 4, 8, 10, 12, 13, 15]
+        lattice = Poset.from_pairs(masks, [(m, k) for m in masks for k in masks if not m & ~k])
+        base = Poset.from_pairs("abcd", [("a", "c"), ("c", "d"), ("b", "d")])
+        e = Extension(MonotoneMap(base, lattice, {"a": 4, "b": 10, "c": 13, "d": 15}))
+
+        def bounds(t, bound, elems):
+            return {bound(t, sub) for k in range(len(elems) + 1) for sub in combinations(elems, k)}
+
+        for ext, halves in ((e, (True, False)), (dual_extension(e), (False, True))):
+            t, image = ext.target, sorted(set(ext.map.assignment.values()))
+            joins_of_meets = bounds(t, lub, sorted(bounds(t, glb, image)))
+            meets_of_joins = bounds(t, glb, sorted(bounds(t, lub, image)))
+            assert (joins_of_meets >= set(masks), meets_of_joins >= set(masks)) == halves
+            assert is_completion(ext) and not is_dense(ext)
+            with pytest.raises(NotDelta1):
+                Delta1Completion(ext)
 
     def test_macneille_of_a_lattice_adds_nothing(self):
         d = diamond()
@@ -957,6 +989,35 @@ class TestIndexMapKernels:
             f = [rng.randrange(n) for _ in range(m)]
             want = [sum(1 << x for x in range(m) if vecs[f[x]] >> t & 1) for t in range(n)]
             assert _transpose([vecs[t] for t in f], n) == want, (m, n)
+
+    def test_lift_is_the_literal_loop(self):
+        """`_lift` against `naive_lift`, the loop over the source elements,
+        on seeded pairs of maps out of one poset, into complete lattices
+        and into posets that may lack a bound (`NotCompleteLattice` names
+        the first element with none).  Most `src` maps are not injective."""
+        rng = random.Random(79)
+        seen = Counter()
+        while min(seen[key] for key in ("many-to-one", "raised", "lifted")) < 100:
+            p, s = (random_poset(rng, rng.randint(1, 5)) for _ in range(2))
+            q = random_poset(rng, rng.randint(1, 4))
+            t = macneille(q).target if rng.random() < 0.7 else q
+            src, tgt = random_monotone(rng, p, s), random_monotone(rng, p, t)
+            if src is None or tgt is None:
+                continue
+            seen["many-to-one"] += len(set(src.idx)) < len(p)
+            for join in (False, True):
+                want = naive_lift(src, tgt, up=not join)
+                lacking = [e for e in s.elements if want[e] is None]
+                if lacking:
+                    with pytest.raises(NotCompleteLattice) as err:
+                        _lift(src, tgt, join)
+                    assert err.value.witness == lacking[0]
+                    seen["raised"] += 1
+                    continue
+                h, miss = _lift(src, tgt, join)
+                assert h.assignment == want
+                assert miss == next((e for e in p.elements if want[src(e)] != tgt(e)), None)
+                seen["lifted"] += 1
 
     def test_monotonicity_names_the_first_unordered_pair(self):
         rng = random.Random(71)

@@ -630,6 +630,28 @@ class TestNamedSets:
         ns = named_relation_sets(pol)
         assert ns.z_yx <= ns.z_s and ns.z_yx <= ns.z_t
 
+    def test_z_yx_alt_is_the_literal_loop(self):
+        """`_Frame.z_yx_alt` holds (y, x) exactly when every base element
+        sent below y on the right is below every one sent above x on the
+        left: the loop over base pairs, on seeded Galois polarities."""
+        rng = random.Random(19)
+        for k in range(200):
+            pol = random_galois_polarity(rng, 1 + k % 6)
+            P, X, Y = pol.base, pol.x, pol.y
+            want = [
+                sum(
+                    1 << i
+                    for i, x in enumerate(X.elements)
+                    if all(
+                        P.leq(a, b)
+                        for a in P.elements if Y.leq(pol.ey(a), y)
+                        for b in P.elements if X.leq(x, pol.ex(b))
+                    )
+                )
+                for y in Y.elements
+            ]
+            assert pol._frame.z_yx_alt() == want
+
 
 class TestPreorderClauses:
     def test_grades_below_three_build_no_realizable_meets(self):

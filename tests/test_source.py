@@ -625,12 +625,14 @@ def test_every_exemption_names_a_definition():
 
 
 def test_opcode_counts_repeat():
-    """The opt-in script `tests/opcodes.py` counts the same opcodes in two
-    fresh processes, on pools of a tenth of a second of each workload."""
+    """The opt-in script `tests/opcodes.py` counts the same opcodes, in
+    total and per item, in two fresh processes, on pools of a tenth of a
+    second of each workload."""
     script = "import opcodes, sys; sys.exit(opcodes.main(['--seconds', '0.1']))"
     first, second = (run_optimized(script, optimize=False) for _ in range(2))
     assert first.returncode == 0, first.stderr
-    assert re.findall(r"^(\w+)  items \d+  opcodes \d+$", first.stdout, re.M) == [
+    line = r"^(\w+)  items \d+  opcodes \d+  per item p50 \d+  p90 \d+$"
+    assert re.findall(line, first.stdout, re.M) == [
         "grade", "complete", "transfer",
     ]
     assert second.stdout == first.stdout
