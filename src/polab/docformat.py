@@ -436,7 +436,7 @@ def serialize(doc):
 
 
 def _dot_id(e):
-    return '"%s"' % (_untag(e) if isinstance(e, tuple) else str(e))
+    return '"%s"' % (_untag(e) if isinstance(e, tuple) else str(e)).replace('"', '\\"')
 
 
 def to_dot(poset, name="G", filled=()):

@@ -36,6 +36,7 @@ One reference per definition of the paper, and the fast route it checks:
 - The completion laws: `oracle_bounds_failure` (`_bounds_failure`),
   `oracle_is_cut_stable` (`is_cut_stable`), `oracle_complete_hom_failure`
   (`_complete_hom_failure`), `oracle_complete_homs` (`delta1.mediate`),
+  `oracle_is_delta1` (`order.is_delta1`),
   `oracle_extensions_isomorphic` and `oracle_polarity_isos_over_base`
   (the uniqueness certificates of `delta1`), the last two by way of
   `oracle_order_isomorphisms`.
@@ -690,6 +691,24 @@ def oracle_is_complete_lattice(poset):
     return n > 0 and all(
         literal_bound(vecs, m) is not None for m in masks for vecs in (poset.cols, poset.rows)
     )
+
+
+def oracle_is_delta1(e):
+    """Whether the extension `e` is a Δ₁-completion: its target passes
+    `oracle_is_complete_lattice`, and every target element is a join of
+    meets of images and a meet of joins of images, each meet and join
+    taken with `glb`/`lub` over every subset.  The scans are exponential
+    in the target, so targets past 12 elements are refused."""
+    T = e.target
+    if len(T.elements) > 12:
+        raise CarrierTooLarge("density scan gated at 12 elements")
+    if not oracle_is_complete_lattice(T):
+        return False
+    images = list(dict.fromkeys(e.map(p) for p in e.base.elements))
+    meets = {glb(T, s) for s in _subsets(images)}
+    joins = {lub(T, s) for s in _subsets(images)}
+    every = set(T.elements)
+    return {lub(T, s) for s in _subsets(meets)} == every == {glb(T, s) for s in _subsets(joins)}
 
 
 # -- polarity morphisms ----------------------------------------------------------

@@ -46,20 +46,21 @@ masks.  A map acts on a mask by one `_union_of` over a per-element bit
 table: an image is the union of `1 << f[i]`, a preimage that of the masks
 sent to each member, as in `_lift` and the transfer of `polab.extend`.
 
-Two trust boundaries run through this module.  The public constructors
-(`Poset(elements, rows)`, `Poset.from_pairs`, `antichain`) serve user
-input and check reflexivity, antisymmetry and transitivity.
-A poset derived from trusted ones (`dual`, `relabel`, `restrict`, the
-inclusion orders `_inclusion` gives the cut and concept lattices, a
-`Quotient`'s classes) is built by `Poset._derived` with its `rows` and
-`cols` computed together and is not checked again; only the ids are,
-where they may repeat.  `Poset._derived` is called in this module only.
-Likewise `MonotoneMap(source, target, assignment)` checks the labels of
-a parsed or user-supplied map and its monotonicity, while
-`MonotoneMap._of_idx(source, target, idx)`, for a map derived from held
-maps (a composite, a lift, a cut or quotient map), tests monotonicity
-only.  `UnionPreorder._of_packed` takes a packed matrix on a carrier and
-index its caller holds, and checks nothing.
+The public poset constructors (`Poset(elements, rows)`,
+`Poset.from_pairs`, `antichain`) serve user input and check reflexivity,
+antisymmetry and transitivity.  A poset derived from trusted ones
+(`dual`, `relabel`, `restrict`, the inclusion orders `_inclusion` gives
+the cut and concept lattices, a `Quotient`'s classes) is built by
+`Poset._derived`, called in this module only, with its `rows` and `cols`
+computed together, and is not checked again; only the ids are, where
+they may repeat.  `UnionPreorder._of_packed` takes a packed matrix on a
+carrier and index its caller holds, and checks nothing.  These two are
+the package's only trusted constructors, each kept because a re-check
+costs a transitivity test.  `MonotoneMap(source, target, assignment)`
+checks a parsed or user-supplied map's labels and monotonicity, and
+`MonotoneMap._of_idx`, for a map derived from held maps (a composite, a
+lift, a cut or quotient map), its index tuple's length and range and its
+monotonicity.
 """
 
 from __future__ import annotations
@@ -663,8 +664,8 @@ class MonotoneMap:
     assignment, a mapping or its pairs, are exactly the source elements (a
     missing one is `NotMonotone`, any other key `UnknownId`) and its values
     lie in the target (`UnknownId`).  `_of_idx(source, target, idx)` makes
-    a map the package derives from maps it holds and checks no label; the
-    source tests pin where it is called."""
+    a map the package derives from maps it holds: it reads no label, and
+    an index tuple off the source or target is `CarrierMismatch`."""
 
     __slots__ = ("source", "target", "idx", "pre_up", "__dict__")
 
@@ -688,10 +689,13 @@ class MonotoneMap:
 
     @classmethod
     def _of_idx(cls, source, target, idx):
-        """The map with index map `idx`, derived from maps the package
-        holds: only monotonicity is tested."""
+        """The map with index map `idx`, one index of the target per source
+        element (else `CarrierMismatch`), tested for monotonicity."""
+        idx = tuple(idx)
+        if len(idx) != len(source.rows) or idx and not 0 <= min(idx) <= max(idx) < len(target.rows):
+            raise CarrierMismatch("index map does not fit its source and target", idx)
         self = cls.__new__(cls)
-        self.source, self.target, self.idx = source, target, tuple(idx)
+        self.source, self.target, self.idx = source, target, idx
         self._check_monotone()
         return self
 

@@ -162,8 +162,13 @@ class ExtensionPolarity:
 
     @classmethod
     def _of_mask(cls, frame, mask):
-        """The polarity with pair mask `mask` on `frame`, which it keeps; it
-        checks nothing, so only code holding a frame of trusted parts calls it."""
+        """The polarity with pair mask `mask` on `frame`, which it keeps:
+        both extensions must extend the frame's base and the mask lie in
+        X × Y (`CarrierMismatch`)."""
+        if frame.ex.base != frame.base or frame.ey.base != frame.base:
+            raise CarrierMismatch("both extensions must share the base poset")
+        if not 0 <= mask < 1 << len(frame.xs) * len(frame.ys):
+            raise CarrierMismatch("pair mask reaches outside X × Y", mask)
         self = cls.__new__(cls)
         self.base, self.ex, self.ey, self._mask = frame.base, frame.ex, frame.ey, mask
         self._frame = frame

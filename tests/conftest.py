@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 import polab
+from polab.extend import ExtensionContext
 from polab.morphisms import PolarityMorphism
 from polab.order import Extension, MonotoneMap, Poset, _mask_iter
 from polab.polarity import ExtensionPolarity, r_l
@@ -169,6 +170,13 @@ def dual_polarity(pol):
     ex = Extension(MonotoneMap(base, pol.y.dual(), pol.ey.map.assignment))
     ey = Extension(MonotoneMap(base, pol.x.dual(), pol.ex.map.assignment))
     return ExtensionPolarity(base, ex, ey, {(b, a) for a, b in pol.rel})
+
+
+def dual_context(ctx):
+    """The dual inner polarity, its new left side extended by the dual of
+    `iy` and its new right side by the dual of `ix`."""
+    inner = dual_polarity(ctx.inner)
+    return ExtensionContext(inner, dual_extension(ctx.iy), dual_extension(ctx.ix))
 
 
 # A script prelude for sabotage under `python -O`: `refused` runs `run`

@@ -8,9 +8,11 @@ For each workload of `bench/workloads.py` the script draws the pool that
 `WARMUP_ITEMS` inputs drawn after it once, untraced, as `bench/run.py`
 warms up.  It then counts the opcode events of one `run` of every pool
 item under `sys.settrace`, with `f_trace_opcodes` set on every frame
-entered, and prints the total, the item count, the p50 and p90 of the
-per-item counts (nearest rank, so each is one item's count) and the five
-code objects that executed the most.  The count is of a cold pass: the
+entered, and prints the total, the item count, the calls (the `call`
+events of the trace: Python frames entered, a generator's resumption
+among them, no C function), the p50 and p90 of the per-item opcode
+counts (nearest rank, so each is one item's count) and the five code
+objects that executed the most.  The count is of a cold pass: the
 pool's first run fills process caches (`order._lanes`,
 `order._carrier_blocks`, the `randgen` memos) that the warm-up, drawn
 after the pool, leaves unfilled, so a second count in one process reads
@@ -59,9 +61,9 @@ def _summary(w, out):
 
 
 def count(fn, *args):
-    """Run `fn(*args)` under an opcode trace: its result, and its opcode
-    events per code object."""
-    counts = Counter()
+    """Run `fn(*args)` under an opcode trace: its result, its opcode
+    events per code object, and its call events."""
+    counts, calls = Counter(), [0]
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -69,6 +71,7 @@ def count(fn, *args):
         return local
 
     def call(frame, event, arg):
+        calls[0] += 1
         frame.f_trace_opcodes = True
         return local
 
@@ -77,7 +80,7 @@ def count(fn, *args):
         out = fn(*args)
     finally:
         sys.settrace(None)
-    return out, counts
+    return out, counts, calls[0]
 
 
 def rank(values, p):
@@ -89,20 +92,21 @@ def rank(values, p):
 def measure(w, seed, seconds):
     """The seed's `seconds` pool of workload `w`, warmed up as
     `bench/run.py` warms up: the opcode events of one `run` of every item
-    per code object, each item's total, and the indices of the items
-    whose summary an untraced pass changes."""
+    per code object, each item's total, the call events of all items, and
+    the indices of the items whose summary an untraced pass changes."""
     rng = random.Random(seed)
     pool = w.pool(rng, seconds)
     for k in range(len(pool), len(pool) + WARMUP_ITEMS):
         _run(w, w.draw(rng, k))
-    counts, per_item, traced = Counter(), [], []
+    counts, per_item, traced, calls = Counter(), [], [], 0
     for inp in pool:
-        out, item = count(_run, w, inp)
+        out, item, entered = count(_run, w, inp)
         counts.update(item)
+        calls += entered
         per_item.append(sum(item.values()))
         traced.append(_summary(w, out))
     changed = [k for k, inp in enumerate(pool) if _summary(w, _run(w, inp)) != traced[k]]
-    return counts, per_item, changed
+    return counts, per_item, calls, changed
 
 
 def _label(code):
@@ -125,10 +129,10 @@ def main(argv=None):
     names = list(workloads) if args.workload == "all" else [args.workload]
     status = 0
     for name in names:
-        counts, per_item, changed = measure(workloads[name], args.seed, args.seconds)
+        counts, per_item, calls, changed = measure(workloads[name], args.seed, args.seconds)
         print(
-            "%s  items %d  opcodes %d  per item p50 %d  p90 %d"
-            % (name, len(per_item), sum(per_item), rank(per_item, 50), rank(per_item, 90))
+            "%s  items %d  opcodes %d  calls %d  per item p50 %d  p90 %d"
+            % (name, len(per_item), sum(per_item), calls, rank(per_item, 50), rank(per_item, 90))
         )
         for code, n in counts.most_common(TOP):
             print("  %12d  %s" % (n, _label(code)))

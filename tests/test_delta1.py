@@ -1,5 +1,7 @@
 import random
 import textwrap
+from collections import Counter
+from itertools import permutations
 
 import polab
 import pytest
@@ -28,9 +30,11 @@ from polab.oracles import (
     leq,
     oracle_complete_homs,
     oracle_extensions_isomorphic,
+    oracle_is_complete_lattice,
+    oracle_is_delta1,
     oracle_polarity_isos_over_base,
 )
-from polab.order import Extension, MonotoneMap, Poset, macneille
+from polab.order import Extension, MonotoneMap, Poset, is_delta1, macneille
 from polab.polarity import ExtensionPolarity, r_l
 from polab.randgen import morphism_corpus, random_galois_polarity, random_poset
 
@@ -43,6 +47,7 @@ from conftest import (
     run_optimized,
     seeded_galois,
 )
+from test_census import labelled_posets
 
 
 def seeded_posets(max_size=5):
@@ -482,3 +487,39 @@ def literal_cross_failure(pol, f, g):
             if leq(s.quotient.poset, s.iota_y(y), s.iota_x(x)) and not leq(f.target, g(y), f(x)):
                 return y, x
     return None
+
+
+class TestLatticeCensus:
+    def test_every_small_embedding_into_a_lattice(self):
+        """Every order embedding of a labelled base of one to three
+        elements into a labelled lattice of one to four: `is_delta1`
+        agrees with the subset scans of `oracle_is_delta1`, and on each
+        Δ₁-completion the generated polarity, the counit and the unit of
+        that polarity hold, the unit an isomorphism.  The completions come
+        from lattices here, not only from Γ of a polarity."""
+        lattices = [
+            lat
+            for n in range(1, 5)
+            for lat in labelled_posets(["l%d" % i for i in range(n)])
+            if oracle_is_complete_lattice(lat)
+        ]
+        bases = [base for n in range(1, 4) for base in labelled_posets("abc"[:n])]
+        assert (len(lattices), len(bases)) == (45, 23)
+        found = Counter()
+        for base in bases:
+            pairs = [(p, q) for p in base.elements for q in base.elements]
+            for lat in lattices:
+                for image in permutations(lat.elements, len(base)):
+                    f = dict(zip(base.elements, image))
+                    if any(base.leq(p, q) != lat.leq(f[p], f[q]) for p, q in pairs):
+                        continue
+                    e = Extension(MonotoneMap(base, lat, f))
+                    delta1 = is_delta1(e)
+                    found[delta1] += 1
+                    assert delta1 == oracle_is_delta1(e), (base.rows, lat.rows, f)
+                    if delta1:
+                        d = Delta1Completion(e)
+                        delta_on_objects(d)
+                        counit_iso(d)
+                        assert unit(delta_on_objects(d)).is_isomorphism(), f
+        assert found == {True: 579, False: 960}

@@ -654,3 +654,11 @@ class TestDot:
     def test_output_is_deterministic(self):
         p = Poset.from_pairs("abcd", [("a", "b"), ("c", "d")])
         assert to_dot(p) == to_dot(p)
+
+    def test_a_quote_in_an_id_is_escaped(self):
+        """The reader accepts the id `a"b`; DOT reads it back only with
+        the quote escaped, tagged or not."""
+        p = parse('poset P {\n  elems a"b c\n  le a"b<c\n}\n').posets["P"]
+        assert '  "a\\"b" -> "c";\n' in to_dot(p)
+        tagged = p.relabel(lambda e: ("X", e))
+        assert '  "X.a\\"b" [style=filled];\n' in to_dot(tagged, filled=[("X", 'a"b')])

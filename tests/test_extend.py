@@ -66,7 +66,7 @@ from polab.randgen import (
     random_side_context,
 )
 
-from conftest import chain, run_optimized
+from conftest import chain, dual_context, run_optimized
 
 
 def seeded_contexts(max_base=3, galois=False):
@@ -290,6 +290,35 @@ class TestTransfer:
     @settings(deadline=None, max_examples=40)
     def test_slice_relations_travel_to_slice_relations(self, ctx):
         assert slice_extension_is_slice(ctx)
+
+
+def dual_verdicts(ctx, sbar):
+    """What duality must keep of a context: each clause of both transfer
+    reports as (applicable, holds), the downward one on `sbar`, the guard
+    and the three flags of the adjunction."""
+    up = {k: c[:2] for k, c in check_extension_preservation(ctx).items()}
+    down = {k: c[:2] for k, c in check_restriction_preservation(ctx, sbar).items()}
+    adj = relation_lattice_adjunction(ctx)
+    return up, down, ctx._image_bounds_kept, (adj.unit_holds, adj.counit_holds, adj.law_holds)
+
+
+class TestContextDuality:
+    def test_every_verdict_survives_duality(self):
+        """On 300 contexts over bases of 1 to 4 elements, a third each from
+        `random_context`, its Galois form and `random_side_context` over a
+        Galois polarity, the dual context gives the same verdicts, the
+        saturation transposed.  A `join` flag read the wrong way round on
+        one side of a kernel shows here."""
+        rng = random.Random(21)
+        for k in range(300):
+            size = 1 + k % 4
+            if k % 3 == 2:
+                ctx = random_side_context(rng, random_galois_polarity(rng, size))
+            else:
+                ctx = random_context(rng, size, galois=k % 3 == 1)
+            sbar = extend_relation(ctx)
+            dual = dual_verdicts(dual_context(ctx), {(b, a) for a, b in sbar})
+            assert dual == dual_verdicts(ctx, sbar), k
 
 
 class TestSliceCheck:

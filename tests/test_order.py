@@ -69,6 +69,7 @@ from polab.oracles import (
     oracle_extensions_isomorphic,
     oracle_is_complete_lattice,
     oracle_is_cut_stable,
+    oracle_is_delta1,
     oracle_monotone_failure,
     oracle_order_failure,
     oracle_order_isomorphisms,
@@ -350,7 +351,7 @@ class TestMacneille:
             joins_of_meets = bounds(t, lub, sorted(bounds(t, glb, image)))
             meets_of_joins = bounds(t, glb, sorted(bounds(t, lub, image)))
             assert (joins_of_meets >= set(masks), meets_of_joins >= set(masks)) == halves
-            assert is_completion(ext) and not is_dense(ext)
+            assert is_completion(ext) and not is_dense(ext) and not oracle_is_delta1(ext)
             with pytest.raises(NotDelta1):
                 Delta1Completion(ext)
 
@@ -682,6 +683,43 @@ class TestDerivedMaps:
         done = run_optimized(script)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.splitlines() == ["NotMonotone None ('a', 'b')", "accepted"]
+
+    # Index tuples on the antichain p, q into the chain a < b, each off
+    # its source or target: a negative index, one too many, one too few,
+    # one past the target.  The antichain makes every in-range tuple
+    # monotone, so only the range and length checks can refuse them.
+    BAD_TUPLES = ([-1, -1], [0, 1, 1], [0], [0, 2])
+    REFUSALS = textwrap.dedent(
+        """
+        from polab.errors import PolabError
+        from polab.order import MonotoneMap, Poset
+
+        def refusals(bad):
+            two, ab = Poset.antichain("pq"), Poset.from_pairs("ab", [("a", "b")])
+            out = []
+            for idx in bad + [[1, 0]]:
+                try:
+                    out.append(MonotoneMap._of_idx(two, ab, idx).idx)
+                except PolabError as err:
+                    out.append((type(err).__name__, err.witness))
+            return out
+        """
+    )
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["in_process", "optimized"])
+    def test_an_index_tuple_off_its_posets_is_refused(self, optimize):
+        """`_of_idx` refuses a tuple of another length than the source, or
+        with an index outside the target, with `CarrierMismatch` naming
+        the tuple, also under `python -O`; a tuple that fits is kept."""
+        want = [("CarrierMismatch", tuple(idx)) for idx in self.BAD_TUPLES] + [(1, 0)]
+        if not optimize:
+            space = {}
+            exec(self.REFUSALS, space)
+            assert space["refusals"](list(self.BAD_TUPLES)) == want
+            return
+        done = run_optimized(self.REFUSALS + "print(refusals(%r))" % (list(self.BAD_TUPLES),))
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.strip() == repr(want)
 
 
 class TestCompletionPathCertificates:

@@ -905,6 +905,46 @@ def test_a_polarity_is_its_pair_mask():
             assert pol.with_relation(pairs + extra[:1]) != pol
 
 
+class TestMaskOnAFrame:
+    # On the frame of the chain a < b with both sides itself (4 pairs), the
+    # masks `_of_mask` refuses, and the frame whose right side extends
+    # another base (mask 0); the last mask fits.
+    REFUSALS = textwrap.dedent(
+        """
+        from polab.errors import PolabError
+        from polab.order import Extension, Poset
+        from polab.polarity import ExtensionPolarity, _Frame
+
+        def refusals():
+            ab, cd = (Poset.from_pairs(e, [tuple(e)]) for e in ("ab", "cd"))
+            e = Extension.identity(ab)
+            fr, off = _Frame(ab, e, e), _Frame(ab, e, Extension.identity(cd))
+            out = []
+            for frame, mask in ((fr, -1), (fr, 1 << 4), (fr, 1 << 4 | 1), (off, 0), (fr, 15)):
+                try:
+                    out.append(ExtensionPolarity._of_mask(frame, mask)._mask)
+                except PolabError as err:
+                    out.append(type(err).__name__)
+            return out
+        """
+    )
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["in_process", "optimized"])
+    def test_a_mask_off_its_frame_is_refused(self, optimize):
+        """`_of_mask` refuses a negative mask, a bit past X × Y and a frame
+        whose sides extend different bases with `CarrierMismatch`, also
+        under `python -O`."""
+        want = ["CarrierMismatch"] * 4 + [15]
+        if not optimize:
+            space = {}
+            exec(self.REFUSALS, space)
+            assert space["refusals"]() == want
+            return
+        done = run_optimized(self.REFUSALS + "print(refusals())")
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.strip() == repr(want)
+
+
 # Order duality swaps the two members of each pair of conditions.
 SWAPPED = {"C1": "C2", "C5": "C6", "C7": "C8", "E1": "E2", "S1": "S2"}
 
